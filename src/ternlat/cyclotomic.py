@@ -73,11 +73,10 @@ def cyclo_info(k: int) -> CycloInfo:
     mu, phi = mobius_phi(k)
     pcos = polys.cos_minpoly(k)
     d = phi // 2
-    # disc of the power order (which is the maximal order here)
-    comp_traces = _power_traces(pcos, 2 * d)
-    gram = [[_trace_of_product(pcos, comp_traces, i, j) for j in range(d)]
-            for i in range(d)]
-    disc = linalg.det(gram)
+    # disc of the power order (which is the maximal order here); its trace
+    # form is the Hankel matrix of power sums, Tr(t^i * t^j) = s_(i+j)
+    s = _power_traces(pcos, 2 * d - 2)
+    disc = linalg.det([[s[i + j] for j in range(d)] for i in range(d)])
     assert disc.denominator == 1
     basis = tuple(tuple(Fraction(int(i == j)) for j in range(d))
                   for i in range(d))
@@ -91,26 +90,15 @@ def cyclo_info(k: int) -> CycloInfo:
 
 
 def _power_traces(p, upto):
-    """Power sums of the roots of monic p, by Newton's identities."""
+    """Power sums s_0..s_upto of the roots of monic integer p (Newton)."""
     d = len(p) - 1
-    sums = [Fraction(d)]
+    sums = [d]
     for m in range(1, upto + 1):
-        s = Fraction(0)
-        for i in range(1, min(m, d) + 1):
-            s -= p[d - i] * sums[m - i]
+        s = -sum(p[d - i] * sums[m - i] for i in range(1, min(m - 1, d) + 1))
         if m <= d:
             s -= m * p[d - m]
-            # note: the loop above already subtracted p[d-m]*sums[0] = d*p[d-m]
-            s += d * p[d - m]
         sums.append(s)
     return sums
-
-
-def _trace_of_product(p, traces, i, j):
-    d = len(p) - 1
-    prod = [0] * (i + j) + [1]
-    _, r = polys.divmod_poly(prod, p)
-    return sum(Fraction(c) * traces[t] for t, c in enumerate(r))
 
 
 @dataclass(frozen=True)

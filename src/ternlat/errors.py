@@ -38,10 +38,6 @@ class BoxTooLarge(TernlatError):
         self.ceiling = ceiling
 
 
-class PoolExhausted(TernlatError):
-    """Obstruction search ran out of candidates without a certificate."""
-
-
 class Singular(TernlatError):
     """Gram matrix has determinant zero where an inverse was required."""
 

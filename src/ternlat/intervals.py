@@ -96,9 +96,6 @@ class Interval:
     def is_negative(self) -> bool:
         return self.hi < 0
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 

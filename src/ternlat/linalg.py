@@ -7,9 +7,11 @@ small dimensions that occur in number-field work (d <= ~32).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import List, Optional, Sequence
 
 from .intervals import Interval
+from .polys import clear_denominators
 
 Mat = List[List[Fraction]]
 
@@ -67,26 +69,15 @@ def det_int(a: Sequence[Sequence[int]]) -> int:
 
 
 def det(a: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Determinant over Q.
+
+    Each row is put over the least common denominator of its entries and the
+    integer matrix goes to `det_int`, the one Bareiss routine; the result is
+    that determinant over the product of the row denominators.
+    """
+    rows = [clear_denominators(row) for row in a]
+    return Fraction(det_int([nums for nums, _ in rows]),
+                    prod(den for _, den in rows))
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> List[Fraction]:

@@ -293,9 +293,8 @@ class Element:
                 # an embedding can be exactly zero only for a zero divisor
                 # (reducible defining polynomial); detect it instead of
                 # refining forever
-                from . import polys as _p
                 pw = self.ctx.power_coords(self)
-                if _p.degree(_p.gcd_poly(pw, self.ctx.poly)) > 0:
+                if polys.degree(polys.gcd_poly(pw, self.ctx.poly)) > 0:
                     raise ValueError(
                         "element has an exactly-zero embedding (zero divisor)")
             width /= 16
@@ -372,11 +371,7 @@ class FieldContext:
         return Element(self, num, self.one.den * q.denominator)
 
     def from_rational_coords(self, coords: Sequence[Rat]) -> Element:
-        den = 1
-        fr = [Fraction(c) for c in coords]
-        for c in fr:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Element(self, [int(c * den) for c in fr], den)
+        return Element(self, *polys.clear_denominators(coords))
 
     def from_power_coords(self, coords: Sequence[Rat]) -> Element:
         """Element from coordinates over the power basis 1, t, t^2, ..."""
@@ -703,50 +698,6 @@ def load_field(record: FieldRecord) -> FieldContext:
     if len(roots) != d:
         raise NotTotallyReal(f"{record.label}: isolated {len(roots)} real roots")
     return FieldContext(record, table, roots, basis, inv)
-
-
-# Convenience wrappers matching the operation-level surface.
-
-def arith(a: Element, b: Element, op: str) -> Element:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def norm_trace(a: Element) -> Tuple[Fraction, Fraction]:
-    return a.norm_trace()
-
-
-def embed(a: Element, precision: Rat) -> List[Interval]:
-    return a.embeddings(precision)
-
-
-def house(a: Element, precision: Rat = Fraction(1, 64)) -> Interval:
-    return a.house(precision)
-
-
-def compare_dominance(a: Element, b: Element) -> Dominance:
-    return a.compare(b)
-
-
-def signature(a: Element) -> Tuple[int, ...]:
-    return a.signature()
-
-
-def is_unit(a: Element) -> bool:
-    return a.is_unit()
-
-
-def totally_positive_associate(a: Element,
-                               units: Optional[Sequence[Element]] = None
-                               ) -> Tuple[Element, Element]:
-    return a.ctx.totally_positive_associate(a, units)
 
 
 def unit_square_canonical(a: Element, units: Sequence[Element]) -> Element:

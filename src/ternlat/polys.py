@@ -3,13 +3,19 @@
 Polynomials are lists of coefficients in ascending order (constant term
 first), matching the on-disk field format.  Coefficients are ints or
 Fractions; arithmetic promotes as needed.
+
+Evaluation (`eval_at`, `eval_interval`) and root bisection (`refine_root`)
+run Horner on integers: the coefficients are put over their least common
+denominator, the point or both interval endpoints over one denominator, and
+a `Fraction` is built only for the result.  The results are exactly the
+values that `Fraction` arithmetic gives, without a gcd reduction per step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import List, Sequence, Union
+from math import gcd, lcm
+from typing import List, Sequence, Tuple, Union
 
 from .intervals import Interval
 
@@ -65,19 +71,56 @@ def diff(p: Sequence[Coeff]) -> Poly:
     return trim([i * p[i] for i in range(1, len(p))])
 
 
-def eval_at(p: Sequence[Coeff], x: Coeff) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(p)):
-        acc = acc * x + c
+def clear_denominators(p: Sequence[Coeff]) -> Tuple[List[int], int]:
+    """Integer numerators of p over the least positive common denominator."""
+    den = 1
+    for c in p:
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in p], den
+
+
+def _horner(nums: Sequence[int], a: int, b: int) -> int:
+    """b^(len(nums) - 1) * p(a/b) for the integer coefficients nums of p."""
+    acc = 0
+    bpow = 1
+    for c in reversed(nums):
+        acc = acc * a + c * bpow
+        bpow *= b
     return acc
+
+
+def _over_common_den(x: Coeff, y: Coeff) -> Tuple[int, int, int]:
+    """(a, e, b) with x = a/b, y = e/b and b > 0."""
+    b = lcm(x.denominator, y.denominator)
+    return (x.numerator * (b // x.denominator),
+            y.numerator * (b // y.denominator), b)
+
+
+def eval_at(p: Sequence[Coeff], x: Coeff) -> Fraction:
+    nums, den = clear_denominators(p)
+    b = x.denominator
+    return Fraction(_horner(nums, x.numerator, b),
+                    den * b ** max(len(nums) - 1, 0))
 
 
 def eval_interval(p: Sequence[Coeff], iv: Interval) -> Interval:
-    """Horner evaluation with exact rational interval arithmetic."""
-    acc = Interval.point(0)
-    for c in reversed(list(p)):
-        acc = acc * iv + Interval.point(Fraction(c))
-    return acc
+    """Horner evaluation in rational interval arithmetic, on integers.
+
+    With the endpoints at a/b and e/b, the accumulator is kept as integer
+    endpoints over den * b^step; each step takes the min and max of the
+    four endpoint products, as `Interval.__mul__` does.
+    """
+    nums, den = clear_denominators(p)
+    a, e, b = _over_common_den(iv.lo, iv.hi)
+    lo = hi = 0
+    bpow = 1
+    for c in reversed(nums):
+        ps = (lo * a, lo * e, hi * a, hi * e)
+        c *= bpow
+        lo, hi = min(ps) + c, max(ps) + c
+        bpow *= b
+    scale = den * b ** max(len(nums) - 1, 0)
+    return Interval(Fraction(lo, scale), Fraction(hi, scale))
 
 
 def divmod_poly(a: Sequence[Coeff], b: Sequence[Coeff]):
@@ -134,13 +177,7 @@ def content_int(p: Sequence[int]) -> int:
 
 def primitive_int(p: Sequence[Coeff]) -> List[int]:
     """Clear denominators and divide out integer content."""
-    p = trim(p)
-    if not p:
-        return []
-    den = 1
-    for c in p:
-        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
-    q = [int(Fraction(c) * den) for c in p]
+    q, _ = clear_denominators(trim(p))
     g = content_int(q)
     return [c // g for c in q]
 
@@ -253,24 +290,30 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
 
 
 def refine_root(p: Sequence[Coeff], iv: Interval, max_width: Fraction) -> Interval:
-    """Bisect an isolating interval until its width is <= max_width."""
+    """Bisect an isolating interval until its width is <= max_width.
+
+    The endpoints are kept as integers a/b, e/b; each step doubles b, so the
+    midpoint is the integer a + e, and its sign comes from integer Horner.
+    """
     if iv.lo == iv.hi:
         return iv
-    lo, hi = iv.lo, iv.hi
-    slo = _sign(eval_at(p, lo))
-    shi = _sign(eval_at(p, hi))
+    nums, _ = clear_denominators(p)
+    a, e, b = _over_common_den(iv.lo, iv.hi)
+    slo = _sign(_horner(nums, a, b))
+    shi = _sign(_horner(nums, e, b))
     if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("not a sign-isolating interval")
-    while hi - lo > max_width:
-        m = (lo + hi) / 2
-        sm = _sign(eval_at(p, m))
+    wn, wd = max_width.numerator, max_width.denominator
+    while (e - a) * wd > wn * b:
+        a, e, b, m = 2 * a, 2 * e, 2 * b, a + e
+        sm = _sign(_horner(nums, m, b))
         if sm == 0:
-            return Interval(m, m)
+            return Interval.point(Fraction(m, b))
         if sm == slo:
-            lo = m
+            a = m
         else:
-            hi = m
-    return Interval(lo, hi)
+            e = m
+    return Interval(Fraction(a, b), Fraction(e, b))
 
 
 def cyclotomic(k: int) -> List[int]:

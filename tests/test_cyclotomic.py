@@ -1,6 +1,6 @@
 import pytest
 
-from ternlat import polys
+from ternlat import linalg, polys
 from ternlat.cyclotomic import (alpha_beta_verify, cyclo_info, mobius_phi,
                                 prime_power_base, subfield_test)
 from ternlat.errors import UnsupportedK
@@ -120,3 +120,25 @@ def test_subfield_detects_own_generator(table):
     # the k=20 real cyclotomic field has the same degree but is a
     # different field
     assert subfield_test(table.context("K1600"), 20) is None
+
+
+def _is_prime(n):
+    return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+def test_prime_cyclotomic_discriminants():
+    # disc of the maximal real subfield of Q(zeta_p) is p^((p-3)/2)
+    for p in filter(_is_prime, range(5, 60)):
+        assert cyclo_info(p).field.record.disc == p ** ((p - 3) // 2)
+
+
+def test_discriminants_match_trace_form_of_mult_table():
+    # Tr(b_k) is the trace of multiplication by b_k, read off the table, and
+    # Tr(b_i b_j) = sum_k t_ijk Tr(b_k); no power sums are involved
+    for k in range(3, 61):
+        ctx = cyclo_info(k).field
+        t, d = ctx.mult_table, ctx.degree
+        tr = [sum(t[m][i][i] for i in range(d)) for m in range(d)]
+        gram = [[sum(c * tr[m] for m, c in enumerate(t[i][j]))
+                 for j in range(d)] for i in range(d)]
+        assert ctx.record.disc == linalg.det_int(gram), k

@@ -1,0 +1,230 @@
+"""Differential tests of the integer kernels against `Fraction` references.
+
+`polys.eval_at`, `polys.eval_interval`, `polys.refine_root` and `linalg.det`
+work on integer numerators over a common denominator.  The references below
+are the plain `Fraction` loops; every result must be equal to theirs, not
+merely enclose it.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ternlat import linalg, polys
+from ternlat.intervals import Interval
+
+
+# ---------------------------------------------------------------------------
+# Fraction references
+
+def ref_eval_at(p, x):
+    acc = F(0)
+    for c in reversed(list(p)):
+        acc = acc * x + c
+    return acc
+
+
+def ref_eval_interval(p, iv):
+    acc = Interval.point(0)
+    for c in reversed(list(p)):
+        acc = acc * iv + Interval.point(F(c))
+    return acc
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def ref_refine_root(p, iv, max_width):
+    if iv.lo == iv.hi:
+        return iv
+    lo, hi = iv.lo, iv.hi
+    slo = sign(ref_eval_at(p, lo))
+    shi = sign(ref_eval_at(p, hi))
+    if slo == 0 or shi == 0 or slo == shi:
+        raise ValueError("not a sign-isolating interval")
+    while hi - lo > max_width:
+        m = (lo + hi) / 2
+        sm = sign(ref_eval_at(p, m))
+        if sm == 0:
+            return Interval(m, m)
+        if sm == slo:
+            lo = m
+        else:
+            hi = m
+    return Interval(lo, hi)
+
+
+def ref_det(a):
+    n = len(a)
+    m = [[F(x) for x in row] for row in a]
+    sign = 1
+    prev = F(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return F(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+            m[i][k] = F(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+coeffs = st.one_of(st.integers(-40, 40), rationals)
+polys_q = st.lists(coeffs, min_size=0, max_size=9)
+
+
+@st.composite
+def intervals(draw):
+    """Intervals whose endpoints have unrelated denominators; some are points."""
+    lo = draw(rationals)
+    width = draw(st.one_of(st.just(F(0)),
+                           st.fractions(min_value=0, max_value=5,
+                                        max_denominator=30)))
+    return Interval(lo, lo + width)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+@settings(max_examples=150, deadline=None)
+@given(polys_q, st.one_of(st.integers(-9, 9), rationals))
+@example([F(1, 2), F(1, 2)], F(3, 7))        # basis row (1 + t)/2
+@example([], F(5, 3))
+def test_eval_at_equals_fraction_horner(p, x):
+    got = polys.eval_at(p, x)
+    assert isinstance(got, F)
+    assert got == ref_eval_at(p, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys_q, intervals())
+@example([F(1, 2), 0, F(1, 2)], Interval(F(-3, 4), F(5, 6)))
+@example([3, -1, 2], Interval.point(F(7, 5)))
+@example([], Interval(F(1, 3), F(1, 2)))
+def test_eval_interval_equals_fraction_horner(p, iv):
+    got = polys.eval_interval(p, iv)
+    want = ref_eval_interval(p, iv)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert isinstance(got.lo, F) and isinstance(got.hi, F)
+
+
+def test_eval_interval_is_exact_at_a_point():
+    p = [F(1, 2), F(-2, 3), 0, 5]
+    x = F(-7, 9)
+    assert polys.eval_interval(p, Interval.point(x)) == Interval.point(
+        ref_eval_at(p, x))
+
+
+# ---------------------------------------------------------------------------
+# root bisection
+
+@st.composite
+def isolated_roots(draw):
+    """(p, iv) where p = c * (x - r) * (x^2 + s) has the one real root r,
+    strictly inside iv, and iv's endpoints have different denominators."""
+    r = draw(rationals)
+    s = draw(st.integers(1, 9))
+    c = draw(st.sampled_from([1, -1, F(1, 2), F(-3, 5), 7]))
+    p = polys.scale(polys.mul([-r, 1], [s, 0, 1]), c)
+    below = draw(st.fractions(min_value=F(1, 40), max_value=4,
+                              max_denominator=40))
+    above = draw(st.fractions(min_value=F(1, 40), max_value=4,
+                              max_denominator=40))
+    return p, Interval(r - below, r + above)
+
+
+@settings(max_examples=150, deadline=None)
+@given(isolated_roots(), st.integers(0, 48))
+def test_refine_root_equals_fraction_bisection(case, bits):
+    p, iv = case
+    width = F(1, 1 << bits)
+    assert polys.refine_root(p, iv, width) == ref_refine_root(p, iv, width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_refine_root_stops_on_exact_midpoint_root(depth, data):
+    # a dyadic root of [0, 1] is hit exactly by some bisection midpoint
+    num = data.draw(st.integers(0, (1 << (depth - 1)) - 1))
+    r = F(2 * num + 1, 1 << depth)
+    p = polys.scale(polys.mul([-r, 1], [2, 0, 1]), F(1, 3))
+    iv = Interval(F(0), F(1))
+    got = polys.refine_root(p, iv, F(1, 1 << 20))
+    assert got == ref_refine_root(p, iv, F(1, 1 << 20)) == Interval.point(r)
+
+
+def test_refine_root_width_bound_not_a_power_of_two():
+    p = [-2, 0, 1]
+    iv = Interval(F(4, 3), F(3, 2))
+    for width in (F(1, 3), F(2, 7), F(1, 1000), 1):
+        assert polys.refine_root(p, iv, width) == ref_refine_root(p, iv, width)
+
+
+def test_refine_root_rejects_non_isolating_intervals():
+    p = [-2, 0, 1]
+    for iv in (Interval(F(0), F(1)), Interval(F(-2), F(2)),
+               Interval(F(2), F(3))):
+        with pytest.raises(ValueError):
+            polys.refine_root(p, iv, F(1, 8))
+        with pytest.raises(ValueError):
+            ref_refine_root(p, iv, F(1, 8))
+
+
+def test_refine_root_point_interval_is_returned():
+    iv = Interval.point(F(3, 2))
+    assert polys.refine_root([F(-3, 2), 1], iv, F(1, 8)) is iv
+
+
+# ---------------------------------------------------------------------------
+# determinants
+
+matrix_entries = st.one_of(st.integers(-9, 9),
+                           st.fractions(min_value=-9, max_value=9,
+                                        max_denominator=6))
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 6))
+    a = [[draw(matrix_entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "zero_pivot", "dependent_row",
+                                  "zero_column"]))
+    if shape == "zero_pivot":
+        a[0][0] = 0
+    elif shape == "dependent_row" and n > 1:
+        c = draw(matrix_entries)
+        a[n - 1] = [c * x for x in a[0]]
+    elif shape == "zero_column":
+        for row in a:
+            row[0] = 0
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, F(1, 2), 1], [0, 3, F(-2, 3)], [F(5, 4), 1, 1]])
+@example([[F(1, 2), F(1, 3)], [F(3, 2), 1]])
+def test_det_equals_fraction_bareiss(a):
+    got = linalg.det(a)
+    assert isinstance(got, F)
+    assert got == ref_det(a)
+
+
+def test_det_of_singular_matrices_is_zero():
+    assert linalg.det([[0, 0], [0, 5]]) == 0
+    assert linalg.det([[F(1, 2), 1], [1, 2]]) == 0
+    assert linalg.det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
