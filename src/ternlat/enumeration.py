@@ -248,39 +248,6 @@ def dominated_elements(ctx: FieldContext, bound: Element,
     return enumerate_dominated(DominanceQuery(ctx, bound, mode), ceiling)
 
 
-# ---------------------------------------------------------------------------
-# element matrices (rank <= 4): determinant and adjugate by Laplace expansion
-
-def elem_matrix_det(m: Sequence[Sequence[Element]]) -> Element:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    ctx = m[0][0].ctx
-    total = ctx.zero
-    for j in range(n):
-        if m[0][j].is_zero:
-            continue
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = m[0][j] * elem_matrix_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def elem_matrix_adjugate(m: Sequence[Sequence[Element]]) -> List[List[Element]]:
-    n = len(m)
-    ctx = m[0][0].ctx
-    if n == 1:
-        return [[ctx.one]]
-    adj = [[ctx.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = elem_matrix_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
-
-
 def enumerate_representations(gram: Sequence[Sequence[Element]], gamma: Element,
                               cap: int = 10000,
                               ceiling: int = DEFAULT_CEILING
@@ -297,10 +264,10 @@ def enumerate_representations(gram: Sequence[Sequence[Element]], gamma: Element,
         return [tuple(ctx.zero for _ in range(n))]
     if not gamma.is_totally_positive():
         return []
-    det = elem_matrix_det(gram)
+    det = linalg.ring_det(gram)
     if det.is_zero:
         raise DivisionByZero("Gram matrix is singular")
-    adj = elem_matrix_adjugate(gram)
+    adj = linalg.ring_adjugate(gram)
     candidate_lists: List[List[Element]] = []
     volume = 1
     for j in range(n):
@@ -314,22 +281,11 @@ def enumerate_representations(gram: Sequence[Sequence[Element]], gamma: Element,
     out: List[Tuple[Element, ...]] = []
     vec: List[Element] = [ctx.zero] * n
 
-    def value_of(v: Sequence[Element]) -> Element:
-        total = ctx.zero
-        for i in range(n):
-            if v[i].is_zero:
-                continue
-            for j in range(n):
-                if v[j].is_zero:
-                    continue
-                total = total + v[i] * gram[i][j] * v[j]
-        return total
-
     def go(j: int):
         if len(out) >= cap:
             return
         if j == n:
-            if value_of(vec) == gamma:
+            if linalg.ring_bilinear(vec, gram, vec) == gamma:
                 out.append(tuple(vec))
             return
         for c in candidate_lists[j]:

@@ -25,6 +25,7 @@ from .errors import (IdentityMismatch, ParseError, TernlatError,
 from .intervals import sqrt_lower, sqrt_upper
 from .numberfield import Element, FieldContext, FieldRecord, load_field
 from .obstruction import obstruction_search
+from .polys import MPoly
 
 
 # ---------------------------------------------------------------------------
@@ -245,32 +246,6 @@ def write_report(report: dict, path) -> None:
 # ---------------------------------------------------------------------------
 # closed-form identity checks
 
-# trivariate polynomials with Element coefficients, keyed by exponents
-
-def _tri_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out[k] + v if k in out else v
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
-def _tri_square_of_linear(coeffs):
-    """(c0 x + c1 y + c2 z)^2 as a trivariate polynomial."""
-    out = {}
-    for i in range(3):
-        for j in range(3):
-            if coeffs[i].is_zero or coeffs[j].is_zero:
-                continue
-            key = tuple(int(i == t) + int(j == t) for t in range(3))
-            term = coeffs[i] * coeffs[j]
-            out[key] = out[key] + term if key in out else term
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
-def _tri_scale(a, c):
-    return {k: v * c for k, v in a.items()}
-
-
 def sum_of_squares_identities(ctx: FieldContext) -> List[dict]:
     """The four exact identities expressing twice each base-field universal
     ternary form as a sum of at most four squares of linear forms."""
@@ -279,12 +254,10 @@ def sum_of_squares_identities(ctx: FieldContext) -> List[dict]:
     two = ctx.from_rational(2)
     lam, lam_bar = 2 + s, 2 - s
     three = ctx.from_rational(3)
+    x, y, z = (MPoly.var(i, 3, one) for i in range(3))
 
     def form(xx, yy, zz, yz):
-        out = {(2, 0, 0): xx, (0, 2, 0): yy, (0, 0, 2): zz}
-        if not yz.is_zero:
-            out[(0, 1, 1)] = yz
-        return {k: v for k, v in out.items() if not v.is_zero}
+        return x * x * xx + y * y * yy + z * z * zz + y * z * yz
 
     specs = [
         ("Q1", form(one, one, lam, zero),
@@ -301,11 +274,11 @@ def sum_of_squares_identities(ctx: FieldContext) -> List[dict]:
     ]
     results = []
     for name, q, linear_forms in specs:
-        doubled = _tri_scale(q, two)
-        total = {}
-        for lf in linear_forms:
-            total = _tri_add(total, _tri_square_of_linear(lf))
-        ok = total == doubled
+        total = MPoly()
+        for c0, c1, c2 in linear_forms:
+            lf = x * c0 + y * c1 + z * c2
+            total = total + lf * lf
+        ok = total == q * two
         results.append({"form": name, "squares": len(linear_forms),
                         "exact": ok})
         if not ok:

@@ -1,4 +1,5 @@
-"""Exact linear algebra over Q, plus interval-matrix inversion.
+"""Exact linear algebra over Q and over small matrices of any commutative
+ring, plus interval-matrix inversion.
 
 Matrices are lists of rows.  Everything here is dense and intended for the
 small dimensions that occur in number-field work (d <= ~32).
@@ -80,21 +81,36 @@ def det(a: Sequence[Sequence]) -> Fraction:
                     prod(den for _, den in rows))
 
 
+def row_reduce(m: Mat, ncols: int) -> List[int]:
+    """Gauss-Jordan elimination of m in place over its first ncols columns.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row; pivot rows are scaled to 1 and the column is cleared in
+    every other row.  Returns the pivot columns; pivot k sits in row k.
+    """
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pk = m[r][c]
+        m[r] = [x / pk for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
 def solve(a: Sequence[Sequence], b: Sequence) -> List[Fraction]:
     """Solve a x = b for square invertible a."""
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[k], m[piv] = m[piv], m[k]
-        pk = m[k][k]
-        m[k] = [x / pk for x in m[k]]
-        for r in range(n):
-            if r != k and m[r][k] != 0:
-                c = m[r][k]
-                m[r] = [x - c * y for x, y in zip(m[r], m[k])]
+    if len(row_reduce(m, n)) < n:
+        raise ValueError("singular matrix")
     return [m[i][n] for i in range(n)]
 
 
@@ -103,17 +119,8 @@ def inverse(a: Sequence[Sequence]) -> Optional[Mat]:
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a)]
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if piv is None:
-            return None
-        m[k], m[piv] = m[piv], m[k]
-        pk = m[k][k]
-        m[k] = [x / pk for x in m[k]]
-        for r in range(n):
-            if r != k and m[r][k] != 0:
-                c = m[r][k]
-                m[r] = [x - c * y for x, y in zip(m[r], m[k])]
+    if len(row_reduce(m, n)) < n:
+        return None
     return [row[n:] for row in m]
 
 
@@ -134,6 +141,50 @@ def charpoly(a: Sequence[Sequence]) -> List[Fraction]:
             m = [[am[i][j] + (c if i == j else 0) for j in range(n)]
                  for i in range(n)]
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# any commutative ring: ints, Fractions, field elements, `polys.MPoly`
+# (zero is the only entry whose truth value is False)
+
+def ring_det(m: Sequence[Sequence]):
+    """Determinant by Laplace expansion along the first row, skipping zero
+    entries; n! terms, so only for the small matrices of lattice work.  The
+    empty matrix has determinant 1."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    total = m[0][0] - m[0][0]
+    for j in range(n):
+        if not m[0][j]:
+            continue
+        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = m[0][j] * ring_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def ring_adjugate(m: Sequence[Sequence]) -> List[list]:
+    """Adjugate (transposed cofactor matrix), with cofactors by `ring_det`;
+    m * adj = det(m) * identity."""
+    n = len(m)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[m[r][c] for c in range(n) if c != j]
+                     for r in range(n) if r != i]
+            cof = ring_det(minor)
+            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return adj
+
+
+def ring_bilinear(u: Sequence, g: Sequence[Sequence], v: Sequence):
+    """u^T g v, skipping zero coordinates of u and v."""
+    terms = [ui * g[i][j] * vj for i, ui in enumerate(u) if ui
+             for j, vj in enumerate(v) if vj]
+    return sum(terms[1:], terms[0]) if terms else g[0][0] - g[0][0]
 
 
 def interval_inverse(a: Sequence[Sequence[Interval]]) -> Optional[List[List[Interval]]]:

@@ -86,6 +86,9 @@ class Element:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
     @property
     def is_integral(self) -> bool:
         return self.den == 1
@@ -205,20 +208,8 @@ class Element:
 
     def mult_matrix(self) -> List[List[Fraction]]:
         """Matrix of multiplication by self on the integral basis (columns)."""
-        d = self.ctx.degree
-        table = self.ctx.mult_table
-        m = [[Fraction(0)] * d for _ in range(d)]
-        for j in range(d):
-            for s, a in enumerate(self.coords):
-                if a == 0:
-                    continue
-                tsj = table[s][j]
-                for i in range(d):
-                    if tsj[i]:
-                        m[i][j] += a * tsj[i]
-        if self.den != 1:
-            m = [[x / self.den for x in row] for row in m]
-        return m
+        return [[Fraction(x, self.den) for x in row]
+                for row in self.mult_matrix_scaled()]
 
     def mult_matrix_scaled(self) -> List[List[int]]:
         """den * mult_matrix, which is integral."""
@@ -244,8 +235,8 @@ class Element:
                         self.den ** self.ctx.degree)
 
     def trace(self) -> Fraction:
-        m = self.mult_matrix()
-        return sum((m[i][i] for i in range(self.ctx.degree)), Fraction(0))
+        m = self.mult_matrix_scaled()
+        return Fraction(sum(m[i][i] for i in range(self.ctx.degree)), self.den)
 
     def norm_trace(self) -> Tuple[Fraction, Fraction]:
         return self.norm(), self.trace()
@@ -567,31 +558,14 @@ class FieldContext:
     def rational_span_coords(self, a: Element,
                              gens: Sequence[Element]) -> Optional[List[Fraction]]:
         """Exact rational coordinates of a over span(gens), or None."""
-        d = self.degree
-        cols = [[Fraction(g.coords[i], g.den) for g in gens] for i in range(d)]
-        rhs = [Fraction(a.coords[i], a.den) for i in range(d)]
-        m = [cols[i] + [rhs[i]] for i in range(d)]
+        m = [[Fraction(g.coords[i], g.den) for g in gens]
+             + [Fraction(a.coords[i], a.den)] for i in range(self.degree)]
         k = len(gens)
-        r = 0
-        where = []
-        for c in range(k):
-            piv = next((i for i in range(r, d) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            pk = m[r][c]
-            m[r] = [x / pk for x in m[r]]
-            for i in range(d):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            where.append((r, c))
-            r += 1
-        for i in range(r, d):
-            if m[i][k] != 0:
-                return None
+        pivots = linalg.row_reduce(m, k)
+        if any(m[i][k] != 0 for i in range(len(pivots), self.degree)):
+            return None
         sol = [Fraction(0)] * k
-        for row_i, col in where:
+        for row_i, col in enumerate(pivots):
             sol[col] = m[row_i][k]
         return sol
 
@@ -703,9 +677,14 @@ def load_field(record: FieldRecord) -> FieldContext:
 def unit_square_canonical(a: Element, units: Sequence[Element]) -> Element:
     """Deterministic representative of a modulo squares of the given units.
 
-    Greedily minimizes (trace, negated coordinates); only meaningful for
-    totally positive elements, where the trace is proper on the orbit.
-    Non-positive inputs are returned unchanged.
+    Greedily minimizes (trace, negated coordinates, den) until no unit square
+    improves it; only meaningful for totally positive elements, where the
+    trace is proper on the orbit.  Non-positive inputs are returned unchanged.
+
+    The loop terminates: each step strictly decreases the key, every element
+    of the orbit is totally positive with the same denominator den, and
+    (1/den) * O_K has only finitely many totally positive elements below any
+    trace.
     """
     if a.is_zero or not a.is_totally_positive():
         return a
@@ -713,15 +692,14 @@ def unit_square_canonical(a: Element, units: Sequence[Element]) -> Element:
     def key(e: Element):
         return (e.trace(), tuple(-c for c in e.coords), e.den)
 
+    steps = [u ** e for u in units for e in (2, -2)]
     best = a
-    for _ in range(1000):
+    improved = True
+    while improved:
         improved = False
-        for u in units:
-            for e in (2, -2):
-                cand = best * u ** e
-                if key(cand) < key(best):
-                    best = cand
-                    improved = True
-        if not improved:
-            return best
+        for step in steps:
+            cand = best * step
+            if key(cand) < key(best):
+                best = cand
+                improved = True
     return best

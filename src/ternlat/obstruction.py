@@ -16,12 +16,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           enumerate_representations, is_indecomposable,
                           sqrt_element, squarefree_witness)
 from .errors import NoSuchUnit, UnclassifiedCase
 from .numberfield import (Element, FieldContext, sqrt2_context,
                           unit_square_canonical)
+from .polys import MPoly
 from .quadlattice import (GramMatrix, LatticeClass, generated_module_gram,
                           isometry_search, offdiag_candidates, standard_lattice)
 
@@ -133,9 +135,8 @@ def dual_nonrepresentation(ctx: FieldContext,
     target = gamma * a1 * a2 * a3
     # complete candidate lists, as in the representation search
     counts = []
-    from .enumeration import elem_matrix_adjugate, elem_matrix_det
-    det = elem_matrix_det(gram.entries)
-    adj = elem_matrix_adjugate(gram.entries)
+    det = gram.det()
+    adj = linalg.ring_adjugate(gram.entries)
     for j in range(3):
         bound = target * adj[j][j] / det
         counts.append(len(dominated_elements(ctx, bound,
@@ -321,55 +322,16 @@ def square_class_reduce(x: Element) -> Tuple[Element, Element]:
 # ---------------------------------------------------------------------------
 # 4x4 determinant case analyses
 
-# polynomials in one variable x with Element coefficients (ascending)
-
-def _xp_add(a, b):
-    n = max(len(a), len(b))
-    ctx = (a or b)[0].ctx
-    z = ctx.zero
-    return [(a[i] if i < len(a) else z) + (b[i] if i < len(b) else z)
-            for i in range(n)]
-
-
-def _xp_neg(a):
-    return [-c for c in a]
-
-
-def _xp_mul(a, b):
-    ctx = a[0].ctx
-    out = [ctx.zero] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c.is_zero:
-            continue
-        for j, d in enumerate(b):
-            if not d.is_zero:
-                out[i + j] = out[i + j] + c * d
+def _reduce_by(p: MPoly, lead: Tuple[int, ...], value) -> MPoly:
+    """p with every monomial divisible by the monomial `lead` rewritten by
+    the relation lead = value, until none is divisible."""
+    out = MPoly()
+    for key, c in p.terms.items():
+        while all(e >= k for e, k in zip(key, lead)):
+            key = tuple(e - k for e, k in zip(key, lead))
+            c = c * value
+        out = out + MPoly({key: c})
     return out
-
-
-def _xp_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = None
-    for j in range(n):
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = _xp_mul(m[0][j], _xp_det(minor))
-        if j % 2 == 1:
-            term = _xp_neg(term)
-        total = term if total is None else _xp_add(total, term)
-    return total
-
-
-def _xp_eval_even(p, x2: Element) -> Element:
-    """Evaluate a polynomial with only even-degree terms at x with x^2 = x2."""
-    total = x2.ctx.zero
-    for i, c in enumerate(p):
-        if not c.is_zero:
-            if i % 2 == 1:
-                raise ValueError("odd power survived in an even polynomial")
-            total = total + c * x2 ** (i // 2)
-    return total
 
 
 @dataclass(frozen=True)
@@ -406,8 +368,8 @@ class CaseAnalysisReport:
 def _case_gram_polys(ctx, alpha, beta, third, corner):
     zero, one = ctx.zero, ctx.one
     lam = 2 + ctx.sqrt2
-    c = lambda e: [e]           # constant polynomial
-    x = [zero, one]             # the symbolic variable
+    c = lambda e: MPoly.const(e, 1)     # constant polynomial
+    x = MPoly.var(0, 1, one)            # the symbolic variable
     return [
         [c(one), c(zero), c(zero), c(alpha)],
         [c(zero), c(lam), c(zero), c(beta)],
@@ -424,7 +386,10 @@ def _psd_rank3_check(ctx, alpha, beta, third, corner, x2: Element) -> bool:
     for k in range(1, n + 1):
         for idx in combinations(range(n), k):
             sub = [[m[i][j] for j in idx] for i in idx]
-            val = _xp_eval_even(_xp_det(sub), x2)
+            val = _reduce_by(linalg.ring_det(sub), (2,), x2)
+            if any(key != (0,) for key in val.terms):
+                raise ValueError("odd power survived in an even polynomial")
+            val = val.terms.get((0,), ctx.zero)
             if k == n:
                 if not val.is_zero:
                     return False
@@ -456,15 +421,10 @@ def quartic_case_analysis(mode: str,
     betas = [zero, one, ctx.from_rational(2), s, one + s, one - s]
 
     # hard-coded determinant shape: -lam x^2 + third*(6 - lam a^2 - b^2)
-    formula_ok = True
-    for a in alphas:
-        for b in betas:
-            det_poly = _xp_det(_case_gram_polys(ctx, a, b, third, corner))
-            expect = [third * (6 - lam * a * a - b * b), zero, -lam]
-            got = det_poly + [zero] * (3 - len(det_poly))
-            if [c for c in got[:3]] != expect or any(
-                    not c.is_zero for c in got[3:]):
-                formula_ok = False
+    formula_ok = all(
+        linalg.ring_det(_case_gram_polys(ctx, a, b, third, corner)) ==
+        MPoly({(0,): third * (6 - lam * a * a - b * b), (2,): -lam})
+        for a in alphas for b in betas)
 
     cases: List[ExtensionCase] = []
     x2_values: List[Element] = []
@@ -521,133 +481,44 @@ def _reconstruction_class(ctx, a, b, third, corner, x: Element,
 # ---------------------------------------------------------------------------
 # symbolic branch analysis over Z[gamma, t, beta] / (gamma t^2 = 2)
 
-class _Poly3:
-    """Integer polynomials in (gamma, t, beta) with the relation
-    gamma * t^2 -> 2 applied on demand."""
-
-    __slots__ = ("terms",)
-    NAMES = ("gamma", "t", "beta")
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms or {})
-
-    @staticmethod
-    def var(idx, power=1):
-        key = tuple(power if i == idx else 0 for i in range(3))
-        return _Poly3({key: 1})
-
-    @staticmethod
-    def const(c):
-        return _Poly3({(0, 0, 0): c} if c else {})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-            if out[k] == 0:
-                del out[k]
-        return _Poly3(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return _Poly3({k: v * c for k, v in self.terms.items()} if c else {})
-
-    def __mul__(self, other):
-        out = {}
-        for (i1, j1, k1), v1 in self.terms.items():
-            for (i2, j2, k2), v2 in other.terms.items():
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                out[key] = out.get(key, 0) + v1 * v2
-        return _Poly3({k: v for k, v in out.items() if v})
-
-    def reduced(self):
-        out = {}
-        for (i, j, k), v in self.terms.items():
-            c = v
-            while i >= 1 and j >= 2:
-                i -= 1
-                j -= 2
-                c *= 2
-            key = (i, j, k)
-            out[key] = out.get(key, 0) + c
-            if out[key] == 0:
-                del out[key]
-        return _Poly3(out)
-
-    def divide_var(self, idx):
-        out = {}
-        for key, v in self.terms.items():
-            if key[idx] < 1:
-                raise ValueError("not divisible")
-            nk = list(key)
-            nk[idx] -= 1
-            out[tuple(nk)] = v
-        return _Poly3(out)
-
-    def split_identity(self):
-        """p = 0 presented as lhs = rhs with positive coefficients."""
-        lhs, rhs = {}, {}
-        for k, v in sorted(self.terms.items(), reverse=True):
-            (lhs if v > 0 else rhs)[k] = abs(v)
-        return _Poly3(lhs), _Poly3(rhs)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key, v in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                (n if e == 1 else f"{n}^{e}")
-                for n, e in zip(self.NAMES, key) if e)
-            if not mono:
-                bits.append(str(v))
-            elif v == 1:
-                bits.append(mono)
-            elif v == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{v}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
+_TWO_NAMES = ("gamma", "t", "beta")
 
 
-def _p3_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = _Poly3()
-    for j in range(n):
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = m[0][j] * _p3_det(minor)
-        total = total + (term if j % 2 == 0 else term.scale(-1))
-    return total
+def _divide_by_t(p: MPoly) -> MPoly:
+    if any(key[1] < 1 for key in p.terms):
+        raise ValueError("not divisible by t")
+    return MPoly({(i, j - 1, k): v for (i, j, k), v in p.terms.items()})
+
+
+def _split_identity(p: MPoly) -> Tuple[MPoly, MPoly]:
+    """p = 0 presented as lhs = rhs with positive coefficients."""
+    return (MPoly({k: v for k, v in p.terms.items() if v > 0}),
+            MPoly({k: -v for k, v in p.terms.items() if v < 0}))
 
 
 def _symbolic_two_analysis() -> CaseAnalysisReport:
-    g = _Poly3.var(0)
-    t = _Poly3.var(1)
-    b = _Poly3.var(2)
-    one = _Poly3.const(1)
-    zero = _Poly3()
+    g, t, b = (MPoly.var(i, 3) for i in range(3))
+    one = MPoly.const(1, 3)
+    zero = MPoly()
     branches = []
     for beta24 in (0, 1):
-        e24 = _Poly3.const(beta24)
+        e24 = MPoly.const(beta24, 3)
         m = [
             [one, zero, zero, zero],
             [zero, t, zero, e24],
             [zero, zero, g, b],
             [zero, e24, b, g * t],
         ]
-        det = _p3_det(m)
+        det = linalg.ring_det(m)
         if beta24 == 0:
             # det = t (gamma^2 t - beta^2); the second factor must vanish
-            core = det.divide_var(1)
-            lhs, rhs = core.split_identity()
+            core = _divide_by_t(det)
         else:
-            core = det.reduced()
-            lhs, rhs = core.split_identity()
-        branches.append(SymbolicBranch(beta24, str(det), str(lhs), str(rhs)))
+            core = _reduce_by(det, (1, 2, 0), 2)      # gamma t^2 = 2
+        lhs, rhs = _split_identity(core)
+        branches.append(SymbolicBranch(
+            beta24, det.format(_TWO_NAMES), lhs.format(_TWO_NAMES),
+            rhs.format(_TWO_NAMES)))
     return CaseAnalysisReport("nonsquarefree_two", True, branches=tuple(branches))
 
 

@@ -9,6 +9,9 @@ run Horner on integers: the coefficients are put over their least common
 denominator, the point or both interval endpoints over one denominator, and
 a `Fraction` is built only for the result.  The results are exactly the
 values that `Fraction` arithmetic gives, without a gcd reduction per step.
+
+`MPoly` is the one sparse multivariate polynomial type, over any
+commutative ring, for the symbolic determinant and identity checks.
 """
 
 from __future__ import annotations
@@ -348,3 +351,75 @@ def cos_minpoly(k: int) -> List[int]:
         result = add(result, scale(c_cur, phi[half - j]))
         c_prev, c_cur = c_cur, sub(mul([0, 1], c_cur), c_prev)
     return [int(c) for c in result]
+
+
+class MPoly:
+    """Sparse polynomial in n variables over a commutative ring.
+
+    Stored as a dict from exponent tuples to nonzero coefficients.  The
+    coefficients may be ints, Fractions, field elements or any other ring
+    elements with +, -, * and a truth value that is False exactly for zero;
+    multiplying by a non-`MPoly` scales every coefficient.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict = None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
+
+    @classmethod
+    def const(cls, c, nvars: int) -> "MPoly":
+        return cls({(0,) * nvars: c})
+
+    @classmethod
+    def var(cls, idx: int, nvars: int, one=1) -> "MPoly":
+        """The variable idx, with coefficient `one` of the coefficient ring."""
+        return cls({tuple(int(i == idx) for i in range(nvars)): one})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other: "MPoly") -> "MPoly":
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out[k] + v if k in out else v
+        return MPoly(out)
+
+    def __neg__(self) -> "MPoly":
+        return MPoly({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other: "MPoly") -> "MPoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "MPoly":
+        if not isinstance(other, MPoly):
+            return MPoly({k: v * other for k, v in self.terms.items()})
+        out = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                k = tuple(a + b for a, b in zip(k1, k2))
+                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
+        return MPoly(out)
+
+    def format(self, names: Sequence[str]) -> str:
+        """Terms in descending exponent order, e.g. 'gamma^2*t - 2*beta'."""
+        if not self.terms:
+            return "0"
+        bits = []
+        for key, v in sorted(self.terms.items(), reverse=True):
+            mono = "*".join((n if e == 1 else f"{n}^{e}")
+                            for n, e in zip(names, key) if e)
+            if not mono:
+                bits.append(str(v))
+            elif v == 1:
+                bits.append(mono)
+            elif v == -1:
+                bits.append(f"-{mono}")
+            else:
+                bits.append(f"{v}*{mono}")
+        return " + ".join(bits).replace("+ -", "- ")

@@ -15,8 +15,8 @@ from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
+from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
-                          elem_matrix_adjugate, elem_matrix_det,
                           enumerate_representations, sqrt2_span_witnesses,
                           squarefree_witness)
 from .errors import (Singular, UnclassifiedCase, UnexpectedSingularCase)
@@ -66,7 +66,7 @@ class GramMatrix:
                             for j in range(n)] for i in range(n)])
 
     def det(self) -> Element:
-        return elem_matrix_det(self.entries)
+        return linalg.ring_det(self.entries)
 
     @property
     def is_classical(self) -> bool:
@@ -74,7 +74,7 @@ class GramMatrix:
 
     def principal_minor(self, idx: Sequence[int]) -> Element:
         sub = [[self.entries[i][j] for j in idx] for i in idx]
-        return elem_matrix_det(sub)
+        return linalg.ring_det(sub)
 
     def is_totally_positive_definite(self) -> bool:
         for k in range(1, self.n + 1):
@@ -92,24 +92,11 @@ class GramMatrix:
 
     def value(self, v: Sequence[Element]) -> Element:
         """v^T G v."""
-        total = self.ctx.zero
-        for i in range(self.n):
-            if v[i].is_zero:
-                continue
-            for j in range(self.n):
-                if not v[j].is_zero:
-                    total = total + v[i] * self.entries[i][j] * v[j]
-        return total
+        return self.pairing(v, v)
 
     def pairing(self, u: Sequence[Element], v: Sequence[Element]) -> Element:
-        total = self.ctx.zero
-        for i in range(self.n):
-            if u[i].is_zero:
-                continue
-            for j in range(self.n):
-                if not v[j].is_zero:
-                    total = total + u[i] * self.entries[i][j] * v[j]
-        return total
+        """u^T G v."""
+        return linalg.ring_bilinear(u, self.entries, v)
 
 
 class LatticeClass(Enum):
@@ -159,7 +146,7 @@ def gram_inverse_dual(g: GramMatrix) -> GramMatrix:
     det = g.det()
     if det.is_zero:
         raise Singular("Gram matrix has determinant zero")
-    adj = elem_matrix_adjugate(g.entries)
+    adj = linalg.ring_adjugate(g.entries)
     return GramMatrix([[adj[i][j] / det for j in range(g.n)]
                        for i in range(g.n)])
 
@@ -212,7 +199,7 @@ def _column_search(g1: GramMatrix, target: GramMatrix, require_unit_det: bool,
         if j == k:
             if require_unit_det:
                 m = [[chosen[c][r] for c in range(k)] for r in range(k)]
-                det = elem_matrix_det(m)
+                det = linalg.ring_det(m)
                 if not det.is_unit():
                     return None
             return tuple(chosen)
@@ -430,7 +417,7 @@ def generated_module_gram(g4: GramMatrix) -> GramMatrix:
     det3 = g3.det()
     if det3.is_zero:
         raise Singular("leading generators are dependent")
-    adj = elem_matrix_adjugate(lead)
+    adj = linalg.ring_adjugate(lead)
     rhs = [g4.entries[i][n - 1] for i in range(n - 1)]
     coeffs = []
     for i in range(n - 1):

@@ -111,6 +111,15 @@ def test_unit_square_canonical(ctx_sqrt2):
         ctx_sqrt2.from_rational(3)
 
 
+def test_unit_square_canonical_far_along_the_orbit():
+    # 1100 unit-square steps from 2+sqrt2; a cap on the rounds would stop
+    # early and return a representative with 77-digit coordinates
+    ctx = sqrt2_context()
+    s = ctx.sqrt2
+    far = (1 + s) ** 2200 * (2 + s)
+    assert unit_square_canonical(far, ctx.units) == 2 + s
+
+
 def test_rational_span(ctx_sqrt2):
     ctx = ctx_sqrt2
     gens = [ctx.one, ctx.sqrt2]

@@ -172,7 +172,6 @@ def test_unimodular_dual_isometric(ctx_sqrt2):
 
 
 def test_gram_times_inverse_is_identity(ctx_sqrt2):
-    from ternlat.enumeration import elem_matrix_det
     g = standard_lattice(ctx_sqrt2, LatticeClass.L3)
     inv = gram_inverse_dual(g)
     n = g.n
