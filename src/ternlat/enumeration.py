@@ -134,6 +134,33 @@ def _fixed_point(x: Fraction, up: bool) -> int:
     return (x.numerator * scale) // x.denominator
 
 
+def _narrow(lo: int, hi: int, ea: int, a: int, eb: int, b: int
+            ) -> Tuple[int, int]:
+    """The integers c in [lo, hi] with c * ea <= a and c * eb >= b, as a
+    range [lo, hi] that is empty when lo > hi."""
+    if ea > 0:
+        q = a // ea
+        if q < hi:
+            hi = q
+    elif ea < 0:
+        q = -(-a // ea)
+        if q > lo:
+            lo = q
+    elif a < 0:
+        return 1, 0
+    if eb > 0:
+        q = -(-b // eb)
+        if q > lo:
+            lo = q
+    elif eb < 0:
+        q = b // eb
+        if q < hi:
+            hi = q
+    elif b > 0:
+        return 1, 0
+    return lo, hi
+
+
 def _iter_box(emb: List[List[Interval]], box: EnumerationBox) -> Iterator[Tuple[int, ...]]:
     """Integer points of the box surviving per-embedding interval pruning.
 
@@ -141,6 +168,12 @@ def _iter_box(emb: List[List[Interval]], box: EnumerationBox) -> Iterator[Tuple[
     partial embedding sum plus the hull of the remaining coordinates'
     possible contributions must still meet every target region.  Pruning
     uses outward fixed-point arithmetic, so it never discards a solution.
+
+    Each level's constraints are linear in its coordinate c on c < 0 and on
+    c >= 0 (where the enclosure endpoint that bounds c * sigma_i(basis)
+    from below or above swaps), so the surviving values of c form one
+    range on each side, solved exactly by integer division (Fincke-Pohst
+    style); points come in lexicographic order of reversed coordinates.
     """
     d = len(box.lows)
     if not all(lo <= hi for lo, hi in zip(box.lows, box.highs)):
@@ -167,26 +200,38 @@ def _iter_box(emb: List[List[Interval]], box: EnumerationBox) -> Iterator[Tuple[
             rem_lo[i][j + 1] = rem_lo[i][j] + min(alo, blo)
             rem_hi[i][j + 1] = rem_hi[i][j] + max(ahi, bhi)
 
+    # per level: embedding i admits c when
+    #   plo[i] + c * e_a <= thi[i] - rem_lo[i][level]
+    #   phi[i] + c * e_b >= tlo[i] - rem_hi[i][level]
+    # with (e_a, e_b) = (elo, ehi) for c >= 0 and (ehi, elo) for c < 0
+    cols_lo = [[elo[i][j] for i in range(d)] for j in range(d)]
+    cols_hi = [[ehi[i][j] for i in range(d)] for j in range(d)]
+    caps = [[thi[i] - rem_lo[i][j] for i in range(d)] for j in range(d)]
+    floors = [[tlo[i] - rem_hi[i][j] for i in range(d)] for j in range(d)]
     coords = [0] * d
 
     def go(level: int, plo: List[int], phi: List[int]) -> Iterator[Tuple[int, ...]]:
-        if level < 0:
-            yield tuple(coords)
+        neg_lo, neg_hi = box.lows[level], min(box.highs[level], -1)
+        pos_lo, pos_hi = max(box.lows[level], 0), box.highs[level]
+        for el, eh, cap, flo, p, q in zip(cols_lo[level], cols_hi[level],
+                                          caps[level], floors[level], plo, phi):
+            if neg_lo <= neg_hi:
+                neg_lo, neg_hi = _narrow(neg_lo, neg_hi, eh, cap - p, el, flo - q)
+            if pos_lo <= pos_hi:
+                pos_lo, pos_hi = _narrow(pos_lo, pos_hi, el, cap - p, eh, flo - q)
+        halves = ((range(neg_lo, neg_hi + 1), cols_hi[level], cols_lo[level]),
+                  (range(pos_lo, pos_hi + 1), cols_lo[level], cols_hi[level]))
+        if level == 0:
+            rest = tuple(coords[1:])
+            for cs, _, _ in halves:
+                for c in cs:
+                    yield (c,) + rest
             return
-        for c in range(box.lows[level], box.highs[level] + 1):
-            coords[level] = c
-            nlo, nhi = [0] * d, [0] * d
-            ok = True
-            for i in range(d):
-                slo, shi = scaled(i, level, c)
-                nlo[i] = plo[i] + slo
-                nhi[i] = phi[i] + shi
-                if nlo[i] + rem_lo[i][level] > thi[i] or \
-                        nhi[i] + rem_hi[i][level] < tlo[i]:
-                    ok = False
-                    break
-            if ok:
-                yield from go(level - 1, nlo, nhi)
+        for cs, ea, eb in halves:
+            for c in cs:
+                coords[level] = c
+                yield from go(level - 1, [x + c * e for x, e in zip(plo, ea)],
+                              [x + c * e for x, e in zip(phi, eb)])
 
     yield from go(d - 1, [0] * d, [0] * d)
 
@@ -221,7 +266,8 @@ def enumerate_dominated(query: DominanceQuery,
 
     Output is sorted lexicographically by coordinates; completeness is
     guaranteed by the enclosing box, and every returned element passes the
-    exact dominance test.
+    exact dominance test.  Raises BoxTooLarge when the estimated or the
+    visited number of candidates exceeds the ceiling.
     """
     ctx = query.field
     if query.mode is QueryMode.SQUARE_DOMINATED:
@@ -230,7 +276,9 @@ def enumerate_dominated(query: DominanceQuery,
         box, emb = _build_box(ctx, lambda: _interval_targets(ctx, query.bound), ceiling)
     bound = query.bound
     out = []
-    for coords in _iter_box(emb, box):
+    for visited, coords in enumerate(_iter_box(emb, box), 1):
+        if visited > ceiling:
+            raise BoxTooLarge(visited, ceiling)
         w = Element(ctx, coords)
         if query.mode is QueryMode.SQUARE_DOMINATED:
             ok = (bound - w * w).is_totally_nonnegative()
@@ -382,27 +430,17 @@ def elements_of_norm(ctx: FieldContext, n: int, house_bound: Fraction,
                      ceiling: int = DEFAULT_CEILING) -> List[Element]:
     """All integral elements with |norm| = n and house <= house_bound."""
     bound = ctx.from_rational(Fraction(house_bound) ** 2)
-    emb = ctx.int_embeddings()
-    d = ctx.degree
-    scale = 1 << ctx.INT_BITS
+    # each endpoint S -+ R is in units of 2^-(INT_BITS + 1), a product of d
+    # of them in units of 2^-((INT_BITS + 1) * d)
+    target = n << (ctx.INT_BITS + 1) * ctx.degree
     out = []
     for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED, ceiling):
         # fixed-point enclosure of the norm rules out most candidates
         plo = phi = 1
-        for i in range(d):
-            lo = hi = 0
-            for j, c in enumerate(w.coords):
-                if c > 0:
-                    lo += c * emb[i][j][0]
-                    hi += c * emb[i][j][1]
-                elif c < 0:
-                    lo += c * emb[i][j][1]
-                    hi += c * emb[i][j][0]
-            ps = (plo * lo, plo * hi, phi * lo, phi * hi)
+        for s, r in ctx.fixed_point_enclosures(w):
+            ps = (plo * (s - r), plo * (s + r), phi * (s - r), phi * (s + r))
             plo, phi = min(ps), max(ps)
-        nlo = plo / scale ** d
-        nhi = phi / scale ** d
-        if not (nlo - 1 <= n <= nhi + 1 or nlo - 1 <= -n <= nhi + 1):
+        if not (plo <= target <= phi or plo <= -target <= phi):
             continue
         if abs(w.norm()) != n:
             continue

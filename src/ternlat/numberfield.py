@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import linalg, polys
@@ -70,21 +71,37 @@ class Element:
         if den < 0:
             den = -den
             coords = [-c for c in coords]
-        g = den
-        for c in coords:
-            g = gcd(g, abs(c))
-        if g > 1:
-            den //= g
-            coords = [c // g for c in coords]
+        if den > 1:
+            g = gcd(den, *coords)
+            if g > 1:
+                den //= g
+                coords = [c // g for c in coords]
         self.ctx = ctx
         self.coords = tuple(coords)
         self.den = den
 
     # -- basic structure ---------------------------------------------------
 
+    @classmethod
+    def _new(cls, ctx: "FieldContext", coords: Sequence[int],
+             den: int) -> "Element":
+        """Element from coordinates already in lowest terms over den > 0
+        (every den == 1 result is), without normalising them again."""
+        e = cls.__new__(cls)
+        e.ctx, e.coords, e.den = ctx, tuple(coords), den
+        return e
+
+    @classmethod
+    def _normalised(cls, ctx: "FieldContext", coords: List[int],
+                    den: int) -> "Element":
+        """Result of ring arithmetic; over den == 1 it is in lowest terms."""
+        if den == 1:
+            return cls._new(ctx, coords, 1)
+        return cls(ctx, coords, den)
+
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -126,8 +143,9 @@ class Element:
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
-        return Element(self.ctx, [a * db + b * da for a, b in
-                                  zip(self.coords, o.coords)], da * db)
+        return Element._normalised(self.ctx, [a * db + b * da for a, b in
+                                              zip(self.coords, o.coords)],
+                                   da * db)
 
     __radd__ = __add__
 
@@ -136,8 +154,9 @@ class Element:
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
-        return Element(self.ctx, [a * db - b * da for a, b in
-                                  zip(self.coords, o.coords)], da * db)
+        return Element._normalised(self.ctx, [a * db - b * da for a, b in
+                                              zip(self.coords, o.coords)],
+                                   da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -146,29 +165,40 @@ class Element:
         return o - self
 
     def __neg__(self):
-        e = Element.__new__(Element)
-        e.ctx, e.coords, e.den = self.ctx, tuple(-c for c in self.coords), self.den
-        return e
+        return Element._new(self.ctx, [-c for c in self.coords], self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         table = self.ctx.mult_table
-        d = self.ctx.degree
-        out = [0] * d
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            row = table[i]
-            for j, b in enumerate(o.coords):
-                if b == 0:
-                    continue
-                c = a * b
-                tij = row[j]
-                for k in range(d):
-                    out[k] += c * tij[k]
-        return Element(self.ctx, out, self.den * o.den)
+        scales, entries = [], []
+        if o is self:
+            # b_i b_j = b_j b_i: each unordered pair of coordinates once
+            x = self.coords
+            for i, a in enumerate(x):
+                if a:
+                    row = table[i]
+                    scales.append(a * a)
+                    entries.append(row[i])
+                    a2 = a + a
+                    for j in range(i + 1, len(x)):
+                        b = x[j]
+                        if b:
+                            scales.append(a2 * b)
+                            entries.append(row[j])
+        else:
+            for i, a in enumerate(self.coords):
+                if a:
+                    row = table[i]
+                    for j, b in enumerate(o.coords):
+                        if b:
+                            scales.append(a * b)
+                            entries.append(row[j])
+        if not scales:
+            return Element._new(self.ctx, [0] * self.ctx.degree, 1)
+        out = [sum(map(mul, scales, col)) for col in zip(*entries)]
+        return Element._normalised(self.ctx, out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -321,7 +351,7 @@ class FieldContext:
         self._emb_lock = threading.Lock()
         self._emb_generation = 0
         self._emb_cache: Optional[List[List[Interval]]] = None
-        self._int_cache: Optional[Tuple[int, List[List[Tuple[int, int]]]]] = None
+        self._int_cache: Optional[Tuple[int, tuple]] = None
         one_q = linalg.mat_vec(linalg.transpose(pow_to_basis),
                                [Fraction(1)] + [Fraction(0)] * (self.degree - 1))
         self.one_coords_q = one_q
@@ -406,44 +436,50 @@ class FieldContext:
 
     INT_BITS = 24
 
-    def int_embeddings(self) -> List[List[Tuple[int, int]]]:
-        """Outward fixed-point enclosures of the basis embeddings, in units
-        of 2^-INT_BITS.  Sound but coarse; used by fast pre-filters."""
+    def _int_midrad(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """Outward fixed-point enclosures [lo, hi] of the basis embeddings, in
+        units of 2^-INT_BITS, kept as midpoint-radius rows: mids[i][j] =
+        lo + hi and rads[i][j] = hi - lo for sigma_i(basis_j)."""
         if self._int_cache is not None:
             return self._int_cache[1]
         self.refine_roots(Fraction(1, 1 << (self.INT_BITS + 8)))
         emb = self.basis_embeddings()
         scale = 1 << self.INT_BITS
-        out = []
+        mids, rads = [], []
         for row in emb:
-            srow = []
+            mrow, rrow = [], []
             for iv in row:
                 lo = (iv.lo.numerator * scale) // iv.lo.denominator
                 hi = -((-iv.hi.numerator * scale) // iv.hi.denominator)
-                srow.append((lo, hi))
-            out.append(srow)
+                mrow.append(lo + hi)
+                rrow.append(hi - lo)
+            mids.append(mrow)
+            rads.append(rrow)
         with self._emb_lock:
-            self._int_cache = (self._emb_generation, out)
-        return out
+            self._int_cache = (self._emb_generation, (mids, rads))
+        return mids, rads
+
+    def fixed_point_enclosures(self, a: Element) -> List[Tuple[int, int]]:
+        """Pairs (S, R) with sigma_i(den * a) in [S - R, S + R] / 2^(INT_BITS+1),
+        one per embedding.  Sound but coarse; used by fast pre-filters.
+
+        S - R and S + R are exactly twice the endpoint sums of the [lo, hi]
+        enclosures, so lo > 0 iff S > R and hi < 0 iff S < -R.
+        """
+        mids, rads = self._int_midrad()
+        x = a.coords
+        mags = [abs(c) for c in x]
+        return [(sum(map(mul, x, m)), sum(map(mul, mags, r)))
+                for m, r in zip(mids, rads)]
 
     def _fast_signs(self, a: Element) -> Optional[Tuple[int, ...]]:
         """Signs of all embeddings from the fixed-point enclosures, or None
         when some enclosure straddles zero."""
-        emb = self.int_embeddings()
         signs = []
-        for i in range(self.degree):
-            lo = hi = 0
-            row = emb[i]
-            for j, c in enumerate(a.coords):
-                if c > 0:
-                    lo += c * row[j][0]
-                    hi += c * row[j][1]
-                elif c < 0:
-                    lo += c * row[j][1]
-                    hi += c * row[j][0]
-            if lo > 0:
+        for s, r in self.fixed_point_enclosures(a):
+            if s > r:
                 signs.append(1)
-            elif hi < 0:
+            elif s < -r:
                 signs.append(-1)
             else:
                 return None
@@ -470,7 +506,7 @@ class FieldContext:
     # -- comparisons ---------------------------------------------------------
 
     def compare(self, a: Element, b: Element) -> Dominance:
-        c = a - b
+        c = a - b if any(b.coords) else a
         if c.is_zero:
             return Dominance.EQ
         # fixed-point pre-filter (sound: falls through when indecisive)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ternlat import enumeration
 from ternlat.errors import BoxTooLarge
 from ternlat.enumeration import (DominanceQuery, QueryMode,
                                  dominated_elements, elements_of_norm,
@@ -58,6 +59,23 @@ def test_ceiling(table):
     ctx = table.context("K51200")
     with pytest.raises(BoxTooLarge):
         dominated_elements(ctx, ctx.from_rational(10 ** 8), ceiling=1000)
+
+
+def test_ceiling_caps_visited_candidates(table, monkeypatch):
+    # with the estimate forced low, only the count of visited candidates
+    # can stop the enumeration
+    ctx = table.context("K51200")
+    bound = ctx.from_rational(60)
+    box, emb = enumeration._build_box(
+        ctx, lambda: enumeration._square_targets(ctx, bound), 10 ** 8)
+    visited = sum(1 for _ in enumeration._iter_box(emb, box))
+    solutions = dominated_elements(ctx, bound)
+    monkeypatch.setattr(enumeration, "_candidate_estimate",
+                        lambda emb, box: 0)
+    with pytest.raises(BoxTooLarge) as exc:
+        dominated_elements(ctx, bound, ceiling=visited - 1)
+    assert exc.value.estimate == visited
+    assert dominated_elements(ctx, bound, ceiling=visited) == solutions
 
 
 def test_sqrt_element(ctx_sqrt2):
@@ -154,6 +172,18 @@ def test_representations(ctx_q):
 def test_elements_of_norm(ctx_sqrt2):
     els = elements_of_norm(ctx_sqrt2, 7, F(5), totally_positive=True)
     assert {e.coords for e in els} == {(3, 1), (3, -1)}
+
+
+@pytest.mark.parametrize("label, n, positive", [
+    ("K7168", 7, False), ("K2624", 7, True), ("K51200", 49, False)])
+def test_elements_of_norm_quartic(table, label, n, positive):
+    # the fixed-point norm pre-filter drops no element of norm +-n
+    ctx = table.context(label)
+    els = elements_of_norm(ctx, n, F(6), totally_positive=positive)
+    brute = [w for w in dominated_elements(ctx, ctx.from_rational(36))
+             if abs(w.norm()) == n
+             and (not positive or w.is_totally_positive())]
+    assert els and els == brute
 
 
 def test_lambda_squarefree_depends_on_field(ctx_sqrt2, table):

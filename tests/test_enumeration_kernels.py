@@ -1,0 +1,291 @@
+"""Differential tests of the enumeration kernels against their exact paths.
+
+`enumeration._iter_box` solves each level's feasible coordinate range by
+integer division; the reference below is the scan-and-reject loop it
+replaced, which tries every coordinate of the box and tests every embedding.
+The two must yield the same sequence, in the same order.
+
+`FieldContext._fast_signs` decides signs from fixed-point enclosures in
+midpoint-radius form; every decisive verdict must equal the exact one from
+the characteristic polynomial, and every decisive sign the refined one.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ternlat import linalg
+from ternlat.cyclotomic import cyclo_info
+from ternlat.enumeration import (EnumerationBox, QueryMode, _build_box,
+                                 _fixed_point, _interval_targets, _iter_box,
+                                 _square_targets, dominated_elements)
+from ternlat.intervals import Interval
+from ternlat.numberfield import (Dominance, FieldRecord, load_field,
+                                 sqrt2_context)
+
+
+# ---------------------------------------------------------------------------
+# reference: the scan-and-reject loop
+
+def ref_iter_box(emb, box):
+    d = len(box.lows)
+    if not all(lo <= hi for lo, hi in zip(box.lows, box.highs)):
+        return
+    tlo = [_fixed_point(lo, up=False) for lo, _ in box.targets]
+    thi = [_fixed_point(hi, up=True) for _, hi in box.targets]
+    elo = [[_fixed_point(emb[i][j].lo, up=False) for j in range(d)]
+           for i in range(d)]
+    ehi = [[_fixed_point(emb[i][j].hi, up=True) for j in range(d)]
+           for i in range(d)]
+
+    def scaled(i, j, c):
+        if c >= 0:
+            return c * elo[i][j], c * ehi[i][j]
+        return c * ehi[i][j], c * elo[i][j]
+
+    rem_lo = [[0] * (d + 1) for _ in range(d)]
+    rem_hi = [[0] * (d + 1) for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            alo, ahi = scaled(i, j, box.lows[j])
+            blo, bhi = scaled(i, j, box.highs[j])
+            rem_lo[i][j + 1] = rem_lo[i][j] + min(alo, blo)
+            rem_hi[i][j + 1] = rem_hi[i][j] + max(ahi, bhi)
+
+    coords = [0] * d
+
+    def go(level, plo, phi):
+        if level < 0:
+            yield tuple(coords)
+            return
+        for c in range(box.lows[level], box.highs[level] + 1):
+            coords[level] = c
+            nlo, nhi = [0] * d, [0] * d
+            ok = True
+            for i in range(d):
+                slo, shi = scaled(i, level, c)
+                nlo[i] = plo[i] + slo
+                nhi[i] = phi[i] + shi
+                if nlo[i] + rem_lo[i][level] > thi[i] or \
+                        nhi[i] + rem_hi[i][level] < tlo[i]:
+                    ok = False
+                    break
+            if ok:
+                yield from go(level - 1, nlo, nhi)
+
+    yield from go(d - 1, [0] * d, [0] * d)
+
+
+# ---------------------------------------------------------------------------
+# _iter_box on random boxes
+
+# enclosure entries, in eighths: exactly zero, straddling zero, or ordinary
+ENTRY = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(-64, -1), st.integers(1, 64)),
+    st.tuples(st.integers(-64, 64), st.integers(0, 16)).map(
+        lambda t: (t[0], t[0] + t[1])),
+)
+SIDE = {1: 14, 2: 9, 3: 6, 4: 4, 5: 3}
+
+
+@st.composite
+def boxes(draw):
+    d = draw(st.integers(1, 5))
+    emb = [[Interval(F(lo, 8), F(hi, 8)) for lo, hi in
+            (draw(ENTRY) for _ in range(d))] for _ in range(d)]
+    side = SIDE[d]
+    lows = [draw(st.integers(-side, side)) for _ in range(d)]
+    # a side of 0 makes the box empty, all sides of 1 a single point
+    highs = [lo + draw(st.integers(0, side)) - 1 for lo in lows]
+    den = draw(st.sampled_from([1, 3, 4]))
+    targets = []
+    for _ in range(d):
+        lo = draw(st.integers(-12 * den, 12 * den))
+        targets.append((F(lo, den), F(lo + draw(st.integers(0, 16 * den)), den)))
+    return emb, EnumerationBox(tuple(lows), tuple(highs), F(1, 64),
+                               tuple(targets))
+
+
+@settings(max_examples=400, deadline=None)
+@given(boxes())
+def test_iter_box_equals_scan_and_reject(case):
+    emb, box = case
+    assert list(_iter_box(emb, box)) == list(ref_iter_box(emb, box))
+
+
+def _box(d, lows, highs, entry=(F(1), F(2)), target=(F(-3), F(3))):
+    emb = [[Interval(*entry) for _ in range(d)] for _ in range(d)]
+    return emb, EnumerationBox(tuple(lows), tuple(highs), F(1, 64),
+                               (target,) * d)
+
+
+@pytest.mark.parametrize("emb, box", [
+    _box(3, (0, 0, 0), (-1, 2, 2)),                       # empty
+    _box(3, (1, -1, 0), (1, -1, 0)),                      # one point, kept
+    _box(3, (5, 5, 5), (5, 5, 5)),                        # one point, pruned
+    _box(2, (-3, -3), (3, 3), entry=(F(0), F(0))),        # zero embeddings
+    _box(2, (-3, -3), (3, 3), target=(F(1), F(2))),       # 0 excluded
+    _box(4, (-2,) * 4, (2,) * 4, entry=(F(-1, 3), F(1, 2))),  # straddling
+    _box(1, (-9,), (9,), entry=(F(-2), F(-1))),           # negative entry
+])
+def test_iter_box_edge_boxes(emb, box):
+    got = list(_iter_box(emb, box))
+    assert got == list(ref_iter_box(emb, box))
+
+
+def test_iter_box_prunes_exactly():
+    # 1-dimensional: c * [1, 2] must meet [-3, 3], so c in [-3, 3] survive
+    emb, box = _box(1, (-9,), (9,))
+    assert list(_iter_box(emb, box)) == [(c,) for c in range(-3, 4)]
+
+
+# ---------------------------------------------------------------------------
+# _iter_box on certified boxes of real queries
+
+def _certified(ctx, bound, mode):
+    make = _square_targets if mode is QueryMode.SQUARE_DOMINATED \
+        else _interval_targets
+    return _build_box(ctx, lambda: make(ctx, bound), 10 ** 8)
+
+
+@pytest.mark.parametrize("label, bound, mode", [
+    ("K51200", 60, QueryMode.SQUARE_DOMINATED),
+    ("K2624", 9, QueryMode.INTERVAL),
+    ("K7168", 30, QueryMode.SQUARE_DOMINATED),
+])
+def test_iter_box_on_certified_boxes(table, label, bound, mode):
+    ctx = table.context(label)
+    box, emb = _certified(ctx, ctx.from_rational(bound), mode)
+    got = list(_iter_box(emb, box))
+    assert got == list(ref_iter_box(emb, box))
+    assert len(got) >= len(dominated_elements(ctx, ctx.from_rational(bound),
+                                              mode))
+
+
+def test_iter_box_on_a_degree_5_box():
+    ctx = cyclo_info(11).field
+    box, emb = _certified(ctx, ctx.from_rational(7), QueryMode.SQUARE_DOMINATED)
+    assert list(_iter_box(emb, box)) == list(ref_iter_box(emb, box))
+
+
+# ---------------------------------------------------------------------------
+# compare: fixed-point fast path against the characteristic polynomial
+
+def ref_fast_signs(ctx, a):
+    """The endpoint form of the fast path: lo and hi sums per embedding."""
+    mids, rads = ctx._int_midrad()
+    signs = []
+    for m, r in zip(mids, rads):
+        lo = hi = 0
+        for c, mj, rj in zip(a.coords, m, r):
+            elo, ehi = (mj - rj) // 2, (mj + rj) // 2
+            if c > 0:
+                lo += c * elo
+                hi += c * ehi
+            elif c < 0:
+                lo += c * ehi
+                hi += c * elo
+        if lo > 0:
+            signs.append(1)
+        elif hi < 0:
+            signs.append(-1)
+        else:
+            return None
+    return tuple(signs)
+
+
+def charpoly_verdict(c):
+    d = c.ctx.degree
+    p = linalg.charpoly(c.mult_matrix_scaled())
+    if all((-1) ** (d - k) * p[k] >= 0 for k in range(d + 1)):
+        return Dominance.GE_TIED if p[0] == 0 else Dominance.GT
+    if all(p[k] >= 0 for k in range(d + 1)):
+        return Dominance.LE_TIED if p[0] == 0 else Dominance.LT
+    return Dominance.INCOMPARABLE
+
+
+def fast_verdict(signs):
+    if all(s > 0 for s in signs):
+        return Dominance.GT
+    if all(s < 0 for s in signs):
+        return Dominance.LT
+    return Dominance.INCOMPARABLE
+
+
+def _samples(ctx, rng):
+    d = ctx.degree
+    out = [ctx.element([rng.randint(-20, 20) for _ in range(d)],
+                       rng.choice([1, 1, 2, 3])) for _ in range(25)]
+    # units and their powers: some embeddings far below the fixed-point grid
+    for u in ctx.units or ():
+        out += [u, -u, u ** 3, u ** 8, u ** -5]
+    # near-ties: bound - w^2 for the solutions w closest to the boundary
+    bound = ctx.from_rational(5) + ctx.element([rng.randint(-1, 1)
+                                                for _ in range(d)])
+    if bound.is_totally_positive():
+        sols = dominated_elements(ctx, bound)
+        gaps = sorted(sols, key=lambda w: min(
+            iv.lo for iv in (bound - w * w).embeddings(F(1, 1 << 20))))
+        out += [bound - w * w for w in gaps[:6]]
+    return out
+
+
+def _check_fast_path(ctx, elements, stats):
+    for c in elements:
+        signs = ctx._fast_signs(c)
+        assert signs == ref_fast_signs(ctx, c)
+        if signs is None or c.is_zero:
+            stats["fallback"] += 1
+            continue
+        stats["decisive"] += 1
+        assert fast_verdict(signs) is charpoly_verdict(c)
+        assert signs == c.signature()
+
+
+def test_fast_path_agrees_with_charpoly_on_table_fields(table):
+    rng = random.Random(20)
+    stats = {"decisive": 0, "fallback": 0}
+    assert len(table.records) == 19
+    for rec in table.records:
+        ctx = table.context(rec.label)
+        _check_fast_path(ctx, _samples(ctx, rng), stats)
+    ctx = cyclo_info(11).field                    # F_11, degree 5
+    _check_fast_path(ctx, _samples(ctx, rng), stats)
+    assert stats["decisive"] > 500 and stats["fallback"] > 10
+
+
+def test_fast_path_is_indecisive_on_an_enclosure_touching_zero():
+    # hand-made enclosures in midpoint-radius form: sigma_i(1) in [0, 2]
+    # touches zero and must fall back; in [1/2, 3/2] it is decisive
+    ctx = sqrt2_context()
+    ctx._int_midrad()
+    ctx._int_cache = (0, ([[2, 0], [2, 0]], [[2, 0], [2, 0]]))
+    assert ctx._fast_signs(ctx.one) is None
+    assert ctx._fast_signs(-ctx.one) is None
+    ctx._int_cache = (0, ([[2, 0], [2, 0]], [[1, 0], [1, 0]]))
+    assert ctx._fast_signs(ctx.one) == (1, 1)
+    assert ctx._fast_signs(-ctx.one) == (-1, -1)
+
+
+def test_fast_path_falls_back_on_ties_in_a_product_ring():
+    # (t^2 - 2)(t^2 - 3) is squarefree but reducible: t^2 - 2 vanishes on
+    # two embeddings, so beta - w^2 with beta = w^2 + (t^2 - 2) s^2 ties
+    rec = FieldRecord("QxQ", 4, (6, 0, -5, 0, 1),
+                      tuple(tuple(F(int(i == j)) for j in range(4))
+                            for i in range(4)), 144)
+    ctx = load_field(rec)
+    z = ctx.gen * ctx.gen - ctx.from_rational(2)
+    rng = random.Random(3)
+    for _ in range(20):
+        w = ctx.element([rng.randint(-5, 5) for _ in range(4)])
+        s = ctx.element([rng.randint(-5, 5) for _ in range(4)])
+        if (z * s).is_zero:
+            continue
+        beta = w * w + z * s * s
+        tie = beta - w * w
+        assert ctx._fast_signs(tie) is None
+        assert beta.compare(w * w) is Dominance.GE_TIED
+        assert charpoly_verdict(tie) is Dominance.GE_TIED
