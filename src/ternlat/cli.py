@@ -289,8 +289,7 @@ def cmd_scan(args) -> int:
     if args.command == "small":
         report = scan_small_condition(table, args.max_disc,
                                       unit_filter=not args.no_unit_filter,
-                                      ceiling=args.ceiling,
-                                      threads=args.threads)
+                                      ceiling=args.ceiling)
         sets = exceptional_sets(report)
         for v in report["verdicts"]:
             print(f"{v['label']:10} disc {v['disc']:7} {v['status']}"
@@ -301,7 +300,7 @@ def cmd_scan(args) -> int:
         print(f"# exceptional for 6: {sets['6']}")
     elif args.command == "obstruct":
         report = scan_obstructions(table, args.max_disc, args.pool,
-                                   args.ceiling, args.threads)
+                                   args.ceiling)
         for v in report["verdicts"]:
             print(f"{v['label']:10} disc {v['disc']:7} {v['status']}")
     else:
@@ -413,7 +412,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--command", choices=["small", "obstruct"],
                    default="small")
     p.add_argument("--pool", type=int, default=40)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--no-unit-filter", action="store_true")
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     p.add_argument("--out")

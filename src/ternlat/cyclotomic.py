@@ -114,8 +114,7 @@ class AlphaBetaReport:
     beta_indecomposable: Optional[bool]
 
 
-def alpha_beta_verify(k: int, check_indecomposable: bool = True,
-                      max_indec_degree: Optional[int] = None) -> AlphaBetaReport:
+def alpha_beta_verify(k: int) -> AlphaBetaReport:
     """Check the closed norm/trace formulas for 2 +- (z_k + 1/z_k).
 
     Norm of the plus element is p exactly when k = 2p^n; of the minus element
@@ -143,8 +142,7 @@ def alpha_beta_verify(k: int, check_indecomposable: bool = True,
     if not info.alpha.is_totally_positive() or not info.beta.is_totally_positive():
         raise MismatchAgainstFormula(f"k={k}: alpha or beta not totally positive")
     ia = ib = None
-    if check_indecomposable and d > 2 and \
-            (max_indec_degree is None or d <= max_indec_degree):
+    if d > 2:
         ia = bool(is_indecomposable(info.alpha))
         ib = bool(is_indecomposable(info.beta))
         if not (ia and ib):

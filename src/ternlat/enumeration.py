@@ -121,7 +121,7 @@ def _build_box(ctx: FieldContext,
     if prev is not None and prev_vol is not None \
             and _candidate_estimate(prev[1], prev[0]) <= ceiling:
         return prev
-    raise BoxTooLarge(prev_vol or 0, ceiling)
+    raise BoxTooLarge(prev_vol or 0, ceiling, "box volume {}")
 
 
 _PRUNE_BITS = 24
@@ -250,14 +250,17 @@ def _interval_targets(ctx: FieldContext, bound: Element) -> List[Interval]:
     return [Interval(Fraction(0), max(iv.hi, Fraction(0))) for iv in ivs]
 
 
+def _query_box(query: DominanceQuery, ceiling: int
+               ) -> Tuple[EnumerationBox, List[List[Interval]]]:
+    ctx = query.field
+    make = _square_targets if query.mode is QueryMode.SQUARE_DOMINATED \
+        else _interval_targets
+    return _build_box(ctx, lambda: make(ctx, query.bound), ceiling)
+
+
 def solution_box(query: DominanceQuery,
                  ceiling: int = DEFAULT_CEILING) -> EnumerationBox:
-    ctx = query.field
-    if query.mode is QueryMode.SQUARE_DOMINATED:
-        box, _ = _build_box(ctx, lambda: _square_targets(ctx, query.bound), ceiling)
-    else:
-        box, _ = _build_box(ctx, lambda: _interval_targets(ctx, query.bound), ceiling)
-    return box
+    return _query_box(query, ceiling)[0]
 
 
 def enumerate_dominated(query: DominanceQuery,
@@ -270,15 +273,12 @@ def enumerate_dominated(query: DominanceQuery,
     visited number of candidates exceeds the ceiling.
     """
     ctx = query.field
-    if query.mode is QueryMode.SQUARE_DOMINATED:
-        box, emb = _build_box(ctx, lambda: _square_targets(ctx, query.bound), ceiling)
-    else:
-        box, emb = _build_box(ctx, lambda: _interval_targets(ctx, query.bound), ceiling)
+    box, emb = _query_box(query, ceiling)
     bound = query.bound
     out = []
     for visited, coords in enumerate(_iter_box(emb, box), 1):
         if visited > ceiling:
-            raise BoxTooLarge(visited, ceiling)
+            raise BoxTooLarge(visited, ceiling, "visited {} candidates")
         w = Element(ctx, coords)
         if query.mode is QueryMode.SQUARE_DOMINATED:
             ok = (bound - w * w).is_totally_nonnegative()
@@ -324,7 +324,7 @@ def enumerate_representations(gram: Sequence[Sequence[Element]], gamma: Element,
         candidate_lists.append(cands)
         volume *= len(cands)
         if volume > ceiling:
-            raise BoxTooLarge(volume, ceiling)
+            raise BoxTooLarge(volume, ceiling, "box volume {}")
 
     out: List[Tuple[Element, ...]] = []
     vec: List[Element] = [ctx.zero] * n
@@ -360,7 +360,6 @@ class IndecompResult:
 
 
 def is_indecomposable(alpha: Element, sigma_mode: bool = False,
-                      units: Optional[Sequence[Element]] = None,
                       ceiling: int = DEFAULT_CEILING) -> IndecompResult:
     """Decide whether alpha is a sum of two totally positive integers.
 
@@ -372,7 +371,7 @@ def is_indecomposable(alpha: Element, sigma_mode: bool = False,
     if not alpha.is_integral:
         raise ValueError("indecomposability is defined for integral elements")
     if sigma_mode and not alpha.is_totally_positive():
-        _, alpha = ctx.totally_positive_associate(alpha, units)
+        _, alpha = ctx.totally_positive_associate(alpha)
     if not alpha.is_totally_positive():
         raise ValueError("alpha must be totally positive")
     d = ctx.degree
@@ -450,15 +449,17 @@ def elements_of_norm(ctx: FieldContext, n: int, house_bound: Fraction,
     return out
 
 
-def squarefree_witness(alpha: Element, pad: int = 4,
-                       ceiling: int = DEFAULT_CEILING
+_SQUAREFREE_PAD = 4
+
+
+def squarefree_witness(alpha: Element, ceiling: int = DEFAULT_CEILING
                        ) -> Optional[Tuple[Element, Element]]:
     """A non-unit t with t^2 | alpha, together with gamma = alpha / t^2.
 
     Candidates are restricted by norm(t)^2 | norm(alpha) and searched inside
-    house(t) <= pad * sqrt(house(alpha)); the pad absorbs unit drift between
-    t and its smallest associate.  Returns None when alpha is squarefree in
-    the element-divisor sense.
+    house(t) <= _SQUAREFREE_PAD * sqrt(house(alpha)); the pad absorbs unit
+    drift between t and its smallest associate.  Returns None when alpha is
+    squarefree in the element-divisor sense.
     """
     ctx = alpha.ctx
     if not alpha.is_integral or alpha.is_zero:
@@ -470,7 +471,7 @@ def squarefree_witness(alpha: Element, pad: int = 4,
     norms = [m for m in _divisors(n) if m > 1 and n % (m * m) == 0]
     if not norms:
         return None
-    hb = sqrt_upper(alpha.house(Fraction(1, 256)).hi) * pad
+    hb = sqrt_upper(alpha.house(Fraction(1, 256)).hi) * _SQUAREFREE_PAD
     for m in norms:
         cands = {_canonical_sign(t) for t in elements_of_norm(ctx, m, hb,
                                                               ceiling=ceiling)}
@@ -482,8 +483,8 @@ def squarefree_witness(alpha: Element, pad: int = 4,
     return None
 
 
-def unsquare(alpha: Element, units: Optional[Sequence[Element]] = None,
-             ceiling: int = DEFAULT_CEILING) -> Tuple[Element, Element, int]:
+def unsquare(alpha: Element, ceiling: int = DEFAULT_CEILING
+             ) -> Tuple[Element, Element, int]:
     """Write alpha = mu * beta^(2^k) with mu a unit and beta totally positive
     and not a square.
 
@@ -495,7 +496,7 @@ def unsquare(alpha: Element, units: Optional[Sequence[Element]] = None,
         raise ValueError("cannot unsquare zero")
     if alpha.is_unit():
         raise ValueError("cannot unsquare a unit")
-    _, current = ctx.totally_positive_associate(alpha, units)
+    _, current = ctx.totally_positive_associate(alpha)
     k = 0
     while True:
         root = sqrt_element(current, ceiling)
@@ -504,7 +505,7 @@ def unsquare(alpha: Element, units: Optional[Sequence[Element]] = None,
             break
         if root.is_zero:
             raise ValueError("unexpected zero while unsquaring")
-        _, current = ctx.totally_positive_associate(root, units)
+        _, current = ctx.totally_positive_associate(root)
         k += 1
         if k > 64:
             raise RuntimeError("unsquare did not terminate")

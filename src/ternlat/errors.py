@@ -30,10 +30,15 @@ class NoSuchUnit(TernlatError):
 
 
 class BoxTooLarge(TernlatError):
-    """Certified search box exceeds the configured candidate ceiling."""
+    """Certified search box exceeds the configured candidate ceiling.
 
-    def __init__(self, estimate: int, ceiling: int):
-        super().__init__(f"estimated {estimate} candidates exceeds ceiling {ceiling}")
+    `quantity` names what was counted: the estimated candidates (default),
+    the candidates actually visited, or a box volume.
+    """
+
+    def __init__(self, estimate: int, ceiling: int,
+                 quantity: str = "estimated {} candidates"):
+        super().__init__(f"{quantity.format(estimate)} exceeds ceiling {ceiling}")
         self.estimate = estimate
         self.ceiling = ceiling
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -123,31 +122,24 @@ def load_field_file(path) -> FieldContext:
 # ---------------------------------------------------------------------------
 # scans
 
-def _scan(table: FieldTable, disc_cap: int, worker, threads: int,
-          metadata: dict) -> dict:
+def _scan(table: FieldTable, disc_cap: int, worker, metadata: dict) -> dict:
+    """One verdict per field with disc <= disc_cap, in (disc, label) order."""
     t0 = time.time()
     rows = sorted((r for r in table if r.disc <= disc_cap),
                   key=lambda r: (r.disc, r.label))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(worker, rows))
-    else:
-        verdicts = [worker(r) for r in rows]
-    verdicts.sort(key=lambda v: (v["disc"], v["label"]))
-    report = {
-        "metadata": dict(metadata, max_disc=disc_cap, threads=threads,
+    verdicts = [worker(r) for r in rows]
+    return {
+        "metadata": dict(metadata, max_disc=disc_cap,
                          fields_scanned=len(rows),
                          elapsed_seconds=round(time.time() - t0, 3),
                          version=__version__),
         "verdicts": verdicts,
     }
-    return report
 
 
 def scan_small_condition(table: FieldTable, disc_cap: int,
                          unit_filter: bool = True,
-                         ceiling: int = DEFAULT_CEILING,
-                         threads: int = 1) -> dict:
+                         ceiling: int = DEFAULT_CEILING) -> dict:
     """Per field: do any solutions of w^2 <= 3*lambda or w^2 <= 6 leave the
     span of {1, sqrt2}?  Exceptional fields are reported with witnesses."""
 
@@ -184,7 +176,7 @@ def scan_small_condition(table: FieldTable, disc_cap: int,
             out["error"] = f"{type(exc).__name__}: {exc}"
         return out
 
-    return _scan(table, disc_cap, worker, threads,
+    return _scan(table, disc_cap, worker,
                  {"command": "small-condition", "unit_filter": unit_filter,
                   "bounds": ["3*(2+sqrt2)", "6"], "ceiling": ceiling})
 
@@ -203,8 +195,7 @@ def exceptional_sets(report: dict) -> Dict[str, List[str]]:
 
 
 def scan_obstructions(table: FieldTable, disc_cap: int, pool_size: int = 40,
-                      ceiling: int = DEFAULT_CEILING,
-                      threads: int = 1) -> dict:
+                      ceiling: int = DEFAULT_CEILING) -> dict:
     """Per quartic field: route by narrow-class structure and class number,
     and search an obstruction certificate in the remaining case."""
 
@@ -232,7 +223,7 @@ def scan_obstructions(table: FieldTable, disc_cap: int, pool_size: int = 40,
             out["error"] = f"{type(exc).__name__}: {exc}"
         return out
 
-    return _scan(table, disc_cap, worker, threads,
+    return _scan(table, disc_cap, worker,
                  {"command": "obstruct", "pool_size": pool_size,
                   "ceiling": ceiling})
 
@@ -295,14 +286,18 @@ def _gap_product(xs) -> float:
     return total
 
 
-def quartic_gap_maximum(grid: int = 13, refinements: int = 40) -> dict:
+_GAP_GRID = 13          # grid points per axis of the coarse search
+_GAP_REFINEMENTS = 40   # rounds of coordinate steps after the grid
+
+
+def quartic_gap_maximum() -> dict:
     """Maximize the product of pairwise gaps over [-1,1]^4.
 
     A refining grid search plus the analytic critical point; the closed-form
     value is 2^6 * 5^(-5/2).
     """
     closed = 64 / (25 * math.sqrt(5))
-    pts = [-1 + 2 * i / (grid - 1) for i in range(grid)]
+    pts = [-1 + 2 * i / (_GAP_GRID - 1) for i in range(_GAP_GRID)]
     best, argbest = -1.0, None
     for a in pts:
         for b in pts:
@@ -311,8 +306,8 @@ def quartic_gap_maximum(grid: int = 13, refinements: int = 40) -> dict:
                     v = _gap_product((a, b, c, d))
                     if v > best:
                         best, argbest = v, (a, b, c, d)
-    step = 2 / (grid - 1)
-    for _ in range(refinements):
+    step = 2 / (_GAP_GRID - 1)
+    for _ in range(_GAP_REFINEMENTS):
         step *= 0.7
         improved = False
         base = argbest

@@ -90,12 +90,6 @@ class Interval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def is_positive(self) -> bool:
-        return self.lo > 0
-
-    def is_negative(self) -> bool:
-        return self.hi < 0
-
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 

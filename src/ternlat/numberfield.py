@@ -14,7 +14,6 @@ because every conjugate is real.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -348,10 +347,8 @@ class FieldContext:
         self.basis_pow = basis_pow
         self.pow_to_basis = pow_to_basis
         self._roots = list(roots)
-        self._emb_lock = threading.Lock()
-        self._emb_generation = 0
         self._emb_cache: Optional[List[List[Interval]]] = None
-        self._int_cache: Optional[Tuple[int, tuple]] = None
+        self._int_cache: Optional[Tuple[list, list]] = None     # (mids, rads)
         one_q = linalg.mat_vec(linalg.transpose(pow_to_basis),
                                [Fraction(1)] + [Fraction(0)] * (self.degree - 1))
         self.one_coords_q = one_q
@@ -413,26 +410,24 @@ class FieldContext:
 
     def refine_roots(self, max_width: Rat) -> None:
         max_width = Fraction(max_width)
-        with self._emb_lock:
-            changed = False
-            for i, iv in enumerate(self._roots):
-                if iv.width > max_width:
-                    self._roots[i] = polys.refine_root(self.poly, iv, max_width)
-                    changed = True
-            if changed:
-                self._emb_generation += 1
-                self._emb_cache = None
-                self._int_cache = None
+        changed = False
+        for i, iv in enumerate(self._roots):
+            if iv.width > max_width:
+                self._roots[i] = polys.refine_root(self.poly, iv, max_width)
+                changed = True
+        if changed:
+            # both embedding caches were computed from the wider roots
+            self._emb_cache = None
+            self._int_cache = None
 
     def basis_embeddings(self) -> List[List[Interval]]:
         """Matrix E with E[i][j] enclosing sigma_i(basis_j), at current precision."""
-        with self._emb_lock:
-            if self._emb_cache is None:
-                self._emb_cache = [
-                    [polys.eval_interval(self.basis_pow[j], root)
-                     for j in range(self.degree)]
-                    for root in self._roots]
-            return self._emb_cache
+        if self._emb_cache is None:
+            self._emb_cache = [
+                [polys.eval_interval(self.basis_pow[j], root)
+                 for j in range(self.degree)]
+                for root in self._roots]
+        return self._emb_cache
 
     INT_BITS = 24
 
@@ -441,7 +436,7 @@ class FieldContext:
         units of 2^-INT_BITS, kept as midpoint-radius rows: mids[i][j] =
         lo + hi and rads[i][j] = hi - lo for sigma_i(basis_j)."""
         if self._int_cache is not None:
-            return self._int_cache[1]
+            return self._int_cache
         self.refine_roots(Fraction(1, 1 << (self.INT_BITS + 8)))
         emb = self.basis_embeddings()
         scale = 1 << self.INT_BITS
@@ -455,9 +450,8 @@ class FieldContext:
                 rrow.append(hi - lo)
             mids.append(mrow)
             rads.append(rrow)
-        with self._emb_lock:
-            self._int_cache = (self._emb_generation, (mids, rads))
-        return mids, rads
+        self._int_cache = (mids, rads)
+        return self._int_cache
 
     def fixed_point_enclosures(self, a: Element) -> List[Tuple[int, int]]:
         """Pairs (S, R) with sigma_i(den * a) in [S - R, S + R] / 2^(INT_BITS+1),
@@ -536,9 +530,7 @@ class FieldContext:
             raise NoSuchUnit(f"{self.record.label}: no unit generators supplied")
         return self.units
 
-    def totally_positive_associate(self, a: Element,
-                                   units: Optional[Sequence[Element]] = None
-                                   ) -> Tuple[Element, Element]:
+    def totally_positive_associate(self, a: Element) -> Tuple[Element, Element]:
         """Unit eta (a product of supplied generators) with eta*a totally positive.
 
         Searches the exponent space {0,1}^k over the signature group; raises
@@ -548,7 +540,7 @@ class FieldContext:
         """
         if a.is_zero:
             raise ValueError("no totally positive associate of zero")
-        units = tuple(units) if units is not None else self.require_units()
+        units = self.require_units()
         target = a.signature()
         d = self.degree
         # F2 system: sum of chosen unit sign-vectors == sign vector of a

@@ -196,26 +196,29 @@ def obstruction_certificate(ctx: FieldContext, triple: Sequence[Element],
                                   (*tuple(triple), gamma), orth, dual)
 
 
+_POOL_HOUSE_BOUND = 6      # house of the enumerated elements
+_POOL_NORM_BOUND = 64      # |norm| of the kept candidates
+
+
 def candidate_pool(ctx: FieldContext, pool_size: int = 40,
-                   house_bound: int = 6, norm_bound: int = 64,
                    ceiling: int = DEFAULT_CEILING) -> List[Element]:
     """Totally positive candidates of small norm, ordered by
     (norm, trace, coordinates).
 
-    Enumeration covers all sign patterns with house up to the bound; each
-    element is then moved to its totally positive associate and normalized
-    modulo squares of the supplied units, so candidates whose positive
-    representatives are large (but whose classes contain small elements) are
-    still reached.
+    Enumeration covers all sign patterns with house up to _POOL_HOUSE_BOUND
+    and keeps |norm| up to _POOL_NORM_BOUND; each element is then moved to
+    its totally positive associate and normalized modulo squares of the
+    supplied units, so candidates whose positive representatives are large
+    (but whose classes contain small elements) are still reached.
     """
-    bound = ctx.from_rational(house_bound * house_bound)
+    bound = ctx.from_rational(_POOL_HOUSE_BOUND * _POOL_HOUSE_BOUND)
     pool = {}
     for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED,
                                 ceiling):
         if w.is_zero:
             continue
         n = abs(w.norm())
-        if n > norm_bound:
+        if n > _POOL_NORM_BOUND:
             continue
         if ctx.units:
             _, w = ctx.totally_positive_associate(w)

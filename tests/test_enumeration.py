@@ -10,6 +10,8 @@ from ternlat.enumeration import (DominanceQuery, QueryMode,
                                  is_indecomposable, sqrt_element,
                                  squarefree_witness, sum_of_squares_test,
                                  unsquare)
+from ternlat.intervals import Interval
+from ternlat.numberfield import sqrt2_context
 
 
 def coords_of(elements):
@@ -57,8 +59,10 @@ def test_symmetry(ctx_sqrt2):
 
 def test_ceiling(table):
     ctx = table.context("K51200")
-    with pytest.raises(BoxTooLarge):
+    with pytest.raises(BoxTooLarge) as exc:
         dominated_elements(ctx, ctx.from_rational(10 ** 8), ceiling=1000)
+    assert str(exc.value) == \
+        f"estimated {exc.value.estimate} candidates exceeds ceiling 1000"
 
 
 def test_ceiling_caps_visited_candidates(table, monkeypatch):
@@ -76,6 +80,40 @@ def test_ceiling_caps_visited_candidates(table, monkeypatch):
         dominated_elements(ctx, bound, ceiling=visited - 1)
     assert exc.value.estimate == visited
     assert dominated_elements(ctx, bound, ceiling=visited) == solutions
+
+
+def test_box_too_large_names_its_quantity(table, monkeypatch):
+    # the estimated-candidates message is checked in test_ceiling
+
+    # box volume: targets that shrink on every call never let it settle
+    # (a fresh context: the 80 rounds refine its roots to 2^-166)
+    ctx2 = sqrt2_context()
+    calls = iter(range(100))
+
+    def shrinking_targets():
+        r = 10 ** 6 * F(97, 100) ** next(calls)
+        return [Interval(-r, r)] * 2
+
+    with pytest.raises(BoxTooLarge) as exc:
+        enumeration._build_box(ctx2, shrinking_targets, 10)
+    assert next(calls) == 80
+    assert str(exc.value) == \
+        f"box volume {exc.value.estimate} exceeds ceiling 10"
+
+    # box volume of the product of the per-coordinate candidate lists
+    one, zero = ctx2.one, ctx2.zero
+    gram = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    with pytest.raises(BoxTooLarge) as exc:
+        enumerate_representations(gram, ctx2.from_rational(6), ceiling=50)
+    assert str(exc.value) == "box volume 121 exceeds ceiling 50"
+
+    # candidates visited, with the estimate forced low
+    ctx = table.context("K51200")
+    monkeypatch.setattr(enumeration, "_candidate_estimate",
+                        lambda emb, box: 0)
+    with pytest.raises(BoxTooLarge) as exc:
+        dominated_elements(ctx, ctx.from_rational(60), ceiling=10)
+    assert str(exc.value) == "visited 11 candidates exceeds ceiling 10"
 
 
 def test_sqrt_element(ctx_sqrt2):

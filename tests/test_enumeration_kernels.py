@@ -262,10 +262,10 @@ def test_fast_path_is_indecisive_on_an_enclosure_touching_zero():
     # touches zero and must fall back; in [1/2, 3/2] it is decisive
     ctx = sqrt2_context()
     ctx._int_midrad()
-    ctx._int_cache = (0, ([[2, 0], [2, 0]], [[2, 0], [2, 0]]))
+    ctx._int_cache = ([[2, 0], [2, 0]], [[2, 0], [2, 0]])
     assert ctx._fast_signs(ctx.one) is None
     assert ctx._fast_signs(-ctx.one) is None
-    ctx._int_cache = (0, ([[2, 0], [2, 0]], [[1, 0], [1, 0]]))
+    ctx._int_cache = ([[2, 0], [2, 0]], [[1, 0], [1, 0]])
     assert ctx._fast_signs(ctx.one) == (1, 1)
     assert ctx._fast_signs(-ctx.one) == (-1, -1)
 

@@ -78,18 +78,36 @@ def test_scan_witnesses_reverify(table):
             assert ctx.rational_span_coords(w, [ctx.one, ctx.sqrt2]) is None
 
 
-def test_scan_determinism_and_threads(fields_dir):
-    # fresh tables: reports must be byte-identical regardless of thread count
+def test_scan_determinism(fields_dir):
+    # fresh tables: reports must be identical apart from timing fields
     t1 = ingest_fields(fields_dir / "quartic_sqrt2.jsonl")
     t2 = ingest_fields(fields_dir / "quartic_sqrt2.jsonl")
-    a = scan_small_condition(t1, 6000, unit_filter=True, threads=1)
-    b = scan_small_condition(t2, 6000, unit_filter=True, threads=4)
+    a = scan_small_condition(t1, 6000, unit_filter=True)
+    b = scan_small_condition(t2, 6000, unit_filter=True)
     strip = lambda r: [{k: v for k, v in verd.items() if k != "seconds"}
                        for verd in r["verdicts"]]
     assert strip(a) == strip(b)
     meta = lambda r: {k: v for k, v in r["metadata"].items()
-                      if k not in ("elapsed_seconds", "threads")}
+                      if k != "elapsed_seconds"}
     assert meta(a) == meta(b)
+
+
+# the metadata keys listed under "Reports" in README.md
+SCAN_METADATA = {
+    "small-condition": {"command", "bounds", "unit_filter", "ceiling",
+                        "max_disc", "fields_scanned", "elapsed_seconds",
+                        "version"},
+    "obstruct": {"command", "pool_size", "ceiling", "max_disc",
+                 "fields_scanned", "elapsed_seconds", "version"},
+}
+
+
+def test_scan_metadata_keys(table):
+    small = scan_small_condition(table, 2000)
+    obstruct = scan_obstructions(table, 2000)
+    for report in (small, obstruct):
+        meta = report["metadata"]
+        assert set(meta) == SCAN_METADATA[meta["command"]]
 
 
 def test_scan_obstructions_routing(table):

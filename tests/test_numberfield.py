@@ -175,3 +175,26 @@ def test_zero_divisor_signature_detected():
     a = ctx.gen * ctx.gen - ctx.from_rational(2)
     with pytest.raises(ValueError):
         a.signature()
+
+
+def test_refine_roots_invalidates_embedding_caches(table):
+    # after a refine that narrows a root, both embedding tables must match
+    # those of a fresh context refined straight to the same width
+    rec = table.by_label("K7168")
+    fine = F(1, 1 << 64)
+    ref = load_field(rec)
+    ref.refine_roots(fine)
+
+    ctx = load_field(rec)
+    coarse = ctx.basis_embeddings()
+    assert coarse != ref.basis_embeddings()
+    ctx.refine_roots(fine)
+    assert ctx.basis_embeddings() == ref.basis_embeddings()
+
+    # the fixed-point table is built at width 2^-(INT_BITS + 8); for K7168
+    # two of its radii still shrink by 2^-64
+    ctx = load_field(rec)
+    stale = ctx._int_midrad()
+    assert stale != ref._int_midrad()
+    ctx.refine_roots(fine)
+    assert ctx._int_midrad() == ref._int_midrad()
