@@ -3,9 +3,10 @@
 
 Builds every totally real quartic field containing sqrt2 with field
 discriminant <= 20000 (plus the discriminant-51200 field used by the
-obstruction demos) by sweeping quadratic extensions of Z[sqrt2], saturating
-orders to maximality with round-2 steps, and searching unit generators whose
-classes are independent modulo squares.  Narrow class data is derived from
+obstruction demos) by sweeping quadratic extensions of Z[sqrt2].  The number
+theory lives in `ternlat.orders`: `maximal_order` saturates each order with
+round-2 steps, and `find_units` searches unit generators whose classes are
+independent modulo squares.  Narrow class data is derived from
 unit signatures: d independent unit classes generate the full unit group
 modulo squares for a totally real field of degree d, so
 |U+/U^2| = 2^d / #signatures exactly.
@@ -23,493 +24,27 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ternlat import linalg, polys  # noqa: E402
-from ternlat.enumeration import (QueryMode, dominated_elements,  # noqa: E402
-                                 _canonical_sign)
-from ternlat.intervals import Interval, sqrt_interval  # noqa: E402
-from ternlat.numberfield import (Element, FieldContext, FieldRecord,  # noqa: E402
+from ternlat import polys  # noqa: E402
+from ternlat.enumeration import sqrt_element  # noqa: E402
+from ternlat.numberfield import (FieldContext, FieldRecord,  # noqa: E402
                                  load_field)
-
-
-# ---------------------------------------------------------------------------
-# small integer utilities
-
-def factorize(n: int) -> dict:
-    n = abs(n)
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def hnf_rows(mat):
-    """Row-style Hermite reduction over Z (returns independent rows)."""
-    rows = [list(map(int, r)) for r in mat if any(r)]
-    ncols = len(mat[0])
-    basis = []
-    col = 0
-    while col < ncols and rows:
-        live = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        if not live:
-            col += 1
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            piv = live[0]
-            nxt = [piv]
-            for r in live[1:]:
-                q = r[col] // piv[col]
-                red = [x - q * y for x, y in zip(r, piv)]
-                (rest if red[col] == 0 else nxt).append(red)
-            if len(nxt) == 1:
-                break
-            live = nxt
-        piv = live[0]
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        rows = [r for r in rest if any(r)]
-        col += 1
-    return basis
-
-
-def integral_kernel_mod(a_rows, modulus, dim):
-    """Basis rows of {z in Z^dim : A z == 0 mod modulus}."""
-    nrows = len(a_rows)
-    cols = [[a_rows[i][j] for i in range(nrows)] for j in range(dim)]
-    for i in range(nrows):
-        cols.append([modulus if r == i else 0 for r in range(nrows)])
-    ncols = len(cols)
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def colop(j, k, q):  # col_j -= q * col_k
-        cols[j] = [x - q * y for x, y in zip(cols[j], cols[k])]
-        u[j] = [x - q * y for x, y in zip(u[j], u[k])]
-
-    pivot_cols = []
-    for r in range(nrows):
-        live = [j for j in range(ncols)
-                if j not in pivot_cols and cols[j][r] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(cols[j][r]))
-            piv = live[0]
-            for j in live[1:]:
-                q = cols[j][r] // cols[piv][r]
-                if q:
-                    colop(j, piv, q)
-            live = [j for j in live if cols[j][r] != 0]
-            if len(live) > 1 and all(
-                    abs(cols[j][r]) == abs(cols[live[0]][r]) for j in live):
-                # force progress on equal remainders
-                colop(live[1], live[0],
-                      cols[live[1]][r] // cols[live[0]][r] or 1)
-                live = [j for j in live if cols[j][r] != 0]
-        if live:
-            pivot_cols.append(live[0])
-    kernel = []
-    for j in range(ncols):
-        if j in pivot_cols:
-            continue
-        if any(cols[j][r] != 0 for r in range(nrows)):
-            continue
-        z = u[j][:dim]
-        if any(z):
-            kernel.append(z)
-    return kernel
-
-
-# ---------------------------------------------------------------------------
-# orders in Q[x]/(p): basis rows over the power basis, Fractions
-
-def power_sums(p, upto):
-    """Traces of theta^k for k = 0..upto, from the companion matrix."""
-    d = len(p) - 1
-    comp = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(1, d):
-        comp[i][i - 1] = Fraction(1)
-    for i in range(d):
-        comp[i][d - 1] = Fraction(-p[i])
-    sums = [Fraction(d)]
-    m = linalg.identity(d)
-    for _ in range(upto):
-        m = linalg.mat_mul(comp, m)
-        sums.append(sum(m[i][i] for i in range(d)))
-    return sums
-
-
-class Order:
-    """Z-order in Q[x]/(p), basis rows over the power basis."""
-
-    def __init__(self, p, basis):
-        self.p = list(p)
-        self.d = len(p) - 1
-        self.basis = [[Fraction(x) for x in row] for row in basis]
-        self._tr = power_sums(p, 2 * self.d)
-
-    def times(self, u, v):
-        prod = polys.mul(u, v)
-        _, r = polys.divmod_poly(prod, self.p)
-        r = list(r) + [Fraction(0)] * (self.d - len(r))
-        return r[: self.d]
-
-    def trace_of(self, u):
-        return sum(Fraction(c) * self._tr[k] for k, c in enumerate(u))
-
-    def disc(self):
-        d = self.d
-        g = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                t = self.trace_of(self.times(self.basis[i], self.basis[j]))
-                g[i][j] = g[j][i] = t
-        dd = linalg.det(g)
-        assert dd.denominator == 1
-        return int(dd)
-
-    def mult_table_int(self):
-        inv = linalg.inverse(self.basis)
-        assert inv is not None
-        inv_t = linalg.transpose(inv)
-        d = self.d
-        table = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                prod = self.times(self.basis[i], self.basis[j])
-                coords = linalg.mat_vec(inv_t, prod)
-                assert all(c.denominator == 1 for c in coords), "not a ring"
-                table[i][j] = table[j][i] = [int(c) for c in coords]
-        return table
-
-    def one_coords(self):
-        v = linalg.solve(linalg.transpose(self.basis),
-                         [Fraction(1)] + [Fraction(0)] * (self.d - 1))
-        assert all(c.denominator == 1 for c in v)
-        return [int(c) for c in v]
-
-
-def enlarge_at(order: Order, q: int) -> Order:
-    """One round-2 step at q: multiplier ring of the q-radical."""
-    d = order.d
-    table = order.mult_table_int()
-
-    def mult_vec_mod(u, v):
-        out = [0] * d
-        for i, a in enumerate(u):
-            if a % q == 0:
-                continue
-            for j, b in enumerate(v):
-                if b % q == 0:
-                    continue
-                c = (a * b) % q
-                tij = table[i][j]
-                for k in range(d):
-                    out[k] = (out[k] + c * tij[k]) % q
-        return out
-
-    e = 1
-    while q ** e < d:
-        e += 1
-    target = q ** e
-    one = [c % q for c in order.one_coords()]
-
-    def pow_mod(u, n):
-        result = one[:]
-        base = u[:]
-        while n:
-            if n & 1:
-                result = mult_vec_mod(result, base)
-            base = mult_vec_mod(base, base)
-            n >>= 1
-        return result
-
-    frob_cols = []
-    for i in range(d):
-        u = [1 if j == i else 0 for j in range(d)]
-        frob_cols.append(pow_mod(u, target))
-    a_rows = [[frob_cols[i][r] for i in range(d)] for r in range(d)]
-    rad = integral_kernel_mod(a_rows, q, d)
-    rad = [r for r in rad if any(c % q for c in r)]
-    # ideal I = qO + (radical lifts) * O as a Z-lattice
-    gens = [[q if j == i else 0 for j in range(d)] for i in range(d)]
-    for r in rad:
-        for jcol in range(d):
-            prod = [0] * d
-            for s, a in enumerate(r):
-                if a == 0:
-                    continue
-                tsj = table[s][jcol]
-                for k in range(d):
-                    prod[k] += a * tsj[k]
-            gens.append(prod)
-    ideal = hnf_rows(gens)
-    assert len(ideal) == d
-    # multiplier ring: x = z/q, z in Z^d, with x * I inside I
-    h_t = [[Fraction(ideal[r][c]) for r in range(d)] for c in range(d)]
-    h_t_inv = linalg.inverse(h_t)
-    a_rows = []
-    den_all = 1
-    mats = []
-    for w in ideal:
-        mw = [[0] * d for _ in range(d)]
-        for jcol in range(d):
-            for s, a in enumerate(w):
-                if a == 0:
-                    continue
-                tsj = table[s][jcol]
-                for k in range(d):
-                    mw[k][jcol] += a * tsj[k]
-        qm = linalg.mat_mul(h_t_inv, mw)
-        qm = [[x / q for x in row] for row in qm]
-        mats.append(qm)
-        for row in qm:
-            for x in row:
-                den_all = den_all * x.denominator // gcd(den_all, x.denominator)
-    for qm in mats:
-        for row in qm:
-            a_rows.append([int(x * den_all) for x in row])
-    kernel = integral_kernel_mod(a_rows, den_all, d)
-    lattice = hnf_rows(kernel + [[q if j == i else 0 for j in range(d)]
-                                 for i in range(d)])
-    assert len(lattice) == d
-    new_rows = []
-    for z in lattice:
-        row = [Fraction(0)] * d
-        for c, b in zip(z, order.basis):
-            row = [x + Fraction(c, q) * y for x, y in zip(row, b)]
-        new_rows.append(row)
-    return Order(order.p, new_rows)
-
-
-def trace_reduce(order: Order) -> Order:
-    """LLL-reduce the order basis with respect to the trace form, so that
-    embeddings are balanced and enumeration boxes are well conditioned."""
-    d = order.d
-    g0 = [[order.trace_of(order.times(order.basis[i], order.basis[j]))
-           for j in range(d)] for i in range(d)]
-    u = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-    def gram(i, j):
-        total = Fraction(0)
-        for a in range(d):
-            if u[i][a] == 0:
-                continue
-            for b in range(d):
-                if u[j][b]:
-                    total += u[i][a] * u[j][b] * g0[a][b]
-        return total
-
-    def mu_and_norms():
-        mu = [[Fraction(0)] * d for _ in range(d)]
-        bstar = [Fraction(0)] * d
-        for i in range(d):
-            bstar[i] = gram(i, i)
-            for j in range(i):
-                mu[i][j] = gram(i, j)
-                for k in range(j):
-                    mu[i][j] -= mu[i][k] * mu[j][k] * bstar[k]
-                mu[i][j] /= bstar[j]
-                bstar[i] -= mu[i][j] ** 2 * bstar[j]
-        return mu, bstar
-
-    k = 1
-    guard = 0
-    while k < d and guard < 10000:
-        guard += 1
-        mu, bstar = mu_and_norms()
-        for j in range(k - 1, -1, -1):
-            q = (2 * mu[k][j].numerator + mu[k][j].denominator) // \
-                (2 * mu[k][j].denominator)
-            if q:
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                mu, bstar = mu_and_norms()
-        if bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]:
-            k += 1
-        else:
-            u[k], u[k - 1] = u[k - 1], u[k]
-            k = max(k - 1, 1)
-    new_rows = []
-    for row in u:
-        acc = [Fraction(0)] * d
-        for c, b in zip(row, order.basis):
-            acc = [x + c * y for x, y in zip(acc, b)]
-        new_rows.append(acc)
-    return Order(order.p, new_rows)
-
-
-def maximal_order(p) -> Order:
-    order = Order(p, linalg.identity(len(p) - 1))
-    for q, e in sorted(factorize(order.disc()).items()):
-        if e < 2:
-            continue
-        while True:
-            bigger = enlarge_at(order, q)
-            if bigger.disc() == order.disc():
-                break
-            order = trace_reduce(bigger)
-    return trace_reduce(order)
+from ternlat.orders import Order, find_units, maximal_order  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
 # field assembly helpers
 
-def context_from_order(label, order: Order, h=1, h_plus=None, units=None,
-                       sqrt2=None) -> FieldContext:
+def context_from_order(label, order: Order, sqrt2=None) -> FieldContext:
     rec = FieldRecord(
         label=label, degree=order.d, poly=tuple(int(c) for c in order.p),
         basis=tuple(tuple(row) for row in order.basis),
-        disc=order.disc(), h=h, h_plus=h_plus or h, units=units, sqrt2=sqrt2)
+        disc=order.disc, sqrt2=sqrt2)
     return load_field(rec)
-
-
-def find_sqrt2(ctx: FieldContext):
-    two = ctx.from_rational(2)
-    for w in dominated_elements(ctx, two, QueryMode.SQUARE_DOMINATED):
-        if not w.is_zero and w * w == two:
-            return _canonical_sign(w)
-    return None
-
-
-def embedding_inverse(ctx: FieldContext):
-    inv = linalg.interval_inverse(ctx.basis_embeddings())
-    width = Fraction(1, 1 << 20)
-    while inv is None:
-        ctx.refine_roots(width)
-        inv = linalg.interval_inverse(ctx.basis_embeddings())
-        width /= 16
-    return inv
-
-
-def unit_sqrt(ctx: FieldContext, x: Element):
-    """Square root of a totally positive unit by sign-pattern reconstruction
-    from refined embeddings, with exact verification."""
-    if not x.is_totally_positive():
-        return None
-    d = ctx.degree
-    width = Fraction(1, 1 << 16)
-    for _ in range(20):
-        ivs = x.embeddings(width)
-        roots = [sqrt_interval(iv) for iv in ivs]
-        inv = embedding_inverse(ctx)
-        undecided = False
-        for mask in range(1 << max(d - 1, 0)):
-            emb = []
-            for i in range(d):
-                neg = i > 0 and (mask >> (i - 1)) & 1
-                emb.append(-roots[i] if neg else roots[i])
-            coords = []
-            for j in range(d):
-                acc = Interval.point(0)
-                for i in range(d):
-                    acc = acc + inv[j][i] * emb[i]
-                if acc.width >= Fraction(1, 2):
-                    undecided = True
-                    coords = None
-                    break
-                mid = acc.mid
-                c = (2 * mid.numerator + mid.denominator) // (2 * mid.denominator)
-                if not acc.contains(c):
-                    coords = None
-                    break
-                coords.append(c)
-            if coords is not None:
-                cand = ctx.element(coords)
-                if cand * cand == x:
-                    return cand
-        if not undecided:
-            return None
-        width = width * width
-    raise RuntimeError("unit sqrt reconstruction did not converge")
-
-
-def find_units(ctx: FieldContext):
-    """Unit generators with independent classes mod squares (including -1)."""
-    d = ctx.degree
-    want = d
-
-    def canon(u):
-        return _canonical_sign(u)
-
-    pool = []
-    seen = set()
-
-    def add(u):
-        u = canon(u)
-        if u.coords not in seen and u != ctx.one:
-            seen.add(u.coords)
-            pool.append(u)
-
-    small = dominated_elements(ctx, ctx.from_rational(100),
-                               QueryMode.SQUARE_DOMINATED)
-    by_norm = {}
-    for w in small:
-        if w.is_zero:
-            continue
-        n = abs(w.norm())
-        if n == 1:
-            add(w)
-        elif n <= 50:
-            by_norm.setdefault(n, []).append(w)
-
-    gens = [-ctx.one]
-
-    def in_span(u):
-        k = len(gens)
-        for mask in range(1 << k):
-            prod = u
-            for i in range(k):
-                if (mask >> i) & 1:
-                    prod = prod * gens[i]
-            if prod.is_totally_positive() and unit_sqrt(ctx, prod) is not None:
-                return True
-        return False
-
-    def absorb():
-        for u in sorted(pool, key=lambda u: (sum(abs(c) for c in u.coords),
-                                             u.key())):
-            if len(gens) >= want:
-                return
-            if not in_span(u):
-                gens.append(u)
-
-    absorb()
-    if len(gens) < want:
-        # quotients of equal-norm elements reach units beyond the house bound
-        for n, els in sorted(by_norm.items()):
-            els = els[:80]
-            for i, a in enumerate(els):
-                for b in els[i + 1:]:
-                    qv = a / b
-                    if qv.is_integral and abs(qv.norm()) == 1:
-                        add(qv)
-                        add(ctx.one / qv)
-        absorb()
-    if len(gens) < want:
-        raise RuntimeError(
-            f"{ctx.record.label}: only {len(gens)} independent unit classes")
-    sigs = set()
-    for mask in range(1 << want):
-        prod = ctx.one
-        for i in range(want):
-            if (mask >> i) & 1:
-                prod = prod * gens[i]
-        sigs.add(prod.signature())
-    u_plus_mod_sq = (1 << d) // len(sigs)
-    return gens, u_plus_mod_sq
 
 
 def record_dict(label, order: Order, h, h_plus, units, sqrt2):
@@ -518,7 +53,7 @@ def record_dict(label, order: Order, h, h_plus, units, sqrt2):
         "degree": order.d,
         "poly": [int(c) for c in order.p],
         "basis": [[str(x) for x in row] for row in order.basis],
-        "disc": order.disc(),
+        "disc": order.disc,
         "h": h,
         "h_plus": h_plus,
         "units": [[list(u.coords), u.den] for u in units],
@@ -626,7 +161,7 @@ def quartic_sweep(max_disc=20000, amax=40, bmax=28, nmax=700):
         if polys.count_real_roots(poly) != 4 or not polys.is_squarefree(poly):
             continue
         order = maximal_order(poly)
-        disc = order.disc()
+        disc = order.disc
         if disc <= max_disc or disc in KNOWN_DISCS:
             fields.append(((a, b), order))
     return fields
@@ -647,10 +182,10 @@ def main():
           flush=True)
     by_disc = {}
     for prov, order in fields:
-        disc = order.disc()
+        disc = order.disc
         if disc in STANDARD_POLYS:
             order = maximal_order(STANDARD_POLYS[disc])
-            assert order.disc() == disc, (disc, order.disc())
+            assert order.disc == disc, (disc, order.disc)
         by_disc.setdefault(disc, []).append((prov, order))
     rows = []
     for disc in sorted(by_disc):
@@ -663,7 +198,7 @@ def main():
         for idx, (prov, order) in enumerate(kept):
             label = f"K{disc}" if len(kept) == 1 else f"K{disc}{'abcd'[idx]}"
             ctx = context_from_order(label, order)
-            s2 = find_sqrt2(ctx)
+            s2 = sqrt_element(ctx.from_rational(2))
             if s2 is None:
                 print(f"  {label}: no sqrt2 (prov {prov}), skipped", flush=True)
                 continue

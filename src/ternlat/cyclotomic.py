@@ -75,7 +75,7 @@ def cyclo_info(k: int) -> CycloInfo:
     d = phi // 2
     # disc of the power order (which is the maximal order here); its trace
     # form is the Hankel matrix of power sums, Tr(t^i * t^j) = s_(i+j)
-    s = _power_traces(pcos, 2 * d - 2)
+    s = polys.power_sums(pcos, 2 * d - 2)
     disc = linalg.det([[s[i + j] for j in range(d)] for i in range(d)])
     assert disc.denominator == 1
     basis = tuple(tuple(Fraction(int(i == j)) for j in range(d))
@@ -87,18 +87,6 @@ def cyclo_info(k: int) -> CycloInfo:
     alpha = two + ctx.gen
     beta = two - ctx.gen
     return CycloInfo(k, phi, mu, tuple(pcos), ctx, alpha, beta)
-
-
-def _power_traces(p, upto):
-    """Power sums s_0..s_upto of the roots of monic integer p (Newton)."""
-    d = len(p) - 1
-    sums = [d]
-    for m in range(1, upto + 1):
-        s = -sum(p[d - i] * sums[m - i] for i in range(1, min(m - 1, d) + 1))
-        if m <= d:
-            s -= m * p[d - m]
-        sums.append(s)
-    return sums
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from math import ceil, floor
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import BoxTooLarge, DivisionByZero, NoSuchUnit
+from .errors import (BoxTooLarge, DivisionByZero, NoSuchUnit,
+                     PrecisionExhausted)
 from .intervals import Interval, sqrt_upper
 from .numberfield import Dominance, Element, FieldContext
 
@@ -90,15 +91,14 @@ def _build_box(ctx: FieldContext,
                ceiling: int) -> Tuple[EnumerationBox, List[List[Interval]]]:
     """Shrink the certified box until its volume stabilizes within 1%."""
     d = ctx.degree
-    width = Fraction(1, 64)
     prev: Optional[Tuple[EnumerationBox, List[List[Interval]]]] = None
     prev_vol = None
-    for _ in range(80):
+    for k in range(80):
+        width = Fraction(1, 64 * 4 ** k)
         ctx.refine_roots(width)
         emb = ctx.basis_embeddings()
         inv = linalg.interval_inverse(emb)
         if inv is None:
-            width /= 4
             continue
         targets = make_targets()
         lows, highs = [], []
@@ -117,11 +117,11 @@ def _build_box(ctx: FieldContext,
                 raise BoxTooLarge(est, ceiling)
             return box, emb
         prev, prev_vol = (box, emb), vol
-        width /= 4
-    if prev is not None and prev_vol is not None \
-            and _candidate_estimate(prev[1], prev[0]) <= ceiling:
+    if prev is None:
+        raise PrecisionExhausted(width)
+    if _candidate_estimate(prev[1], prev[0]) <= ceiling:
         return prev
-    raise BoxTooLarge(prev_vol or 0, ceiling, "box volume {}")
+    raise BoxTooLarge(prev_vol, ceiling, "box volume {}")
 
 
 _PRUNE_BITS = 24
@@ -386,7 +386,7 @@ def is_indecomposable(alpha: Element, sigma_mode: bool = False,
     return IndecompResult(True, "exhaustive-search")
 
 
-def _canonical_sign(e: Element) -> Element:
+def canonical_sign(e: Element) -> Element:
     """Of the pair +-e, the one whose first nonzero coordinate is positive."""
     for c in e.coords:
         if c > 0:
@@ -408,7 +408,7 @@ def sqrt_element(alpha: Element, ceiling: int = DEFAULT_CEILING) -> Optional[Ele
         return None
     for beta in dominated_elements(ctx, alpha, QueryMode.SQUARE_DOMINATED, ceiling):
         if beta * beta == alpha:
-            return _canonical_sign(beta)
+            return canonical_sign(beta)
     return None
 
 
@@ -473,8 +473,8 @@ def squarefree_witness(alpha: Element, ceiling: int = DEFAULT_CEILING
         return None
     hb = sqrt_upper(alpha.house(Fraction(1, 256)).hi) * _SQUAREFREE_PAD
     for m in norms:
-        cands = {_canonical_sign(t) for t in elements_of_norm(ctx, m, hb,
-                                                              ceiling=ceiling)}
+        cands = {canonical_sign(t) for t in elements_of_norm(ctx, m, hb,
+                                                             ceiling=ceiling)}
         for t in sorted(cands, key=lambda e: (sum(abs(c) for c in e.coords),
                                               e.key())):
             gamma = alpha / (t * t)

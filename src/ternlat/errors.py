@@ -43,6 +43,17 @@ class BoxTooLarge(TernlatError):
         self.ceiling = ceiling
 
 
+class PrecisionExhausted(TernlatError):
+    """The basis-embedding matrix could not be inverted at any root width
+    tried: some interval pivot contained zero down to the last width."""
+
+    def __init__(self, width):
+        super().__init__(
+            "basis-embedding matrix could not be inverted at any root width "
+            f"tried (last width {width})")
+        self.width = width
+
+
 class Singular(TernlatError):
     """Gram matrix has determinant zero where an inverse was required."""
 

@@ -57,10 +57,6 @@ class Interval:
             return Interval(self.lo * c, self.hi * c)
         return Interval(self.hi * c, self.lo * c)
 
-    def shift(self, c: Rat) -> "Interval":
-        c = Fraction(c)
-        return Interval(self.lo + c, self.hi + c)
-
     def square(self) -> "Interval":
         if self.lo >= 0:
             return Interval(self.lo * self.lo, self.hi * self.hi)
@@ -84,14 +80,8 @@ class Interval:
             return -self
         return Interval(Fraction(0), max(-self.lo, self.hi))
 
-    def contains(self, x: Rat) -> bool:
-        return self.lo <= x <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -122,9 +112,3 @@ def sqrt_upper(x: Rat) -> Fraction:
     if r * r < n:
         r += 1
     return Fraction(r, x.denominator * shift)
-
-
-def sqrt_interval(iv: Interval) -> Interval:
-    """Enclosure of sqrt over a nonnegative interval."""
-    lo = max(iv.lo, Fraction(0))
-    return Interval(sqrt_lower(lo), sqrt_upper(iv.hi))

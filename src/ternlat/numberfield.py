@@ -652,7 +652,30 @@ def load_field(record: FieldRecord) -> FieldContext:
     inv = linalg.inverse(basis)
     if inv is None:
         raise BadBasis(f"{record.label}: basis matrix is singular")
-    # multiplication table over the integral basis must be integral
+    try:
+        table = basis_mult_table(poly, basis, inv)
+    except NotARing as exc:
+        raise NotARing(f"{record.label}: {exc}") from None
+    if record.h <= 0 or record.h_plus <= 0 or record.h_plus % record.h != 0:
+        raise FieldDataError(f"{record.label}: h must divide h_plus")
+    q = record.h_plus // record.h
+    if q & (q - 1):
+        raise FieldDataError(f"{record.label}: h_plus/h must be a power of 2")
+    roots = polys.isolate_real_roots(poly)
+    if len(roots) != d:
+        raise NotTotallyReal(f"{record.label}: isolated {len(roots)} real roots")
+    return FieldContext(record, table, roots, basis, inv)
+
+
+def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],
+                     inv: Sequence[Sequence[Fraction]]) -> tuple:
+    """Integer structure constants of a basis of an order in Q[x]/(poly):
+    entry [i][j] holds the coordinates of b_i * b_j over the basis.
+
+    basis rows are power-basis coordinates and inv is the inverse of the
+    basis matrix.  Raises NotARing when a product leaves the Z-span.
+    """
+    d = len(basis)
     table = [[None] * d for _ in range(d)]
     is_power_basis = all(basis[i][j] == (1 if i == j else 0)
                          for i in range(d) for j in range(d))
@@ -685,21 +708,11 @@ def load_field(record: FieldRecord) -> FieldContext:
                 coords = linalg.mat_vec(inv_t, rem[:d])
                 if any(c.denominator != 1 for c in coords):
                     raise NotARing(
-                        f"{record.label}: product of basis elements {i},{j} "
-                        "is not in the span")
+                        f"product of basis elements {i},{j} is not in the span")
                 entry = tuple(int(c) for c in coords)
                 table[i][j] = entry
                 table[j][i] = entry
-    table = tuple(tuple(row) for row in table)
-    if record.h <= 0 or record.h_plus <= 0 or record.h_plus % record.h != 0:
-        raise FieldDataError(f"{record.label}: h must divide h_plus")
-    q = record.h_plus // record.h
-    if q & (q - 1):
-        raise FieldDataError(f"{record.label}: h_plus/h must be a power of 2")
-    roots = polys.isolate_real_roots(poly)
-    if len(roots) != d:
-        raise NotTotallyReal(f"{record.label}: isolated {len(roots)} real roots")
-    return FieldContext(record, table, roots, basis, inv)
+    return tuple(tuple(row) for row in table)
 
 
 def unit_square_canonical(a: Element, units: Sequence[Element]) -> Element:

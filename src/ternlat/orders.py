@@ -1,0 +1,350 @@
+"""Orders in number fields: round-2 maximal orders and unit classes.
+
+An order in Q[x]/(p) is held by its basis rows over the power basis
+1, x, x^2, ...  `maximal_order` saturates the equation order Z[x] at every
+prime whose square divides its discriminant with round-2 steps (Cohen,
+*A Course in Computational Algebraic Number Theory*, GTM 138, section 6.1):
+each step replaces the order by the multiplier ring of its q-radical, until
+the discriminant stops changing.  The basis is then LLL-reduced against the
+trace form.
+
+`find_units` searches unit generators of a field context whose classes are
+independent modulo squares, and derives the index of the squares among the
+totally positive units from their signatures.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import linalg, polys
+from .enumeration import (QueryMode, canonical_sign, dominated_elements,
+                          sqrt_element)
+from .numberfield import FieldContext, basis_mult_table
+
+
+# ---------------------------------------------------------------------------
+# integer utilities
+
+def factorize(n: int) -> dict:
+    n = abs(n)
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def hnf_rows(mat):
+    """Row-style Hermite reduction over Z (returns independent rows)."""
+    rows = [list(map(int, r)) for r in mat if any(r)]
+    ncols = len(mat[0])
+    basis = []
+    col = 0
+    while col < ncols and rows:
+        live = [r for r in rows if r[col] != 0]
+        rest = [r for r in rows if r[col] == 0]
+        if not live:
+            col += 1
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            piv = live[0]
+            nxt = [piv]
+            for r in live[1:]:
+                q = r[col] // piv[col]
+                red = [x - q * y for x, y in zip(r, piv)]
+                (rest if red[col] == 0 else nxt).append(red)
+            if len(nxt) == 1:
+                break
+            live = nxt
+        piv = live[0]
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        basis.append(piv)
+        rows = [r for r in rest if any(r)]
+        col += 1
+    return basis
+
+
+def integral_kernel_mod(a_rows, modulus, dim):
+    """Basis rows of {z in Z^dim : A z == 0 mod modulus}."""
+    nrows = len(a_rows)
+    cols = [[a_rows[i][j] for i in range(nrows)] for j in range(dim)]
+    for i in range(nrows):
+        cols.append([modulus if r == i else 0 for r in range(nrows)])
+    ncols = len(cols)
+    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def colop(j, k, q):  # col_j -= q * col_k
+        cols[j] = [x - q * y for x, y in zip(cols[j], cols[k])]
+        u[j] = [x - q * y for x, y in zip(u[j], u[k])]
+
+    pivot_cols = []
+    for r in range(nrows):
+        live = [j for j in range(ncols)
+                if j not in pivot_cols and cols[j][r] != 0]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda j: abs(cols[j][r]))
+            piv = live[0]
+            for j in live[1:]:
+                q = cols[j][r] // cols[piv][r]
+                if q:
+                    colop(j, piv, q)
+            live = [j for j in live if cols[j][r] != 0]
+            if len(live) > 1 and all(
+                    abs(cols[j][r]) == abs(cols[live[0]][r]) for j in live):
+                # force progress on equal remainders
+                colop(live[1], live[0],
+                      cols[live[1]][r] // cols[live[0]][r] or 1)
+                live = [j for j in live if cols[j][r] != 0]
+        if live:
+            pivot_cols.append(live[0])
+    kernel = []
+    for j in range(ncols):
+        if j in pivot_cols:
+            continue
+        if any(cols[j][r] != 0 for r in range(nrows)):
+            continue
+        z = u[j][:dim]
+        if any(z):
+            kernel.append(z)
+    return kernel
+
+
+# ---------------------------------------------------------------------------
+# orders in Q[x]/(p): basis rows over the power basis, Fractions
+
+class Order:
+    """Z-order in Q[x]/(p), basis rows over the power basis.
+
+    With B the basis matrix and H the Hankel matrix of power sums of the
+    roots of p, H[i][j] = Tr(x^(i+j)), the trace form Tr(b_i b_j) is
+    B H B^T and the discriminant is its determinant.
+    """
+
+    def __init__(self, p, basis):
+        self.p = list(p)
+        self.d = d = len(p) - 1
+        self.basis = [[Fraction(x) for x in row] for row in basis]
+        s = polys.power_sums(self.p, 2 * d - 2)
+        hankel = [[s[i + j] for j in range(d)] for i in range(d)]
+        self.trace_form = linalg.mat_mul(linalg.mat_mul(self.basis, hankel),
+                                         linalg.transpose(self.basis))
+        disc = linalg.det(self.trace_form)
+        assert disc.denominator == 1
+        self.disc = int(disc)
+
+
+def enlarge_at(order: Order, q: int) -> Order:
+    """One round-2 step at q: multiplier ring of the q-radical."""
+    d = order.d
+    inv = linalg.inverse(order.basis)
+    table = basis_mult_table(order.p, order.basis, inv)
+
+    def mult_vec_mod(u, v):
+        out = [0] * d
+        for i, a in enumerate(u):
+            if a % q == 0:
+                continue
+            for j, b in enumerate(v):
+                if b % q == 0:
+                    continue
+                c = (a * b) % q
+                tij = table[i][j]
+                for k in range(d):
+                    out[k] = (out[k] + c * tij[k]) % q
+        return out
+
+    def mult_matrix(w):
+        """Columns: coordinates of w * b_j over the basis."""
+        m = [[0] * d for _ in range(d)]
+        for jcol in range(d):
+            for s, a in enumerate(w):
+                if a:
+                    tsj = table[s][jcol]
+                    for k in range(d):
+                        m[k][jcol] += a * tsj[k]
+        return m
+
+    e = 1
+    while q ** e < d:
+        e += 1
+    target = q ** e
+    # row 0 of the inverse basis matrix holds the coordinates of 1
+    one = [int(c) % q for c in inv[0]]
+
+    def pow_mod(u, n):
+        result = one[:]
+        base = u[:]
+        while n:
+            if n & 1:
+                result = mult_vec_mod(result, base)
+            base = mult_vec_mod(base, base)
+            n >>= 1
+        return result
+
+    frob_cols = [pow_mod([int(i == j) for j in range(d)], target)
+                 for i in range(d)]
+    rad = integral_kernel_mod(linalg.transpose(frob_cols), q, d)
+    rad = [r for r in rad if any(c % q for c in r)]
+    q_rows = [[q if j == i else 0 for j in range(d)] for i in range(d)]
+    # ideal I = qO + (radical lifts) * O as a Z-lattice
+    gens = q_rows[:]
+    for r in rad:
+        gens.extend(map(list, zip(*mult_matrix(r))))
+    ideal = hnf_rows(gens)
+    assert len(ideal) == d
+    # multiplier ring: x = z/q, z in Z^d, with x * I inside I
+    h_t_inv = linalg.inverse(linalg.transpose(ideal))
+    entries = [x / q for w in ideal
+               for row in linalg.mat_mul(h_t_inv, mult_matrix(w)) for x in row]
+    nums, den_all = polys.clear_denominators(entries)
+    a_rows = [nums[i:i + d] for i in range(0, len(nums), d)]
+    kernel = integral_kernel_mod(a_rows, den_all, d)
+    lattice = hnf_rows(kernel + q_rows)
+    assert len(lattice) == d
+    new_rows = [[x / q for x in row]
+                for row in linalg.mat_mul(lattice, order.basis)]
+    return Order(order.p, new_rows)
+
+
+def trace_reduce(order: Order) -> Order:
+    """LLL-reduce the order basis with respect to the trace form, so that
+    embeddings are balanced and enumeration boxes are well conditioned."""
+    d = order.d
+    g0 = order.trace_form
+    u = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+
+    def gram(i, j):
+        return linalg.ring_bilinear(u[i], g0, u[j])
+
+    def mu_and_norms():
+        mu = [[Fraction(0)] * d for _ in range(d)]
+        bstar = [Fraction(0)] * d
+        for i in range(d):
+            bstar[i] = gram(i, i)
+            for j in range(i):
+                mu[i][j] = gram(i, j)
+                for k in range(j):
+                    mu[i][j] -= mu[i][k] * mu[j][k] * bstar[k]
+                mu[i][j] /= bstar[j]
+                bstar[i] -= mu[i][j] ** 2 * bstar[j]
+        return mu, bstar
+
+    k = 1
+    guard = 0
+    while k < d and guard < 10000:
+        guard += 1
+        mu, bstar = mu_and_norms()
+        for j in range(k - 1, -1, -1):
+            q = (2 * mu[k][j].numerator + mu[k][j].denominator) // \
+                (2 * mu[k][j].denominator)
+            if q:
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                mu, bstar = mu_and_norms()
+        if bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            k = max(k - 1, 1)
+    return Order(order.p, linalg.mat_mul(u, order.basis))
+
+
+def maximal_order(p) -> Order:
+    """The maximal order of Q[x]/(p), trace-reduced; p monic integer and
+    irreducible."""
+    order = Order(p, linalg.identity(len(p) - 1))
+    for q, e in sorted(factorize(order.disc).items()):
+        if e < 2:
+            continue
+        while True:
+            bigger = enlarge_at(order, q)
+            if bigger.disc == order.disc:
+                break
+            order = trace_reduce(bigger)
+    return trace_reduce(order)
+
+
+# ---------------------------------------------------------------------------
+# units modulo squares
+
+def find_units(ctx: FieldContext):
+    """Unit generators with independent classes mod squares (including -1),
+    and |U+/U^2| = 2^d / (number of unit signatures)."""
+    d = ctx.degree
+    want = d
+
+    pool = []
+    seen = set()
+
+    def add(u):
+        u = canonical_sign(u)
+        if u.coords not in seen and u != ctx.one:
+            seen.add(u.coords)
+            pool.append(u)
+
+    small = dominated_elements(ctx, ctx.from_rational(100),
+                               QueryMode.SQUARE_DOMINATED)
+    by_norm = {}
+    for w in small:
+        if w.is_zero:
+            continue
+        n = abs(w.norm())
+        if n == 1:
+            add(w)
+        elif n <= 50:
+            by_norm.setdefault(n, []).append(w)
+
+    gens = [-ctx.one]
+
+    def in_span(u):
+        k = len(gens)
+        for mask in range(1 << k):
+            prod = u
+            for i in range(k):
+                if (mask >> i) & 1:
+                    prod = prod * gens[i]
+            if sqrt_element(prod) is not None:
+                return True
+        return False
+
+    def absorb():
+        for u in sorted(pool, key=lambda u: (sum(abs(c) for c in u.coords),
+                                             u.key())):
+            if len(gens) >= want:
+                return
+            if not in_span(u):
+                gens.append(u)
+
+    absorb()
+    if len(gens) < want:
+        # quotients of equal-norm elements reach units beyond the house bound
+        for n, els in sorted(by_norm.items()):
+            els = els[:80]
+            for i, a in enumerate(els):
+                for b in els[i + 1:]:
+                    qv = a / b
+                    if qv.is_integral and abs(qv.norm()) == 1:
+                        add(qv)
+                        add(ctx.one / qv)
+        absorb()
+    if len(gens) < want:
+        raise RuntimeError(
+            f"{ctx.record.label}: only {len(gens)} independent unit classes")
+    sigs = set()
+    for mask in range(1 << want):
+        prod = ctx.one
+        for i in range(want):
+            if (mask >> i) & 1:
+                prod = prod * gens[i]
+        sigs.add(prod.signature())
+    u_plus_mod_sq = (1 << d) // len(sigs)
+    return gens, u_plus_mod_sq

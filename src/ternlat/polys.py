@@ -82,6 +82,18 @@ def clear_denominators(p: Sequence[Coeff]) -> Tuple[List[int], int]:
     return [c.numerator * (den // c.denominator) for c in p], den
 
 
+def power_sums(p: Sequence[int], upto: int) -> List[int]:
+    """Power sums s_0..s_upto of the roots of monic integer p (Newton)."""
+    d = len(p) - 1
+    sums = [d]
+    for m in range(1, upto + 1):
+        s = -sum(p[d - i] * sums[m - i] for i in range(1, min(m - 1, d) + 1))
+        if m <= d:
+            s -= m * p[d - m]
+        sums.append(s)
+    return sums
+
+
 def _horner(nums: Sequence[int], a: int, b: int) -> int:
     """b^(len(nums) - 1) * p(a/b) for the integer coefficients nums of p."""
     acc = 0

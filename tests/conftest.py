@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import isqrt
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,38 @@ def table():
 @pytest.fixture(scope="session")
 def fields_dir():
     return FIELDS
+
+
+# ---------------------------------------------------------------------------
+# trace-form boxes for the test oracles, from the multiplication table alone
+
+def trace_form(table):
+    """(t, Q): t[m] = Tr(b_m), the diagonal sum of multiplication by b_m,
+    and the trace form Q[j][k] = Tr(b_j b_k)."""
+    d = len(table)
+    tr = [sum(table[m][k][k] for k in range(d)) for m in range(d)]
+    q = [[sum(map(mul, table[j][k], tr)) for k in range(d)]
+         for j in range(d)]
+    return tr, q
+
+
+def fraction_inverse(m):
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def ellipsoid_radii(q, t):
+    """r_j = floor(sqrt(t * (Q^-1)[j][j])): every x with x^T Q x <= t has
+    |x_j| <= r_j, for Q positive definite."""
+    inv = fraction_inverse(q)
+    return [isqrt(int(t * inv[j][j])) for j in range(len(q))]

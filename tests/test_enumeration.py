@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from ternlat import enumeration
-from ternlat.errors import BoxTooLarge
+from ternlat import enumeration, linalg
+from ternlat.errors import BoxTooLarge, PrecisionExhausted
 from ternlat.enumeration import (DominanceQuery, QueryMode,
                                  dominated_elements, elements_of_norm,
                                  enumerate_representations,
@@ -114,6 +114,19 @@ def test_box_too_large_names_its_quantity(table, monkeypatch):
     with pytest.raises(BoxTooLarge) as exc:
         dominated_elements(ctx, ctx.from_rational(60), ceiling=10)
     assert str(exc.value) == "visited 11 candidates exceeds ceiling 10"
+
+
+def test_uninvertible_embeddings_exhaust_precision(monkeypatch):
+    # an interval inverse that fails at every width is not a large box
+    monkeypatch.setattr(linalg, "interval_inverse", lambda emb: None)
+    ctx = sqrt2_context()
+    with pytest.raises(PrecisionExhausted) as exc:
+        dominated_elements(ctx, ctx.from_rational(3))
+    last = F(1, 64 * 4 ** 79)
+    assert exc.value.width == last
+    assert str(exc.value) == (
+        "basis-embedding matrix could not be inverted at any root width "
+        f"tried (last width {last})")
 
 
 def test_sqrt_element(ctx_sqrt2):

@@ -16,11 +16,11 @@ oracle below uses only the multiplication table and exact integers:
 
 from fractions import Fraction as F
 from itertools import product
-from math import isqrt
 from operator import mul
 
 import pytest
 
+from conftest import ellipsoid_radii, trace_form
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import QueryMode, dominated_elements
 
@@ -28,12 +28,8 @@ from ternlat.enumeration import QueryMode, dominated_elements
 class Oracle:
     def __init__(self, ctx):
         self.table = ctx.mult_table
-        self.d = d = ctx.degree
-        # Tr(b_m) is the diagonal sum of multiplication by b_m
-        self.tr_basis = [sum(self.table[m][k][k] for k in range(d))
-                         for m in range(d)]
-        self.q = [[self.trace(self.mul(unit(j, d), unit(k, d)))
-                   for k in range(d)] for j in range(d)]
+        self.d = ctx.degree
+        self.tr_basis, self.q = trace_form(self.table)
 
     def mul(self, x, y):
         out = [0] * self.d
@@ -57,10 +53,6 @@ class Oracle:
                          for i in range(1, k + 1)) / k)
         return all(ek >= 0 for ek in e)
 
-    def radii(self, t):
-        inv = fraction_inverse(self.q)
-        return [isqrt(int(t * inv[j][j])) for j in range(self.d)]
-
     def dominated(self, beta, mode):
         """Sorted coordinates of all omega with omega^2 <= beta (square
         mode) or 0 <= omega <= beta (interval mode)."""
@@ -69,7 +61,7 @@ class Oracle:
         else:
             t = self.trace(self.mul(beta, beta))
         out = []
-        ranges = [range(-r, r + 1) for r in self.radii(t)]
+        ranges = [range(-r, r + 1) for r in ellipsoid_radii(self.q, t)]
         for w in product(*ranges):
             if sum(a * sum(map(mul, row, w)) for a, row in zip(w, self.q)) > t:
                 continue
@@ -82,25 +74,6 @@ class Oracle:
             if ok:
                 out.append(tuple(w))
         return sorted(out)
-
-
-def unit(j, d):
-    return [int(i == j) for i in range(d)]
-
-
-def fraction_inverse(m):
-    n = len(m)
-    a = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if a[r][c] != 0)
-        a[c], a[p] = a[p], a[c]
-        a[c] = [x / a[c][c] for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
 
 
 def test_oracle_decides_known_elements(ctx_sqrt2):

@@ -1,16 +1,18 @@
 """Oracle-backed randomized suites and hypothesis property tests.
 
 The randomized suites use a fixed seed so the counts are stable; the oracle
-implementations are deliberately naive (hand-set boxes, double loops) and
+implementations are deliberately naive (trace-form boxes, double loops) and
 independent of the certified box machinery they check.
 """
 
 import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import ellipsoid_radii, trace_form
 from ternlat.enumeration import (QueryMode, dominated_elements, unsquare)
 from ternlat.numberfield import Dominance, Element, sqrt2_context
 from ternlat.obstruction import obstruction_certificate, revalidate_certificate
@@ -21,15 +23,15 @@ from ternlat.quadlattice import GramMatrix, gram_inverse_dual
 # criterion-style randomized suites
 
 def naive_dominated(ctx, bound, mode):
-    """Double-loop oracle over a hand-set coordinate box (quadratic fields)."""
-    embs = bound.embeddings(F(1, 1000))
-    s = math.sqrt(max(float(iv.hi) for iv in embs)) + 1e-9
-    b1 = ctx.element([0, 1])
-    sig = [float(iv.hi) for iv in b1.embeddings(F(1, 1000))]
-    gap = abs(sig[0] - sig[1])
-    mx = max(abs(x) for x in sig)
-    cy = int(2 * s / gap) + 2
-    cx = int(s + cy * mx) + 2
+    """Double-loop oracle over the trace-form box (quadratic fields).
+
+    Every solution w has Tr(w^2) <= T, with T = Tr(bound) in square mode and
+    T = Tr(bound^2) in interval mode, so it lies in the exact box of the
+    ellipsoid w^T Q w <= T of the trace form Q.
+    """
+    top = bound if mode is QueryMode.SQUARE_DOMINATED else bound * bound
+    tr, q = trace_form(ctx.mult_table)
+    cx, cy = ellipsoid_radii(q, F(sum(map(mul, top.coords, tr)), top.den))
     out = []
     for x in range(-cx, cx + 1):
         for y in range(-cy, cy + 1):
