@@ -2,11 +2,13 @@
 
 Every search here reduces to integer points of a box in integral-basis
 coordinates.  The box comes from enclosing the inverse of the basis
-embedding matrix with exact rational intervals and applying it to the
-per-embedding constraint region, so it provably contains all solutions;
-candidates are then verified by exact dominance tests.  Precision is
-increased until the box volume stabilizes, and a configurable ceiling turns
-runaway searches into errors instead of long runs.
+embedding matrix by a verified midpoint-radius inverse (an approximate
+inverse whose error bound is checked in exact integers,
+`linalg.interval_inverse`) and applying it to the per-embedding constraint
+region, so it provably contains all solutions; candidates are then
+verified by exact dominance tests.  Precision is increased until the box
+volume stabilizes, and a configurable ceiling turns runaway searches into
+errors instead of long runs.
 """
 
 from __future__ import annotations

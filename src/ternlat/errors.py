@@ -45,7 +45,7 @@ class BoxTooLarge(TernlatError):
 
 class PrecisionExhausted(TernlatError):
     """The basis-embedding matrix could not be inverted at any root width
-    tried: some interval pivot contained zero down to the last width."""
+    tried: the verified inverse failed down to the last width."""
 
     def __init__(self, width):
         super().__init__(

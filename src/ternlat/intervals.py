@@ -1,8 +1,8 @@
 """Rational interval arithmetic.
 
 Endpoints are exact `Fraction`s, so no outward rounding is ever needed for
-ring operations; only square roots introduce rounding, which is done
-outward by construction.
+ring operations; only square roots and the fixed-point midpoint-radius
+form introduce rounding, which is done outward by construction.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -65,14 +65,6 @@ class Interval:
         m = max(-self.lo, self.hi)
         return Interval(Fraction(0), m * m)
 
-    def recip(self) -> "Interval":
-        if self.contains_zero():
-            raise ZeroDivisionError("interval contains zero")
-        return Interval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        return self * other.recip()
-
     def abs(self) -> "Interval":
         if self.lo >= 0:
             return self
@@ -85,6 +77,29 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+def fixed_point_midrad(rows: Sequence[Sequence[Interval]], bits: int
+                       ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Integer matrices (M, D) with rows[i][j] inside
+    [M[i][j] - D[i][j], M[i][j] + D[i][j]] / 2^(bits+1).
+
+    Each interval's endpoints are rounded outward to multiples of 2^-bits,
+    to lo and hi say; then M = lo + hi and D = hi - lo, so lo > 0 iff
+    M > D and hi < 0 iff M < -D.
+    """
+    scale = 1 << bits
+    mids, rads = [], []
+    for row in rows:
+        mrow, rrow = [], []
+        for iv in row:
+            lo = (iv.lo.numerator * scale) // iv.lo.denominator
+            hi = -((-iv.hi.numerator * scale) // iv.hi.denominator)
+            mrow.append(lo + hi)
+            rrow.append(hi - lo)
+        mids.append(mrow)
+        rads.append(rrow)
+    return mids, rads
 
 
 def sqrt_lower(x: Rat) -> Fraction:

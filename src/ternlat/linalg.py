@@ -1,20 +1,26 @@
 """Exact linear algebra over Q and over small matrices of any commutative
-ring, plus interval-matrix inversion.
+ring, plus a verified inverse of interval matrices.
 
 Matrices are lists of rows.  Everything here is dense and intended for the
-small dimensions that occur in number-field work (d <= ~32).
+small dimensions that occur in number-field work (d <= ~32).  The interval
+inverse starts from a floating-point approximate inverse and certifies its
+error bound in exact integer arithmetic, so floats never decide a result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import ldexp, prod
+from operator import mul
 from typing import List, Optional, Sequence
 
-from .intervals import Interval
+from .intervals import Interval, fixed_point_midrad
 from .polys import clear_denominators
 
 Mat = List[List[Fraction]]
+
+# interval_inverse rounds its input outward to multiples of 2^-_INVERSE_BITS
+_INVERSE_BITS = 64
 
 
 def identity(n: int) -> Mat:
@@ -84,15 +90,19 @@ def det(a: Sequence[Sequence]) -> Fraction:
 def row_reduce(m: Mat, ncols: int) -> List[int]:
     """Gauss-Jordan elimination of m in place over its first ncols columns.
 
-    The pivot of each column is its first nonzero entry at or below the
-    current row; pivot rows are scaled to 1 and the column is cleared in
-    every other row.  Returns the pivot columns; pivot k sits in row k.
+    The pivot of each column is its entry of largest absolute value at or
+    below the current row (partial pivoting, which keeps the elimination
+    stable on floats and does not change an exact reduced row echelon
+    form); pivot rows are scaled to 1 and the column is cleared in every
+    other row.  Returns the pivot columns; pivot k sits in row k.
     """
     pivots: List[int] = []
     for c in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
+        if r == len(m):
+            break
+        piv = max(range(r, len(m)), key=lambda i: abs(m[i][c]))
+        if m[piv][c] == 0:
             continue
         m[r], m[piv] = m[piv], m[r]
         pk = m[r][c]
@@ -188,32 +198,59 @@ def ring_bilinear(u: Sequence, g: Sequence[Sequence], v: Sequence):
 
 
 def interval_inverse(a: Sequence[Sequence[Interval]]) -> Optional[List[List[Interval]]]:
-    """Inverse of an interval matrix by Gauss-Jordan.
+    """Verified inverse of an interval matrix in midpoint-radius form
+    (Rump, "Verification methods", Acta Numerica 19, 2010).
 
-    Returns None when some pivot interval straddles zero, in which case the
-    caller should tighten the input enclosures and retry.  The result
-    encloses E^-1 for every point matrix E inside the input.
+    Each entry is rounded outward to [M - D, M + D] / 2^s with integers M
+    and D (`fixed_point_midrad`).  R is a floating-point inverse of M / 2^s,
+    read as an exact dyadic.  For every point matrix E inside the input,
+    |I - R E| <= G = |I - R M / 2^s| + |R| D / 2^s entrywise, and G is
+    computed exactly in integers.  If beta = ||G||_inf < 1, every such E is
+    invertible and E^-1 = sum_k (I - R E)^k R, whence
+    |E^-1 - R| <= G |R| + z (G 1) 1^T with z = max(G |R|) / (1 - beta).
+    The result is R plus or minus that bound, rounded outward to 2^-s.
+
+    Returns None when the midpoint is singular to working precision or
+    beta >= 1; the caller should tighten the input enclosures and retry.
+    R only decides whether beta < 1 and how tight the result is, never
+    whether it encloses every E^-1.
     """
     n = len(a)
-    one = Interval.point(1)
-    zero = Interval.point(0)
-    m = [[a[i][j] for j in range(n)] + [one if i == j else zero for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if not m[r][k].contains_zero():
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[k], m[piv] = m[piv], m[k]
-        pk = m[k][k]
-        m[k] = [x / pk for x in m[k]]
-        for r in range(n):
-            if r != k:
-                c = m[r][k]
-                if c.lo == 0 and c.hi == 0:
-                    continue
-                m[r] = [x - c * y for x, y in zip(m[r], m[k])]
-    return [row[n:] for row in m]
+    bits = _INVERSE_BITS
+    s = bits + 1
+    mids, rads = fixed_point_midrad(a, bits)
+    approx = [[m / (1 << s) for m in row] + [float(i == j) for j in range(n)]
+              for i, row in enumerate(mids)]
+    if len(row_reduce(approx, n)) < n:
+        return None
+    try:
+        rn = [[int(ldexp(x, s)) for x in row[n:]] for row in approx]
+    except (OverflowError, ValueError):     # an infinite or NaN entry
+        return None
+    # G = gn / 2^u with u = 2s; beta < 1 iff every row sum of gn is < 2^u
+    u = 2 * s
+    one = 1 << u
+    mid_t = transpose(mids)
+    rad_t = transpose(rads)
+    rabs = [[abs(x) for x in row] for row in rn]
+    gn = [[abs((one if i == j else 0) - sum(map(mul, rn[i], mid_t[j])))
+           + sum(map(mul, rabs[i], rad_t[j])) for j in range(n)]
+          for i in range(n)]
+    rowsums = [sum(row) for row in gn]
+    beta = max(rowsums)
+    if beta >= one:
+        return None
+    # G |R| = k / 2^(u+s); radius = (k (2^u - beta) + max(k) * rowsum) /
+    # (2^(u+s) (2^u - beta)), times 2^s and rounded up to an integer
+    rabs_t = transpose(rabs)
+    k = [[sum(map(mul, row, col)) for col in rabs_t] for row in gn]
+    kmax = max(map(max, k))
+    slack = one - beta
+    den = one * slack
+    scale = 1 << s
+    out = []
+    for rrow, krow, g in zip(rn, k, rowsums):
+        radii = (-(-(kij * slack + kmax * g) // den) for kij in krow)
+        out.append([Interval(Fraction(r - d, scale), Fraction(r + d, scale))
+                    for r, d in zip(rrow, radii)])
+    return out

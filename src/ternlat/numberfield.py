@@ -24,7 +24,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 from . import linalg, polys
 from .errors import (BadBasis, DivisionByZero, FieldDataError, NoSuchUnit,
                      NotARing, NotTotallyReal)
-from .intervals import Interval
+from .intervals import Interval, fixed_point_midrad
 
 Rat = Union[int, Fraction]
 
@@ -438,19 +438,8 @@ class FieldContext:
         if self._int_cache is not None:
             return self._int_cache
         self.refine_roots(Fraction(1, 1 << (self.INT_BITS + 8)))
-        emb = self.basis_embeddings()
-        scale = 1 << self.INT_BITS
-        mids, rads = [], []
-        for row in emb:
-            mrow, rrow = [], []
-            for iv in row:
-                lo = (iv.lo.numerator * scale) // iv.lo.denominator
-                hi = -((-iv.hi.numerator * scale) // iv.hi.denominator)
-                mrow.append(lo + hi)
-                rrow.append(hi - lo)
-            mids.append(mrow)
-            rads.append(rrow)
-        self._int_cache = (mids, rads)
+        self._int_cache = fixed_point_midrad(self.basis_embeddings(),
+                                             self.INT_BITS)
         return self._int_cache
 
     def fixed_point_enclosures(self, a: Element) -> List[Tuple[int, int]]:

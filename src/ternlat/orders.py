@@ -240,16 +240,24 @@ def trace_reduce(order: Order) -> Order:
         return mu, bstar
 
     k = 1
-    guard = 0
-    while k < d and guard < 10000:
-        guard += 1
+    steps = 0
+    while k < d:
+        steps += 1
+        if steps > 10000:
+            raise RuntimeError(f"trace_reduce of {order.p} did not finish "
+                               "in 10000 steps")
         mu, bstar = mu_and_norms()
         for j in range(k - 1, -1, -1):
             q = (2 * mu[k][j].numerator + mu[k][j].denominator) // \
                 (2 * mu[k][j].denominator)
             if q:
+                # b_k -= q b_j leaves every b* alone and changes only row k
+                # of mu
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                mu, bstar = mu_and_norms()
+                muk, muj = mu[k], mu[j]
+                for i in range(j):
+                    muk[i] -= q * muj[i]
+                muk[j] -= q
         if bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]:
             k += 1
         else:

@@ -117,3 +117,30 @@ def test_cyclotomic_lists_match_the_trace_form_oracle(k, n, mode):
     bound = ctx.from_rational(n) + ctx.gen
     got = [w.coords for w in dominated_elements(ctx, bound, mode)]
     assert got and got == Oracle(ctx).dominated(list(bound.coords), mode)
+
+
+@pytest.mark.parametrize("k, n, count", [(32, 3, 5), (40, 6, 33)])
+def test_degree_8_lists_are_pinned_and_rechecked_exactly(k, n, count):
+    """omega^2 <= n on F_k = Q(zeta_k)^+, of degree 8.
+
+    The counts were computed by the interval Gauss-Jordan inverse that the
+    verified midpoint-radius inverse replaced, so they do not come from the
+    box code under test.  Every listed solution is re-checked by the
+    oracle's exact Newton-identity test.  The oracle's own enumeration
+    cannot check completeness here: its ellipsoid product box holds about
+    4.4e8 points on F32.
+    """
+    ctx = cyclo_info(k).field
+    assert ctx.degree == 8
+    bound = ctx.from_rational(n)
+    sols = dominated_elements(ctx, bound)
+    assert len(sols) == count
+    coords = [w.coords for w in sols]
+    assert all(w.den == 1 for w in sols)
+    assert sorted(set(coords)) == coords
+    assert sorted(tuple(-c for c in w) for w in coords) == coords
+    o = Oracle(ctx)
+    beta = list(bound.coords)
+    for w in coords:
+        square = o.mul(list(w), list(w))
+        assert o.totally_nonnegative([b - s for b, s in zip(beta, square)])

@@ -6,13 +6,16 @@ are the plain `Fraction` loops; every result must be equal to theirs, not
 merely enclose it.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ternlat import linalg, polys
+from ternlat.cyclotomic import cyclo_info
 from ternlat.intervals import Interval
+from ternlat.numberfield import load_field
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +231,118 @@ def test_det_of_singular_matrices_is_zero():
     assert linalg.det([[0, 0], [0, 5]]) == 0
     assert linalg.det([[F(1, 2), 1], [1, 2]]) == 0
     assert linalg.det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+
+
+# ---------------------------------------------------------------------------
+# verified interval inverse: every returned entry must contain the exact
+# inverse of every point matrix of the input
+
+def assert_encloses(inv, e):
+    exact = linalg.inverse(e)
+    assert exact is not None
+    for row, exact_row in zip(inv, exact):
+        for iv, x in zip(row, exact_row):
+            assert iv.lo <= x <= iv.hi
+
+
+def sample_points(a, rng, count):
+    """The two extreme corners, random corners and random interior rational
+    points of the interval matrix a."""
+    yield [[iv.lo for iv in row] for row in a]
+    yield [[iv.hi for iv in row] for row in a]
+    for _ in range(count):
+        yield [[rng.choice((iv.lo, iv.hi)) for iv in row] for row in a]
+        yield [[iv.lo + iv.width * F(rng.randrange(65), 64) for iv in row]
+               for row in a]
+
+
+def degree_8_field():
+    return cyclo_info(32).field
+
+
+@pytest.mark.parametrize("make", [
+    lambda table: load_field(table.by_label("K2048")),
+    lambda table: load_field(table.by_label("K51200")),
+    lambda table: degree_8_field()], ids=["K2048", "K51200", "F32"])
+@pytest.mark.parametrize("width", [F(1, 64), F(1, 256)])
+def test_interval_inverse_encloses_inverses_of_basis_embeddings(table, make,
+                                                                width):
+    ctx = make(table)
+    ctx.refine_roots(width)
+    emb = ctx.basis_embeddings()
+    inv = linalg.interval_inverse(emb)
+    if ctx.degree == 8 and width == F(1, 64):
+        # the degree-8 embeddings are too wide at 1/64 for beta < 1
+        assert inv is None
+        return
+    assert inv is not None
+    for e in sample_points(emb, random.Random(7), 6):
+        assert_encloses(inv, e)
+
+
+@st.composite
+def interval_matrices(draw):
+    """A nonsingular rational point matrix widened by a random radius
+    pattern; radii up to 1/5 make the Neumann term of the enclosure matter
+    on entries of size 1."""
+    n = draw(st.integers(1, 4))
+    a = [[draw(matrix_entries) for _ in range(n)] for _ in range(n)]
+    if linalg.det(a) == 0:
+        # diagonally dominant, hence nonsingular
+        a = [[x + 40 * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(a)]
+    eps = draw(st.sampled_from([F(0), F(1, 1000), F(1, 50), F(1, 5)]))
+    rads = [[eps * draw(st.integers(0, 4)) / 4 for _ in range(n)]
+            for _ in range(n)]
+    return [[Interval(F(x) - r, F(x) + r) for x, r in zip(row, rrow)]
+            for row, rrow in zip(a, rads)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_matrices(), st.integers(0, 2 ** 32))
+@example([[Interval(F(1, 2), F(3, 2))]], 0)
+@example([[Interval(F(2), F(3)), Interval(F(-1, 2), F(1, 2))],
+          [Interval(F(0), F(1, 3)), Interval(F(1), F(2))]], 0)
+def test_interval_inverse_encloses_random_rational_matrices(a, seed):
+    inv = linalg.interval_inverse(a)
+    if inv is None:
+        return
+    for e in sample_points(a, random.Random(seed), 4):
+        assert_encloses(inv, e)
+
+
+def test_interval_inverse_neumann_term_is_needed():
+    # [1/2, 3/2]: the midpoint inverse 1 plus the first-order term G |R| =
+    # 1/2 misses 1/(1/2) = 2; the Neumann term makes the enclosure [0, 2]
+    inv = linalg.interval_inverse([[Interval(F(1, 2), F(3, 2))]])
+    assert inv is not None
+    assert inv[0][0].lo <= F(2, 3) and inv[0][0].hi >= 2
+    # a diagonal matrix: each entry is the scalar case
+    d = [[Interval(F(1, 2), F(3, 2)), Interval.point(0)],
+         [Interval.point(0), Interval(F(3), F(5))]]
+    inv = linalg.interval_inverse(d)
+    assert inv[0][0].hi >= 2 and inv[1][1].hi >= F(1, 3)
+
+
+@pytest.mark.parametrize("a", [
+    [[Interval.point(1), Interval.point(2)],
+     [Interval.point(2), Interval.point(4)]],
+    [[Interval(F(999, 1000), F(1001, 1000)), Interval.point(2)],
+     [Interval.point(2), Interval(F(3999, 1000), F(4001, 1000))]],
+    [[Interval.point(0)]],
+], ids=["singular-point", "singular-midpoint", "zero"])
+def test_interval_inverse_rejects_a_singular_midpoint(a):
+    assert linalg.interval_inverse(a) is None
+
+
+@pytest.mark.parametrize("a", [
+    # beta = 1 exactly: the interval holds the singular matrix 0
+    [[Interval(F(0), F(2))]],
+    # beta = 3/2 although the interval [-1/2, 5/2] ...
+    [[Interval(F(-1, 2), F(5, 2))]],
+    # identity with every entry widened by 1/2: row sums of G are 1, 3/2
+    [[Interval(F(1, 2), F(3, 2)), Interval(F(-1, 2), F(1, 2))],
+     [Interval(F(-1, 2), F(1, 2)), Interval(F(1, 2), F(3, 2))]],
+], ids=["beta-1", "beta-3/2", "widened-identity"])
+def test_interval_inverse_rejects_radius_with_beta_at_least_one(a):
+    assert linalg.interval_inverse(a) is None
