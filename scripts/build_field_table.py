@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from math import isqrt
 from pathlib import Path
 
@@ -39,11 +40,10 @@ from ternlat.orders import Order, find_units, maximal_order  # noqa: E402
 # ---------------------------------------------------------------------------
 # field assembly helpers
 
-def context_from_order(label, order: Order, sqrt2=None) -> FieldContext:
+def context_from_order(label, order: Order) -> FieldContext:
     rec = FieldRecord(
         label=label, degree=order.d, poly=tuple(int(c) for c in order.p),
-        basis=tuple(tuple(row) for row in order.basis),
-        disc=order.disc, sqrt2=sqrt2)
+        basis=tuple(tuple(row) for row in order.basis), disc=order.disc)
     return load_field(rec)
 
 
@@ -64,15 +64,17 @@ def record_dict(label, order: Order, h, h_plus, units, sqrt2):
 # ---------------------------------------------------------------------------
 # the quartic sweep
 
+# defining polynomials pinned for the shipped labels, keyed by the sweep's
+# delta of the same field, so that each order is built once
 STANDARD_POLYS = {
-    1600: [4, 0, -6, 0, 1],        # x^4 - 6x^2 + 4
-    2048: [2, 0, -4, 0, 1],        # x^4 - 4x^2 + 2
-    2624: [1, 2, -3, -2, 1],       # x^4 - 2x^3 - 3x^2 + 2x + 1
-    7168: [7, 0, -6, 0, 1],        # x^4 - 6x^2 + 7
-    10816: [-1, 10, -9, -2, 1],    # x^4 - 2x^3 - 9x^2 + 10x - 1
-    14336: [14, 0, -8, 0, 1],      # x^4 - 8x^2 + 14
-    18432: [18, 0, -12, 0, 1],     # x^4 - 12x^2 + 18
-    51200: [50, 0, -20, 0, 1],     # x^4 - 20x^2 + 50
+    (15, -10): [4, 0, -6, 0, 1],       # K1600: x^4 - 6x^2 + 4
+    (2, -1): [2, 0, -4, 0, 1],         # K2048: x^4 - 4x^2 + 2
+    (7, -2): [1, 2, -3, -2, 1],        # K2624: x^4 - 2x^3 - 3x^2 + 2x + 1
+    (3, -1): [7, 0, -6, 0, 1],         # K7168: x^4 - 6x^2 + 7
+    (39, -26): [-1, 10, -9, -2, 1],    # K10816: x^4 - 2x^3 - 9x^2 + 10x - 1
+    (4, -1): [14, 0, -8, 0, 1],        # K14336: x^4 - 8x^2 + 14
+    (6, -3): [18, 0, -12, 0, 1],       # K18432: x^4 - 12x^2 + 18
+    (10, -5): [50, 0, -20, 0, 1],      # K51200: x^4 - 20x^2 + 50
 }
 
 # tag choices pinned for reproducibility of downstream demos (power coords)
@@ -154,11 +156,16 @@ def quartic_sweep(max_disc=20000, amax=40, bmax=28, nmax=700):
             deltas.append((m, 0))
     fields = []
     for (a, b) in deltas:
-        if b != 0:
+        if (a, b) in STANDARD_POLYS:
+            poly = STANDARD_POLYS[a, b]
+        elif b != 0:
             poly = [a * a - 2 * b * b, 0, -2 * a, 0, 1]
         else:
             poly = [(a - 2) ** 2, 0, -2 * (a + 2), 0, 1]
-        if polys.count_real_roots(poly) != 4 or not polys.is_squarefree(poly):
+        try:
+            if len(polys.isolate_real_roots(poly)) != 4:
+                continue
+        except ValueError:      # repeated roots
             continue
         order = maximal_order(poly)
         disc = order.disc
@@ -182,11 +189,7 @@ def main():
           flush=True)
     by_disc = {}
     for prov, order in fields:
-        disc = order.disc
-        if disc in STANDARD_POLYS:
-            order = maximal_order(STANDARD_POLYS[disc])
-            assert order.disc == disc, (disc, order.disc)
-        by_disc.setdefault(disc, []).append((prov, order))
+        by_disc.setdefault(order.disc, []).append((prov, order))
     rows = []
     for disc in sorted(by_disc):
         entries = by_disc[disc]
@@ -206,8 +209,11 @@ def main():
                 s2 = ctx.from_power_coords(SQRT2_OVERRIDE[disc])
                 assert s2.is_integral and s2 * s2 == ctx.from_rational(2)
             h = 2 if disc == 51200 else 1
-            ctx2 = context_from_order(label, order, sqrt2=tuple(s2.coords))
-            gens, uratio = find_units(ctx2)
+            # the tagged context reuses the validated table, roots and basis;
+            # its constructor checks that the tag squares to 2
+            gens, uratio = find_units(FieldContext(
+                replace(ctx.record, sqrt2=tuple(s2.coords)), ctx.mult_table,
+                ctx.roots(), ctx.basis_pow, ctx.pow_to_basis))
             h_plus = h * uratio
             rows.append(record_dict(label, order, h, h_plus, gens, s2))
             print(f"  {label}: disc {disc} prov {prov} h={h} h+={h_plus} "

@@ -349,18 +349,15 @@ class FieldContext:
         self._roots = list(roots)
         self._emb_cache: Optional[List[List[Interval]]] = None
         self._int_cache: Optional[Tuple[list, list]] = None     # (mids, rads)
-        one_q = linalg.mat_vec(linalg.transpose(pow_to_basis),
-                               [Fraction(1)] + [Fraction(0)] * (self.degree - 1))
-        self.one_coords_q = one_q
-        self.one = self.from_rational_coords(one_q)
+        # basis coordinates of the power t^k are row k of pow_to_basis
+        self.one_coords_q = list(pow_to_basis[0])
+        self.one = self.from_rational_coords(self.one_coords_q)
         if not self.one.is_integral:
             raise NotARing(f"{record.label}: 1 is not in the span of the basis")
         self.zero = Element(self, [0] * self.degree)
-        gen_q = linalg.mat_vec(linalg.transpose(pow_to_basis),
-                               [Fraction(0), Fraction(1)] +
-                               [Fraction(0)] * (self.degree - 2)) \
-            if self.degree > 1 else [Fraction(record.poly[0]) * -1]
-        self.gen = self.from_rational_coords(gen_q)
+        self.gen = self.from_rational_coords(
+            pow_to_basis[1] if self.degree > 1
+            else [Fraction(-record.poly[0])])
         self.sqrt2: Optional[Element] = None
         if record.sqrt2 is not None:
             s = Element(self, record.sqrt2)
@@ -622,8 +619,9 @@ def load_field(record: FieldRecord) -> FieldContext:
     """Validate a field record and build its context.
 
     Checks: monic integer defining polynomial with d simple real roots
-    (Sturm count), invertible basis matrix, multiplicative closure of the
-    basis over Z, and the class-number divisibility constraints.
+    (isolated once, from one Sturm chain), invertible basis matrix,
+    multiplicative closure of the basis over Z, and the class-number
+    divisibility constraints.
     """
     d = record.degree
     poly = list(record.poly)
@@ -631,9 +629,11 @@ def load_field(record: FieldRecord) -> FieldContext:
         raise NotTotallyReal(f"{record.label}: polynomial is not monic of degree {d}")
     if any(not isinstance(c, int) for c in poly):
         raise NotTotallyReal(f"{record.label}: polynomial has non-integer coefficients")
-    if not polys.is_squarefree(poly):
-        raise NotTotallyReal(f"{record.label}: repeated roots")
-    if polys.count_real_roots(poly) != d:
+    try:
+        roots = polys.isolate_real_roots(poly)
+    except ValueError:
+        raise NotTotallyReal(f"{record.label}: repeated roots") from None
+    if len(roots) != d:
         raise NotTotallyReal(f"{record.label}: fewer than {d} real roots")
     basis = [[Fraction(x) for x in row] for row in record.basis]
     if len(basis) != d or any(len(row) != d for row in basis):
@@ -650,9 +650,6 @@ def load_field(record: FieldRecord) -> FieldContext:
     q = record.h_plus // record.h
     if q & (q - 1):
         raise FieldDataError(f"{record.label}: h_plus/h must be a power of 2")
-    roots = polys.isolate_real_roots(poly)
-    if len(roots) != d:
-        raise NotTotallyReal(f"{record.label}: isolated {len(roots)} real roots")
     return FieldContext(record, table, roots, basis, inv)
 
 

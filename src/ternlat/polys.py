@@ -4,11 +4,13 @@ Polynomials are lists of coefficients in ascending order (constant term
 first), matching the on-disk field format.  Coefficients are ints or
 Fractions; arithmetic promotes as needed.
 
-Evaluation (`eval_at`, `eval_interval`) and root bisection (`refine_root`)
-run Horner on integers: the coefficients are put over their least common
-denominator, the point or both interval endpoints over one denominator, and
-a `Fraction` is built only for the result.  The results are exactly the
-values that `Fraction` arithmetic gives, without a gcd reduction per step.
+Evaluation (`eval_at`, `eval_interval`), root isolation and bisection
+(`isolate_real_roots`, `refine_root`) and `cyclotomic` run on integers: the
+coefficients are put over their least common denominator, the point or both
+interval endpoints over one denominator, and a `Fraction` is built only for
+the result, which is exactly what `Fraction` arithmetic gives.  Only
+`divmod_poly` (Sturm remainders, gcds, reduction modulo a polynomial) works
+over `Fraction`s.
 
 `MPoly` is the one sparse multivariate polynomial type, over any
 commutative ring, for the symbolic determinant and identity checks.
@@ -156,13 +158,6 @@ def divmod_poly(a: Sequence[Coeff], b: Sequence[Coeff]):
     return trim(q), r
 
 
-def exact_div(a: Sequence[Coeff], b: Sequence[Coeff]) -> Poly:
-    q, r = divmod_poly(a, b)
-    if r:
-        raise ValueError("inexact polynomial division")
-    return q
-
-
 def monic(p: Sequence[Coeff]) -> Poly:
     p = trim(p)
     if not p:
@@ -177,10 +172,6 @@ def gcd_poly(a: Sequence[Coeff], b: Sequence[Coeff]) -> Poly:
         _, r = divmod_poly(a, b)
         a, b = b, r
     return monic(a)
-
-
-def is_squarefree(p: Sequence[Coeff]) -> bool:
-    return degree(gcd_poly(p, diff(p))) <= 0
 
 
 def content_int(p: Sequence[int]) -> int:
@@ -198,7 +189,9 @@ def primitive_int(p: Sequence[Coeff]) -> List[int]:
 
 
 def sturm_chain(p: Sequence[Coeff]) -> List[Poly]:
-    """Sturm chain of a squarefree polynomial (integer-scaled remainders)."""
+    """Sturm chain of p, as primitive integer polynomials: p, p' and the
+    negated remainders.  The last element is gcd(p, p') up to a positive
+    factor, so p is squarefree exactly when it is a constant."""
     p0 = primitive_int(p)
     p1 = primitive_int(diff(p0))
     chain = [p0, p1]
@@ -216,36 +209,12 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _variations(signs: Sequence[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def variations_at(chain: Sequence[Poly], x: Coeff) -> int:
-    return _variations([_sign(eval_at(p, x)) for p in chain])
-
-
-def variations_at_inf(chain: Sequence[Poly], positive: bool) -> int:
-    signs = []
-    for p in chain:
-        if not p:
-            signs.append(0)
-            continue
-        s = _sign(p[-1])
-        if not positive and (len(p) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
-def count_roots(chain: Sequence[Poly], a: Coeff, b: Coeff) -> int:
-    """Number of real roots in the half-open interval (a, b]."""
-    return variations_at(chain, a) - variations_at(chain, b)
-
-
-def count_real_roots(p: Sequence[Coeff]) -> int:
-    chain = sturm_chain(p)
-    return variations_at_inf(chain, False) - variations_at_inf(chain, True)
+def _sturm_signs(chain: Sequence[Sequence[int]], a: int,
+                 b: int) -> Tuple[int, int]:
+    """(sign of chain[0], sign variations of the chain) at a/b, b > 0."""
+    signs = [_sign(_horner(q, a, b)) for q in chain]
+    nonzero = [s for s in signs if s]
+    return signs[0], sum(1 for s, t in zip(nonzero, nonzero[1:]) if s != t)
 
 
 def root_bound(p: Sequence[Coeff]) -> Fraction:
@@ -262,44 +231,55 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
     Each returned interval either is a point (exact rational root) or has
     interior containing exactly one root with nonzero values of p at both
     endpoints, so bisection refinement is always possible.
+
+    One Sturm chain also tells squarefreeness (it must end in a constant).
+    Each bisection node keeps its endpoints as integers a/b, e/b and their
+    variation counts, so a midpoint (a + e)/2b costs one chain evaluation.
     """
     p = trim(p)
     if degree(p) < 1:
         return []
-    if not is_squarefree(p):
-        raise ValueError("root isolation requires a squarefree polynomial")
     chain = sturm_chain(p)
+    if len(chain[-1]) > 1:
+        raise ValueError("root isolation requires a squarefree polynomial")
     bound = root_bound(p)
+    den = bound.denominator
+    lo, hi = -bound.numerator, bound.numerator
+    while _horner(chain[0], lo, den) == 0:
+        lo -= den
+    while _horner(chain[0], hi, den) == 0:
+        hi += den
     out: List[Interval] = []
-
-    def go(a: Fraction, b: Fraction, n: int):
-        # invariant: p(a) != 0, p(b) != 0, n roots in (a, b)
+    # nodes (a, e, b, va, ve): va - ve roots in (a/b, e/b), p(a/b), p(e/b) != 0
+    todo = [(lo, hi, den, _sturm_signs(chain, lo, den)[1],
+             _sturm_signs(chain, hi, den)[1])]
+    while todo:
+        a, e, b, va, ve = todo.pop()
+        n = va - ve
         if n == 0:
-            return
+            continue
         if n == 1:
-            out.append(Interval(a, b))
-            return
-        m = (a + b) / 2
-        if eval_at(p, m) == 0:
-            out.append(Interval(m, m))
-            # nudge around the exact root until the counts split cleanly
-            eps = (b - a) / 4
-            while eval_at(p, m - eps) == 0 or eval_at(p, m + eps) == 0 \
-                    or count_roots(chain, m - eps, m + eps) != 1:
-                eps /= 2
-            go(a, m - eps, count_roots(chain, a, m - eps))
-            go(m + eps, b, count_roots(chain, m + eps, b))
-        else:
-            left = count_roots(chain, a, m)
-            go(a, m, left)
-            go(m, b, n - left)
-
-    a, b = -bound, bound
-    while eval_at(p, a) == 0:
-        a -= 1
-    while eval_at(p, b) == 0:
-        b += 1
-    go(Fraction(a), Fraction(b), count_roots(chain, a, b))
+            out.append(Interval(Fraction(a, b), Fraction(e, b)))
+            continue
+        a, e, b, m = 2 * a, 2 * e, 2 * b, a + e
+        sm, vm = _sturm_signs(chain, m, b)
+        if sm:
+            todo.append((a, m, b, va, vm))
+            todo.append((m, e, b, vm, ve))
+            continue
+        out.append(Interval.point(Fraction(m, b)))
+        # nudge around the exact root until the counts split cleanly: m -/+ w
+        # over b, w/b a quarter of the node's width, halved by doubling the rest
+        a, e, m, b = 2 * a, 2 * e, 2 * m, 2 * b
+        w = (e - a) // 4
+        while True:
+            sl, vl = _sturm_signs(chain, m - w, b)
+            sr, vr = _sturm_signs(chain, m + w, b)
+            if sl and sr and vl - vr == 1:
+                break
+            a, e, m, b = 2 * a, 2 * e, 2 * m, 2 * b
+        todo.append((a, m - w, b, va, vl))
+        todo.append((m + w, e, b, vr, ve))
     out.sort(key=lambda iv: iv.lo)
     return out
 
@@ -332,15 +312,24 @@ def refine_root(p: Sequence[Coeff], iv: Interval, max_width: Fraction) -> Interv
 
 
 def cyclotomic(k: int) -> List[int]:
-    """k-th cyclotomic polynomial, by exact division of x^k - 1."""
+    """k-th cyclotomic polynomial: x^k - 1 divided by the product of the
+    Phi_d for the proper divisors d of k, a monic integer polynomial, by
+    synthetic division on integers."""
     if k < 1:
         raise ValueError("k must be positive")
-    num = [-1] + [0] * (k - 1) + [1]
+    rem = [-1] + [0] * (k - 1) + [1]
     den: Poly = [1]
     for d in range(1, k):
         if k % d == 0:
             den = mul(den, cyclotomic(d))
-    return [int(c) for c in exact_div(num, den)]
+    n = len(den) - 1
+    quot = [0] * (k - n + 1)
+    for i in range(k - n, -1, -1):
+        c = quot[i] = rem[i + n]
+        if c:
+            for j, x in enumerate(den):
+                rem[i + j] -= c * x
+    return quot
 
 
 def cos_minpoly(k: int) -> List[int]:

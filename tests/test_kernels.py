@@ -1,16 +1,20 @@
 """Differential tests of the integer kernels against `Fraction` references.
 
-`polys.eval_at`, `polys.eval_interval`, `polys.refine_root` and `linalg.det`
-work on integer numerators over a common denominator.  The references below
+`polys.eval_at`, `polys.eval_interval`, `polys.refine_root`,
+`polys.isolate_real_roots`, `polys.cyclotomic` and `linalg.det` work on
+integer numerators over a common denominator.  The references below
 are the plain `Fraction` loops; every result must be equal to theirs, not
 merely enclose it.
 """
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
@@ -57,6 +61,76 @@ def ref_refine_root(p, iv, max_width):
         else:
             hi = m
     return Interval(lo, hi)
+
+
+def ref_isolate_real_roots(p):
+    """Sturm bisection with `Fraction` endpoints, as before the integer
+    kernel: every count evaluates the chain at both of its endpoints, and
+    squarefreeness comes from a separate gcd."""
+    p = polys.trim(p)
+    if polys.degree(p) < 1:
+        return []
+    if polys.degree(polys.gcd_poly(p, polys.diff(p))) > 0:
+        raise ValueError("root isolation requires a squarefree polynomial")
+    chain = polys.sturm_chain(p)
+
+    def variations(x):
+        signs = [sign(polys.eval_at(q, x)) for q in chain]
+        signs = [s for s in signs if s]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    def count(a, b):
+        return variations(a) - variations(b)
+
+    out = []
+
+    def go(a, b, n):
+        if n == 0:
+            return
+        if n == 1:
+            out.append(Interval(a, b))
+            return
+        m = (a + b) / 2
+        if polys.eval_at(p, m) == 0:
+            out.append(Interval(m, m))
+            eps = (b - a) / 4
+            while polys.eval_at(p, m - eps) == 0 or polys.eval_at(p, m + eps) == 0 \
+                    or count(m - eps, m + eps) != 1:
+                eps /= 2
+            go(a, m - eps, count(a, m - eps))
+            go(m + eps, b, count(m + eps, b))
+        else:
+            left = count(a, m)
+            go(a, m, left)
+            go(m, b, n - left)
+
+    bound = polys.root_bound(p)
+    a, b = -bound, bound
+    while polys.eval_at(p, a) == 0:
+        a -= 1
+    while polys.eval_at(p, b) == 0:
+        b += 1
+    go(F(a), F(b), count(a, b))
+    out.sort(key=lambda iv: iv.lo)
+    return out
+
+
+@lru_cache(maxsize=None)
+def ref_cyclotomic(k):
+    """Phi_k by long division of x^k - 1 over `Fraction`s."""
+    den = [F(1)]
+    for d in range(1, k):
+        if k % d == 0:
+            den = polys.mul(den, ref_cyclotomic(d))
+    rem = [F(-1)] + [F(0)] * (k - 1) + [F(1)]
+    n = len(den) - 1
+    quot = [F(0)] * (k - n + 1)
+    for i in range(k - n, -1, -1):
+        quot[i] = rem[i + n] / den[n]
+        for j, x in enumerate(den):
+            rem[i + j] -= quot[i] * x
+    assert not any(rem)
+    return tuple(quot)
 
 
 def ref_det(a):
@@ -189,6 +263,119 @@ def test_refine_root_rejects_non_isolating_intervals():
 def test_refine_root_point_interval_is_returned():
     iv = Interval.point(F(3, 2))
     assert polys.refine_root([F(-3, 2), 1], iv, F(1, 8)) is iv
+
+
+# ---------------------------------------------------------------------------
+# root isolation
+
+def squarefree(p):
+    return polys.degree(polys.gcd_poly(p, polys.diff(p))) == 0
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds`: a bisection whose
+    counts are wrong never reaches single roots, and must fail, not hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"isolation did not finish in {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_same_isolation(p):
+    with time_limit(20):
+        got = polys.isolate_real_roots(p)
+    want = ref_isolate_real_roots(p)
+    assert [(iv.lo, iv.hi) for iv in got] == [(iv.lo, iv.hi) for iv in want]
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=8),
+       st.sampled_from([1, -1, 2, -3, 5]))
+@example([-2], 1)                                   # x^2 - 2
+@example([0, -1, 0], 1)                             # x(x - 1)(x + 1)
+@example([6, -5], 1)                                # (x - 2)(x - 3)
+def test_isolate_real_roots_equals_fraction_bisection(low, lead):
+    p = low + [lead]
+    assume(squarefree(p))
+    assert_same_isolation(p)
+
+
+@st.composite
+def rational_products(draw):
+    """c * prod (x - r_i) * q for distinct rationals r_i and q = 1 or a
+    positive quadratic; the first midpoints often hit a root exactly."""
+    roots = draw(st.lists(st.fractions(min_value=-12, max_value=12,
+                                       max_denominator=6),
+                          min_size=1, max_size=7, unique=True))
+    p = [draw(st.sampled_from([1, -2, F(1, 3)]))]
+    for r in roots:
+        p = polys.mul(p, [-r, 1])
+    if draw(st.booleans()):
+        p = polys.mul(p, [draw(st.integers(1, 9)), 0, 1])
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_products())
+@example([0, 1])                                     # x: root at midpoint 0
+@example(polys.mul([1, 1], polys.mul([-1, 1], [0, 1])))
+def test_isolate_real_roots_with_exact_rational_roots(p):
+    got = assert_same_isolation(p)
+    for iv in got:
+        if iv.lo == iv.hi:
+            assert polys.eval_at(p, iv.lo) == 0
+        else:
+            assert polys.eval_at(p, iv.lo) * polys.eval_at(p, iv.hi) < 0
+
+
+@pytest.mark.parametrize("p, n", [
+    # roots -1, 0, 1 and the bound 2: the first midpoint is the root 0, and
+    # a quarter of the width around it isolates it at once
+    (polys.mul([0, 1], [-1, 0, 1]), 3),
+    # roots 0 and +-1/1000 inside the bound 1 + 10^-6: the first midpoint
+    # is the root 0, and the gap around it is halved nine times
+    (polys.mul([0, 1], [-1, 0, 10 ** 6]), 3),
+    # roots 1 and 1 +- 1/1000, and -s with s = (8 - 10^-6)/(3 - 10^-6) so
+    # that the bound is 8: the fourth midpoint is the root 1, and the gap
+    # around it is halved nine times
+    (polys.mul(polys.mul([-1, 1], [1 - F(1, 10 ** 6), -2, 1]),
+               [(8 - F(1, 10 ** 6)) / (3 - F(1, 10 ** 6)), 1]), 4),
+])
+def test_isolate_real_roots_reaches_the_exact_root_branch(p, n):
+    got = assert_same_isolation(p)
+    assert any(iv.lo == iv.hi for iv in got) and len(got) == n
+
+
+def test_isolate_real_roots_on_cosine_minimal_polynomials():
+    for k in range(3, 121):
+        p = polys.cos_minpoly(k)
+        got = assert_same_isolation(p)
+        assert len(got) == polys.degree(p)
+
+
+@pytest.mark.parametrize("p", [
+    [1, -2, 1],                                       # (x - 1)^2
+    polys.mul([-2, 0, 1], [-2, 0, 1]),                # (x^2 - 2)^2
+    polys.mul([1, 0, 1], polys.mul([3, 1], [3, 1])),  # (x^2 + 1)(x + 3)^2
+    polys.mul([0, 1], [0, 0, 1]),                     # x^3
+])
+def test_isolate_real_roots_rejects_repeated_roots(p):
+    with pytest.raises(ValueError, match="squarefree"):
+        polys.isolate_real_roots(p)
+    with pytest.raises(ValueError):
+        ref_isolate_real_roots(p)
+
+
+def test_cyclotomic_equals_fraction_division():
+    for k in range(1, 201):
+        assert polys.cyclotomic(k) == list(ref_cyclotomic(k)), k
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,27 @@ from ternlat.numberfield import (Dominance, FieldRecord, load_field,
 
 def test_load_rejects_imaginary():
     rec = FieldRecord("bad", 2, (1, 0, 1), ((F(1), F(0)), (F(0), F(1))), 4)
-    with pytest.raises(NotTotallyReal):
+    with pytest.raises(NotTotallyReal, match="bad: fewer than 2 real roots"):
+        load_field(rec)
+
+
+IDENTITY4 = tuple(tuple(F(int(i == j)) for j in range(4)) for i in range(4))
+SINGULAR4 = ((F(1), F(0), F(0), F(0)),) * 4
+
+
+@pytest.mark.parametrize("basis", [IDENTITY4, SINGULAR4])
+def test_load_rejects_repeated_roots_before_the_basis(basis):
+    # (x^2 - 2)^2: all roots real, each twice
+    rec = FieldRecord("bad", 4, (4, 0, -4, 0, 1), basis, 2048)
+    with pytest.raises(NotTotallyReal, match="bad: repeated roots"):
+        load_field(rec)
+
+
+@pytest.mark.parametrize("basis", [IDENTITY4, SINGULAR4])
+def test_load_rejects_missing_real_roots_before_the_basis(basis):
+    # x^4 - 2: two real roots and two complex ones
+    rec = FieldRecord("bad", 4, (-2, 0, 0, 0, 1), basis, -2048)
+    with pytest.raises(NotTotallyReal, match="bad: fewer than 4 real roots"):
         load_field(rec)
 
 
