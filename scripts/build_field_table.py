@@ -162,10 +162,9 @@ def quartic_sweep(max_disc=20000, amax=40, bmax=28, nmax=700):
             poly = [a * a - 2 * b * b, 0, -2 * a, 0, 1]
         else:
             poly = [(a - 2) ** 2, 0, -2 * (a + 2), 0, 1]
-        try:
-            if len(polys.isolate_real_roots(poly)) != 4:
-                continue
-        except ValueError:      # repeated roots
+        # squarefree: x^2 = a -+ sqrt2*|b| with a^2 - 2b^2 > 0, b != 0, or
+        # x = +-(sqrt(m) -+ sqrt2) with m != 2; the pinned ones are irreducible
+        if len(polys.isolate_real_roots(poly)) != 4:
             continue
         order = maximal_order(poly)
         disc = order.disc
