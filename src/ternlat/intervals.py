@@ -57,14 +57,6 @@ class Interval:
             return Interval(self.lo * c, self.hi * c)
         return Interval(self.hi * c, self.lo * c)
 
-    def square(self) -> "Interval":
-        if self.lo >= 0:
-            return Interval(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return Interval(self.hi * self.hi, self.lo * self.lo)
-        m = max(-self.lo, self.hi)
-        return Interval(Fraction(0), m * m)
-
     def abs(self) -> "Interval":
         if self.lo >= 0:
             return self

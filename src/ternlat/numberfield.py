@@ -10,6 +10,10 @@ rational interval arithmetic on isolated real roots serves as a fast
 pre-filter, and ambiguous cases fall back to the sign pattern of the
 characteristic polynomial of the multiplication map, which is decisive
 because every conjugate is real.
+
+A context holds the unit group modulo squares once: its unit generators, the
+table of their products by signature and the unit-square steps, the last two
+built on first use; associates and unit-square representatives read them.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import linalg, polys
 from .errors import (BadBasis, DivisionByZero, FieldDataError, NoSuchUnit,
@@ -516,52 +521,37 @@ class FieldContext:
             raise NoSuchUnit(f"{self.record.label}: no unit generators supplied")
         return self.units
 
+    @cached_property
+    def units_by_signature(self) -> Dict[Tuple[int, ...], Element]:
+        """The supplied units' products, one per realized signature (see
+        `units_by_signature`); built on first use."""
+        return units_by_signature(self.one, self.units or ())
+
+    @cached_property
+    def unit_square_steps(self) -> Tuple[Tuple[Element, Element], ...]:
+        """Pairs (u^e, u^2e), e = +-1, for each supplied unit u: the moves
+        of the unit-square walk; built on first use."""
+        return tuple((v, v * v) for u in self.units or ()
+                     for v in (u, u.inverse()))
+
     def totally_positive_associate(self, a: Element) -> Tuple[Element, Element]:
         """Unit eta (a product of supplied generators) with eta*a totally positive.
 
-        Searches the exponent space {0,1}^k over the signature group; raises
-        NoSuchUnit when the signature of a is not realized, which signals
-        either an incomplete generator list or a field with nonsquare totally
+        eta is read from the signature table: the product of generators with
+        the least bit mask among those of the signature of a.  Raises
+        NoSuchUnit when that signature is not realized, which signals either
+        an incomplete generator list or a field with nonsquare totally
         positive units.
         """
         if a.is_zero:
             raise ValueError("no totally positive associate of zero")
-        units = self.require_units()
+        self.require_units()
         target = a.signature()
-        d = self.degree
-        # F2 system: sum of chosen unit sign-vectors == sign vector of a
-        cols = [u.signature() for u in units]
-        rows = []
-        for i in range(d):
-            row = [(1 if cols[j][i] < 0 else 0) for j in range(len(units))]
-            row.append(1 if target[i] < 0 else 0)
-            rows.append(row)
-        # Gaussian elimination over F2
-        k = len(units)
-        pivots = []
-        r = 0
-        for c in range(k):
-            piv = next((i for i in range(r, d) if rows[i][c]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(d):
-                if i != r and rows[i][c]:
-                    rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
-            pivots.append((r, c))
-            r += 1
-        for i in range(r, d):
-            if rows[i][k]:
-                raise NoSuchUnit(
-                    f"{self.record.label}: signature {target} not realized "
-                    "by supplied units")
-        exps = [0] * k
-        for row_i, col in pivots:
-            exps[col] = rows[row_i][k]
-        eta = self.one
-        for u, e in zip(units, exps):
-            if e:
-                eta = eta * u
+        eta = self.units_by_signature.get(target)
+        if eta is None:
+            raise NoSuchUnit(
+                f"{self.record.label}: signature {target} not realized "
+                "by supplied units")
         result = eta * a
         if not result.is_totally_positive():
             raise NoSuchUnit("associate search produced a non-positive result")
@@ -638,7 +628,8 @@ def load_field(record: FieldRecord) -> FieldContext:
     basis = [[Fraction(x) for x in row] for row in record.basis]
     if len(basis) != d or any(len(row) != d for row in basis):
         raise BadBasis(f"{record.label}: basis is not a {d}x{d} matrix")
-    inv = linalg.inverse(basis)
+    # a power basis (every cyclotomic context) is its own inverse
+    inv = basis if basis == linalg.identity(d) else linalg.inverse(basis)
     if inv is None:
         raise BadBasis(f"{record.label}: basis matrix is singular")
     try:
@@ -701,32 +692,63 @@ def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],
     return tuple(tuple(row) for row in table)
 
 
-def unit_square_canonical(a: Element, units: Sequence[Element]) -> Element:
-    """Deterministic representative of a modulo squares of the given units.
+def units_by_signature(one: Element, units: Sequence[Element]
+                       ) -> Dict[Tuple[int, ...], Element]:
+    """Map each signature realized by a product of the units to the product
+    with the least bit mask (bit i set when units[i] is a factor).
 
-    Greedily minimizes (trace, negated coordinates, den) until no unit square
-    improves it; only meaningful for totally positive elements, where the
-    trace is proper on the orbit.  Non-positive inputs are returned unchanged.
+    The table holds the 2^k products of k generators.  For a signature s,
+    the least-mask product is the F2 elimination's solution of "sum of the
+    units' sign vectors = s" with its free variables set to zero: any other
+    solution adds a kernel vector, whose highest bit is a free column that
+    the least solution leaves at 0.
+    """
+    products = [one]
+    table = {one.signature(): one}
+    for u in units:
+        # masks of the new bit, in increasing order, after all smaller masks
+        new = [p * u for p in products]
+        for p in new:
+            table.setdefault(p.signature(), p)
+        products += new
+    return table
 
-    The loop terminates: each step strictly decreases the key, every element
+
+def unit_square_reduce(a: Element) -> Tuple[Element, Element]:
+    """(r, eta) with r = a * eta^2 the deterministic representative of a
+    modulo squares of the context's units.
+
+    Greedily minimizes (trace, negated coordinates, den) until no unit
+    square improves it; only meaningful for totally positive elements, where
+    the trace is proper on the orbit.  Non-positive inputs, and contexts
+    without units, give (a, 1).
+
+    The walk terminates: each step strictly decreases the key, every element
     of the orbit is totally positive with the same denominator den, and
     (1/den) * O_K has only finitely many totally positive elements below any
     trace.
     """
+    ctx = a.ctx
     if a.is_zero or not a.is_totally_positive():
-        return a
+        return a, ctx.one
 
     def key(e: Element):
         return (e.trace(), tuple(-c for c in e.coords), e.den)
 
-    steps = [u ** e for u in units for e in (2, -2)]
-    best = a
+    steps = ctx.unit_square_steps
+    best, best_key, eta = a, key(a), ctx.one
     improved = True
     while improved:
         improved = False
-        for step in steps:
-            cand = best * step
-            if key(cand) < key(best):
-                best = cand
+        for u, u2 in steps:
+            cand = best * u2
+            cand_key = key(cand)
+            if cand_key < best_key:
+                best, best_key, eta = cand, cand_key, eta * u
                 improved = True
-    return best
+    return best, eta
+
+
+def unit_square_canonical(a: Element) -> Element:
+    """The representative r of `unit_square_reduce(a)`."""
+    return unit_square_reduce(a)[0]

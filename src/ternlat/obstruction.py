@@ -22,7 +22,7 @@ from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           sqrt_element, squarefree_witness)
 from .errors import NoSuchUnit, UnclassifiedCase
 from .numberfield import (Element, FieldContext, sqrt2_context,
-                          unit_square_canonical)
+                          unit_square_canonical, unit_square_reduce)
 from .polys import MPoly
 from .quadlattice import (GramMatrix, LatticeClass, generated_module_gram,
                           isometry_search, offdiag_candidates, standard_lattice)
@@ -208,8 +208,9 @@ def candidate_pool(ctx: FieldContext, pool_size: int = 40,
     Enumeration covers all sign patterns with house up to _POOL_HOUSE_BOUND
     and keeps |norm| up to _POOL_NORM_BOUND; each element is then moved to
     its totally positive associate and normalized modulo squares of the
-    supplied units, so candidates whose positive representatives are large
-    (but whose classes contain small elements) are still reached.
+    supplied units (both from the context's unit data, built once), so
+    candidates whose positive representatives are large (but whose classes
+    contain small elements) are still reached.
     """
     bound = ctx.from_rational(_POOL_HOUSE_BOUND * _POOL_HOUSE_BOUND)
     pool = {}
@@ -222,7 +223,7 @@ def candidate_pool(ctx: FieldContext, pool_size: int = 40,
             continue
         if ctx.units:
             _, w = ctx.totally_positive_associate(w)
-            w = unit_square_canonical(w, ctx.units)
+            w = unit_square_canonical(w)
         elif not w.is_totally_positive():
             continue
         pool[w.coords] = w
@@ -280,46 +281,28 @@ def obstruction_search(ctx: FieldContext, pool_size: int = 40,
 def square_class_reduce(x: Element) -> Tuple[Element, Element]:
     """Write x = r * s^2 with r a canonical square-class representative.
 
-    Divides out squares of sqrt2 and of small rational primes, then walks the
-    orbit under unit squares (3 +- 2 sqrt2) to the representative of minimal
-    trace, preferring the lexicographically larger coordinates on ties.
+    Divides out squares of sqrt2 and of small rational primes in one pass,
+    then takes the representative of x modulo unit squares
+    (`unit_square_reduce`: minimal trace, the lexicographically larger
+    coordinates on ties).  One pass suffices: whether an element lies in
+    d^2 * O is unchanged by a unit factor or by dividing out other squares.
     """
     ctx = x.ctx
     if ctx.sqrt2 is None or ctx.degree != 2:
         raise ValueError("square-class reduction lives in the sqrt2 field")
     if not x.is_totally_positive():
         raise ValueError("reduction expects a totally positive element")
+    ctx.require_units()
     s = ctx.one
-    u = ctx.one + ctx.sqrt2                      # fundamental-signature unit
-    divisors = [ctx.sqrt2, ctx.from_rational(3), ctx.from_rational(5),
-                ctx.from_rational(7)]
-    changed = True
-    while changed:
-        changed = False
-        for dvs in divisors:
-            while True:
-                cand = x / (dvs * dvs)
-                if cand.is_integral:
-                    x, s = cand, s * dvs
-                    changed = True
-                else:
-                    break
-        # orbit walk under multiplication by u^(+-2)
-
-        def keyof(e: Element):
-            return (e.trace(), tuple(-c for c in e.coords))
-
+    for dvs in (ctx.sqrt2, ctx.from_rational(3), ctx.from_rational(5),
+                ctx.from_rational(7)):
         while True:
-            up, down = x * u * u, x / (u * u)
-            if keyof(up) < keyof(x):
-                x, s = up, s / u
-                changed = True
-            elif keyof(down) < keyof(x):
-                x, s = down, s * u
-                changed = True
-            else:
+            cand = x / (dvs * dvs)
+            if not cand.is_integral:
                 break
-    return x, s
+            x, s = cand, s * dvs
+    r, eta = unit_square_reduce(x)
+    return r, s / eta
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg, polys
 from .enumeration import (QueryMode, canonical_sign, dominated_elements,
                           sqrt_element)
-from .numberfield import FieldContext, basis_mult_table
+from .numberfield import FieldContext, basis_mult_table, units_by_signature
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +347,5 @@ def find_units(ctx: FieldContext):
     if len(gens) < want:
         raise RuntimeError(
             f"{ctx.record.label}: only {len(gens)} independent unit classes")
-    sigs = set()
-    for mask in range(1 << want):
-        prod = ctx.one
-        for i in range(want):
-            if (mask >> i) & 1:
-                prod = prod * gens[i]
-        sigs.add(prod.signature())
-    u_plus_mod_sq = (1 << d) // len(sigs)
+    u_plus_mod_sq = (1 << d) // len(units_by_signature(ctx.one, gens))
     return gens, u_plus_mod_sq

@@ -20,7 +20,7 @@ from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           enumerate_representations, sqrt2_span_witnesses,
                           squarefree_witness)
 from .errors import (Singular, UnclassifiedCase, UnexpectedSingularCase)
-from .numberfield import Element, FieldContext
+from .numberfield import Element, FieldContext, unit_square_canonical
 
 Vector = Tuple[Element, ...]
 
@@ -165,10 +165,7 @@ def lattice_predicates(g: GramMatrix) -> LatticePredicates:
     classical = g.is_classical
     det_norm = det.norm()
     unimodular = classical and abs(det_norm) == 1
-    det_class = det
-    if g.ctx.units:
-        from .numberfield import unit_square_canonical
-        det_class = unit_square_canonical(det, g.ctx.units)
+    det_class = unit_square_canonical(det)
     return LatticePredicates(classical, unimodular, det, det_norm, det_class)
 
 

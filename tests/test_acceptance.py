@@ -162,7 +162,7 @@ def test_criterion_6_unimodular_example(table):
             if (mask >> i) & 1:
                 prod = prod * u
         if prod.is_totally_positive():
-            rep_u = unit_square_canonical(prod, ctx.units)
+            rep_u = unit_square_canonical(prod)
             classes[rep_u.coords] = rep_u
     ok &= len(classes) == 2          # h+/h = 2: the classes are 1 and eps
     for u in classes.values():
@@ -194,7 +194,7 @@ def test_criterion_8_obstruction_certificates(table):
     p2 = elements_of_norm(ctx, 2, F(6), totally_positive=True)[0]
     p17_classes = {}
     for e in elements_of_norm(ctx, 17, F(6), totally_positive=True):
-        r = unit_square_canonical(e, ctx.units)
+        r = unit_square_canonical(e)
         p17_classes[r.coords] = r
     ok = len(p17_classes) == 4
     for p17 in p17_classes.values():
@@ -206,7 +206,7 @@ def test_criterion_8_obstruction_certificates(table):
     # class-number-2 field: full certificate search
     ctx = table.context("K51200")
     a14 = [e for e in (unit_square_canonical(
-        ctx.totally_positive_associate(x)[1], ctx.units)
+        ctx.totally_positive_associate(x)[1])
         for x in elements_of_norm(ctx, 14, F(6)))]
     ok &= bool(a14)
     ok &= orthogonality_forcing(ctx, [ctx.one, 2 + ctx.sqrt2,

@@ -1,7 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
+
 from ternlat.enumeration import elements_of_norm
-from ternlat.numberfield import unit_square_canonical
+from ternlat.errors import NoSuchUnit
+from ternlat.numberfield import load_field, unit_square_canonical
 from ternlat.obstruction import (candidate_pool, dual_nonrepresentation,
                                  indecomposables_classify,
                                  obstruction_certificate, obstruction_search,
@@ -59,6 +63,13 @@ def test_square_class_reduce(ctx_sqrt2):
         r, scale = square_class_reduce(x)
         assert r == expected
         assert r * scale * scale == x
+
+
+def test_square_class_reduce_needs_units(ctx_sqrt2):
+    # without generators there is no unit-square walk to reduce by
+    ctx = load_field(replace(ctx_sqrt2.record, units=None))
+    with pytest.raises(NoSuchUnit):
+        square_class_reduce(ctx.element((10, -7)))
 
 
 def test_case_analysis_l1():
@@ -141,8 +152,8 @@ def test_certificate_roundtrip(table):
     lam = 2 + ctx.sqrt2
     p7 = elements_of_norm(ctx, 7, F(6), totally_positive=True)[0]
     p7b = [e for e in elements_of_norm(ctx, 7, F(6), totally_positive=True)
-           if unit_square_canonical(e, ctx.units) !=
-           unit_square_canonical(p7, ctx.units)][0]
+           if unit_square_canonical(e) !=
+           unit_square_canonical(p7)][0]
     cert = obstruction_certificate(ctx, [ctx.one, lam, p7], p7b)
     data = cert.to_dict()
     assert revalidate_certificate(ctx, data)
