@@ -2,7 +2,8 @@
 
 Every subcommand prints a human-readable summary to stdout; `--out PATH`
 additionally writes a JSON report.  Exit status: 0 for a completed run,
-1 when any per-item error occurred, 2 for usage errors.
+1 when any per-item error occurred or an input was rejected (with an
+`error: ...` line on stderr), 2 for usage errors.
 """
 
 from __future__ import annotations

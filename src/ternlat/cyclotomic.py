@@ -17,43 +17,24 @@ from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           is_indecomposable)
 from .errors import MismatchAgainstFormula, UnsupportedK
 from .numberfield import Element, FieldContext, FieldRecord, load_field
+from .orders import factorize
 
 
 def mobius_phi(k: int) -> Tuple[int, int]:
-    """(Mobius mu, Euler phi) by trial-division factorization."""
+    """(Mobius mu, Euler phi) from the factorization of k."""
     if k < 1:
         raise ValueError("k must be positive")
     mu, phi = 1, 1
-    n = k
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            phi *= (p - 1) * p ** (e - 1)
-            mu = 0 if e > 1 else -mu
-        p += 1 if p == 2 else 2
-    if n > 1:
-        phi *= n - 1
-        mu = -mu
+    for p, e in factorize(k).items():
+        phi *= (p - 1) * p ** (e - 1)
+        mu = 0 if e > 1 else -mu
     return mu, phi
 
 
 def prime_power_base(k: int) -> Optional[int]:
     """p when k = p^n with n >= 1, else None."""
-    if k < 2:
-        return None
-    p = 2
-    n = k
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-        p += 1 if p == 2 else 2
-    return n
+    primes = list(factorize(k)) if k >= 2 else []
+    return primes[0] if len(primes) == 1 else None
 
 
 @dataclass(frozen=True)

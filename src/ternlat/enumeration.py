@@ -20,7 +20,7 @@ from math import ceil, floor
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import (BoxTooLarge, DivisionByZero, NoSuchUnit,
+from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
                      PrecisionExhausted)
 from .intervals import Interval, sqrt_upper
 from .numberfield import Dominance, Element, FieldContext
@@ -41,7 +41,7 @@ class DominanceQuery:
 
     def __post_init__(self):
         if not self.bound.is_totally_positive():
-            raise ValueError("enumeration bound must be totally positive")
+            raise InvalidInput("enumeration bound must be totally positive")
 
 
 @dataclass(frozen=True)

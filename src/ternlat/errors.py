@@ -25,6 +25,12 @@ class DivisionByZero(TernlatError, ZeroDivisionError):
     pass
 
 
+class InvalidInput(TernlatError, ValueError):
+    """An argument outside what the requested computation accepts: a bound
+    or entry that is not totally positive, a field without the data the
+    computation needs, a label missing from a table."""
+
+
 class NoSuchUnit(TernlatError):
     """Requested signature is not realized by the supplied unit generators."""
 

@@ -19,8 +19,8 @@ from typing import Dict, List, Tuple
 from . import __version__
 from .enumeration import (DEFAULT_CEILING, DominanceQuery, solution_box,
                           sqrt2_span_witnesses)
-from .errors import (IdentityMismatch, ParseError, TernlatError,
-                     ValidationError)
+from .errors import (IdentityMismatch, InvalidInput, ParseError,
+                     TernlatError, ValidationError)
 from .intervals import sqrt_lower, sqrt_upper
 from .numberfield import Element, FieldContext, FieldRecord, load_field
 from .obstruction import obstruction_search
@@ -46,7 +46,6 @@ def parse_record(obj: dict) -> FieldRecord:
         sqrt2 = None
         if obj.get("sqrt2") is not None:
             sqrt2 = tuple(int(c) for c in obj["sqrt2"])
-        tags = {k: str(v) for k, v in obj.get("tags", {}).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(str(obj.get("label", "?")),
                               f"malformed record: {exc}")
@@ -57,7 +56,7 @@ def parse_record(obj: dict) -> FieldRecord:
         raise ValidationError(label, "discriminant must be positive")
     return FieldRecord(label=label, degree=degree, poly=poly, basis=basis,
                        disc=disc, h=h, h_plus=h_plus, units=units,
-                       sqrt2=sqrt2, tags=tags)
+                       sqrt2=sqrt2)
 
 
 @dataclass
@@ -80,7 +79,7 @@ class FieldTable:
         for r in self.records:
             if r.label == label:
                 return r
-        raise KeyError(label)
+        raise InvalidInput(f"no field labelled {label!r} in the table")
 
     def context(self, label: str) -> FieldContext:
         if label not in self._contexts:

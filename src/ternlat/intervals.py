@@ -40,9 +40,6 @@ class Interval:
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 

@@ -5,11 +5,15 @@ simple, together with an integral basis given in power-basis coordinates.
 Elements are integer coordinate vectors over the integral basis with a
 positive denominator, so integrality is exactly "denominator 1".
 
-All order comparisons (total positivity, dominance) return exact verdicts:
-rational interval arithmetic on isolated real roots serves as a fast
-pre-filter, and ambiguous cases fall back to the sign pattern of the
-characteristic polynomial of the multiplication map, which is decisive
-because every conjugate is real.
+The exact element invariants run on two integer tables of the context: the
+multiplication table (multiplication matrices, hence norms, traces and
+inverses) and the outward fixed-point enclosures of the basis embeddings
+(signs).  Order comparisons (total positivity, dominance) and signatures
+return exact verdicts: the fixed-point enclosures only short-circuit
+decisive cases.  An undecided comparison falls back to the sign pattern of
+the characteristic polynomial of the multiplication map, which is decisive
+because every conjugate is real; an undecided signature refines rational
+interval embeddings, after ruling out an exactly-zero embedding by the norm.
 
 A context holds the unit group modulo squares once: its unit generators, the
 table of their products by signature and the unit-square steps, the last two
@@ -18,13 +22,13 @@ built on first use; associates and unit-square representatives read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, polys
 from .errors import (BadBasis, DivisionByZero, FieldDataError, NoSuchUnit,
@@ -47,7 +51,6 @@ class FieldRecord:
     h_plus: int = 1
     units: Optional[Tuple[Tuple[Tuple[int, ...], int], ...]] = None
     sqrt2: Optional[Tuple[int, ...]] = None
-    tags: Mapping[str, str] = field(default_factory=dict)
 
 
 class Dominance(Enum):
@@ -233,32 +236,18 @@ class Element:
     def inverse(self) -> "Element":
         if self.is_zero:
             raise DivisionByZero("division by zero")
-        m = self.mult_matrix()
+        # (M / den) x = 1 with M the integer matrix of den * self
+        rhs = [self.den * c for c in self.ctx.one_coords_q]
         try:
-            x = linalg.solve(m, self.ctx.one_coords_q)
+            x = linalg.solve(self.mult_matrix_scaled(), rhs)
         except ValueError as exc:
             raise DivisionByZero("element is a zero divisor") from exc
         return self.ctx.from_rational_coords(x)
 
-    def mult_matrix(self) -> List[List[Fraction]]:
-        """Matrix of multiplication by self on the integral basis (columns)."""
-        return [[Fraction(x, self.den) for x in row]
-                for row in self.mult_matrix_scaled()]
-
     def mult_matrix_scaled(self) -> List[List[int]]:
-        """den * mult_matrix, which is integral."""
-        d = self.ctx.degree
-        table = self.ctx.mult_table
-        m = [[0] * d for _ in range(d)]
-        for j in range(d):
-            for s, a in enumerate(self.coords):
-                if a == 0:
-                    continue
-                tsj = table[s][j]
-                for i in range(d):
-                    if tsj[i]:
-                        m[i][j] += a * tsj[i]
-        return m
+        """Integer matrix of multiplication by den * self on the integral
+        basis (columns)."""
+        return mult_matrix(self.ctx.mult_table, self.coords)
 
     # -- invariants ----------------------------------------------------------
 
@@ -269,8 +258,8 @@ class Element:
                         self.den ** self.ctx.degree)
 
     def trace(self) -> Fraction:
-        m = self.mult_matrix_scaled()
-        return Fraction(sum(m[i][i] for i in range(self.ctx.degree)), self.den)
+        return Fraction(sum(map(mul, self.coords, self.ctx.basis_traces)),
+                        self.den)
 
     def norm_trace(self) -> Tuple[Fraction, Fraction]:
         return self.norm(), self.trace()
@@ -309,19 +298,20 @@ class Element:
         """Signs of all real embeddings, ordered by ascending root."""
         if self.is_zero:
             raise ValueError("signature of zero is undefined")
+        signs = self.ctx._fast_signs(self)
+        if signs is not None:
+            return signs
+        # N(self) is the product of the embeddings: it vanishes exactly when
+        # one of them is zero (a zero divisor, reducible defining
+        # polynomial), where refining would never decide a sign
+        if self.norm() == 0:
+            raise ValueError(
+                "element has an exactly-zero embedding (zero divisor)")
         width = Fraction(1, 16)
-        for attempt in range(64):
+        for _ in range(64):
             ivs = self.embeddings(width)
             if all(not iv.contains_zero() for iv in ivs):
                 return tuple(1 if iv.lo > 0 else -1 for iv in ivs)
-            if attempt == 1:
-                # an embedding can be exactly zero only for a zero divisor
-                # (reducible defining polynomial); detect it instead of
-                # refining forever
-                pw = self.ctx.power_coords(self)
-                if polys.degree(polys.gcd_poly(pw, self.ctx.poly)) > 0:
-                    raise ValueError(
-                        "element has an exactly-zero embedding (zero divisor)")
             width /= 16
         raise ValueError("embedding signs did not stabilize")
 
@@ -400,10 +390,13 @@ class FieldContext:
         v = linalg.mat_vec(linalg.transpose(self.pow_to_basis), p)
         return self.from_rational_coords(v)
 
-    def power_coords(self, a: Element) -> List[Fraction]:
-        v = linalg.mat_vec(linalg.transpose(self.basis_pow),
-                           [Fraction(c, a.den) for c in a.coords])
-        return v
+    @cached_property
+    def basis_traces(self) -> Tuple[int, ...]:
+        """Tr(b_i) for each basis element: the diagonal sum of its row of
+        the multiplication table."""
+        d = self.degree
+        return tuple(sum(row[k][k] for k in range(d))
+                     for row in self.mult_table)
 
     # -- embeddings ----------------------------------------------------------
 
@@ -642,6 +635,21 @@ def load_field(record: FieldRecord) -> FieldContext:
     if q & (q - 1):
         raise FieldDataError(f"{record.label}: h_plus/h must be a power of 2")
     return FieldContext(record, table, roots, basis, inv)
+
+
+def mult_matrix(table, coords: Sequence[int]) -> List[List[int]]:
+    """Integer matrix of multiplication by x = sum_s coords[s] b_s, where
+    table[s][j] holds the coordinates of b_s * b_j: column j holds those
+    of x * b_j."""
+    d = len(coords)
+    m = [[0] * d for _ in range(d)]
+    for a, row in zip(coords, table):
+        if a:
+            for j, entry in enumerate(row):
+                for i, t in enumerate(entry):
+                    if t:
+                        m[i][j] += a * t
+    return m
 
 
 def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],

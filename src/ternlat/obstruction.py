@@ -20,7 +20,7 @@ from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           enumerate_representations, is_indecomposable,
                           sqrt_element, squarefree_witness)
-from .errors import NoSuchUnit, UnclassifiedCase
+from .errors import InvalidInput, NoSuchUnit, UnclassifiedCase
 from .numberfield import (Element, FieldContext, sqrt2_context,
                           unit_square_canonical, unit_square_reduce)
 from .polys import MPoly
@@ -128,9 +128,9 @@ def dual_nonrepresentation(ctx: FieldContext,
     a1, a2, a3 = diag
     for e in diag:
         if not e.is_totally_positive():
-            raise ValueError("diagonal entries must be totally positive")
+            raise InvalidInput("diagonal entries must be totally positive")
     if not gamma.is_totally_positive():
-        raise ValueError("gamma must be totally positive")
+        raise InvalidInput("gamma must be totally positive")
     gram = GramMatrix.diagonal([a2 * a3, a1 * a3, a1 * a2])
     target = gamma * a1 * a2 * a3
     # complete candidate lists, as in the representation search
@@ -181,9 +181,7 @@ def revalidate_certificate(ctx: FieldContext, data: dict,
         raise ValueError("not an obstruction certificate")
     quad = [_element_from(ctx, d) for d in data["quadruple"]]
     cert = obstruction_certificate(ctx, quad[:3], quad[3], ceiling)
-    if cert.to_dict() != data:
-        return False
-    return cert.is_valid == data["valid"]
+    return cert.to_dict() == data
 
 
 def obstruction_certificate(ctx: FieldContext, triple: Sequence[Element],
@@ -243,7 +241,7 @@ def obstruction_search(ctx: FieldContext, pool_size: int = 40,
     at all.
     """
     if ctx.record.h_plus != ctx.record.h:
-        raise ValueError(f"{ctx.record.label}: search requires h+ = h")
+        raise InvalidInput(f"{ctx.record.label}: search requires h+ = h")
     pool = candidate_pool(ctx, pool_size, ceiling=ceiling)
     pair_cache: Dict[Tuple[int, int], bool] = {}
 
@@ -553,10 +551,10 @@ def indecomposables_classify(ctx: FieldContext, trace_bound: int,
     """Classify all indecomposables of trace up to the bound as unit squares,
     lambda times squares, or genuinely other (witnesses against lifting)."""
     if ctx.sqrt2 is None:
-        raise ValueError("classification needs the sqrt2 tag")
+        raise InvalidInput("classification needs the sqrt2 tag")
     d = ctx.degree
     if 2 * trace_bound < 5 * d:
-        raise ValueError("trace bound below the indecomposability threshold")
+        raise InvalidInput("trace bound below the indecomposability threshold")
     entries = []
     for w in dominated_elements(ctx, ctx.from_rational(trace_bound),
                                 QueryMode.INTERVAL, ceiling):

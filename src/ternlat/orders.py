@@ -16,11 +16,13 @@ totally positive units from their signatures.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from . import linalg, polys
 from .enumeration import (QueryMode, canonical_sign, dominated_elements,
                           sqrt_element)
-from .numberfield import FieldContext, basis_mult_table, units_by_signature
+from .numberfield import (FieldContext, basis_mult_table, mult_matrix,
+                          units_by_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -149,31 +151,6 @@ def enlarge_at(order: Order, q: int) -> Order:
     inv = linalg.inverse(order.basis)
     table = basis_mult_table(order.p, order.basis, inv)
 
-    def mult_vec_mod(u, v):
-        out = [0] * d
-        for i, a in enumerate(u):
-            if a % q == 0:
-                continue
-            for j, b in enumerate(v):
-                if b % q == 0:
-                    continue
-                c = (a * b) % q
-                tij = table[i][j]
-                for k in range(d):
-                    out[k] = (out[k] + c * tij[k]) % q
-        return out
-
-    def mult_matrix(w):
-        """Columns: coordinates of w * b_j over the basis."""
-        m = [[0] * d for _ in range(d)]
-        for jcol in range(d):
-            for s, a in enumerate(w):
-                if a:
-                    tsj = table[s][jcol]
-                    for k in range(d):
-                        m[k][jcol] += a * tsj[k]
-        return m
-
     e = 1
     while q ** e < d:
         e += 1
@@ -182,12 +159,13 @@ def enlarge_at(order: Order, q: int) -> Order:
     one = [int(c) % q for c in inv[0]]
 
     def pow_mod(u, n):
-        result = one[:]
-        base = u[:]
+        """u^n with coordinates reduced mod q."""
+        result = one
         while n:
+            m = mult_matrix(table, u)
             if n & 1:
-                result = mult_vec_mod(result, base)
-            base = mult_vec_mod(base, base)
+                result = [sum(map(mul, row, result)) % q for row in m]
+            u = [sum(map(mul, row, u)) % q for row in m]
             n >>= 1
         return result
 
@@ -199,13 +177,14 @@ def enlarge_at(order: Order, q: int) -> Order:
     # ideal I = qO + (radical lifts) * O as a Z-lattice
     gens = q_rows[:]
     for r in rad:
-        gens.extend(map(list, zip(*mult_matrix(r))))
+        gens.extend(map(list, zip(*mult_matrix(table, r))))
     ideal = hnf_rows(gens)
     assert len(ideal) == d
     # multiplier ring: x = z/q, z in Z^d, with x * I inside I
     h_t_inv = linalg.inverse(linalg.transpose(ideal))
     entries = [x / q for w in ideal
-               for row in linalg.mat_mul(h_t_inv, mult_matrix(w)) for x in row]
+               for row in linalg.mat_mul(h_t_inv, mult_matrix(table, w))
+               for x in row]
     nums, den_all = polys.clear_denominators(entries)
     a_rows = [nums[i:i + d] for i in range(0, len(nums), d)]
     kernel = integral_kernel_mod(a_rows, den_all, d)

@@ -19,7 +19,8 @@ from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           enumerate_representations, sqrt2_span_witnesses,
                           squarefree_witness)
-from .errors import (Singular, UnclassifiedCase, UnexpectedSingularCase)
+from .errors import (InvalidInput, Singular, UnclassifiedCase,
+                     UnexpectedSingularCase)
 from .numberfield import Element, FieldContext, unit_square_canonical
 
 Vector = Tuple[Element, ...]
@@ -289,9 +290,9 @@ def ternary_classification(ctx: FieldContext,
     classes by a complete isometry search.
     """
     if ctx.sqrt2 is None:
-        raise ValueError("classification needs the sqrt2 tag")
+        raise InvalidInput("classification needs the sqrt2 tag")
     if ctx.degree != 2 and not small_condition_holds(ctx, ceiling):
-        raise ValueError("field does not force sqrt2-rational off-diagonals")
+        raise InvalidInput("field does not force sqrt2-rational off-diagonals")
     one, zero, s = ctx.one, ctx.zero, ctx.sqrt2
     lam = 2 + s
     three = ctx.from_rational(3)
@@ -330,7 +331,7 @@ def free_overlattice_test(ctx: FieldContext,
     """Whether the L3 lattice acquires a proper classical free overlattice
     over this field: equivalent to 5+3*sqrt2 not being squarefree."""
     if ctx.sqrt2 is None:
-        raise ValueError("field has no sqrt2 tag")
+        raise InvalidInput("field has no sqrt2 tag")
     p7 = 5 + 3 * ctx.sqrt2
     w = squarefree_witness(p7, ceiling=ceiling)
     if w is None:

@@ -1,9 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from ternlat.cli import main, parse_element
 from ternlat.numberfield import sqrt2_context
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -120,3 +124,45 @@ def test_bad_expression_is_item_error(capsys, fields_dir):
     code = main(["small-elements", "--field", str(fields_dir / "q.json"),
                  "--bound", "sqrt2"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["small-elements", "--field", "qsqrt2.json", "--bound", "0"],
+    ["small-elements", "--field", "qsqrt2.json", "--bound", "-1"],
+    ["dual", "--field", "q.json", "--diag", "1;1;0", "--gamma", "7"],
+    ["indecomposables", "--field", "qsqrt2.json", "--trace-bound", "1"],
+    ["classify-ternary", "--field", "q.json"],
+    ["overlattice-test", "--field", "q.json"],
+    ["obstruct", "--field", "qsqrt3.json"],
+    ["small-elements", "--field", "quartic_sqrt2.jsonl#NOPE", "--bound", "1"],
+], ids=["bound-zero", "bound-negative", "diag-zero", "trace-bound-low",
+        "classify-no-sqrt2", "overlattice-no-sqrt2", "obstruct-narrow",
+        "unknown-label"])
+def test_bad_input_is_an_error_line(capsys, fields_dir, argv):
+    i = argv.index("--field") + 1
+    argv = argv[:i] + [str(fields_dir / argv[i])] + argv[i + 1:]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _readme_invocations():
+    """The `ternlat ...` commands of the README's CLI block, as argv lists."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```\n")[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(c, comments=True)[1:] for c in commands
+            if c.startswith("ternlat ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    invocations = _readme_invocations()
+    assert len(invocations) == 14
+    for n, argv in enumerate(invocations):
+        if "--out" in argv:
+            i = argv.index("--out")
+            argv = argv[:i] + argv[i + 2:]
+        out_path = tmp_path / f"{n}.json"
+        assert main(argv + ["--out", str(out_path)]) == 0, argv
+        assert "verdicts" in json.loads(out_path.read_text()), argv

@@ -8,6 +8,8 @@ The two must yield the same sequence, in the same order.
 `FieldContext._fast_signs` decides signs from fixed-point enclosures in
 midpoint-radius form; every decisive verdict must equal the exact one from
 the characteristic polynomial, and every decisive sign the refined one.
+`Element.signature` starts from those enclosures and `Element.trace` from
+the traces of the basis; both are checked against the paths they replaced.
 """
 
 import random
@@ -16,7 +18,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ternlat import linalg
+from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import (EnumerationBox, QueryMode, _build_box,
                                  _fixed_point, _interval_targets, _iter_box,
@@ -233,6 +235,36 @@ def _samples(ctx, rng):
     return out
 
 
+def _table_samples(table, seed):
+    """(context, _samples) for every table field and for F_11 (degree 5),
+    drawn from one generator."""
+    rng = random.Random(seed)
+    assert len(table.records) == 19
+    ctxs = [table.context(rec.label) for rec in table.records]
+    ctxs.append(cyclo_info(11).field)
+    return [(ctx, _samples(ctx, rng)) for ctx in ctxs]
+
+
+def ref_signature(a):
+    """Signs of the embeddings from rational interval embeddings alone,
+    refined until no enclosure holds zero; an exactly-zero embedding is
+    detected by a common factor of the defining polynomial and a's
+    power-basis polynomial."""
+    ctx = a.ctx
+    width = F(1, 16)
+    for attempt in range(64):
+        ivs = a.embeddings(width)
+        if all(not iv.contains_zero() for iv in ivs):
+            return tuple(1 if iv.lo > 0 else -1 for iv in ivs)
+        if attempt == 1:
+            pw = linalg.mat_vec(linalg.transpose(ctx.basis_pow),
+                                [F(c, a.den) for c in a.coords])
+            if polys.degree(polys.gcd_poly(pw, ctx.poly)) > 0:
+                raise ValueError("element has an exactly-zero embedding")
+        width /= 16
+    raise ValueError("embedding signs did not stabilize")
+
+
 def _check_fast_path(ctx, elements, stats):
     for c in elements:
         signs = ctx._fast_signs(c)
@@ -242,19 +274,29 @@ def _check_fast_path(ctx, elements, stats):
             continue
         stats["decisive"] += 1
         assert fast_verdict(signs) is charpoly_verdict(c)
-        assert signs == c.signature()
+        assert signs == ref_signature(c)
 
 
 def test_fast_path_agrees_with_charpoly_on_table_fields(table):
-    rng = random.Random(20)
     stats = {"decisive": 0, "fallback": 0}
-    assert len(table.records) == 19
-    for rec in table.records:
-        ctx = table.context(rec.label)
-        _check_fast_path(ctx, _samples(ctx, rng), stats)
-    ctx = cyclo_info(11).field                    # F_11, degree 5
-    _check_fast_path(ctx, _samples(ctx, rng), stats)
+    for ctx, elements in _table_samples(table, 20):
+        _check_fast_path(ctx, elements, stats)
     assert stats["decisive"] > 500 and stats["fallback"] > 10
+
+
+def test_signature_and_trace_agree_with_references(table):
+    branches = {"fixed-point": 0, "refined": 0}
+    for ctx, elements in _table_samples(table, 21):
+        for c in elements:
+            m = c.mult_matrix_scaled()
+            assert c.trace() == F(sum(m[i][i] for i in range(len(m))), c.den)
+            if c.is_zero:
+                continue
+            fixed = ctx._fast_signs(c) is not None
+            branches["fixed-point" if fixed else "refined"] += 1
+            assert c.signature() == ref_signature(c)
+    # u ** 8 and u ** -5 have embeddings below the fixed-point grid
+    assert branches["fixed-point"] > 500 and branches["refined"] > 10, branches
 
 
 def test_fast_path_is_indecisive_on_an_enclosure_touching_zero():
@@ -289,3 +331,6 @@ def test_fast_path_falls_back_on_ties_in_a_product_ring():
         assert ctx._fast_signs(tie) is None
         assert beta.compare(w * w) is Dominance.GE_TIED
         assert charpoly_verdict(tie) is Dominance.GE_TIED
+        for signature in (tie.signature, lambda: ref_signature(tie)):
+            with pytest.raises(ValueError, match="exactly-zero"):
+                signature()
