@@ -5,10 +5,16 @@ coordinates.  The box comes from enclosing the inverse of the basis
 embedding matrix by a verified midpoint-radius inverse (an approximate
 inverse whose error bound is checked in exact integers,
 `linalg.interval_inverse`) and applying it to the per-embedding constraint
-region, so it provably contains all solutions; candidates are then
-verified by exact dominance tests.  Precision is increased until the box
-volume stabilizes, and a configurable ceiling turns runaway searches into
-errors instead of long runs.
+region, so it provably contains all solutions.  Precision is increased
+until the box volume stabilizes, and a configurable ceiling turns runaway
+searches into errors instead of long runs.
+
+Each candidate x of the pruned box then takes one exact comparison against
+zero, of an integer residual from a quadratic map built once per query:
+den * (beta - x^2) for omega^2 <= beta, and den * (beta x - x^2) for 0 <=
+omega <= beta, where beta = B / den is the bound.  As beta is totally
+positive, sigma(x)(sigma(beta) - sigma(x)) >= 0 holds exactly when 0 <=
+sigma(x) <= sigma(beta), so the interval mode needs one test, not two.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import ceil, floor
+from operator import itemgetter, mul
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -265,31 +272,68 @@ def solution_box(query: DominanceQuery,
     return _query_box(query, ceiling)[0]
 
 
+_ACCEPT = (Dominance.GT, Dominance.EQ, Dominance.GE_TIED)
+
+
+def _exact_check(query: DominanceQuery) -> Callable[[Tuple[int, ...]], bool]:
+    """The exact test of a candidate x: one `FieldContext.compare` against
+    zero of the integer coordinates v of den * (beta - x^2) or den * (beta x
+    - x^2) (module docstring).
+
+    v is a quadratic form in y = (1, x_0, ..., x_(d-1)), with one column of
+    coefficients per monomial y_a y_b, a <= b: B or the integer matrix of B
+    for the constant or linear part, and -den times the multiplication
+    table, doubled off the diagonal, for x^2.
+    """
+    ctx, bound = query.field, query.bound
+    d, den = ctx.degree, bound.den
+    if query.mode is QueryMode.SQUARE_DOMINATED:
+        columns = {(0, 0): bound.coords}
+    else:
+        m = bound.mult_matrix_scaled()
+        columns = {(0, j + 1): [row[j] for row in m] for j in range(d)}
+    for i in range(d):
+        for j in range(i, d):
+            w = den if i == j else 2 * den
+            columns[i + 1, j + 1] = [-w * t for t in ctx.mult_table[i][j]]
+    # all-zero columns are dropped; at least two stay (beta != 0, and
+    # x^2 != 0 for some x), so each itemgetter returns a tuple
+    pairs = [p for p, col in columns.items() if any(col)]
+    rows = [[columns[p][k] for p in pairs] for k in range(d)]
+    left = itemgetter(*(a for a, _ in pairs))
+    right = itemgetter(*(b for _, b in pairs))
+    zero = ctx.zero
+
+    def accepts(x: Tuple[int, ...]) -> bool:
+        y = (1,) + x
+        monomials = tuple(map(mul, left(y), right(y)))
+        v = [sum(map(mul, monomials, row)) for row in rows]
+        return ctx.compare(Element._new(ctx, v, 1), zero) in _ACCEPT
+
+    return accepts
+
+
 def enumerate_dominated(query: DominanceQuery,
                         ceiling: int = DEFAULT_CEILING) -> List[Element]:
     """All integral omega with omega^2 <= bound (or 0 <= omega <= bound).
 
-    Output is sorted lexicographically by coordinates; completeness is
-    guaranteed by the enclosing box, and every returned element passes the
-    exact dominance test.  Raises BoxTooLarge when the estimated or the
-    visited number of candidates exceeds the ceiling.
+    Completeness is guaranteed by the enclosing box; each candidate of the
+    pruned box iteration takes the one exact test of `_exact_check`, and
+    only accepted points become elements.  Output is sorted
+    lexicographically by coordinates.  Raises BoxTooLarge when the
+    estimated or the visited number of candidates exceeds the ceiling.
     """
     ctx = query.field
     box, emb = _query_box(query, ceiling)
-    bound = query.bound
+    accepts = _exact_check(query)
     out = []
     for visited, coords in enumerate(_iter_box(emb, box), 1):
         if visited > ceiling:
             raise BoxTooLarge(visited, ceiling, "visited {} candidates")
-        w = Element(ctx, coords)
-        if query.mode is QueryMode.SQUARE_DOMINATED:
-            ok = (bound - w * w).is_totally_nonnegative()
-        else:
-            ok = w.is_totally_nonnegative() and (bound - w).is_totally_nonnegative()
-        if ok:
-            out.append(w)
-    out.sort(key=Element.key)
-    return out
+        if accepts(coords):
+            out.append(coords)
+    out.sort()
+    return [Element._new(ctx, coords, 1) for coords in out]
 
 
 def dominated_elements(ctx: FieldContext, bound: Element,
@@ -431,15 +475,16 @@ def elements_of_norm(ctx: FieldContext, n: int, house_bound: Fraction,
                      ceiling: int = DEFAULT_CEILING) -> List[Element]:
     """All integral elements with |norm| = n and house <= house_bound."""
     bound = ctx.from_rational(Fraction(house_bound) ** 2)
-    # each endpoint S -+ R is in units of 2^-(INT_BITS + 1), a product of d
-    # of them in units of 2^-((INT_BITS + 1) * d)
+    # each fixed-point bound is in units of 2^-(INT_BITS + 1), a product of
+    # d of them in units of 2^-((INT_BITS + 1) * d)
     target = n << (ctx.INT_BITS + 1) * ctx.degree
     out = []
     for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED, ceiling):
         # fixed-point enclosure of the norm rules out most candidates
         plo = phi = 1
-        for s, r in ctx.fixed_point_enclosures(w):
-            ps = (plo * (s - r), plo * (s + r), phi * (s - r), phi * (s + r))
+        for lo, hi in zip(ctx.fixed_point_bounds(w, upper=False),
+                          ctx.fixed_point_bounds(w, upper=True)):
+            ps = (plo * lo, plo * hi, phi * lo, phi * hi)
             plo, phi = min(ps), max(ps)
         if not (plo <= target <= phi or plo <= -target <= phi):
             continue

@@ -343,7 +343,7 @@ class FieldContext:
         self.pow_to_basis = pow_to_basis
         self._roots = list(roots)
         self._emb_cache: Optional[List[List[Interval]]] = None
-        self._int_cache: Optional[Tuple[list, list]] = None     # (mids, rads)
+        self._int_cache: Optional[Tuple[list, list]] = None     # _int_rows
         # basis coordinates of the power t^k are row k of pow_to_basis
         self.one_coords_q = list(pow_to_basis[0])
         self.one = self.from_rational_coords(self.one_coords_q)
@@ -426,38 +426,43 @@ class FieldContext:
 
     INT_BITS = 24
 
-    def _int_midrad(self) -> Tuple[List[List[int]], List[List[int]]]:
-        """Outward fixed-point enclosures [lo, hi] of the basis embeddings, in
-        units of 2^-INT_BITS, kept as midpoint-radius rows: mids[i][j] =
-        lo + hi and rads[i][j] = hi - lo for sigma_i(basis_j)."""
-        if self._int_cache is not None:
-            return self._int_cache
-        self.refine_roots(Fraction(1, 1 << (self.INT_BITS + 8)))
-        self._int_cache = fixed_point_midrad(self.basis_embeddings(),
-                                             self.INT_BITS)
+    def _int_rows(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """Rows (M_i, -D_i) and (M_i, D_i) per embedding i, from the outward
+        fixed-point enclosures of the basis embeddings in midpoint-radius
+        form (`fixed_point_midrad`, units of 2^-(INT_BITS+1), built at root
+        width 2^-(INT_BITS + 8)): sigma_i(basis_j) lies in [M_ij - D_ij,
+        M_ij + D_ij]."""
+        if self._int_cache is None:
+            self.refine_roots(Fraction(1, 1 << (self.INT_BITS + 8)))
+            mids, rads = fixed_point_midrad(self.basis_embeddings(),
+                                            self.INT_BITS)
+            self._int_cache = (
+                [m + [-r for r in rr] for m, rr in zip(mids, rads)],
+                [m + rr for m, rr in zip(mids, rads)])
         return self._int_cache
 
-    def fixed_point_enclosures(self, a: Element) -> List[Tuple[int, int]]:
-        """Pairs (S, R) with sigma_i(den * a) in [S - R, S + R] / 2^(INT_BITS+1),
-        one per embedding.  Sound but coarse; used by fast pre-filters.
-
-        S - R and S + R are exactly twice the endpoint sums of the [lo, hi]
-        enclosures, so lo > 0 iff S > R and hi < 0 iff S < -R.
-        """
-        mids, rads = self._int_midrad()
+    def fixed_point_bounds(self, a: Element, upper: bool) -> List[int]:
+        """Outward bounds S_i - R_i on sigma_i(den * a), or S_i + R_i when
+        upper, one per embedding, in units of 2^-(INT_BITS+1); S_i = M_i . x
+        and R_i = D_i . |x| for the coordinates x, so each bound is one dot
+        product of (x, |x|) with an `_int_rows` row.  Sound but coarse; used
+        by fast pre-filters."""
         x = a.coords
-        mags = [abs(c) for c in x]
-        return [(sum(map(mul, x, m)), sum(map(mul, mags, r)))
-                for m, r in zip(mids, rads)]
+        xm = x + tuple(map(abs, x))
+        return [sum(map(mul, xm, row)) for row in self._int_rows()[upper]]
 
     def _fast_signs(self, a: Element) -> Optional[Tuple[int, ...]]:
-        """Signs of all embeddings from the fixed-point enclosures, or None
-        when some enclosure straddles zero."""
+        """Signs of all embeddings from the fixed-point bounds, or None when
+        some enclosure holds zero.  The upper bounds are formed only when
+        some lower bound is not positive."""
+        lows = self.fixed_point_bounds(a, upper=False)
+        if min(lows) > 0:
+            return (1,) * self.degree
         signs = []
-        for s, r in self.fixed_point_enclosures(a):
-            if s > r:
+        for lo, hi in zip(lows, self.fixed_point_bounds(a, upper=True)):
+            if lo > 0:
                 signs.append(1)
-            elif s < -r:
+            elif hi < 0:
                 signs.append(-1)
             else:
                 return None
@@ -485,14 +490,14 @@ class FieldContext:
 
     def compare(self, a: Element, b: Element) -> Dominance:
         c = a - b if any(b.coords) else a
-        if c.is_zero:
+        if not any(c.coords):
             return Dominance.EQ
         # fixed-point pre-filter (sound: falls through when indecisive)
         signs = self._fast_signs(c)
         if signs is not None:
-            if all(s > 0 for s in signs):
+            if -1 not in signs:
                 return Dominance.GT
-            if all(s < 0 for s in signs):
+            if 1 not in signs:
                 return Dominance.LT
             return Dominance.INCOMPARABLE
         # exact: sign pattern of the characteristic polynomial of mult-by-c

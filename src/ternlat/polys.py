@@ -9,7 +9,7 @@ Evaluation (`eval_at`, `eval_interval`), root isolation and bisection
 coefficients are put over their least common denominator, the point or both
 interval endpoints over one denominator, and a `Fraction` is built only for
 the result, which is exactly what `Fraction` arithmetic gives.  Only
-`divmod_poly` (Sturm remainders, gcds, reduction modulo a polynomial) works
+`divmod_poly` (Sturm remainders, reduction modulo a polynomial) works
 over `Fraction`s.
 
 `MPoly` is the one sparse multivariate polynomial type, over any
@@ -125,9 +125,10 @@ def eval_interval(p: Sequence[Coeff], iv: Interval) -> Interval:
 
     With the endpoints at a/b and e/b, the accumulator is kept as integer
     endpoints over den * b^step; each step takes the min and max of the
-    four endpoint products, as `Interval.__mul__` does.
+    four endpoint products, as `Interval.__mul__` does.  Zero high-order
+    coefficients are trimmed first: each would scale every endpoint by b.
     """
-    nums, den = clear_denominators(p)
+    nums, den = clear_denominators(trim(p))
     a, e, b = _over_common_den(iv.lo, iv.hi)
     lo = hi = 0
     bpow = 1
@@ -156,22 +157,6 @@ def divmod_poly(a: Sequence[Coeff], b: Sequence[Coeff]):
             r[i + k] -= c * b[i]
         r = trim(r)
     return trim(q), r
-
-
-def monic(p: Sequence[Coeff]) -> Poly:
-    p = trim(p)
-    if not p:
-        return []
-    lc = Fraction(p[-1])
-    return [Fraction(c) / lc for c in p]
-
-
-def gcd_poly(a: Sequence[Coeff], b: Sequence[Coeff]) -> Poly:
-    a, b = trim(a), trim(b)
-    while b:
-        _, r = divmod_poly(a, b)
-        a, b = b, r
-    return monic(a)
 
 
 def content_int(p: Sequence[int]) -> int:

@@ -186,6 +186,7 @@ def _column_search(g1: GramMatrix, target: GramMatrix, require_unit_det: bool,
     k = target.n
     columns: List[List[Vector]] = []
     for j in range(k):
+        # cap=ceiling never cuts: a candidate volume above ceiling raises
         reps = enumerate_representations(g1.entries, target.entries[j][j],
                                          cap=ceiling, ceiling=ceiling)
         if not reps:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ternlat import polys
 from ternlat.fieldscan import ingest_fields, load_field_file
 
 FIELDS = Path(__file__).resolve().parent.parent / "fields"
@@ -73,3 +74,17 @@ def ellipsoid_radii(q, t):
     |x_j| <= r_j, for Q positive definite."""
     inv = fraction_inverse(q)
     return [isqrt(int(t * inv[j][j])) for j in range(len(q))]
+
+
+# ---------------------------------------------------------------------------
+# polynomial gcd over Q, a reference for squarefreeness and common roots
+
+def gcd_poly(a, b):
+    """A gcd of two polynomials over Q (ascending coefficients), up to a
+    nonzero rational factor, by Euclid's algorithm on `Fraction`
+    remainders; [] when both are zero."""
+    a, b = polys.trim(a), polys.trim(b)
+    while b:
+        _, r = polys.divmod_poly(a, b)
+        a, b = b, r
+    return a

@@ -10,6 +10,11 @@ midpoint-radius form; every decisive verdict must equal the exact one from
 the characteristic polynomial, and every decisive sign the refined one.
 `Element.signature` starts from those enclosures and `Element.trace` from
 the traces of the basis; both are checked against the paths they replaced.
+
+`enumeration._exact_check` decides a candidate by one comparison of an
+integer quadratic residual; the reference is the element path it replaced,
+beta - w^2 >= 0 or w >= 0 and beta - w >= 0.  Each candidate takes exactly
+one `FieldContext.compare` call.
 """
 
 import random
@@ -18,14 +23,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ternlat import linalg, polys
+from conftest import gcd_poly
+from ternlat import enumeration, linalg, polys
 from ternlat.cyclotomic import cyclo_info
-from ternlat.enumeration import (EnumerationBox, QueryMode, _build_box,
-                                 _fixed_point, _interval_targets, _iter_box,
+from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
+                                 _build_box, _exact_check, _fixed_point,
+                                 _interval_targets, _iter_box, _query_box,
                                  _square_targets, dominated_elements)
-from ternlat.intervals import Interval
-from ternlat.numberfield import (Dominance, FieldRecord, load_field,
-                                 sqrt2_context)
+from ternlat.intervals import Interval, fixed_point_midrad
+from ternlat.numberfield import (Dominance, FieldContext, FieldRecord,
+                                 load_field, sqrt2_context)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +184,10 @@ def test_iter_box_on_a_degree_5_box():
 # compare: fixed-point fast path against the characteristic polynomial
 
 def ref_fast_signs(ctx, a):
-    """The endpoint form of the fast path: lo and hi sums per embedding."""
-    mids, rads = ctx._int_midrad()
+    """The endpoint form of the fast path: lo and hi sums per embedding,
+    from the fixed-point enclosures of the basis embeddings."""
+    ctx._int_rows()       # refines the roots to the width of the fast path
+    mids, rads = fixed_point_midrad(ctx.basis_embeddings(), ctx.INT_BITS)
     signs = []
     for m, r in zip(mids, rads):
         lo = hi = 0
@@ -259,7 +268,7 @@ def ref_signature(a):
         if attempt == 1:
             pw = linalg.mat_vec(linalg.transpose(ctx.basis_pow),
                                 [F(c, a.den) for c in a.coords])
-            if polys.degree(polys.gcd_poly(pw, ctx.poly)) > 0:
+            if polys.degree(gcd_poly(pw, ctx.poly)) > 0:
                 raise ValueError("element has an exactly-zero embedding")
         width /= 16
     raise ValueError("embedding signs did not stabilize")
@@ -300,14 +309,15 @@ def test_signature_and_trace_agree_with_references(table):
 
 
 def test_fast_path_is_indecisive_on_an_enclosure_touching_zero():
-    # hand-made enclosures in midpoint-radius form: sigma_i(1) in [0, 2]
-    # touches zero and must fall back; in [1/2, 3/2] it is decisive
+    # hand-made enclosures in midpoint-radius form, as rows (M, -D) and
+    # (M, D): sigma_i(1) in [0, 2] touches zero and must fall back; in
+    # [1/2, 3/2] it is decisive
     ctx = sqrt2_context()
-    ctx._int_midrad()
-    ctx._int_cache = ([[2, 0], [2, 0]], [[2, 0], [2, 0]])
+    ctx._int_rows()
+    ctx._int_cache = ([[2, 0, -2, 0]] * 2, [[2, 0, 2, 0]] * 2)
     assert ctx._fast_signs(ctx.one) is None
     assert ctx._fast_signs(-ctx.one) is None
-    ctx._int_cache = ([[2, 0], [2, 0]], [[1, 0], [1, 0]])
+    ctx._int_cache = ([[2, 0, -1, 0]] * 2, [[2, 0, 1, 0]] * 2)
     assert ctx._fast_signs(ctx.one) == (1, 1)
     assert ctx._fast_signs(-ctx.one) == (-1, -1)
 
@@ -334,3 +344,115 @@ def test_fast_path_falls_back_on_ties_in_a_product_ring():
         for signature in (tie.signature, lambda: ref_signature(tie)):
             with pytest.raises(ValueError, match="exactly-zero"):
                 signature()
+
+
+# ---------------------------------------------------------------------------
+# the exact check of a candidate against the element path it replaced
+
+def ref_accepts(bound, mode, x):
+    w = bound.ctx.element(x)
+    if mode is QueryMode.SQUARE_DOMINATED:
+        return (bound - w * w).is_totally_nonnegative()
+    return w.is_totally_nonnegative() and (bound - w).is_totally_nonnegative()
+
+
+def _bounds(ctx, rng):
+    """Bounds 0 << beta << cap: two integral ones, and two gamma * adj / det
+    of a 2x2 Gram matrix [[a, 1], [1, b]], which have a denominator > 1.
+    Above degree 4 (F_32, a power basis whose boxes grow fast) the cap is
+    6 instead of 40 and only the first four coordinates are perturbed."""
+    d = ctx.degree
+    cap = 40 if d <= 4 else 6
+
+    def near(n):
+        return ctx.from_rational(n) + ctx.element(
+            [rng.randint(-1, 1) if k < 4 else 0 for k in range(d)])
+
+    def fraction_bound():
+        a, b = near(3), near(4)
+        gram = [[a, ctx.one], [ctx.one, b]]
+        adj = linalg.ring_adjugate(gram)
+        return (ctx.from_rational(rng.randint(cap // 2, cap)) * adj[0][0]
+                / linalg.ring_det(gram))
+
+    out = []
+    for make in (lambda: near(cap // 3), lambda: near(2 * cap // 3),
+                 fraction_bound, fraction_bound):
+        for _ in range(20):
+            beta = make()
+            if beta.is_totally_positive() and \
+                    (ctx.from_rational(cap) - beta).is_totally_positive():
+                out.append(beta)
+                break
+    return out
+
+
+def _candidates(query, rng):
+    """Points of the pruned box (at the boundary of the solution set or
+    inside it), each moved by one step in one coordinate, random points of
+    the coordinate box, 0, beta when it is integral, and all their
+    negatives."""
+    ctx, bound = query.field, query.bound
+    d = ctx.degree
+    box, emb = _query_box(query, 10 ** 6)
+    points = list(_iter_box(emb, box))
+    xs = rng.sample(points, min(len(points), 40))
+    xs += [tuple(c + (k == j) * step for k, c in enumerate(x))
+           for x in list(xs) for j, step in [(rng.randrange(d),
+                                              rng.choice((-1, 1)))]]
+    xs += [tuple(rng.randint(lo, hi) for lo, hi in zip(box.lows, box.highs))
+           for _ in range(10)]
+    xs.append((0,) * d)
+    if bound.den == 1:
+        xs.append(bound.coords)
+    return xs + [tuple(-c for c in x) for x in xs]
+
+
+@pytest.mark.parametrize("mode", list(QueryMode))
+def test_exact_check_equals_the_element_path(table, mode):
+    rng = random.Random(22)
+    assert len(table.records) == 19
+    ctxs = [table.context(rec.label) for rec in table.records]
+    ctxs += [cyclo_info(16).field, cyclo_info(32).field]
+    seen = {True: 0, False: 0, "fraction bounds": 0}
+    for ctx in ctxs:
+        for bound in _bounds(ctx, rng):
+            seen["fraction bounds"] += bound.den > 1
+            query = DominanceQuery(ctx, bound, mode)
+            accepts = _exact_check(query)
+            for x in _candidates(query, rng):
+                verdict = accepts(x)
+                assert verdict == ref_accepts(bound, mode, x), (ctx, bound, x)
+                seen[verdict] += 1
+    assert seen[True] > 2000 and seen[False] > 2000, seen
+    assert seen["fraction bounds"] >= 40, seen
+
+
+@pytest.mark.parametrize("label, mode, bound, points", [
+    ("K51200", QueryMode.SQUARE_DOMINATED, 400, 11305),      # the anchor
+    ("K51200", QueryMode.INTERVAL, 30, None),
+    ("K2624", QueryMode.INTERVAL, 9, None),
+])
+def test_one_exact_check_per_candidate(table, monkeypatch, label, mode,
+                                       bound, points):
+    counts = {"points": 0, "compare": 0}
+    iter_box, compare = enumeration._iter_box, FieldContext.compare
+
+    def counted_iter_box(emb, box):
+        for x in iter_box(emb, box):
+            counts["points"] += 1
+            yield x
+
+    def counted_compare(self, a, b):
+        counts["compare"] += 1
+        return compare(self, a, b)
+
+    monkeypatch.setattr(enumeration, "_iter_box", counted_iter_box)
+    monkeypatch.setattr(FieldContext, "compare", counted_compare)
+    ctx = table.context(label)
+    sols = dominated_elements(ctx, ctx.from_rational(bound), mode)
+    # one more call: the query checks that its bound is totally positive
+    assert counts["compare"] == counts["points"] + 1
+    assert 0 < len(sols) <= counts["points"]
+    if points is not None:
+        assert counts["points"] == points

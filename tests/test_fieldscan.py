@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import gcd_poly
 from ternlat.errors import ParseError, ValidationError
 from ternlat.fieldscan import (exceptional_sets, ingest_fields,
                                load_field_file, parse_record,
@@ -185,7 +186,7 @@ def test_exceptional_witness_disc_bound(table):
             for coords in v[f"witnesses_{key}"]:
                 w = ctx.element(coords)
                 charpoly = linalg.charpoly(w.mult_matrix_scaled())
-                if polys.degree(polys.gcd_poly(charpoly,
+                if polys.degree(gcd_poly(charpoly,
                                                polys.diff(charpoly))) == 0:
                     house = float(w.house().hi)
                     bound = (2 ** 12 / 5 ** 5) * house ** 12

@@ -16,6 +16,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import gcd_poly
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.intervals import Interval
@@ -70,7 +71,7 @@ def ref_isolate_real_roots(p):
     p = polys.trim(p)
     if polys.degree(p) < 1:
         return []
-    if polys.degree(polys.gcd_poly(p, polys.diff(p))) > 0:
+    if polys.degree(gcd_poly(p, polys.diff(p))) > 0:
         raise ValueError("root isolation requires a squarefree polynomial")
     chain = polys.sturm_chain(p)
 
@@ -198,6 +199,16 @@ def test_eval_interval_equals_fraction_horner(p, iv):
     assert isinstance(got.lo, F) and isinstance(got.hi, F)
 
 
+@settings(max_examples=150, deadline=None)
+@given(polys_q, intervals(), st.integers(1, 6))
+@example([F(1, 2), F(1, 3)], Interval(F(-3, 4), F(5, 6)), 2)
+@example([], Interval(F(1, 3), F(1, 2)), 3)
+def test_eval_interval_ignores_zero_high_order_coefficients(p, iv, k):
+    # basis rows are padded with zeros to the field degree
+    assert polys.eval_interval(list(p) + [0] * k, iv) == \
+        polys.eval_interval(p, iv)
+
+
 def test_eval_interval_is_exact_at_a_point():
     p = [F(1, 2), F(-2, 3), 0, 5]
     x = F(-7, 9)
@@ -269,7 +280,7 @@ def test_refine_root_point_interval_is_returned():
 # root isolation
 
 def squarefree(p):
-    return polys.degree(polys.gcd_poly(p, polys.diff(p))) == 0
+    return polys.degree(gcd_poly(p, polys.diff(p))) == 0
 
 
 @contextmanager

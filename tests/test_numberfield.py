@@ -301,7 +301,7 @@ def test_refine_roots_invalidates_embedding_caches(table):
     # the fixed-point table is built at width 2^-(INT_BITS + 8); for K7168
     # two of its radii still shrink by 2^-64
     ctx = load_field(rec)
-    stale = ctx._int_midrad()
-    assert stale != ref._int_midrad()
+    stale = ctx._int_rows()
+    assert stale != ref._int_rows()
     ctx.refine_roots(fine)
-    assert ctx._int_midrad() == ref._int_midrad()
+    assert ctx._int_rows() == ref._int_rows()
