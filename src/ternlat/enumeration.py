@@ -5,9 +5,12 @@ coordinates.  The box comes from enclosing the inverse of the basis
 embedding matrix by a verified midpoint-radius inverse (an approximate
 inverse whose error bound is checked in exact integers,
 `linalg.interval_inverse`) and applying it to the per-embedding constraint
-region, so it provably contains all solutions.  Precision is increased
-until the box volume stabilizes, and a configurable ceiling turns runaway
-searches into errors instead of long runs.
+region, so it provably contains all solutions.  That product runs on
+integers: each row of the inverse and the region are put over one common
+denominator, the interval products and sums are taken on the numerators,
+and the box bounds are their exact ceiling and floor.  Precision is
+increased until the box volume stabilizes, and a configurable ceiling
+turns runaway searches into errors instead of long runs.
 
 Each candidate x of the pruned box then takes one exact comparison against
 zero, of an integer residual from a quadratic map built once per query:
@@ -22,14 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, prod
 from operator import itemgetter, mul
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
                      PrecisionExhausted)
-from .intervals import Interval, sqrt_upper
+from .intervals import Interval, endpoint_numerators, sqrt_upper
 from .numberfield import Dominance, Element, FieldContext
 
 DEFAULT_CEILING = 10 ** 8
@@ -84,22 +87,46 @@ def _candidate_estimate(emb: List[List[Interval]], box: EnumerationBox) -> int:
     The pruned iteration visits on this order of candidates, which is far
     below the raw coordinate-box volume for skewed bases.
     """
-    d = len(box.lows)
-    region = Fraction(1)
-    for lo, hi in box.targets:
-        region *= hi - lo
-    mid = [[e.mid for e in row] for row in emb]
-    det = abs(linalg.det(mid))
+    rows = [endpoint_numerators(row) for row in emb]
+    # row i of the midpoint matrix is (lows + highs) / (2 den_i), so its
+    # determinant is that of the integer matrix over the product of 2 den_i
+    det = abs(linalg.det([[lo + hi for lo, hi in zip(lows, highs)]
+                          for lows, highs, _ in rows]))
     if det == 0:
         return box.volume
-    return min(box.volume, ceil(region / det) + 1)
+    region = prod((hi - lo for lo, hi in box.targets), start=Fraction(1))
+    scale = prod(2 * den for _, _, den in rows)
+    return min(box.volume, ceil(region * scale / det) + 1)
+
+
+def _box_bounds(inv: List[List[Interval]], targets: List[Interval]
+                ) -> Tuple[List[int], List[int]]:
+    """Per coordinate j, the ceiling of the lower and the floor of the
+    upper end of the interval sum over i of inv[j][i] * targets[i], each
+    product the hull of its four endpoint products.
+
+    The sums are taken exactly on integer numerators over den_j * tden,
+    with row j of inv over den_j and the targets over tden.
+    """
+    tlo, thi, tden = endpoint_numerators(targets)
+    lows, highs = [], []
+    for row in inv:
+        alo, ahi, den = endpoint_numerators(row)
+        lo = hi = 0
+        for a, b, c, e in zip(alo, ahi, tlo, thi):
+            ps = (a * c, a * e, b * c, b * e)
+            lo += min(ps)
+            hi += max(ps)
+        den *= tden
+        lows.append(-(-lo // den))
+        highs.append(hi // den)
+    return lows, highs
 
 
 def _build_box(ctx: FieldContext,
                make_targets: Callable[[], List[Interval]],
                ceiling: int) -> Tuple[EnumerationBox, List[List[Interval]]]:
     """Shrink the certified box until its volume stabilizes within 1%."""
-    d = ctx.degree
     prev: Optional[Tuple[EnumerationBox, List[List[Interval]]]] = None
     prev_vol = None
     for k in range(80):
@@ -110,13 +137,7 @@ def _build_box(ctx: FieldContext,
         if inv is None:
             continue
         targets = make_targets()
-        lows, highs = [], []
-        for j in range(d):
-            acc = Interval.point(0)
-            for i in range(d):
-                acc = acc + inv[j][i] * targets[i]
-            lows.append(ceil(acc.lo))
-            highs.append(floor(acc.hi))
+        lows, highs = _box_bounds(inv, targets)
         box = EnumerationBox(tuple(lows), tuple(highs), width,
                              tuple((t.lo, t.hi) for t in targets))
         vol = box.volume
@@ -597,12 +618,24 @@ def sum_of_squares_test(gamma: Element, n: int,
 
 def sqrt2_span_witnesses(ctx: FieldContext, bound: Element,
                          ceiling: int = DEFAULT_CEILING) -> List[Element]:
-    """Solutions of omega^2 <= bound lying outside the span of {1, sqrt2}."""
+    """Solutions of omega^2 <= bound lying outside the span of {1, sqrt2}.
+
+    1 and sqrt2 are independent, so some 2x2 minor m = u_p s_q - u_q s_p of
+    their coordinates u, s is nonzero; w lies in their span exactly when
+    m w = a u + b s with a = w_p s_q - w_q s_p and b = u_p w_q - u_q w_p
+    (Cramer's rule on rows p and q), one integer test per solution.
+    """
     if ctx.sqrt2 is None:
         raise ValueError("field has no sqrt2 tag")
-    gens = [ctx.one, ctx.sqrt2]
+    u, s = ctx.one.coords, ctx.sqrt2.coords
+    d = ctx.degree
+    m, p, q = next((u[p] * s[q] - u[q] * s[p], p, q) for p in range(d)
+                   for q in range(p + 1, d) if u[p] * s[q] != u[q] * s[p])
     out = []
     for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED, ceiling):
-        if ctx.rational_span_coords(w, gens) is None:
+        x = w.coords
+        a = x[p] * s[q] - x[q] * s[p]
+        b = u[p] * x[q] - u[q] * x[p]
+        if any(m * xk != a * uk + b * sk for xk, uk, sk in zip(x, u, s)):
             out.append(w)
     return out

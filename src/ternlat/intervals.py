@@ -1,15 +1,18 @@
-"""Rational interval arithmetic.
+"""Rational intervals and their integer forms.
 
-Endpoints are exact `Fraction`s, so no outward rounding is ever needed for
-ring operations; only square roots and the fixed-point midpoint-radius
-form introduce rounding, which is done outward by construction.
+Endpoints are exact `Fraction`s.  The package does no arithmetic on
+`Interval` objects: its kernels put a row of intervals over one common
+denominator (`endpoint_numerators`) or round it outward to fixed point
+(`fixed_point_midrad`), work on the integers and build `Fraction`s only
+for their results.  Only square roots and the fixed-point form introduce
+rounding, which is done outward by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -37,28 +40,11 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        ps = (self.lo * other.lo, self.lo * other.hi,
-              self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(ps), max(ps))
-
-    def scale(self, c: Rat) -> "Interval":
-        c = Fraction(c)
-        if c >= 0:
-            return Interval(self.lo * c, self.hi * c)
-        return Interval(self.hi * c, self.lo * c)
-
     def abs(self) -> "Interval":
         if self.lo >= 0:
             return self
         if self.hi <= 0:
-            return -self
+            return Interval(-self.hi, -self.lo)
         return Interval(Fraction(0), max(-self.lo, self.hi))
 
     def contains_zero(self) -> bool:
@@ -66,6 +52,16 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+def endpoint_numerators(ivs: Sequence[Interval]
+                        ) -> Tuple[List[int], List[int], int]:
+    """(lows, highs, den): ivs[k] = [lows[k], highs[k]] / den with integers
+    lows, highs and den the least positive common denominator of all the
+    endpoints."""
+    den = lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
+    return ([iv.lo.numerator * (den // iv.lo.denominator) for iv in ivs],
+            [iv.hi.numerator * (den // iv.hi.denominator) for iv in ivs], den)
 
 
 def fixed_point_midrad(rows: Sequence[Sequence[Interval]], bits: int

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import linalg, polys
 from .errors import (BadBasis, DivisionByZero, FieldDataError, NoSuchUnit,
                      NotARing, NotTotallyReal)
-from .intervals import Interval, fixed_point_midrad
+from .intervals import Interval, endpoint_numerators, fixed_point_midrad
 
 Rat = Union[int, Fraction]
 
@@ -343,6 +343,7 @@ class FieldContext:
         self.pow_to_basis = pow_to_basis
         self._roots = list(roots)
         self._emb_cache: Optional[List[List[Interval]]] = None
+        self._emb_nums: Optional[list] = None               # embeddings
         self._int_cache: Optional[Tuple[list, list]] = None     # _int_rows
         # basis coordinates of the power t^k are row k of pow_to_basis
         self.one_coords_q = list(pow_to_basis[0])
@@ -411,8 +412,9 @@ class FieldContext:
                 self._roots[i] = polys.refine_root(self.poly, iv, max_width)
                 changed = True
         if changed:
-            # both embedding caches were computed from the wider roots
+            # the embedding caches were computed from the wider roots
             self._emb_cache = None
+            self._emb_nums = None
             self._int_cache = None
 
     def basis_embeddings(self) -> List[List[Interval]]:
@@ -469,19 +471,38 @@ class FieldContext:
         return tuple(signs)
 
     def embeddings(self, a: Element, max_width: Rat = Fraction(1, 64)) -> List[Interval]:
+        """Enclosures of sigma_i(a), each at most max_width wide, refining
+        the roots as needed.
+
+        Row i of `basis_embeddings` is held as integer numerators over one
+        denominator (`endpoint_numerators`), sigma_i(basis_j) in [lows[j],
+        highs[j]] / den, next to the matrix and cleared with it.  The
+        interval sum of c_j times sigma_i(basis_j) is taken on those
+        numerators over den * a.den, and built as `Fraction`s once narrow
+        enough.
+        """
         max_width = Fraction(max_width)
+        wn, wd = max_width.numerator, max_width.denominator
         width = min((iv.width for iv in self._roots), default=Fraction(0))
+        x = a.coords
         for _ in range(256):
             emb = self.basis_embeddings()
+            if self._emb_nums is None:
+                self._emb_nums = [endpoint_numerators(row) for row in emb]
             out = []
-            for i in range(self.degree):
-                acc = Interval.point(0)
-                for j, c in enumerate(a.coords):
-                    if c:
-                        acc = acc + emb[i][j].scale(Fraction(c, a.den))
-                out.append(acc)
-            if all(iv.width <= max_width for iv in out):
-                return out
+            for lows, highs, den in self._emb_nums:
+                lo = hi = 0
+                for c, el, eh in zip(x, lows, highs):
+                    if c > 0:
+                        lo += c * el
+                        hi += c * eh
+                    elif c < 0:
+                        lo += c * eh
+                        hi += c * el
+                out.append((lo, hi, den * a.den))
+            if all((hi - lo) * wd <= wn * den for lo, hi, den in out):
+                return [Interval(Fraction(lo, den), Fraction(hi, den))
+                        for lo, hi, den in out]
             width = max(width / 4, Fraction(1, 1 << 300))
             self.refine_roots(width)
         raise RuntimeError("embedding refinement did not converge")
@@ -657,6 +678,18 @@ def mult_matrix(table, coords: Sequence[int]) -> List[List[int]]:
     return m
 
 
+def _power_residues(poly: Sequence[int], d: int) -> List[List[int]]:
+    """Integer coordinates of x^m mod poly over 1, x, ..., x^(d-1), for
+    m < 2d - 1 (poly monic of degree d)."""
+    xpow = [[int(t == m) for t in range(d)] for m in range(d)]
+    cur = xpow[-1] if d else []
+    for _ in range(d, 2 * d - 1):
+        lead = cur[-1]
+        cur = [(cur[t - 1] if t else 0) - lead * poly[t] for t in range(d)]
+        xpow.append(cur)
+    return xpow
+
+
 def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],
                      inv: Sequence[Sequence[Fraction]]) -> tuple:
     """Integer structure constants of a basis of an order in Q[x]/(poly):
@@ -664,44 +697,43 @@ def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],
 
     basis rows are power-basis coordinates and inv is the inverse of the
     basis matrix.  Raises NotARing when a product leaves the Z-span.
+
+    Everything runs on integers.  With r_m the integer coordinates of x^m
+    mod poly, a power basis reads b_i b_j = x^(i+j) off r_(i+j).  Otherwise
+    row i is n_i / e_i and inv is N / g with integers; row m of W = r N
+    holds g times the basis coordinates of x^m, so the product of the
+    numerator polynomials, n_i n_j = sum_m c_m x^m, gives the coordinates
+    of b_i b_j as sum_m c_m W[m] / (g e_i e_j), which must be integers.
     """
     d = len(basis)
     table = [[None] * d for _ in range(d)]
+    xpow = _power_residues(poly, d)
     is_power_basis = all(basis[i][j] == (1 if i == j else 0)
                          for i in range(d) for j in range(d))
     if is_power_basis:
-        # x^m mod poly with integer arithmetic
-        xpow = [[0] * d for _ in range(2 * d - 1)]
-        for m in range(d):
-            xpow[m][m] = 1
-        cur = [0] * d
-        if d > 0:
-            cur[d - 1] = 1
-        for m in range(d, 2 * d - 1):
-            shifted = [0] + cur[:-1]
-            lead = cur[-1]
-            cur = [shifted[t] - lead * poly[t] for t in range(d)]
-            # cur currently holds x^m mod poly
-            xpow[m] = cur[:]
         for i in range(d):
             for j in range(i, d):
-                entry = tuple(xpow[i + j])
-                table[i][j] = entry
-                table[j][i] = entry
-    else:
-        inv_t = linalg.transpose(inv)
-        for i in range(d):
-            for j in range(i, d):
-                prod_pow = polys.mul(basis[i], basis[j])
-                _, rem = polys.divmod_poly(prod_pow, poly)
-                rem = list(rem) + [Fraction(0)] * (d - len(rem))
-                coords = linalg.mat_vec(inv_t, rem[:d])
-                if any(c.denominator != 1 for c in coords):
+                table[i][j] = table[j][i] = tuple(xpow[i + j])
+        return tuple(tuple(row) for row in table)
+    rows = [polys.clear_denominators(row) for row in basis]
+    inv_nums, g = polys.clear_denominators([x for row in inv for x in row])
+    # column k of W: g times coordinate k of each x^m
+    w_cols = [[sum(map(mul, r, inv_nums[k::d])) for r in xpow]
+              for k in range(d)]
+    for i in range(d):
+        ni, ei = rows[i]
+        for j in range(i, d):
+            nj, ej = rows[j]
+            prod_pow = polys.mul(ni, nj)
+            den = g * ei * ej
+            entry = []
+            for col in w_cols:
+                c, r = divmod(sum(map(mul, prod_pow, col)), den)
+                if r:
                     raise NotARing(
                         f"product of basis elements {i},{j} is not in the span")
-                entry = tuple(int(c) for c in coords)
-                table[i][j] = entry
-                table[j][i] = entry
+                entry.append(c)
+            table[i][j] = table[j][i] = tuple(entry)
     return tuple(tuple(row) for row in table)
 
 

@@ -12,15 +12,14 @@ relation ring gamma * t^2 = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           enumerate_representations, is_indecomposable,
-                          sqrt_element, squarefree_witness)
-from .errors import InvalidInput, NoSuchUnit, UnclassifiedCase
+                          sqrt_element)
+from .errors import InvalidInput, UnclassifiedCase
 from .numberfield import (Element, FieldContext, sqrt2_context,
                           unit_square_canonical, unit_square_reduce)
 from .polys import MPoly
@@ -564,46 +563,3 @@ def indecomposables_classify(ctx: FieldContext, trace_bound: int,
             continue
         entries.append(classify_square_shape(w, ceiling))
     return IndecomposablesReport(ctx.record.label, trace_bound, tuple(entries))
-
-
-@dataclass(frozen=True)
-class TwoDecomposition:
-    found: bool
-    t: Optional[Element] = None
-    gamma: Optional[Element] = None
-    norm_exponent: Optional[int] = None       # |N(t)| = 2^j
-    descent_exponents: Optional[Tuple[Fraction, Fraction]] = None
-    note: str = ""
-
-
-def two_decomposition_search(ctx: FieldContext,
-                             ceiling: int = DEFAULT_CEILING) -> TwoDecomposition:
-    """Totally positive gamma, t with gamma t^2 = 2 and t not a unit, if any.
-
-    A square-divisor witness may exist whose signature is not realized by
-    units; in that case no totally positive decomposition exists and the
-    transcript says so.
-    """
-    if ctx.sqrt2 is not None:
-        raise ValueError("the field must not contain sqrt2")
-    two = ctx.from_rational(2)
-    w = squarefree_witness(two, ceiling=ceiling)
-    if w is None:
-        return TwoDecomposition(False, note="2 is squarefree")
-    t, gamma = w
-    try:
-        _, t_pos = ctx.totally_positive_associate(t)
-    except NoSuchUnit:
-        return TwoDecomposition(
-            False, note=f"2 = ({t})^2 * ({gamma}) but the signature of t is "
-            "not realized by units; no totally positive decomposition")
-    gamma_pos = two / (t_pos * t_pos)
-    if not gamma_pos.is_totally_positive():
-        return TwoDecomposition(False, note="cofactor is not totally positive")
-    n = abs(t_pos.norm())
-    j = n.numerator.bit_length() - 1
-    if n != 2 ** j:
-        return TwoDecomposition(False, note=f"|N(t)| = {n} is not a 2-power")
-    d = ctx.degree
-    return TwoDecomposition(True, t_pos, gamma_pos, j,
-                            (Fraction(j, 2), Fraction(d - j, 2)))

@@ -16,6 +16,7 @@ totally positive units from their signatures.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from . import linalg, polys
@@ -129,7 +130,8 @@ class Order:
 
     With B the basis matrix and H the Hankel matrix of power sums of the
     roots of p, H[i][j] = Tr(x^(i+j)), the trace form Tr(b_i b_j) is
-    B H B^T and the discriminant is its determinant.
+    B H B^T and the discriminant is its determinant.  The inverse of B and
+    the integer multiplication table are built once, on first use.
     """
 
     def __init__(self, p, basis):
@@ -144,19 +146,27 @@ class Order:
         assert disc.denominator == 1
         self.disc = int(disc)
 
+    @cached_property
+    def inverse(self):
+        """B^-1: row k holds the basis coordinates of x^k."""
+        return linalg.inverse(self.basis)
+
+    @cached_property
+    def mult_table(self) -> tuple:
+        return basis_mult_table(self.p, self.basis, self.inverse)
+
 
 def enlarge_at(order: Order, q: int) -> Order:
     """One round-2 step at q: multiplier ring of the q-radical."""
     d = order.d
-    inv = linalg.inverse(order.basis)
-    table = basis_mult_table(order.p, order.basis, inv)
+    table = order.mult_table
 
     e = 1
     while q ** e < d:
         e += 1
     target = q ** e
     # row 0 of the inverse basis matrix holds the coordinates of 1
-    one = [int(c) % q for c in inv[0]]
+    one = [int(c) % q for c in order.inverse[0]]
 
     def pow_mod(u, n):
         """u^n with coordinates reduced mod q."""

@@ -9,7 +9,7 @@ Evaluation (`eval_at`, `eval_interval`), root isolation and bisection
 coefficients are put over their least common denominator, the point or both
 interval endpoints over one denominator, and a `Fraction` is built only for
 the result, which is exactly what `Fraction` arithmetic gives.  Only
-`divmod_poly` (Sturm remainders, reduction modulo a polynomial) works
+`divmod_poly`, which serves the Sturm remainders of `sturm_chain`, works
 over `Fraction`s.
 
 `MPoly` is the one sparse multivariate polynomial type, over any
@@ -125,8 +125,9 @@ def eval_interval(p: Sequence[Coeff], iv: Interval) -> Interval:
 
     With the endpoints at a/b and e/b, the accumulator is kept as integer
     endpoints over den * b^step; each step takes the min and max of the
-    four endpoint products, as `Interval.__mul__` does.  Zero high-order
-    coefficients are trimmed first: each would scale every endpoint by b.
+    four endpoint products, as rational interval multiplication does.
+    Zero high-order coefficients are trimmed first: each would scale every
+    endpoint by b.
     """
     nums, den = clear_denominators(trim(p))
     a, e, b = _over_common_den(iv.lo, iv.hi)

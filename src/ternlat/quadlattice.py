@@ -77,12 +77,6 @@ class GramMatrix:
         sub = [[self.entries[i][j] for j in idx] for i in idx]
         return linalg.ring_det(sub)
 
-    def is_totally_positive_definite(self) -> bool:
-        for k in range(1, self.n + 1):
-            if not self.principal_minor(range(k)).is_totally_positive():
-                return False
-        return True
-
     def is_totally_positive_semidefinite(self) -> bool:
         # leading minors alone do not decide psd; use all principal minors
         for k in range(1, self.n + 1):
@@ -136,20 +130,6 @@ def standard_lattice(ctx: FieldContext, cls: LatticeClass) -> GramMatrix:
     if cls is LatticeClass.DIAG_1_LAMBDA_3:
         return GramMatrix.diagonal([one, lam, three])
     raise ValueError(cls)
-
-
-def gram_inverse_dual(g: GramMatrix) -> GramMatrix:
-    """Gram matrix of the dual lattice in the dual basis: exactly G^-1.
-
-    The same matrix also gives the coordinates of the dual basis vectors in
-    the original basis.
-    """
-    det = g.det()
-    if det.is_zero:
-        raise Singular("Gram matrix has determinant zero")
-    adj = linalg.ring_adjugate(g.entries)
-    return GramMatrix([[adj[i][j] / det for j in range(g.n)]
-                       for i in range(g.n)])
 
 
 @dataclass(frozen=True)

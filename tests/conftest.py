@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from ternlat import polys
+from ternlat import linalg, polys
+from ternlat.errors import Singular
 from ternlat.fieldscan import ingest_fields, load_field_file
+from ternlat.intervals import Interval
+from ternlat.quadlattice import GramMatrix
 
 FIELDS = Path(__file__).resolve().parent.parent / "fields"
 
@@ -88,3 +91,61 @@ def gcd_poly(a, b):
         _, r = polys.divmod_poly(a, b)
         a, b = b, r
     return a
+
+
+# ---------------------------------------------------------------------------
+# rational interval arithmetic on `Fraction` endpoints, the reference for
+# the package's integer interval kernels
+
+def iv_add(a, b):
+    return Interval(a.lo + b.lo, a.hi + b.hi)
+
+
+def iv_mul(a, b):
+    ps = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return Interval(min(ps), max(ps))
+
+
+def iv_scale(a, c):
+    c = Fraction(c)
+    if c >= 0:
+        return Interval(a.lo * c, a.hi * c)
+    return Interval(a.hi * c, a.lo * c)
+
+
+def ref_embeddings(ctx, a, max_width):
+    """`FieldContext.embeddings` on `Fraction` intervals: the interval sum
+    of (c_j / den) * sigma_i(basis_j) over the basis embeddings, with the
+    roots refined in the same steps until every enclosure is narrow
+    enough."""
+    max_width = Fraction(max_width)
+    width = min((iv.width for iv in ctx.roots()), default=Fraction(0))
+    for _ in range(256):
+        emb = ctx.basis_embeddings()
+        out = []
+        for row in emb:
+            acc = Interval.point(0)
+            for e, c in zip(row, a.coords):
+                if c:
+                    acc = iv_add(acc, iv_scale(e, Fraction(c, a.den)))
+            out.append(acc)
+        if all(iv.width <= max_width for iv in out):
+            return out
+        width = max(width / 4, Fraction(1, 1 << 300))
+        ctx.refine_roots(width)
+    raise RuntimeError("embedding refinement did not converge")
+
+
+# ---------------------------------------------------------------------------
+# dual lattices
+
+def gram_inverse_dual(g):
+    """Gram matrix of the dual lattice in the dual basis: exactly G^-1,
+    from the adjugate over the determinant.  The same matrix also gives the
+    coordinates of the dual basis vectors in the original basis."""
+    det = g.det()
+    if det.is_zero:
+        raise Singular("Gram matrix has determinant zero")
+    adj = linalg.ring_adjugate(g.entries)
+    return GramMatrix([[adj[i][j] / det for j in range(g.n)]
+                       for i in range(g.n)])

@@ -15,21 +15,33 @@ the traces of the basis; both are checked against the paths they replaced.
 integer quadratic residual; the reference is the element path it replaced,
 beta - w^2 >= 0 or w >= 0 and beta - w >= 0.  Each candidate takes exactly
 one `FieldContext.compare` call.
+
+The certified box is built on integers: `enumeration._box_bounds` applies
+the verified inverse to the target region and `_candidate_estimate` takes
+the determinant of the integer matrix of midpoint numerators, both over
+common denominators; the references are the `Fraction` interval loops
+they replaced.
+`sqrt2_span_witnesses` decides membership in span{1, sqrt2} by one integer
+rank test, against `FieldContext.rational_span_coords`.
 """
 
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import gcd_poly
+from conftest import gcd_poly, iv_add, iv_mul
 from ternlat import enumeration, linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
-                                 _build_box, _exact_check, _fixed_point,
+                                 _box_bounds, _build_box, _candidate_estimate,
+                                 _exact_check, _fixed_point,
                                  _interval_targets, _iter_box, _query_box,
-                                 _square_targets, dominated_elements)
+                                 _square_targets, dominated_elements,
+                                 sqrt2_span_witnesses)
 from ternlat.intervals import Interval, fixed_point_midrad
 from ternlat.numberfield import (Dominance, FieldContext, FieldRecord,
                                  load_field, sqrt2_context)
@@ -456,3 +468,131 @@ def test_one_exact_check_per_candidate(table, monkeypatch, label, mode,
     assert 0 < len(sols) <= counts["points"]
     if points is not None:
         assert counts["points"] == points
+
+
+# ---------------------------------------------------------------------------
+# certified boxes on integers against the `Fraction` interval loops
+
+def ref_box_bounds(inv, targets):
+    lows, highs = [], []
+    for row in inv:
+        acc = Interval.point(0)
+        for a, t in zip(row, targets):
+            acc = iv_add(acc, iv_mul(a, t))
+        lows.append(math.ceil(acc.lo))
+        highs.append(math.floor(acc.hi))
+    return lows, highs
+
+
+def ref_candidate_estimate(emb, box):
+    region = F(1)
+    for lo, hi in box.targets:
+        region *= hi - lo
+    det = abs(linalg.det([[e.mid for e in row] for row in emb]))
+    if det == 0:
+        return box.volume
+    return min(box.volume, math.ceil(region / det) + 1)
+
+
+def _table_and_cyclotomic_contexts(table):
+    assert len(table.records) == 19
+    return [table.context(rec.label) for rec in table.records] + \
+        [cyclo_info(16).field, cyclo_info(32).field]
+
+
+@pytest.mark.parametrize("mode", list(QueryMode))
+def test_box_kernels_equal_the_fraction_loops(table, monkeypatch, mode):
+    # every box product and estimate made while building the boxes of
+    # real queries is checked against its reference on the same inputs
+    seen = {"bounds": 0, "estimates": 0, "fraction bounds": 0}
+
+    def checked_bounds(inv, targets):
+        got = _box_bounds(inv, targets)
+        assert got == ref_box_bounds(inv, targets)
+        seen["bounds"] += 1
+        return got
+
+    def checked_estimate(emb, box):
+        got = _candidate_estimate(emb, box)
+        assert got == ref_candidate_estimate(emb, box)
+        seen["estimates"] += 1
+        return got
+
+    monkeypatch.setattr(enumeration, "_box_bounds", checked_bounds)
+    monkeypatch.setattr(enumeration, "_candidate_estimate", checked_estimate)
+    rng = random.Random(41)
+    for ctx in _table_and_cyclotomic_contexts(table):
+        bounds = _bounds(ctx, rng)
+        if ctx.sqrt2 is not None:
+            bounds.append(3 * (2 + ctx.sqrt2))
+        for bound in bounds:
+            seen["fraction bounds"] += bound.den > 1
+            _query_box(DominanceQuery(ctx, bound, mode), 10 ** 8)
+    assert seen["bounds"] >= 2 * 21 * 4 and seen["estimates"] >= 21 * 4, seen
+    assert seen["fraction bounds"] >= 40, seen
+
+
+def rationals():
+    return st.one_of(st.just(F(0)), st.builds(F, st.integers(-60, 60),
+                                              st.integers(1, 16)))
+
+
+@st.composite
+def rational_intervals(draw):
+    """Intervals with negative, zero, mixed-sign and unrelated rational
+    endpoints; some are points."""
+    a, b = draw(rationals()), draw(rationals())
+    return Interval(min(a, b), max(a, b))
+
+
+@st.composite
+def products(draw):
+    d = draw(st.integers(1, 5))
+    row = st.lists(rational_intervals(), min_size=d, max_size=d)
+    return (draw(st.lists(row, min_size=d, max_size=d)), draw(row),
+            draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
+
+
+@given(products())
+@settings(max_examples=300, deadline=None)
+@example(([[Interval(F(-1, 3), F(2, 5))]], [Interval(F(-7, 2), F(-1, 6))],
+          [0]))
+@example(([[Interval(F(1), F(2)), Interval(F(1), F(2))],
+           [Interval(F(1), F(2)), Interval(F(1), F(2))]],
+          [Interval(F(0), F(3)), Interval(F(-5, 4), F(0))], [-2, 1]))
+def test_box_kernels_on_random_rational_intervals(case):
+    # the second example has a singular midpoint matrix
+    inv, targets, lows = case
+    assert _box_bounds(inv, targets) == ref_box_bounds(inv, targets)
+    box = EnumerationBox(tuple(lows), tuple(c + 3 for c in lows), F(1, 64),
+                         tuple((t.lo, t.hi) for t in targets))
+    assert _candidate_estimate(inv, box) == ref_candidate_estimate(inv, box)
+
+
+def _moved(rec):
+    """The field over the basis b_0 + b_1, b_1, ..., b_(d-1): coordinates c
+    become (c_0, c_1 - c_0, c_2, ...), and 1 = +-b_0 is no basis element."""
+    basis = (tuple(x + y for x, y in zip(rec.basis[0], rec.basis[1])),) + \
+        rec.basis[1:]
+    s = list(rec.sqrt2)
+    s[1] -= s[0]
+    return replace(rec, label=rec.label + "'", basis=basis, sqrt2=tuple(s),
+                   units=None)
+
+
+def test_sqrt2_span_witnesses_equal_rational_span_coords(table, ctx_sqrt2):
+    seen = {"in span": 0, "witnesses": 0}
+    ctxs = [table.context(rec.label) for rec in table.records]
+    ctxs += [load_field(_moved(rec)) for rec in table.records]
+    assert all(ctx.one.coords[1] for ctx in ctxs[19:])
+    for ctx in ctxs + [ctx_sqrt2]:
+        gens = [ctx.one, ctx.sqrt2]
+        for bound in (ctx.from_rational(6), 3 * (2 + ctx.sqrt2),
+                      ctx.from_rational(20)):
+            sols = dominated_elements(ctx, bound)
+            want = [w for w in sols
+                    if ctx.rational_span_coords(w, gens) is None]
+            assert sqrt2_span_witnesses(ctx, bound) == want
+            seen["in span"] += len(sols) - len(want)
+            seen["witnesses"] += len(want)
+    assert seen["in span"] > 500 and seen["witnesses"] > 500, seen

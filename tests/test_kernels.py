@@ -16,7 +16,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import gcd_poly
+from conftest import gcd_poly, iv_add, iv_mul
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.intervals import Interval
@@ -36,7 +36,7 @@ def ref_eval_at(p, x):
 def ref_eval_interval(p, iv):
     acc = Interval.point(0)
     for c in reversed(list(p)):
-        acc = acc * iv + Interval.point(F(c))
+        acc = iv_add(iv_mul(acc, iv), Interval.point(F(c)))
     return acc
 
 

@@ -3,10 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import ref_embeddings
+from ternlat import linalg, polys
+from ternlat.cyclotomic import cyclo_info
 from ternlat.errors import (DivisionByZero, FieldDataError, NoSuchUnit,
                             NotARing, NotTotallyReal)
-from ternlat.numberfield import (Dominance, FieldRecord, load_field,
-                                 sqrt2_context, unit_square_canonical,
+from ternlat.numberfield import (Dominance, FieldRecord, basis_mult_table,
+                                 load_field, sqrt2_context,
+                                 unit_square_canonical,
                                  unit_square_reduce, units_by_signature)
 
 
@@ -305,3 +309,92 @@ def test_refine_roots_invalidates_embedding_caches(table):
     assert stale != ref._int_rows()
     ctx.refine_roots(fine)
     assert ctx._int_rows() == ref._int_rows()
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the `Fraction` paths they replaced
+
+def _fresh_pairs(table):
+    """Two fresh contexts of each table field, of F_16 and of F_32."""
+    records = list(table.records) + [cyclo_info(k).field.record
+                                     for k in (16, 32)]
+    assert len(records) == 21
+    return [(load_field(rec), load_field(rec)) for rec in records]
+
+
+def test_embeddings_equal_the_fraction_loop(table):
+    # both contexts see the same calls, so their roots must refine alike
+    rng = random.Random(31)
+    dens = set()
+    for ctx, ref in _fresh_pairs(table):
+        d = ctx.degree
+        samples = [ctx.zero, ctx.one, -ctx.gen]
+        for den in (1, 1, 2, 3, 8, 12):
+            coords = [rng.choice((0, rng.randint(-9, 9))) for _ in range(d)]
+            samples.append(ctx.element(coords, den))
+        for width in (F(1, 64), F(1, 256), F(1, 1 << 20), F(3, 1 << 40)):
+            for a in samples:
+                assert ctx.embeddings(a, width) == \
+                    ref_embeddings(ref, a, width), (ctx, a, width)
+                assert ctx.roots() == ref.roots()
+                dens.add(a.den)
+    assert dens >= {1, 2, 3, 8, 12}
+
+
+def ref_basis_mult_table(poly, basis, inv):
+    """Each product of basis rows reduced modulo poly by `Fraction`
+    polynomial division and mapped through the inverse basis matrix."""
+    d = len(basis)
+    inv_t = linalg.transpose(inv)
+    table = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            _, rem = polys.divmod_poly(polys.mul(basis[i], basis[j]), poly)
+            rem = list(rem) + [F(0)] * (d - len(rem))
+            coords = linalg.mat_vec(inv_t, rem[:d])
+            if any(c.denominator != 1 for c in coords):
+                raise NotARing(
+                    f"product of basis elements {i},{j} is not in the span")
+            table[i][j] = table[j][i] = tuple(int(c) for c in coords)
+    return tuple(tuple(row) for row in table)
+
+
+def _bases(table, rng):
+    """Every table basis, the same basis after random unimodular row
+    operations (the same ring), and the power bases of F_16 and F_32."""
+    for rec in table.records:
+        yield rec.label, rec.poly, rec.basis
+        rows = [list(r) for r in rec.basis]
+        for _ in range(4):
+            i, j = rng.sample(range(rec.degree), 2)
+            c = rng.choice((-3, -1, 1, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        yield rec.label + " moved", rec.poly, rows
+    for k in (16, 32):
+        rec = cyclo_info(k).field.record
+        yield f"F{k}", rec.poly, rec.basis
+
+
+def test_basis_mult_table_equals_the_fraction_path(table):
+    for label, poly, basis in _bases(table, random.Random(5)):
+        basis = [[F(x) for x in row] for row in basis]
+        inv = linalg.inverse(basis)
+        assert basis_mult_table(poly, basis, inv) == \
+            ref_basis_mult_table(poly, basis, inv), label
+
+
+@pytest.mark.parametrize("row, scale", [(1, F(1, 2)), (3, F(1, 3)),
+                                        (2, F(-5, 4))])
+def test_basis_mult_table_rejects_a_non_ring_like_the_fraction_path(
+        table, row, scale):
+    # a lattice strictly between O_K and (1/n) O_K is no ring, and the
+    # first product that leaves it is named alike on both paths
+    for rec in table.records:
+        basis = [[F(x) for x in r] for r in rec.basis]
+        basis[row] = [x * scale for x in basis[row]]
+        inv = linalg.inverse(basis)
+        with pytest.raises(NotARing) as got:
+            basis_mult_table(rec.poly, basis, inv)
+        with pytest.raises(NotARing) as want:
+            ref_basis_mult_table(rec.poly, basis, inv)
+        assert str(got.value) == str(want.value), rec.label

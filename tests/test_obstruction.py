@@ -3,15 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from ternlat.enumeration import elements_of_norm
+from ternlat.enumeration import elements_of_norm, squarefree_witness
 from ternlat.errors import NoSuchUnit
 from ternlat.numberfield import load_field, unit_square_canonical
 from ternlat.obstruction import (candidate_pool, dual_nonrepresentation,
                                  indecomposables_classify,
                                  obstruction_certificate, obstruction_search,
                                  orthogonality_forcing, quartic_case_analysis,
-                                 revalidate_certificate, square_class_reduce,
-                                 two_decomposition_search)
+                                 revalidate_certificate, square_class_reduce)
 from ternlat.quadlattice import LatticeClass
 
 
@@ -133,12 +132,16 @@ def test_indecomposables_biquadratic(table):
 
 
 def test_two_decomposition(ctx_sqrt3, ctx_sqrt5, ctx_q):
-    r3 = two_decomposition_search(ctx_sqrt3)
-    assert not r3.found and "signature" in r3.note
-    r5 = two_decomposition_search(ctx_sqrt5)
-    assert not r5.found and r5.note == "2 is squarefree"
-    rq = two_decomposition_search(ctx_q)
-    assert not rq.found and rq.note == "2 is squarefree"
+    # 2 = gamma t^2 with t not a unit: in Q(sqrt3) a witness t exists, but
+    # no unit realizes its signature, so no totally positive gamma, t do;
+    # in Q(sqrt5) and Q, 2 is squarefree
+    two = ctx_sqrt3.from_rational(2)
+    t, gamma = squarefree_witness(two)
+    assert gamma * t * t == two and not t.is_unit()
+    with pytest.raises(NoSuchUnit):
+        ctx_sqrt3.totally_positive_associate(t)
+    for ctx in (ctx_sqrt5, ctx_q):
+        assert squarefree_witness(ctx.from_rational(2)) is None
 
 
 def test_pool_and_search_on_trivial_field(ctx_sqrt2):

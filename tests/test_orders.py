@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 from conftest import trace_form
+from ternlat import linalg, orders
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import sqrt_element
 from ternlat.linalg import det_int
-from ternlat.numberfield import FieldRecord, load_field
-from ternlat.orders import find_units, maximal_order
+from ternlat.numberfield import FieldRecord, basis_mult_table, load_field
+from ternlat.orders import enlarge_at, find_units, maximal_order
 
 ROOT = Path(__file__).resolve().parent.parent
 BIQUADRATIC_M = (3, 5, 7, 13, 17)
@@ -62,6 +63,30 @@ def test_trace_form_determinant_is_disc(poly):
     _, q = trace_form(ctx.mult_table)
     assert q == order.trace_form
     assert det_int(q) == order.disc
+
+
+def test_order_builds_its_inverse_and_table_once(monkeypatch):
+    # maximal_order calls enlarge_at again on an unchanged order for the
+    # next prime; the order's inverse and table serve every call
+    calls = {"inverse": 0, "table": 0}
+    inverse, table = linalg.inverse, orders.basis_mult_table
+
+    def counted_inverse(a):
+        calls["inverse"] += 1
+        return inverse(a)
+
+    def counted_table(*args):
+        calls["table"] += 1
+        return table(*args)
+
+    order = maximal_order(biquadratic_poly(7))
+    monkeypatch.setattr(linalg, "inverse", counted_inverse)
+    monkeypatch.setattr(orders, "basis_mult_table", counted_table)
+    # two calls on the same order: the ideal's inverse is one per call
+    assert enlarge_at(order, 2).disc == enlarge_at(order, 2).disc == order.disc
+    assert calls == {"inverse": 2 + 1, "table": 1}
+    assert order.mult_table == basis_mult_table(order.p, order.basis,
+                                                inverse(order.basis))
 
 
 def test_shipped_table_trace_forms_give_its_discs(table):

@@ -12,11 +12,11 @@ from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import ellipsoid_radii, trace_form
+from conftest import ellipsoid_radii, gram_inverse_dual, trace_form
 from ternlat.enumeration import (QueryMode, dominated_elements, unsquare)
 from ternlat.numberfield import Dominance, Element, sqrt2_context
 from ternlat.obstruction import obstruction_certificate, revalidate_certificate
-from ternlat.quadlattice import GramMatrix, gram_inverse_dual
+from ternlat.quadlattice import GramMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,10 @@ def random_pd_gram(ctx, rng, n=3):
                     e = ctx.element([rng.randint(-1, 1), 0])
                 entries[i][j] = entries[j][i] = e
         g = GramMatrix(entries)
-        if g.is_totally_positive_definite():
+        # totally positive definite: every leading principal minor is
+        # totally positive
+        if all(g.principal_minor(range(k)).is_totally_positive()
+               for k in range(1, n + 1)):
             return g
 
 

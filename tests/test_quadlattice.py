@@ -1,9 +1,10 @@
 import pytest
 
+from conftest import gram_inverse_dual
 from ternlat.errors import Singular
 from ternlat.quadlattice import (GramMatrix, LatticeClass,
                                  contains_sublattice, free_overlattice_test,
-                                 generated_module_gram, gram_inverse_dual,
+                                 generated_module_gram,
                                  isometry_search, lattice_predicates,
                                  offdiag_candidates, small_condition_holds,
                                  standard_lattice, ternary_classification)
