@@ -14,7 +14,8 @@ from typing import List, Optional
 
 from .cyclotomic import alpha_beta_verify, cyclo_info, subfield_test
 from .enumeration import (DEFAULT_CEILING, DominanceQuery, QueryMode,
-                          enumerate_dominated, sum_of_squares_test)
+                          enumerate_dominated, require_count,
+                          sum_of_squares_test)
 from .errors import TernlatError
 from .fieldscan import (exceptional_sets, ingest_fields, load_field_file,
                         scan_obstructions, scan_small_condition,
@@ -435,6 +436,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
     try:
+        # counts are checked once, before any field is loaded
+        require_count("--ceiling", args.ceiling)
+        if hasattr(args, "pool"):
+            require_count("--pool", args.pool)
         return args.fn(args)
     except TernlatError as exc:
         print(f"error: {exc}", file=sys.stderr)

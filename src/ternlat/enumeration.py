@@ -6,11 +6,12 @@ embedding matrix by a verified midpoint-radius inverse (an approximate
 inverse whose error bound is checked in exact integers,
 `linalg.interval_inverse`) and applying it to the per-embedding constraint
 region, so it provably contains all solutions.  That product runs on
-integers: each row of the inverse and the region are put over one common
-denominator, the interval products and sums are taken on the numerators,
-and the box bounds are their exact ceiling and floor.  Precision is
-increased until the box volume stabilizes, and a configurable ceiling
-turns runaway searches into errors instead of long runs.
+integers: the inverse comes as integer endpoint numerators over 2^s, the
+region is put over one common denominator, the interval products and sums
+are taken on the numerators, and the box bounds are their exact ceiling
+and floor.  Precision is increased until the box volume stabilizes, and a
+configurable ceiling turns runaway searches into errors instead of long
+runs.
 
 Each candidate x of the pruned box then takes one exact comparison against
 zero, of an integer residual from a quadratic map built once per query:
@@ -18,6 +19,12 @@ den * (beta - x^2) for omega^2 <= beta, and den * (beta x - x^2) for 0 <=
 omega <= beta, where beta = B / den is the bound.  As beta is totally
 positive, sigma(x)(sigma(beta) - sigma(x)) >= 0 holds exactly when 0 <=
 sigma(x) <= sigma(beta), so the interval mode needs one test, not two.
+The box yields its points in runs that share every coordinate but the
+first, c = x_0, and the residual is a quadratic polynomial in c whose
+coefficients depend only on the rest, r: they are formed once per run,
+so a candidate costs d multiply-adds before its comparison (the
+incremental evaluation along the innermost coordinate of Fincke-Pohst
+enumeration).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import ceil, prod
-from operator import itemgetter, mul
+from operator import mul
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -36,6 +43,12 @@ from .intervals import Interval, endpoint_numerators, sqrt_upper
 from .numberfield import Dominance, Element, FieldContext
 
 DEFAULT_CEILING = 10 ** 8
+
+
+def require_count(name: str, value: int) -> None:
+    """Reject a ceiling or pool size below 1, before any work is done."""
+    if value < 1:
+        raise InvalidInput(f"{name} must be at least 1, got {value}")
 
 
 class QueryMode(Enum):
@@ -99,19 +112,19 @@ def _candidate_estimate(emb: List[List[Interval]], box: EnumerationBox) -> int:
     return min(box.volume, ceil(region * scale / det) + 1)
 
 
-def _box_bounds(inv: List[List[Interval]], targets: List[Interval]
-                ) -> Tuple[List[int], List[int]]:
+def _box_bounds(inv: List[Tuple[List[int], List[int], int]],
+                targets: List[Interval]) -> Tuple[List[int], List[int]]:
     """Per coordinate j, the ceiling of the lower and the floor of the
     upper end of the interval sum over i of inv[j][i] * targets[i], each
     product the hull of its four endpoint products.
 
-    The sums are taken exactly on integer numerators over den_j * tden,
-    with row j of inv over den_j and the targets over tden.
+    Row j of inv is given as integer endpoint numerators over den_j, as
+    `linalg.interval_inverse` returns it; the sums are taken exactly on
+    integer numerators over den_j * tden, with the targets over tden.
     """
     tlo, thi, tden = endpoint_numerators(targets)
     lows, highs = [], []
-    for row in inv:
-        alo, ahi, den = endpoint_numerators(row)
+    for alo, ahi, den in inv:
         lo = hi = 0
         for a, b, c, e in zip(alo, ahi, tlo, thi):
             ps = (a * c, a * e, b * c, b * e)
@@ -304,7 +317,12 @@ def _exact_check(query: DominanceQuery) -> Callable[[Tuple[int, ...]], bool]:
     v is a quadratic form in y = (1, x_0, ..., x_(d-1)), with one column of
     coefficients per monomial y_a y_b, a <= b: B or the integer matrix of B
     for the constant or linear part, and -den times the multiplication
-    table, doubled off the diagonal, for x^2.
+    table, doubled off the diagonal, for x^2.  By degree in c = x_0 = y_1,
+    v = A(r) + c (L(r) + c Q) with r = x[1:]: Q is the column of x_0^2, L(r)
+    sums the columns of y_1 y_b times y_b, and A(r) sums the other
+    monomials.  `_iter_box` yields candidates in runs that share r, so A and
+    L are formed only when r differs from the previous candidate's, and
+    each candidate costs d multiply-adds.
     """
     ctx, bound = query.field, query.bound
     d, den = ctx.degree, bound.den
@@ -317,18 +335,31 @@ def _exact_check(query: DominanceQuery) -> Callable[[Tuple[int, ...]], bool]:
         for j in range(i, d):
             w = den if i == j else 2 * den
             columns[i + 1, j + 1] = [-w * t for t in ctx.mult_table[i][j]]
-    # all-zero columns are dropped; at least two stay (beta != 0, and
-    # x^2 != 0 for some x), so each itemgetter returns a tuple
-    pairs = [p for p, col in columns.items() if any(col)]
-    rows = [[columns[p][k] for p in pairs] for k in range(d)]
-    left = itemgetter(*(a for a, _ in pairs))
-    right = itemgetter(*(b for _, b in pairs))
+    quad = columns.pop((1, 1))
+    # all-zero columns are dropped; the linear ones are keyed by the index
+    # b of their other factor y_b
+    linear = {b if a == 1 else a: col for (a, b), col in columns.items()
+              if 1 in (a, b) and any(col)}
+    pairs = [p for p, col in columns.items() if 1 not in p and any(col)]
+    const_rows = [[columns[p][k] for p in pairs] for k in range(d)]
+    lin_rows = [[col[k] for col in linear.values()] for k in range(d)]
     zero = ctx.zero
+    last_r, terms = None, ()
 
     def accepts(x: Tuple[int, ...]) -> bool:
-        y = (1,) + x
-        monomials = tuple(map(mul, left(y), right(y)))
-        v = [sum(map(mul, monomials, row)) for row in rows]
+        nonlocal last_r, terms
+        r = x[1:]
+        if r != last_r:
+            y = (1, 0) + r
+            monomials = [y[a] * y[b] for a, b in pairs]
+            ys = [y[b] for b in linear]
+            last_r = r
+            terms = tuple(zip([sum(map(mul, monomials, row))
+                               for row in const_rows],
+                              [sum(map(mul, ys, row)) for row in lin_rows],
+                              quad))
+        c = x[0]
+        v = [a + c * (b + c * q) for a, b, q in terms]
         return ctx.compare(Element._new(ctx, v, 1), zero) in _ACCEPT
 
     return accepts

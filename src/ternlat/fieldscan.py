@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import __version__
-from .enumeration import (DEFAULT_CEILING, DominanceQuery, solution_box,
-                          sqrt2_span_witnesses)
+from .enumeration import (DEFAULT_CEILING, DominanceQuery, require_count,
+                          solution_box, sqrt2_span_witnesses)
 from .errors import (IdentityMismatch, InvalidInput, ParseError,
                      TernlatError, ValidationError)
 from .intervals import sqrt_lower, sqrt_upper
@@ -141,6 +141,7 @@ def scan_small_condition(table: FieldTable, disc_cap: int,
                          ceiling: int = DEFAULT_CEILING) -> dict:
     """Per field: do any solutions of w^2 <= 3*lambda or w^2 <= 6 leave the
     span of {1, sqrt2}?  Exceptional fields are reported with witnesses."""
+    require_count("ceiling", ceiling)
 
     def worker(rec: FieldRecord) -> dict:
         out = {"label": rec.label, "disc": rec.disc}
@@ -197,6 +198,8 @@ def scan_obstructions(table: FieldTable, disc_cap: int, pool_size: int = 40,
                       ceiling: int = DEFAULT_CEILING) -> dict:
     """Per quartic field: route by narrow-class structure and class number,
     and search an obstruction certificate in the remaining case."""
+    require_count("pool size", pool_size)
+    require_count("ceiling", ceiling)
 
     def worker(rec: FieldRecord) -> dict:
         out = {"label": rec.label, "disc": rec.disc, "h": rec.h,

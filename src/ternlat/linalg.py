@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ldexp, prod
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .intervals import Interval, fixed_point_midrad
 from .polys import clear_denominators
@@ -197,7 +197,8 @@ def ring_bilinear(u: Sequence, g: Sequence[Sequence], v: Sequence):
     return sum(terms[1:], terms[0]) if terms else g[0][0] - g[0][0]
 
 
-def interval_inverse(a: Sequence[Sequence[Interval]]) -> Optional[List[List[Interval]]]:
+def interval_inverse(a: Sequence[Sequence[Interval]]
+                     ) -> Optional[List[Tuple[List[int], List[int], int]]]:
     """Verified inverse of an interval matrix in midpoint-radius form
     (Rump, "Verification methods", Acta Numerica 19, 2010).
 
@@ -208,7 +209,9 @@ def interval_inverse(a: Sequence[Sequence[Interval]]) -> Optional[List[List[Inte
     computed exactly in integers.  If beta = ||G||_inf < 1, every such E is
     invertible and E^-1 = sum_k (I - R E)^k R, whence
     |E^-1 - R| <= G |R| + z (G 1) 1^T with z = max(G |R|) / (1 - beta).
-    The result is R plus or minus that bound, rounded outward to 2^-s.
+    The result is R plus or minus that bound, rounded outward to 2^-s, one
+    row (lows, highs, 2^s) of integer endpoint numerators per row of the
+    inverse, in the form of `intervals.endpoint_numerators`.
 
     Returns None when the midpoint is singular to working precision or
     beta >= 1; the caller should tighten the input enclosures and retry.
@@ -247,10 +250,9 @@ def interval_inverse(a: Sequence[Sequence[Interval]]) -> Optional[List[List[Inte
     kmax = max(map(max, k))
     slack = one - beta
     den = one * slack
-    scale = 1 << s
     out = []
     for rrow, krow, g in zip(rn, k, rowsums):
-        radii = (-(-(kij * slack + kmax * g) // den) for kij in krow)
-        out.append([Interval(Fraction(r - d, scale), Fraction(r + d, scale))
-                    for r, d in zip(rrow, radii)])
+        radii = [-(-(kij * slack + kmax * g) // den) for kij in krow]
+        out.append(([r - d for r, d in zip(rrow, radii)],
+                    [r + d for r, d in zip(rrow, radii)], 1 << s))
     return out

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           enumerate_representations, is_indecomposable,
-                          sqrt_element)
+                          require_count, sqrt_element)
 from .errors import InvalidInput, UnclassifiedCase
 from .numberfield import (Element, FieldContext, sqrt2_context,
                           unit_square_canonical, unit_square_reduce)
@@ -209,6 +209,8 @@ def candidate_pool(ctx: FieldContext, pool_size: int = 40,
     candidates whose positive representatives are large (but whose classes
     contain small elements) are still reached.
     """
+    require_count("pool size", pool_size)
+    require_count("ceiling", ceiling)
     bound = ctx.from_rational(_POOL_HOUSE_BOUND * _POOL_HOUSE_BOUND)
     pool = {}
     for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED,
@@ -239,6 +241,8 @@ def obstruction_search(ctx: FieldContext, pool_size: int = 40,
     number), which is a necessary condition for the field to be a candidate
     at all.
     """
+    require_count("pool size", pool_size)
+    require_count("ceiling", ceiling)
     if ctx.record.h_plus != ctx.record.h:
         raise InvalidInput(f"{ctx.record.label}: search requires h+ = h")
     pool = candidate_pool(ctx, pool_size, ceiling=ceiling)

@@ -135,15 +135,29 @@ def test_bad_expression_is_item_error(capsys, fields_dir):
     ["overlattice-test", "--field", "q.json"],
     ["obstruct", "--field", "qsqrt3.json"],
     ["small-elements", "--field", "quartic_sqrt2.jsonl#NOPE", "--bound", "1"],
+    ["small-elements", "--field", "qsqrt2.json", "--bound", "4",
+     "--ceiling", "0"],
+    ["obstruct", "--field", "qsqrt2.json", "--pool", "-1"],
+    ["obstruct", "--field", "qsqrt2.json", "--pool", "0"],
+    ["scan", "--fields", "quartic_sqrt2.jsonl", "--command", "obstruct",
+     "--max-disc", "60000", "--pool", "-1"],
+    ["scan", "--fields", "quartic_sqrt2.jsonl", "--ceiling", "0"],
+    ["scan", "--fields", "quartic_sqrt2.jsonl", "--command", "obstruct",
+     "--max-disc", "60000", "--ceiling", "-3"],
 ], ids=["bound-zero", "bound-negative", "diag-zero", "trace-bound-low",
         "classify-no-sqrt2", "overlattice-no-sqrt2", "obstruct-narrow",
-        "unknown-label"])
+        "unknown-label", "ceiling-zero", "obstruct-pool-negative",
+        "obstruct-pool-zero", "scan-pool-negative", "scan-ceiling-zero",
+        "scan-ceiling-negative"])
 def test_bad_input_is_an_error_line(capsys, fields_dir, argv):
-    i = argv.index("--field") + 1
+    i = argv.index("--fields" if "--fields" in argv else "--field") + 1
     argv = argv[:i] + [str(fields_dir / argv[i])] + argv[i + 1:]
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: ") and "Traceback" not in err
+    # a rejected input prints no verdict
+    assert "certificate" not in captured.out
 
 
 def _readme_invocations():

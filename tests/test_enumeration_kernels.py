@@ -12,9 +12,11 @@ the characteristic polynomial, and every decisive sign the refined one.
 the traces of the basis; both are checked against the paths they replaced.
 
 `enumeration._exact_check` decides a candidate by one comparison of an
-integer quadratic residual; the reference is the element path it replaced,
-beta - w^2 >= 0 or w >= 0 and beta - w >= 0.  Each candidate takes exactly
-one `FieldContext.compare` call.
+integer quadratic residual, whose coefficients in x_0 it forms once per
+run of candidates sharing x[1:]; the reference is the element path it
+replaced, beta - w^2 >= 0 or w >= 0 and beta - w >= 0, on candidates in
+such runs and out of them.  Each candidate takes exactly one
+`FieldContext.compare` call.
 
 The certified box is built on integers: `enumeration._box_bounds` applies
 the verified inverse to the target region and `_candidate_estimate` takes
@@ -42,7 +44,8 @@ from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
                                  _interval_targets, _iter_box, _query_box,
                                  _square_targets, dominated_elements,
                                  sqrt2_span_witnesses)
-from ternlat.intervals import Interval, fixed_point_midrad
+from ternlat.intervals import (Interval, endpoint_numerators,
+                               fixed_point_midrad)
 from ternlat.numberfield import (Dominance, FieldContext, FieldRecord,
                                  load_field, sqrt2_context)
 
@@ -399,10 +402,21 @@ def _bounds(ctx, rng):
     return out
 
 
+def _runs(r, box, rng):
+    """Runs of points (c,) + s that share s, as `_iter_box` yields them,
+    with c over the box's range of x_0 widened by 2 on each side: for s = r,
+    for s = r moved by one step in r[0] alone (a residual cached by r[1:]
+    would be reused there), and for r again after it."""
+    cs = range(box.lows[0] - 2, box.highs[0] + 3)
+    moved = (r[0] + rng.choice((-1, 1)),) + r[1:]
+    return [(c,) + s for s in (r, moved, r) for c in cs]
+
+
 def _candidates(query, rng):
     """Points of the pruned box (at the boundary of the solution set or
     inside it), each moved by one step in one coordinate, random points of
-    the coordinate box, 0, beta when it is integral, and all their
+    the coordinate box, 0, beta when it is integral, runs of points that
+    share all coordinates but the first (`_runs`), and all their
     negatives."""
     ctx, bound = query.field, query.bound
     d = ctx.degree
@@ -417,6 +431,8 @@ def _candidates(query, rng):
     xs.append((0,) * d)
     if bound.den == 1:
         xs.append(bound.coords)
+    for x in rng.sample(points, min(len(points), 2)):
+        xs += _runs(x[1:], box, rng)
     return xs + [tuple(-c for c in x) for x in xs]
 
 
@@ -426,18 +442,23 @@ def test_exact_check_equals_the_element_path(table, mode):
     assert len(table.records) == 19
     ctxs = [table.context(rec.label) for rec in table.records]
     ctxs += [cyclo_info(16).field, cyclo_info(32).field]
-    seen = {True: 0, False: 0, "fraction bounds": 0}
+    seen = {True: 0, False: 0, "fraction bounds": 0, "same prefix": 0}
     for ctx in ctxs:
         for bound in _bounds(ctx, rng):
             seen["fraction bounds"] += bound.den > 1
             query = DominanceQuery(ctx, bound, mode)
             accepts = _exact_check(query)
+            prev = None
             for x in _candidates(query, rng):
                 verdict = accepts(x)
                 assert verdict == ref_accepts(bound, mode, x), (ctx, bound, x)
                 seen[verdict] += 1
+                seen["same prefix"] += prev is not None and x[1:] == prev[1:]
+                prev = x
     assert seen[True] > 2000 and seen[False] > 2000, seen
     assert seen["fraction bounds"] >= 40, seen
+    # most candidates of a run reuse the residual of their prefix
+    assert seen["same prefix"] > 5000, seen
 
 
 @pytest.mark.parametrize("label, mode, bound, points", [
@@ -475,10 +496,10 @@ def test_one_exact_check_per_candidate(table, monkeypatch, label, mode,
 
 def ref_box_bounds(inv, targets):
     lows, highs = [], []
-    for row in inv:
+    for alo, ahi, den in inv:
         acc = Interval.point(0)
-        for a, t in zip(row, targets):
-            acc = iv_add(acc, iv_mul(a, t))
+        for lo, hi, t in zip(alo, ahi, targets):
+            acc = iv_add(acc, iv_mul(Interval(F(lo, den), F(hi, den)), t))
         lows.append(math.ceil(acc.lo))
         highs.append(math.floor(acc.hi))
     return lows, highs
@@ -562,11 +583,12 @@ def products(draw):
           [Interval(F(0), F(3)), Interval(F(-5, 4), F(0))], [-2, 1]))
 def test_box_kernels_on_random_rational_intervals(case):
     # the second example has a singular midpoint matrix
-    inv, targets, lows = case
+    mat, targets, lows = case
+    inv = [endpoint_numerators(row) for row in mat]
     assert _box_bounds(inv, targets) == ref_box_bounds(inv, targets)
     box = EnumerationBox(tuple(lows), tuple(c + 3 for c in lows), F(1, 64),
                          tuple((t.lo, t.hi) for t in targets))
-    assert _candidate_estimate(inv, box) == ref_candidate_estimate(inv, box)
+    assert _candidate_estimate(mat, box) == ref_candidate_estimate(mat, box)
 
 
 def _moved(rec):

@@ -433,13 +433,23 @@ def test_det_of_singular_matrices_is_zero():
 
 # ---------------------------------------------------------------------------
 # verified interval inverse: every returned entry must contain the exact
-# inverse of every point matrix of the input
+# inverse of every point matrix of the input; row i comes as integer
+# endpoint numerators (lows, highs) over a power of two
+
+def entry(inv, i, j):
+    lows, highs, den = inv[i]
+    assert den > 0 and den & (den - 1) == 0
+    return Interval(F(lows[j], den), F(highs[j], den))
+
 
 def assert_encloses(inv, e):
     exact = linalg.inverse(e)
     assert exact is not None
-    for row, exact_row in zip(inv, exact):
-        for iv, x in zip(row, exact_row):
+    assert len(inv) == len(exact)
+    for i, exact_row in enumerate(exact):
+        assert len(inv[i][0]) == len(inv[i][1]) == len(exact_row)
+        for j, x in enumerate(exact_row):
+            iv = entry(inv, i, j)
             assert iv.lo <= x <= iv.hi
 
 
@@ -514,12 +524,12 @@ def test_interval_inverse_neumann_term_is_needed():
     # 1/2 misses 1/(1/2) = 2; the Neumann term makes the enclosure [0, 2]
     inv = linalg.interval_inverse([[Interval(F(1, 2), F(3, 2))]])
     assert inv is not None
-    assert inv[0][0].lo <= F(2, 3) and inv[0][0].hi >= 2
+    assert entry(inv, 0, 0).lo <= F(2, 3) and entry(inv, 0, 0).hi >= 2
     # a diagonal matrix: each entry is the scalar case
     d = [[Interval(F(1, 2), F(3, 2)), Interval.point(0)],
          [Interval.point(0), Interval(F(3), F(5))]]
     inv = linalg.interval_inverse(d)
-    assert inv[0][0].hi >= 2 and inv[1][1].hi >= F(1, 3)
+    assert entry(inv, 0, 0).hi >= 2 and entry(inv, 1, 1).hi >= F(1, 3)
 
 
 @pytest.mark.parametrize("a", [

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from ternlat.enumeration import elements_of_norm, squarefree_witness
-from ternlat.errors import NoSuchUnit
+from ternlat.errors import InvalidInput, NoSuchUnit
 from ternlat.numberfield import load_field, unit_square_canonical
 from ternlat.obstruction import (candidate_pool, dual_nonrepresentation,
                                  indecomposables_classify,
@@ -148,6 +148,33 @@ def test_pool_and_search_on_trivial_field(ctx_sqrt2):
     pool = candidate_pool(ctx_sqrt2, 12)
     assert pool[0] == ctx_sqrt2.one
     assert obstruction_search(ctx_sqrt2, 12) is None
+
+
+@pytest.mark.parametrize("pool_size, ceiling", [(0, 10 ** 8), (-1, 10 ** 8),
+                                                 (40, 0), (40, -5)])
+def test_nonpositive_pool_or_ceiling_is_rejected(table, ctx_sqrt2,
+                                                 monkeypatch, pool_size,
+                                                 ceiling):
+    # rejected before any field is loaded or searched, not turned into a
+    # verdict
+    from ternlat import obstruction
+    from ternlat.fieldscan import scan_obstructions, scan_small_condition
+
+    def no_work(*args):
+        raise AssertionError(f"work done on {args}")
+
+    monkeypatch.setattr(table, "context", no_work)
+    monkeypatch.setattr(obstruction, "dominated_elements", no_work)
+    ctx = ctx_sqrt2
+    calls = [lambda: candidate_pool(ctx, pool_size, ceiling),
+             lambda: obstruction_search(ctx, pool_size, ceiling),
+             lambda: scan_obstructions(table, 60000, pool_size, ceiling)]
+    if ceiling < 1:
+        calls.append(lambda: scan_small_condition(table, 20000, False,
+                                                  ceiling))
+    for call in calls:
+        with pytest.raises(InvalidInput, match="at least 1"):
+            call()
 
 
 def test_certificate_roundtrip(table):
