@@ -24,7 +24,9 @@ first, c = x_0, and the residual is a quadratic polynomial in c whose
 coefficients depend only on the rest, r: they are formed once per run,
 so a candidate costs d multiply-adds before its comparison (the
 incremental evaluation along the innermost coordinate of Fincke-Pohst
-enumeration).
+enumeration).  The box iteration is one generator with an explicit stack
+of levels, so a candidate passes through one generator frame, whatever
+the degree.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, islice, product
 from math import ceil, prod
 from operator import mul
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import linalg
 from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
@@ -217,9 +221,15 @@ def _iter_box(emb: List[List[Interval]], box: EnumerationBox) -> Iterator[Tuple[
     from below or above swaps), so the surviving values of c form one
     range on each side, solved exactly by integer division (Fincke-Pohst
     style); points come in lexicographic order of reversed coordinates.
+
+    One generator walks all levels with an explicit stack: per level above
+    0, the values it has left and the partial sums it was solved against.
+    The innermost level yields its points straight from its two ranges, so
+    a point costs one generator step, whatever the degree.
     """
     d = len(box.lows)
-    if not all(lo <= hi for lo, hi in zip(box.lows, box.highs)):
+    lows, highs = box.lows, box.highs
+    if not all(lo <= hi for lo, hi in zip(lows, highs)):
         return
     tlo = [_fixed_point(lo, up=False) for lo, _ in box.targets]
     thi = [_fixed_point(hi, up=True) for _, hi in box.targets]
@@ -238,8 +248,8 @@ def _iter_box(emb: List[List[Interval]], box: EnumerationBox) -> Iterator[Tuple[
     rem_hi = [[0] * (d + 1) for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            alo, ahi = scaled(i, j, box.lows[j])
-            blo, bhi = scaled(i, j, box.highs[j])
+            alo, ahi = scaled(i, j, lows[j])
+            blo, bhi = scaled(i, j, highs[j])
             rem_lo[i][j + 1] = rem_lo[i][j] + min(alo, blo)
             rem_hi[i][j + 1] = rem_hi[i][j] + max(ahi, bhi)
 
@@ -252,31 +262,46 @@ def _iter_box(emb: List[List[Interval]], box: EnumerationBox) -> Iterator[Tuple[
     caps = [[thi[i] - rem_lo[i][j] for i in range(d)] for j in range(d)]
     floors = [[tlo[i] - rem_hi[i][j] for i in range(d)] for j in range(d)]
     coords = [0] * d
-
-    def go(level: int, plo: List[int], phi: List[int]) -> Iterator[Tuple[int, ...]]:
-        neg_lo, neg_hi = box.lows[level], min(box.highs[level], -1)
-        pos_lo, pos_hi = max(box.lows[level], 0), box.highs[level]
+    # per level: the partial sums (plo, phi) of the coordinates above it,
+    # and above level 0 the values it has left
+    sums = [([0] * d, [0] * d)] * d
+    pending: List[Optional[Iterator[int]]] = [None] * d
+    level = d - 1
+    while True:
+        # solve this level's two ranges against the coordinates above it
+        plo, phi = sums[level]
+        neg_lo, neg_hi = lows[level], min(highs[level], -1)
+        pos_lo, pos_hi = max(lows[level], 0), highs[level]
         for el, eh, cap, flo, p, q in zip(cols_lo[level], cols_hi[level],
                                           caps[level], floors[level], plo, phi):
             if neg_lo <= neg_hi:
                 neg_lo, neg_hi = _narrow(neg_lo, neg_hi, eh, cap - p, el, flo - q)
             if pos_lo <= pos_hi:
                 pos_lo, pos_hi = _narrow(pos_lo, pos_hi, el, cap - p, eh, flo - q)
-        halves = ((range(neg_lo, neg_hi + 1), cols_hi[level], cols_lo[level]),
-                  (range(pos_lo, pos_hi + 1), cols_lo[level], cols_hi[level]))
-        if level == 0:
+        if level:
+            pending[level] = chain(range(neg_lo, neg_hi + 1),
+                                   range(pos_lo, pos_hi + 1))
+        else:
             rest = tuple(coords[1:])
-            for cs, _, _ in halves:
-                for c in cs:
-                    yield (c,) + rest
+            for c in range(neg_lo, neg_hi + 1):
+                yield (c,) + rest
+            for c in range(pos_lo, pos_hi + 1):
+                yield (c,) + rest
+            level = 1
+        # descend with the next value of the lowest level that has one
+        while level < d:
+            c = next(pending[level], None)
+            if c is not None:
+                break
+            level += 1
+        else:
             return
-        for cs, ea, eb in halves:
-            for c in cs:
-                coords[level] = c
-                yield from go(level - 1, [x + c * e for x, e in zip(plo, ea)],
-                              [x + c * e for x, e in zip(phi, eb)])
-
-    yield from go(d - 1, [0] * d, [0] * d)
+        coords[level] = c
+        ea, eb = (cols_lo, cols_hi) if c >= 0 else (cols_hi, cols_lo)
+        plo, phi = sums[level]
+        sums[level - 1] = ([x + c * e for x, e in zip(plo, ea[level])],
+                           [x + c * e for x, e in zip(phi, eb[level])])
+        level -= 1
 
 
 def _square_targets(ctx: FieldContext, bound: Element) -> List[Interval]:
@@ -322,7 +347,9 @@ def _exact_check(query: DominanceQuery) -> Callable[[Tuple[int, ...]], bool]:
     sums the columns of y_1 y_b times y_b, and A(r) sums the other
     monomials.  `_iter_box` yields candidates in runs that share r, so A and
     L are formed only when r differs from the previous candidate's, and
-    each candidate costs d multiply-adds.
+    each candidate costs d multiply-adds.  The residual is built as an
+    integer `Element` over 1 directly on its slots (its coordinates are in
+    lowest terms already), and `ctx.compare` is bound once per query.
     """
     ctx, bound = query.field, query.bound
     d, den = ctx.degree, bound.den
@@ -343,7 +370,7 @@ def _exact_check(query: DominanceQuery) -> Callable[[Tuple[int, ...]], bool]:
     pairs = [p for p, col in columns.items() if 1 not in p and any(col)]
     const_rows = [[columns[p][k] for p in pairs] for k in range(d)]
     lin_rows = [[col[k] for col in linear.values()] for k in range(d)]
-    zero = ctx.zero
+    zero, compare, blank = ctx.zero, ctx.compare, Element.__new__
     last_r, terms = None, ()
 
     def accepts(x: Tuple[int, ...]) -> bool:
@@ -359,8 +386,10 @@ def _exact_check(query: DominanceQuery) -> Callable[[Tuple[int, ...]], bool]:
                               [sum(map(mul, ys, row)) for row in lin_rows],
                               quad))
         c = x[0]
-        v = [a + c * (b + c * q) for a, b, q in terms]
-        return ctx.compare(Element._new(ctx, v, 1), zero) in _ACCEPT
+        v = blank(Element)
+        v.ctx, v.den = ctx, 1
+        v.coords = tuple([a + c * (b + c * q) for a, b, q in terms])
+        return compare(v, zero) in _ACCEPT
 
     return accepts
 
@@ -378,12 +407,10 @@ def enumerate_dominated(query: DominanceQuery,
     ctx = query.field
     box, emb = _query_box(query, ceiling)
     accepts = _exact_check(query)
-    out = []
-    for visited, coords in enumerate(_iter_box(emb, box), 1):
-        if visited > ceiling:
-            raise BoxTooLarge(visited, ceiling, "visited {} candidates")
-        if accepts(coords):
-            out.append(coords)
+    points = _iter_box(emb, box)
+    out = list(filter(accepts, islice(points, ceiling)))
+    if next(points, None) is not None:
+        raise BoxTooLarge(ceiling + 1, ceiling, "visited {} candidates")
     out.sort()
     return [Element._new(ctx, coords, 1) for coords in out]
 
@@ -394,22 +421,31 @@ def dominated_elements(ctx: FieldContext, bound: Element,
     return enumerate_dominated(DominanceQuery(ctx, bound, mode), ceiling)
 
 
+class Representations(NamedTuple):
+    """Vectors found by `enumerate_representations`; complete is False when
+    the search stopped at its cap with candidates left to test."""
+    vectors: List[Tuple[Element, ...]]
+    complete: bool
+
+
 def enumerate_representations(gram: Sequence[Sequence[Element]], gamma: Element,
                               cap: int = 10000,
                               ceiling: int = DEFAULT_CEILING
-                              ) -> List[Tuple[Element, ...]]:
+                              ) -> Representations:
     """All vectors v over the ring of integers with v^T G v = gamma, up to cap.
 
     Completeness: for positive definite G, any solution satisfies
     v_j^2 <= gamma * (G^-1)_jj in every embedding, so each coordinate ranges
-    over a complete dominated-element list.
+    over a complete dominated-element list.  Candidate vectors are tested in
+    lexicographic order of those lists; the search stops at the cap-th
+    solution, and the result says whether candidates were left untested.
     """
     n = len(gram)
     ctx = gamma.ctx
     if gamma.is_zero:
-        return [tuple(ctx.zero for _ in range(n))]
+        return Representations([tuple(ctx.zero for _ in range(n))], True)
     if not gamma.is_totally_positive():
-        return []
+        return Representations([], True)
     det = linalg.ring_det(gram)
     if det.is_zero:
         raise DivisionByZero("Gram matrix is singular")
@@ -425,23 +461,12 @@ def enumerate_representations(gram: Sequence[Sequence[Element]], gamma: Element,
             raise BoxTooLarge(volume, ceiling, "box volume {}")
 
     out: List[Tuple[Element, ...]] = []
-    vec: List[Element] = [ctx.zero] * n
-
-    def go(j: int):
+    for vec in product(*candidate_lists):
         if len(out) >= cap:
-            return
-        if j == n:
-            if linalg.ring_bilinear(vec, gram, vec) == gamma:
-                out.append(tuple(vec))
-            return
-        for c in candidate_lists[j]:
-            vec[j] = c
-            go(j + 1)
-            if len(out) >= cap:
-                return
-
-    go(0)
-    return out
+            return Representations(out, False)
+        if linalg.ring_bilinear(vec, gram, vec) == gamma:
+            out.append(vec)
+    return Representations(out, True)
 
 
 # ---------------------------------------------------------------------------

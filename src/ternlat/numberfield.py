@@ -345,6 +345,7 @@ class FieldContext:
         self._emb_cache: Optional[List[List[Interval]]] = None
         self._emb_nums: Optional[list] = None               # embeddings
         self._int_cache: Optional[Tuple[list, list]] = None     # _int_rows
+        self._pack: Optional[tuple] = None                      # _pack_rows
         # basis coordinates of the power t^k are row k of pow_to_basis
         self.one_coords_q = list(pow_to_basis[0])
         self.one = self.from_rational_coords(self.one_coords_q)
@@ -447,17 +448,44 @@ class FieldContext:
         """Outward bounds S_i - R_i on sigma_i(den * a), or S_i + R_i when
         upper, one per embedding, in units of 2^-(INT_BITS+1); S_i = M_i . x
         and R_i = D_i . |x| for the coordinates x, so each bound is one dot
-        product of (x, |x|) with an `_int_rows` row.  Sound but coarse; used
-        by fast pre-filters."""
-        x = a.coords
-        xm = x + tuple(map(abs, x))
-        return [sum(map(mul, xm, row)) for row in self._int_rows()[upper]]
+        product of (x, |x|) with an `_int_rows` row, all d of them taken at
+        once by `_packed_bounds`.  Sound but coarse; used by fast
+        pre-filters."""
+        t, w, _ = self._packed_bounds(a.coords, upper)
+        return _digits(t, w, self.degree)
 
-    def _fast_signs(self, a: Element) -> Optional[Tuple[int, ...]]:
+    def _packed_bounds(self, x: Tuple[int, ...], upper: bool
+                       ) -> Tuple[int, int, int]:
+        """The d bounds of `fixed_point_bounds` on coordinates x, as the
+        base-2^w digits of one integer t: digit i is bound_i + 2^(w-1) - 1.
+
+        Column j of the `_int_rows` rows is packed into P_j = sum_i
+        row_i[j] 2^(w i), so one sum of the 2d products of (x, |x|) with
+        the P_j is sum_i bound_i 2^(w i).  With E the largest |row entry|,
+        |bound_i| <= 2 E sum_j |x_j|, and w (a power of two, at least 64)
+        keeps that at most 2^(w-1) - 2: every offset digit lies in [1,
+        2^w - 3] and no carry crosses digits.  Returns (t, w, top) with top
+        the digit-wise 2^(w-1), so every bound_i is positive exactly when
+        t & top == top."""
+        ax = tuple(map(abs, x))
+        s = sum(ax)
+        rows = self._int_cache or self._int_rows()
+        pack = self._pack
+        if pack is None or pack[0] is not rows or s > pack[1]:
+            pack = self._pack = _pack_rows(rows, s)
+        _, _, w, cols, offset, top = pack
+        if cols[upper] is None:
+            cols[upper] = _pack_columns(rows[upper], w)
+        return sum(map(mul, x + ax, cols[upper])) + offset, w, top
+
+    def _fast_signs(self, a: Element, lows: Optional[List[int]] = None
+                    ) -> Optional[Tuple[int, ...]]:
         """Signs of all embeddings from the fixed-point bounds, or None when
-        some enclosure holds zero.  The upper bounds are formed only when
-        some lower bound is not positive."""
-        lows = self.fixed_point_bounds(a, upper=False)
+        some enclosure holds zero; `lows` are a's lower bounds when the
+        caller has formed them.  The upper bounds are formed only when some
+        lower bound is not positive."""
+        if lows is None:
+            lows = self.fixed_point_bounds(a, upper=False)
         if min(lows) > 0:
             return (1,) * self.degree
         signs = []
@@ -510,11 +538,23 @@ class FieldContext:
     # -- comparisons ---------------------------------------------------------
 
     def compare(self, a: Element, b: Element) -> Dominance:
+        """Dominance of a over b, from the signs of the embeddings of a - b.
+
+        The fixed-point bounds only short-circuit decisive cases: GT at once
+        when every lower bound is positive, read off the top bit of each
+        digit of the packed lower bounds (`_packed_bounds`); else the signs
+        from both bounds (`_fast_signs`, handed the lower bounds already
+        formed); and otherwise the exact sign pattern of the characteristic
+        polynomial.
+        """
         c = a - b if any(b.coords) else a
         if not any(c.coords):
             return Dominance.EQ
         # fixed-point pre-filter (sound: falls through when indecisive)
-        signs = self._fast_signs(c)
+        t, w, top = self._packed_bounds(c.coords, False)
+        if t & top == top:
+            return Dominance.GT
+        signs = self._fast_signs(c, _digits(t, w, self.degree))
         if signs is not None:
             if -1 not in signs:
                 return Dominance.GT
@@ -661,6 +701,36 @@ def load_field(record: FieldRecord) -> FieldContext:
     if q & (q - 1):
         raise FieldDataError(f"{record.label}: h_plus/h must be a power of 2")
     return FieldContext(record, table, roots, basis, inv)
+
+
+def _pack_rows(rows: Tuple[List[List[int]], List[List[int]]], s: int
+               ) -> tuple:
+    """The packing of `FieldContext._packed_bounds` at the least width
+    w = 64 * 2^k with 2 E s <= 2^(w-1) - 2: (rows, the largest s it admits,
+    w, the packed columns of each half, the offset digits 2^(w-1) - 1, the
+    top bits 2^(w-1)).  A half is packed on its first use: a comparison
+    that exits early never needs the upper one."""
+    e = max(1, *(max(map(abs, row)) for half in rows for row in half))
+    w = 64
+    while 2 * e * s > (1 << w - 1) - 2:
+        w *= 2
+    ones = sum(1 << w * i for i in range(len(rows[0])))
+    top = ones << w - 1
+    return rows, ((1 << w - 1) - 2) // (2 * e), w, [None, None], top - ones, top
+
+
+def _pack_columns(rows: List[List[int]], w: int) -> List[int]:
+    """Column j of rows as sum_i rows[i][j] 2^(w i), by Horner over i."""
+    cols = [0] * len(rows[0])
+    for row in reversed(rows):
+        cols = [(c << w) + v for c, v in zip(cols, row)]
+    return cols
+
+
+def _digits(t: int, w: int, d: int) -> List[int]:
+    """The d bounds packed in t by `FieldContext._packed_bounds`."""
+    mask, offset = (1 << w) - 1, (1 << w - 1) - 1
+    return [(t >> w * i & mask) - offset for i in range(d)]
 
 
 def mult_matrix(table, coords: Sequence[int]) -> List[List[int]]:

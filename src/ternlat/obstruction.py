@@ -141,9 +141,10 @@ def dual_nonrepresentation(ctx: FieldContext,
         counts.append(len(dominated_elements(ctx, bound,
                                              QueryMode.SQUARE_DOMINATED,
                                              ceiling)))
+    # existence only: the first representation found, if any
     reps = enumerate_representations(gram.entries, target, cap=1,
-                                     ceiling=ceiling)
-    ce = tuple(reps[0]) if reps else None
+                                     ceiling=ceiling).vectors
+    ce = reps[0] if reps else None
     return DualTranscript(ctx.record.label, (a1, a2, a3), gamma,
                           tuple(counts), ce)
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import Optional, Tuple
 
 from . import linalg, polys
 from .enumeration import (QueryMode, canonical_sign, dominated_elements,
                           sqrt_element)
-from .numberfield import (FieldContext, basis_mult_table, mult_matrix,
-                          units_by_signature)
+from .numberfield import (Element, FieldContext, basis_mult_table,
+                          mult_matrix, units_by_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +274,33 @@ def maximal_order(p) -> Order:
 # ---------------------------------------------------------------------------
 # units modulo squares
 
+def _conjugate_product(b: Element) -> Tuple[int, Element]:
+    """N(b) and b* = N(b) / b for integral b != 0, on integers.
+
+    With M the integer matrix of multiplication by b, b^-1 solves
+    M y = coords(1), so by Cramer's rule coordinate j of b* = det(M) y is
+    the determinant of M with column j replaced by coords(1): b* is the
+    adjugate of M applied to coords(1)."""
+    m = b.mult_matrix_scaled()
+    one = b.ctx.one.coords
+    star = [linalg.det_int([row[:j] + [e] + row[j + 1:]
+                            for row, e in zip(m, one)])
+            for j in range(len(m))]
+    return linalg.det_int(m), Element(b.ctx, star)
+
+
+def _integral_quotient(a: Element, b_conj: Tuple[int, Element]
+                       ) -> Optional[Element]:
+    """a / b when it is integral, else None, for integral a and b given by
+    `_conjugate_product`: a / b = a b* / N(b) is integral exactly when
+    N(b) divides every coordinate of a b*."""
+    nb, b_star = b_conj
+    num = (a * b_star).coords
+    if any(c % nb for c in num):
+        return None
+    return Element(a.ctx, [c // nb for c in num])
+
+
 def find_units(ctx: FieldContext):
     """Unit generators with independent classes mod squares (including -1),
     and |U+/U^2| = 2^d / (number of unit signatures)."""
@@ -323,15 +351,18 @@ def find_units(ctx: FieldContext):
 
     absorb()
     if len(gens) < want:
-        # quotients of equal-norm elements reach units beyond the house bound
+        # quotients of equal-norm elements reach units beyond the house
+        # bound; an integral quotient of two elements of equal |norm| is a
+        # unit, and then so is its inverse b / a
         for n, els in sorted(by_norm.items()):
             els = els[:80]
+            conj = [_conjugate_product(b) for b in els]
             for i, a in enumerate(els):
-                for b in els[i + 1:]:
-                    qv = a / b
-                    if qv.is_integral and abs(qv.norm()) == 1:
+                for j in range(i + 1, len(els)):
+                    qv = _integral_quotient(a, conj[j])
+                    if qv is not None:
                         add(qv)
-                        add(ctx.one / qv)
+                        add(_integral_quotient(els[j], conj[i]))
         absorb()
     if len(gens) < want:
         raise RuntimeError(

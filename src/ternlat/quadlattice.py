@@ -169,9 +169,10 @@ def _column_search(g1: GramMatrix, target: GramMatrix, require_unit_det: bool,
         # cap=ceiling never cuts: a candidate volume above ceiling raises
         reps = enumerate_representations(g1.entries, target.entries[j][j],
                                          cap=ceiling, ceiling=ceiling)
-        if not reps:
+        assert reps.complete
+        if not reps.vectors:
             return None
-        columns.append(reps)
+        columns.append(reps.vectors)
     chosen: List[Vector] = []
 
     def go(j: int) -> Optional[Tuple[Vector, ...]]:

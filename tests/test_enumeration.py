@@ -214,10 +214,43 @@ def test_representations(ctx_q):
     one, zero = ctx_q.one, ctx_q.zero
     g2 = [[one, zero], [zero, one]]
     reps = enumerate_representations(g2, ctx_q.from_rational(2))
-    assert len(reps) == 4
+    assert len(reps.vectors) == 4 and reps.complete
     g3 = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    assert enumerate_representations(g3, ctx_q.from_rational(7)) == []
-    assert len(enumerate_representations(g3, ctx_q.from_rational(6))) == 24
+    assert enumerate_representations(g3, ctx_q.from_rational(7)) == ([], True)
+    reps = enumerate_representations(g3, ctx_q.from_rational(6))
+    assert len(reps.vectors) == 24 and reps.complete
+
+
+def test_representation_list_cut_at_cap_is_flagged(ctx_q, ctx_sqrt2):
+    # x^2 + y^2 + z^2 = 6 over Z: 24 vectors, the last one (2, 1, 1) in the
+    # order the candidate lists are searched, with (2, 1, 2) .. (2, 2, 2)
+    # still to test after it
+    g3 = [[ctx_q.one if i == j else ctx_q.zero for j in range(3)]
+          for i in range(3)]
+    six = ctx_q.from_rational(6)
+    full = enumerate_representations(g3, six)
+    assert full.complete and len(full.vectors) == 24
+    assert full.vectors[-1] == tuple(ctx_q.from_rational(c) for c in (2, 1, 1))
+    for cap in (1, 5, 23, 24):
+        cut = enumerate_representations(g3, six, cap=cap)
+        assert not cut.complete
+        assert cut.vectors == full.vectors[:cap]
+    assert enumerate_representations(g3, six, cap=25) == full
+    # x^2 = 1: the last candidate, 1, is the second solution, so a cap of 2
+    # is reached when nothing is left to test
+    g1 = [[ctx_q.one]]
+    one = ctx_q.one
+    assert enumerate_representations(g1, one, cap=2) == ([(-one,), (one,)],
+                                                         True)
+    assert enumerate_representations(g1, one, cap=1) == ([(-one,)], False)
+    # over Z[sqrt2]: 2 = sqrt2^2 = 1 + 1 in x^2 + y^2
+    one, zero = ctx_sqrt2.one, ctx_sqrt2.zero
+    two = ctx_sqrt2.from_rational(2)
+    full = enumerate_representations([[one, zero], [zero, one]], two)
+    assert full.complete and len(full.vectors) == 8
+    assert all(x * x + y * y == two for x, y in full.vectors)
+    cut = enumerate_representations([[one, zero], [zero, one]], two, cap=3)
+    assert not cut.complete and cut.vectors == full.vectors[:3]
 
 
 def test_elements_of_norm(ctx_sqrt2):

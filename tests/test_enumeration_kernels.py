@@ -1,13 +1,17 @@
 """Differential tests of the enumeration kernels against their exact paths.
 
 `enumeration._iter_box` solves each level's feasible coordinate range by
-integer division; the reference below is the scan-and-reject loop it
-replaced, which tries every coordinate of the box and tests every embedding.
-The two must yield the same sequence, in the same order.
+integer division and walks the levels with an explicit stack; the
+reference below is the recursive scan-and-reject loop it replaced, which
+tries every coordinate of the box and tests every embedding.  The two must
+yield the same sequence, in the same order, up to degree 8.
 
 `FieldContext._fast_signs` decides signs from fixed-point enclosures in
 midpoint-radius form; every decisive verdict must equal the exact one from
 the characteristic polynomial, and every decisive sign the refined one.
+`FieldContext.compare`, which exits early when every lower bound is
+positive, must equal the characteristic polynomial's verdict on a - b
+with b = 0 and b != 0, in both argument orders.
 `Element.signature` starts from those enclosures and `Element.trace` from
 the traces of the basis; both are checked against the paths they replaced.
 
@@ -195,6 +199,17 @@ def test_iter_box_on_a_degree_5_box():
     assert list(_iter_box(emb, box)) == list(ref_iter_box(emb, box))
 
 
+def test_iter_box_on_a_degree_8_box():
+    # seven levels above the innermost one; two of the five points have a
+    # negative coordinate above level 0
+    ctx = cyclo_info(32).field
+    box, emb = _certified(ctx, ctx.from_rational(3), QueryMode.SQUARE_DOMINATED)
+    got = list(_iter_box(emb, box))
+    assert got == list(ref_iter_box(emb, box))
+    assert len(got) == 5
+    assert sum(any(c < 0 for c in x[1:]) for x in got) == 2
+
+
 # ---------------------------------------------------------------------------
 # compare: fixed-point fast path against the characteristic polynomial
 
@@ -323,6 +338,37 @@ def test_signature_and_trace_agree_with_references(table):
     assert branches["fixed-point"] > 500 and branches["refined"] > 10, branches
 
 
+def test_packed_bounds_equal_one_dot_product_per_row(table):
+    # the d fixed-point bounds are the digits of one packed integer; the
+    # reference takes one dot product of (x, |x|) per `_int_rows` row.  The
+    # first coordinate sits at and just past the largest sum of |x_j| that
+    # the 64-bit digits admit, then coordinates grow to 2^200, which widens
+    # the digits further
+    rng = random.Random(24)
+    ctxs = [table.context(rec.label) for rec in table.records[::4]]
+    widths = set()
+    for ctx in ctxs + [cyclo_info(11).field]:
+        d = ctx.degree
+        ctx.fixed_point_bounds(ctx.one, upper=False)
+        limit = ctx._pack[1]
+        xs = [[sign * (limit + k)] + [0] * (d - 1)
+              for k in (0, 1) for sign in (1, -1)]
+        xs += [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(d)]
+               for bits in (1, 8, 30, 40, 64, 100, 200, 3) for _ in range(8)]
+        rows = ctx._int_rows()
+        for x in xs:
+            xm = x + [abs(c) for c in x]
+            want = [[sum(p * q for p, q in zip(xm, row)) for row in half]
+                    for half in rows]
+            for upper in (False, True):
+                assert ctx.fixed_point_bounds(ctx.element(x), upper) == \
+                    want[upper]
+            t, w, top = ctx._packed_bounds(tuple(x), False)
+            assert (t & top == top) == (min(want[0]) > 0)
+            widths.add(w)
+    assert {64, 128, 256} <= widths, widths
+
+
 def test_fast_path_is_indecisive_on_an_enclosure_touching_zero():
     # hand-made enclosures in midpoint-radius form, as rows (M, -D) and
     # (M, D): sigma_i(1) in [0, 2] touches zero and must fall back; in
@@ -359,6 +405,67 @@ def test_fast_path_falls_back_on_ties_in_a_product_ring():
         for signature in (tie.signature, lambda: ref_signature(tie)):
             with pytest.raises(ValueError, match="exactly-zero"):
                 signature()
+
+
+def _compare_cases(ctx, elements):
+    """Pairs (a, b) for `FieldContext.compare`: each sample against 0 and 0
+    against it, and each sample plus the next one against that one and
+    the other way round, so every sample is also a difference a - b with
+    b != 0."""
+    zero = ctx.zero
+    for a, b in zip(elements, elements[1:] + elements[:1]):
+        yield from ((a, zero), (zero, a), (a + b, b), (b, a + b))
+
+
+def test_compare_agrees_with_charpoly(table, monkeypatch):
+    calls = {"fast_signs": 0, "charpoly": 0}
+    fast_signs, charpoly = FieldContext._fast_signs, linalg.charpoly
+
+    def counted_fast_signs(self, a, lows=None):
+        calls["fast_signs"] += 1
+        return fast_signs(self, a, lows)
+
+    def counted_charpoly(m):
+        calls["charpoly"] += 1
+        return charpoly(m)
+
+    monkeypatch.setattr(FieldContext, "_fast_signs", counted_fast_signs)
+    monkeypatch.setattr(linalg, "charpoly", counted_charpoly)
+    paths = {"early": 0, "signs": 0, "fallback": 0}
+
+    def check(ctx, a, b):
+        before = dict(calls)
+        got = ctx.compare(a, b)
+        after = dict(calls)
+        c = a - b
+        assert got is (Dominance.EQ if c.is_zero else charpoly_verdict(c))
+        if after["charpoly"] > before["charpoly"]:
+            paths["fallback"] += 1
+        elif after["fast_signs"] > before["fast_signs"]:
+            paths["signs"] += 1
+        elif not c.is_zero:
+            assert got is Dominance.GT
+            paths["early"] += 1
+
+    for ctx, elements in _table_samples(table, 23):
+        for a, b in _compare_cases(ctx, elements):
+            check(ctx, a, b)
+    assert min(paths.values()) > 10, paths
+
+    # Q x Q = Q[t]/(t^2 - 1) has exact enclosures, sigma(t) = -1 and 1:
+    # x + y t with |x| = |y| has a lower bound of exactly 0 and a zero
+    # embedding, so the early exit must not take it for GT
+    rec = FieldRecord("QxQ", 2, (-1, 0, 1), ((F(1), F(0)), (F(0), F(1))), 4)
+    ctx = load_field(rec)
+    s = 1 << ctx.INT_BITS + 1
+    exact = [[s, -s, 0, 0], [s, s, 0, 0]]
+    assert ctx._int_rows() == (exact, exact)
+    elements = [ctx.element([x, y]) for x in range(-3, 4) for y in range(-3, 4)]
+    ties = 0
+    for a, b in _compare_cases(ctx, elements):
+        check(ctx, a, b)
+        ties += min(ctx.fixed_point_bounds(a - b, upper=False)) == 0
+    assert ties > 10
 
 
 # ---------------------------------------------------------------------------
