@@ -58,7 +58,8 @@ def cyclo_info(k: int) -> CycloInfo:
     # form is the Hankel matrix of power sums, Tr(t^i * t^j) = s_(i+j)
     s = polys.power_sums(pcos, 2 * d - 2)
     disc = linalg.det([[s[i + j] for j in range(d)] for i in range(d)])
-    assert disc.denominator == 1
+    if disc.denominator != 1:
+        raise RuntimeError(f"F{k}: power-order discriminant {disc}")
     basis = tuple(tuple(Fraction(int(i == j)) for j in range(d))
                   for i in range(d))
     rec = FieldRecord(label=f"F{k}", degree=d, poly=tuple(pcos), basis=basis,

@@ -6,7 +6,8 @@ embedding matrix by a verified midpoint-radius inverse (an approximate
 inverse whose error bound is checked in exact integers,
 `linalg.interval_inverse`) and applying it to the per-embedding constraint
 region, so it provably contains all solutions.  That product runs on
-integers: the inverse comes as integer endpoint numerators over 2^s, the
+integers: the embedding matrix and its inverse come as integer endpoint
+numerators, per row over one denominator (2^s for the inverse), the
 region is put over one common denominator, the interval products and sums
 are taken on the numerators, and the box bounds are their exact ceiling
 and floor.  Precision is increased until the box volume stabilizes, and a
@@ -43,7 +44,8 @@ from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
 from . import linalg
 from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
                      PrecisionExhausted)
-from .intervals import Interval, endpoint_numerators, sqrt_upper
+from .intervals import (Interval, Numerators, endpoint_numerators,
+                        fixed_point_midrad, sqrt_upper)
 from .numberfield import Dominance, Element, FieldContext
 
 DEFAULT_CEILING = 10 ** 8
@@ -98,21 +100,20 @@ class EnumerationBox:
         }
 
 
-def _candidate_estimate(emb: List[List[Interval]], box: EnumerationBox) -> int:
+def _candidate_estimate(emb: List[Numerators], box: EnumerationBox) -> int:
     """Expected number of enumerated points: region volume / |det E|.
 
     The pruned iteration visits on this order of candidates, which is far
     below the raw coordinate-box volume for skewed bases.
     """
-    rows = [endpoint_numerators(row) for row in emb]
     # row i of the midpoint matrix is (lows + highs) / (2 den_i), so its
     # determinant is that of the integer matrix over the product of 2 den_i
     det = abs(linalg.det([[lo + hi for lo, hi in zip(lows, highs)]
-                          for lows, highs, _ in rows]))
+                          for lows, highs, _ in emb]))
     if det == 0:
         return box.volume
     region = prod((hi - lo for lo, hi in box.targets), start=Fraction(1))
-    scale = prod(2 * den for _, _, den in rows)
+    scale = prod(2 * den for _, _, den in emb)
     return min(box.volume, ceil(region * scale / det) + 1)
 
 
@@ -142,9 +143,9 @@ def _box_bounds(inv: List[Tuple[List[int], List[int], int]],
 
 def _build_box(ctx: FieldContext,
                make_targets: Callable[[], List[Interval]],
-               ceiling: int) -> Tuple[EnumerationBox, List[List[Interval]]]:
+               ceiling: int) -> Tuple[EnumerationBox, List[Numerators]]:
     """Shrink the certified box until its volume stabilizes within 1%."""
-    prev: Optional[Tuple[EnumerationBox, List[List[Interval]]]] = None
+    prev: Optional[Tuple[EnumerationBox, List[Numerators]]] = None
     prev_vol = None
     for k in range(80):
         width = Fraction(1, 64 * 4 ** k)
@@ -208,7 +209,7 @@ def _narrow(lo: int, hi: int, ea: int, a: int, eb: int, b: int
     return lo, hi
 
 
-def _iter_box(emb: List[List[Interval]], box: EnumerationBox) -> Iterator[Tuple[int, ...]]:
+def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int, ...]]:
     """Integer points of the box surviving per-embedding interval pruning.
 
     Coordinates are fixed from the last to the first; at each level the
@@ -233,10 +234,10 @@ def _iter_box(emb: List[List[Interval]], box: EnumerationBox) -> Iterator[Tuple[
         return
     tlo = [_fixed_point(lo, up=False) for lo, _ in box.targets]
     thi = [_fixed_point(hi, up=True) for _, hi in box.targets]
-    elo = [[_fixed_point(emb[i][j].lo, up=False) for j in range(d)]
-           for i in range(d)]
-    ehi = [[_fixed_point(emb[i][j].hi, up=True) for j in range(d)]
-           for i in range(d)]
+    # outward fixed-point endpoints (M - D) / 2 and (M + D) / 2
+    mids, rads = fixed_point_midrad(emb, _PRUNE_BITS)
+    elo = [[(m - r) // 2 for m, r in zip(*row)] for row in zip(mids, rads)]
+    ehi = [[(m + r) // 2 for m, r in zip(*row)] for row in zip(mids, rads)]
 
     def scaled(i: int, j: int, c: int) -> Tuple[int, int]:
         if c >= 0:
@@ -319,7 +320,7 @@ def _interval_targets(ctx: FieldContext, bound: Element) -> List[Interval]:
 
 
 def _query_box(query: DominanceQuery, ceiling: int
-               ) -> Tuple[EnumerationBox, List[List[Interval]]]:
+               ) -> Tuple[EnumerationBox, List[Numerators]]:
     ctx = query.field
     make = _square_targets if query.mode is QueryMode.SQUARE_DOMINATED \
         else _interval_targets

@@ -1,11 +1,11 @@
 """Rational intervals and their integer forms.
 
 Endpoints are exact `Fraction`s.  The package does no arithmetic on
-`Interval` objects: its kernels put a row of intervals over one common
-denominator (`endpoint_numerators`) or round it outward to fixed point
-(`fixed_point_midrad`), work on the integers and build `Fraction`s only
-for their results.  Only square roots and the fixed-point form introduce
-rounding, which is done outward by construction.
+`Interval` objects: its kernels hold a row of intervals as integer
+endpoint numerators over one denominator (`Numerators`), round such rows
+outward to fixed point (`fixed_point_midrad`), work on the integers and
+build `Fraction`s only for their results.  Only square roots and the
+fixed-point form introduce rounding, which is done outward.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from math import isqrt, lcm
 from typing import List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
+Numerators = Tuple[List[int], List[int], int]  # [lows[k], highs[k]] / den
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,7 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def endpoint_numerators(ivs: Sequence[Interval]
-                        ) -> Tuple[List[int], List[int], int]:
+def endpoint_numerators(ivs: Sequence[Interval]) -> Numerators:
     """(lows, highs, den): ivs[k] = [lows[k], highs[k]] / den with integers
     lows, highs and den the least positive common denominator of all the
     endpoints."""
@@ -64,51 +64,39 @@ def endpoint_numerators(ivs: Sequence[Interval]
             [iv.hi.numerator * (den // iv.hi.denominator) for iv in ivs], den)
 
 
-def fixed_point_midrad(rows: Sequence[Sequence[Interval]], bits: int
+def fixed_point_midrad(rows: Sequence[Numerators], bits: int
                        ) -> Tuple[List[List[int]], List[List[int]]]:
-    """Integer matrices (M, D) with rows[i][j] inside
+    """Integer matrices (M, D) with entry j of rows[i] inside
     [M[i][j] - D[i][j], M[i][j] + D[i][j]] / 2^(bits+1).
 
     Each interval's endpoints are rounded outward to multiples of 2^-bits,
     to lo and hi say; then M = lo + hi and D = hi - lo, so lo > 0 iff
     M > D and hi < 0 iff M < -D.
     """
-    scale = 1 << bits
     mids, rads = [], []
-    for row in rows:
-        mrow, rrow = [], []
-        for iv in row:
-            lo = (iv.lo.numerator * scale) // iv.lo.denominator
-            hi = -((-iv.hi.numerator * scale) // iv.hi.denominator)
-            mrow.append(lo + hi)
-            rrow.append(hi - lo)
-        mids.append(mrow)
-        rads.append(rrow)
+    for lows, highs, den in rows:
+        los = [(x << bits) // den for x in lows]
+        his = [-((-x << bits) // den) for x in highs]
+        mids.append([lo + hi for lo, hi in zip(los, his)])
+        rads.append([hi - lo for lo, hi in zip(los, his)])
     return mids, rads
+
+
+def _sqrt_bound(x: Rat, up: bool) -> Fraction:
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("sqrt of negative rational")
+    shift = 1 << 32
+    n = x.numerator * x.denominator * shift * shift
+    r = isqrt(n)
+    return Fraction(r + (up and r * r < n), x.denominator * shift)
 
 
 def sqrt_lower(x: Rat) -> Fraction:
     """Rational lower bound for sqrt(x), x >= 0.  Relative error < 2^-32."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    if x == 0:
-        return Fraction(0)
-    shift = 1 << 32
-    n = x.numerator * x.denominator * shift * shift
-    return Fraction(isqrt(n), x.denominator * shift)
+    return _sqrt_bound(x, False)
 
 
 def sqrt_upper(x: Rat) -> Fraction:
     """Rational upper bound for sqrt(x), x >= 0.  Relative error < 2^-32."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    if x == 0:
-        return Fraction(0)
-    shift = 1 << 32
-    n = x.numerator * x.denominator * shift * shift
-    r = isqrt(n)
-    if r * r < n:
-        r += 1
-    return Fraction(r, x.denominator * shift)
+    return _sqrt_bound(x, True)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ldexp, prod
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .intervals import Interval, fixed_point_midrad
+from .intervals import Numerators, fixed_point_midrad
 from .polys import clear_denominators
 
 Mat = List[List[Fraction]]
@@ -197,11 +197,12 @@ def ring_bilinear(u: Sequence, g: Sequence[Sequence], v: Sequence):
     return sum(terms[1:], terms[0]) if terms else g[0][0] - g[0][0]
 
 
-def interval_inverse(a: Sequence[Sequence[Interval]]
-                     ) -> Optional[List[Tuple[List[int], List[int], int]]]:
+def interval_inverse(a: Sequence[Numerators]) -> Optional[List[Numerators]]:
     """Verified inverse of an interval matrix in midpoint-radius form
     (Rump, "Verification methods", Acta Numerica 19, 2010).
 
+    Row i of a is given as integer endpoint numerators over one denominator
+    (`intervals.Numerators`, as `FieldContext.basis_embeddings` builds it).
     Each entry is rounded outward to [M - D, M + D] / 2^s with integers M
     and D (`fixed_point_midrad`).  R is a floating-point inverse of M / 2^s,
     read as an exact dyadic.  For every point matrix E inside the input,
@@ -210,8 +211,7 @@ def interval_inverse(a: Sequence[Sequence[Interval]]
     invertible and E^-1 = sum_k (I - R E)^k R, whence
     |E^-1 - R| <= G |R| + z (G 1) 1^T with z = max(G |R|) / (1 - beta).
     The result is R plus or minus that bound, rounded outward to 2^-s, one
-    row (lows, highs, 2^s) of integer endpoint numerators per row of the
-    inverse, in the form of `intervals.endpoint_numerators`.
+    row (lows, highs, 2^s) of `Numerators` per row of the inverse.
 
     Returns None when the midpoint is singular to working precision or
     beta >= 1; the caller should tighten the input enclosures and retry.

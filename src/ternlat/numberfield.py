@@ -8,9 +8,11 @@ positive denominator, so integrality is exactly "denominator 1".
 The exact element invariants run on two integer tables of the context: the
 multiplication table (multiplication matrices, hence norms, traces and
 inverses) and the outward fixed-point enclosures of the basis embeddings
-(signs).  Order comparisons (total positivity, dominance) and signatures
-return exact verdicts: the fixed-point enclosures only short-circuit
-decisive cases.  An undecided comparison falls back to the sign pattern of
+(signs), read off the basis embeddings: integer endpoint numerators over
+one denominator per root, from one Horner pass per root.  Order
+comparisons (total positivity, dominance) and signatures return exact
+verdicts: the fixed-point enclosures only short-circuit decisive cases.
+An undecided comparison falls back to the sign pattern of
 the characteristic polynomial of the multiplication map, which is decisive
 because every conjugate is real; an undecided signature refines rational
 interval embeddings, after ruling out an exactly-zero embedding by the norm.
@@ -33,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import linalg, polys
 from .errors import (BadBasis, DivisionByZero, FieldDataError, NoSuchUnit,
                      NotARing, NotTotallyReal)
-from .intervals import Interval, endpoint_numerators, fixed_point_midrad
+from .intervals import Interval, Numerators, fixed_point_midrad
 
 Rat = Union[int, Fraction]
 
@@ -252,8 +254,6 @@ class Element:
     # -- invariants ----------------------------------------------------------
 
     def norm(self) -> Fraction:
-        if self.den == 1:
-            return Fraction(linalg.det_int(self.mult_matrix_scaled()))
         return Fraction(linalg.det_int(self.mult_matrix_scaled()),
                         self.den ** self.ctx.degree)
 
@@ -342,8 +342,8 @@ class FieldContext:
         self.basis_pow = basis_pow
         self.pow_to_basis = pow_to_basis
         self._roots = list(roots)
-        self._emb_cache: Optional[List[List[Interval]]] = None
-        self._emb_nums: Optional[list] = None               # embeddings
+        self._horner = polys.horner_rows(basis_pow)     # basis_embeddings
+        self._emb_cache: Optional[List[Numerators]] = None
         self._int_cache: Optional[Tuple[list, list]] = None     # _int_rows
         self._pack: Optional[tuple] = None                      # _pack_rows
         # basis coordinates of the power t^k are row k of pow_to_basis
@@ -415,16 +415,15 @@ class FieldContext:
         if changed:
             # the embedding caches were computed from the wider roots
             self._emb_cache = None
-            self._emb_nums = None
             self._int_cache = None
 
-    def basis_embeddings(self) -> List[List[Interval]]:
-        """Matrix E with E[i][j] enclosing sigma_i(basis_j), at current precision."""
+    def basis_embeddings(self) -> List[Numerators]:
+        """Per root i, (lows, highs, den) with sigma_i(basis_j) in [lows[j],
+        highs[j]] / den, at current precision: one `polys.eval_interval`
+        call per root evaluates every basis row."""
         if self._emb_cache is None:
-            self._emb_cache = [
-                [polys.eval_interval(self.basis_pow[j], root)
-                 for j in range(self.degree)]
-                for root in self._roots]
+            self._emb_cache = [polys.eval_interval(*self._horner, root)
+                               for root in self._roots]
         return self._emb_cache
 
     INT_BITS = 24
@@ -502,9 +501,8 @@ class FieldContext:
         """Enclosures of sigma_i(a), each at most max_width wide, refining
         the roots as needed.
 
-        Row i of `basis_embeddings` is held as integer numerators over one
-        denominator (`endpoint_numerators`), sigma_i(basis_j) in [lows[j],
-        highs[j]] / den, next to the matrix and cleared with it.  The
+        Row i of `basis_embeddings` holds integer numerators over one
+        denominator, sigma_i(basis_j) in [lows[j], highs[j]] / den.  The
         interval sum of c_j times sigma_i(basis_j) is taken on those
         numerators over den * a.den, and built as `Fraction`s once narrow
         enough.
@@ -514,20 +512,11 @@ class FieldContext:
         width = min((iv.width for iv in self._roots), default=Fraction(0))
         x = a.coords
         for _ in range(256):
-            emb = self.basis_embeddings()
-            if self._emb_nums is None:
-                self._emb_nums = [endpoint_numerators(row) for row in emb]
             out = []
-            for lows, highs, den in self._emb_nums:
-                lo = hi = 0
-                for c, el, eh in zip(x, lows, highs):
-                    if c > 0:
-                        lo += c * el
-                        hi += c * eh
-                    elif c < 0:
-                        lo += c * eh
-                        hi += c * el
-                out.append((lo, hi, den * a.den))
+            for lows, highs, den in self.basis_embeddings():
+                los, his = zip(*(sorted((c * lo, c * hi))
+                                 for c, lo, hi in zip(x, lows, highs)))
+                out.append((sum(los), sum(his), den * a.den))
             if all((hi - lo) * wd <= wn * den for lo, hi, den in out):
                 return [Interval(Fraction(lo, den), Fraction(hi, den))
                         for lo, hi, den in out]
@@ -778,9 +767,7 @@ def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],
     d = len(basis)
     table = [[None] * d for _ in range(d)]
     xpow = _power_residues(poly, d)
-    is_power_basis = all(basis[i][j] == (1 if i == j else 0)
-                         for i in range(d) for j in range(d))
-    if is_power_basis:
+    if list(map(list, basis)) == linalg.identity(d):
         for i in range(d):
             for j in range(i, d):
                 table[i][j] = table[j][i] = tuple(xpow[i + j])

@@ -144,7 +144,8 @@ class Order:
         self.trace_form = linalg.mat_mul(linalg.mat_mul(self.basis, hankel),
                                          linalg.transpose(self.basis))
         disc = linalg.det(self.trace_form)
-        assert disc.denominator == 1
+        if disc.denominator != 1:
+            raise RuntimeError(f"order discriminant {disc} is not integral")
         self.disc = int(disc)
 
     @cached_property
@@ -190,7 +191,8 @@ def enlarge_at(order: Order, q: int) -> Order:
     for r in rad:
         gens.extend(map(list, zip(*mult_matrix(table, r))))
     ideal = hnf_rows(gens)
-    assert len(ideal) == d
+    if len(ideal) != d:
+        raise RuntimeError(f"radical ideal at {q} has rank {len(ideal)}")
     # multiplier ring: x = z/q, z in Z^d, with x * I inside I
     h_t_inv = linalg.inverse(linalg.transpose(ideal))
     entries = [x / q for w in ideal
@@ -200,7 +202,8 @@ def enlarge_at(order: Order, q: int) -> Order:
     a_rows = [nums[i:i + d] for i in range(0, len(nums), d)]
     kernel = integral_kernel_mod(a_rows, den_all, d)
     lattice = hnf_rows(kernel + q_rows)
-    assert len(lattice) == d
+    if len(lattice) != d:
+        raise RuntimeError(f"multiplier ring at {q} has rank {len(lattice)}")
     new_rows = [[x / q for x in row]
                 for row in linalg.mat_mul(lattice, order.basis)]
     return Order(order.p, new_rows)

@@ -8,7 +8,9 @@ Evaluation (`eval_at`, `eval_interval`), root isolation and bisection
 (`isolate_real_roots`, `refine_root`) and `cyclotomic` run on integers: the
 coefficients are put over their least common denominator, the point or both
 interval endpoints over one denominator, and a `Fraction` is built only for
-the result, which is exactly what `Fraction` arithmetic gives.  Only
+the result, which is exactly what `Fraction` arithmetic gives;
+`eval_interval` builds none, and returns integer endpoint numerators for a
+whole set of polynomials, the basis rows of a field, at once.  Only
 `divmod_poly`, which serves the Sturm remainders of `sturm_chain`, works
 over `Fraction`s.
 
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple, Union
 
-from .intervals import Interval
+from .intervals import Interval, Numerators
 
 Coeff = Union[int, Fraction]
 Poly = List[Coeff]
@@ -120,26 +122,50 @@ def eval_at(p: Sequence[Coeff], x: Coeff) -> Fraction:
                     den * b ** max(len(nums) - 1, 0))
 
 
-def eval_interval(p: Sequence[Coeff], iv: Interval) -> Interval:
-    """Horner evaluation in rational interval arithmetic, on integers.
+def horner_rows(ps: Sequence[Sequence[Coeff]]
+                ) -> Tuple[List[List[int]], List[int], int]:
+    """(rows, src, den), the input of `eval_interval`: the polynomials ps
+    trimmed, as integer numerators over their least common denominator
+    den, and src[j] the index of an earlier one that ps[j] is t times, or
+    -1."""
+    ps = [trim(p) for p in ps]
+    den = lcm(*(c.denominator for p in ps for c in p))
+    rows = [[c.numerator * (den // c.denominator) for c in p] for p in ps]
+    seen, src = {}, []
+    for j, r in enumerate(rows):
+        src.append(seen.get(tuple(r[1:]), -1) if r[:1] == [0] else -1)
+        seen.setdefault(tuple(r), j)
+    return rows, src, den
 
-    With the endpoints at a/b and e/b, the accumulator is kept as integer
-    endpoints over den * b^step; each step takes the min and max of the
-    four endpoint products, as rational interval multiplication does.
-    Zero high-order coefficients are trimmed first: each would scale every
-    endpoint by b.
+
+def eval_interval(rows: Sequence[Sequence[int]], src: Sequence[int],
+                  den: int, iv: Interval) -> Numerators:
+    """The polynomials of `horner_rows` at iv, as `Numerators`: Horner
+    evaluation in rational interval arithmetic, on integers.
+
+    With the endpoints at a/b and e/b, an accumulator after n steps is
+    kept as integer endpoints over den * b^(n-1); each step takes the min
+    and max of the four endpoint products, as rational interval
+    multiplication does.  The Horner run of a row t times row src[j] is
+    that row's run plus one step (by its constant 0), so it starts from
+    that row's value: a power basis costs one step per row.  All values
+    end over den * b^(m-1), m the length of the longest row.
     """
-    nums, den = clear_denominators(trim(p))
     a, e, b = _over_common_den(iv.lo, iv.hi)
-    lo = hi = 0
-    bpow = 1
-    for c in reversed(nums):
-        ps = (lo * a, lo * e, hi * a, hi * e)
-        c *= bpow
-        lo, hi = min(ps) + c, max(ps) + c
-        bpow *= b
-    scale = den * b ** max(len(nums) - 1, 0)
-    return Interval(Fraction(lo, scale), Fraction(hi, scale))
+    top = max(map(len, rows), default=0)
+    bpows = [1]
+    for _ in range(top):
+        bpows.append(bpows[-1] * b)
+    vals = []
+    for r, i in zip(rows, src):
+        lo, hi, n = vals[i] if i >= 0 else (0, 0, 0)
+        for c in reversed(r[:1] if i >= 0 else r):
+            ps = (lo * a, lo * e, hi * a, hi * e)
+            c *= bpows[n]
+            lo, hi, n = min(ps) + c, max(ps) + c, n + 1
+        vals.append((lo, hi, n))
+    return ([lo * bpows[top - n] for lo, _, n in vals],
+            [hi * bpows[top - n] for _, hi, n in vals], den * bpows[top - 1])
 
 
 def divmod_poly(a: Sequence[Coeff], b: Sequence[Coeff]):
@@ -160,17 +186,10 @@ def divmod_poly(a: Sequence[Coeff], b: Sequence[Coeff]):
     return trim(q), r
 
 
-def content_int(p: Sequence[int]) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, abs(int(c)))
-    return g or 1
-
-
 def primitive_int(p: Sequence[Coeff]) -> List[int]:
     """Clear denominators and divide out integer content."""
     q, _ = clear_denominators(trim(p))
-    g = content_int(q)
+    g = gcd(*q) or 1
     return [c // g for c in q]
 
 

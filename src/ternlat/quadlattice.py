@@ -169,7 +169,8 @@ def _column_search(g1: GramMatrix, target: GramMatrix, require_unit_det: bool,
         # cap=ceiling never cuts: a candidate volume above ceiling raises
         reps = enumerate_representations(g1.entries, target.entries[j][j],
                                          cap=ceiling, ceiling=ceiling)
-        assert reps.complete
+        if not reps.complete:
+            raise RuntimeError("representation list cut at the ceiling")
         if not reps.vectors:
             return None
         columns.append(reps.vectors)

@@ -8,7 +8,7 @@ import pytest
 from ternlat import linalg, polys
 from ternlat.errors import Singular
 from ternlat.fieldscan import ingest_fields, load_field_file
-from ternlat.intervals import Interval
+from ternlat.intervals import Interval, endpoint_numerators
 from ternlat.quadlattice import GramMatrix
 
 FIELDS = Path(__file__).resolve().parent.parent / "fields"
@@ -113,6 +113,25 @@ def iv_scale(a, c):
     return Interval(a.hi * c, a.lo * c)
 
 
+def as_intervals(rows):
+    """Rows of integer endpoint numerators (lows, highs, den), as
+    `FieldContext.basis_embeddings` and `linalg.interval_inverse` give them,
+    as rows of `Interval`s."""
+    return [[Interval(Fraction(lo, den), Fraction(hi, den))
+             for lo, hi in zip(lows, highs)] for lows, highs, den in rows]
+
+
+def numerators(mat):
+    """An `Interval` matrix as rows of integer endpoint numerators."""
+    return [endpoint_numerators(row) for row in mat]
+
+
+def eval_one(p, iv):
+    """`polys.eval_interval` on the one polynomial p, as an `Interval`."""
+    (lo,), (hi,), den = polys.eval_interval(*polys.horner_rows([p]), iv)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
 def ref_embeddings(ctx, a, max_width):
     """`FieldContext.embeddings` on `Fraction` intervals: the interval sum
     of (c_j / den) * sigma_i(basis_j) over the basis embeddings, with the
@@ -121,9 +140,8 @@ def ref_embeddings(ctx, a, max_width):
     max_width = Fraction(max_width)
     width = min((iv.width for iv in ctx.roots()), default=Fraction(0))
     for _ in range(256):
-        emb = ctx.basis_embeddings()
         out = []
-        for row in emb:
+        for row in as_intervals(ctx.basis_embeddings()):
             acc = Interval.point(0)
             for e, c in zip(row, a.coords):
                 if c:

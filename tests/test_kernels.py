@@ -4,9 +4,14 @@
 `polys.isolate_real_roots`, `polys.cyclotomic` and `linalg.det` work on
 integer numerators over a common denominator.  The references below
 are the plain `Fraction` loops; every result must be equal to theirs, not
-merely enclose it.
+merely enclose it.  `polys.eval_interval` evaluates a whole set of rows at
+one interval, a row t times an earlier one by one step from that row's
+value; its reference is one `Fraction` Horner run per row, and
+`FieldContext.basis_embeddings` and `_int_rows` are checked against it on
+every table field and F_k, k = 3..60.
 """
 
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -16,7 +21,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import gcd_poly, iv_add, iv_mul
+from conftest import (as_intervals, eval_one, gcd_poly, iv_add, iv_mul,
+                      numerators)
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.intervals import Interval
@@ -193,7 +199,7 @@ def test_eval_at_equals_fraction_horner(p, x):
 @example([3, -1, 2], Interval.point(F(7, 5)))
 @example([], Interval(F(1, 3), F(1, 2)))
 def test_eval_interval_equals_fraction_horner(p, iv):
-    got = polys.eval_interval(p, iv)
+    got = eval_one(p, iv)
     want = ref_eval_interval(p, iv)
     assert (got.lo, got.hi) == (want.lo, want.hi)
     assert isinstance(got.lo, F) and isinstance(got.hi, F)
@@ -205,16 +211,98 @@ def test_eval_interval_equals_fraction_horner(p, iv):
 @example([], Interval(F(1, 3), F(1, 2)), 3)
 def test_eval_interval_ignores_zero_high_order_coefficients(p, iv, k):
     # basis rows are padded with zeros to the field degree
-    assert polys.eval_interval(list(p) + [0] * k, iv) == \
-        polys.eval_interval(p, iv)
+    assert polys.eval_interval(*polys.horner_rows([list(p) + [0] * k]), iv) \
+        == polys.eval_interval(*polys.horner_rows([p]), iv)
 
 
 def test_eval_interval_is_exact_at_a_point():
     p = [F(1, 2), F(-2, 3), 0, 5]
     x = F(-7, 9)
-    assert polys.eval_interval(p, Interval.point(x)) == Interval.point(
-        ref_eval_at(p, x))
+    assert eval_one(p, Interval.point(x)) == Interval.point(ref_eval_at(p, x))
 
+
+# ---------------------------------------------------------------------------
+# basis embeddings: one `eval_interval` call per root evaluates every row,
+# a row t times an earlier one by one step from that row's value
+
+@st.composite
+def basis_rows(draw):
+    """Polynomials with `Fraction` coefficients, some padded with zero
+    high-order coefficients and some t times an earlier one, not always
+    the one before."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            p = [0] + rows[draw(st.integers(0, len(rows) - 1))]
+        else:
+            p = draw(polys_q)
+        rows.append(list(p) + [0] * draw(st.integers(0, 2)))
+    return rows
+
+
+SHIFTED = [[1, F(1, 2)], [F(2, 3), 0, 5], [0, 1, F(1, 2), 0],
+           [0, 0, 1, F(1, 2)]]
+
+
+def test_horner_rows_finds_rows_t_times_an_earlier_row():
+    # rows 2 and 3 are t and t^2 times row 0; row 2 is not adjacent to it
+    assert polys.horner_rows(SHIFTED) == (
+        [[6, 3], [4, 0, 30], [0, 6, 3], [0, 0, 6, 3]], [-1, -1, 0, 2], 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(basis_rows(), intervals())
+@example(SHIFTED, Interval(F(-7, 4), F(-5, 4)))              # negative
+@example(SHIFTED, Interval(F(-1, 3), F(1, 2)))               # straddles 0
+@example(SHIFTED, Interval.point(F(-5, 3)))                  # a point
+@example([[1], [0, 1], [0, 0, 1], [F(1, 2), 0, F(1, 2)]],
+         Interval(F(3, 7), F(5, 9)))
+def test_eval_interval_equals_per_row_fraction_horner(rows, iv):
+    lows, highs, den = polys.eval_interval(*polys.horner_rows(rows), iv)
+    got = as_intervals([(lows, highs, den)])[0]
+    assert got == [ref_eval_interval(p, iv) for p in rows]
+
+
+def ref_int_rows(emb, bits):
+    """`FieldContext._int_rows` from `Fraction` interval rows: lo and hi
+    rounded outward to 2^-bits, rows (M, -D) and (M, D)."""
+    lows, highs = [], []
+    for row in emb:
+        m, r = [], []
+        for iv in row:
+            lo = math.floor(iv.lo * 2 ** bits)
+            hi = math.ceil(iv.hi * 2 ** bits)
+            m.append(lo + hi)
+            r.append(hi - lo)
+        lows.append(m + [-x for x in r])
+        highs.append(m + r)
+    return lows, highs
+
+
+def test_basis_embeddings_equal_per_row_fraction_horner(table):
+    # all 19 table fields and F_k, k = 3..60 (degrees up to 29), at the
+    # isolation width, at 2^-32 (that of `_int_rows`) and at 2^-64
+    fields = [load_field(rec) for rec in table.records] + \
+        [cyclo_info(k).field for k in range(3, 61)]
+    assert len(fields) == 19 + 58
+    powers = 0
+    for ctx in fields:
+        if ctx.basis_pow == [[int(i == j) for j in range(ctx.degree)]
+                             for i in range(ctx.degree)]:
+            powers += 1
+            assert polys.horner_rows(ctx.basis_pow)[1] == \
+                list(range(-1, ctx.degree - 1))
+        for width in (None, F(1, 1 << 32), F(1, 1 << 64)):
+            if width is not None:
+                ctx.refine_roots(width)
+            # zero high-order coefficients leave the reference's
+            # accumulator at 0; trimming them only saves time
+            want = [[ref_eval_interval(polys.trim(p), root)
+                     for p in ctx.basis_pow] for root in ctx.roots()]
+            assert as_intervals(ctx.basis_embeddings()) == want, ctx
+            if width == F(1, 1 << 32):
+                assert ctx._int_rows() == ref_int_rows(want, ctx.INT_BITS)
+    assert powers >= 58
 
 # ---------------------------------------------------------------------------
 # root bisection
@@ -484,7 +572,7 @@ def test_interval_inverse_encloses_inverses_of_basis_embeddings(table, make,
         assert inv is None
         return
     assert inv is not None
-    for e in sample_points(emb, random.Random(7), 6):
+    for e in sample_points(as_intervals(emb), random.Random(7), 6):
         assert_encloses(inv, e)
 
 
@@ -512,7 +600,7 @@ def interval_matrices(draw):
 @example([[Interval(F(2), F(3)), Interval(F(-1, 2), F(1, 2))],
           [Interval(F(0), F(1, 3)), Interval(F(1), F(2))]], 0)
 def test_interval_inverse_encloses_random_rational_matrices(a, seed):
-    inv = linalg.interval_inverse(a)
+    inv = linalg.interval_inverse(numerators(a))
     if inv is None:
         return
     for e in sample_points(a, random.Random(seed), 4):
@@ -522,13 +610,13 @@ def test_interval_inverse_encloses_random_rational_matrices(a, seed):
 def test_interval_inverse_neumann_term_is_needed():
     # [1/2, 3/2]: the midpoint inverse 1 plus the first-order term G |R| =
     # 1/2 misses 1/(1/2) = 2; the Neumann term makes the enclosure [0, 2]
-    inv = linalg.interval_inverse([[Interval(F(1, 2), F(3, 2))]])
+    inv = linalg.interval_inverse(numerators([[Interval(F(1, 2), F(3, 2))]]))
     assert inv is not None
     assert entry(inv, 0, 0).lo <= F(2, 3) and entry(inv, 0, 0).hi >= 2
     # a diagonal matrix: each entry is the scalar case
     d = [[Interval(F(1, 2), F(3, 2)), Interval.point(0)],
          [Interval.point(0), Interval(F(3), F(5))]]
-    inv = linalg.interval_inverse(d)
+    inv = linalg.interval_inverse(numerators(d))
     assert entry(inv, 0, 0).hi >= 2 and entry(inv, 1, 1).hi >= F(1, 3)
 
 
@@ -540,7 +628,7 @@ def test_interval_inverse_neumann_term_is_needed():
     [[Interval.point(0)]],
 ], ids=["singular-point", "singular-midpoint", "zero"])
 def test_interval_inverse_rejects_a_singular_midpoint(a):
-    assert linalg.interval_inverse(a) is None
+    assert linalg.interval_inverse(numerators(a)) is None
 
 
 @pytest.mark.parametrize("a", [
@@ -553,4 +641,4 @@ def test_interval_inverse_rejects_a_singular_midpoint(a):
      [Interval(F(-1, 2), F(1, 2)), Interval(F(1, 2), F(3, 2))]],
 ], ids=["beta-1", "beta-3/2", "widened-identity"])
 def test_interval_inverse_rejects_radius_with_beta_at_least_one(a):
-    assert linalg.interval_inverse(a) is None
+    assert linalg.interval_inverse(numerators(a)) is None

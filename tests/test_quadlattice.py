@@ -1,6 +1,8 @@
 import pytest
 
 from conftest import gram_inverse_dual
+from ternlat import quadlattice
+from ternlat.enumeration import Representations
 from ternlat.errors import Singular
 from ternlat.quadlattice import (GramMatrix, LatticeClass,
                                  contains_sublattice, free_overlattice_test,
@@ -189,3 +191,13 @@ def test_classification_over_quartic_field(table):
     # the classification table applies verbatim over it
     rep = ternary_classification(table.context("K51200"))
     assert len(rep.classes_found()) == 6
+
+
+def test_incomplete_representation_list_raises(ctx_sqrt2, monkeypatch):
+    # a list cut at its cap must not read as "no vector": the check is an
+    # explicit raise, which `python -O` keeps
+    monkeypatch.setattr(quadlattice, "enumerate_representations",
+                        lambda *args, **kwargs: Representations([], False))
+    g = standard_lattice(ctx_sqrt2, LatticeClass.L1)
+    with pytest.raises(RuntimeError, match="cut at the ceiling"):
+        contains_sublattice(g, LatticeClass.L1)
