@@ -9,7 +9,6 @@ context is built directly from the halved cyclotomic polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import linalg, polys
@@ -60,8 +59,7 @@ def cyclo_info(k: int) -> CycloInfo:
     disc = linalg.det([[s[i + j] for j in range(d)] for i in range(d)])
     if disc.denominator != 1:
         raise RuntimeError(f"F{k}: power-order discriminant {disc}")
-    basis = tuple(tuple(Fraction(int(i == j)) for j in range(d))
-                  for i in range(d))
+    basis = tuple((0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d))
     rec = FieldRecord(label=f"F{k}", degree=d, poly=tuple(pcos), basis=basis,
                       disc=int(disc), h=1, h_plus=1)
     ctx = load_field(rec)

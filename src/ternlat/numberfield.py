@@ -47,7 +47,7 @@ class FieldRecord:
     label: str
     degree: int
     poly: Tuple[int, ...]                      # ascending, monic
-    basis: Tuple[Tuple[Fraction, ...], ...]    # rows = basis elements, power coords
+    basis: Tuple[Tuple[Rat, ...], ...]         # rows = basis elements, power coords
     disc: int
     h: int = 1
     h_plus: int = 1
@@ -673,13 +673,16 @@ def load_field(record: FieldRecord) -> FieldContext:
         raise NotTotallyReal(f"{record.label}: repeated roots") from None
     if len(roots) != d:
         raise NotTotallyReal(f"{record.label}: fewer than {d} real roots")
-    basis = [[Fraction(x) for x in row] for row in record.basis]
-    if len(basis) != d or any(len(row) != d for row in basis):
+    if len(record.basis) != d or any(len(row) != d for row in record.basis):
         raise BadBasis(f"{record.label}: basis is not a {d}x{d} matrix")
-    # a power basis (every cyclotomic context) is its own inverse
-    inv = basis if basis == linalg.identity(d) else linalg.inverse(basis)
-    if inv is None:
-        raise BadBasis(f"{record.label}: basis matrix is singular")
+    if _is_identity(record.basis):
+        # a power basis (every cyclotomic context) is its own inverse
+        basis = inv = [[0] * i + [1] + [0] * (d - 1 - i) for i in range(d)]
+    else:
+        basis = [[Fraction(x) for x in row] for row in record.basis]
+        inv = linalg.inverse(basis)
+        if inv is None:
+            raise BadBasis(f"{record.label}: basis matrix is singular")
     try:
         table = basis_mult_table(poly, basis, inv)
     except NotARing as exc:
@@ -690,6 +693,12 @@ def load_field(record: FieldRecord) -> FieldContext:
     if q & (q - 1):
         raise FieldDataError(f"{record.label}: h_plus/h must be a power of 2")
     return FieldContext(record, table, roots, basis, inv)
+
+
+def _is_identity(m: Sequence[Sequence[Rat]]) -> bool:
+    """Whether the square matrix m is the identity, read off its entries."""
+    return all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
+               for i, row in enumerate(m))
 
 
 def _pack_rows(rows: Tuple[List[List[int]], List[List[int]]], s: int
@@ -767,7 +776,7 @@ def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],
     d = len(basis)
     table = [[None] * d for _ in range(d)]
     xpow = _power_residues(poly, d)
-    if list(map(list, basis)) == linalg.identity(d):
+    if _is_identity(basis):
         for i in range(d):
             for j in range(i, d):
                 table[i][j] = table[j][i] = tuple(xpow[i + j])

@@ -4,15 +4,21 @@ Polynomials are lists of coefficients in ascending order (constant term
 first), matching the on-disk field format.  Coefficients are ints or
 Fractions; arithmetic promotes as needed.
 
-Evaluation (`eval_at`, `eval_interval`), root isolation and bisection
+Evaluation (`eval_at`, `eval_interval`), root isolation and refinement
 (`isolate_real_roots`, `refine_root`) and `cyclotomic` run on integers: the
-coefficients are put over their least common denominator, the point or both
-interval endpoints over one denominator, and a `Fraction` is built only for
-the result, which is exactly what `Fraction` arithmetic gives;
-`eval_interval` builds none, and returns integer endpoint numerators for a
-whole set of polynomials, the basis rows of a field, at once.  Only
-`divmod_poly`, which serves the Sturm remainders of `sturm_chain`, works
-over `Fraction`s.
+coefficients are put over their least common denominator (integer
+coefficients are taken as they are), the point or both interval endpoints
+over one denominator, and a `Fraction` is built only for the result, which
+is exactly what `Fraction` arithmetic gives; `eval_interval` builds none,
+and returns integer endpoint numerators for a whole set of polynomials, the
+basis rows of a field, at once.  Only `divmod_poly`, which serves the Sturm
+remainders of `sturm_chain`, works over `Fraction`s.
+
+`refine_root` returns bisection's cell, the one cell of its level whose
+endpoint signs are those of the isolating interval, from secant proposals
+on the same grid: a cell is accepted only when the integer signs at both
+of its ends confirm it, and a failed proposal halves the step, down to a
+plain bisection step.
 
 `MPoly` is the one sparse multivariate polynomial type, over any
 commutative ring, for the symbolic determinant and identity checks.
@@ -54,10 +60,6 @@ def sub(p: Sequence[Coeff], q: Sequence[Coeff]) -> Poly:
                  for i in range(n)])
 
 
-def neg(p: Sequence[Coeff]) -> Poly:
-    return [-c for c in p]
-
-
 def mul(p: Sequence[Coeff], q: Sequence[Coeff]) -> Poly:
     if not p or not q:
         return []
@@ -80,6 +82,8 @@ def diff(p: Sequence[Coeff]) -> Poly:
 
 def clear_denominators(p: Sequence[Coeff]) -> Tuple[List[int], int]:
     """Integer numerators of p over the least positive common denominator."""
+    if set(map(type, p)) <= {int}:
+        return list(p), 1
     den = 1
     for c in p:
         den = lcm(den, c.denominator)
@@ -99,12 +103,20 @@ def power_sums(p: Sequence[int], upto: int) -> List[int]:
 
 
 def _horner(nums: Sequence[int], a: int, b: int) -> int:
-    """b^(len(nums) - 1) * p(a/b) for the integer coefficients nums of p."""
+    """b^(len(nums) - 1) * p(a/b) for the integer coefficients nums of p.
+    A power of two b, as at every isolation and refinement point of a
+    monic polynomial, costs shifts in place of products."""
     acc = 0
-    bpow = 1
+    if b & (b - 1):
+        bpow = 1
+        for c in reversed(nums):
+            acc = acc * a + c * bpow
+            bpow *= b
+        return acc
+    s, shift = b.bit_length() - 1, 0
     for c in reversed(nums):
-        acc = acc * a + c * bpow
-        bpow *= b
+        acc = acc * a + (c << shift)
+        shift += s
     return acc
 
 
@@ -129,8 +141,9 @@ def horner_rows(ps: Sequence[Sequence[Coeff]]
     den, and src[j] the index of an earlier one that ps[j] is t times, or
     -1."""
     ps = [trim(p) for p in ps]
-    den = lcm(*(c.denominator for p in ps for c in p))
-    rows = [[c.numerator * (den // c.denominator) for c in p] for p in ps]
+    nums, den = clear_denominators([c for p in ps for c in p])
+    it = iter(nums)
+    rows = [[next(it) for _ in p] for p in ps]
     seen, src = {}, []
     for j, r in enumerate(rows):
         src.append(seen.get(tuple(r[1:]), -1) if r[:1] == [0] else -1)
@@ -202,22 +215,15 @@ def sturm_chain(p: Sequence[Coeff]) -> List[Poly]:
     chain = [p0, p1]
     while chain[-1]:
         _, r = divmod_poly(chain[-2], chain[-1])
-        r = neg(r)
-        if r:
-            r = primitive_int(r)
-        chain.append(r)
+        chain.append(primitive_int([-c for c in r]))
     chain.pop()
     return chain
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _sturm_signs(chain: Sequence[Sequence[int]], a: int,
                  b: int) -> Tuple[int, int]:
     """(sign of chain[0], sign variations of the chain) at a/b, b > 0."""
-    signs = [_sign(_horner(q, a, b)) for q in chain]
+    signs = [(v > 0) - (v < 0) for v in (_horner(q, a, b) for q in chain)]
     nonzero = [s for s in signs if s]
     return signs[0], sum(1 for s, t in zip(nonzero, nonzero[1:]) if s != t)
 
@@ -230,6 +236,19 @@ def root_bound(p: Sequence[Coeff]) -> Fraction:
     return 1 + m / lc
 
 
+def _root_bound_log2(nums: Sequence[int]) -> int:
+    """The least r >= 0 with 2^r at least Fujiwara's bound on the complex
+    roots of the integer polynomial nums of degree n >= 1,
+    2 max(|c_(n-i)/c_n|^(1/i) for 0 < i < n, |c_0/(2 c_n)|^(1/n)), tested
+    on integers as |c_(n-i)| 2^i <= |c_n| 2^(r i), twice that for i = n."""
+    n, lc = len(nums) - 1, abs(nums[-1])
+    r = 0
+    while any(abs(c) << i > lc << r * i + (i == n)
+              for i, c in enumerate(reversed(nums[:-1]), 1)):
+        r += 1
+    return r
+
+
 def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
     """Disjoint isolating intervals for all real roots of squarefree p.
 
@@ -239,7 +258,9 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
 
     One Sturm chain also tells squarefreeness (it must end in a constant).
     Each bisection node keeps its endpoints as integers a/b, e/b and their
-    variation counts, so a midpoint (a + e)/2b costs one chain evaluation.
+    variation counts, so a midpoint (a + e)/2b costs one chain evaluation,
+    or none beyond the power-of-two root bound 2^r: no root lies between
+    such a midpoint and the outer endpoint, so their counts are equal.
     """
     p = trim(p)
     if degree(p) < 1:
@@ -247,6 +268,7 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
     chain = sturm_chain(p)
     if len(chain[-1]) > 1:
         raise ValueError("root isolation requires a squarefree polynomial")
+    r = _root_bound_log2(chain[0])
     bound = root_bound(p)
     den = bound.denominator
     lo, hi = -bound.numerator, bound.numerator
@@ -267,7 +289,10 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
             out.append(Interval(Fraction(a, b), Fraction(e, b)))
             continue
         a, e, b, m = 2 * a, 2 * e, 2 * b, a + e
-        sm, vm = _sturm_signs(chain, m, b)
+        if abs(m) > b << r:
+            sm, vm = 1, (ve if m > 0 else va)
+        else:
+            sm, vm = _sturm_signs(chain, m, b)
         if sm:
             todo.append((a, m, b, va, vm))
             todo.append((m, e, b, vm, ve))
@@ -290,30 +315,64 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
 
 
 def refine_root(p: Sequence[Coeff], iv: Interval, max_width: Fraction) -> Interval:
-    """Bisect an isolating interval until its width is <= max_width.
+    """What bisecting iv to width <= max_width returns, for an isolating
+    interval iv of a squarefree p, from a few integer Horner evaluations.
 
-    The endpoints are kept as integers a/b, e/b; each step doubles b, so the
-    midpoint is the integer a + e, and its sign comes from integer Horner.
+    With iv = [a/b, e/b], bisection ends at the least level s with
+    (e - a)/(b 2^s) <= max_width, in the one dyadic cell of that level
+    whose endpoint signs are those of p(a/b) and p(e/b), or in a point
+    when some midpoint is the root.  Quadratic interval refinement
+    (Abbott, ACM Commun. Comput. Algebra, 2014) moves down that grid: the
+    secant through a cell's endpoint values proposes one of its 2^k
+    subcells, and that cell, or the neighbour its first endpoint sign
+    points to, is accepted only when the integer signs at both of its ends
+    are those of p(a/b) and p(e/b), so that it is bisection's cell.  k
+    doubles on success and halves on failure; at k = 1 the cell ends are
+    known and the step is a bisection step.  An endpoint where p is 0 is
+    the root, where bisection stops too.
     """
-    if iv.lo == iv.hi:
+    a, e, b = _over_common_den(iv.lo, iv.hi)
+    if a == e:
         return iv
     nums, _ = clear_denominators(p)
-    a, e, b = _over_common_den(iv.lo, iv.hi)
-    slo = _sign(_horner(nums, a, b))
-    shi = _sign(_horner(nums, e, b))
-    if slo == 0 or shi == 0 or slo == shi:
+    n = len(nums) - 1
+    fa, fe = _horner(nums, a, b), _horner(nums, e, b)
+    if fa * fe >= 0:
         raise ValueError("not a sign-isolating interval")
-    wn, wd = max_width.numerator, max_width.denominator
-    while (e - a) * wd > wn * b:
-        a, e, b, m = 2 * a, 2 * e, 2 * b, a + e
-        sm = _sign(_horner(nums, m, b))
-        if sm == 0:
-            return Interval.point(Fraction(m, b))
-        if sm == slo:
-            a = m
+    if fa > 0:                              # so that p(a/b) < 0 < p(e/b)
+        nums, fa, fe = [-c for c in nums], -fa, -fe
+    # every cell is h/b wide, with b = b_0 2^t at level t, and fa, fe are
+    # b^n p at its ends
+    h = e - a
+    u, v = h * max_width.denominator, max_width.numerator * b
+    s = max(0, u.bit_length() - v.bit_length())
+    s += u > v << s                         # the least s with u <= v 2^s
+
+    t, k = 0, 1
+    while t < s:
+        # grid point i of the 2^k subcells is (a 2^k + i h)/b2, and p there
+        # is taken as b2^n p: at i = 0 and 2^k it is fa or fe times 2^(k n)
+        if k > s - t:
+            k = s - t
+        b2, last = b << k, (1 << k) - 1
+        j = (fa << k) // (fa - fe)          # the secant's subcell
+        x = (a << k) + j * h
+        f1 = _horner(nums, x, b2) if j else fa << k * n
+        if f1 > 0:                          # the root is left of it
+            j, x, f2 = j - 1, x - h, f1
+            f1 = _horner(nums, x, b2) if j else fa << k * n
         else:
-            e = m
-    return Interval(Fraction(a, b), Fraction(e, b))
+            f2 = _horner(nums, x + h, b2) if j < last else fe << k * n
+            if f2 < 0:                      # or right of it
+                j, x, f1 = j + 1, x + h, f2
+                f2 = _horner(nums, x + h, b2) if j < last else fe << k * n
+        if f1 < 0 < f2:
+            a, b, fa, fe, t, k = x, b2, f1, f2, t + k, 2 * k
+        elif f1 == 0 or f2 == 0:
+            return Interval.point(Fraction(x if f1 == 0 else x + h, b2))
+        else:
+            k //= 2
+    return Interval(Fraction(a, b), Fraction(a + h, b))
 
 
 def cyclotomic(k: int) -> List[int]:

@@ -8,7 +8,9 @@ merely enclose it.  `polys.eval_interval` evaluates a whole set of rows at
 one interval, a row t times an earlier one by one step from that row's
 value; its reference is one `Fraction` Horner run per row, and
 `FieldContext.basis_embeddings` and `_int_rows` are checked against it on
-every table field and F_k, k = 3..60.
+every table field and F_k, k = 3..60.  `polys.refine_root` jumps down the
+bisection grid by secant proposals; it must return bisection's interval
+for every isolating interval of those fields, down to width 2^-200.
 """
 
 import math
@@ -21,10 +23,11 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (as_intervals, eval_one, gcd_poly, iv_add, iv_mul,
-                      numerators)
+from conftest import (FIELDS, as_intervals, eval_one, gcd_poly, iv_add,
+                      iv_mul, numerators)
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
+from ternlat.fieldscan import ingest_fields
 from ternlat.intervals import Interval
 from ternlat.numberfield import load_field
 
@@ -68,6 +71,37 @@ def ref_refine_root(p, iv, max_width):
         else:
             hi = m
     return Interval(lo, hi)
+
+
+def ref_sign_at(nums, x, b):
+    """Sign of p(x/b), b > 0, for integer coefficients nums, from the sum
+    of the terms c_i x^i b^(n-i)."""
+    n = len(nums) - 1
+    return sign(sum(c * x ** i * b ** (n - i) for i, c in enumerate(nums)))
+
+
+def ref_bisect(p, iv, max_width):
+    """`ref_refine_root` with integer signs, for widths where `Fraction`
+    evaluation is too slow: the same bisection of the same interval."""
+    if iv.lo == iv.hi:
+        return iv
+    d = math.lcm(*(F(c).denominator for c in p))
+    nums = [int(c * d) for c in p]
+    b = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    a, e = int(iv.lo * b), int(iv.hi * b)
+    slo, shi = ref_sign_at(nums, a, b), ref_sign_at(nums, e, b)
+    if slo == 0 or shi == 0 or slo == shi:
+        raise ValueError("not a sign-isolating interval")
+    while F(e - a, b) > max_width:
+        a, e, b, m = 2 * a, 2 * e, 2 * b, a + e
+        sm = ref_sign_at(nums, m, b)
+        if sm == 0:
+            return Interval.point(F(m, b))
+        if sm == slo:
+            a = m
+        else:
+            e = m
+    return Interval(F(a, b), F(e, b))
 
 
 def ref_isolate_real_roots(p):
@@ -221,6 +255,19 @@ def test_eval_interval_is_exact_at_a_point():
     assert eval_one(p, Interval.point(x)) == Interval.point(ref_eval_at(p, x))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=12),
+       st.integers(-10 ** 9, 10 ** 9), st.integers(0, 70),
+       st.integers(1, 10 ** 6))
+def test_horner_equals_fraction_horner_on_both_denominator_kinds(
+        nums, a, shift, b):
+    # a power of two b takes the shift path, any other b the product path
+    n = len(nums) - 1
+    for den in (1 << shift, b):
+        assert polys._horner(nums, a, den) == \
+            ref_eval_at(nums, F(a, den)) * den ** n
+
+
 # ---------------------------------------------------------------------------
 # basis embeddings: one `eval_interval` call per root evaluates every row,
 # a row t times an earlier one by one step from that row's value
@@ -248,6 +295,22 @@ def test_horner_rows_finds_rows_t_times_an_earlier_row():
     # rows 2 and 3 are t and t^2 times row 0; row 2 is not adjacent to it
     assert polys.horner_rows(SHIFTED) == (
         [[6, 3], [4, 0, 30], [0, 6, 3], [0, 0, 6, 3]], [-1, -1, 0, 2], 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9), max_size=6), min_size=1,
+                max_size=6), st.data())
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1]], None)     # a power basis
+def test_horner_rows_on_integer_rows_equals_the_fraction_path(rows, data):
+    # rows t times an earlier row, as on a power basis, where integer rows
+    # skip the denominators
+    if data is not None:
+        for j in range(1, len(rows)):
+            if data.draw(st.booleans()):
+                rows[j] = [0] + rows[data.draw(st.integers(0, j - 1))]
+    got = polys.horner_rows(rows)
+    assert got == polys.horner_rows([[F(c) for c in r] for r in rows])
+    assert all(type(c) is int for r in got[0] for c in r) and got[2] == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -364,6 +427,95 @@ def test_refine_root_point_interval_is_returned():
     assert polys.refine_root([F(-3, 2), 1], iv, F(1, 8)) is iv
 
 
+@settings(max_examples=100, deadline=None)
+@given(isolated_roots(), st.integers(0, 48))
+def test_ref_bisect_equals_the_fraction_reference(case, bits):
+    p, iv = case
+    width = F(1, 1 << bits)
+    assert ref_bisect(p, iv, width) == ref_refine_root(p, iv, width)
+
+
+@lru_cache(maxsize=None)
+def isolating_intervals():
+    """(p, isolating interval) per root, as freshly loaded contexts hold
+    them: of the 19 table fields, and of F_k, k = 3..60."""
+    table = [load_field(rec) for rec in
+             ingest_fields(FIELDS / "quartic_sqrt2.jsonl").records]
+    cyclo = [cyclo_info(k).field for k in range(3, 61)]
+    assert len(table) == 19
+    return tuple(tuple((tuple(ctx.poly), iv) for ctx in ctxs
+                       for iv in ctx.roots()) for ctxs in (table, cyclo))
+
+
+@pytest.mark.parametrize("width", [F(1, 1 << 32), F(1, 1 << 64),
+                                   F(1, 1 << 200), F(3, 10 ** 15)])
+def test_refine_root_equals_bisection_on_every_field_root(width):
+    table, cyclo = isolating_intervals()
+    roots = table + cyclo
+    assert (len(table), len(cyclo)) == (76, 550)
+    for p, iv in roots:
+        assert polys.refine_root(p, iv, width) == ref_bisect(p, iv, width), \
+            (p, iv)
+    if width == F(1, 1 << 32):
+        for p, iv in roots:
+            assert polys.refine_root(p, iv, width) == \
+                ref_refine_root(p, iv, width)
+
+
+@st.composite
+def clustered_roots(draw):
+    """c * prod (x - r_i) * q, q = 1 or a quadratic with no real root,
+    with the real roots r_i in a cluster: gaps down to 10^-12, and one
+    root perhaps far off.  A secant across an isolating interval then
+    points far from the root, out of the cell that holds it."""
+    r = draw(rationals)
+    roots = [r]
+    for gap in draw(st.lists(st.fractions(min_value=F(1, 10 ** 12),
+                                          max_value=F(1, 10),
+                                          max_denominator=10 ** 12),
+                             min_size=1, max_size=5)):
+        roots.append(roots[-1] + gap)
+    if draw(st.booleans()):
+        roots.append(roots[0] - draw(st.integers(5, 50)))
+    p = [draw(st.sampled_from([1, -1, F(2, 3), -7]))]
+    for x in roots:
+        p = polys.mul(p, [-x, 1])
+    if draw(st.booleans()):
+        p = polys.mul(p, [draw(st.integers(2, 9)), draw(st.integers(-2, 2)),
+                          1])
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(clustered_roots(),
+       st.one_of(st.integers(1, 200).map(lambda b: F(1, 1 << b)),
+                 st.fractions(min_value=F(1, 10 ** 40), max_value=1,
+                              max_denominator=10 ** 40)))
+def test_refine_root_on_clustered_roots_equals_fraction_bisection(p, width):
+    assume(width > 0)
+    for iv in polys.isolate_real_roots(p):
+        assert polys.refine_root(p, iv, width) == \
+            ref_refine_root(p, iv, width), iv
+
+
+def test_refine_root_takes_few_horner_evaluations(monkeypatch):
+    # bisection takes one evaluation of p per bit, about 33 per root of the
+    # k = 3..60 sweep at 2^-32; the secant proposals take about 11
+    roots = isolating_intervals()[1]
+    calls = 0
+    horner = polys._horner
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return horner(*args)
+
+    monkeypatch.setattr(polys, "_horner", counted)
+    for p, iv in roots:
+        polys.refine_root(p, iv, F(1, 1 << 32))
+    assert len(roots) == 550 and calls <= 12 * len(roots)
+
+
 # ---------------------------------------------------------------------------
 # root isolation
 
@@ -432,6 +584,27 @@ def test_isolate_real_roots_with_exact_rational_roots(p):
             assert polys.eval_at(p, iv.lo) == 0
         else:
             assert polys.eval_at(p, iv.lo) * polys.eval_at(p, iv.hi) < 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.fractions(min_value=-300, max_value=300,
+                             max_denominator=40), min_size=1, max_size=6,
+                unique=True),
+       st.integers(0, 5000), st.sampled_from([1, -3, F(2, 7)]))
+@example([F(-1, 3)], 0, 1)                          # |root| < 1: r = 0
+@example([F(8)], 0, 1)                              # the root 8 = 2^3
+def test_root_bound_log2_bounds_every_root(roots, s, c):
+    # real roots r_i and, for s > 0, the complex roots +-i sqrt(s) of
+    # x^2 + s: Fujiwara's bound holds for all of them, and the isolation
+    # that skips the chain beyond it still equals the reference
+    p = [c]
+    for x in roots:
+        p = polys.mul(p, [-x, 1])
+    if s:
+        p = polys.mul(p, [s, 0, 1])
+    r = polys._root_bound_log2(polys.primitive_int(p))
+    assert max(map(abs, roots)) <= 1 << r and s <= 1 << 2 * r
+    assert_same_isolation(p)
 
 
 @pytest.mark.parametrize("p, n", [

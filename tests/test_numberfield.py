@@ -278,6 +278,67 @@ def test_mult_table_fast_and_slow_paths_agree():
             assert fast == tuple(slow[p[k]] for k in range(4))
 
 
+def load_counting_inverses(monkeypatch, rec):
+    """load_field(rec) and the number of `linalg.inverse` calls it made;
+    `linalg.identity` must not be called."""
+    calls = []
+    inverse = linalg.inverse
+
+    def counted(m):
+        calls.append(m)
+        return inverse(m)
+
+    def no_identity(n):
+        raise AssertionError("load_field built an identity matrix")
+
+    monkeypatch.setattr(linalg, "inverse", counted)
+    monkeypatch.setattr(linalg, "identity", no_identity)
+    return load_field(rec), len(calls)
+
+
+@pytest.mark.parametrize("poly", [(2, 0, -4, 0, 1), tuple(polys.cos_minpoly(40)),
+                                  tuple(polys.cos_minpoly(59))])
+def test_identity_basis_loads_alike_as_ints_and_as_fractions(monkeypatch,
+                                                            poly):
+    # the identity read off the record's entries: no inverse, no identity
+    # matrix, and int and `Fraction` entries load to equal contexts
+    d = len(poly) - 1
+    ints = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    fracs = tuple(tuple(map(F, row)) for row in ints)
+    a, inverses_a = load_counting_inverses(
+        monkeypatch, FieldRecord("ints", d, poly, ints, 1))
+    b, inverses_b = load_counting_inverses(
+        monkeypatch, FieldRecord("fracs", d, poly, fracs, 1))
+    assert inverses_a == inverses_b == 0
+    assert a.mult_table == b.mult_table
+    assert a.basis_pow == b.basis_pow == a.pow_to_basis == b.pow_to_basis \
+        == [list(row) for row in ints]
+    assert a.roots() == b.roots()
+    assert a._horner == b._horner == polys.horner_rows(ints)
+    power = [[F(x) for x in row] for row in ints]
+    assert a.mult_table == ref_basis_mult_table(poly, power, power)
+
+
+def test_permutation_basis_takes_the_general_path(monkeypatch):
+    # a 0/1 basis that is not the identity is inverted, and its table is
+    # the power basis's table permuted
+    poly = (2, 0, -4, 0, 1)
+    perm = (1, 0, 3, 2)
+    basis = tuple(tuple(F(int(perm[i] == j)) for j in range(4))
+                  for i in range(4))
+    ctx, inverses = load_counting_inverses(
+        monkeypatch, FieldRecord("perm", 4, poly, basis, 2048))
+    assert inverses == 1
+    inv = [[F(x) for x in row] for row in ctx.pow_to_basis]
+    assert ctx.mult_table == ref_basis_mult_table(poly, basis, inv)
+    power = load_field(FieldRecord("power", 4, poly, IDENTITY4, 2048))
+    for i in range(4):
+        for j in range(4):
+            entry = power.mult_table[perm[i]][perm[j]]
+            assert ctx.mult_table[i][j] == tuple(entry[perm[k]]
+                                                 for k in range(4))
+
+
 def test_zero_divisor_signature_detected():
     rec = FieldRecord("QxQ2", 4, (6, 0, -5, 0, 1),
                       tuple(tuple(F(int(i == j)) for j in range(4))
