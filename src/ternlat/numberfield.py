@@ -5,11 +5,13 @@ simple, together with an integral basis given in power-basis coordinates.
 Elements are integer coordinate vectors over the integral basis with a
 positive denominator, so integrality is exactly "denominator 1".
 
-The exact element invariants run on two integer tables of the context: the
-multiplication table (multiplication matrices, hence norms, traces and
-inverses) and the outward fixed-point enclosures of the basis embeddings
-(signs), read off the basis embeddings: integer endpoint numerators over
-one denominator per root, from one Horner pass per root.  Order
+The exact element invariants run on three integer tables of the context:
+the multiplication table (multiplication matrices, hence traces and
+inverses), the basis rows in power coordinates over one denominator
+(norms, as resultants with the defining polynomial, with no matrix), and
+the outward fixed-point enclosures of the basis embeddings (signs), read
+off the basis embeddings: integer endpoint numerators over one
+denominator per root, from one Horner pass per root.  Order
 comparisons (total positivity, dominance) and signatures return exact
 verdicts: the fixed-point enclosures only short-circuit decisive cases.
 An undecided comparison falls back to the sign pattern of
@@ -254,8 +256,19 @@ class Element:
     # -- invariants ----------------------------------------------------------
 
     def norm(self) -> Fraction:
-        return Fraction(linalg.det_int(self.mult_matrix_scaled()),
-                        self.den ** self.ctx.degree)
+        """N(a) = Res(p, A) / (den * a.den)^d, for the monic defining
+        polynomial p of degree d and a = A(t) / (den * a.den), A the integer
+        power-basis numerator summed from the `horner_rows` rows over their
+        denominator den: the determinant of multiplication by A on
+        Q[t]/(p) is Res(p, A), for every monic p, reducible or not."""
+        rows, _, den = self.ctx._horner
+        num = [0] * self.ctx.degree
+        for c, row in zip(self.coords, rows):
+            if c:
+                for i, x in enumerate(row):
+                    num[i] += c * x
+        return Fraction(polys.resultant(self.ctx.poly, num),
+                        (den * self.den) ** self.ctx.degree)
 
     def trace(self) -> Fraction:
         return Fraction(sum(map(mul, self.coords, self.ctx.basis_traces)),

@@ -4,15 +4,16 @@ Polynomials are lists of coefficients in ascending order (constant term
 first), matching the on-disk field format.  Coefficients are ints or
 Fractions; arithmetic promotes as needed.
 
-Evaluation (`eval_at`, `eval_interval`), root isolation and refinement
-(`isolate_real_roots`, `refine_root`) and `cyclotomic` run on integers: the
-coefficients are put over their least common denominator (integer
-coefficients are taken as they are), the point or both interval endpoints
-over one denominator, and a `Fraction` is built only for the result, which
-is exactly what `Fraction` arithmetic gives; `eval_interval` builds none,
-and returns integer endpoint numerators for a whole set of polynomials, the
-basis rows of a field, at once.  Only `divmod_poly`, which serves the Sturm
-remainders of `sturm_chain`, works over `Fraction`s.
+Evaluation (`eval_interval`), division (`divmod_poly`), resultants, root
+isolation and refinement (`isolate_real_roots`, `refine_root`) and
+`cyclotomic` run on integers: the coefficients are put over their least
+common denominator (integer coefficients are taken as they are), the
+point or both interval endpoints over one denominator, and a `Fraction` is
+built only for a result, which is exactly what `Fraction` arithmetic
+gives; `eval_interval` builds none, and returns integer endpoint
+numerators for a whole set of polynomials, the basis rows of a field, at
+once.  `divmod_poly` and `resultant` share one integer pseudo-division,
+`_prem`.
 
 `refine_root` returns bisection's cell, the one cell of its level whose
 endpoint signs are those of the isolating interval, from secant proposals
@@ -127,13 +128,6 @@ def _over_common_den(x: Coeff, y: Coeff) -> Tuple[int, int, int]:
             y.numerator * (b // y.denominator), b)
 
 
-def eval_at(p: Sequence[Coeff], x: Coeff) -> Fraction:
-    nums, den = clear_denominators(p)
-    b = x.denominator
-    return Fraction(_horner(nums, x.numerator, b),
-                    den * b ** max(len(nums) - 1, 0))
-
-
 def horner_rows(ps: Sequence[Sequence[Coeff]]
                 ) -> Tuple[List[List[int]], List[int], int]:
     """(rows, src, den), the input of `eval_interval`: the polynomials ps
@@ -181,22 +175,69 @@ def eval_interval(rows: Sequence[Sequence[int]], src: Sequence[int],
             [hi * bpows[top - n] for _, hi, n in vals], den * bpows[top - 1])
 
 
-def divmod_poly(a: Sequence[Coeff], b: Sequence[Coeff]):
-    a = [Fraction(c) for c in trim(a)]
-    b = [Fraction(c) for c in trim(b)]
+def _prem(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(Q, R) with lc(b)^(deg a - deg b + 1) a = Q b + R and deg R < deg b,
+    for trimmed integer a and nonzero trimmed integer b; ([], a) when
+    deg a < deg b.  a is scaled by lc(b)^(deg a - deg b + 1) once, after
+    which every quotient coefficient is an exact integer division by
+    lc(b)."""
+    e = len(a) - len(b) + 1
+    if e <= 0:
+        return [], list(a)
+    lb, low = b[-1], b[:-1]
+    s = lb ** e
+    r, q = [c * s for c in a], [0] * e
+    for k in range(e - 1, -1, -1):
+        c = q[k] = r.pop() // lb
+        if c:
+            for i, x in enumerate(low, k):
+                r[i] -= c * x
+    return q, trim(r)
+
+
+def divmod_poly(a: Sequence[Coeff], b: Sequence[Coeff]
+                ) -> Tuple[List[Fraction], List[Fraction]]:
+    """(q, r) with a = q b + r and deg r < deg b, over Q: one integer
+    pseudo-division `_prem` of the numerators of a and b, with `Fraction`s
+    built only for the coefficients of q and r."""
+    a, da = clear_denominators(trim(a))
+    b, db = clear_denominators(trim(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = a[:]
-    db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and r:
-        k = len(r) - 1 - db
-        c = r[-1] / lb
-        q[k] = c
-        for i in range(len(b)):
-            r[i + k] -= c * b[i]
-        r = trim(r)
-    return trim(q), r
+    q, r = _prem(a, b)
+    s = da * b[-1] ** len(q)
+    return [Fraction(c * db, s) for c in q], [Fraction(c, s) for c in r]
+
+
+def resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Res(a, b) = lc(a)^deg b times the product of b over the roots of a,
+    for integer polynomials, 0 when either is zero: the subresultant
+    algorithm (Cohen, GTM 138, Algorithm 3.3.7) on the primitive parts,
+    each pseudo-remainder `_prem` divided exactly by g h^delta, times the
+    contents."""
+    a, b = trim(a), trim(b)
+    if not a or not b:
+        return 0
+    m, n = len(a) - 1, len(b) - 1
+    if m < n:
+        return (-1) ** (m * n) * resultant(b, a)
+    ca, cb = gcd(*a), gcd(*b)
+    t = ca ** n * cb ** m
+    a, b = [c // ca for c in a], [c // cb for c in b]
+    s = g = h = 1
+    while n > 0:
+        delta = m - n
+        if m & n & 1:
+            s = -s
+        _, r = _prem(a, b)
+        div = g * h ** delta
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        h = g ** delta * h // h ** delta          # h^(1 - delta) g^delta
+        m, n = n, len(b) - 1
+    if n < 0:
+        return 0
+    return s * t * (b[0] ** m * h // h ** m)      # h^(1 - m) lc(b)^m
 
 
 def primitive_int(p: Sequence[Coeff]) -> List[int]:

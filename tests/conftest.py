@@ -80,7 +80,35 @@ def ellipsoid_radii(q, t):
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd over Q, a reference for squarefreeness and common roots
+# polynomial references over Q on `Fraction`s, independent of the package's
+# integer kernels: evaluation, long division and gcd
+
+def ref_eval_at(p, x):
+    acc = Fraction(0)
+    for c in reversed(list(p)):
+        acc = acc * x + c
+    return acc
+
+
+def ref_divmod_poly(a, b):
+    """(q, r) with a = q b + r and deg r < deg b, by long division with
+    `Fraction` coefficients (ascending)."""
+    a = [Fraction(c) for c in polys.trim(a)]
+    b = [Fraction(c) for c in polys.trim(b)]
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = a[:]
+    db, lb = len(b) - 1, b[-1]
+    while len(r) - 1 >= db and r:
+        k = len(r) - 1 - db
+        c = r[-1] / lb
+        q[k] = c
+        for i in range(len(b)):
+            r[i + k] -= c * b[i]
+        r = polys.trim(r)
+    return polys.trim(q), r
+
 
 def gcd_poly(a, b):
     """A gcd of two polynomials over Q (ascending coefficients), up to a
@@ -88,7 +116,7 @@ def gcd_poly(a, b):
     remainders; [] when both are zero."""
     a, b = polys.trim(a), polys.trim(b)
     while b:
-        _, r = polys.divmod_poly(a, b)
+        _, r = ref_divmod_poly(a, b)
         a, b = b, r
     return a
 

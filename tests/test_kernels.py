@@ -1,16 +1,18 @@
 """Differential tests of the integer kernels against `Fraction` references.
 
-`polys.eval_at`, `polys.eval_interval`, `polys.refine_root`,
-`polys.isolate_real_roots`, `polys.cyclotomic` and `linalg.det` work on
-integer numerators over a common denominator.  The references below
-are the plain `Fraction` loops; every result must be equal to theirs, not
-merely enclose it.  `polys.eval_interval` evaluates a whole set of rows at
-one interval, a row t times an earlier one by one step from that row's
-value; its reference is one `Fraction` Horner run per row, and
-`FieldContext.basis_embeddings` and `_int_rows` are checked against it on
-every table field and F_k, k = 3..60.  `polys.refine_root` jumps down the
-bisection grid by secant proposals; it must return bisection's interval
-for every isolating interval of those fields, down to width 2^-200.
+`polys._horner`, `polys.eval_interval`, `polys.refine_root`,
+`polys.isolate_real_roots`, `polys.divmod_poly`, `polys.cyclotomic` and
+`linalg.det` work on integer numerators over a common denominator.  The
+references below are the plain `Fraction` loops; every result must be
+equal to theirs, not merely enclose it.  `polys.resultant` is checked
+against the determinant of the Sylvester matrix.  `polys.eval_interval`
+evaluates a whole set of rows at one interval, a row t times an earlier
+one by one step from that row's value; its reference is one `Fraction`
+Horner run per row, and `FieldContext.basis_embeddings` and `_int_rows`
+are checked against it on every table field and F_k, k = 3..60.
+`polys.refine_root` jumps down the bisection grid by secant proposals; it
+must return bisection's interval for every isolating interval of those
+fields, down to width 2^-200.
 """
 
 import math
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (FIELDS, as_intervals, eval_one, gcd_poly, iv_add,
-                      iv_mul, numerators)
+                      iv_mul, numerators, ref_divmod_poly, ref_eval_at)
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.fieldscan import ingest_fields
@@ -34,13 +36,6 @@ from ternlat.numberfield import load_field
 
 # ---------------------------------------------------------------------------
 # Fraction references
-
-def ref_eval_at(p, x):
-    acc = F(0)
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc
-
 
 def ref_eval_interval(p, iv):
     acc = Interval.point(0)
@@ -116,7 +111,7 @@ def ref_isolate_real_roots(p):
     chain = polys.sturm_chain(p)
 
     def variations(x):
-        signs = [sign(polys.eval_at(q, x)) for q in chain]
+        signs = [sign(ref_eval_at(q, x)) for q in chain]
         signs = [s for s in signs if s]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
@@ -132,10 +127,10 @@ def ref_isolate_real_roots(p):
             out.append(Interval(a, b))
             return
         m = (a + b) / 2
-        if polys.eval_at(p, m) == 0:
+        if ref_eval_at(p, m) == 0:
             out.append(Interval(m, m))
             eps = (b - a) / 4
-            while polys.eval_at(p, m - eps) == 0 or polys.eval_at(p, m + eps) == 0 \
+            while ref_eval_at(p, m - eps) == 0 or ref_eval_at(p, m + eps) == 0 \
                     or count(m - eps, m + eps) != 1:
                 eps /= 2
             go(a, m - eps, count(a, m - eps))
@@ -147,9 +142,9 @@ def ref_isolate_real_roots(p):
 
     bound = polys.root_bound(p)
     a, b = -bound, bound
-    while polys.eval_at(p, a) == 0:
+    while ref_eval_at(p, a) == 0:
         a -= 1
-    while polys.eval_at(p, b) == 0:
+    while ref_eval_at(p, b) == 0:
         b += 1
     go(F(a), F(b), count(a, b))
     out.sort(key=lambda iv: iv.lo)
@@ -222,8 +217,12 @@ def intervals(draw):
 @example([F(1, 2), F(1, 2)], F(3, 7))        # basis row (1 + t)/2
 @example([], F(5, 3))
 def test_eval_at_equals_fraction_horner(p, x):
-    got = polys.eval_at(p, x)
-    assert isinstance(got, F)
+    # p(x) from integer Horner on p's numerators over their common
+    # denominator, as the isolation and refinement kernels evaluate
+    nums, den = polys.clear_denominators(p)
+    b = x.denominator
+    got = F(polys._horner(nums, x.numerator, b),
+            den * b ** max(len(nums) - 1, 0))
     assert got == ref_eval_at(p, x)
 
 
@@ -266,6 +265,95 @@ def test_horner_equals_fraction_horner_on_both_denominator_kinds(
     for den in (1 << shift, b):
         assert polys._horner(nums, a, den) == \
             ref_eval_at(nums, F(a, den)) * den ** n
+
+
+# ---------------------------------------------------------------------------
+# division and resultants, on the one integer pseudo-division `polys._prem`
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(polys_q, st.lists(st.integers(-40, 40), max_size=9)),
+       st.one_of(polys_q, st.lists(st.integers(-40, 40), max_size=9))
+       .filter(any))
+@example([], [F(1, 2), 3])                          # zero dividend
+@example([1, 2], [0, 0, 5])                         # deg a < deg b
+@example([F(1, 3), 0, 0, 0, F(-7, 2)], [F(2, 5), F(-3, 4)])
+@example([3, 1, 4, 1, 5], [2, 7, -3])               # integers, lc(b) != 1
+def test_divmod_poly_equals_fraction_long_division(a, b):
+    q, r = polys.divmod_poly(a, b)
+    assert (q, r) == ref_divmod_poly(a, b)
+    assert all(isinstance(c, F) for c in q + r)
+
+
+@pytest.mark.parametrize("a, b", [([1, 2, 3], []), ([1, 2], [0, F(0)]),
+                                  ([], [0])])
+def test_divmod_poly_by_zero_raises(a, b):
+    with pytest.raises(ZeroDivisionError):
+        polys.divmod_poly(a, b)
+
+
+def sylvester_resultant(a, b):
+    """Res(a, b) as `linalg.det_int` of the Sylvester matrix: 0 when either
+    is zero, 1 when both are nonzero constants."""
+    a, b = polys.trim(a), polys.trim(b)
+    if not a or not b:
+        return 0
+    m, n = len(a) - 1, len(b) - 1
+    if m + n == 0:
+        return 1
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return linalg.det_int(rows)
+
+
+@st.composite
+def resultant_pairs(draw):
+    """Integer polynomials, with nontrivial contents and sometimes a common
+    factor."""
+    ints = st.lists(st.integers(-9, 9), max_size=8)
+    a = polys.scale(draw(ints), draw(st.sampled_from([1, 1, -1, 2, 6])))
+    b = polys.scale(draw(ints), draw(st.sampled_from([1, 1, -1, 4, -15])))
+    if draw(st.booleans()):
+        f = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=3))
+        a, b = polys.mul(a, f), polys.mul(b, f)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(resultant_pairs())
+@example(([], [1, 2]))                              # a zero polynomial
+@example(([3, 1], [0]))
+@example(([5], [-3]))                               # constants
+@example(([4], [1, 2, 3]))
+@example(([1, 2, 3], [-2]))
+@example(([1, 1], [1, 0, 0, 1]))                    # deg a < deg b
+@example(([1, 2, 0, 1], [3, 1]))                    # both degrees odd
+@example(([3, 1], [1, 2, 0, 1]))
+@example(([2, 4, 6], [3, 0, 9, 3]))                 # contents 2 and 3
+@example(([1, 0, 0, 0, 0, 0, 1], [2, 0, 0, 3]))     # a degree drop of 2
+@example(([7, -3, 0, 5, 2, 3], [-4, 0, 6, 0, 5]))   # lc != 1 all along
+def test_resultant_equals_sylvester_determinant(ab):
+    a, b = ab
+    assert polys.resultant(a, b) == sylvester_resultant(a, b)
+
+
+def test_resultant_discriminant_equals_the_hankel_discriminant():
+    # disc(p) = (-1)^(d(d-1)/2) Res(p, p') for monic p; cyclo_info takes
+    # F_k's discriminant as the Hankel determinant of power sums
+    for k in range(3, 61):
+        ctx = cyclo_info(k).field
+        p, d = ctx.poly, ctx.degree
+        sign_ = -1 if d * (d - 1) // 2 % 2 else 1
+        assert sign_ * polys.resultant(p, polys.diff(p)) == ctx.record.disc, k
+
+
+def test_table_polynomial_discriminants_are_square_multiples(table):
+    # disc(p) = [O_K : Z[t]]^2 disc_K for the defining polynomial p
+    for rec in table:
+        d = rec.degree
+        sign_ = -1 if d * (d - 1) // 2 % 2 else 1
+        disc_p = sign_ * polys.resultant(rec.poly, polys.diff(rec.poly))
+        q, r = divmod(disc_p, rec.disc)
+        assert r == 0 and q > 0 and math.isqrt(q) ** 2 == q, rec.label
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +669,9 @@ def test_isolate_real_roots_with_exact_rational_roots(p):
     got = assert_same_isolation(p)
     for iv in got:
         if iv.lo == iv.hi:
-            assert polys.eval_at(p, iv.lo) == 0
+            assert ref_eval_at(p, iv.lo) == 0
         else:
-            assert polys.eval_at(p, iv.lo) * polys.eval_at(p, iv.hi) < 0
+            assert ref_eval_at(p, iv.lo) * ref_eval_at(p, iv.hi) < 0
 
 
 @settings(max_examples=150, deadline=None)

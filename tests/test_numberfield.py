@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import ref_embeddings
+from conftest import ref_divmod_poly, ref_embeddings
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.errors import (DivisionByZero, FieldDataError, NoSuchUnit,
@@ -81,6 +81,37 @@ def test_norm_trace(ctx_sqrt2):
     lam = 2 + ctx_sqrt2.sqrt2
     assert lam.norm_trace() == (F(2), F(4))
     assert (ctx_sqrt2.one / lam).norm() == F(1, 2)
+
+
+def test_norm_equals_the_determinant_of_multiplication(table):
+    # N(a) = Res(p, A) / (den a.den)^d must equal det(M) / a.den^d for the
+    # integer multiplication matrix M of a.den * a, on every table field
+    # (integral bases over denominators up to 60), F_k for k = 3..60, and
+    # Q x Q = Q[t]/(t^2 - 1) in its power basis and in the basis of the
+    # idempotent (1 + t)/2
+    ident = ((F(1), F(0)), (F(0), F(1)))
+    qxq = [load_field(FieldRecord("QxQ", 2, (-1, 0, 1), basis, 4))
+           for basis in (ident, ((F(1), F(0)), (F(1, 2), F(1, 2))))]
+    ctxs = ([table.context(rec.label) for rec in table]
+            + [cyclo_info(k).field for k in range(3, 61)] + qxq)
+    rng = random.Random(29)
+    zero_divisors = 0
+    for ctx in ctxs:
+        d = ctx.degree
+        samples = [ctx.zero, ctx.one, ctx.gen, 1 + ctx.gen, 2 + ctx.gen,
+                   2 - ctx.gen]
+        samples += [ctx.element([rng.randint(-3, 3) for _ in range(d)],
+                                rng.choice([1, 2, 3, 10]))
+                    for _ in range(4)]
+        for a in samples:
+            want = F(linalg.det_int(a.mult_matrix_scaled()), a.den ** d)
+            assert a.norm() == want, (ctx, a)
+            zero_divisors += want == 0 and not a.is_zero
+    assert max(ctx._horner[2] for ctx in ctxs) > 1
+    assert all(ctx.zero.norm() == 0 for ctx in ctxs)
+    e = qxq[1].element([0, 1])
+    assert e * e == e and e.norm() == 0 and (1 - e).norm() == 0
+    assert zero_divisors >= 2
 
 
 def test_embeddings_and_house(ctx_sqrt2):
@@ -410,7 +441,7 @@ def ref_basis_mult_table(poly, basis, inv):
     table = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            _, rem = polys.divmod_poly(polys.mul(basis[i], basis[j]), poly)
+            _, rem = ref_divmod_poly(polys.mul(basis[i], basis[j]), poly)
             rem = list(rem) + [F(0)] * (d - len(rem))
             coords = linalg.mat_vec(inv_t, rem[:d])
             if any(c.denominator != 1 for c in coords):
