@@ -28,6 +28,19 @@ incremental evaluation along the innermost coordinate of Fincke-Pohst
 enumeration).  The box iteration is one generator with an explicit stack
 of levels, so a candidate passes through one generator frame, whatever
 the degree.
+
+Each level solves the feasible values of its coordinate c exactly, per
+embedding and per sign of c, against the hull of what the coordinates
+below it can contribute.  That hull lets through values of c for which
+the next level, y, has no value at all.  So a level with enough values
+also projects the level below onto c: once the signs of c and y are
+fixed, the level below's constraints are linear in (c, y), and
+eliminating y over the reals (Fourier-Motzkin, the pairing of an upper
+and a lower bound on y) leaves the values of c with a real y.  The level
+below solves the same constraints, in the same outward fixed-point
+integers, for integer y, so every value of c that the projection drops
+has an empty range below: the points, their order and every count of
+candidates stay the same, and only empty inner runs are skipped.
 """
 
 from __future__ import annotations
@@ -38,8 +51,8 @@ from fractions import Fraction
 from itertools import chain, islice, product
 from math import ceil, prod
 from operator import mul
-from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import linalg
 from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
@@ -173,6 +186,9 @@ def _build_box(ctx: FieldContext,
 
 
 _PRUNE_BITS = 24
+# Levels with fewer feasible values are walked without projecting the level
+# below: their few empty inner runs cost less than the projection.
+_PROJECT_MIN = 4
 
 
 def _fixed_point(x: Fraction, up: bool) -> int:
@@ -209,6 +225,131 @@ def _narrow(lo: int, hi: int, ea: int, a: int, eb: int, b: int
     return lo, hi
 
 
+Row = Tuple[int, int, int]
+
+
+def _active_cut(c: int, ups: List[Row], lows: List[Row], g: List[int]
+                ) -> Optional[Tuple[int, int]]:
+    """None when some real y meets the least upper and the greatest lower
+    bound on y at c (`_halves`), else the Fourier-Motzkin cut e c <=
+    r of those two bounds, which c violates: with h_k = g_k - a_k c, the
+    bounds are h_u / b_u and -h_m / |b_m|, and they meet when
+    h_u |b_m| + h_m b_u >= 0, i.e. when (b_u a_m + |b_m| a_u) c <=
+    b_u g_m + |b_m| g_u."""
+    au, bu, ku = ups[0]
+    hu = g[ku] - au * c
+    for a, b, k in ups:
+        h = g[k] - a * c
+        if h * bu < hu * b:
+            hu, bu, au, ku = h, b, a, k
+    am, bm, km = lows[0]
+    hm = g[km] - am * c
+    for a, b, k in lows:
+        h = g[k] - a * c
+        if h * bm < hm * b:
+            hm, bm, am, km = h, b, a, k
+    if hu * bm + hm * bu >= 0:
+        return None
+    return bu * am + bm * au, bu * g[km] + bm * g[ku]
+
+
+def _project(lo: int, hi: int, halves: list, g: List[int]
+             ) -> List[Tuple[int, int]]:
+    """The integers c in [lo, hi] for which some real y satisfies the
+    system of one of the halves, as ascending disjoint ranges (lo, hi).
+
+    Each half holds its rows a_k c + b_k y <= g_k, sorted by what they say
+    of y (`_halves`), and (y_max, -y_min), the right sides of its range
+    rows; g holds the right sides of the other rows.  The rows with b = 0
+    bound c directly.  For the others, the c with a real y form an
+    interval, the projection of a convex polygon, which Fourier-Motzkin
+    elimination of y describes by one cut per pair of an upper and a lower
+    bound on y.  Its ends are found from lo upwards and from hi downwards:
+    while c has no y, the cut of the two bounds that are active at c
+    (`_active_cut`) is violated at c, so it either excludes every value
+    beyond c or moves c to the first value that meets it.  No value with a
+    real y, and so none with an integer y, is ever dropped.
+    """
+    runs = []
+    for (ups, lows, flats), ybox in halves:
+        gy = g + ybox
+        a, b = lo, hi
+        for e, k in flats:
+            if e > 0:
+                b = min(b, gy[k] // e)
+            elif e < 0:
+                a = max(a, -(gy[k] // -e))
+            elif gy[k] < 0:
+                b = a - 1
+        while a <= b:
+            cut = _active_cut(a, ups, lows, gy)
+            if cut is None:
+                break
+            e, r = cut
+            a = -(-r // e) if e < 0 else b + 1
+        while a <= b:
+            cut = _active_cut(b, ups, lows, gy)
+            if cut is None:
+                break
+            e, r = cut
+            b = r // e if e > 0 else a - 1
+        if a <= b:
+            runs.append((a, b))
+    runs.sort()
+    if len(runs) == 2 and runs[1][0] <= runs[0][1] + 1:
+        runs = [(runs[0][0], max(runs[0][1], runs[1][1]))]
+    return runs
+
+
+def _prune_tables(emb: List[Numerators]) -> tuple:
+    """Per basis column j, the outward fixed-point lower and upper ends of
+    every sigma_i(b_j), and a memo of the levels' rows of `_halves` by
+    (level, c >= 0, y >= 0), filled on first use.  The tables are kept in the
+    `memo` of the embedding rows when these have one (as those of
+    `FieldContext.basis_embeddings` do), so they go with the rows."""
+    memo = getattr(emb, "memo", {})
+    if "prune" not in memo:
+        mids, rads = fixed_point_midrad(emb, _PRUNE_BITS)
+        # outward fixed-point endpoints (M - D) / 2 and (M + D) / 2
+        cols_lo = [[(m - r) // 2 for m, r in zip(mc, rc)]
+                   for mc, rc in zip(zip(*mids), zip(*rads))]
+        cols_hi = [[(m + r) // 2 for m, r in zip(mc, rc)]
+                   for mc, rc in zip(zip(*mids), zip(*rads))]
+        memo["prune"] = cols_lo, cols_hi, {}
+    return memo["prune"]
+
+
+def _halves(tables: tuple, level: int, c_pos: bool, ylo: int, yhi: int
+            ) -> list:
+    """The halves of `_project` for the rows of level - 1 in c = x_level and
+    y = x_(level-1) in [ylo, yhi] (`_iter_box`), one per sign of y that
+    the range holds, for c of the given sign.
+
+    The rows a_k c + b_k y <= g_k are, per embedding, the upper target row
+    and the lower one negated, then y <= y_max and -y <= -y_min.  They are
+    sorted by what they say of y: (a_k, b_k, k) for b_k > 0 (y <= (g_k -
+    a_k c) / b_k), (a_k, -b_k, k) for b_k < 0 (y >= (a_k c - g_k) / |b_k|)
+    and (a_k, k) for b_k = 0, and kept in the tables' memo."""
+    cols_lo, cols_hi, split = tables
+    out = []
+    for y_pos, lo, hi in ((False, ylo, min(yhi, -1)),
+                          (True, max(ylo, 0), yhi)):
+        if lo > hi:
+            continue
+        key = level, c_pos, y_pos
+        if key not in split:
+            ca, cb = (cols_lo, cols_hi) if c_pos else (cols_hi, cols_lo)
+            ya, yb = (cols_lo, cols_hi) if y_pos else (cols_hi, cols_lo)
+            rows = list(zip(ca[level], ya[level - 1]))
+            rows += [(-a, -b) for a, b in zip(cb[level], yb[level - 1])]
+            rows = list(enumerate(rows + [(0, 1), (0, -1)]))
+            split[key] = ([(a, b, k) for k, (a, b) in rows if b > 0],
+                          [(a, -b, k) for k, (a, b) in rows if b < 0],
+                          [(a, k) for k, (a, b) in rows if not b])
+        out.append((split[key], [hi, -lo]))
+    return out
+
+
 def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int, ...]]:
     """Integer points of the box surviving per-embedding interval pruning.
 
@@ -223,6 +364,18 @@ def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int,
     range on each side, solved exactly by integer division (Fincke-Pohst
     style); points come in lexicographic order of reversed coordinates.
 
+    A level above 0 with at least _PROJECT_MIN values then also drops the
+    values c for which the level below has no real solution y.  For signs
+    of c and of y fixed, the level below admits y when, per embedding i,
+    c A_i + y B_i <= thi_i - rem_lo_i - plo_i and c A'_i + y B'_i >= tlo_i
+    - rem_hi_i - phi_i, with the hulls rem of the coordinates below y:
+    linear in (c, y), with y in its half of the box range.  Eliminating y
+    over the reals (`_project`) leaves the integers c for which such a
+    real y exists, per half of y, and the union of the two halves is
+    kept.  As the level below solves the same rows for integer y, only
+    values c whose range below is empty are dropped: every point, and its
+    order, stays the same.
+
     One generator walks all levels with an explicit stack: per level above
     0, the values it has left and the partial sums it was solved against.
     The innermost level yields its points straight from its two ranges, so
@@ -234,34 +387,25 @@ def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int,
         return
     tlo = [_fixed_point(lo, up=False) for lo, _ in box.targets]
     thi = [_fixed_point(hi, up=True) for _, hi in box.targets]
-    # outward fixed-point endpoints (M - D) / 2 and (M + D) / 2
-    mids, rads = fixed_point_midrad(emb, _PRUNE_BITS)
-    elo = [[(m - r) // 2 for m, r in zip(*row)] for row in zip(mids, rads)]
-    ehi = [[(m + r) // 2 for m, r in zip(*row)] for row in zip(mids, rads)]
-
-    def scaled(i: int, j: int, c: int) -> Tuple[int, int]:
-        if c >= 0:
-            return c * elo[i][j], c * ehi[i][j]
-        return c * ehi[i][j], c * elo[i][j]
+    tables = _prune_tables(emb)
+    cols_lo, cols_hi, _ = tables
 
     # rem[i][j] = hull of possible contributions of coordinates < j
     rem_lo = [[0] * (d + 1) for _ in range(d)]
     rem_hi = [[0] * (d + 1) for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            alo, ahi = scaled(i, j, lows[j])
-            blo, bhi = scaled(i, j, highs[j])
-            rem_lo[i][j + 1] = rem_lo[i][j] + min(alo, blo)
-            rem_hi[i][j + 1] = rem_hi[i][j] + max(ahi, bhi)
+    for j, lo, hi in zip(range(d), lows, highs):
+        for i, el, eh in zip(range(d), cols_lo[j], cols_hi[j]):
+            ends = (lo * el, lo * eh, hi * el, hi * eh)
+            rem_lo[i][j + 1] = rem_lo[i][j] + min(ends)
+            rem_hi[i][j + 1] = rem_hi[i][j] + max(ends)
 
     # per level: embedding i admits c when
     #   plo[i] + c * e_a <= thi[i] - rem_lo[i][level]
     #   phi[i] + c * e_b >= tlo[i] - rem_hi[i][level]
     # with (e_a, e_b) = (elo, ehi) for c >= 0 and (ehi, elo) for c < 0
-    cols_lo = [[elo[i][j] for i in range(d)] for j in range(d)]
-    cols_hi = [[ehi[i][j] for i in range(d)] for j in range(d)]
     caps = [[thi[i] - rem_lo[i][j] for i in range(d)] for j in range(d)]
     floors = [[tlo[i] - rem_hi[i][j] for i in range(d)] for j in range(d)]
+    halves = {}     # per level, the `_halves` for c < 0 and c >= 0
     coords = [0] * d
     # per level: the partial sums (plo, phi) of the coordinates above it,
     # and above level 0 the values it has left
@@ -280,8 +424,20 @@ def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int,
             if pos_lo <= pos_hi:
                 pos_lo, pos_hi = _narrow(pos_lo, pos_hi, el, cap - p, eh, flo - q)
         if level:
-            pending[level] = chain(range(neg_lo, neg_hi + 1),
-                                   range(pos_lo, pos_hi + 1))
+            runs = [(neg_lo, neg_hi), (pos_lo, pos_hi)]
+            if max(neg_hi - neg_lo, -1) + max(pos_hi - pos_lo, -1) + 2 \
+                    >= _PROJECT_MIN:
+                # the level below's rows as a c + b y <= g, per embedding
+                # the upper target row, then the lower one negated
+                g = [cap - p for cap, p in zip(caps[level - 1], plo)]
+                g += [q - flo for q, flo in zip(phi, floors[level - 1])]
+                if level not in halves:
+                    halves[level] = [_halves(tables, level, c_pos,
+                                             lows[level - 1], highs[level - 1])
+                                     for c_pos in (False, True)]
+                runs = [run for (lo, hi), hs in zip(runs, halves[level])
+                        if lo <= hi for run in _project(lo, hi, hs, g)]
+            pending[level] = chain(*[range(lo, hi + 1) for lo, hi in runs])
         else:
             rest = tuple(coords[1:])
             for c in range(neg_lo, neg_hi + 1):
@@ -335,10 +491,15 @@ def solution_box(query: DominanceQuery,
 _ACCEPT = (Dominance.GT, Dominance.EQ, Dominance.GE_TIED)
 
 
-def _exact_check(query: DominanceQuery) -> Callable[[Tuple[int, ...]], bool]:
-    """The exact test of a candidate x: one `FieldContext.compare` against
-    zero of the integer coordinates v of den * (beta - x^2) or den * (beta x
-    - x^2) (module docstring).
+Point = Tuple[int, ...]
+
+
+def _exact_check(query: DominanceQuery
+                 ) -> Callable[[Iterable[Point]], List[Point]]:
+    """The exact test of candidates x, as a filter of an iterable of them:
+    one `FieldContext.compare` per candidate, against zero, of the integer
+    coordinates v of den * (beta - x^2) or den * (beta x - x^2) (module
+    docstring).
 
     v is a quadratic form in y = (1, x_0, ..., x_(d-1)), with one column of
     coefficients per monomial y_a y_b, a <= b: B or the integer matrix of B
@@ -348,9 +509,9 @@ def _exact_check(query: DominanceQuery) -> Callable[[Tuple[int, ...]], bool]:
     sums the columns of y_1 y_b times y_b, and A(r) sums the other
     monomials.  `_iter_box` yields candidates in runs that share r, so A and
     L are formed only when r differs from the previous candidate's, and
-    each candidate costs d multiply-adds.  The residual is built as an
-    integer `Element` over 1 directly on its slots (its coordinates are in
-    lowest terms already), and `ctx.compare` is bound once per query.
+    each candidate costs d multiply-adds, in one loop over the candidates.
+    The residual is built as an integer `Element` over 1 directly on its
+    slots (its coordinates are in lowest terms already).
     """
     ctx, bound = query.field, query.bound
     d, den = ctx.degree, bound.den
@@ -371,28 +532,30 @@ def _exact_check(query: DominanceQuery) -> Callable[[Tuple[int, ...]], bool]:
     pairs = [p for p, col in columns.items() if 1 not in p and any(col)]
     const_rows = [[columns[p][k] for p in pairs] for k in range(d)]
     lin_rows = [[col[k] for col in linear.values()] for k in range(d)]
-    zero, compare, blank = ctx.zero, ctx.compare, Element.__new__
-    last_r, terms = None, ()
 
-    def accepts(x: Tuple[int, ...]) -> bool:
-        nonlocal last_r, terms
-        r = x[1:]
-        if r != last_r:
-            y = (1, 0) + r
-            monomials = [y[a] * y[b] for a, b in pairs]
-            ys = [y[b] for b in linear]
-            last_r = r
-            terms = tuple(zip([sum(map(mul, monomials, row))
-                               for row in const_rows],
-                              [sum(map(mul, ys, row)) for row in lin_rows],
-                              quad))
-        c = x[0]
-        v = blank(Element)
-        v.ctx, v.den = ctx, 1
-        v.coords = tuple([a + c * (b + c * q) for a, b, q in terms])
-        return compare(v, zero) in _ACCEPT
+    def accepted(points: Iterable[Point]) -> List[Point]:
+        zero, compare, blank = ctx.zero, ctx.compare, Element.__new__
+        last_r, terms, out = None, (), []
+        for x in points:
+            r = x[1:]
+            if r != last_r:
+                y = (1, 0) + r
+                monomials = [y[a] * y[b] for a, b in pairs]
+                ys = [y[b] for b in linear]
+                last_r = r
+                terms = tuple(zip([sum(map(mul, monomials, row))
+                                   for row in const_rows],
+                                  [sum(map(mul, ys, row)) for row in lin_rows],
+                                  quad))
+            c = x[0]
+            v = blank(Element)
+            v.ctx, v.den = ctx, 1
+            v.coords = tuple([a + c * (b + c * q) for a, b, q in terms])
+            if compare(v, zero) in _ACCEPT:
+                out.append(x)
+        return out
 
-    return accepts
+    return accepted
 
 
 def enumerate_dominated(query: DominanceQuery,
@@ -407,9 +570,8 @@ def enumerate_dominated(query: DominanceQuery,
     """
     ctx = query.field
     box, emb = _query_box(query, ceiling)
-    accepts = _exact_check(query)
     points = _iter_box(emb, box)
-    out = list(filter(accepts, islice(points, ceiling)))
+    out = _exact_check(query)(islice(points, ceiling))
     if next(points, None) is not None:
         raise BoxTooLarge(ceiling + 1, ceiling, "visited {} candidates")
     out.sort()

@@ -338,6 +338,18 @@ class Element:
         return q if probe == self else None
 
 
+class Embeddings(list):
+    """The rows of `FieldContext.basis_embeddings`, with a memo for tables
+    that callers derive from them: the memo goes with the rows, which are
+    replaced whenever the roots are refined."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.memo: dict = {}
+
+
 class FieldContext:
     """Validated field: multiplication table, isolated roots, named elements.
 
@@ -356,7 +368,7 @@ class FieldContext:
         self.pow_to_basis = pow_to_basis
         self._roots = list(roots)
         self._horner = polys.horner_rows(basis_pow)     # basis_embeddings
-        self._emb_cache: Optional[List[Numerators]] = None
+        self._emb_cache: Optional[Embeddings] = None
         self._int_cache: Optional[Tuple[list, list]] = None     # _int_rows
         self._pack: Optional[tuple] = None                      # _pack_rows
         # basis coordinates of the power t^k are row k of pow_to_basis
@@ -435,8 +447,9 @@ class FieldContext:
         highs[j]] / den, at current precision: one `polys.eval_interval`
         call per root evaluates every basis row."""
         if self._emb_cache is None:
-            self._emb_cache = [polys.eval_interval(*self._horner, root)
-                               for root in self._roots]
+            self._emb_cache = Embeddings(
+                polys.eval_interval(*self._horner, root)
+                for root in self._roots)
         return self._emb_cache
 
     INT_BITS = 24
@@ -471,24 +484,25 @@ class FieldContext:
         """The d bounds of `fixed_point_bounds` on coordinates x, as the
         base-2^w digits of one integer t: digit i is bound_i + 2^(w-1) - 1.
 
-        Column j of the `_int_rows` rows is packed into P_j = sum_i
-        row_i[j] 2^(w i), so one sum of the 2d products of (x, |x|) with
-        the P_j is sum_i bound_i 2^(w i).  With E the largest |row entry|,
-        |bound_i| <= 2 E sum_j |x_j|, and w (a power of two, at least 64)
-        keeps that at most 2^(w-1) - 2: every offset digit lies in [1,
-        2^w - 3] and no carry crosses digits.  Returns (t, w, top) with top
-        the digit-wise 2^(w-1), so every bound_i is positive exactly when
-        t & top == top."""
-        ax = tuple(map(abs, x))
-        s = sum(ax)
+        x_j M_ij - |x_j| D_ij is x_j (M - D)_ij for x_j >= 0 and x_j (M +
+        D)_ij for x_j < 0, so the lower bound_i is sum_j x_j (M -+ D)_ij with
+        the sign chosen by x_j, and the upper one takes the other sign.
+        Column j of M - D and of M + D is packed into P_j = sum_i
+        entry_ij 2^(w i), so one sum of d products of x_j with the P_j of
+        its sign is sum_i bound_i 2^(w i).  With E the largest |entry| of
+        M and D, |bound_i| <= 2 E sum_j |x_j|, and w (a power of two, at
+        least 64) keeps that at most 2^(w-1) - 2: every offset digit lies
+        in [1, 2^w - 3] and no carry crosses digits.  Returns (t, w, top)
+        with top the digit-wise 2^(w-1), so every bound_i is positive
+        exactly when t & top == top."""
+        s = sum(map(abs, x))
         rows = self._int_cache or self._int_rows()
         pack = self._pack
         if pack is None or pack[0] is not rows or s > pack[1]:
             pack = self._pack = _pack_rows(rows, s)
         _, _, w, cols, offset, top = pack
-        if cols[upper] is None:
-            cols[upper] = _pack_columns(rows[upper], w)
-        return sum(map(mul, x + ax, cols[upper])) + offset, w, top
+        return sum([c * pn[c < 0] for c, pn in zip(x, cols[upper])]) \
+            + offset, w, top
 
     def _fast_signs(self, a: Element, lows: Optional[List[int]] = None
                     ) -> Optional[Tuple[int, ...]]:
@@ -718,24 +732,25 @@ def _pack_rows(rows: Tuple[List[List[int]], List[List[int]]], s: int
                ) -> tuple:
     """The packing of `FieldContext._packed_bounds` at the least width
     w = 64 * 2^k with 2 E s <= 2^(w-1) - 2: (rows, the largest s it admits,
-    w, the packed columns of each half, the offset digits 2^(w-1) - 1, the
-    top bits 2^(w-1)).  A half is packed on its first use: a comparison
-    that exits early never needs the upper one."""
+    w, per side (lower, upper) the pairs of packed columns j taken for x_j
+    >= 0 and for x_j < 0, the offset digits 2^(w-1) - 1, the top bits
+    2^(w-1)).  The columns of M - D and M + D serve both sides."""
     e = max(1, *(max(map(abs, row)) for half in rows for row in half))
     w = 64
     while 2 * e * s > (1 << w - 1) - 2:
         w *= 2
-    ones = sum(1 << w * i for i in range(len(rows[0])))
+    d = len(rows[0])
+    ones = sum(1 << w * i for i in range(d))
     top = ones << w - 1
-    return rows, ((1 << w - 1) - 2) // (2 * e), w, [None, None], top - ones, top
-
-
-def _pack_columns(rows: List[List[int]], w: int) -> List[int]:
-    """Column j of rows as sum_i rows[i][j] 2^(w i), by Horner over i."""
-    cols = [0] * len(rows[0])
-    for row in reversed(rows):
-        cols = [(c << w) + v for c, v in zip(cols, row)]
-    return cols
+    # rows[0][i] is (M_i, -D_i); its columns are packed by Horner over i,
+    # and as packing is linear, packed columns j and d + j give M -+ D
+    packed = [0] * (2 * d)
+    for row in reversed(rows[0]):
+        packed = [(c << w) + v for c, v in zip(packed, row)]
+    minus = [m + r for m, r in zip(packed, packed[d:])]
+    plus = [m - r for m, r in zip(packed, packed[d:])]
+    cols = list(zip(minus, plus)), list(zip(plus, minus))
+    return rows, ((1 << w - 1) - 2) // (2 * e), w, cols, top - ones, top
 
 
 def _digits(t: int, w: int, d: int) -> List[int]:

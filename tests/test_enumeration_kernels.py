@@ -4,7 +4,11 @@
 integer division and walks the levels with an explicit stack; the
 reference below is the recursive scan-and-reject loop it replaced, which
 tries every coordinate of the box and tests every embedding.  The two must
-yield the same sequence, in the same order, up to degree 8.
+yield the same sequence, in the same order, up to degree 8.  Each level
+also drops the values with no real solution in the level below
+(`enumeration._project`); on random levels the values it keeps must be
+exactly those of a `Fraction` brute force over real y, and never fewer
+than those with an integer y.
 
 `FieldContext._fast_signs` decides signs from fixed-point enclosures in
 midpoint-radius form; every decisive verdict must equal the exact one from
@@ -44,10 +48,10 @@ from ternlat import enumeration, linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
                                  _box_bounds, _build_box, _candidate_estimate,
-                                 _exact_check, _fixed_point,
-                                 _interval_targets, _iter_box, _query_box,
-                                 _square_targets, dominated_elements,
-                                 sqrt2_span_witnesses)
+                                 _exact_check, _fixed_point, _halves,
+                                 _interval_targets, _iter_box, _project,
+                                 _query_box, _square_targets,
+                                 dominated_elements, sqrt2_span_witnesses)
 from ternlat.intervals import (Interval, endpoint_numerators,
                                fixed_point_midrad)
 from ternlat.numberfield import (Dominance, FieldContext, FieldRecord,
@@ -200,15 +204,127 @@ def test_iter_box_on_a_degree_5_box():
     assert list(_iter_box(emb, box)) == list(ref_iter_box(emb, box))
 
 
-def test_iter_box_on_a_degree_8_box():
+def test_iter_box_on_a_degree_8_box(monkeypatch):
     # seven levels above the innermost one; two of the five points have a
-    # negative coordinate above level 0
+    # negative coordinate above level 0; the levels' projections drop values
+    # there, and the points stay those of the scan-and-reject loop
     ctx = cyclo_info(32).field
     box, emb = _certified(ctx, ctx.from_rational(3), QueryMode.SQUARE_DOMINATED)
+    dropped = []
+    project = enumeration._project
+
+    def counted_project(lo, hi, halves, g):
+        runs = project(lo, hi, halves, g)
+        dropped.append(hi - lo + 1 - sum(b - a + 1 for a, b in runs))
+        return runs
+
+    monkeypatch.setattr(enumeration, "_project", counted_project)
     got = list(_iter_box(emb, box))
     assert got == list(ref_iter_box(emb, box))
     assert len(got) == 5
     assert sum(any(c < 0 for c in x[1:]) for x in got) == 2
+    assert len(dropped) > 100 and sum(dropped) > 1000, (len(dropped),
+                                                         sum(dropped))
+
+
+# ---------------------------------------------------------------------------
+# _project: the level below projected onto a level's coordinate
+
+def _level_below(c, y, col_c, col_y, g):
+    """Whether the level below admits (c, y): per embedding i, with the
+    enclosures col[i] = (lo, hi) scaled by c and y as in `ref_iter_box`, the
+    lower end of the sum is <= g[i] and the upper end >= -g[d + i]."""
+    d = len(col_c)
+    for i, ((cl, ch), (yl, yh)) in enumerate(zip(col_c, col_y)):
+        if min(c * cl, c * ch) + min(y * yl, y * yh) > g[i]:
+            return False
+        if max(c * cl, c * ch) + max(y * yl, y * yh) < -g[d + i]:
+            return False
+    return True
+
+
+def ref_real_y(c, col_c, col_y, g, ylo, yhi):
+    """Whether some real y in [ylo, yhi] with y <= -1 or y >= 0 has
+    `_level_below(c, y)`: on each half the ends of y * [yl, yh] are linear
+    in y, so each row bounds y by one exact quotient."""
+    d = len(col_c)
+    for lo, hi in ((F(ylo), F(min(yhi, -1))), (F(max(ylo, 0)), F(yhi))):
+        pos = lo >= 0
+        for i, ((cl, ch), (yl, yh)) in enumerate(zip(col_c, col_y)):
+            # each row as y * b <= r: the lower end against g[i], the
+            # upper end, negated, against g[d + i]
+            for b, r in (((yl, yh)[not pos], g[i] - min(c * cl, c * ch)),
+                         (-(yh, yl)[not pos], g[d + i] + max(c * cl, c * ch))):
+                if b > 0:
+                    hi = min(hi, F(r, b))
+                elif b < 0:
+                    lo = max(lo, F(r, b))
+                elif r < 0:
+                    lo, hi = F(1), F(0)
+        if lo <= hi:
+            return True
+    return False
+
+
+def _enclosure(rng):
+    """Integer ends (lo, hi): zero, straddling zero, or one-signed."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0, 0
+    if kind == 1:
+        return -rng.randint(1, 40), rng.randint(1, 40)
+    lo = rng.randint(-40, 40)
+    return lo, lo + rng.randint(0, 6)
+
+
+def test_projection_is_exact_over_real_y_and_sound_over_integer_y():
+    # random levels of degree 2..5: the values _project keeps are exactly
+    # those with a real y below (a Fraction brute force), and every value
+    # with an integer y below is kept
+    rng = random.Random(18)
+    seen = {"kept": 0, "dropped": 0, "real y only": 0, "zero entry": 0,
+            "one-signed y": 0, "c < 0": 0}
+    for _ in range(3000):
+        d = rng.randint(2, 5)
+        col_y = [_enclosure(rng) for _ in range(d)]
+        col_c = [_enclosure(rng) for _ in range(d)]
+        tables = ([[lo for lo, _ in col_y], [lo for lo, _ in col_c]],
+                  [[hi for _, hi in col_y], [hi for _, hi in col_c]], {})
+        c_pos = rng.random() < 0.5
+        end = rng.randint(0, 6) if c_pos else -rng.randint(1, 6)
+        lo, hi = sorted((end, end + rng.randint(0, 8) * (1 if c_pos else -1)))
+        ylo = rng.randint(-8, 6)
+        yhi = ylo + rng.randint(0, 10)
+        # right sides with a random slack per row around a random point
+        # (c0, y0); narrow strips can cross -1 < y < 0 inside c's range
+        c0, y0 = rng.uniform(lo, hi), rng.uniform(ylo - 1, yhi + 1)
+        g = [math.floor(min(c0 * cl, c0 * ch) + min(y0 * yl, y0 * yh))
+             for (cl, ch), (yl, yh) in zip(col_c, col_y)]
+        g += [math.floor(-max(c0 * cl, c0 * ch) - max(y0 * yl, y0 * yh))
+              for (cl, ch), (yl, yh) in zip(col_c, col_y)]
+        g = [r + rng.choice((0, 2, 10, 200)) - rng.randint(0, 3) for r in g]
+        runs = _project(lo, hi, _halves(tables, 1, c_pos, ylo, yhi), g)
+        got = [c for a, b in runs for c in range(a, b + 1)]
+        assert got == sorted(set(got)) and all(
+            b + 1 < a for (_, b), (a, _) in zip(runs, runs[1:]))
+        want = [c for c in range(lo, hi + 1)
+                if ref_real_y(c, col_c, col_y, g, ylo, yhi)]
+        assert got == want, (col_c, col_y, g, lo, hi, ylo, yhi)
+        for c in range(lo, hi + 1):
+            integer_y = any(_level_below(c, y, col_c, col_y, g)
+                            for y in range(ylo, yhi + 1))
+            assert c in got or not integer_y
+            seen["real y only"] += c in got and not integer_y
+        seen["kept"] += len(got)
+        seen["dropped"] += hi - lo + 1 - len(got)
+        seen["zero entry"] += (0, 0) in col_c + col_y
+        seen["one-signed y"] += ylo >= 0 or yhi < 0
+        seen["c < 0"] += not c_pos
+    assert all(n > 100 for n in seen.values()), seen
+    # the strip c - 2 y = 3 meets no y <= -1 or y >= 0 at c = 2 alone
+    tables = ([[-2, 0], [1, 0]], [[-2, 0], [1, 0]], {})
+    halves = _halves(tables, 1, True, -3, 3)
+    assert _project(0, 5, halves, [3, 0, -3, 0]) == [(0, 1), (3, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +671,20 @@ def test_exact_check_equals_the_element_path(table, mode):
         for bound in _bounds(ctx, rng):
             seen["fraction bounds"] += bound.den > 1
             query = DominanceQuery(ctx, bound, mode)
-            accepts = _exact_check(query)
-            prev = None
-            for x in _candidates(query, rng):
-                verdict = accepts(x)
+            xs = _candidates(query, rng)
+            # the filter keeps the accepted candidates in their order, and
+            # equal candidates take equal verdicts
+            kept = iter(_exact_check(query)(xs))
+            head, prev = next(kept, None), None
+            for x in xs:
+                verdict = x == head
+                if verdict:
+                    head = next(kept, None)
                 assert verdict == ref_accepts(bound, mode, x), (ctx, bound, x)
                 seen[verdict] += 1
                 seen["same prefix"] += prev is not None and x[1:] == prev[1:]
                 prev = x
+            assert head is None
     assert seen[True] > 2000 and seen[False] > 2000, seen
     assert seen["fraction bounds"] >= 40, seen
     # most candidates of a run reuse the residual of their prefix

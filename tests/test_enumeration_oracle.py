@@ -119,16 +119,19 @@ def test_cyclotomic_lists_match_the_trace_form_oracle(k, n, mode):
     assert got and got == Oracle(ctx).dominated(list(bound.coords), mode)
 
 
-@pytest.mark.parametrize("k, n, count", [(32, 3, 5), (40, 6, 33)])
+@pytest.mark.parametrize("k, n, count", [(32, 3, 5), (40, 6, 33),
+                                         (32, 12, 143), (48, 12, 189)])
 def test_degree_8_lists_are_pinned_and_rechecked_exactly(k, n, count):
     """omega^2 <= n on F_k = Q(zeta_k)^+, of degree 8.
 
-    The counts were computed by the interval Gauss-Jordan inverse that the
-    verified midpoint-radius inverse replaced, so they do not come from the
-    box code under test.  Every listed solution is re-checked by the
-    oracle's exact Newton-identity test.  The oracle's own enumeration
-    cannot check completeness here: its ellipsoid product box holds about
-    4.4e8 points on F32.
+    The counts 5 and 33 were computed by the interval Gauss-Jordan inverse
+    that the verified midpoint-radius inverse replaced, so they do not come
+    from the box code under test; 143 and 189 were listed before the box
+    iteration projected each level onto the one below it, and pin the
+    queries whose prefixes that projection prunes most.  Every listed
+    solution is re-checked by the oracle's exact Newton-identity test.  The
+    oracle's own enumeration cannot check completeness here: its ellipsoid
+    product box holds about 4.4e8 points on F32.
     """
     ctx = cyclo_info(k).field
     assert ctx.degree == 8
