@@ -187,7 +187,10 @@ def _build_box(ctx: FieldContext,
 
 _PRUNE_BITS = 24
 # Levels with fewer feasible values are walked without projecting the level
-# below: their few empty inner runs cost less than the projection.
+# below.  Most levels of the certified boxes of `scan` hold one or two
+# values, and projecting levels of 1, 2 or 3 values made `scan` 5-9% slower
+# in paired runs, while `enum` did not move and degree 8 gained at most 10%
+# (BENCH_enum_projection.json, "projection_gate").
 _PROJECT_MIN = 4
 
 
@@ -301,26 +304,8 @@ def _project(lo: int, hi: int, halves: list, g: List[int]
     return runs
 
 
-def _prune_tables(emb: List[Numerators]) -> tuple:
-    """Per basis column j, the outward fixed-point lower and upper ends of
-    every sigma_i(b_j), and a memo of the levels' rows of `_halves` by
-    (level, c >= 0, y >= 0), filled on first use.  The tables are kept in the
-    `memo` of the embedding rows when these have one (as those of
-    `FieldContext.basis_embeddings` do), so they go with the rows."""
-    memo = getattr(emb, "memo", {})
-    if "prune" not in memo:
-        mids, rads = fixed_point_midrad(emb, _PRUNE_BITS)
-        # outward fixed-point endpoints (M - D) / 2 and (M + D) / 2
-        cols_lo = [[(m - r) // 2 for m, r in zip(mc, rc)]
-                   for mc, rc in zip(zip(*mids), zip(*rads))]
-        cols_hi = [[(m + r) // 2 for m, r in zip(mc, rc)]
-                   for mc, rc in zip(zip(*mids), zip(*rads))]
-        memo["prune"] = cols_lo, cols_hi, {}
-    return memo["prune"]
-
-
-def _halves(tables: tuple, level: int, c_pos: bool, ylo: int, yhi: int
-            ) -> list:
+def _halves(cols_lo: List[List[int]], cols_hi: List[List[int]], level: int,
+            c_pos: bool, ylo: int, yhi: int) -> list:
     """The halves of `_project` for the rows of level - 1 in c = x_level and
     y = x_(level-1) in [ylo, yhi] (`_iter_box`), one per sign of y that
     the range holds, for c of the given sign.
@@ -329,24 +314,20 @@ def _halves(tables: tuple, level: int, c_pos: bool, ylo: int, yhi: int
     and the lower one negated, then y <= y_max and -y <= -y_min.  They are
     sorted by what they say of y: (a_k, b_k, k) for b_k > 0 (y <= (g_k -
     a_k c) / b_k), (a_k, -b_k, k) for b_k < 0 (y >= (a_k c - g_k) / |b_k|)
-    and (a_k, k) for b_k = 0, and kept in the tables' memo."""
-    cols_lo, cols_hi, split = tables
+    and (a_k, k) for b_k = 0."""
+    ca, cb = (cols_lo, cols_hi) if c_pos else (cols_hi, cols_lo)
     out = []
     for y_pos, lo, hi in ((False, ylo, min(yhi, -1)),
                           (True, max(ylo, 0), yhi)):
         if lo > hi:
             continue
-        key = level, c_pos, y_pos
-        if key not in split:
-            ca, cb = (cols_lo, cols_hi) if c_pos else (cols_hi, cols_lo)
-            ya, yb = (cols_lo, cols_hi) if y_pos else (cols_hi, cols_lo)
-            rows = list(zip(ca[level], ya[level - 1]))
-            rows += [(-a, -b) for a, b in zip(cb[level], yb[level - 1])]
-            rows = list(enumerate(rows + [(0, 1), (0, -1)]))
-            split[key] = ([(a, b, k) for k, (a, b) in rows if b > 0],
-                          [(a, -b, k) for k, (a, b) in rows if b < 0],
-                          [(a, k) for k, (a, b) in rows if not b])
-        out.append((split[key], [hi, -lo]))
+        ya, yb = (cols_lo, cols_hi) if y_pos else (cols_hi, cols_lo)
+        rows = list(zip(ca[level], ya[level - 1]))
+        rows += [(-a, -b) for a, b in zip(cb[level], yb[level - 1])]
+        rows = list(enumerate(rows + [(0, 1), (0, -1)]))
+        out.append((([(a, b, k) for k, (a, b) in rows if b > 0],
+                     [(a, -b, k) for k, (a, b) in rows if b < 0],
+                     [(a, k) for k, (a, b) in rows if not b]), [hi, -lo]))
     return out
 
 
@@ -387,8 +368,13 @@ def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int,
         return
     tlo = [_fixed_point(lo, up=False) for lo, _ in box.targets]
     thi = [_fixed_point(hi, up=True) for _, hi in box.targets]
-    tables = _prune_tables(emb)
-    cols_lo, cols_hi, _ = tables
+    # per basis column j, the outward fixed-point lower and upper ends of
+    # every sigma_i(b_j), (M - D) / 2 and (M + D) / 2
+    mids, rads = fixed_point_midrad(emb, _PRUNE_BITS)
+    cols_lo = [[(m - r) // 2 for m, r in zip(mc, rc)]
+               for mc, rc in zip(zip(*mids), zip(*rads))]
+    cols_hi = [[(m + r) // 2 for m, r in zip(mc, rc)]
+               for mc, rc in zip(zip(*mids), zip(*rads))]
 
     # rem[i][j] = hull of possible contributions of coordinates < j
     rem_lo = [[0] * (d + 1) for _ in range(d)]
@@ -432,7 +418,7 @@ def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int,
                 g = [cap - p for cap, p in zip(caps[level - 1], plo)]
                 g += [q - flo for q, flo in zip(phi, floors[level - 1])]
                 if level not in halves:
-                    halves[level] = [_halves(tables, level, c_pos,
+                    halves[level] = [_halves(cols_lo, cols_hi, level, c_pos,
                                              lows[level - 1], highs[level - 1])
                                      for c_pos in (False, True)]
                 runs = [run for (lo, hi), hs in zip(runs, halves[level])
