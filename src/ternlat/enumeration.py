@@ -59,7 +59,7 @@ from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
                      PrecisionExhausted)
 from .intervals import (Interval, Numerators, endpoint_numerators,
                         fixed_point_midrad, sqrt_upper)
-from .numberfield import Dominance, Element, FieldContext
+from .numberfield import Dominance, Element, Embeddings, FieldContext
 
 DEFAULT_CEILING = 10 ** 8
 
@@ -304,8 +304,24 @@ def _project(lo: int, hi: int, halves: list, g: List[int]
     return runs
 
 
-def _halves(cols_lo: List[List[int]], cols_hi: List[List[int]], level: int,
-            c_pos: bool, ylo: int, yhi: int) -> list:
+def _prune_tables(emb: Embeddings) -> tuple:
+    """Per basis column j, the outward fixed-point lower and upper ends of
+    every sigma_i(b_j), and a memo of the levels' rows of `_halves` by
+    (level, c >= 0, y >= 0), filled on first use.  The tables are kept in
+    the rows' `prune` slot, so they go with the rows."""
+    if emb.prune is None:
+        mids, rads = fixed_point_midrad(emb, _PRUNE_BITS)
+        # outward fixed-point endpoints (M - D) / 2 and (M + D) / 2
+        cols_lo = [[(m - r) // 2 for m, r in zip(mc, rc)]
+                   for mc, rc in zip(zip(*mids), zip(*rads))]
+        cols_hi = [[(m + r) // 2 for m, r in zip(mc, rc)]
+                   for mc, rc in zip(zip(*mids), zip(*rads))]
+        emb.prune = cols_lo, cols_hi, {}
+    return emb.prune
+
+
+def _halves(tables: tuple, level: int, c_pos: bool, ylo: int, yhi: int
+            ) -> list:
     """The halves of `_project` for the rows of level - 1 in c = x_level and
     y = x_(level-1) in [ylo, yhi] (`_iter_box`), one per sign of y that
     the range holds, for c of the given sign.
@@ -314,24 +330,28 @@ def _halves(cols_lo: List[List[int]], cols_hi: List[List[int]], level: int,
     and the lower one negated, then y <= y_max and -y <= -y_min.  They are
     sorted by what they say of y: (a_k, b_k, k) for b_k > 0 (y <= (g_k -
     a_k c) / b_k), (a_k, -b_k, k) for b_k < 0 (y >= (a_k c - g_k) / |b_k|)
-    and (a_k, k) for b_k = 0."""
-    ca, cb = (cols_lo, cols_hi) if c_pos else (cols_hi, cols_lo)
+    and (a_k, k) for b_k = 0, and kept in the tables' memo."""
+    cols_lo, cols_hi, split = tables
     out = []
     for y_pos, lo, hi in ((False, ylo, min(yhi, -1)),
                           (True, max(ylo, 0), yhi)):
         if lo > hi:
             continue
-        ya, yb = (cols_lo, cols_hi) if y_pos else (cols_hi, cols_lo)
-        rows = list(zip(ca[level], ya[level - 1]))
-        rows += [(-a, -b) for a, b in zip(cb[level], yb[level - 1])]
-        rows = list(enumerate(rows + [(0, 1), (0, -1)]))
-        out.append((([(a, b, k) for k, (a, b) in rows if b > 0],
-                     [(a, -b, k) for k, (a, b) in rows if b < 0],
-                     [(a, k) for k, (a, b) in rows if not b]), [hi, -lo]))
+        key = level, c_pos, y_pos
+        if key not in split:
+            ca, cb = (cols_lo, cols_hi) if c_pos else (cols_hi, cols_lo)
+            ya, yb = (cols_lo, cols_hi) if y_pos else (cols_hi, cols_lo)
+            rows = list(zip(ca[level], ya[level - 1]))
+            rows += [(-a, -b) for a, b in zip(cb[level], yb[level - 1])]
+            rows = list(enumerate(rows + [(0, 1), (0, -1)]))
+            split[key] = ([(a, b, k) for k, (a, b) in rows if b > 0],
+                          [(a, -b, k) for k, (a, b) in rows if b < 0],
+                          [(a, k) for k, (a, b) in rows if not b])
+        out.append((split[key], [hi, -lo]))
     return out
 
 
-def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int, ...]]:
+def _iter_box(emb: Embeddings, box: EnumerationBox) -> Iterator[Tuple[int, ...]]:
     """Integer points of the box surviving per-embedding interval pruning.
 
     Coordinates are fixed from the last to the first; at each level the
@@ -368,13 +388,8 @@ def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int,
         return
     tlo = [_fixed_point(lo, up=False) for lo, _ in box.targets]
     thi = [_fixed_point(hi, up=True) for _, hi in box.targets]
-    # per basis column j, the outward fixed-point lower and upper ends of
-    # every sigma_i(b_j), (M - D) / 2 and (M + D) / 2
-    mids, rads = fixed_point_midrad(emb, _PRUNE_BITS)
-    cols_lo = [[(m - r) // 2 for m, r in zip(mc, rc)]
-               for mc, rc in zip(zip(*mids), zip(*rads))]
-    cols_hi = [[(m + r) // 2 for m, r in zip(mc, rc)]
-               for mc, rc in zip(zip(*mids), zip(*rads))]
+    tables = _prune_tables(emb)
+    cols_lo, cols_hi, _ = tables
 
     # rem[i][j] = hull of possible contributions of coordinates < j
     rem_lo = [[0] * (d + 1) for _ in range(d)]
@@ -391,7 +406,6 @@ def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int,
     # with (e_a, e_b) = (elo, ehi) for c >= 0 and (ehi, elo) for c < 0
     caps = [[thi[i] - rem_lo[i][j] for i in range(d)] for j in range(d)]
     floors = [[tlo[i] - rem_hi[i][j] for i in range(d)] for j in range(d)]
-    halves = {}     # per level, the `_halves` for c < 0 and c >= 0
     coords = [0] * d
     # per level: the partial sums (plo, phi) of the coordinates above it,
     # and above level 0 the values it has left
@@ -417,12 +431,10 @@ def _iter_box(emb: List[Numerators], box: EnumerationBox) -> Iterator[Tuple[int,
                 # the upper target row, then the lower one negated
                 g = [cap - p for cap, p in zip(caps[level - 1], plo)]
                 g += [q - flo for q, flo in zip(phi, floors[level - 1])]
-                if level not in halves:
-                    halves[level] = [_halves(cols_lo, cols_hi, level, c_pos,
-                                             lows[level - 1], highs[level - 1])
-                                     for c_pos in (False, True)]
-                runs = [run for (lo, hi), hs in zip(runs, halves[level])
-                        if lo <= hi for run in _project(lo, hi, hs, g)]
+                ylo, yhi = lows[level - 1], highs[level - 1]
+                runs = [run for c_pos, (lo, hi) in zip((False, True), runs)
+                        if lo <= hi for run in _project(
+                            lo, hi, _halves(tables, level, c_pos, ylo, yhi), g)]
             pending[level] = chain(*[range(lo, hi + 1) for lo, hi in runs])
         else:
             rest = tuple(coords[1:])

@@ -338,6 +338,18 @@ class Element:
         return q if probe == self else None
 
 
+class Embeddings(list):
+    """The rows of `FieldContext.basis_embeddings`, with a slot for the
+    pruning tables that `enumeration` derives from them: the tables go with
+    the rows, which are replaced whenever the roots are refined."""
+
+    __slots__ = ("prune",)
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.prune: Optional[tuple] = None
+
+
 class FieldContext:
     """Validated field: multiplication table, isolated roots, named elements.
 
@@ -356,7 +368,7 @@ class FieldContext:
         self.pow_to_basis = pow_to_basis
         self._roots = list(roots)
         self._horner = polys.horner_rows(basis_pow)     # basis_embeddings
-        self._emb_cache: Optional[List[Numerators]] = None
+        self._emb_cache: Optional[Embeddings] = None
         self._int_cache: Optional[Tuple[list, list]] = None     # _int_rows
         self._pack: Optional[tuple] = None                      # _pack_rows
         # basis coordinates of the power t^k are row k of pow_to_basis
@@ -435,8 +447,9 @@ class FieldContext:
         highs[j]] / den, at current precision: one `polys.eval_interval`
         call per root evaluates every basis row."""
         if self._emb_cache is None:
-            self._emb_cache = [polys.eval_interval(*self._horner, root)
-                               for root in self._roots]
+            self._emb_cache = Embeddings(
+                polys.eval_interval(*self._horner, root)
+                for root in self._roots)
         return self._emb_cache
 
     INT_BITS = 24

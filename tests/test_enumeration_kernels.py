@@ -288,8 +288,8 @@ def test_projection_is_exact_over_real_y_and_sound_over_integer_y():
         d = rng.randint(2, 5)
         col_y = [_enclosure(rng) for _ in range(d)]
         col_c = [_enclosure(rng) for _ in range(d)]
-        cols = ([[lo for lo, _ in col_y], [lo for lo, _ in col_c]],
-                [[hi for _, hi in col_y], [hi for _, hi in col_c]])
+        tables = ([[lo for lo, _ in col_y], [lo for lo, _ in col_c]],
+                  [[hi for _, hi in col_y], [hi for _, hi in col_c]], {})
         c_pos = rng.random() < 0.5
         end = rng.randint(0, 6) if c_pos else -rng.randint(1, 6)
         lo, hi = sorted((end, end + rng.randint(0, 8) * (1 if c_pos else -1)))
@@ -303,7 +303,7 @@ def test_projection_is_exact_over_real_y_and_sound_over_integer_y():
         g += [math.floor(-max(c0 * cl, c0 * ch) - max(y0 * yl, y0 * yh))
               for (cl, ch), (yl, yh) in zip(col_c, col_y)]
         g = [r + rng.choice((0, 2, 10, 200)) - rng.randint(0, 3) for r in g]
-        runs = _project(lo, hi, _halves(*cols, 1, c_pos, ylo, yhi), g)
+        runs = _project(lo, hi, _halves(tables, 1, c_pos, ylo, yhi), g)
         got = [c for a, b in runs for c in range(a, b + 1)]
         assert got == sorted(set(got)) and all(
             b + 1 < a for (_, b), (a, _) in zip(runs, runs[1:]))
@@ -322,7 +322,8 @@ def test_projection_is_exact_over_real_y_and_sound_over_integer_y():
         seen["c < 0"] += not c_pos
     assert all(n > 100 for n in seen.values()), seen
     # the strip c - 2 y = 3 meets no y <= -1 or y >= 0 at c = 2 alone
-    halves = _halves([[-2, 0], [1, 0]], [[-2, 0], [1, 0]], 1, True, -3, 3)
+    tables = ([[-2, 0], [1, 0]], [[-2, 0], [1, 0]], {})
+    halves = _halves(tables, 1, True, -3, 3)
     assert _project(0, 5, halves, [3, 0, -3, 0]) == [(0, 1), (3, 5)]
 
 
