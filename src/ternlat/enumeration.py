@@ -584,9 +584,11 @@ def dominated_elements(ctx: FieldContext, bound: Element,
 
 class Representations(NamedTuple):
     """Vectors found by `enumerate_representations`; complete is False when
-    the search stopped at its cap with candidates left to test."""
+    the search stopped at its cap with candidates left to test; counts are
+    the sizes of the complete candidate lists it built, () on early returns."""
     vectors: List[Tuple[Element, ...]]
     complete: bool
+    counts: Tuple[int, ...] = ()
 
 
 def enumerate_representations(gram: Sequence[Sequence[Element]], gamma: Element,
@@ -621,13 +623,14 @@ def enumerate_representations(gram: Sequence[Sequence[Element]], gamma: Element,
         if volume > ceiling:
             raise BoxTooLarge(volume, ceiling, "box volume {}")
 
+    counts = tuple(map(len, candidate_lists))
     out: List[Tuple[Element, ...]] = []
     for vec in product(*candidate_lists):
         if len(out) >= cap:
-            return Representations(out, False)
+            return Representations(out, False, counts)
         if linalg.ring_bilinear(vec, gram, vec) == gamma:
             out.append(vec)
-    return Representations(out, True)
+    return Representations(out, True, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -603,11 +603,16 @@ class FieldContext:
         return units_by_signature(self.one, self.units or ())
 
     @cached_property
-    def unit_square_steps(self) -> Tuple[Tuple[Element, Element], ...]:
-        """Pairs (u^e, u^2e), e = +-1, for each supplied unit u: the moves
-        of the unit-square walk; built on first use."""
-        return tuple((v, v * v) for u in self.units or ()
-                     for v in (u, u.inverse()))
+    def unit_square_steps(self) -> Tuple[tuple, ...]:
+        """(u^e, u^2e, tau), e = +-1, per supplied unit u: the moves of the
+        unit-square walk, built on first use.  tau_i = Tr(b_i u^2e), from
+        the integer trace form, so den * Tr(a u^2e) = a.coords . tau; it is
+        an integer vector, as every listed unit passes `is_unit` at load."""
+        tr = self.basis_traces
+        form = [[sum(map(mul, e, tr)) for e in row] for row in self.mult_table]
+        return tuple((v, v2, tuple(sum(map(mul, q, v2.coords)) for q in form))
+                     for u in self.units or () for v in (u, u.inverse())
+                     for v2 in (v * v,))
 
     def totally_positive_associate(self, a: Element) -> Tuple[Element, Element]:
         """Unit eta (a product of supplied generators) with eta*a totally positive.
@@ -862,28 +867,28 @@ def unit_square_reduce(a: Element) -> Tuple[Element, Element]:
     the trace is proper on the orbit.  Non-positive inputs, and contexts
     without units, give (a, 1).
 
-    The walk terminates: each step strictly decreases the key, every element
-    of the orbit is totally positive with the same denominator den, and
-    (1/den) * O_K has only finitely many totally positive elements below any
+    Traces are compared on integers, den * Tr(best u^2) = best.coords . tau
+    (`FieldContext.unit_square_steps`); best * u^2 is formed only when it
+    is not larger, and on a tie the coordinates decide.  The walk ends: the
+    key strictly decreases, the orbit is totally positive over one den (u^2
+    is a unit of the order), and finitely many such elements lie below any
     trace.
     """
     ctx = a.ctx
     if a.is_zero or not a.is_totally_positive():
         return a, ctx.one
-
-    def key(e: Element):
-        return (e.trace(), tuple(-c for c in e.coords), e.den)
-
-    steps = ctx.unit_square_steps
-    best, best_key, eta = a, key(a), ctx.one
+    best, eta = a, ctx.one
+    trace = sum(map(mul, a.coords, ctx.basis_traces))       # den * Tr(best)
     improved = True
     while improved:
         improved = False
-        for u, u2 in steps:
+        for u, u2, tau in ctx.unit_square_steps:
+            t = sum(map(mul, best.coords, tau))
+            if t > trace:
+                continue
             cand = best * u2
-            cand_key = key(cand)
-            if cand_key < best_key:
-                best, best_key, eta = cand, cand_key, eta * u
+            if t < trace or cand.coords > best.coords:
+                best, trace, eta = cand, t, eta * u
                 improved = True
     return best, eta
 

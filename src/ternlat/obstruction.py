@@ -31,10 +31,6 @@ def _element_dict(e: Element) -> dict:
     return {"coords": list(e.coords), "den": e.den}
 
 
-def _element_from(ctx: FieldContext, d: dict) -> Element:
-    return ctx.element(d["coords"], d["den"])
-
-
 # ---------------------------------------------------------------------------
 # orthogonality forcing
 
@@ -84,11 +80,9 @@ def orthogonality_forcing(ctx: FieldContext, elements: Sequence[Element],
         if not e.is_integral or not e.is_totally_positive():
             raise ValueError("orthogonality forcing needs totally positive "
                              "integral elements")
-    pairs = []
-    for i, j in combinations(range(len(elements)), 2):
-        adm = offdiag_candidates(elements[i], elements[j], ceiling)
-        pairs.append(PairForcing(i, j, tuple(adm)))
-    return OrthogonalityCertificate(ctx.record.label, elements, tuple(pairs))
+    pairs = tuple(PairForcing(i, j, tuple(offdiag_candidates(a, b, ceiling)))
+                  for (i, a), (j, b) in combinations(enumerate(elements), 2))
+    return OrthogonalityCertificate(ctx.record.label, elements, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +117,10 @@ def dual_nonrepresentation(ctx: FieldContext,
                            ceiling: int = DEFAULT_CEILING) -> DualTranscript:
     """Exhaustive test of x^2 a2 a3 + y^2 a1 a3 + z^2 a1 a2 = gamma a1 a2 a3,
     the cleared-denominator form of representing gamma by the dual of the
-    diagonal lattice <a1, a2, a3>."""
+    diagonal lattice <a1, a2, a3>: one representation search, stopped at
+    its first solution, gives the counterexample and the candidate list
+    sizes (`Representations.counts`); BoxTooLarge when a list, or the
+    product of their sizes, exceeds the ceiling."""
     a1, a2, a3 = diag
     for e in diag:
         if not e.is_totally_positive():
@@ -131,22 +128,10 @@ def dual_nonrepresentation(ctx: FieldContext,
     if not gamma.is_totally_positive():
         raise InvalidInput("gamma must be totally positive")
     gram = GramMatrix.diagonal([a2 * a3, a1 * a3, a1 * a2])
-    target = gamma * a1 * a2 * a3
-    # complete candidate lists, as in the representation search
-    counts = []
-    det = gram.det()
-    adj = linalg.ring_adjugate(gram.entries)
-    for j in range(3):
-        bound = target * adj[j][j] / det
-        counts.append(len(dominated_elements(ctx, bound,
-                                             QueryMode.SQUARE_DOMINATED,
-                                             ceiling)))
-    # existence only: the first representation found, if any
-    reps = enumerate_representations(gram.entries, target, cap=1,
-                                     ceiling=ceiling).vectors
-    ce = reps[0] if reps else None
-    return DualTranscript(ctx.record.label, (a1, a2, a3), gamma,
-                          tuple(counts), ce)
+    reps = enumerate_representations(gram.entries, gamma * a1 * a2 * a3,
+                                     cap=1, ceiling=ceiling)
+    return DualTranscript(ctx.record.label, (a1, a2, a3), gamma, reps.counts,
+                          reps.vectors[0] if reps.vectors else None)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +164,7 @@ def revalidate_certificate(ctx: FieldContext, data: dict,
     """Re-run both sub-searches of a serialized certificate and compare."""
     if data.get("kind") != "obstruction":
         raise ValueError("not an obstruction certificate")
-    quad = [_element_from(ctx, d) for d in data["quadruple"]]
+    quad = [ctx.element(d["coords"], d["den"]) for d in data["quadruple"]]
     cert = obstruction_certificate(ctx, quad[:3], quad[3], ceiling)
     return cert.to_dict() == data
 
@@ -240,21 +225,22 @@ def obstruction_search(ctx: FieldContext, pool_size: int = 40,
 
     Requires units of all signatures (narrow class number equal to the class
     number), which is a necessary condition for the field to be a candidate
-    at all.
+    at all.  Each pair of the pool is checked once, by
+    `orthogonality_forcing`, and kept: the certificate's orthogonality part
+    is its triple's three kept pairs, re-indexed (0, 1), (0, 2), (1, 2).
     """
     require_count("pool size", pool_size)
     require_count("ceiling", ceiling)
     if ctx.record.h_plus != ctx.record.h:
         raise InvalidInput(f"{ctx.record.label}: search requires h+ = h")
     pool = candidate_pool(ctx, pool_size, ceiling=ceiling)
-    pair_cache: Dict[Tuple[int, int], bool] = {}
+    pairs: Dict[Tuple[int, int], PairForcing] = {}
 
     def forced(i: int, j: int) -> bool:
-        key = (min(i, j), max(i, j))
-        if key not in pair_cache:
-            adm = offdiag_candidates(pool[key[0]], pool[key[1]], ceiling)
-            pair_cache[key] = len(adm) == 1 and adm[0].is_zero
-        return pair_cache[key]
+        if (i, j) not in pairs:
+            pairs[i, j] = orthogonality_forcing(ctx, (pool[i], pool[j]),
+                                                ceiling).pairs[0]
+        return pairs[i, j].forced_zero
 
     n = len(pool)
     for i in range(n):
@@ -271,7 +257,12 @@ def obstruction_search(ctx: FieldContext, pool_size: int = 40,
                     dual = dual_nonrepresentation(ctx, triple, pool[g],
                                                   ceiling)
                     if dual.is_valid:
-                        orth = orthogonality_forcing(ctx, triple, ceiling)
+                        orth = OrthogonalityCertificate(
+                            ctx.record.label, triple, tuple(
+                                PairForcing(a, b, pairs[key].admissible)
+                                for (a, b), key in zip(
+                                    combinations(range(3), 2),
+                                    combinations((i, j, k), 2))))
                         return ObstructionCertificate(
                             ctx.record.label, (*triple, pool[g]), orth, dual)
     return None

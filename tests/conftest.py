@@ -197,3 +197,31 @@ def gram_inverse_dual(g):
     adj = linalg.ring_adjugate(g.entries)
     return GramMatrix([[adj[i][j] / det for j in range(g.n)]
                        for i in range(g.n)])
+
+
+# ---------------------------------------------------------------------------
+# unit-square walk
+
+def ref_unit_square_reduce(a):
+    """Reference for `numberfield.unit_square_reduce`: the greedy walk that
+    forms a * u^2 on every step (u, u^2) of the context and compares the
+    full key (trace, negated coordinates, den)."""
+    ctx = a.ctx
+    if a.is_zero or not a.is_totally_positive():
+        return a, ctx.one
+
+    def key(e):
+        return (e.trace(), tuple(-c for c in e.coords), e.den)
+
+    steps = [(u, u2) for u, u2, _ in ctx.unit_square_steps]
+    best, best_key, eta = a, key(a), ctx.one
+    improved = True
+    while improved:
+        improved = False
+        for u, u2 in steps:
+            cand = best * u2
+            cand_key = key(cand)
+            if cand_key < best_key:
+                best, best_key, eta = cand, cand_key, eta * u
+                improved = True
+    return best, eta

@@ -166,7 +166,8 @@ def test_criterion_6_unimodular_example(table):
             classes[rep_u.coords] = rep_u
     ok &= len(classes) == 2          # h+/h = 2: the classes are 1 and eps
     for u in classes.values():
-        ok &= enumerate_representations(binary, u) == ([], True)
+        reps = enumerate_representations(binary, u)
+        ok &= reps.vectors == [] and reps.complete
     report(6, ok, "unimodular ternary over the degree-4 field: sublattice "
            "with Gram values (2+sqrt2, 3, 1) found; binary part represents "
            "no unit (both unit classes exhausted)", t0)

@@ -216,7 +216,8 @@ def test_representations(ctx_q):
     reps = enumerate_representations(g2, ctx_q.from_rational(2))
     assert len(reps.vectors) == 4 and reps.complete
     g3 = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    assert enumerate_representations(g3, ctx_q.from_rational(7)) == ([], True)
+    reps = enumerate_representations(g3, ctx_q.from_rational(7))
+    assert reps.vectors == [] and reps.complete
     reps = enumerate_representations(g3, ctx_q.from_rational(6))
     assert len(reps.vectors) == 24 and reps.complete
 
@@ -240,9 +241,10 @@ def test_representation_list_cut_at_cap_is_flagged(ctx_q, ctx_sqrt2):
     # is reached when nothing is left to test
     g1 = [[ctx_q.one]]
     one = ctx_q.one
-    assert enumerate_representations(g1, one, cap=2) == ([(-one,), (one,)],
-                                                         True)
-    assert enumerate_representations(g1, one, cap=1) == ([(-one,)], False)
+    reps = enumerate_representations(g1, one, cap=2)
+    assert reps.vectors == [(-one,), (one,)] and reps.complete
+    reps = enumerate_representations(g1, one, cap=1)
+    assert reps.vectors == [(-one,)] and not reps.complete
     # over Z[sqrt2]: 2 = sqrt2^2 = 1 + 1 in x^2 + y^2
     one, zero = ctx_sqrt2.one, ctx_sqrt2.zero
     two = ctx_sqrt2.from_rational(2)
@@ -251,6 +253,25 @@ def test_representation_list_cut_at_cap_is_flagged(ctx_q, ctx_sqrt2):
     assert all(x * x + y * y == two for x, y in full.vectors)
     cut = enumerate_representations([[one, zero], [zero, one]], two, cap=3)
     assert not cut.complete and cut.vectors == full.vectors[:3]
+
+
+def test_representation_counts_are_the_candidate_list_sizes(ctx_q,
+                                                            ctx_sqrt2):
+    # x^2 + y^2 + z^2 = 6: each coordinate ranges over omega^2 <= 6
+    for ctx, size in ((ctx_q, 5), (ctx_sqrt2, 11)):
+        one, zero = ctx.one, ctx.zero
+        g3 = [[one if i == j else zero for j in range(3)] for i in range(3)]
+        six = ctx.from_rational(6)
+        lists = [dominated_elements(ctx, six) for _ in range(3)]
+        assert [len(c) for c in lists] == [size] * 3
+        assert enumerate_representations(g3, six).counts == \
+            tuple(len(c) for c in lists)
+        # a search cut at its cap still built its complete lists
+        assert enumerate_representations(g3, six, cap=1).counts == \
+            (size,) * 3
+        # the early returns build no list
+        assert enumerate_representations(g3, zero).counts == ()
+        assert enumerate_representations(g3, -six).counts == ()
 
 
 def test_elements_of_norm(ctx_sqrt2):

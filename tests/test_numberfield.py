@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import ref_divmod_poly, ref_embeddings
+from conftest import ref_divmod_poly, ref_embeddings, ref_unit_square_reduce
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
+from ternlat.enumeration import dominated_elements
 from ternlat.errors import (DivisionByZero, FieldDataError, NoSuchUnit,
                             NotARing, NotTotallyReal)
 from ternlat.numberfield import (Dominance, FieldRecord, basis_mult_table,
@@ -260,6 +262,59 @@ def test_unit_square_canonical_far_along_the_orbit():
     s = ctx.sqrt2
     far = (1 + s) ** 2200 * (2 + s)
     assert unit_square_canonical(far) == 2 + s
+
+
+def _pool_associates(ctx):
+    """Totally positive associates of the nonzero elements with omega^2 <=
+    36 and |norm| <= 64, as `obstruction.candidate_pool` forms them."""
+    out = []
+    for w in dominated_elements(ctx, ctx.from_rational(36)):
+        if w.is_zero or abs(w.norm()) > 64:
+            continue
+        try:
+            out.append(ctx.totally_positive_associate(w)[1])
+        except NoSuchUnit:
+            continue
+    return out
+
+
+def test_unit_square_walk_matches_the_reference(table, ctx_sqrt2):
+    # the walk reads each step's trace off integers and multiplies only
+    # when it is not larger; the reference multiplies on every step
+    def check(a):
+        r, eta = unit_square_reduce(a)
+        assert (r, eta) == ref_unit_square_reduce(a), a
+        assert r == a * eta * eta
+        return r != a
+
+    moved = dens = 0
+    for ctx in [sqrt2_context()] + [table.context(r.label)
+                                     for r in table.records]:
+        pool = _pool_associates(ctx)
+        assert pool, ctx.record.label
+        for a in pool:
+            moved += check(a)
+            for q in (2, 3):
+                aq = a * F(1, q)
+                dens += aq.den == q
+                check(aq)
+        # far along the orbit: a * u^(2k), |k| <= 6, for each generator
+        for a in pool[:1]:
+            for u in ctx.units:
+                for k in range(-6, 7):
+                    moved += check(a * u ** (2 * k))
+    assert moved > 0 and dens > 0
+    # ties in trace: 2 - sqrt2 and 2 + sqrt2 = (2 - sqrt2)(1 + sqrt2)^2
+    s = ctx_sqrt2.sqrt2
+    assert check(2 - s) and unit_square_reduce(2 - s)[0] == 2 + s
+    # non-positive inputs, and a context without units, give (a, 1)
+    for a in (-(2 + s), 1 - s, ctx_sqrt2.zero):
+        check(a)
+        assert unit_square_reduce(a) == (a, ctx_sqrt2.one)
+    bare = load_field(replace(ctx_sqrt2.record, units=None))
+    a = bare.element([10, -7])
+    check(a)
+    assert unit_square_reduce(a) == (a, bare.one)
 
 
 def test_rational_span(ctx_sqrt2):

@@ -1,10 +1,14 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from ternlat.enumeration import elements_of_norm, squarefree_witness
-from ternlat.errors import InvalidInput, NoSuchUnit
+from ternlat import enumeration, numberfield
+from ternlat.cli import main
+from ternlat.errors import BoxTooLarge, InvalidInput, NoSuchUnit
 from ternlat.numberfield import load_field, unit_square_canonical
 from ternlat.obstruction import (candidate_pool, dual_nonrepresentation,
                                  indecomposables_classify,
@@ -211,3 +215,78 @@ def test_classification_stable_under_unit_squares(ctx_sqrt2):
             scaled = entry.element * u * u
             assert classify_square_shape(scaled).classification == \
                 entry.classification
+
+
+# sha256 of json.dumps(obstruction_search(ctx, 40).to_dict(), sort_keys=True)
+# per h+ = h table field, pinned before the search reused its pair checks
+GOLDEN_CERTIFICATES = {
+    "K1600": "605a86af35a960d5d16cf5ef601cef735c1b26a0d3820ce6e610ac1e4ba6d7e9",
+    "K2048": "2616ea84874e63662d5b35acacac16db3361cf191f505969c1c7bed0d63767fc",
+    "K2624": "d9795a0d21b3159cac7a37a568f3eb3133fa47b6e9aa816b2e65c60537daa9c4",
+    "K7232": "4666fbb8b1ec8a63058861351bad0200c8e3574e6c1efa2bf2e8cbd5fa8bef1f",
+    "K8768": "a9be8f710b9b2092450fbc660cd3b3a4e0ae52d38834b8d4aadfb0988a466e88",
+    "K10816": "9a0e52e302bfd5c6dd20195bc8860904230a4a8bc6de1b2cd0f5a37c41573d54",
+    "K16448": "19a40a477d1474e3a0c4f53f30a26dab3a550b25e78e7c7e9f6dc5f3b54870c1",
+    "K51200": "9adfa64f1c42923bac8d463a5f45e478ad669760d106fb18dc6de805ee9ea6ba",
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_CERTIFICATES))
+def test_search_certificates_are_unchanged(table, label):
+    cert = obstruction_search(table.context(label), 40)
+    data = cert.to_dict()
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_CERTIFICATES[label]
+    fresh = load_field(table.context(label).record)
+    assert revalidate_certificate(fresh, data)
+
+
+def test_search_enumerates_each_bound_once(table, monkeypatch):
+    # one K51200 search: 7 dominated-element lists, none enumerated twice
+    # (a dual that recounts its lists and a certificate that re-runs its
+    # pair checks make 13), and at most 361 multiplications in the
+    # unit-square walk, half of the 722 made when every step forms a * u^2
+    ctx = load_field(table.context("K51200").record)
+    queries, muls, depth = [], [0], [0]
+    enumerate_dominated = enumeration.enumerate_dominated
+    mul = numberfield.Element.__mul__
+    walk = numberfield.unit_square_reduce
+
+    def counted_enumerate(query, ceiling):
+        queries.append((query.bound.coords, query.bound.den, query.mode))
+        return enumerate_dominated(query, ceiling)
+
+    def counted_mul(a, b):
+        muls[0] += depth[0] > 0
+        return mul(a, b)
+
+    def counted_walk(a):
+        depth[0] += 1
+        try:
+            return walk(a)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(enumeration, "enumerate_dominated", counted_enumerate)
+    monkeypatch.setattr(numberfield.Element, "__mul__", counted_mul)
+    monkeypatch.setattr(numberfield, "unit_square_reduce", counted_walk)
+    assert obstruction_search(ctx, 40).is_valid
+    assert len(queries) == 7 and len(set(queries)) == 7
+    assert 0 < muls[0] <= 361
+
+
+def test_dual_box_volume_is_checked_before_the_last_list(ctx_q, fields_dir,
+                                                         capsys):
+    # <1, 1, 2> against 7: lists of 5, 5 and 7 candidates; with a ceiling
+    # of 6 the volume 25 of the first two lists is refused before the third
+    # list is built
+    one, two = ctx_q.one, ctx_q.from_rational(2)
+    seven = ctx_q.from_rational(7)
+    assert dual_nonrepresentation(ctx_q, [one, one, two], seven, 175) \
+        .candidate_counts == (5, 5, 7)
+    with pytest.raises(BoxTooLarge, match="box volume 25 exceeds ceiling 6"):
+        dual_nonrepresentation(ctx_q, [one, one, two], seven, 6)
+    assert main(["dual", "--field", str(fields_dir / "q.json"), "--diag",
+                 "1;1;2", "--gamma", "7", "--ceiling", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "box volume 25" in err
