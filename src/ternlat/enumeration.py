@@ -27,7 +27,8 @@ so a candidate costs d multiply-adds before its comparison (the
 incremental evaluation along the innermost coordinate of Fincke-Pohst
 enumeration).  The box iteration is one generator with an explicit stack
 of levels, so a candidate passes through one generator frame, whatever
-the degree.
+the degree.  It prunes with the table that `compare` reads too
+(`FieldContext.fixed_point_table`).
 
 Each level solves the feasible values of its coordinate c exactly, per
 embedding and per sign of c, against the hull of what the coordinates
@@ -57,9 +58,8 @@ from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
 from . import linalg
 from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
                      PrecisionExhausted)
-from .intervals import (Interval, Numerators, endpoint_numerators,
-                        fixed_point_midrad, sqrt_upper)
-from .numberfield import Dominance, Element, Embeddings, FieldContext
+from .intervals import Interval, Numerators, endpoint_numerators, sqrt_upper
+from .numberfield import Dominance, Element, FieldContext
 
 DEFAULT_CEILING = 10 ** 8
 
@@ -156,7 +156,7 @@ def _box_bounds(inv: List[Tuple[List[int], List[int], int]],
 
 def _build_box(ctx: FieldContext,
                make_targets: Callable[[], List[Interval]],
-               ceiling: int) -> Tuple[EnumerationBox, List[Numerators]]:
+               ceiling: int) -> EnumerationBox:
     """Shrink the certified box until its volume stabilizes within 1%."""
     prev: Optional[Tuple[EnumerationBox, List[Numerators]]] = None
     prev_vol = None
@@ -176,16 +176,15 @@ def _build_box(ctx: FieldContext,
             est = _candidate_estimate(emb, box)
             if est > ceiling:
                 raise BoxTooLarge(est, ceiling)
-            return box, emb
+            return box
         prev, prev_vol = (box, emb), vol
     if prev is None:
         raise PrecisionExhausted(width)
     if _candidate_estimate(prev[1], prev[0]) <= ceiling:
-        return prev
+        return prev[0]
     raise BoxTooLarge(prev_vol, ceiling, "box volume {}")
 
 
-_PRUNE_BITS = 24
 # Levels with fewer feasible values are walked without projecting the level
 # below.  Most levels of the certified boxes of `scan` hold one or two
 # values, and projecting levels of 1, 2 or 3 values made `scan` 5-9% slower
@@ -195,7 +194,7 @@ _PROJECT_MIN = 4
 
 
 def _fixed_point(x: Fraction, up: bool) -> int:
-    scale = 1 << _PRUNE_BITS
+    scale = 1 << FieldContext.INT_BITS
     if up:
         return -((-x.numerator * scale) // x.denominator)
     return (x.numerator * scale) // x.denominator
@@ -304,23 +303,7 @@ def _project(lo: int, hi: int, halves: list, g: List[int]
     return runs
 
 
-def _prune_tables(emb: Embeddings) -> tuple:
-    """Per basis column j, the outward fixed-point lower and upper ends of
-    every sigma_i(b_j), and a memo of the levels' rows of `_halves` by
-    (level, c >= 0, y >= 0), filled on first use.  The tables are kept in
-    the rows' `prune` slot, so they go with the rows."""
-    if emb.prune is None:
-        mids, rads = fixed_point_midrad(emb, _PRUNE_BITS)
-        # outward fixed-point endpoints (M - D) / 2 and (M + D) / 2
-        cols_lo = [[(m - r) // 2 for m, r in zip(mc, rc)]
-                   for mc, rc in zip(zip(*mids), zip(*rads))]
-        cols_hi = [[(m + r) // 2 for m, r in zip(mc, rc)]
-                   for mc, rc in zip(zip(*mids), zip(*rads))]
-        emb.prune = cols_lo, cols_hi, {}
-    return emb.prune
-
-
-def _halves(tables: tuple, level: int, c_pos: bool, ylo: int, yhi: int
+def _halves(table: tuple, level: int, c_pos: bool, ylo: int, yhi: int
             ) -> list:
     """The halves of `_project` for the rows of level - 1 in c = x_level and
     y = x_(level-1) in [ylo, yhi] (`_iter_box`), one per sign of y that
@@ -330,8 +313,9 @@ def _halves(tables: tuple, level: int, c_pos: bool, ylo: int, yhi: int
     and the lower one negated, then y <= y_max and -y <= -y_min.  They are
     sorted by what they say of y: (a_k, b_k, k) for b_k > 0 (y <= (g_k -
     a_k c) / b_k), (a_k, -b_k, k) for b_k < 0 (y >= (a_k c - g_k) / |b_k|)
-    and (a_k, k) for b_k = 0, and kept in the tables' memo."""
-    cols_lo, cols_hi, split = tables
+    and (a_k, k) for b_k = 0, and kept in the table's memo
+    (`FieldContext.fixed_point_table`)."""
+    cols_lo, cols_hi, split = table
     out = []
     for y_pos, lo, hi in ((False, ylo, min(yhi, -1)),
                           (True, max(ylo, 0), yhi)):
@@ -351,13 +335,17 @@ def _halves(tables: tuple, level: int, c_pos: bool, ylo: int, yhi: int
     return out
 
 
-def _iter_box(emb: Embeddings, box: EnumerationBox) -> Iterator[Tuple[int, ...]]:
+def _iter_box(table: tuple, box: EnumerationBox
+              ) -> Iterator[Tuple[int, ...]]:
     """Integer points of the box surviving per-embedding interval pruning.
 
     Coordinates are fixed from the last to the first; at each level the
     partial embedding sum plus the hull of the remaining coordinates'
     possible contributions must still meet every target region.  Pruning
-    uses outward fixed-point arithmetic, so it never discards a solution.
+    uses the outward fixed-point ends of the basis embeddings in `table`
+    (`FieldContext.fixed_point_table`), so it never discards a solution.
+    The context's table is taken after the box, from roots at least as
+    narrow, so it prunes at least as tightly as the box's embeddings would.
 
     Each level's constraints are linear in its coordinate c on c < 0 and on
     c >= 0 (where the enclosure endpoint that bounds c * sigma_i(basis)
@@ -388,8 +376,7 @@ def _iter_box(emb: Embeddings, box: EnumerationBox) -> Iterator[Tuple[int, ...]]
         return
     tlo = [_fixed_point(lo, up=False) for lo, _ in box.targets]
     thi = [_fixed_point(hi, up=True) for _, hi in box.targets]
-    tables = _prune_tables(emb)
-    cols_lo, cols_hi, _ = tables
+    cols_lo, cols_hi, _ = table
 
     # rem[i][j] = hull of possible contributions of coordinates < j
     rem_lo = [[0] * (d + 1) for _ in range(d)]
@@ -434,7 +421,7 @@ def _iter_box(emb: Embeddings, box: EnumerationBox) -> Iterator[Tuple[int, ...]]
                 ylo, yhi = lows[level - 1], highs[level - 1]
                 runs = [run for c_pos, (lo, hi) in zip((False, True), runs)
                         if lo <= hi for run in _project(
-                            lo, hi, _halves(tables, level, c_pos, ylo, yhi), g)]
+                            lo, hi, _halves(table, level, c_pos, ylo, yhi), g)]
             pending[level] = chain(*[range(lo, hi + 1) for lo, hi in runs])
         else:
             rest = tuple(coords[1:])
@@ -473,8 +460,7 @@ def _interval_targets(ctx: FieldContext, bound: Element) -> List[Interval]:
     return [Interval(Fraction(0), max(iv.hi, Fraction(0))) for iv in ivs]
 
 
-def _query_box(query: DominanceQuery, ceiling: int
-               ) -> Tuple[EnumerationBox, List[Numerators]]:
+def _query_box(query: DominanceQuery, ceiling: int) -> EnumerationBox:
     ctx = query.field
     make = _square_targets if query.mode is QueryMode.SQUARE_DOMINATED \
         else _interval_targets
@@ -483,7 +469,7 @@ def _query_box(query: DominanceQuery, ceiling: int
 
 def solution_box(query: DominanceQuery,
                  ceiling: int = DEFAULT_CEILING) -> EnumerationBox:
-    return _query_box(query, ceiling)[0]
+    return _query_box(query, ceiling)
 
 
 _ACCEPT = (Dominance.GT, Dominance.EQ, Dominance.GE_TIED)
@@ -567,8 +553,8 @@ def enumerate_dominated(query: DominanceQuery,
     estimated or the visited number of candidates exceeds the ceiling.
     """
     ctx = query.field
-    box, emb = _query_box(query, ceiling)
-    points = _iter_box(emb, box)
+    box = _query_box(query, ceiling)
+    points = _iter_box(ctx.fixed_point_table(), box)
     out = _exact_check(query)(islice(points, ceiling))
     if next(points, None) is not None:
         raise BoxTooLarge(ceiling + 1, ceiling, "visited {} candidates")
@@ -716,9 +702,9 @@ def elements_of_norm(ctx: FieldContext, n: int, house_bound: Fraction,
                      ceiling: int = DEFAULT_CEILING) -> List[Element]:
     """All integral elements with |norm| = n and house <= house_bound."""
     bound = ctx.from_rational(Fraction(house_bound) ** 2)
-    # each fixed-point bound is in units of 2^-(INT_BITS + 1), a product of
-    # d of them in units of 2^-((INT_BITS + 1) * d)
-    target = n << (ctx.INT_BITS + 1) * ctx.degree
+    # each fixed-point bound is in units of 2^-INT_BITS, a product of d of
+    # them in units of 2^-(INT_BITS * d)
+    target = n << ctx.INT_BITS * ctx.degree
     out = []
     for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED, ceiling):
         # fixed-point enclosure of the norm rules out most candidates

@@ -3,7 +3,7 @@
 Endpoints are exact `Fraction`s.  The package does no arithmetic on
 `Interval` objects: its kernels hold a row of intervals as integer
 endpoint numerators over one denominator (`Numerators`), round such rows
-outward to fixed point (`fixed_point_midrad`), work on the integers and
+outward to fixed point (`fixed_point_ends`), work on the integers and
 build `Fraction`s only for their results.  Only square roots and the
 fixed-point form introduce rounding, which is done outward.
 """
@@ -64,22 +64,16 @@ def endpoint_numerators(ivs: Sequence[Interval]) -> Numerators:
             [iv.hi.numerator * (den // iv.hi.denominator) for iv in ivs], den)
 
 
-def fixed_point_midrad(rows: Sequence[Numerators], bits: int
-                       ) -> Tuple[List[List[int]], List[List[int]]]:
-    """Integer matrices (M, D) with entry j of rows[i] inside
-    [M[i][j] - D[i][j], M[i][j] + D[i][j]] / 2^(bits+1).
-
-    Each interval's endpoints are rounded outward to multiples of 2^-bits,
-    to lo and hi say; then M = lo + hi and D = hi - lo, so lo > 0 iff
-    M > D and hi < 0 iff M < -D.
-    """
-    mids, rads = [], []
+def fixed_point_ends(rows: Sequence[Numerators], bits: int
+                     ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Integer matrices (lo, hi) with entry j of rows[i] inside
+    [lo[i][j], hi[i][j]] / 2^bits: each endpoint rounded outward to a
+    multiple of 2^-bits."""
+    los, his = [], []
     for lows, highs, den in rows:
-        los = [(x << bits) // den for x in lows]
-        his = [-((-x << bits) // den) for x in highs]
-        mids.append([lo + hi for lo, hi in zip(los, his)])
-        rads.append([hi - lo for lo, hi in zip(los, his)])
-    return mids, rads
+        los.append([(x << bits) // den for x in lows])
+        his.append([-((-x << bits) // den) for x in highs])
+    return los, his
 
 
 def _sqrt_bound(x: Rat, up: bool) -> Fraction:

@@ -1,5 +1,6 @@
-"""Exact linear algebra over Q and over small matrices of any commutative
-ring, plus a verified inverse of interval matrices.
+"""Exact linear algebra over Q, over small matrices of any commutative ring
+and over Euclidean rings (one row echelon), plus a verified inverse of
+interval matrices.
 
 Matrices are lists of rows.  Everything here is dense and intended for the
 small dimensions that occur in number-field work (d <= ~32).  The interval
@@ -14,7 +15,7 @@ from math import ldexp, prod
 from operator import mul
 from typing import List, Optional, Sequence
 
-from .intervals import Numerators, fixed_point_midrad
+from .intervals import Numerators, fixed_point_ends
 from .polys import clear_denominators
 
 Mat = List[List[Fraction]]
@@ -197,15 +198,49 @@ def ring_bilinear(u: Sequence, g: Sequence[Sequence], v: Sequence):
     return sum(terms[1:], terms[0]) if terms else g[0][0] - g[0][0]
 
 
+def nearest_int(q: Fraction) -> int:
+    """The integer nearest to q, halves rounded up."""
+    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
+
+
+def euclid_rows(rows: Sequence[Sequence], quotient, size) -> List[list]:
+    """Independent rows spanning the module of `rows` over a Euclidean ring
+    (ints or field elements), in echelon form.
+
+    Per column, the rows nonzero there are reduced by the one of least
+    `size`, r - quotient(r, pivot) * pivot, until one is left: the pivot row
+    of that column.  The rows that are zero there go on to the next column.
+    """
+    rows = [list(r) for r in rows if any(r)]
+    basis, col = [], 0
+    while rows:
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: size(r[col]))
+            piv = live[0]
+            nxt = [piv]
+            for r in live[1:]:
+                q = quotient(r[col], piv[col])
+                red = [x - q * y for x, y in zip(r, piv)]
+                (nxt if red[col] else rows).append(red)
+            live = nxt
+        basis += live
+        rows = [r for r in rows if any(r)]
+        col += 1
+    return basis
+
+
 def interval_inverse(a: Sequence[Numerators]) -> Optional[List[Numerators]]:
     """Verified inverse of an interval matrix in midpoint-radius form
     (Rump, "Verification methods", Acta Numerica 19, 2010).
 
     Row i of a is given as integer endpoint numerators over one denominator
     (`intervals.Numerators`, as `FieldContext.basis_embeddings` builds it).
-    Each entry is rounded outward to [M - D, M + D] / 2^s with integers M
-    and D (`fixed_point_midrad`).  R is a floating-point inverse of M / 2^s,
-    read as an exact dyadic.  For every point matrix E inside the input,
+    Each entry is rounded outward to [lo, hi] / 2^bits (`fixed_point_ends`),
+    which is [M - D, M + D] / 2^s with s = bits + 1, M = lo + hi and D =
+    hi - lo.  R is a floating-point inverse of M / 2^s, read as an exact
+    dyadic.  For every point matrix E inside the input,
     |I - R E| <= G = |I - R M / 2^s| + |R| D / 2^s entrywise, and G is
     computed exactly in integers.  If beta = ||G||_inf < 1, every such E is
     invertible and E^-1 = sum_k (I - R E)^k R, whence
@@ -221,7 +256,9 @@ def interval_inverse(a: Sequence[Numerators]) -> Optional[List[Numerators]]:
     n = len(a)
     bits = _INVERSE_BITS
     s = bits + 1
-    mids, rads = fixed_point_midrad(a, bits)
+    los, his = fixed_point_ends(a, bits)
+    mids = [[x + y for x, y in zip(lo, hi)] for lo, hi in zip(los, his)]
+    rads = [[y - x for x, y in zip(lo, hi)] for lo, hi in zip(los, his)]
     approx = [[m / (1 << s) for m in row] + [float(i == j) for j in range(n)]
               for i, row in enumerate(mids)]
     if len(row_reduce(approx, n)) < n:

@@ -9,11 +9,12 @@ The exact element invariants run on three integer tables of the context:
 the multiplication table (multiplication matrices, hence traces and
 inverses), the basis rows in power coordinates over one denominator
 (norms, as resultants with the defining polynomial, with no matrix), and
-the outward fixed-point enclosures of the basis embeddings (signs), read
-off the basis embeddings: integer endpoint numerators over one
-denominator per root, from one Horner pass per root.  Order
-comparisons (total positivity, dominance) and signatures return exact
-verdicts: the fixed-point enclosures only short-circuit decisive cases.
+the one fixed-point table of the basis embeddings (signs, and the box
+pruning of `enumeration`), read off the basis embeddings: integer
+endpoint numerators over one denominator per root, from one Horner pass
+per root.  Order comparisons (total positivity, dominance) and
+signatures return exact verdicts: the fixed-point table only
+short-circuits decisive cases.
 An undecided comparison falls back to the sign pattern of
 the characteristic polynomial of the multiplication map, which is decisive
 because every conjugate is real; an undecided signature refines rational
@@ -37,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import linalg, polys
 from .errors import (BadBasis, DivisionByZero, FieldDataError, NoSuchUnit,
                      NotARing, NotTotallyReal)
-from .intervals import Interval, Numerators, fixed_point_midrad
+from .intervals import Interval, Numerators, fixed_point_ends
 
 Rat = Union[int, Fraction]
 
@@ -338,18 +339,6 @@ class Element:
         return q if probe == self else None
 
 
-class Embeddings(list):
-    """The rows of `FieldContext.basis_embeddings`, with a slot for the
-    pruning tables that `enumeration` derives from them: the tables go with
-    the rows, which are replaced whenever the roots are refined."""
-
-    __slots__ = ("prune",)
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.prune: Optional[tuple] = None
-
-
 class FieldContext:
     """Validated field: multiplication table, isolated roots, named elements.
 
@@ -368,9 +357,9 @@ class FieldContext:
         self.pow_to_basis = pow_to_basis
         self._roots = list(roots)
         self._horner = polys.horner_rows(basis_pow)     # basis_embeddings
-        self._emb_cache: Optional[Embeddings] = None
-        self._int_cache: Optional[Tuple[list, list]] = None     # _int_rows
-        self._pack: Optional[tuple] = None                      # _pack_rows
+        self._emb_cache: Optional[List[Numerators]] = None
+        self._fixed: Optional[tuple] = None         # fixed_point_table
+        self._pack: Optional[tuple] = None          # _pack_table
         # basis coordinates of the power t^k are row k of pow_to_basis
         self.one_coords_q = list(pow_to_basis[0])
         self.one = self.from_rational_coords(self.one_coords_q)
@@ -438,44 +427,40 @@ class FieldContext:
                 self._roots[i] = polys.refine_root(self.poly, iv, max_width)
                 changed = True
         if changed:
-            # the embedding caches were computed from the wider roots
+            # the embeddings and their table came from the wider roots
             self._emb_cache = None
-            self._int_cache = None
+            self._fixed = None
 
     def basis_embeddings(self) -> List[Numerators]:
         """Per root i, (lows, highs, den) with sigma_i(basis_j) in [lows[j],
         highs[j]] / den, at current precision: one `polys.eval_interval`
         call per root evaluates every basis row."""
         if self._emb_cache is None:
-            self._emb_cache = Embeddings(
-                polys.eval_interval(*self._horner, root)
-                for root in self._roots)
+            self._emb_cache = [polys.eval_interval(*self._horner, root)
+                               for root in self._roots]
         return self._emb_cache
 
     INT_BITS = 24
 
-    def _int_rows(self) -> Tuple[List[List[int]], List[List[int]]]:
-        """Rows (M_i, -D_i) and (M_i, D_i) per embedding i, from the outward
-        fixed-point enclosures of the basis embeddings in midpoint-radius
-        form (`fixed_point_midrad`, units of 2^-(INT_BITS+1), built at root
-        width 2^-(INT_BITS + 8)): sigma_i(basis_j) lies in [M_ij - D_ij,
-        M_ij + D_ij]."""
-        if self._int_cache is None:
+    def fixed_point_table(self) -> tuple:
+        """(lows, highs, memo): per basis column j, the outward ends
+        lows[j][i] <= 2^INT_BITS sigma_i(b_j) <= highs[j][i], taken at root
+        width 2^-(INT_BITS + 8) (`fixed_point_table`), and a dict for the
+        rows of `enumeration._halves`.  Built on first use, dropped by
+        `refine_roots`; `compare` and `enumeration._iter_box` read it."""
+        if self._fixed is None:
             self.refine_roots(Fraction(1, 1 << (self.INT_BITS + 8)))
-            mids, rads = fixed_point_midrad(self.basis_embeddings(),
+            self._fixed = fixed_point_table(self.basis_embeddings(),
                                             self.INT_BITS)
-            self._int_cache = (
-                [m + [-r for r in rr] for m, rr in zip(mids, rads)],
-                [m + rr for m, rr in zip(mids, rads)])
-        return self._int_cache
+        return self._fixed
 
     def fixed_point_bounds(self, a: Element, upper: bool) -> List[int]:
-        """Outward bounds S_i - R_i on sigma_i(den * a), or S_i + R_i when
-        upper, one per embedding, in units of 2^-(INT_BITS+1); S_i = M_i . x
-        and R_i = D_i . |x| for the coordinates x, so each bound is one dot
-        product of (x, |x|) with an `_int_rows` row, all d of them taken at
-        once by `_packed_bounds`.  Sound but coarse; used by fast
-        pre-filters."""
+        """Outward bounds on sigma_i(den * a), one per embedding, in units
+        of 2^-INT_BITS: for the coordinates x, the lower bound_i sums x_j
+        lows[j][i] over x_j >= 0 and x_j highs[j][i] over x_j < 0
+        (`fixed_point_table`), the upper one takes the other ends; all d of
+        them are taken at once by `_packed_bounds`.  Sound but coarse; used
+        by fast pre-filters."""
         t, w, _ = self._packed_bounds(a.coords, upper)
         return _digits(t, w, self.degree)
 
@@ -484,22 +469,19 @@ class FieldContext:
         """The d bounds of `fixed_point_bounds` on coordinates x, as the
         base-2^w digits of one integer t: digit i is bound_i + 2^(w-1) - 1.
 
-        x_j M_ij - |x_j| D_ij is x_j (M - D)_ij for x_j >= 0 and x_j (M +
-        D)_ij for x_j < 0, so the lower bound_i is sum_j x_j (M -+ D)_ij with
-        the sign chosen by x_j, and the upper one takes the other sign.
-        Column j of M - D and of M + D is packed into P_j = sum_i
+        Column j of lows and of highs is packed into P_j = sum_i
         entry_ij 2^(w i), so one sum of d products of x_j with the P_j of
-        its sign is sum_i bound_i 2^(w i).  With E the largest |entry| of
-        M and D, |bound_i| <= 2 E sum_j |x_j|, and w (a power of two, at
-        least 64) keeps that at most 2^(w-1) - 2: every offset digit lies
-        in [1, 2^w - 3] and no carry crosses digits.  Returns (t, w, top)
-        with top the digit-wise 2^(w-1), so every bound_i is positive
-        exactly when t & top == top."""
+        the end its sign takes is sum_i bound_i 2^(w i).  With E the largest
+        |entry|, |bound_i| <= E sum_j |x_j|, and w (a power of two, at least
+        64) keeps that at most 2^(w-1) - 2: every offset digit lies in [1,
+        2^w - 3] and no carry crosses digits.  Returns (t, w, top) with top
+        the digit-wise 2^(w-1), so every bound_i is positive exactly when
+        t & top == top."""
         s = sum(map(abs, x))
-        rows = self._int_cache or self._int_rows()
+        table = self._fixed or self.fixed_point_table()
         pack = self._pack
-        if pack is None or pack[0] is not rows or s > pack[1]:
-            pack = self._pack = _pack_rows(rows, s)
+        if pack is None or pack[0] is not table or s > pack[1]:
+            pack = self._pack = _pack_table(table, s)
         _, _, w, cols, offset, top = pack
         return sum([c * pn[c < 0] for c, pn in zip(x, cols[upper])]) \
             + offset, w, top
@@ -733,29 +715,31 @@ def _is_identity(m: Sequence[Sequence[Rat]]) -> bool:
                for i, row in enumerate(m))
 
 
-def _pack_rows(rows: Tuple[List[List[int]], List[List[int]]], s: int
-               ) -> tuple:
+def fixed_point_table(rows: Sequence[Numerators], bits: int) -> tuple:
+    """(lows, highs, {}) with lows[j][i] and highs[j][i] the ends of entry j
+    of rows[i] rounded outward to multiples of 2^-bits
+    (`fixed_point_ends`), in units of 2^-bits: one list per column j."""
+    los, his = fixed_point_ends(rows, bits)
+    return [list(c) for c in zip(*los)], [list(c) for c in zip(*his)], {}
+
+
+def _pack_table(table: tuple, s: int) -> tuple:
     """The packing of `FieldContext._packed_bounds` at the least width
-    w = 64 * 2^k with 2 E s <= 2^(w-1) - 2: (rows, the largest s it admits,
+    w = 64 * 2^k with E s <= 2^(w-1) - 2: (table, the largest s it admits,
     w, per side (lower, upper) the pairs of packed columns j taken for x_j
     >= 0 and for x_j < 0, the offset digits 2^(w-1) - 1, the top bits
-    2^(w-1)).  The columns of M - D and M + D serve both sides."""
-    e = max(1, *(max(map(abs, row)) for half in rows for row in half))
+    2^(w-1))."""
+    lows, highs, _ = table
+    e = max(1, *(max(map(abs, col)) for col in lows + highs))
     w = 64
-    while 2 * e * s > (1 << w - 1) - 2:
+    while e * s > (1 << w - 1) - 2:
         w *= 2
-    d = len(rows[0])
-    ones = sum(1 << w * i for i in range(d))
+    ones = sum(1 << w * i for i in range(len(lows)))
     top = ones << w - 1
-    # rows[0][i] is (M_i, -D_i); its columns are packed by Horner over i,
-    # and as packing is linear, packed columns j and d + j give M -+ D
-    packed = [0] * (2 * d)
-    for row in reversed(rows[0]):
-        packed = [(c << w) + v for c, v in zip(packed, row)]
-    minus = [m + r for m, r in zip(packed, packed[d:])]
-    plus = [m - r for m, r in zip(packed, packed[d:])]
-    cols = list(zip(minus, plus)), list(zip(plus, minus))
-    return rows, ((1 << w - 1) - 2) // (2 * e), w, cols, top - ones, top
+    lo, hi = ([sum(v << w * i for i, v in enumerate(col)) for col in half]
+              for half in (lows, highs))
+    cols = list(zip(lo, hi)), list(zip(hi, lo))
+    return table, ((1 << w - 1) - 2) // e, w, cols, top - ones, top
 
 
 def _digits(t: int, w: int, d: int) -> List[int]:

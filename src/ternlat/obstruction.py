@@ -193,7 +193,8 @@ def candidate_pool(ctx: FieldContext, pool_size: int = 40,
     its totally positive associate and normalized modulo squares of the
     supplied units (both from the context's unit data, built once), so
     candidates whose positive representatives are large (but whose classes
-    contain small elements) are still reached.
+    contain small elements) are still reached.  |norm| is invariant under
+    both moves, so each class keeps the one of the element it came from.
     """
     require_count("pool size", pool_size)
     require_count("ceiling", ceiling)
@@ -211,10 +212,10 @@ def candidate_pool(ctx: FieldContext, pool_size: int = 40,
             w = unit_square_canonical(w)
         elif not w.is_totally_positive():
             continue
-        pool[w.coords] = w
-    ordered = sorted(pool.values(),
-                     key=lambda e: (abs(e.norm()), e.trace(), e.key()))
-    return ordered[:pool_size]
+        pool[w.coords] = n, w
+    ordered = sorted(pool.values(), key=lambda p: (p[0], p[1].trace(),
+                                                   p[1].key()))
+    return [w for _, w in ordered[:pool_size]]
 
 
 def obstruction_search(ctx: FieldContext, pool_size: int = 40,

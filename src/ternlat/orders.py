@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import floordiv, mul
 from typing import Optional, Tuple
 
 from . import linalg, polys
@@ -45,35 +45,12 @@ def factorize(n: int) -> dict:
 
 
 def hnf_rows(mat):
-    """Row-style Hermite reduction over Z (returns independent rows)."""
-    rows = [list(map(int, r)) for r in mat if any(r)]
-    ncols = len(mat[0])
-    basis = []
-    col = 0
-    while col < ncols and rows:
-        live = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        if not live:
-            col += 1
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            piv = live[0]
-            nxt = [piv]
-            for r in live[1:]:
-                q = r[col] // piv[col]
-                red = [x - q * y for x, y in zip(r, piv)]
-                (rest if red[col] == 0 else nxt).append(red)
-            if len(nxt) == 1:
-                break
-            live = nxt
-        piv = live[0]
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        rows = [r for r in rest if any(r)]
-        col += 1
-    return basis
+    """Row-style Hermite reduction over Z (returns independent rows, each
+    pivot positive)."""
+    rows = linalg.euclid_rows([list(map(int, r)) for r in mat], floordiv,
+                              abs)
+    return [r if next(filter(None, r)) > 0 else [-x for x in r]
+            for r in rows]
 
 
 def integral_kernel_mod(a_rows, modulus, dim):
@@ -241,8 +218,7 @@ def trace_reduce(order: Order) -> Order:
                                "in 10000 steps")
         mu, bstar = mu_and_norms()
         for j in range(k - 1, -1, -1):
-            q = (2 * mu[k][j].numerator + mu[k][j].denominator) // \
-                (2 * mu[k][j].denominator)
+            q = linalg.nearest_int(mu[k][j])
             if q:
                 # b_k -= q b_j leaves every b* alone and changes only row k
                 # of mu

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -325,17 +325,12 @@ def free_overlattice_test(ctx: FieldContext,
 # ---------------------------------------------------------------------------
 # module bases over the Euclidean ring Z[sqrt2]
 
-def _nearest_int(q: Fraction) -> int:
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
-
-
-def _euclid_divmod(a: Element, b: Element) -> Tuple[Element, Element]:
-    """Division with |N(remainder)| < |N(b)| in Z[sqrt2] (norm-Euclidean)."""
-    ctx = a.ctx
+def _euclid_quotient(a: Element, b: Element) -> Element:
+    """q with |N(a - b q)| < |N(b)| in Z[sqrt2] (norm-Euclidean): the
+    coordinates of a / b rounded to the nearest integers."""
     x = a / b
-    q = ctx.element([_nearest_int(Fraction(c, x.den)) for c in x.coords])
-    r = a - b * q
-    return q, r
+    return a.ctx.element([linalg.nearest_int(Fraction(c, x.den))
+                          for c in x.coords])
 
 
 def hnf_row_basis_sqrt2(ctx: FieldContext,
@@ -343,43 +338,15 @@ def hnf_row_basis_sqrt2(ctx: FieldContext,
     """Row-reduce generators of a module over Z[sqrt2] to an independent basis.
 
     Entries may be non-integral; the module is scaled by a common rational
-    denominator first.  Only valid over the degree-2 sqrt2 field, where the
-    ring of integers is norm-Euclidean.
+    denominator first (`linalg.euclid_rows` works on integral entries).
+    Only valid over the degree-2 sqrt2 field, where the ring of integers is
+    norm-Euclidean.
     """
     if ctx.degree != 2 or ctx.sqrt2 is None:
         raise ValueError("module reduction implemented over Z[sqrt2] only")
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    den = 1
-    for r in rows:
-        for e in r:
-            den = den * e.den // gcd(den, e.den)
-    work = [[e * den for e in r] for r in rows]
-    basis: List[List[Element]] = []
-    col = 0
-    while col < ncols and work:
-        live = [r for r in work if not r[col].is_zero]
-        rest = [r for r in work if r[col].is_zero]
-        if not live:
-            col += 1
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col].norm()))
-            piv = live[0]
-            new_live = [piv]
-            for r in live[1:]:
-                q, _ = _euclid_divmod(r[col], piv[col])
-                reduced = [x - q * y for x, y in zip(r, piv)]
-                if reduced[col].is_zero:
-                    rest.append(reduced)
-                else:
-                    new_live.append(reduced)
-            if len(new_live) == 1:
-                break
-            live = new_live
-        basis.append(live[0])
-        work = [r for r in rest if any(not e.is_zero for e in r)]
-        col += 1
+    den = lcm(*(e.den for r in rows for e in r))
+    basis = linalg.euclid_rows([[e * den for e in r] for r in rows],
+                               _euclid_quotient, lambda e: abs(e.norm()))
     inv_den = Fraction(1, den)
     return [[e * inv_den for e in row] for row in basis]
 

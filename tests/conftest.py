@@ -9,7 +9,6 @@ from ternlat import linalg, polys
 from ternlat.errors import Singular
 from ternlat.fieldscan import ingest_fields, load_field_file
 from ternlat.intervals import Interval, endpoint_numerators
-from ternlat.numberfield import Embeddings
 from ternlat.quadlattice import GramMatrix
 
 FIELDS = Path(__file__).resolve().parent.parent / "fields"
@@ -153,7 +152,7 @@ def as_intervals(rows):
 def numerators(mat):
     """An `Interval` matrix as rows of integer endpoint numerators, as
     `FieldContext.basis_embeddings` gives them."""
-    return Embeddings(endpoint_numerators(row) for row in mat)
+    return [endpoint_numerators(row) for row in mat]
 
 
 def eval_one(p, iv):

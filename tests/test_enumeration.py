@@ -70,9 +70,10 @@ def test_ceiling_caps_visited_candidates(table, monkeypatch):
     # can stop the enumeration
     ctx = table.context("K51200")
     bound = ctx.from_rational(60)
-    box, emb = enumeration._build_box(
+    box = enumeration._build_box(
         ctx, lambda: enumeration._square_targets(ctx, bound), 10 ** 8)
-    visited = sum(1 for _ in enumeration._iter_box(emb, box))
+    visited = sum(1 for _ in enumeration._iter_box(ctx.fixed_point_table(),
+                                                   box))
     solutions = dominated_elements(ctx, bound)
     monkeypatch.setattr(enumeration, "_candidate_estimate",
                         lambda emb, box: 0)

@@ -10,9 +10,12 @@ also drops the values with no real solution in the level below
 exactly those of a `Fraction` brute force over real y, and never fewer
 than those with an integer y.
 
-`FieldContext._fast_signs` decides signs from fixed-point enclosures in
-midpoint-radius form; every decisive verdict must equal the exact one from
-the characteristic polynomial, and every decisive sign the refined one.
+`FieldContext._fast_signs` decides signs from the context's fixed-point
+table of the basis embeddings; every decisive verdict must equal the exact
+one from the characteristic polynomial, and every decisive sign the
+refined one.  `_iter_box` prunes with the same table, taken after the box
+is built: it must be entrywise at least as tight as the ends of the box's
+own embeddings, and prune to a subsequence of what those admit.
 `FieldContext.compare`, which exits early when every lower bound is
 positive, must equal the characteristic polynomial's verdict on a - b
 with b = 0 and b != 0, in both argument orders.
@@ -52,10 +55,9 @@ from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
                                  _interval_targets, _iter_box, _project,
                                  _query_box, _square_targets,
                                  dominated_elements, sqrt2_span_witnesses)
-from ternlat.intervals import (Interval, endpoint_numerators,
-                               fixed_point_midrad)
+from ternlat.intervals import Interval, endpoint_numerators
 from ternlat.numberfield import (Dominance, FieldContext, FieldRecord,
-                                 load_field, sqrt2_context)
+                                 fixed_point_table, load_field, sqrt2_context)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +113,12 @@ def ref_iter_box(emb, box):
     yield from go(d - 1, [0] * d, [0] * d)
 
 
+def pruned(emb, box):
+    """`_iter_box` on the fixed-point table of hand-built rows, taken as the
+    context takes its own."""
+    return list(_iter_box(fixed_point_table(emb, FieldContext.INT_BITS), box))
+
+
 # ---------------------------------------------------------------------------
 # _iter_box on random boxes
 
@@ -146,7 +154,7 @@ def boxes(draw):
 @given(boxes())
 def test_iter_box_equals_scan_and_reject(case):
     emb, box = case
-    assert list(_iter_box(emb, box)) == list(ref_iter_box(emb, box))
+    assert pruned(emb, box) == list(ref_iter_box(emb, box))
 
 
 def _box(d, lows, highs, entry=(F(1), F(2)), target=(F(-3), F(3))):
@@ -165,23 +173,27 @@ def _box(d, lows, highs, entry=(F(1), F(2)), target=(F(-3), F(3))):
     _box(1, (-9,), (9,), entry=(F(-2), F(-1))),           # negative entry
 ])
 def test_iter_box_edge_boxes(emb, box):
-    got = list(_iter_box(emb, box))
+    got = pruned(emb, box)
     assert got == list(ref_iter_box(emb, box))
 
 
 def test_iter_box_prunes_exactly():
     # 1-dimensional: c * [1, 2] must meet [-3, 3], so c in [-3, 3] survive
     emb, box = _box(1, (-9,), (9,))
-    assert list(_iter_box(emb, box)) == [(c,) for c in range(-3, 4)]
+    assert pruned(emb, box) == [(c,) for c in range(-3, 4)]
 
 
 # ---------------------------------------------------------------------------
 # _iter_box on certified boxes of real queries
 
 def _certified(ctx, bound, mode):
+    """The certified box of a query, the context's table taken after it, as
+    `enumerate_dominated` takes it, and the rows of that table."""
     make = _square_targets if mode is QueryMode.SQUARE_DOMINATED \
         else _interval_targets
-    return _build_box(ctx, lambda: make(ctx, bound), 10 ** 8)
+    box = _build_box(ctx, lambda: make(ctx, bound), 10 ** 8)
+    table = ctx.fixed_point_table()
+    return box, table, ctx.basis_embeddings()
 
 
 @pytest.mark.parametrize("label, bound, mode", [
@@ -191,8 +203,8 @@ def _certified(ctx, bound, mode):
 ])
 def test_iter_box_on_certified_boxes(table, label, bound, mode):
     ctx = table.context(label)
-    box, emb = _certified(ctx, ctx.from_rational(bound), mode)
-    got = list(_iter_box(emb, box))
+    box, table, emb = _certified(ctx, ctx.from_rational(bound), mode)
+    got = list(_iter_box(table, box))
     assert got == list(ref_iter_box(emb, box))
     assert len(got) >= len(dominated_elements(ctx, ctx.from_rational(bound),
                                               mode))
@@ -200,8 +212,9 @@ def test_iter_box_on_certified_boxes(table, label, bound, mode):
 
 def test_iter_box_on_a_degree_5_box():
     ctx = cyclo_info(11).field
-    box, emb = _certified(ctx, ctx.from_rational(7), QueryMode.SQUARE_DOMINATED)
-    assert list(_iter_box(emb, box)) == list(ref_iter_box(emb, box))
+    box, table, emb = _certified(ctx, ctx.from_rational(7),
+                                 QueryMode.SQUARE_DOMINATED)
+    assert list(_iter_box(table, box)) == list(ref_iter_box(emb, box))
 
 
 def test_iter_box_on_a_degree_8_box(monkeypatch):
@@ -209,7 +222,8 @@ def test_iter_box_on_a_degree_8_box(monkeypatch):
     # negative coordinate above level 0; the levels' projections drop values
     # there, and the points stay those of the scan-and-reject loop
     ctx = cyclo_info(32).field
-    box, emb = _certified(ctx, ctx.from_rational(3), QueryMode.SQUARE_DOMINATED)
+    box, table, emb = _certified(ctx, ctx.from_rational(3),
+                                 QueryMode.SQUARE_DOMINATED)
     dropped = []
     project = enumeration._project
 
@@ -219,12 +233,63 @@ def test_iter_box_on_a_degree_8_box(monkeypatch):
         return runs
 
     monkeypatch.setattr(enumeration, "_project", counted_project)
-    got = list(_iter_box(emb, box))
+    got = list(_iter_box(table, box))
     assert got == list(ref_iter_box(emb, box))
     assert len(got) == 5
     assert sum(any(c < 0 for c in x[1:]) for x in got) == 2
     assert len(dropped) > 100 and sum(dropped) > 1000, (len(dropped),
                                                          sum(dropped))
+
+
+def _fresh_box(rec, bound, mode):
+    """A fresh context, the certified box of a query built on it before
+    anything has taken its table, and the rows that box was built from."""
+    ctx = load_field(rec)
+    make = _square_targets if mode is QueryMode.SQUARE_DOMINATED \
+        else _interval_targets
+    beta = ctx.from_rational(bound)
+    box = _build_box(ctx, lambda: make(ctx, beta), 10 ** 8)
+    return ctx, box, ctx.basis_embeddings()
+
+
+def test_context_table_is_at_least_as_tight_as_the_box_rows(table):
+    # the table is taken after the box, from roots refined at least as far:
+    # each of its ends lies inside the outward ends of the box's own rows,
+    # rounded here on `Fraction`s; exact entries (sigma_i(1)) are equal, and
+    # a fresh context's box rows are wider than the table somewhere
+    scale = 1 << FieldContext.INT_BITS
+    seen = {"equal": 0, "tighter": 0}
+    assert len(table.records) == 19
+    for rec in table.records:
+        ctx, _, emb = _fresh_box(rec, 6, QueryMode.SQUARE_DOMINATED)
+        lows, highs, _ = ctx.fixed_point_table()
+        for i, row in enumerate(as_intervals(emb)):
+            for j, iv in enumerate(row):
+                lo, hi = math.floor(iv.lo * scale), math.ceil(iv.hi * scale)
+                assert lo <= lows[j][i] <= highs[j][i] <= hi, (rec.label, i, j)
+                seen["equal" if (lo, hi) == (lows[j][i], highs[j][i])
+                     else "tighter"] += 1
+    assert seen["equal"] > 19 and seen["tighter"] > 100, seen
+
+
+@pytest.mark.parametrize("label, bound, mode", [
+    ("K51200", 60, QueryMode.SQUARE_DOMINATED),
+    ("K2624", 9, QueryMode.INTERVAL),
+    ("K7168", 30, QueryMode.SQUARE_DOMINATED),
+])
+def test_iter_box_on_the_context_table_keeps_a_subsequence(table, label,
+                                                           bound, mode):
+    # the points pruned with the context's table are a subsequence of those
+    # that the box's own rows admit (the scan-and-reject reference), and
+    # hold every solution among those
+    ctx, box, emb = _fresh_box(table.by_label(label), bound, mode)
+    got = list(_iter_box(ctx.fixed_point_table(), box))
+    wide = list(ref_iter_box(emb, box))
+    rest = iter(wide)
+    assert all(x in rest for x in got)
+    sols = _exact_check(DominanceQuery(ctx, ctx.from_rational(bound), mode))(
+        wide)
+    assert sols and set(sols) <= set(got)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +397,15 @@ def test_projection_is_exact_over_real_y_and_sound_over_integer_y():
 
 def ref_fast_signs(ctx, a):
     """The endpoint form of the fast path: lo and hi sums per embedding,
-    from the fixed-point enclosures of the basis embeddings."""
-    ctx._int_rows()       # refines the roots to the width of the fast path
-    mids, rads = fixed_point_midrad(ctx.basis_embeddings(), ctx.INT_BITS)
+    from the basis embeddings that the context's table is taken from, each
+    rounded outward to 2^-INT_BITS on `Fraction`s."""
+    ctx.fixed_point_table()   # refines the roots to the width of the table
+    scale = 1 << ctx.INT_BITS
     signs = []
-    for m, r in zip(mids, rads):
+    for row in as_intervals(ctx.basis_embeddings()):
         lo = hi = 0
-        for c, mj, rj in zip(a.coords, m, r):
-            elo, ehi = (mj - rj) // 2, (mj + rj) // 2
+        for c, iv in zip(a.coords, row):
+            elo, ehi = math.floor(iv.lo * scale), math.ceil(iv.hi * scale)
             if c > 0:
                 lo += c * elo
                 hi += c * ehi
@@ -457,8 +523,8 @@ def test_signature_and_trace_agree_with_references(table):
 
 def test_packed_bounds_equal_one_dot_product_per_row(table):
     # the d fixed-point bounds are the digits of one packed integer; the
-    # reference takes one dot product of (x, |x|) per `_int_rows` row.  The
-    # first coordinate sits at and just past the largest sum of |x_j| that
+    # reference sums, per embedding, x_j times the end of the table that the
+    # sign of x_j selects.  The first coordinate sits at and just past the largest sum of |x_j| that
     # the 64-bit digits admit, then coordinates grow to 2^200, which widens
     # the digits further
     rng = random.Random(24)
@@ -472,11 +538,11 @@ def test_packed_bounds_equal_one_dot_product_per_row(table):
               for k in (0, 1) for sign in (1, -1)]
         xs += [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(d)]
                for bits in (1, 8, 30, 40, 64, 100, 200, 3) for _ in range(8)]
-        rows = ctx._int_rows()
+        lows, highs, _ = ctx.fixed_point_table()
         for x in xs:
-            xm = x + [abs(c) for c in x]
-            want = [[sum(p * q for p, q in zip(xm, row)) for row in half]
-                    for half in rows]
+            want = [[sum(c * (near if c >= 0 else far)[j][i]
+                         for j, c in enumerate(x)) for i in range(d)]
+                    for near, far in ((lows, highs), (highs, lows))]
             for upper in (False, True):
                 assert ctx.fixed_point_bounds(ctx.element(x), upper) == \
                     want[upper]
@@ -487,15 +553,14 @@ def test_packed_bounds_equal_one_dot_product_per_row(table):
 
 
 def test_fast_path_is_indecisive_on_an_enclosure_touching_zero():
-    # hand-made enclosures in midpoint-radius form, as rows (M, -D) and
-    # (M, D): sigma_i(1) in [0, 2] touches zero and must fall back; in
-    # [1/2, 3/2] it is decisive
+    # hand-made tables of ends by basis column, in units of 2^-INT_BITS:
+    # sigma_i(1) in [0, 2] touches zero and must fall back; in [1, 3] it is
+    # decisive
     ctx = sqrt2_context()
-    ctx._int_rows()
-    ctx._int_cache = ([[2, 0, -2, 0]] * 2, [[2, 0, 2, 0]] * 2)
+    ctx._fixed = ([[0, 0], [0, 0]], [[2, 2], [0, 0]], {})
     assert ctx._fast_signs(ctx.one) is None
     assert ctx._fast_signs(-ctx.one) is None
-    ctx._int_cache = ([[2, 0, -1, 0]] * 2, [[2, 0, 1, 0]] * 2)
+    ctx._fixed = ([[1, 1], [0, 0]], [[3, 3], [0, 0]], {})
     assert ctx._fast_signs(ctx.one) == (1, 1)
     assert ctx._fast_signs(-ctx.one) == (-1, -1)
 
@@ -574,9 +639,9 @@ def test_compare_agrees_with_charpoly(table, monkeypatch):
     # embedding, so the early exit must not take it for GT
     rec = FieldRecord("QxQ", 2, (-1, 0, 1), ((F(1), F(0)), (F(0), F(1))), 4)
     ctx = load_field(rec)
-    s = 1 << ctx.INT_BITS + 1
-    exact = [[s, -s, 0, 0], [s, s, 0, 0]]
-    assert ctx._int_rows() == (exact, exact)
+    s = 1 << ctx.INT_BITS
+    exact = [[s, s], [-s, s]]
+    assert ctx.fixed_point_table()[:2] == (exact, exact)
     elements = [ctx.element([x, y]) for x in range(-3, 4) for y in range(-3, 4)]
     ties = 0
     for a, b in _compare_cases(ctx, elements):
@@ -644,8 +709,8 @@ def _candidates(query, rng):
     negatives."""
     ctx, bound = query.field, query.bound
     d = ctx.degree
-    box, emb = _query_box(query, 10 ** 6)
-    points = list(_iter_box(emb, box))
+    box = _query_box(query, 10 ** 6)
+    points = list(_iter_box(ctx.fixed_point_table(), box))
     xs = rng.sample(points, min(len(points), 40))
     xs += [tuple(c + (k == j) * step for k, c in enumerate(x))
            for x in list(xs) for j, step in [(rng.randrange(d),
@@ -701,8 +766,8 @@ def test_one_exact_check_per_candidate(table, monkeypatch, label, mode,
     counts = {"points": 0, "compare": 0}
     iter_box, compare = enumeration._iter_box, FieldContext.compare
 
-    def counted_iter_box(emb, box):
-        for x in iter_box(emb, box):
+    def counted_iter_box(table, box):
+        for x in iter_box(table, box):
             counts["points"] += 1
             yield x
 

@@ -8,8 +8,8 @@ equal to theirs, not merely enclose it.  `polys.resultant` is checked
 against the determinant of the Sylvester matrix.  `polys.eval_interval`
 evaluates a whole set of rows at one interval, a row t times an earlier
 one by one step from that row's value; its reference is one `Fraction`
-Horner run per row, and `FieldContext.basis_embeddings` and `_int_rows`
-are checked against it on every table field and F_k, k = 3..60.
+Horner run per row, and `FieldContext.basis_embeddings` and
+`fixed_point_table` are checked against it on every table field and F_k, k = 3..60.
 `polys.refine_root` jumps down the bisection grid by secant proposals; it
 must return bisection's interval for every isolating interval of those
 fields, down to width 2^-200.
@@ -414,25 +414,19 @@ def test_eval_interval_equals_per_row_fraction_horner(rows, iv):
     assert got == [ref_eval_interval(p, iv) for p in rows]
 
 
-def ref_int_rows(emb, bits):
-    """`FieldContext._int_rows` from `Fraction` interval rows: lo and hi
-    rounded outward to 2^-bits, rows (M, -D) and (M, D)."""
-    lows, highs = [], []
-    for row in emb:
-        m, r = [], []
-        for iv in row:
-            lo = math.floor(iv.lo * 2 ** bits)
-            hi = math.ceil(iv.hi * 2 ** bits)
-            m.append(lo + hi)
-            r.append(hi - lo)
-        lows.append(m + [-x for x in r])
-        highs.append(m + r)
+def ref_fixed_point_ends(emb, bits):
+    """The ends of `FieldContext.fixed_point_table` from `Fraction` interval
+    rows: lo and hi rounded outward to 2^-bits, by basis column."""
+    lows = [[math.floor(row[j].lo * 2 ** bits) for row in emb]
+            for j in range(len(emb))]
+    highs = [[math.ceil(row[j].hi * 2 ** bits) for row in emb]
+             for j in range(len(emb))]
     return lows, highs
 
 
 def test_basis_embeddings_equal_per_row_fraction_horner(table):
     # all 19 table fields and F_k, k = 3..60 (degrees up to 29), at the
-    # isolation width, at 2^-32 (that of `_int_rows`) and at 2^-64
+    # isolation width, at 2^-32 (that of `fixed_point_table`) and at 2^-64
     fields = [load_field(rec) for rec in table.records] + \
         [cyclo_info(k).field for k in range(3, 61)]
     assert len(fields) == 19 + 58
@@ -452,7 +446,8 @@ def test_basis_embeddings_equal_per_row_fraction_horner(table):
                      for p in ctx.basis_pow] for root in ctx.roots()]
             assert as_intervals(ctx.basis_embeddings()) == want, ctx
             if width == F(1, 1 << 32):
-                assert ctx._int_rows() == ref_int_rows(want, ctx.INT_BITS)
+                assert ctx.fixed_point_table()[:2] == \
+                    ref_fixed_point_ends(want, ctx.INT_BITS)
     assert powers >= 58
 
 # ---------------------------------------------------------------------------

@@ -450,12 +450,13 @@ def test_refine_roots_invalidates_embedding_caches(table):
     assert ctx.basis_embeddings() == ref.basis_embeddings()
 
     # the fixed-point table is built at width 2^-(INT_BITS + 8); for K7168
-    # two of its radii still shrink by 2^-64
+    # some of its ends still move by 2^-64, and its memo goes with it
     ctx = load_field(rec)
-    stale = ctx._int_rows()
-    assert stale != ref._int_rows()
+    stale = ctx.fixed_point_table()
+    stale[2]["memo"] = None
+    assert stale[:2] != ref.fixed_point_table()[:2]
     ctx.refine_roots(fine)
-    assert ctx._int_rows() == ref._int_rows()
+    assert ctx.fixed_point_table() == ref.fixed_point_table()
 
 
 # ---------------------------------------------------------------------------

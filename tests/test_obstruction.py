@@ -244,13 +244,16 @@ def test_search_certificates_are_unchanged(table, label):
 def test_search_enumerates_each_bound_once(table, monkeypatch):
     # one K51200 search: 7 dominated-element lists, none enumerated twice
     # (a dual that recounts its lists and a certificate that re-runs its
-    # pair checks make 13), and at most 361 multiplications in the
-    # unit-square walk, half of the 722 made when every step forms a * u^2
+    # pair checks make 13), at most 361 multiplications in the
+    # unit-square walk, half of the 722 made when every step forms a * u^2,
+    # and at most 100 norms, one per element of the pool's enumeration (a
+    # sort that takes each kept class's norm again makes 119)
     ctx = load_field(table.context("K51200").record)
-    queries, muls, depth = [], [0], [0]
+    queries, muls, depth, norms = [], [0], [0], [0]
     enumerate_dominated = enumeration.enumerate_dominated
     mul = numberfield.Element.__mul__
     walk = numberfield.unit_square_reduce
+    norm = numberfield.Element.norm
 
     def counted_enumerate(query, ceiling):
         queries.append((query.bound.coords, query.bound.den, query.mode))
@@ -259,6 +262,10 @@ def test_search_enumerates_each_bound_once(table, monkeypatch):
     def counted_mul(a, b):
         muls[0] += depth[0] > 0
         return mul(a, b)
+
+    def counted_norm(a):
+        norms[0] += 1
+        return norm(a)
 
     def counted_walk(a):
         depth[0] += 1
@@ -270,9 +277,11 @@ def test_search_enumerates_each_bound_once(table, monkeypatch):
     monkeypatch.setattr(enumeration, "enumerate_dominated", counted_enumerate)
     monkeypatch.setattr(numberfield.Element, "__mul__", counted_mul)
     monkeypatch.setattr(numberfield, "unit_square_reduce", counted_walk)
+    monkeypatch.setattr(numberfield.Element, "norm", counted_norm)
     assert obstruction_search(ctx, 40).is_valid
     assert len(queries) == 7 and len(set(queries)) == 7
     assert 0 < muls[0] <= 361
+    assert 0 < norms[0] <= 100
 
 
 def test_dual_box_volume_is_checked_before_the_last_list(ctx_q, fields_dir,
