@@ -1,6 +1,12 @@
 """Exact linear algebra over Q, over small matrices of any commutative ring
-and over Euclidean rings (one row echelon), plus a verified inverse of
-interval matrices.
+and over Euclidean rings, plus a verified inverse of interval matrices.
+
+One elimination per kind of problem: fraction-free Bareiss
+(`adjugate_solve`) for every exact square system, Gauss-Jordan
+(`row_reduce`) for the float midpoint inverse of `interval_inverse` and for
+`FieldContext.rational_span_coords`, `euclid_rows` for echelons over
+Euclidean rings, and Laplace expansion (`ring_det`) for determinants over
+any commutative ring.
 
 Matrices are lists of rows.  Everything here is dense and intended for the
 small dimensions that occur in number-field work (d <= ~32).  The interval
@@ -13,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ldexp, prod
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .intervals import Numerators, fixed_point_ends
 from .polys import clear_denominators
@@ -53,27 +59,48 @@ def transpose(a: Sequence[Sequence]) -> Mat:
     return [list(col) for col in zip(*a)]
 
 
-def det_int(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
+def adjugate_solve(a: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
+                   ) -> Tuple[int, List[List[int]]]:
+    """det(a) and adj(a) c for each integer column c, for square integer
+    a: one fraction-free Bareiss elimination of [a | cols] (*Math. Comp.* 22,
+    1968; Cohen, GTM 138, section 2.2), then back substitution scaled by
+    det(a).  Every division is exact: by a minor in the elimination, and to
+    an entry of adj(a) c in the substitution.  A singular a gives det 0 and
+    no columns."""
     n = len(a)
-    m = [list(map(int, row)) for row in a]
+    width = n + len(cols)
+    m = [list(map(int, row)) + [int(c[i]) for c in cols]
+         for i, row in enumerate(a)]
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
+                return 0, []
+            m[k], m[r], sign = m[r], m[k], -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    det = sign * m[n - 1][n - 1]
+    if not det:
+        return 0, []
+    out = []
+    for c in range(n, width):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            x[i] = (det * row[c] - sum(map(mul, row[i + 1:n], x[i + 1:]))
+                    ) // row[i]
+        out.append(x)
+    return det, out
+
+
+def det_int(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix: `adjugate_solve` with no columns."""
+    return adjugate_solve(a, ())[0]
 
 
 def det(a: Sequence[Sequence]) -> Fraction:
@@ -116,23 +143,17 @@ def row_reduce(m: Mat, ncols: int) -> List[int]:
     return pivots
 
 
-def solve(a: Sequence[Sequence], b: Sequence) -> List[Fraction]:
-    """Solve a x = b for square invertible a."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    if len(row_reduce(m, n)) < n:
-        raise ValueError("singular matrix")
-    return [m[i][n] for i in range(n)]
-
-
 def inverse(a: Sequence[Sequence]) -> Optional[Mat]:
-    """Inverse by Gauss-Jordan, or None if singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    if len(row_reduce(m, n)) < n:
+    """Inverse over Q, or None if singular: a^-1 = adj(N) E / det(N) for
+    N = E a, E = diag(e_i) with e_i the least common denominator of row i."""
+    rows = [clear_denominators(row) for row in a]
+    n = len(rows)
+    det, cols = adjugate_solve([nums for nums, _ in rows],
+                               [[e * (i == j) for i in range(n)]
+                                for j, (_, e) in enumerate(rows)])
+    if not det:
         return None
-    return [row[n:] for row in m]
+    return [[Fraction(col[i], det) for col in cols] for i in range(n)]
 
 
 def charpoly(a: Sequence[Sequence]) -> List[Fraction]:

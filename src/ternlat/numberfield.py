@@ -241,13 +241,13 @@ class Element:
     def inverse(self) -> "Element":
         if self.is_zero:
             raise DivisionByZero("division by zero")
-        # (M / den) x = 1 with M the integer matrix of den * self
-        rhs = [self.den * c for c in self.ctx.one_coords_q]
-        try:
-            x = linalg.solve(self.mult_matrix_scaled(), rhs)
-        except ValueError as exc:
-            raise DivisionByZero("element is a zero divisor") from exc
-        return self.ctx.from_rational_coords(x)
+        # (M / den) x = 1 with M the integer matrix of den * self, so
+        # x = den adj(M) 1 / det(M)
+        det, cols = linalg.adjugate_solve(self.mult_matrix_scaled(),
+                                          [self.ctx.one.coords])
+        if not det:
+            raise DivisionByZero("element is a zero divisor")
+        return Element(self.ctx, [self.den * c for c in cols[0]], det)
 
     def mult_matrix_scaled(self) -> List[List[int]]:
         """Integer matrix of multiplication by den * self on the integral
@@ -361,8 +361,7 @@ class FieldContext:
         self._fixed: Optional[tuple] = None         # fixed_point_table
         self._pack: Optional[tuple] = None          # _pack_table
         # basis coordinates of the power t^k are row k of pow_to_basis
-        self.one_coords_q = list(pow_to_basis[0])
-        self.one = self.from_rational_coords(self.one_coords_q)
+        self.one = self.from_rational_coords(pow_to_basis[0])
         if not self.one.is_integral:
             raise NotARing(f"{record.label}: 1 is not in the span of the basis")
         self.zero = Element(self, [0] * self.degree)

@@ -10,7 +10,9 @@ trace form.
 
 `find_units` searches unit generators of a field context whose classes are
 independent modulo squares, and derives the index of the squares among the
-totally positive units from their signatures.
+totally positive units from their signatures.  It divides elements of equal
+|norm| by `Element.inverse` (an integer adjugate over the norm, formed once
+per divisor) and keeps the integral quotients: they are units.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from operator import floordiv, mul
-from typing import Optional, Tuple
 
 from . import linalg, polys
 from .enumeration import (QueryMode, canonical_sign, dominated_elements,
                           sqrt_element)
-from .numberfield import (Element, FieldContext, basis_mult_table,
-                          mult_matrix, units_by_signature)
+from .numberfield import (FieldContext, basis_mult_table, mult_matrix,
+                          units_by_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +172,13 @@ def enlarge_at(order: Order, q: int) -> Order:
     if len(ideal) != d:
         raise RuntimeError(f"radical ideal at {q} has rank {len(ideal)}")
     # multiplier ring: x = z/q, z in Z^d, with x * I inside I
-    h_t_inv = linalg.inverse(linalg.transpose(ideal))
-    entries = [x / q for w in ideal
-               for row in linalg.mat_mul(h_t_inv, mult_matrix(table, w))
-               for x in row]
+    # (H^T)^-1 M_w = adj(H^T) M_w / det(H^T), every column of every M_w
+    # from one elimination
+    det, cols = linalg.adjugate_solve(
+        linalg.transpose(ideal),
+        [col for w in ideal for col in zip(*mult_matrix(table, w))])
+    entries = [Fraction(x, det * q) for k in range(0, len(cols), d)
+               for row in zip(*cols[k:k + d]) for x in row]
     nums, den_all = polys.clear_denominators(entries)
     a_rows = [nums[i:i + d] for i in range(0, len(nums), d)]
     kernel = integral_kernel_mod(a_rows, den_all, d)
@@ -253,33 +257,6 @@ def maximal_order(p) -> Order:
 # ---------------------------------------------------------------------------
 # units modulo squares
 
-def _conjugate_product(b: Element) -> Tuple[int, Element]:
-    """N(b) and b* = N(b) / b for integral b != 0, on integers.
-
-    With M the integer matrix of multiplication by b, b^-1 solves
-    M y = coords(1), so by Cramer's rule coordinate j of b* = det(M) y is
-    the determinant of M with column j replaced by coords(1): b* is the
-    adjugate of M applied to coords(1)."""
-    m = b.mult_matrix_scaled()
-    one = b.ctx.one.coords
-    star = [linalg.det_int([row[:j] + [e] + row[j + 1:]
-                            for row, e in zip(m, one)])
-            for j in range(len(m))]
-    return linalg.det_int(m), Element(b.ctx, star)
-
-
-def _integral_quotient(a: Element, b_conj: Tuple[int, Element]
-                       ) -> Optional[Element]:
-    """a / b when it is integral, else None, for integral a and b given by
-    `_conjugate_product`: a / b = a b* / N(b) is integral exactly when
-    N(b) divides every coordinate of a b*."""
-    nb, b_star = b_conj
-    num = (a * b_star).coords
-    if any(c % nb for c in num):
-        return None
-    return Element(a.ctx, [c // nb for c in num])
-
-
 def find_units(ctx: FieldContext):
     """Unit generators with independent classes mod squares (including -1),
     and |U+/U^2| = 2^d / (number of unit signatures)."""
@@ -335,13 +312,13 @@ def find_units(ctx: FieldContext):
         # unit, and then so is its inverse b / a
         for n, els in sorted(by_norm.items()):
             els = els[:80]
-            conj = [_conjugate_product(b) for b in els]
+            invs = [b.inverse() for b in els]
             for i, a in enumerate(els):
                 for j in range(i + 1, len(els)):
-                    qv = _integral_quotient(a, conj[j])
-                    if qv is not None:
+                    qv = a * invs[j]
+                    if qv.is_integral:
                         add(qv)
-                        add(_integral_quotient(els[j], conj[i]))
+                        add(els[j] * invs[i])
         absorb()
     if len(gens) < want:
         raise RuntimeError(

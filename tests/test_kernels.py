@@ -101,7 +101,8 @@ def ref_bisect(p, iv, max_width):
 
 def ref_isolate_real_roots(p):
     """Sturm bisection with `Fraction` endpoints, as before the integer
-    kernel: every count evaluates the chain at both of its endpoints, and
+    kernel: every count takes the signs of the chain at both of its
+    endpoints (by `ref_sign_at`, the chain being integer polynomials), and
     squarefreeness comes from a separate gcd."""
     p = polys.trim(p)
     if polys.degree(p) < 1:
@@ -111,7 +112,8 @@ def ref_isolate_real_roots(p):
     chain = polys.sturm_chain(p)
 
     def variations(x):
-        signs = [sign(ref_eval_at(q, x)) for q in chain]
+        x = F(x)
+        signs = [ref_sign_at(q, x.numerator, x.denominator) for q in chain]
         signs = [s for s in signs if s]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 

@@ -116,6 +116,49 @@ def test_norm_equals_the_determinant_of_multiplication(table):
     assert zero_divisors >= 2
 
 
+def test_element_inverse_and_division_on_table_fields(table):
+    # b b^-1 = 1 for random nonzero elements, integral or not, on every
+    # table field and F_32; then a / b = a b^-1 on random pairs, whose
+    # quotients are mostly not integral, and on pairs (a b, b) and (u a, a)
+    # for units u, whose quotients are; last, zero divisors of a product
+    # ring have no inverse
+    rng = random.Random(7)
+    seen = {True: 0, False: 0}
+    ctxs = [table.context(rec.label) for rec in table.records]
+    for ctx in ctxs + [cyclo_info(32).field]:
+        d = ctx.degree
+        els = [ctx.element([rng.randint(-4, 4) for _ in range(d)])
+               for _ in range(8)]
+        els = [e for e in els if not e.is_zero]
+        for b in els + [ctx.element(e.coords, den)
+                        for e, den in zip(els, (2, 3, 10))]:
+            assert b * b.inverse() == ctx.one, (ctx, b)
+        pairs = [(a, b) for a in els for b in els]
+        for a, b in pairs:
+            q = a / b
+            assert q * b == a, (ctx, a, b)
+            seen[q.is_integral] += 1
+        for a, b in zip(els, els[1:]):
+            q = (a * b) / b
+            assert q == a, (ctx, a, b)
+            seen[q.is_integral] += 1
+        for u in ctx.units or ():
+            for a in els[:2]:
+                q = (u * a) / a
+                assert q == u, (ctx, u, a)
+                seen[q.is_integral] += 1
+    assert seen[True] > 200 and seen[False] > 500, seen
+    # Q x Q = Q[t]/(t^2 - 1): t - 1 and t + 1 are zero divisors, 2 + t is a
+    # unit of the ring
+    rec = FieldRecord("QxQ", 2, (-1, 0, 1), ((F(1), F(0)), (F(0), F(1))), 4)
+    ctx = load_field(rec)
+    for z in (ctx.gen - 1, ctx.gen + 1):
+        with pytest.raises(DivisionByZero, match="zero divisor"):
+            z.inverse()
+    u = 2 + ctx.gen
+    assert u * u.inverse() == ctx.one and u.inverse().den == 3
+
+
 def test_embeddings_and_house(ctx_sqrt2):
     lam = 2 + ctx_sqrt2.sqrt2
     ivs = lam.embeddings(F(1, 100))

@@ -6,7 +6,6 @@ order of a cyclotomic field, the shipped table, and the trace form built
 from `load_field`'s multiplication table alone.
 """
 
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -83,9 +82,10 @@ def test_order_builds_its_inverse_and_table_once(monkeypatch):
     order = maximal_order(biquadratic_poly(7))
     monkeypatch.setattr(linalg, "inverse", counted_inverse)
     monkeypatch.setattr(orders, "basis_mult_table", counted_table)
-    # two calls on the same order: the ideal's inverse is one per call
+    # two calls on the same order: the ideal's solve is an adjugate, so the
+    # one inverse is the order's own
     assert enlarge_at(order, 2).disc == enlarge_at(order, 2).disc == order.disc
-    assert calls == {"inverse": 2 + 1, "table": 1}
+    assert calls == {"inverse": 1, "table": 1}
     assert order.mult_table == basis_mult_table(order.p, order.basis,
                                                 inverse(order.basis))
 
@@ -112,36 +112,16 @@ def test_find_units_k7168(table):
     assert ratio == rec.h_plus // rec.h == 2
 
 
-def test_integral_quotient_equals_element_division(table):
-    # a / b from b* = N(b) / b on integers against Element division (the
-    # inverse by rational elimination), on every table field and F_32:
-    # random pairs, whose quotients are mostly not integral, and pairs
-    # (a b, b) and (u a, a) for units u, whose quotients are
-    rng = random.Random(7)
-    seen = {True: 0, False: 0}
-    ctxs = [table.context(rec.label) for rec in table.records]
-    for ctx in ctxs + [cyclo_info(32).field]:
-        d = ctx.degree
-        els = [ctx.element([rng.randint(-4, 4) for _ in range(d)])
-               for _ in range(8)]
-        els = [e for e in els if not e.is_zero]
-        pairs = [(a, b) for a in els for b in els]
-        pairs += [(a * b, b) for a, b in zip(els, els[1:])]
-        pairs += [(u * a, a) for u in ctx.units or () for a in els[:2]]
-        for a, b in pairs:
-            conj = orders._conjugate_product(b)
-            assert conj[0] == b.norm() and b * conj[1] == ctx.from_rational(
-                conj[0])
-            want = a / b
-            got = orders._integral_quotient(a, conj)
-            assert got == (want if want.is_integral else None), (ctx, a, b)
-            seen[got is not None] += 1
-    assert seen[True] > 200 and seen[False] > 500, seen
-
-
-def test_field_table_script_runs():
+def test_field_table_script_runs(tmp_path):
+    # the builder reproduces the shipped tables byte for byte
     script = ROOT / "scripts" / "build_field_table.py"
-    done = subprocess.run([sys.executable, str(script), "--help"],
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, str(script), "--out",
+                           str(tmp_path)], capture_output=True, text=True,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
-    assert "--out" in done.stdout
+    shipped = ROOT / "fields"
+    names = sorted(f.name for f in shipped.iterdir())
+    assert sorted(f.name for f in tmp_path.iterdir()) == names
+    for name in names:
+        want = (shipped / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == want, name

@@ -2,11 +2,14 @@
 
 `linalg.ring_det`, `linalg.ring_adjugate` and `linalg.ring_bilinear` work
 over any commutative ring.  Over Q they are checked against the Bareiss
-determinant and the Gauss-Jordan inverse; over Q[x] by evaluation, which is
-a ring homomorphism and so commutes with the determinant.
+determinant and inverse; over Q[x] by evaluation, which is a ring
+homomorphism and so commutes with the determinant.  The one Bareiss
+routine, `linalg.adjugate_solve`, is checked in turn against `ring_det`
+and against a x = det(a) c on random integer systems.
 """
 
 from fractions import Fraction as F
+from operator import mul
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -50,6 +53,44 @@ def test_ring_det_and_adjugate_match_elimination(a):
     assert (inv is None) == (det == 0)
     if det != 0:
         assert adj == [[det * x for x in row] for row in inv]
+
+
+@st.composite
+def integer_systems(draw):
+    """(a, cols): a square integer matrix of size 1 to 6, some with a zero
+    leading pivot or a dependent row, and up to three integer columns."""
+    ints = st.integers(-9, 9)
+    n = draw(st.integers(1, 6))
+    a = [[draw(ints) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "zero_pivot", "dependent_row"]))
+    if shape == "zero_pivot":
+        a[0][0] = 0
+    elif shape == "dependent_row" and n > 1:
+        c = draw(ints)
+        a[n - 1] = [c * x for x in a[0]]
+    cols = draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                         max_size=3))
+    return a, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+@example(([[0, 1], [1, 0]], [[2, 3]]))                      # row swap
+@example(([[1, 2, 3], [2, 4, 5], [1, 1, 1]], [[1, 0, 0]]))  # swap at k = 1
+@example(([[0, 0], [2, 3]], [[1, 1]]))                      # zero row
+@example(([[0, 1, 2], [0, 3, 4], [0, 5, 7]], [[1, 1, 1]]))  # no pivot
+@example(([[1, 2], [2, 4]], [[1, 1], [0, 1]]))              # zero last pivot
+@example(([[5]], [[7], [-3]]))
+def test_adjugate_solve_gives_det_and_adjugate_columns(system):
+    a, cols = system
+    det, sols = linalg.adjugate_solve(a, cols)
+    assert det == linalg.ring_det(a) == linalg.det_int(a)
+    if det == 0:
+        assert sols == []
+        return
+    assert len(sols) == len(cols)
+    for c, x in zip(cols, sols):
+        assert [sum(map(mul, row, x)) for row in a] == [det * y for y in c]
 
 
 @settings(max_examples=100, deadline=None)
