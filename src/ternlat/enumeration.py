@@ -12,7 +12,9 @@ region is put over one common denominator, the interval products and sums
 are taken on the numerators, and the box bounds are their exact ceiling
 and floor.  Precision is increased until the box volume stabilizes, and a
 configurable ceiling turns runaway searches into errors instead of long
-runs.
+runs.  The targets, the per-embedding region, depend only on the bound and
+the roots, so they are made once per root state: a round whose roots did
+not change (as the first rounds after `fixed_point_table`) reuses them.
 
 Each candidate x of the pruned box then takes one exact comparison against
 zero, of an integer residual from a quadratic map built once per query:
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice, product
-from math import ceil, prod
+from math import prod
 from operator import mul
 from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -121,13 +123,14 @@ def _candidate_estimate(emb: List[Numerators], box: EnumerationBox) -> int:
     """
     # row i of the midpoint matrix is (lows + highs) / (2 den_i), so its
     # determinant is that of the integer matrix over the product of 2 den_i
-    det = abs(linalg.det([[lo + hi for lo, hi in zip(lows, highs)]
-                          for lows, highs, _ in emb]))
+    det = abs(linalg.det_int([[lo + hi for lo, hi in zip(lows, highs)]
+                              for lows, highs, _ in emb]))
     if det == 0:
         return box.volume
-    region = prod((hi - lo for lo, hi in box.targets), start=Fraction(1))
-    scale = prod(2 * den for _, _, den in emb)
-    return min(box.volume, ceil(region * scale / det) + 1)
+    widths = [hi - lo for lo, hi in box.targets]
+    num = prod(w.numerator for w in widths) * prod(2 * d for _, _, d in emb)
+    den = prod(w.denominator for w in widths) * det
+    return min(box.volume, -(-num // den) + 1)
 
 
 def _box_bounds(inv: List[Tuple[List[int], List[int], int]],
@@ -157,9 +160,15 @@ def _box_bounds(inv: List[Tuple[List[int], List[int], int]],
 def _build_box(ctx: FieldContext,
                make_targets: Callable[[], List[Interval]],
                ceiling: int) -> EnumerationBox:
-    """Shrink the certified box until its volume stabilizes within 1%."""
+    """Shrink the certified box until its volume stabilizes within 1%.
+
+    The targets depend only on the bound and the roots, so `make_targets`
+    runs once per root state: again only when `ctx.basis_embeddings()`
+    returns a new list, which `refine_roots` makes exactly when a root
+    changes."""
     prev: Optional[Tuple[EnumerationBox, List[Numerators]]] = None
     prev_vol = None
+    made_for = targets = ends = None
     for k in range(80):
         width = Fraction(1, 64 * 4 ** k)
         ctx.refine_roots(width)
@@ -167,12 +176,13 @@ def _build_box(ctx: FieldContext,
         inv = linalg.interval_inverse(emb)
         if inv is None:
             continue
-        targets = make_targets()
+        if emb is not made_for:
+            made_for, targets = emb, make_targets()
+            ends = tuple((t.lo, t.hi) for t in targets)
         lows, highs = _box_bounds(inv, targets)
-        box = EnumerationBox(tuple(lows), tuple(highs), width,
-                             tuple((t.lo, t.hi) for t in targets))
+        box = EnumerationBox(tuple(lows), tuple(highs), width, ends)
         vol = box.volume
-        if prev_vol is not None and vol >= prev_vol * Fraction(99, 100):
+        if prev_vol is not None and 100 * vol >= 99 * prev_vol:
             est = _candidate_estimate(emb, box)
             if est > ceiling:
                 raise BoxTooLarge(est, ceiling)
@@ -447,17 +457,17 @@ def _iter_box(table: tuple, box: EnumerationBox
 
 
 def _square_targets(ctx: FieldContext, bound: Element) -> List[Interval]:
-    ivs = ctx.embeddings(bound, Fraction(1, 256))
     out = []
-    for iv in ivs:
-        r = sqrt_upper(max(iv.hi, Fraction(0)))
+    for _, hi, den in ctx._embedding_numerators(bound, Fraction(1, 256)):
+        r = sqrt_upper(Fraction(max(hi, 0), den))
         out.append(Interval(-r, r))
     return out
 
 
 def _interval_targets(ctx: FieldContext, bound: Element) -> List[Interval]:
-    ivs = ctx.embeddings(bound, Fraction(1, 256))
-    return [Interval(Fraction(0), max(iv.hi, Fraction(0))) for iv in ivs]
+    sums = ctx._embedding_numerators(bound, Fraction(1, 256))
+    return [Interval(Fraction(0), Fraction(max(hi, 0), den))
+            for _, hi, den in sums]
 
 
 def _query_box(query: DominanceQuery, ceiling: int) -> EnumerationBox:

@@ -358,6 +358,7 @@ class FieldContext:
         self._roots = list(roots)
         self._horner = polys.horner_rows(basis_pow)     # basis_embeddings
         self._emb_cache: Optional[List[Numerators]] = None
+        self._widest: Optional[Fraction] = None     # refine_roots
         self._fixed: Optional[tuple] = None         # fixed_point_table
         self._pack: Optional[tuple] = None          # _pack_table
         # basis coordinates of the power t^k are row k of pow_to_basis
@@ -419,16 +420,22 @@ class FieldContext:
         return list(self._roots)
 
     def refine_roots(self, max_width: Rat) -> None:
+        """Narrow every root wider than max_width to at most max_width.  The
+        widest root's width is taken by the first call after the roots
+        change that finds none to narrow, and kept until they change again,
+        so that a request no narrower than it returns at once."""
         max_width = Fraction(max_width)
-        changed = False
-        for i, iv in enumerate(self._roots):
-            if iv.width > max_width:
-                self._roots[i] = polys.refine_root(self.poly, iv, max_width)
-                changed = True
-        if changed:
-            # the embeddings and their table came from the wider roots
-            self._emb_cache = None
-            self._fixed = None
+        if self._widest is not None and max_width >= self._widest:
+            return
+        wide = [iv.width > max_width for iv in self._roots]
+        if not any(wide):
+            self._widest = max((iv.width for iv in self._roots),
+                               default=Fraction(0))
+            return
+        self._roots = [polys.refine_root(self.poly, iv, max_width) if w
+                       else iv for iv, w in zip(self._roots, wide)]
+        # the embeddings and their table came from the wider roots
+        self._widest = self._emb_cache = self._fixed = None
 
     def basis_embeddings(self) -> List[Numerators]:
         """Per root i, (lows, highs, den) with sigma_i(basis_j) in [lows[j],
@@ -505,19 +512,20 @@ class FieldContext:
                 return None
         return tuple(signs)
 
-    def embeddings(self, a: Element, max_width: Rat = Fraction(1, 64)) -> List[Interval]:
-        """Enclosures of sigma_i(a), each at most max_width wide, refining
-        the roots as needed.
+    def _embedding_numerators(self, a: Element, max_width: Rat
+                              ) -> List[Tuple[int, int, int]]:
+        """Per root i, (lo, hi, den) with sigma_i(a) in [lo, hi] / den and
+        (hi - lo) / den <= max_width, refining the roots as needed.
 
         Row i of `basis_embeddings` holds integer numerators over one
         denominator, sigma_i(basis_j) in [lows[j], highs[j]] / den.  The
         interval sum of c_j times sigma_i(basis_j) is taken on those
-        numerators over den * a.den, and built as `Fraction`s once narrow
-        enough.
+        numerators over den * a.den.  While some sum is too wide, the roots
+        are refined to a quarter of the narrowest root's width, and so on.
         """
         max_width = Fraction(max_width)
         wn, wd = max_width.numerator, max_width.denominator
-        width = min((iv.width for iv in self._roots), default=Fraction(0))
+        width = None
         x = a.coords
         for _ in range(256):
             out = []
@@ -526,11 +534,18 @@ class FieldContext:
                                  for c, lo, hi in zip(x, lows, highs)))
                 out.append((sum(los), sum(his), den * a.den))
             if all((hi - lo) * wd <= wn * den for lo, hi, den in out):
-                return [Interval(Fraction(lo, den), Fraction(hi, den))
-                        for lo, hi, den in out]
+                return out
+            if width is None:
+                width = min(iv.width for iv in self._roots)
             width = max(width / 4, Fraction(1, 1 << 300))
             self.refine_roots(width)
         raise RuntimeError("embedding refinement did not converge")
+
+    def embeddings(self, a: Element, max_width: Rat = Fraction(1, 64)) -> List[Interval]:
+        """Enclosures of sigma_i(a), each at most max_width wide, refining
+        the roots as needed (`_embedding_numerators`)."""
+        return [Interval(Fraction(lo, den), Fraction(hi, den))
+                for lo, hi, den in self._embedding_numerators(a, max_width)]
 
     # -- comparisons ---------------------------------------------------------
 

@@ -11,7 +11,7 @@ from ternlat.enumeration import (DominanceQuery, QueryMode,
                                  squarefree_witness, sum_of_squares_test,
                                  unsquare)
 from ternlat.intervals import Interval
-from ternlat.numberfield import sqrt2_context
+from ternlat.numberfield import load_field, sqrt2_context
 
 
 def coords_of(elements):
@@ -115,6 +115,24 @@ def test_box_too_large_names_its_quantity(table, monkeypatch):
     with pytest.raises(BoxTooLarge) as exc:
         dominated_elements(ctx, ctx.from_rational(60), ceiling=10)
     assert str(exc.value) == "visited 11 candidates exceeds ceiling 10"
+
+
+def test_box_makes_its_targets_once_per_root_state(table):
+    # the query's positivity check builds the fixed-point table, whose
+    # roots are narrower than rounds 0 and 1 ask for: both read one list
+    # of embeddings, so one set of targets serves both
+    ctx = load_field(table.by_label("K51200"))
+    bound = ctx.from_rational(60)
+    ctx.fixed_point_table()
+    calls = []
+
+    def targets():
+        calls.append(ctx.basis_embeddings())
+        return enumeration._square_targets(ctx, bound)
+
+    box = enumeration._build_box(ctx, targets, 10 ** 8)
+    assert len(calls) == 1 and calls[0] is ctx.basis_embeddings()
+    assert box.root_width == F(1, 256)
 
 
 def test_uninvertible_embeddings_exhaust_precision(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -64,6 +65,23 @@ def test_scan_small_condition_sets(table):
     assert set(sets_off["3lambda"]) == {"K2048", "K2624", "K7168", "K18432"}
     assert set(sets_off["6"]) == {"K1600", "K2048", "K2624", "K10816",
                                   "K2304", "K7168", "K14336"}
+
+
+# sha256 of json.dumps([[label, box_3lambda, box_6], ...], sort_keys=True)
+# over the verdicts of a fresh table, pinned before the boxes took their
+# targets once per root state
+GOLDEN_SCAN_BOXES = \
+    "7b785b1e02aed9f6bee771b0a641c24a474eff143036d269938b1b6d7d965c3e"
+
+
+def test_scan_boxes_are_unchanged(fields_dir):
+    table = ingest_fields(fields_dir / "quartic_sqrt2.jsonl")
+    rep = scan_small_condition(table, 20000, unit_filter=False)
+    boxes = [[v["label"], v["box_3lambda"], v["box_6"]]
+             for v in rep["verdicts"] if v["status"] == "ok"]
+    assert len(boxes) == 18
+    digest = hashlib.sha256(json.dumps(boxes, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_SCAN_BOXES
 
 
 def test_scan_witnesses_reverify(table):

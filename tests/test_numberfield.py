@@ -10,6 +10,7 @@ from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import dominated_elements
 from ternlat.errors import (DivisionByZero, FieldDataError, NoSuchUnit,
                             NotARing, NotTotallyReal)
+from ternlat.intervals import Interval
 from ternlat.numberfield import (Dominance, FieldRecord, basis_mult_table,
                                  load_field, sqrt2_context,
                                  unit_square_canonical,
@@ -478,7 +479,7 @@ def test_zero_divisor_signature_detected():
         a.signature()
 
 
-def test_refine_roots_invalidates_embedding_caches(table):
+def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     # after a refine that narrows a root, both embedding tables must match
     # those of a fresh context refined straight to the same width
     rec = table.by_label("K7168")
@@ -500,6 +501,32 @@ def test_refine_roots_invalidates_embedding_caches(table):
     assert stale[:2] != ref.fixed_point_table()[:2]
     ctx.refine_roots(fine)
     assert ctx.fixed_point_table() == ref.fixed_point_table()
+
+    # only roots wider than the request are refined: K10816's isolating
+    # intervals are 11, 11/16, 11/16 and 11/4 wide, and a request no
+    # narrower than the widest root refines none and keeps the caches;
+    # once that width is taken, such a request looks at no root
+    refined = []
+    refine_root = polys.refine_root
+    monkeypatch.setattr(polys, "refine_root", lambda p, iv, w: (
+        refined.append(iv), refine_root(p, iv, w))[1])
+    ctx = load_field(table.by_label("K10816"))
+    roots = ctx.roots()
+    emb = ctx.basis_embeddings()
+    ctx.refine_roots(11)
+    assert refined == [] and ctx.basis_embeddings() is emb
+    ctx.refine_roots(1)
+    assert refined == [roots[0], roots[3]]
+    assert [iv.width for iv in ctx.roots()] == [F(11, 16)] * 4
+    emb = ctx.basis_embeddings()
+    ctx.refine_roots(F(3, 4))
+    widths = []
+    monkeypatch.setattr(Interval, "width", property(
+        lambda iv: widths.append(iv) or iv.hi - iv.lo))
+    ctx.refine_roots(F(11, 16))
+    ctx.refine_roots(1)
+    assert widths == [] and len(refined) == 2
+    assert ctx.basis_embeddings() is emb
 
 
 # ---------------------------------------------------------------------------
