@@ -68,11 +68,16 @@ def fixed_point_ends(rows: Sequence[Numerators], bits: int
                      ) -> Tuple[List[List[int]], List[List[int]]]:
     """Integer matrices (lo, hi) with entry j of rows[i] inside
     [lo[i][j], hi[i][j]] / 2^bits: each endpoint rounded outward to a
-    multiple of 2^-bits."""
+    multiple of 2^-bits, by shifts over a power-of-two den >= 2^bits."""
     los, his = [], []
     for lows, highs, den in rows:
-        los.append([(x << bits) // den for x in lows])
-        his.append([-((-x << bits) // den) for x in highs])
+        s = den.bit_length() - 1 - bits
+        if s >= 0 and not den & (den - 1):
+            los.append([x >> s for x in lows])
+            his.append([-(-x >> s) for x in highs])
+        else:
+            los.append([(x << bits) // den for x in lows])
+            his.append([-((-x << bits) // den) for x in highs])
     return los, his
 
 

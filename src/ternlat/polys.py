@@ -5,15 +5,18 @@ first), matching the on-disk field format.  Coefficients are ints or
 Fractions; arithmetic promotes as needed.
 
 Evaluation (`eval_interval`), division (`divmod_poly`), resultants, root
-isolation and refinement (`isolate_real_roots`, `refine_root`) and
-`cyclotomic` run on integers: the coefficients are put over their least
-common denominator (integer coefficients are taken as they are), the
-point or both interval endpoints over one denominator, and a `Fraction` is
-built only for a result, which is exactly what `Fraction` arithmetic
-gives; `eval_interval` builds none, and returns integer endpoint
-numerators for a whole set of polynomials, the basis rows of a field, at
-once.  `divmod_poly` and `resultant` share one integer pseudo-division,
-`_prem`.
+isolation and refinement (`isolate_real_roots`, `refine_root`),
+`cyclotomic` and `cos_minpoly` run on integers: the coefficients are put
+over their least common denominator (integer coefficients are taken as
+they are), the point or both interval endpoints over one denominator,
+and a `Fraction` is built only for a result, which is exactly what
+`Fraction` arithmetic gives; `eval_interval` builds none, and returns
+integer endpoint numerators for a whole set of polynomials, the basis
+rows of a field, at once.  `divmod_poly` and `resultant` share one
+integer pseudo-division, `_prem`.
+
+A Sturm chain is evaluated by the recurrence that builds it: the exact
+values of Horner on every member, at O(d) products per point, not O(d^2).
 
 `refine_root` returns bisection's cell, the one cell of its level whose
 endpoint signs are those of the isolating interval, from secant proposals
@@ -49,18 +52,6 @@ def degree(p: Sequence[Coeff]) -> int:
     return len(p) - 1 if p else -1
 
 
-def add(p: Sequence[Coeff], q: Sequence[Coeff]) -> Poly:
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                 for i in range(n)])
-
-
-def sub(p: Sequence[Coeff], q: Sequence[Coeff]) -> Poly:
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
-                 for i in range(n)])
-
-
 def mul(p: Sequence[Coeff], q: Sequence[Coeff]) -> Poly:
     if not p or not q:
         return []
@@ -71,10 +62,6 @@ def mul(p: Sequence[Coeff], q: Sequence[Coeff]) -> Poly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return trim(out)
-
-
-def scale(p: Sequence[Coeff], c: Coeff) -> Poly:
-    return trim([a * c for a in p])
 
 
 def diff(p: Sequence[Coeff]) -> Poly:
@@ -247,26 +234,54 @@ def primitive_int(p: Sequence[Coeff]) -> List[int]:
     return [c // g for c in q]
 
 
+def _sturm(p: Sequence[Coeff]) -> Tuple[List[List[int]], List[tuple]]:
+    """The chain p_0..p_m of `sturm_chain` and its steps 0 < i < m.
+
+    With (Q_i / d_i, R_i / s_i) = `divmod_poly`(p_(i-1), p_i) over
+    integers and g_i the content of R_i, p_(i+1) = -R_i / g_i.  So at a/b,
+    with P_j = b^(deg p_j) p_j(a/b) and H_i = b^(deg Q_i) (s_i Q_i)(a/b),
+
+        d_i s_i P_(i-1) = H_i P_i - d_i g_i b^e_i P_(i+1),
+
+    e_i = deg p_(i-1) - deg p_(i+1), where d_i, s_i and g_i are positive.
+    Step i is (s_i Q_i, d_i g_i, e_i, d_i s_i)."""
+    p0 = primitive_int(p)
+    chain = [p0, primitive_int(diff(p0))]
+    steps = []
+    while chain[-1]:
+        q, r = divmod_poly(chain[-2], chain[-1])
+        r, s = clear_denominators(r)
+        g = gcd(*r)
+        if g:
+            qn, d = clear_denominators(q)
+            steps.append(([c * s for c in qn], d * g,
+                          len(chain[-2]) - len(r), d * s))
+        chain.append([-c // g for c in r])
+    chain.pop()
+    return chain, steps
+
+
 def sturm_chain(p: Sequence[Coeff]) -> List[Poly]:
     """Sturm chain of p, as primitive integer polynomials: p, p' and the
     negated remainders.  The last element is gcd(p, p') up to a positive
     factor, so p is squarefree exactly when it is a constant."""
-    p0 = primitive_int(p)
-    p1 = primitive_int(diff(p0))
-    chain = [p0, p1]
-    while chain[-1]:
-        _, r = divmod_poly(chain[-2], chain[-1])
-        chain.append(primitive_int([-c for c in r]))
-    chain.pop()
-    return chain
+    return _sturm(p)[0]
 
 
-def _sturm_signs(chain: Sequence[Sequence[int]], a: int,
-                 b: int) -> Tuple[int, int]:
-    """(sign of chain[0], sign variations of the chain) at a/b, b > 0."""
-    signs = [(v > 0) - (v < 0) for v in (_horner(q, a, b) for q in chain)]
-    nonzero = [s for s in signs if s]
-    return signs[0], sum(1 for s, t in zip(nonzero, nonzero[1:]) if s != t)
+def _sturm_signs(chain: Sequence[Sequence[int]], steps: Sequence[tuple],
+                 a: int, b: int) -> Tuple[int, int]:
+    """(sign of p_0, sign variations) at a/b, b > 0, for a chain of length
+    >= 2 and its steps from `_sturm`: p_m and p_(m-1) by Horner, each other
+    P_j exactly by its step.  On a normal chain (degrees falling by 1)
+    every Q_i is linear, so a point costs O(d) products, not O(d^2)."""
+    x, y = _horner(chain[-1], a, b), _horner(chain[-2], a, b)
+    vals = [x, y]
+    for qn, c, e, d in reversed(steps):
+        h = qn[0] * b + qn[1] * a if len(qn) == 2 else _horner(qn, a, b)
+        x, y = y, (h * y - c * x * b ** e) // d
+        vals.append(y)
+    signs = [(v > 0) - (v < 0) for v in vals if v]
+    return (y > 0) - (y < 0), sum(u != v for u, v in zip(signs, signs[1:]))
 
 
 def root_bound(p: Sequence[Coeff]) -> Fraction:
@@ -306,7 +321,7 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
     p = trim(p)
     if degree(p) < 1:
         return []
-    chain = sturm_chain(p)
+    chain, steps = _sturm(p)
     if len(chain[-1]) > 1:
         raise ValueError("root isolation requires a squarefree polynomial")
     r = _root_bound_log2(chain[0])
@@ -319,8 +334,8 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
         hi += den
     out: List[Interval] = []
     # nodes (a, e, b, va, ve): va - ve roots in (a/b, e/b), p(a/b), p(e/b) != 0
-    todo = [(lo, hi, den, _sturm_signs(chain, lo, den)[1],
-             _sturm_signs(chain, hi, den)[1])]
+    todo = [(lo, hi, den, _sturm_signs(chain, steps, lo, den)[1],
+             _sturm_signs(chain, steps, hi, den)[1])]
     while todo:
         a, e, b, va, ve = todo.pop()
         n = va - ve
@@ -333,7 +348,7 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
         if abs(m) > b << r:
             sm, vm = 1, (ve if m > 0 else va)
         else:
-            sm, vm = _sturm_signs(chain, m, b)
+            sm, vm = _sturm_signs(chain, steps, m, b)
         if sm:
             todo.append((a, m, b, va, vm))
             todo.append((m, e, b, vm, ve))
@@ -344,8 +359,8 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
         a, e, m, b = 2 * a, 2 * e, 2 * m, 2 * b
         w = (e - a) // 4
         while True:
-            sl, vl = _sturm_signs(chain, m - w, b)
-            sr, vr = _sturm_signs(chain, m + w, b)
+            sl, vl = _sturm_signs(chain, steps, m - w, b)
+            sr, vr = _sturm_signs(chain, steps, m + w, b)
             if sl and sr and vl - vr == 1:
                 break
             a, e, m, b = 2 * a, 2 * e, 2 * m, 2 * b
@@ -417,24 +432,24 @@ def refine_root(p: Sequence[Coeff], iv: Interval, max_width: Fraction) -> Interv
 
 
 def cyclotomic(k: int) -> List[int]:
-    """k-th cyclotomic polynomial: x^k - 1 divided by the product of the
-    Phi_d for the proper divisors d of k, a monic integer polynomial, by
-    synthetic division on integers."""
+    """k-th cyclotomic polynomial, the product of (x^d - 1)^mu(k/d) over
+    the divisors d of k: shifts and subtractions, then exact synthetic
+    divisions.  mu comes from sum(mu(e) for e | n) = [n = 1]."""
     if k < 1:
         raise ValueError("k must be positive")
-    rem = [-1] + [0] * (k - 1) + [1]
-    den: Poly = [1]
-    for d in range(1, k):
-        if k % d == 0:
-            den = mul(den, cyclotomic(d))
-    n = len(den) - 1
-    quot = [0] * (k - n + 1)
-    for i in range(k - n, -1, -1):
-        c = quot[i] = rem[i + n]
-        if c:
-            for j, x in enumerate(den):
-                rem[i + j] -= c * x
-    return quot
+    mu = {}
+    for n in (n for n in range(1, k + 1) if k % n == 0):
+        mu[n] = (n == 1) - sum(mu[e] for e in mu if n % e == 0)
+    out = [1]
+    for d in mu:
+        if mu[k // d] == 1:                 # out (x^d - 1)
+            out = [x - y for x, y in zip([0] * d + out, out + [0] * d)]
+    for d in mu:
+        if mu[k // d] == -1:                # out / (x^d - 1), low first
+            out = [-c for c in out[:-d]]
+            for i in range(d, len(out)):
+                out[i] += out[i - d]
+    return out
 
 
 def cos_minpoly(k: int) -> List[int]:
@@ -442,21 +457,20 @@ def cos_minpoly(k: int) -> List[int]:
 
     Uses the palindromic structure of the cyclotomic polynomial: with
     m = phi(k), Phi_k(t)/t^(m/2) is a polynomial in y = t + 1/t expressed in
-    the basis C_j(y) = t^j + t^-j.
+    the basis C_j(y) = t^j + t^-j, C_0 = 2, C_1 = y and
+    C_j = y C_(j-1) - C_(j-2), on integer lists.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
     phi = cyclotomic(k)
-    m = degree(phi)
-    half = m // 2
-    # C_0 = 2, C_1 = y, C_j = y*C_(j-1) - C_(j-2)
-    c_prev: Poly = [2]
-    c_cur: Poly = [0, 1]
-    result: Poly = [phi[half]]
-    for j in range(1, half + 1):
-        result = add(result, scale(c_cur, phi[half - j]))
-        c_prev, c_cur = c_cur, sub(mul([0, 1], c_cur), c_prev)
-    return [int(c) for c in result]
+    half = (len(phi) - 1) // 2
+    result = [phi[half]] + [0] * half
+    prev, cur = [2], [0, 1]
+    for c in reversed(phi[:half]):
+        for i, x in enumerate(cur):
+            result[i] += c * x
+        prev, cur = cur, [x - y for x, y in zip([0] + cur, prev + [0, 0])]
+    return result
 
 
 class MPoly:

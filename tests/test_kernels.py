@@ -12,7 +12,10 @@ Horner run per row, and `FieldContext.basis_embeddings` and
 `fixed_point_table` are checked against it on every table field and F_k, k = 3..60.
 `polys.refine_root` jumps down the bisection grid by secant proposals; it
 must return bisection's interval for every isolating interval of those
-fields, down to width 2^-200.
+fields, down to width 2^-200.  `polys._sturm_signs` takes a Sturm chain's
+values by the recurrence that builds it; its signs and variations must be
+those of integer evaluation of every member, and `intervals.fixed_point_ends`
+must round as floor division does.
 """
 
 import math
@@ -30,7 +33,7 @@ from conftest import (FIELDS, as_intervals, eval_one, gcd_poly, iv_add,
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.fieldscan import ingest_fields
-from ternlat.intervals import Interval
+from ternlat.intervals import Interval, fixed_point_ends
 from ternlat.numberfield import load_field
 
 
@@ -312,8 +315,8 @@ def resultant_pairs(draw):
     """Integer polynomials, with nontrivial contents and sometimes a common
     factor."""
     ints = st.lists(st.integers(-9, 9), max_size=8)
-    a = polys.scale(draw(ints), draw(st.sampled_from([1, 1, -1, 2, 6])))
-    b = polys.scale(draw(ints), draw(st.sampled_from([1, 1, -1, 4, -15])))
+    a = polys.mul(draw(ints), [draw(st.sampled_from([1, 1, -1, 2, 6]))])
+    b = polys.mul(draw(ints), [draw(st.sampled_from([1, 1, -1, 4, -15]))])
     if draw(st.booleans()):
         f = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=3))
         a, b = polys.mul(a, f), polys.mul(b, f)
@@ -426,6 +429,35 @@ def ref_fixed_point_ends(emb, bits):
     return lows, highs
 
 
+@st.composite
+def numerator_rows(draw):
+    """(rows, bits): `Numerators` rows over denominators that are powers of
+    two at or above 2^bits, powers of two below it, or not powers of two,
+    with numerators of either sign up to about 1,500 bits."""
+    bits = draw(st.sampled_from([0, 1, 5, 32, 64]))
+    dens = st.one_of(st.integers(0, 1500).map(lambda t: 1 << bits + t),
+                     st.integers(0, bits).map(lambda t: 1 << t),
+                     st.integers(3, 1 << 80).filter(lambda d: d & (d - 1)))
+    nums = st.lists(st.integers(-(1 << 1500), 1 << 1500), max_size=4)
+    rows = draw(st.lists(st.tuples(nums, nums, dens), max_size=4))
+    return rows, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerator_rows())
+@example(([([-3, 3, -(1 << 40)], [-3, 3, 1 << 40], 1 << 34)], 32))
+@example(([([-3, 5], [-3, 5], 1 << 32)], 32))        # den = 2^bits
+@example(([([-3, 5], [-3, 5], 4)], 32))               # den < 2^bits
+@example(([([-3, 5], [-3, 5], 3 << 40)], 32))         # not a power of two
+def test_fixed_point_ends_equal_floor_division(data):
+    rows, bits = data
+    los, his = fixed_point_ends(rows, bits)
+    assert los == [[math.floor(F(x, den) * 2 ** bits) for x in lows]
+                   for lows, _, den in rows]
+    assert his == [[math.ceil(F(x, den) * 2 ** bits) for x in highs]
+                   for _, highs, den in rows]
+
+
 def test_basis_embeddings_equal_per_row_fraction_horner(table):
     # all 19 table fields and F_k, k = 3..60 (degrees up to 29), at the
     # isolation width, at 2^-32 (that of `fixed_point_table`) and at 2^-64
@@ -462,7 +494,7 @@ def isolated_roots(draw):
     r = draw(rationals)
     s = draw(st.integers(1, 9))
     c = draw(st.sampled_from([1, -1, F(1, 2), F(-3, 5), 7]))
-    p = polys.scale(polys.mul([-r, 1], [s, 0, 1]), c)
+    p = polys.mul(polys.mul([-r, 1], [s, 0, 1]), [c])
     below = draw(st.fractions(min_value=F(1, 40), max_value=4,
                               max_denominator=40))
     above = draw(st.fractions(min_value=F(1, 40), max_value=4,
@@ -484,7 +516,7 @@ def test_refine_root_stops_on_exact_midpoint_root(depth, data):
     # a dyadic root of [0, 1] is hit exactly by some bisection midpoint
     num = data.draw(st.integers(0, (1 << (depth - 1)) - 1))
     r = F(2 * num + 1, 1 << depth)
-    p = polys.scale(polys.mul([-r, 1], [2, 0, 1]), F(1, 3))
+    p = polys.mul(polys.mul([-r, 1], [2, 0, 1]), [F(1, 3)])
     iv = Interval(F(0), F(1))
     got = polys.refine_root(p, iv, F(1, 1 << 20))
     assert got == ref_refine_root(p, iv, F(1, 1 << 20)) == Interval.point(r)
@@ -715,6 +747,103 @@ def test_isolate_real_roots_on_cosine_minimal_polynomials():
         p = polys.cos_minpoly(k)
         got = assert_same_isolation(p)
         assert len(got) == polys.degree(p)
+
+
+def ref_chain_signs(chain, a, b):
+    """(sign of chain[0], variations) from every member by `ref_sign_at`."""
+    signs = [ref_sign_at(q, a, b) for q in chain]
+    nonzero = [t for t in signs if t]
+    return signs[0], sum(1 for u, v in zip(nonzero, nonzero[1:]) if u != v)
+
+
+def chain_roots(chain):
+    """(a, b) for the rational roots a/b of chain members of degree 1 or 2
+    and for their neighbours at 1/(2b)."""
+    out = []
+    for q in chain:
+        if len(q) == 2:
+            a, b = -q[0], q[1]
+            out.append((a, b) if b > 0 else (-a, -b))
+        elif len(q) == 3:
+            disc = q[1] ** 2 - 4 * q[0] * q[2]
+            r = math.isqrt(disc) if disc >= 0 else -1
+            if r * r == disc:
+                for t in (r, -r):
+                    a, b = -q[1] + t, 2 * q[2]
+                    out.append((a, b) if b > 0 else (-a, -b))
+    return out + [(2 * a + 1, 2 * b) for a, b in out]
+
+
+@st.composite
+def chain_inputs(draw):
+    """(p, points): an integer polynomial, often with up to four rational
+    roots a/b of its own (repeated ones too), and points a/b with b a
+    power of two or not, those roots among them."""
+    p = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=7))
+    dens = st.one_of(st.integers(1, 40),
+                     st.integers(0, 9).map(lambda t: 1 << t))
+    points = draw(st.lists(st.tuples(st.integers(-300, 300), dens),
+                           max_size=6))
+    for a, b in draw(st.lists(st.tuples(st.integers(-9, 9), dens),
+                              max_size=4)):
+        p = polys.mul(p, [-a, b])
+        points.append((a, b))
+    return p, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_inputs())
+@example(([0, -1, 0, 0, 0, 1], [(1, 2)]))      # x^5 - x: degrees 5, 4, 1, 0
+@example(([-2, 0, 0, 0, 1], [(5, 4)]))         # x^4 - 2: degrees 4, 3, 0
+@example(([1, 0, -2, 0, 1], []))               # (x^2 - 1)^2: ends in x^2 - 1
+@example(([0, 0, 1], [(0, 1)]))                # x^2 at its double root
+def test_sturm_recurrence_equals_per_member_signs(data):
+    p, points = data
+    p = polys.trim(p)
+    assume(polys.degree(p) >= 1)
+    sturm = polys._sturm(p)
+    chain = sturm[0]
+    assert chain == polys.sturm_chain(p) and len(sturm[1]) == len(chain) - 2
+    for a, b in points + chain_roots(chain) + [(0, 1), (1, 1), (-1, 1)]:
+        assert polys._sturm_signs(*sturm, a, b) == \
+            ref_chain_signs(chain, a, b), (p, a, b)
+
+
+@pytest.mark.parametrize("p, degrees", [
+    ([0, -1, 0, 0, 0, 1], [5, 4, 1, 0]),             # x^5 - x
+    ([-3, 0, 0, 0, 0, 0, 1], [6, 5, 0]),              # x^6 - 3
+    ([1, 0, -3, 0, 0, 0, 0, 1], [7, 6, 2, 1, 0]),     # x^7 - 3x^2 + 1
+    ([4, 0, 0, -5, 0, 0, 1], [6, 5, 3, 2, 0]),        # (x^3 - 1)(x^3 - 4)
+])
+def test_sturm_recurrence_on_non_normal_chains(p, degrees):
+    # degrees falling by more than 1 give quotients of degree > 1 and
+    # powers b^e with e > 2; every point of a grid, the chain members'
+    # rational roots among them, has the signs of every member
+    chain, steps = polys._sturm(p)
+    assert [len(q) - 1 for q in chain] == degrees
+    assert any(len(qn) > 2 or e > 2 for qn, _, e, _ in steps)
+    for b in (1, 2, 3, 4, 7, 16):
+        for a in range(-3 * b, 3 * b + 1):
+            assert polys._sturm_signs(chain, steps, a, b) == \
+                ref_chain_signs(chain, a, b), (p, a, b)
+
+
+def test_sturm_signs_take_two_horner_runs_per_point(monkeypatch):
+    # cos_minpoly(59) has degree 29 and a normal chain of 30 members; per
+    # point, Horner on every member took 30 runs, the recurrence takes 2
+    p = polys.cos_minpoly(59)
+    chain, steps = polys._sturm(p)
+    assert len(chain) == 30 and all(len(qn) == 2 for qn, _, _, _ in steps)
+    counts = {"_horner": 0, "_sturm_signs": 0}
+    for name in counts:
+        def counted(*args, f=getattr(polys, name), name=name):
+            counts[name] += 1
+            return f(*args)
+        monkeypatch.setattr(polys, name, counted)
+    assert len(polys.isolate_real_roots(p)) == 29
+    # the bisection's points are unchanged: 43 evaluations
+    assert counts["_sturm_signs"] == 43
+    assert counts["_horner"] <= 2 * 43 + 2
 
 
 @pytest.mark.parametrize("p", [
