@@ -9,6 +9,8 @@ additionally writes a JSON report.  Exit status: 0 for a completed run,
 from __future__ import annotations
 
 import argparse
+import ast
+import operator
 import sys
 from typing import List, Optional
 
@@ -26,87 +28,42 @@ from .obstruction import (dual_nonrepresentation, indecomposables_classify,
 from .quadlattice import free_overlattice_test, ternary_classification
 
 
-# -- small expression parser for bounds like "3*(2+sqrt2)" -------------------
-
 def parse_element(ctx: FieldContext, text: str) -> Element:
-    tokens: List[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif text.startswith("sqrt2", i):
-            tokens.append("sqrt2")
-            i += 5
-        elif ch in "+-*()":
-            tokens.append(ch)
-            i += 1
-        else:
-            raise TernlatError(f"cannot parse {text!r} at {ch!r}")
-    pos = 0
+    """A bound such as "3*(2+sqrt2)": decimal integers and sqrt2 joined by
+    +, - and * with parentheses and unary minus, read by Python's own
+    expression parser and evaluated on the four node types allowed."""
+    src = text.strip()     # `ast` rejects leading whitespace
+    ops = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul}
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def eat(tok=None):
-        nonlocal pos
-        t = peek()
-        if t is None or (tok is not None and t != tok):
-            raise TernlatError(f"unexpected end or token in {text!r}")
-        pos += 1
-        return t
-
-    def factor() -> Element:
-        t = peek()
-        if t == "(":
-            eat("(")
-            v = expr()
-            eat(")")
-            return v
-        if t == "-":
-            eat("-")
-            return -factor()
-        if t == "sqrt2":
-            eat()
+    def value(node) -> Element:
+        seg = ast.get_source_segment(src, node)
+        if isinstance(node, ast.BinOp) and type(node.op) in ops:
+            return ops[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        if isinstance(node, ast.Name) and seg == "sqrt2":
             if ctx.sqrt2 is None:
                 raise TernlatError("field has no sqrt2 tag")
             return ctx.sqrt2
-        if t is not None and t.isdigit():
-            eat()
-            return ctx.from_rational(int(t))
-        raise TernlatError(f"unexpected token {t!r} in {text!r}")
+        if isinstance(node, ast.Constant) and seg.isdigit():
+            return ctx.from_rational(node.value)
+        raise TernlatError(f"cannot parse {text!r}")
 
-    def term() -> Element:
-        v = factor()
-        while peek() == "*":
-            eat("*")
-            v = v * factor()
-        return v
-
-    def expr() -> Element:
-        v = term()
-        while peek() in ("+", "-"):
-            if eat() == "+":
-                v = v + term()
-            else:
-                v = v - term()
-        return v
-
-    v = expr()
-    if pos != len(tokens):
-        raise TernlatError(f"trailing tokens in {text!r}")
-    return v
+    try:
+        if "#" in src or "\\" in src:    # no comments or line joins
+            raise SyntaxError
+        return value(ast.parse(src, mode="eval").body)
+    except (SyntaxError, RecursionError):
+        raise TernlatError(f"cannot parse {text!r}") from None
 
 
-def _emit(args, report: dict) -> None:
+def _emit(args, verdicts: list, **metadata) -> None:
+    """Write `{"metadata": {"command": <subcommand>, ...}, "verdicts": ...}`
+    to `--out`, when given."""
     if args.out:
-        write_report(report, args.out)
+        write_report({"metadata": {"command": args.cmd, **metadata},
+                      "verdicts": verdicts}, args.out)
         print(f"report written to {args.out}")
 
 
@@ -121,10 +78,8 @@ def cmd_small_elements(args) -> int:
     print(f"# {len(sols)} elements with "
           f"{'0 <= w <= B' if mode is QueryMode.INTERVAL else 'w^2 <= B'}, "
           f"B = {args.bound} over {ctx.record.label}")
-    _emit(args, {"metadata": {"command": "small-elements",
-                              "field": ctx.record.label, "bound": args.bound,
-                              "mode": mode.value},
-                 "verdicts": [{"coords": list(w.coords)} for w in sols]})
+    _emit(args, [{"coords": list(w.coords)} for w in sols],
+          field=ctx.record.label, bound=args.bound, mode=mode.value)
     return 0
 
 
@@ -135,12 +90,9 @@ def cmd_indecomposables(args) -> int:
         print(f"{ctx.format_element(e.element):24} {e.classification}")
     print(f"# {len(rep.entries)} indecomposables with trace <= "
           f"{args.trace_bound}; {len(rep.others)} outside the two classes")
-    _emit(args, {"metadata": {"command": "indecomposables",
-                              "field": ctx.record.label,
-                              "trace_bound": args.trace_bound},
-                 "verdicts": [{"coords": list(e.element.coords),
-                               "class": e.classification}
-                              for e in rep.entries]})
+    _emit(args, [{"coords": list(e.element.coords),
+                  "class": e.classification} for e in rep.entries],
+          field=ctx.record.label, trace_bound=args.trace_bound)
     return 0
 
 
@@ -158,7 +110,7 @@ def cmd_dual(args) -> int:
     else:
         ce = ", ".join(ctx.format_element(e) for e in tr.counterexample)
         print(f"{args.gamma} IS represented: ({ce})")
-    _emit(args, {"metadata": {"command": "dual"}, "verdicts": [tr.to_dict()]})
+    _emit(args, [tr.to_dict()])
     return 0
 
 
@@ -170,13 +122,9 @@ def cmd_classify_ternary(args) -> int:
         print(f"offdiag ({ctx.format_element(c.w13)}, "
               f"{ctx.format_element(c.w23)}) -> {cls}")
     print(f"# classes found: {[c.value for c in rep.classes_found()]}")
-    _emit(args, {"metadata": {"command": "classify-ternary",
-                              "field": ctx.record.label},
-                 "verdicts": [{"w13": list(c.w13.coords),
-                               "w23": list(c.w23.coords),
-                               "class": c.lattice_class.value
-                               if c.lattice_class else None}
-                              for c in rep.cases]})
+    _emit(args, [{"w13": list(c.w13.coords), "w23": list(c.w23.coords),
+                  "class": c.lattice_class.value if c.lattice_class else None}
+                 for c in rep.cases], field=ctx.record.label)
     return 0
 
 
@@ -188,8 +136,7 @@ def cmd_case_analysis(args) -> int:
         for b in rep.branches:
             print(f"beta24 = {b.beta24}: det = {b.determinant} = 0  =>  "
                   f"{b.identity_lhs} = {b.identity_rhs}")
-        _emit(args, {"metadata": {"command": "case-analysis", "mode": mode},
-                     "verdicts": [vars(b) for b in rep.branches]})
+        _emit(args, [vars(b) for b in rep.branches], mode=mode)
         return 0
     fmt = rep.cases[0].alpha.ctx.format_element
     for c in rep.cases:
@@ -204,14 +151,11 @@ def cmd_case_analysis(args) -> int:
     print(f"# determinant formula verified: {rep.det_formula_verified}")
     print(f"# x^2 values: {[fmt(x) for x in rep.x_squared_values]}")
     print(f"# residual square classes: {[fmt(r) for r in rep.residuals]}")
-    _emit(args, {"metadata": {"command": "case-analysis", "mode": mode},
-                 "verdicts": [{
-                     "alpha": list(c.alpha.coords),
-                     "beta": list(c.beta.coords), "status": c.status,
-                     "x_squared": list(c.x_squared.coords)
-                     if c.x_squared is not None and c.x_squared.is_integral
-                     else None}
-                     for c in rep.cases]})
+    _emit(args, [{"alpha": list(c.alpha.coords), "beta": list(c.beta.coords),
+                  "status": c.status,
+                  "x_squared": list(c.x_squared.coords)
+                  if c.x_squared is not None and c.x_squared.is_integral
+                  else None} for c in rep.cases], mode=mode)
     return 0
 
 
@@ -226,13 +170,10 @@ def cmd_overlattice_test(args) -> int:
     else:
         print(f"{ctx.record.label}: no proper classical free overlattice "
               "(5+3*sqrt2 is squarefree)")
-    _emit(args, {"metadata": {"command": "overlattice-test",
-                              "field": ctx.record.label},
-                 "verdicts": [{
-                     "overlattice": res.has_proper_free_classical_overlattice,
-                     "witness": None if res.witness is None else
-                     [list(res.witness[0].coords),
-                      list(res.witness[1].coords)]}]})
+    _emit(args, [{"overlattice": res.has_proper_free_classical_overlattice,
+                  "witness": None if res.witness is None else
+                  [list(e.coords) for e in res.witness]}],
+          field=ctx.record.label)
     return 0
 
 
@@ -247,8 +188,7 @@ def cmd_cyclotomic(args) -> int:
     if rep.alpha_indecomposable is not None:
         print(f"alpha, beta indecomposable: {rep.alpha_indecomposable}, "
               f"{rep.beta_indecomposable}")
-    _emit(args, {"metadata": {"command": "cyclotomic", "k": args.k},
-                 "verdicts": [vars(rep)]})
+    _emit(args, [vars(rep)], k=args.k)
     return 0
 
 
@@ -259,10 +199,8 @@ def cmd_subfield(args) -> int:
         print(f"F{args.k} is not a subfield of {ctx.record.label}")
     else:
         print(f"F{args.k} subfield generator found: {ctx.format_element(w)}")
-    _emit(args, {"metadata": {"command": "subfield", "k": args.k,
-                              "field": ctx.record.label},
-                 "verdicts": [{"generator": None if w is None
-                               else list(w.coords)}]})
+    _emit(args, [{"generator": None if w is None else list(w.coords)}],
+          k=args.k, field=ctx.record.label)
     return 0
 
 
@@ -272,17 +210,14 @@ def cmd_obstruct(args) -> int:
     if cert is None:
         print(f"{ctx.record.label}: no obstruction certificate within the "
               f"pool (size {args.pool})")
-        _emit(args, {"metadata": {"command": "obstruct",
-                                  "field": ctx.record.label},
-                     "verdicts": [{"status": "pool-exhausted"}]})
-        return 0
-    quad = ", ".join(ctx.format_element(e) for e in cert.quadruple)
-    print(f"{ctx.record.label}: certificate with quadruple ({quad})")
-    print(f"  orthogonality forced for all pairs: {cert.orthogonality.is_valid}")
-    print(f"  dual non-representation: {cert.nonrepresentation.is_valid}")
-    _emit(args, {"metadata": {"command": "obstruct",
-                              "field": ctx.record.label},
-                 "verdicts": [cert.to_dict()]})
+    else:
+        quad = ", ".join(ctx.format_element(e) for e in cert.quadruple)
+        print(f"{ctx.record.label}: certificate with quadruple ({quad})")
+        print("  orthogonality forced for all pairs: "
+              f"{cert.orthogonality.is_valid}")
+        print(f"  dual non-representation: {cert.nonrepresentation.is_valid}")
+    _emit(args, [{"status": "pool-exhausted"} if cert is None
+                 else cert.to_dict()], field=ctx.record.label)
     return 0
 
 
@@ -300,16 +235,14 @@ def cmd_scan(args) -> int:
                      f"  6:{'EXC' if v['exceptional_6'] else 'ok'}"))
         print(f"# exceptional for 3*lambda: {sets['3lambda']}")
         print(f"# exceptional for 6: {sets['6']}")
-    elif args.command == "obstruct":
+    else:                                   # argparse allows only these two
         report = scan_obstructions(table, args.max_disc, args.pool,
                                    args.ceiling)
         for v in report["verdicts"]:
             print(f"{v['label']:10} disc {v['disc']:7} {v['status']}")
-    else:
-        raise TernlatError(f"unknown scan command {args.command!r}")
-    _emit(args, report)
-    errors = sum(1 for v in report["verdicts"] if v.get("status") == "error")
-    return 1 if errors else 0
+    # fieldscan's own report; its `command` replaces "scan"
+    _emit(args, report["verdicts"], **report["metadata"])
+    return int(any(v["status"] == "error" for v in report["verdicts"]))
 
 
 def cmd_verify_identities(args) -> int:
@@ -322,8 +255,7 @@ def cmd_verify_identities(args) -> int:
     b = rep["disc_bound"]
     print(f"discriminant bound constant: {b['value']:.2f} "
           f"in [{b['lower']:.4f}, {b['upper']:.4f}]")
-    _emit(args, {"metadata": {"command": "verify-identities"},
-                 "verdicts": [rep]})
+    _emit(args, [rep])
     return 0
 
 
@@ -337,10 +269,9 @@ def cmd_sum_of_squares(args) -> int:
     else:
         parts = " + ".join(f"({ctx.format_element(w)})^2" for w in dec)
         print(f"{args.gamma} = {parts}")
-    _emit(args, {"metadata": {"command": "sum-of-squares",
-                              "field": ctx.record.label, "n": args.n},
-                 "verdicts": [{"decomposition": None if dec is None else
-                               [list(w.coords) for w in dec]}]})
+    _emit(args, [{"decomposition": None if dec is None else
+                  [list(w.coords) for w in dec]}],
+          field=ctx.record.label, n=args.n)
     return 0
 
 
@@ -415,8 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
                    default="small")
     p.add_argument("--pool", type=int, default=40)
     p.add_argument("--no-unit-filter", action="store_true")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
-    p.add_argument("--out")
+    common(p, field=False)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("verify-identities", help="closed-form checks")
@@ -441,10 +371,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if hasattr(args, "pool"):
             require_count("--pool", args.pool)
         return args.fn(args)
-    except TernlatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TernlatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

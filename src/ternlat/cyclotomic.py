@@ -20,14 +20,9 @@ from .orders import factorize
 
 
 def mobius_phi(k: int) -> Tuple[int, int]:
-    """(Mobius mu, Euler phi) from the factorization of k."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    mu, phi = 1, 1
-    for p, e in factorize(k).items():
-        phi *= (p - 1) * p ** (e - 1)
-        mu = 0 if e > 1 else -mu
-    return mu, phi
+    """(Mobius mu, Euler phi) of k, with phi(k) = sum(mu(n) k/n for n | k)."""
+    mu = polys.mobius(k)
+    return mu[k], sum(m * (k // n) for n, m in mu.items())
 
 
 def prime_power_base(k: int) -> Optional[int]:

@@ -122,11 +122,20 @@ def load_field_file(path) -> FieldContext:
 # scans
 
 def _scan(table: FieldTable, disc_cap: int, worker, metadata: dict) -> dict:
-    """One verdict per field with disc <= disc_cap, in (disc, label) order."""
+    """One verdict per field with disc <= disc_cap, in (disc, label) order:
+    `worker(rec, out)` fills `out`, and a `TernlatError` makes it an error."""
     t0 = time.time()
     rows = sorted((r for r in table if r.disc <= disc_cap),
                   key=lambda r: (r.disc, r.label))
-    verdicts = [worker(r) for r in rows]
+    verdicts = []
+    for rec in rows:
+        out = {"label": rec.label, "disc": rec.disc}
+        try:
+            worker(rec, out)
+        except TernlatError as exc:
+            out["status"] = "error"
+            out["error"] = f"{type(exc).__name__}: {exc}"
+        verdicts.append(out)
     return {
         "metadata": dict(metadata, max_disc=disc_cap,
                          fields_scanned=len(rows),
@@ -143,38 +152,31 @@ def scan_small_condition(table: FieldTable, disc_cap: int,
     span of {1, sqrt2}?  Exceptional fields are reported with witnesses."""
     require_count("ceiling", ceiling)
 
-    def worker(rec: FieldRecord) -> dict:
-        out = {"label": rec.label, "disc": rec.disc}
+    def worker(rec: FieldRecord, out: dict) -> None:
         if rec.sqrt2 is None:
             out["status"] = "not-applicable"
-            return out
+            return
         if unit_filter and rec.h_plus != rec.h:
-            out["status"] = "filtered"
-            out["h_plus_over_h"] = rec.h_plus // rec.h
-            return out
-        try:
-            ctx = table.context(rec.label)
-            lam = 2 + ctx.sqrt2
-            t0 = time.time()
-            w3 = sqrt2_span_witnesses(ctx, 3 * lam, ceiling)
-            w6 = sqrt2_span_witnesses(ctx, ctx.from_rational(6), ceiling)
-            box3 = solution_box(DominanceQuery(ctx, 3 * lam), ceiling)
-            box6 = solution_box(DominanceQuery(ctx, ctx.from_rational(6)),
-                                ceiling)
-            out.update({
-                "status": "ok",
-                "exceptional_3lambda": bool(w3),
-                "witnesses_3lambda": [list(w.coords) for w in w3],
-                "exceptional_6": bool(w6),
-                "witnesses_6": [list(w.coords) for w in w6],
-                "box_3lambda": box3.to_dict(),
-                "box_6": box6.to_dict(),
-                "seconds": round(time.time() - t0, 3),
-            })
-        except TernlatError as exc:
-            out["status"] = "error"
-            out["error"] = f"{type(exc).__name__}: {exc}"
-        return out
+            out.update(status="filtered", h_plus_over_h=rec.h_plus // rec.h)
+            return
+        ctx = table.context(rec.label)
+        lam = 2 + ctx.sqrt2
+        t0 = time.time()
+        w3 = sqrt2_span_witnesses(ctx, 3 * lam, ceiling)
+        w6 = sqrt2_span_witnesses(ctx, ctx.from_rational(6), ceiling)
+        box3 = solution_box(DominanceQuery(ctx, 3 * lam), ceiling)
+        box6 = solution_box(DominanceQuery(ctx, ctx.from_rational(6)),
+                            ceiling)
+        out.update({
+            "status": "ok",
+            "exceptional_3lambda": bool(w3),
+            "witnesses_3lambda": [list(w.coords) for w in w3],
+            "exceptional_6": bool(w6),
+            "witnesses_6": [list(w.coords) for w in w6],
+            "box_3lambda": box3.to_dict(),
+            "box_6": box6.to_dict(),
+            "seconds": round(time.time() - t0, 3),
+        })
 
     return _scan(table, disc_cap, worker,
                  {"command": "small-condition", "unit_filter": unit_filter,
@@ -201,16 +203,13 @@ def scan_obstructions(table: FieldTable, disc_cap: int, pool_size: int = 40,
     require_count("pool size", pool_size)
     require_count("ceiling", ceiling)
 
-    def worker(rec: FieldRecord) -> dict:
-        out = {"label": rec.label, "disc": rec.disc, "h": rec.h,
-               "h_plus": rec.h_plus}
+    def worker(rec: FieldRecord, out: dict) -> None:
+        out.update(h=rec.h, h_plus=rec.h_plus)
         if rec.h_plus != rec.h:
             out["status"] = "excluded-by-narrow-class-structure"
-            return out
-        if rec.h == 1:
+        elif rec.h == 1:
             out["status"] = "covered-by-free-lattice-theorem"
-            return out
-        try:
+        else:
             ctx = table.context(rec.label)
             t0 = time.time()
             cert = obstruction_search(ctx, pool_size, ceiling)
@@ -220,10 +219,6 @@ def scan_obstructions(table: FieldTable, disc_cap: int, pool_size: int = 40,
             else:
                 out["status"] = "certificate"
                 out["certificate"] = cert.to_dict()
-        except TernlatError as exc:
-            out["status"] = "error"
-            out["error"] = f"{type(exc).__name__}: {exc}"
-        return out
 
     return _scan(table, disc_cap, worker,
                  {"command": "obstruct", "pool_size": pool_size,

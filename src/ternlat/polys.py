@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .intervals import Interval, Numerators
 
@@ -431,15 +431,22 @@ def refine_root(p: Sequence[Coeff], iv: Interval, max_width: Fraction) -> Interv
     return Interval(Fraction(a, b), Fraction(a + h, b))
 
 
+def mobius(k: int) -> Dict[int, int]:
+    """{n: mu(n)} over the divisors n of k, in increasing order, from the
+    divisor sums sum(mu(e) for e | n) = [n = 1]."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    mu: Dict[int, int] = {}
+    for n in (n for n in range(1, k + 1) if k % n == 0):
+        mu[n] = (n == 1) - sum(mu[e] for e in mu if n % e == 0)
+    return mu
+
+
 def cyclotomic(k: int) -> List[int]:
     """k-th cyclotomic polynomial, the product of (x^d - 1)^mu(k/d) over
     the divisors d of k: shifts and subtractions, then exact synthetic
-    divisions.  mu comes from sum(mu(e) for e | n) = [n = 1]."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    mu = {}
-    for n in (n for n in range(1, k + 1) if k % n == 0):
-        mu[n] = (n == 1) - sum(mu[e] for e in mu if n % e == 0)
+    divisions."""
+    mu = mobius(k)
     out = [1]
     for d in mu:
         if mu[k // d] == 1:                 # out (x^d - 1)

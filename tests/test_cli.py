@@ -1,10 +1,13 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ternlat.cli import main, parse_element
+from ternlat.errors import TernlatError
 from ternlat.numberfield import sqrt2_context
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +26,58 @@ def test_parse_element():
     assert parse_element(ctx, "5+3*sqrt2") == 5 + 3 * ctx.sqrt2
     assert parse_element(ctx, "-sqrt2") == -ctx.sqrt2
     assert parse_element(ctx, "2-sqrt2") == 2 - ctx.sqrt2
+
+
+@st.composite
+def expressions(draw, depth=3):
+    """(text, a, b, compound): a bound over ASCII integers and sqrt2 with
+    +, -, *, unary minus, parentheses and spaces, together with its value
+    a + b*sqrt2, computed alongside the text."""
+    def sp():
+        return draw(st.sampled_from(["", " ", "  ", "\t"]))
+
+    def operand(t, compound):
+        # a compound operand is always parenthesised, a leaf sometimes
+        return f"({sp()}{t}{sp()})" if compound or draw(st.booleans()) else t
+
+    kinds = ["int", "sqrt2"] + (["neg", "+", "-", "*"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        n = draw(st.integers(0, 10 ** 12))
+        return str(n), n, 0, False
+    if kind == "sqrt2":
+        return "sqrt2", 0, 1, False
+    t, a, b, compound = draw(expressions(depth - 1))
+    if kind == "neg":
+        return f"-{sp()}{operand(t, compound)}", -a, -b, True
+    t2, a2, b2, compound2 = draw(expressions(depth - 1))
+    text = f"{operand(t, compound)}{sp()}{kind}{sp()}{operand(t2, compound2)}"
+    if kind == "+":
+        return text, a + a2, b + b2, True
+    if kind == "-":
+        return text, a - a2, b - b2, True
+    return text, a * a2 + 2 * b * b2, a * b2 + a2 * b, True
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(), st.sampled_from(["", " ", "\t "]),
+       st.sampled_from(["", " ", " \n"]))
+def test_parse_element_matches_built_value(expr, lead, trail):
+    ctx = sqrt2_context()
+    text, a, b, _ = expr
+    expected = ctx.from_rational(a) + ctx.from_rational(b) * ctx.sqrt2
+    assert parse_element(ctx, lead + text + trail) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "2sqrt2", "sqrt22", "+3", "2**3", "1/2", "1_0", "0x1", "3.0", "True",
+    "07", "\u0663", "\u00b2", "(3", "3)", "", "x",
+    "6 # six", "3 \\\n+ 4", "3\n+4", "\uff53\uff51\uff52\uff54\uff12",
+    "-" * 5000 + "3",
+], ids=lambda t: repr(t) if len(t) < 20 else f"{len(t)}-chars")
+def test_parse_element_rejects(text):
+    with pytest.raises(TernlatError):
+        parse_element(sqrt2_context(), text)
 
 
 def test_small_elements(capsys, fields_dir):
@@ -144,11 +199,14 @@ def test_bad_expression_is_item_error(capsys, fields_dir):
     ["scan", "--fields", "quartic_sqrt2.jsonl", "--ceiling", "0"],
     ["scan", "--fields", "quartic_sqrt2.jsonl", "--command", "obstruct",
      "--max-disc", "60000", "--ceiling", "-3"],
+    ["small-elements", "--field", "qsqrt2.json", "--bound", "\u00b2"],
+    ["small-elements", "--field", "qsqrt2.json", "--bound", "1" * 5000],
 ], ids=["bound-zero", "bound-negative", "diag-zero", "trace-bound-low",
         "classify-no-sqrt2", "overlattice-no-sqrt2", "obstruct-narrow",
         "unknown-label", "ceiling-zero", "obstruct-pool-negative",
         "obstruct-pool-zero", "scan-pool-negative", "scan-ceiling-zero",
-        "scan-ceiling-negative"])
+        "scan-ceiling-negative", "bound-superscript-two",
+        "bound-5000-digits"])
 def test_bad_input_is_an_error_line(capsys, fields_dir, argv):
     i = argv.index("--fields" if "--fields" in argv else "--field") + 1
     argv = argv[:i] + [str(fields_dir / argv[i])] + argv[i + 1:]
@@ -160,6 +218,16 @@ def test_bad_input_is_an_error_line(capsys, fields_dir, argv):
     assert "certificate" not in captured.out
 
 
+def test_scan_error_verdicts_exit_1(capsys, fields_dir):
+    # a ceiling of 1 is below every box: the scan completes with seven
+    # error verdicts and exits 1
+    code, out = run(capsys, "scan",
+                    "--fields", str(fields_dir / "quartic_sqrt2.jsonl"),
+                    "--ceiling", "1")
+    assert code == 1
+    assert out.count(" error\n") == 7
+
+
 def _readme_invocations():
     """The `ternlat ...` commands of the README's CLI block, as argv lists."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -167,6 +235,27 @@ def _readme_invocations():
     commands = block.replace("\\\n", " ").splitlines()
     return [shlex.split(c, comments=True)[1:] for c in commands
             if c.startswith("ternlat ")]
+
+
+# sha256 of each README invocation's report, in README order, as
+# json.dumps(report, sort_keys=True) without the timing fields `seconds`
+# and `elapsed_seconds`; pinned before the handlers shared one `_emit`
+GOLDEN_README_REPORTS = [
+    "24976165b20989b6981c43ddcf7b8230aa97307d6b9507655d856bf928d65620",
+    "3a4eeda42dae97d78f2f8d571ae649fdd487791d50c70a1d1853e227110e0e2e",
+    "c6ddec34d9b28b0b272ea1d1d635a0a9bef4742da16af8177febcd0f8bafbbff",
+    "a87056dcb33c1330b47b9403c98a8477d7ee0b6e1b1d6181c03eb2c504d6dafc",
+    "bbf6720d14add29b9f8727ba2d9a1249f56d0c9e9000bc0e25287ab32b1ad0a5",
+    "f2a1f5c716250b4c0073bdae1333828081c430cfcfc999f3dcb057a639b69753",
+    "9fd6a3e5a64d50cfe35a5dcf8d6c9b03d96583a6ecbb1ad9e03029f4576f2ef4",
+    "c20e2639934e242efc06b44112a0dcc422048a1b32712f697d558ab2a199e2e8",
+    "0d4614953ed8a32a2ec692fab4d3e6048c4183e4f95df3bfab35366a51b4f15f",
+    "aa8e94dd5aa9ede953bb89be1a0216f2542f68d7102deb4a2d2fa867b1ccbf40",
+    "048001349f991d50161d47b4cd18b55477d7d2189b462cdfca809dbd8e5d36a1",
+    "31e8af2c5afeb6c72fe8346847e209fd06ae1caed745ed93dfb2b1be839d255d",
+    "0f77b925c4bc2baadbde0a6e9972d1c77b321f4a492d98915bade3036fef071e",
+    "f5e2c5a9b9bf5141fc331a079cbd5ace1856fa99c8ee22e9e096a981a6f0a1be",
+]
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):
@@ -179,4 +268,10 @@ def test_readme_examples_run(tmp_path, monkeypatch):
             argv = argv[:i] + argv[i + 2:]
         out_path = tmp_path / f"{n}.json"
         assert main(argv + ["--out", str(out_path)]) == 0, argv
-        assert "verdicts" in json.loads(out_path.read_text()), argv
+        report = json.loads(out_path.read_text())
+        assert "verdicts" in report, argv
+        report["metadata"].pop("elapsed_seconds", None)
+        for v in report["verdicts"]:
+            v.pop("seconds", None)
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+        assert digest.hexdigest() == GOLDEN_README_REPORTS[n], argv

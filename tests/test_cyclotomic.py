@@ -15,6 +15,23 @@ def test_mobius_phi():
     assert mobius_phi(8) == (0, 4)
 
 
+def test_mobius_phi_against_trial_division():
+    for k in range(1, 2001):
+        # mu and phi from a factorisation of k by trial division
+        mu, phi, n, p = 1, 1, k, 2
+        while n > 1:
+            if p * p > n:
+                p = n
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            if e:
+                mu = 0 if e > 1 else -mu
+                phi *= (p - 1) * p ** (e - 1)
+            p += 1
+        assert mobius_phi(k) == (mu, phi), k
+
+
 def test_prime_power_base():
     assert prime_power_base(9) == 3
     assert prime_power_base(8) == 2

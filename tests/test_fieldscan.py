@@ -84,6 +84,33 @@ def test_scan_boxes_are_unchanged(fields_dir):
     assert digest.hexdigest() == GOLDEN_SCAN_BOXES
 
 
+# sha256 of json.dumps(errors, sort_keys=True) over the error verdicts of
+# the three scans below, pinned before `_scan` took over the error verdict
+GOLDEN_ERROR_VERDICTS = \
+    "e16282b1890e0bea64424d402b118ee0e09729d86ed83aab0da4ac4aaa1c9886"
+
+
+def test_scan_error_verdicts(fields_dir):
+    # a ceiling of 1 is below every box, so each field that reaches a
+    # search gets an error verdict and the scan goes on
+    table = ingest_fields(fields_dir / "quartic_sqrt2.jsonl")
+    reports = [scan_small_condition(table, 20000, ceiling=1),
+               scan_small_condition(table, 20000, unit_filter=False,
+                                    ceiling=1),
+               scan_obstructions(table, 250000, ceiling=1)]
+    small = {"label", "disc", "status", "error"}
+    errors = []
+    for rep, keys in zip(reports, (small, small, small | {"h", "h_plus"})):
+        for v in rep["verdicts"]:
+            if v["status"] == "error":
+                assert set(v) == keys
+                assert v["error"].startswith("BoxTooLarge: ")
+                errors.append(v)
+    assert len(errors) == 26
+    digest = hashlib.sha256(json.dumps(errors, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_ERROR_VERDICTS
+
+
 def test_scan_witnesses_reverify(table):
     rep = scan_small_condition(table, 20000, unit_filter=True)
     for v in rep["verdicts"]:
