@@ -16,7 +16,6 @@ from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           is_indecomposable)
 from .errors import MismatchAgainstFormula, UnsupportedK
 from .numberfield import Element, FieldContext, FieldRecord, load_field
-from .orders import factorize
 
 
 def mobius_phi(k: int) -> Tuple[int, int]:
@@ -27,7 +26,7 @@ def mobius_phi(k: int) -> Tuple[int, int]:
 
 def prime_power_base(k: int) -> Optional[int]:
     """p when k = p^n with n >= 1, else None."""
-    primes = list(factorize(k)) if k >= 2 else []
+    primes = list(polys.factorize(k)) if k >= 2 else []
     return primes[0] if len(primes) == 1 else None
 
 

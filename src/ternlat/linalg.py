@@ -1,9 +1,10 @@
 """Exact linear algebra over Q, over small matrices of any commutative ring
 and over Euclidean rings, plus a verified inverse of interval matrices.
 
-One elimination per kind of problem: fraction-free Bareiss
-(`adjugate_solve`) for every exact square system, Gauss-Jordan
-(`row_reduce`) for the float midpoint inverse of `interval_inverse` and for
+One elimination per kind of problem: fraction-free Bareiss (`_bareiss`)
+for every exact square system (`adjugate_solve`) and for the Gram-Schmidt
+data of the integral LLL (`lll`), Gauss-Jordan (`row_reduce`) for the
+float midpoint inverse of `interval_inverse` and for
 `FieldContext.rational_span_coords`, `euclid_rows` for echelons over
 Euclidean rings, and Laplace expansion (`ring_det`) for determinants over
 any commutative ring.
@@ -59,36 +60,45 @@ def transpose(a: Sequence[Sequence]) -> Mat:
     return [list(col) for col in zip(*a)]
 
 
-def adjugate_solve(a: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
-                   ) -> Tuple[int, List[List[int]]]:
-    """det(a) and adj(a) c for each integer column c, for square integer
-    a: one fraction-free Bareiss elimination of [a | cols] (*Math. Comp.* 22,
-    1968; Cohen, GTM 138, section 2.2), then back substitution scaled by
-    det(a).  Every division is exact: by a minor in the elimination, and to
-    an entry of adj(a) c in the substitution.  A singular a gives det 0 and
-    no columns."""
-    n = len(a)
-    width = n + len(cols)
-    m = [list(map(int, row)) + [int(c[i]) for c in cols]
-         for i, row in enumerate(a)]
+def _bareiss(m: List[List[int]]) -> int:
+    """Fraction-free Bareiss elimination (*Math. Comp.* 22, 1968; Cohen,
+    GTM 138, section 2.2) of the integer rows m in place, over their first
+    len(m) columns; returns the sign of the row swaps, or 0 when a column
+    has no pivot.  Every division is exact, by the previous pivot.  When no
+    row is swapped, m[i][i] is the leading principal minor of order i + 1
+    and m[i][j], j > i, the minor on rows 0..i and columns 0..i-1, j."""
+    n = len(m)
+    width = len(m[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             r = next((r for r in range(k + 1, n) if m[r][k]), None)
             if r is None:
-                return 0, []
+                return 0
             m[k], m[r], sign = m[r], m[k], -sign
         for i in range(k + 1, n):
             for j in range(k + 1, width):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    det = sign * m[n - 1][n - 1]
+    return sign
+
+
+def adjugate_solve(a: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
+                   ) -> Tuple[int, List[List[int]]]:
+    """det(a) and adj(a) c for each integer column c, for square integer
+    a: one `_bareiss` elimination of [a | cols], then back substitution
+    scaled by det(a), whose divisions give entries of adj(a) c exactly.  A
+    singular a gives det 0 and no columns."""
+    n = len(a)
+    m = [list(map(int, row)) + [int(c[i]) for c in cols]
+         for i, row in enumerate(a)]
+    det = _bareiss(m) * m[n - 1][n - 1]
     if not det:
         return 0, []
     out = []
-    for c in range(n, width):
+    for c in range(n, n + len(cols)):
         x = [0] * n
         for i in range(n - 1, -1, -1):
             row = m[i]
@@ -113,6 +123,49 @@ def det(a: Sequence[Sequence]) -> Fraction:
     rows = [clear_denominators(row) for row in a]
     return Fraction(det_int([nums for nums, _ in rows]),
                     prod(den for _, den in rows))
+
+
+def lll(gram: Sequence[Sequence[int]]) -> List[List[int]]:
+    """A unimodular integer U with U gram U^T LLL-reduced for delta = 3/4
+    (Lenstra, Lenstra and Lovasz, *Math. Ann.* 261, 1982), gram a positive
+    definite symmetric integer matrix: integral LLL (Cohen, GTM 138,
+    Algorithm 2.6.7).  Row i of U holds b_i in the input basis.
+
+    Each step reads the Gram-Schmidt data of b_0..b_k afresh off one
+    `_bareiss` elimination m of their Gram matrix: d_j = m[j][j] and
+    lambda_kj = m[j][k] = d_j mu_kj.  b_k is size-reduced against
+    b_(k-1), ..., b_0 by q = floor(mu_kj + 1/2), which changes only rows
+    0..j of column k.  The Lovasz condition d_k / d_(k-1) >= (3/4 - mu^2)
+    d_(k-1) / d_(k-2), mu = mu_k,k-1 and d_(-1) = 1, taken times
+    4 d_(k-1) d_(k-2), moves on to k + 1, or else b_k and b_(k-1) swap.
+    Raises RuntimeError after 10000 steps.
+    """
+    n = len(gram)
+    g = [list(map(int, row)) for row in gram]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    k = 1
+    steps = 0
+    while k < n:
+        steps += 1
+        if steps > 10000:
+            raise RuntimeError("LLL did not finish in 10000 steps")
+        # g is symmetric, so its rows are its columns
+        ug = [[sum(map(mul, row, col)) for col in g] for row in u[:k + 1]]
+        m = [[sum(map(mul, a, b)) for b in u[:k + 1]] for a in ug]
+        _bareiss(m)
+        for j in range(k - 1, -1, -1):
+            q = (2 * m[j][k] + m[j][j]) // (2 * m[j][j])
+            if q:
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                for i in range(j + 1):
+                    m[i][k] -= q * m[i][j]
+        d2 = m[k - 2][k - 2] if k > 1 else 1
+        if 4 * m[k][k] * d2 >= 3 * m[k - 1][k - 1] ** 2 - 4 * m[k - 1][k] ** 2:
+            k += 1
+        else:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            k = max(k - 1, 1)
+    return u
 
 
 def row_reduce(m: Mat, ncols: int) -> List[int]:
@@ -217,11 +270,6 @@ def ring_bilinear(u: Sequence, g: Sequence[Sequence], v: Sequence):
     terms = [ui * g[i][j] * vj for i, ui in enumerate(u) if ui
              for j, vj in enumerate(v) if vj]
     return sum(terms[1:], terms[0]) if terms else g[0][0] - g[0][0]
-
-
-def nearest_int(q: Fraction) -> int:
-    """The integer nearest to q, halves rounded up."""
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
 
 
 def euclid_rows(rows: Sequence[Sequence], quotient, size) -> List[list]:

@@ -6,7 +6,7 @@ prime whose square divides its discriminant with round-2 steps (Cohen,
 *A Course in Computational Algebraic Number Theory*, GTM 138, section 6.1):
 each step replaces the order by the multiplier ring of its q-radical, until
 the discriminant stops changing.  The basis is then LLL-reduced against the
-trace form.
+trace form by the integral `linalg.lll`.
 
 `find_units` searches unit generators of a field context whose classes are
 independent modulo squares, and derives the index of the squares among the
@@ -31,20 +31,6 @@ from .numberfield import (FieldContext, basis_mult_table, mult_matrix,
 # ---------------------------------------------------------------------------
 # integer utilities
 
-def factorize(n: int) -> dict:
-    n = abs(n)
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def hnf_rows(mat):
     """Row-style Hermite reduction over Z (returns independent rows, each
     pivot positive)."""
@@ -62,43 +48,24 @@ def integral_kernel_mod(a_rows, modulus, dim):
         cols.append([modulus if r == i else 0 for r in range(nrows)])
     ncols = len(cols)
     u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def colop(j, k, q):  # col_j -= q * col_k
-        cols[j] = [x - q * y for x, y in zip(cols[j], cols[k])]
-        u[j] = [x - q * y for x, y in zip(u[j], u[k])]
-
     pivot_cols = []
     for r in range(nrows):
         live = [j for j in range(ncols)
                 if j not in pivot_cols and cols[j][r] != 0]
-        if not live:
-            continue
         while len(live) > 1:
             live.sort(key=lambda j: abs(cols[j][r]))
             piv = live[0]
             for j in live[1:]:
+                # col_j -= q col_piv leaves |col_j[r]| < |col_piv[r]|
                 q = cols[j][r] // cols[piv][r]
-                if q:
-                    colop(j, piv, q)
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[piv])]
+                u[j] = [x - q * y for x, y in zip(u[j], u[piv])]
             live = [j for j in live if cols[j][r] != 0]
-            if len(live) > 1 and all(
-                    abs(cols[j][r]) == abs(cols[live[0]][r]) for j in live):
-                # force progress on equal remainders
-                colop(live[1], live[0],
-                      cols[live[1]][r] // cols[live[0]][r] or 1)
-                live = [j for j in live if cols[j][r] != 0]
-        if live:
-            pivot_cols.append(live[0])
-    kernel = []
-    for j in range(ncols):
-        if j in pivot_cols:
-            continue
-        if any(cols[j][r] != 0 for r in range(nrows)):
-            continue
-        z = u[j][:dim]
-        if any(z):
-            kernel.append(z)
-    return kernel
+        pivot_cols += live
+    # every other column is now zero in every row: its combination u[j] of
+    # the input columns, cut to the first dim, is in the kernel
+    return [u[j][:dim] for j in range(ncols)
+            if j not in pivot_cols and any(u[j][:dim])]
 
 
 # ---------------------------------------------------------------------------
@@ -191,59 +158,19 @@ def enlarge_at(order: Order, q: int) -> Order:
 
 
 def trace_reduce(order: Order) -> Order:
-    """LLL-reduce the order basis with respect to the trace form, so that
-    embeddings are balanced and enumeration boxes are well conditioned."""
-    d = order.d
-    g0 = order.trace_form
-    u = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-    def gram(i, j):
-        return linalg.ring_bilinear(u[i], g0, u[j])
-
-    def mu_and_norms():
-        mu = [[Fraction(0)] * d for _ in range(d)]
-        bstar = [Fraction(0)] * d
-        for i in range(d):
-            bstar[i] = gram(i, i)
-            for j in range(i):
-                mu[i][j] = gram(i, j)
-                for k in range(j):
-                    mu[i][j] -= mu[i][k] * mu[j][k] * bstar[k]
-                mu[i][j] /= bstar[j]
-                bstar[i] -= mu[i][j] ** 2 * bstar[j]
-        return mu, bstar
-
-    k = 1
-    steps = 0
-    while k < d:
-        steps += 1
-        if steps > 10000:
-            raise RuntimeError(f"trace_reduce of {order.p} did not finish "
-                               "in 10000 steps")
-        mu, bstar = mu_and_norms()
-        for j in range(k - 1, -1, -1):
-            q = linalg.nearest_int(mu[k][j])
-            if q:
-                # b_k -= q b_j leaves every b* alone and changes only row k
-                # of mu
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                muk, muj = mu[k], mu[j]
-                for i in range(j):
-                    muk[i] -= q * muj[i]
-                muk[j] -= q
-        if bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]:
-            k += 1
-        else:
-            u[k], u[k - 1] = u[k - 1], u[k]
-            k = max(k - 1, 1)
-    return Order(order.p, linalg.mat_mul(u, order.basis))
+    """The order with its basis LLL-reduced against the trace form
+    (`linalg.lll`), so that embeddings are balanced and enumeration boxes
+    are well conditioned."""
+    return Order(order.p, linalg.mat_mul(linalg.lll(order.trace_form),
+                                         order.basis))
 
 
 def maximal_order(p) -> Order:
-    """The maximal order of Q[x]/(p), trace-reduced; p monic integer and
-    irreducible."""
+    """The maximal order of Q[x]/(p), trace-reduced; p monic integer,
+    irreducible and totally real, so that the trace form is positive
+    definite as `linalg.lll` requires."""
     order = Order(p, linalg.identity(len(p) - 1))
-    for q, e in sorted(factorize(order.disc).items()):
+    for q, e in sorted(polys.factorize(order.disc).items()):
         if e < 2:
             continue
         while True:

@@ -431,15 +431,32 @@ def refine_root(p: Sequence[Coeff], iv: Interval, max_width: Fraction) -> Interv
     return Interval(Fraction(a, b), Fraction(a + h, b))
 
 
+def factorize(n: int) -> Dict[int, int]:
+    """{p: e} over the primes p dividing |n|, by trial division."""
+    n = abs(n)
+    out: Dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def mobius(k: int) -> Dict[int, int]:
     """{n: mu(n)} over the divisors n of k, in increasing order, from the
-    divisor sums sum(mu(e) for e | n) = [n = 1]."""
+    factorisation of k: mu(n) is (-1)^r when n is a product of r distinct
+    primes, else 0."""
     if k < 1:
         raise ValueError("k must be positive")
-    mu: Dict[int, int] = {}
-    for n in (n for n in range(1, k + 1) if k % n == 0):
-        mu[n] = (n == 1) - sum(mu[e] for e in mu if n % e == 0)
-    return mu
+    mu = {1: 1}
+    for p, e in factorize(k).items():
+        mu = {n * p ** i: m * (1, -1, 0)[min(i, 2)]
+              for n, m in mu.items() for i in range(e + 1)}
+    return dict(sorted(mu.items()))
 
 
 def cyclotomic(k: int) -> List[int]:

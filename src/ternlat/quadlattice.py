@@ -329,8 +329,7 @@ def _euclid_quotient(a: Element, b: Element) -> Element:
     """q with |N(a - b q)| < |N(b)| in Z[sqrt2] (norm-Euclidean): the
     coordinates of a / b rounded to the nearest integers."""
     x = a / b
-    return a.ctx.element([linalg.nearest_int(Fraction(c, x.den))
-                          for c in x.coords])
+    return a.ctx.element([(2 * c + x.den) // (2 * x.den) for c in x.coords])
 
 
 def hnf_row_basis_sqrt2(ctx: FieldContext,

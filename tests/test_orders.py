@@ -3,17 +3,21 @@
 Each result is checked against a route that shares no code with the order
 arithmetic: closed-form discriminants of biquadratic fields, the power
 order of a cyclotomic field, the shipped table, and the trace form built
-from `load_field`'s multiplication table alone.
+from `load_field`'s multiplication table alone.  The integer `linalg.lll`
+is checked against a `Fraction` LLL kept here, with its own Gram-Schmidt.
 """
 
 import subprocess
 import sys
+from fractions import Fraction as F
+from math import floor, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import trace_form
-from ternlat import linalg, orders
+from ternlat import linalg, orders, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import sqrt_element
 from ternlat.linalg import det_int
@@ -125,3 +129,95 @@ def test_field_table_script_runs(tmp_path):
     for name in names:
         want = (shipped / name).read_bytes()
         assert (tmp_path / name).read_bytes() == want, name
+
+
+# ---------------------------------------------------------------------------
+# integer LLL against a `Fraction` reference that shares no code with linalg
+
+def congruent(u, g):
+    """U g U^T."""
+    return [[sum(x * g[i][j] * y for i, x in enumerate(a) if x
+                 for j, y in enumerate(b) if y) for b in u] for a in u]
+
+
+def fraction_gram_schmidt(g):
+    """(mu, bstar) of the basis with Gram matrix g, over Fractions."""
+    n = len(g)
+    mu = [[F(0)] * n for _ in range(n)]
+    bstar = [F(0)] * n
+    for i in range(n):
+        bstar[i] = F(g[i][i])
+        for j in range(i):
+            mu[i][j] = F(g[i][j])
+            for k in range(j):
+                mu[i][j] -= mu[i][k] * mu[j][k] * bstar[k]
+            mu[i][j] /= bstar[j]
+            bstar[i] -= mu[i][j] ** 2 * bstar[j]
+    return mu, bstar
+
+
+def fraction_lll(g):
+    """The LLL that `orders.trace_reduce` ran on `Fraction`s before
+    `linalg.lll`: Gram-Schmidt afresh at every step, size reduction by the
+    nearest integer with halves up, delta = 3/4."""
+    n = len(g)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    k = 1
+    while k < n:
+        mu, bstar = fraction_gram_schmidt(congruent(u, g))
+        for j in range(k - 1, -1, -1):
+            q = floor(mu[k][j] + F(1, 2))
+            if q:
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if bstar[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            k = max(k - 1, 1)
+    return u
+
+
+def check_lll(g):
+    """linalg.lll(g) is the reference's U, unimodular, and U g U^T is
+    size-reduced and meets the Lovasz condition."""
+    u = linalg.lll(g)
+    assert u == fraction_lll(g)
+    mu, bstar = fraction_gram_schmidt(congruent(u, g))
+    # U is integral, so det U = +-1 iff det(U g U^T) = det(g)
+    assert prod(bstar) == prod(fraction_gram_schmidt(g)[1])
+    n = len(g)
+    assert all(abs(mu[i][j]) <= F(1, 2) for i in range(n) for j in range(i))
+    assert all(bstar[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]
+               for k in range(1, n))
+
+
+def test_lll_on_table_trace_forms(table):
+    for rec in table:
+        check_lll(trace_form(table.context(rec.label).mult_table)[1])
+
+
+@pytest.mark.parametrize("k", [16, 24, 32, 40, 48, 56, 60])
+def test_lll_on_cyclotomic_hankel_forms(k):
+    # the trace form of the power basis: Tr(t^i t^j) = s_(i+j)
+    info = cyclo_info(k)
+    d = info.field.degree
+    s = polys.power_sums(list(info.minpoly_cos), 2 * d - 2)
+    check_lll([[int(s[i + j]) for j in range(d)] for i in range(d)])
+
+
+@st.composite
+def nonsingular(draw):
+    n = draw(st.integers(1, 6))
+    b = [draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+         for _ in range(n)]
+    assume(linalg.det_int(b))
+    return b
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonsingular())
+def test_lll_on_random_gram_matrices(b):
+    check_lll([[sum(x * y for x, y in zip(r, s)) for s in b] for r in b])
