@@ -707,30 +707,37 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
+def small_norm_elements(ctx: FieldContext, house_bound: Fraction,
+                        norm_bound: int, ceiling: int = DEFAULT_CEILING
+                        ) -> List[Tuple[Element, Fraction]]:
+    """Pairs (w, |N(w)|), in `dominated_elements` order, of the nonzero
+    integral w with house(w) <= house_bound and |N(w)| <= norm_bound.  A w
+    takes the exact resultant norm only when the product of its least
+    |sigma_i(w)| over the fixed-point enclosures (0 for one that holds
+    zero) is at most norm_bound."""
+    bound = ctx.from_rational(Fraction(house_bound) ** 2)
+    # each fixed-point bound is in units of 2^-INT_BITS, a product of d of
+    # them in units of 2^-(INT_BITS * d)
+    limit = norm_bound << ctx.INT_BITS * ctx.degree
+    out = []
+    for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED,
+                                ceiling):
+        if w.is_zero or prod(lo if lo > 0 else max(-hi, 0) for lo, hi in zip(
+                ctx.fixed_point_bounds(w, upper=False),
+                ctx.fixed_point_bounds(w, upper=True))) > limit:
+            continue
+        n = abs(w.norm())
+        if n <= norm_bound:
+            out.append((w, n))
+    return out
+
+
 def elements_of_norm(ctx: FieldContext, n: int, house_bound: Fraction,
                      totally_positive: bool = False,
                      ceiling: int = DEFAULT_CEILING) -> List[Element]:
     """All integral elements with |norm| = n and house <= house_bound."""
-    bound = ctx.from_rational(Fraction(house_bound) ** 2)
-    # each fixed-point bound is in units of 2^-INT_BITS, a product of d of
-    # them in units of 2^-(INT_BITS * d)
-    target = n << ctx.INT_BITS * ctx.degree
-    out = []
-    for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED, ceiling):
-        # fixed-point enclosure of the norm rules out most candidates
-        plo = phi = 1
-        for lo, hi in zip(ctx.fixed_point_bounds(w, upper=False),
-                          ctx.fixed_point_bounds(w, upper=True)):
-            ps = (plo * lo, plo * hi, phi * lo, phi * hi)
-            plo, phi = min(ps), max(ps)
-        if not (plo <= target <= phi or plo <= -target <= phi):
-            continue
-        if abs(w.norm()) != n:
-            continue
-        if totally_positive and not w.is_totally_positive():
-            continue
-        out.append(w)
-    return out
+    return [w for w, m in small_norm_elements(ctx, house_bound, n, ceiling)
+            if m == n and (not totally_positive or w.is_totally_positive())]
 
 
 _SQUAREFREE_PAD = 4

@@ -5,6 +5,10 @@ The on-disk table format is one JSON object per line with keys `label`,
 strings over the power basis), `disc`, `h`, `h_plus`, and optionally
 `units` (pairs [coords, den]) and `sqrt2` (integer coordinates).  Reports
 are plain dictionaries so they serialize to JSON unchanged.
+
+`verify_identities` decides nothing in floating point: its identities are
+`MPoly` equalities and its bound constant is compared as `Fraction`s;
+floats only render the proven values.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .enumeration import (DEFAULT_CEILING, DominanceQuery, require_count,
 from .errors import (IdentityMismatch, InvalidInput, ParseError,
                      TernlatError, ValidationError)
 from .intervals import sqrt_lower, sqrt_upper
-from .numberfield import Element, FieldContext, FieldRecord, load_field
+from .numberfield import FieldContext, FieldRecord, load_field, sqrt2_context
 from .obstruction import obstruction_search
 from .polys import MPoly
 
@@ -274,64 +278,60 @@ def sum_of_squares_identities(ctx: FieldContext) -> List[dict]:
     return results
 
 
-def _gap_product(xs) -> float:
-    total = 1.0
-    n = len(xs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total *= abs(xs[i] - xs[j])
-    return total
-
-
-_GAP_GRID = 13          # grid points per axis of the coarse search
-_GAP_REFINEMENTS = 40   # rounds of coordinate steps after the grid
+# the square of `quartic_gap_maximum`, a factor of the degree-4 disc bound
+GAP_SQUARE_MAX = Fraction(2 ** 12, 5 ** 5)
 
 
 def quartic_gap_maximum() -> dict:
-    """Maximize the product of pairwise gaps over [-1,1]^4.
+    """The largest product of the six pairwise gaps of four points in
+    [-1, 1], 2^6 5^(-5/2) at -1, -1/sqrt5, 1/sqrt5, 1, proved exactly.
 
-    A refining grid search plus the analytic critical point; the closed-form
-    value is 2^6 * 5^(-5/2).
+    Moving sorted points affinely to x_1 = -1, x_4 = 1 multiplies every gap
+    by 2 / (x_4 - x_1) >= 1, leaving g = 2(1 - b^2)(1 - c^2)(c - b), b = x_2
+    <= c = x_3.  With t = b^2 + c^2, (2 - t)^2 - 4(1 - b^2)(1 - c^2) =
+    (b^2 - c^2)^2 and 2t - (c - b)^2 = (b + c)^2 give g^2 <= t(2 - t)^4 / 2.
+    With u = 2 - t >= 0, 8192 - 3125 t(2 - t)^4 = (5t - 2)^2 (125u^3 +
+    150u^2 + 160u + 128) >= 0, so g^2 <= 2^12 / 5^5, which b = -c, b^2 =
+    1/5 attains.  Raises IdentityMismatch when an identity (an `MPoly`
+    equality) or the attained value (in `Fraction`s) fails; the returned
+    floats only render the proven values.
     """
+    b, c = MPoly.var(0, 2), MPoly.var(1, 2)
+    one = MPoly.const(1, 2)
+    t = b * b + c * c
+    u = one * 2 - t
+    cofactor = MPoly()
+    for a in (125, 150, 160, 128):
+        cofactor = cofactor * u + one * a
+    identities = [
+        (u * u - (one - b * b) * (one - c * c) * 4,
+         (b * b - c * c) * (b * b - c * c)),
+        (t * 2 - (c - b) * (c - b), (b + c) * (b + c)),
+        (one * 8192 - t * u * u * u * u * 3125,
+         (t * 5 - one * 2) * (t * 5 - one * 2) * cofactor),
+    ]
+    for k, (lhs, rhs) in enumerate(identities, start=1):
+        if lhs != rhs:
+            raise IdentityMismatch(f"gap maximum: identity {k} fails")
+    b2 = Fraction(1, 5)     # g^2 at c = -b: 4 (1 - b^2)^4 (2b)^2
+    if 4 * (1 - b2) ** 4 * 4 * b2 != GAP_SQUARE_MAX:
+        raise IdentityMismatch("gap maximum: 2^12/5^5 is not attained")
     closed = 64 / (25 * math.sqrt(5))
-    pts = [-1 + 2 * i / (_GAP_GRID - 1) for i in range(_GAP_GRID)]
-    best, argbest = -1.0, None
-    for a in pts:
-        for b in pts:
-            for c in pts:
-                for d in pts:
-                    v = _gap_product((a, b, c, d))
-                    if v > best:
-                        best, argbest = v, (a, b, c, d)
-    step = 2 / (_GAP_GRID - 1)
-    for _ in range(_GAP_REFINEMENTS):
-        step *= 0.7
-        improved = False
-        base = argbest
-        for dim in range(4):
-            for delta in (-step, step):
-                cand = list(base)
-                cand[dim] = min(1.0, max(-1.0, cand[dim] + delta))
-                v = _gap_product(cand)
-                if v > best:
-                    best, argbest = v, tuple(cand)
-                    improved = True
-        if not improved and step < 1e-12:
-            break
-    crit = (-1.0, -1 / math.sqrt(5), 1 / math.sqrt(5), 1.0)
-    vcrit = _gap_product(crit)
-    if vcrit > best:
-        best, argbest = vcrit, crit
-    return {"maximum": best, "closed_form": closed,
-            "error": abs(best - closed), "argmax": argbest}
+    return {"maximum": closed, "closed_form": closed, "error": 0.0,
+            "argmax": (-1.0, -1 / math.sqrt(5), 1 / math.sqrt(5), 1.0)}
+
+
+def _disc_bound() -> Tuple[Fraction, Fraction]:
+    """Rational bounds on (2^12/5^5) * (6 + 3 sqrt2)^6."""
+    a, b = 577368, 408240            # (6 + 3 sqrt2)^6 = a + b sqrt2
+    return (GAP_SQUARE_MAX * (a + b * sqrt_lower(2)),
+            GAP_SQUARE_MAX * (a + b * sqrt_upper(2)))
 
 
 def discriminant_bound_value() -> dict:
-    """(2^12/5^5) * (6 + 3 sqrt2)^6 with certified rational bounds."""
-    a, b = 577368, 408240            # (6 + 3 sqrt2)^6 = a + b sqrt2
-    factor = Fraction(2 ** 12, 5 ** 5)
-    lo = factor * (a + b * sqrt_lower(2))
-    hi = factor * (a + b * sqrt_upper(2))
+    """(2^12/5^5) * (6 + 3 sqrt2)^6 with certified rational bounds,
+    rendered as floats."""
+    lo, hi = _disc_bound()
     return {"lower": float(lo), "upper": float(hi),
             "value": float((lo + hi) / 2)}
 
@@ -339,20 +339,11 @@ def discriminant_bound_value() -> dict:
 def verify_identities() -> dict:
     """All closed-form checks: the four sum-of-squares identities, the
     pairwise-gap maximum, and the quartic discriminant bound constant."""
-    from .numberfield import sqrt2_context
-    ctx = sqrt2_context()
-    identities = sum_of_squares_identities(ctx)
+    identities = sum_of_squares_identities(sqrt2_context())
     gap = quartic_gap_maximum()
-    if gap["error"] > 1e-9:
-        raise IdentityMismatch(
-            f"gap maximum off by {gap['error']}")
-    shape = sorted(abs(x) for x in gap["argmax"])
-    target = [1 / math.sqrt(5)] * 2 + [1.0, 1.0]
-    if any(abs(x - y) > 1e-6 for x, y in zip(shape, target)):
-        raise IdentityMismatch(f"gap maximizer {gap['argmax']} has wrong shape")
     bound = discriminant_bound_value()
-    if not (abs(bound["lower"] - 1513496.96) <= 0.01
-            and abs(bound["upper"] - 1513496.96) <= 0.01):
+    lo, hi = _disc_bound()
+    if not Fraction("1513496.95") <= lo <= hi <= Fraction("1513496.97"):
         raise IdentityMismatch(f"discriminant bound {bound} out of tolerance")
     return {"sum_of_squares": identities, "gap_maximum": gap,
             "disc_bound": bound, "ok": True}

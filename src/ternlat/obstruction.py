@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           enumerate_representations, is_indecomposable,
-                          require_count, sqrt_element)
+                          require_count, small_norm_elements, sqrt_element)
 from .errors import InvalidInput, UnclassifiedCase
 from .numberfield import (Element, FieldContext, sqrt2_context,
                           unit_square_canonical, unit_square_reduce)
@@ -198,15 +198,9 @@ def candidate_pool(ctx: FieldContext, pool_size: int = 40,
     """
     require_count("pool size", pool_size)
     require_count("ceiling", ceiling)
-    bound = ctx.from_rational(_POOL_HOUSE_BOUND * _POOL_HOUSE_BOUND)
     pool = {}
-    for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED,
-                                ceiling):
-        if w.is_zero:
-            continue
-        n = abs(w.norm())
-        if n > _POOL_NORM_BOUND:
-            continue
+    for w, n in small_norm_elements(ctx, _POOL_HOUSE_BOUND, _POOL_NORM_BOUND,
+                                    ceiling):
         if ctx.units:
             _, w = ctx.totally_positive_associate(w)
             w = unit_square_canonical(w)

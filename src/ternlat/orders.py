@@ -1,12 +1,12 @@
 """Orders in number fields: round-2 maximal orders and unit classes.
 
-An order in Q[x]/(p) is held by its basis rows over the power basis
-1, x, x^2, ...  `maximal_order` saturates the equation order Z[x] at every
-prime whose square divides its discriminant with round-2 steps (Cohen,
-*A Course in Computational Algebraic Number Theory*, GTM 138, section 6.1):
-each step replaces the order by the multiplier ring of its q-radical, until
-the discriminant stops changing.  The basis is then LLL-reduced against the
-trace form by the integral `linalg.lll`.
+An order in Q[x]/(p) is held by integer basis rows over the power basis
+1, x, x^2, ..., over one denominator.  `maximal_order` saturates the
+equation order Z[x] at every prime whose square divides its discriminant
+with round-2 steps (Cohen, *A Course in Computational Algebraic Number
+Theory*, GTM 138, section 6.1): each step replaces the order by the
+multiplier ring of its q-radical, until the discriminant stops changing.
+The basis is then LLL-reduced against the trace form by `linalg.lll`.
 
 `find_units` searches unit generators of a field context whose classes are
 independent modulo squares, and derives the index of the squares among the
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import floordiv, mul
 
 from . import linalg, polys
-from .enumeration import (QueryMode, canonical_sign, dominated_elements,
-                          sqrt_element)
+from .enumeration import canonical_sign, small_norm_elements, sqrt_element
 from .numberfield import (FieldContext, basis_mult_table, mult_matrix,
                           units_by_signature)
 
@@ -68,30 +68,43 @@ def integral_kernel_mod(a_rows, modulus, dim):
             if j not in pivot_cols and any(u[j][:dim])]
 
 
+def _int_mul(a, b):
+    """Product of integer matrices."""
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
 # ---------------------------------------------------------------------------
-# orders in Q[x]/(p): basis rows over the power basis, Fractions
+# orders in Q[x]/(p): integer basis rows over one denominator
 
 class Order:
-    """Z-order in Q[x]/(p), basis rows over the power basis.
-
-    With B the basis matrix and H the Hankel matrix of power sums of the
-    roots of p, H[i][j] = Tr(x^(i+j)), the trace form Tr(b_i b_j) is
-    B H B^T and the discriminant is its determinant.  The inverse of B and
-    the integer multiplication table are built once, on first use.
+    """Z-order in Q[x]/(p): basis rows B = R / den over the power basis, R
+    integer rows, in lowest terms.  With H[i][j] = Tr(x^(i+j)) the Hankel
+    matrix of power sums of the roots of p, the trace form Tr(b_i b_j) =
+    B H B^T = R H R^T / den^2 is integral, so it is formed on integers with
+    one exact division; the discriminant is its determinant.  The
+    `Fraction` view `basis`, its inverse and the integer multiplication
+    table are built once, on first use.
     """
 
-    def __init__(self, p, basis):
+    def __init__(self, p, rows, den: int = 1):
         self.p = list(p)
         self.d = d = len(p) - 1
-        self.basis = [[Fraction(x) for x in row] for row in basis]
+        g = gcd(den, *(x for row in rows for x in row))
+        self.rows = [[x // g for x in row] for row in rows]
+        self.den = den // g
         s = polys.power_sums(self.p, 2 * d - 2)
-        hankel = [[s[i + j] for j in range(d)] for i in range(d)]
-        self.trace_form = linalg.mat_mul(linalg.mat_mul(self.basis, hankel),
-                                         linalg.transpose(self.basis))
-        disc = linalg.det(self.trace_form)
-        if disc.denominator != 1:
-            raise RuntimeError(f"order discriminant {disc} is not integral")
-        self.disc = int(disc)
+        form = _int_mul(_int_mul(self.rows, [s[j:j + d] for j in range(d)]),
+                        linalg.transpose(self.rows))
+        den2 = self.den ** 2
+        if any(x % den2 for row in form for x in row):
+            raise RuntimeError("order trace form is not integral")
+        self.trace_form = [[x // den2 for x in row] for row in form]
+        self.disc = linalg.det_int(self.trace_form)
+
+    @cached_property
+    def basis(self):
+        """B as rows of `Fraction`s."""
+        return [[Fraction(x, self.den) for x in row] for row in self.rows]
 
     @cached_property
     def inverse(self):
@@ -152,24 +165,23 @@ def enlarge_at(order: Order, q: int) -> Order:
     lattice = hnf_rows(kernel + q_rows)
     if len(lattice) != d:
         raise RuntimeError(f"multiplier ring at {q} has rank {len(lattice)}")
-    new_rows = [[x / q for x in row]
-                for row in linalg.mat_mul(lattice, order.basis)]
-    return Order(order.p, new_rows)
+    return Order(order.p, _int_mul(lattice, order.rows), order.den * q)
 
 
 def trace_reduce(order: Order) -> Order:
     """The order with its basis LLL-reduced against the trace form
     (`linalg.lll`), so that embeddings are balanced and enumeration boxes
     are well conditioned."""
-    return Order(order.p, linalg.mat_mul(linalg.lll(order.trace_form),
-                                         order.basis))
+    return Order(order.p, _int_mul(linalg.lll(order.trace_form), order.rows),
+                 order.den)
 
 
 def maximal_order(p) -> Order:
     """The maximal order of Q[x]/(p), trace-reduced; p monic integer,
     irreducible and totally real, so that the trace form is positive
     definite as `linalg.lll` requires."""
-    order = Order(p, linalg.identity(len(p) - 1))
+    d = len(p) - 1
+    order = Order(p, [[int(i == j) for j in range(d)] for i in range(d)])
     for q, e in sorted(polys.factorize(order.disc).items()):
         if e < 2:
             continue
@@ -199,16 +211,11 @@ def find_units(ctx: FieldContext):
             seen.add(u.coords)
             pool.append(u)
 
-    small = dominated_elements(ctx, ctx.from_rational(100),
-                               QueryMode.SQUARE_DOMINATED)
     by_norm = {}
-    for w in small:
-        if w.is_zero:
-            continue
-        n = abs(w.norm())
+    for w, n in small_norm_elements(ctx, 10, 50):
         if n == 1:
             add(w)
-        elif n <= 50:
+        else:
             by_norm.setdefault(n, []).append(w)
 
     gens = [-ctx.one]

@@ -1,15 +1,18 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from conftest import gcd_poly
 from ternlat.errors import ParseError, ValidationError
-from ternlat.fieldscan import (exceptional_sets, ingest_fields,
+from ternlat.fieldscan import (GAP_SQUARE_MAX, discriminant_bound_value,
+                               exceptional_sets, ingest_fields,
                                load_field_file, parse_record,
                                quartic_gap_maximum, scan_obstructions,
                                scan_small_condition, sum_of_squares_identities,
                                verify_identities, write_report)
+from ternlat.intervals import sqrt_lower, sqrt_upper
 from ternlat.numberfield import sqrt2_context
 
 
@@ -186,6 +189,20 @@ def test_gap_maximum():
     shape = sorted(abs(x) for x in g["argmax"])
     assert abs(shape[0] - 0.4472135955) < 1e-6
     assert abs(shape[3] - 1.0) < 1e-12
+
+
+def test_gap_maximum_is_attained_and_is_the_bound_factor():
+    # g = 2(1 - b^2)(1 - c^2)(c - b) at c = -b, b^2 = 1/5, squared exactly
+    b2 = Fraction(1, 5)
+    g2 = 4 * (1 - b2) ** 2 * (1 - b2) ** 2 * (4 * b2)
+    assert g2 == Fraction(2 ** 12, 5 ** 5) == GAP_SQUARE_MAX
+    # (6 + 3 sqrt2)^6 = a + b sqrt2, multiplied out in Z[sqrt2]
+    a, b = 1, 0
+    for _ in range(6):
+        a, b = 6 * a + 6 * b, 3 * a + 6 * b
+    bound = discriminant_bound_value()
+    assert bound["lower"] == float(g2 * (a + b * sqrt_lower(2)))
+    assert bound["upper"] == float(g2 * (a + b * sqrt_upper(2)))
 
 
 def test_verify_identities():

@@ -69,6 +69,17 @@ def test_trace_form_determinant_is_disc(poly):
     assert det_int(q) == order.disc
 
 
+def test_order_rows_in_lowest_terms_and_integral_trace_form():
+    # Z[sqrt2] given as rows 2, 2x over 2: stored as 1, x over 1
+    order = orders.Order([-2, 0, 1], [[2, 0], [0, 2]], 2)
+    assert (order.rows, order.den) == ([[1, 0], [0, 1]], 1)
+    assert order.basis == [[1, 0], [0, 1]] and order.disc == 8
+    assert order.trace_form == [[2, 0], [0, 4]]
+    # 1/2, x/2 span no order: Tr(1/4) = 1/2 is not an integer
+    with pytest.raises(RuntimeError, match="not integral"):
+        orders.Order([-2, 0, 1], [[1, 0], [0, 1]], 2)
+
+
 def test_order_builds_its_inverse_and_table_once(monkeypatch):
     # maximal_order calls enlarge_at again on an unchanged order for the
     # next prime; the order's inverse and table serve every call
