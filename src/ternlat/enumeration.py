@@ -14,7 +14,9 @@ and floor.  Precision is increased until the box volume stabilizes, and a
 configurable ceiling turns runaway searches into errors instead of long
 runs.  The targets, the per-embedding region, depend only on the bound and
 the roots, so they are made once per root state: a round whose roots did
-not change (as the first rounds after `fixed_point_table`) reuses them.
+not change (as the first rounds after `fixed_point_table`) reuses them,
+and every box at that root state certifies its inverse from the one
+approximate inverse the context keeps (`FieldContext.embedding_inverse`).
 
 Each candidate x of the pruned box then takes one exact comparison against
 zero, of an integer residual from a quadratic map built once per query:
@@ -115,21 +117,18 @@ class EnumerationBox:
         }
 
 
-def _candidate_estimate(emb: List[Numerators], box: EnumerationBox) -> int:
-    """Expected number of enumerated points: region volume / |det E|.
-
-    The pruned iteration visits on this order of candidates, which is far
-    below the raw coordinate-box volume for skewed bases.
-    """
-    # row i of the midpoint matrix is (lows + highs) / (2 den_i), so its
-    # determinant is that of the integer matrix over the product of 2 den_i
-    det = abs(linalg.det_int([[lo + hi for lo, hi in zip(lows, highs)]
-                              for lows, highs, _ in emb]))
+def _candidate_estimate(emb: List[Numerators], det: int,
+                        box: EnumerationBox) -> int:
+    """Expected number of enumerated points: region volume / |det E|, E the
+    midpoint of emb, det E = det / prod(2 den_i) for det that of the rows
+    lows + highs (`FieldContext.embedding_inverse`).  The pruned iteration
+    visits on this order of candidates, far below the raw box volume for
+    skewed bases."""
     if det == 0:
         return box.volume
     widths = [hi - lo for lo, hi in box.targets]
     num = prod(w.numerator for w in widths) * prod(2 * d for _, _, d in emb)
-    den = prod(w.denominator for w in widths) * det
+    den = prod(w.denominator for w in widths) * abs(det)
     return min(box.volume, -(-num // den) + 1)
 
 
@@ -162,18 +161,19 @@ def _build_box(ctx: FieldContext,
                ceiling: int) -> EnumerationBox:
     """Shrink the certified box until its volume stabilizes within 1%.
 
-    The targets depend only on the bound and the roots, so `make_targets`
-    runs once per root state: again only when `ctx.basis_embeddings()`
-    returns a new list, which `refine_roots` makes exactly when a root
-    changes."""
-    prev: Optional[Tuple[EnumerationBox, List[Numerators]]] = None
+    Each round certifies its own inverse.  The targets depend only on the
+    bound and the roots, so `make_targets` runs once per root state: again
+    only when `ctx.basis_embeddings()` returns a new list, which
+    `refine_roots` makes exactly when a root changes."""
+    prev: Optional[Tuple[List[Numerators], int, EnumerationBox]] = None
     prev_vol = None
     made_for = targets = ends = None
     for k in range(80):
         width = Fraction(1, 64 * 4 ** k)
         ctx.refine_roots(width)
         emb = ctx.basis_embeddings()
-        inv = linalg.interval_inverse(emb)
+        r, det = ctx.embedding_inverse()
+        inv = linalg.interval_inverse(emb, r)
         if inv is None:
             continue
         if emb is not made_for:
@@ -183,15 +183,15 @@ def _build_box(ctx: FieldContext,
         box = EnumerationBox(tuple(lows), tuple(highs), width, ends)
         vol = box.volume
         if prev_vol is not None and 100 * vol >= 99 * prev_vol:
-            est = _candidate_estimate(emb, box)
+            est = _candidate_estimate(emb, det, box)
             if est > ceiling:
                 raise BoxTooLarge(est, ceiling)
             return box
-        prev, prev_vol = (box, emb), vol
+        prev, prev_vol = (emb, det, box), vol
     if prev is None:
         raise PrecisionExhausted(width)
-    if _candidate_estimate(prev[1], prev[0]) <= ceiling:
-        return prev[0]
+    if _candidate_estimate(*prev) <= ceiling:
+        return prev[2]
     raise BoxTooLarge(prev_vol, ceiling, "box volume {}")
 
 

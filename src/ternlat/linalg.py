@@ -2,23 +2,22 @@
 and over Euclidean rings, plus a verified inverse of interval matrices.
 
 One elimination per kind of problem: fraction-free Bareiss (`_bareiss`)
-for every exact square system (`adjugate_solve`) and for the Gram-Schmidt
-data of the integral LLL (`lll`), Gauss-Jordan (`row_reduce`) for the
-float midpoint inverse of `interval_inverse` and for
-`FieldContext.rational_span_coords`, `euclid_rows` for echelons over
-Euclidean rings, and Laplace expansion (`ring_det`) for determinants over
-any commutative ring.
+for every exact square system (`adjugate_solve`), for the approximate
+midpoint inverse of the verified interval inverse (`midpoint_inverse`) and
+for the Gram-Schmidt data of the integral LLL (`lll`), `euclid_rows` for
+echelons over Euclidean rings, and Laplace expansion (`ring_det`) for
+determinants over any commutative ring.
 
 Matrices are lists of rows.  Everything here is dense and intended for the
-small dimensions that occur in number-field work (d <= ~32).  The interval
-inverse starts from a floating-point approximate inverse and certifies its
-error bound in exact integer arithmetic, so floats never decide a result.
+small dimensions that occur in number-field work (d <= ~32).  Nothing here
+computes in floating point: the interval inverse certifies its integer
+approximate inverse in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ldexp, prod
+from math import prod
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -168,34 +167,6 @@ def lll(gram: Sequence[Sequence[int]]) -> List[List[int]]:
     return u
 
 
-def row_reduce(m: Mat, ncols: int) -> List[int]:
-    """Gauss-Jordan elimination of m in place over its first ncols columns.
-
-    The pivot of each column is its entry of largest absolute value at or
-    below the current row (partial pivoting, which keeps the elimination
-    stable on floats and does not change an exact reduced row echelon
-    form); pivot rows are scaled to 1 and the column is cleared in every
-    other row.  Returns the pivot columns; pivot k sits in row k.
-    """
-    pivots: List[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        piv = max(range(r, len(m)), key=lambda i: abs(m[i][c]))
-        if m[piv][c] == 0:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pk = m[r][c]
-        m[r] = [x / pk for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return pivots
-
-
 def inverse(a: Sequence[Sequence]) -> Optional[Mat]:
     """Inverse over Q, or None if singular: a^-1 = adj(N) E / det(N) for
     N = E a, E = diag(e_i) with e_i the least common denominator of row i."""
@@ -300,16 +271,42 @@ def euclid_rows(rows: Sequence[Sequence], quotient, size) -> List[list]:
     return basis
 
 
-def interval_inverse(a: Sequence[Numerators]) -> Optional[List[Numerators]]:
+def _midrad(a: Sequence[Numerators]) -> Tuple[List[List[int]],
+                                              List[List[int]]]:
+    """Integer (M, D) with each entry of a in [M - D, M + D] / 2^s, s =
+    _INVERSE_BITS + 1: its ends rounded outward by `fixed_point_ends`."""
+    los, his = fixed_point_ends(a, _INVERSE_BITS)
+    return ([[x + y for x, y in zip(lo, hi)] for lo, hi in zip(los, his)],
+            [[y - x for x, y in zip(lo, hi)] for lo, hi in zip(los, his)])
+
+
+def midpoint_inverse(a: Sequence[Numerators]) -> Optional[List[List[int]]]:
+    """R = round(2^(2s) adj(M) / det(M)) for M of `_midrad(a)`, so that R /
+    2^s is (M / 2^s)^-1 rounded to 2^-s, from one `adjugate_solve`; None
+    when det(M) = 0.  `interval_inverse` certifies it."""
+    mids, _ = _midrad(a)
+    n = len(mids)
+    det, cols = adjugate_solve(mids, [[int(i == j) for i in range(n)]
+                                      for j in range(n)])
+    if not det:
+        return None
+    # round(x / det) = floor((2x + det) / (2 det)) for x = adj 2^(2s)
+    shift = 2 * (_INVERSE_BITS + 1) + 1
+    return [[((col[i] << shift) + det) // (2 * det) for col in cols]
+            for i in range(n)]
+
+
+def interval_inverse(a: Sequence[Numerators],
+                     r: Optional[Sequence[Sequence[int]]]
+                     ) -> Optional[List[Numerators]]:
     """Verified inverse of an interval matrix in midpoint-radius form
     (Rump, "Verification methods", Acta Numerica 19, 2010).
 
     Row i of a is given as integer endpoint numerators over one denominator
-    (`intervals.Numerators`, as `FieldContext.basis_embeddings` builds it).
-    Each entry is rounded outward to [lo, hi] / 2^bits (`fixed_point_ends`),
-    which is [M - D, M + D] / 2^s with s = bits + 1, M = lo + hi and D =
-    hi - lo.  R is a floating-point inverse of M / 2^s, read as an exact
-    dyadic.  For every point matrix E inside the input,
+    (`intervals.Numerators`, as `FieldContext.basis_embeddings` builds it),
+    and rounded outward to [M - D, M + D] / 2^s (`_midrad`).  Any integer r
+    serves as approximate inverse R = r / 2^s; `midpoint_inverse(a)` is
+    the one to pass.  For every point matrix E inside the input,
     |I - R E| <= G = |I - R M / 2^s| + |R| D / 2^s entrywise, and G is
     computed exactly in integers.  If beta = ||G||_inf < 1, every such E is
     invertible and E^-1 = sum_k (I - R E)^k R, whence
@@ -317,32 +314,21 @@ def interval_inverse(a: Sequence[Numerators]) -> Optional[List[Numerators]]:
     The result is R plus or minus that bound, rounded outward to 2^-s, one
     row (lows, highs, 2^s) of `Numerators` per row of the inverse.
 
-    Returns None when the midpoint is singular to working precision or
-    beta >= 1; the caller should tighten the input enclosures and retry.
-    R only decides whether beta < 1 and how tight the result is, never
-    whether it encloses every E^-1.
+    None when r is None (a singular midpoint) or beta >= 1: the caller
+    should tighten the enclosures and retry.  r decides only whether beta
+    < 1 and how tight the result is, never whether it encloses each E^-1.
     """
+    if r is None:
+        return None
     n = len(a)
-    bits = _INVERSE_BITS
-    s = bits + 1
-    los, his = fixed_point_ends(a, bits)
-    mids = [[x + y for x, y in zip(lo, hi)] for lo, hi in zip(los, his)]
-    rads = [[y - x for x, y in zip(lo, hi)] for lo, hi in zip(los, his)]
-    approx = [[m / (1 << s) for m in row] + [float(i == j) for j in range(n)]
-              for i, row in enumerate(mids)]
-    if len(row_reduce(approx, n)) < n:
-        return None
-    try:
-        rn = [[int(ldexp(x, s)) for x in row[n:]] for row in approx]
-    except (OverflowError, ValueError):     # an infinite or NaN entry
-        return None
+    s = _INVERSE_BITS + 1
+    mids, rads = _midrad(a)
     # G = gn / 2^u with u = 2s; beta < 1 iff every row sum of gn is < 2^u
     u = 2 * s
     one = 1 << u
-    mid_t = transpose(mids)
-    rad_t = transpose(rads)
-    rabs = [[abs(x) for x in row] for row in rn]
-    gn = [[abs((one if i == j else 0) - sum(map(mul, rn[i], mid_t[j])))
+    mid_t, rad_t = transpose(mids), transpose(rads)
+    rabs = [[abs(x) for x in row] for row in r]
+    gn = [[abs((one if i == j else 0) - sum(map(mul, r[i], mid_t[j])))
            + sum(map(mul, rabs[i], rad_t[j])) for j in range(n)]
           for i in range(n)]
     rowsums = [sum(row) for row in gn]
@@ -357,8 +343,8 @@ def interval_inverse(a: Sequence[Numerators]) -> Optional[List[Numerators]]:
     slack = one - beta
     den = one * slack
     out = []
-    for rrow, krow, g in zip(rn, k, rowsums):
+    for rrow, krow, g in zip(r, k, rowsums):
         radii = [-(-(kij * slack + kmax * g) // den) for kij in krow]
-        out.append(([r - d for r, d in zip(rrow, radii)],
-                    [r + d for r, d in zip(rrow, radii)], 1 << s))
+        out.append(([x - e for x, e in zip(rrow, radii)],
+                    [x + e for x, e in zip(rrow, radii)], 1 << s))
     return out

@@ -360,6 +360,7 @@ class FieldContext:
         self._emb_cache: Optional[List[Numerators]] = None
         self._widest: Optional[Fraction] = None     # refine_roots
         self._fixed: Optional[tuple] = None         # fixed_point_table
+        self._mid: Optional[tuple] = None           # embedding_inverse
         self._pack: Optional[tuple] = None          # _pack_table
         # basis coordinates of the power t^k are row k of pow_to_basis
         self.one = self.from_rational_coords(pow_to_basis[0])
@@ -434,8 +435,8 @@ class FieldContext:
             return
         self._roots = [polys.refine_root(self.poly, iv, max_width) if w
                        else iv for iv, w in zip(self._roots, wide)]
-        # the embeddings and their table came from the wider roots
-        self._widest = self._emb_cache = self._fixed = None
+        # the embeddings, their table and inverse came from the wider roots
+        self._widest = self._emb_cache = self._fixed = self._mid = None
 
     def basis_embeddings(self) -> List[Numerators]:
         """Per root i, (lows, highs, den) with sigma_i(basis_j) in [lows[j],
@@ -445,6 +446,17 @@ class FieldContext:
             self._emb_cache = [polys.eval_interval(*self._horner, root)
                                for root in self._roots]
         return self._emb_cache
+
+    def embedding_inverse(self) -> tuple:
+        """(`linalg.midpoint_inverse` of `basis_embeddings`, det of their
+        midpoint numerators lows + highs), built on first use and dropped by
+        `refine_roots`; `enumeration._build_box` reads both."""
+        if self._mid is None:
+            emb = self.basis_embeddings()
+            self._mid = (linalg.midpoint_inverse(emb), linalg.det_int(
+                [[lo + hi for lo, hi in zip(lows, highs)]
+                 for lows, highs, _ in emb]))
+        return self._mid
 
     INT_BITS = 24
 
@@ -637,17 +649,18 @@ class FieldContext:
 
     def rational_span_coords(self, a: Element,
                              gens: Sequence[Element]) -> Optional[List[Fraction]]:
-        """Exact rational coordinates of a over span(gens), or None."""
-        m = [[Fraction(g.coords[i], g.den) for g in gens]
-             + [Fraction(a.coords[i], a.den)] for i in range(self.degree)]
-        k = len(gens)
-        pivots = linalg.row_reduce(m, k)
-        if any(m[i][k] != 0 for i in range(len(pivots), self.degree)):
+        """Exact rational coordinates of a over span(gens), gens independent,
+        or None: `linalg.adjugate_solve` solves C^T C y = C^T x for the
+        integer coordinates C of gens and x of a, and a is in the span
+        exactly when C y = x."""
+        cols = [g.coords for g in gens]
+        det, (y,) = linalg.adjugate_solve(
+            [[sum(map(mul, c, e)) for e in cols] for c in cols],
+            [[sum(map(mul, c, a.coords)) for c in cols]])
+        if any(det * x != sum(map(mul, y, row))
+               for x, row in zip(a.coords, zip(*cols))):
             return None
-        sol = [Fraction(0)] * k
-        for row_i, col in enumerate(pivots):
-            sol[col] = m[row_i][k]
-        return sol
+        return [Fraction(v * g.den, det * a.den) for v, g in zip(y, gens)]
 
     def format_element(self, a: Element) -> str:
         if self.sqrt2 is not None:

@@ -76,7 +76,7 @@ def test_ceiling_caps_visited_candidates(table, monkeypatch):
                                                    box))
     solutions = dominated_elements(ctx, bound)
     monkeypatch.setattr(enumeration, "_candidate_estimate",
-                        lambda emb, box: 0)
+                        lambda emb, det, box: 0)
     with pytest.raises(BoxTooLarge) as exc:
         dominated_elements(ctx, bound, ceiling=visited - 1)
     assert exc.value.estimate == visited
@@ -111,7 +111,7 @@ def test_box_too_large_names_its_quantity(table, monkeypatch):
     # candidates visited, with the estimate forced low
     ctx = table.context("K51200")
     monkeypatch.setattr(enumeration, "_candidate_estimate",
-                        lambda emb, box: 0)
+                        lambda emb, det, box: 0)
     with pytest.raises(BoxTooLarge) as exc:
         dominated_elements(ctx, ctx.from_rational(60), ceiling=10)
     assert str(exc.value) == "visited 11 candidates exceeds ceiling 10"
@@ -137,7 +137,7 @@ def test_box_makes_its_targets_once_per_root_state(table):
 
 def test_uninvertible_embeddings_exhaust_precision(monkeypatch):
     # an interval inverse that fails at every width is not a large box
-    monkeypatch.setattr(linalg, "interval_inverse", lambda emb: None)
+    monkeypatch.setattr(linalg, "interval_inverse", lambda emb, r: None)
     ctx = sqrt2_context()
     with pytest.raises(PrecisionExhausted) as exc:
         dominated_elements(ctx, ctx.from_rational(3))

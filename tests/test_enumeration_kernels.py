@@ -828,8 +828,8 @@ def test_box_kernels_equal_the_fraction_loops(table, monkeypatch, mode):
         seen["bounds"] += 1
         return got
 
-    def checked_estimate(emb, box):
-        got = _candidate_estimate(emb, box)
+    def checked_estimate(emb, det, box):
+        got = _candidate_estimate(emb, det, box)
         assert got == ref_candidate_estimate(emb, box)
         seen["estimates"] += 1
         return got
@@ -883,7 +883,10 @@ def test_box_kernels_on_random_rational_intervals(case):
     assert _box_bounds(inv, targets) == ref_box_bounds(inv, targets)
     box = EnumerationBox(tuple(lows), tuple(c + 3 for c in lows), F(1, 64),
                          tuple((t.lo, t.hi) for t in targets))
-    assert _candidate_estimate(inv, box) == ref_candidate_estimate(inv, box)
+    det = linalg.det_int([[lo + hi for lo, hi in zip(lows, highs)]
+                          for lows, highs, _ in inv])
+    assert _candidate_estimate(inv, det, box) == \
+        ref_candidate_estimate(inv, box)
 
 
 def _moved(rec):

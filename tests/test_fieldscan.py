@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import gcd_poly
+from ternlat import linalg
 from ternlat.errors import ParseError, ValidationError
 from ternlat.fieldscan import (GAP_SQUARE_MAX, discriminant_bound_value,
                                exceptional_sets, ingest_fields,
@@ -85,6 +86,22 @@ def test_scan_boxes_are_unchanged(fields_dir):
     assert len(boxes) == 18
     digest = hashlib.sha256(json.dumps(boxes, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN_SCAN_BOXES
+
+
+def test_scan_inverts_each_root_state_once(fields_dir, monkeypatch):
+    # K1600's four boxes are built at the root state of its fixed-point
+    # table, each in two rounds: one Bareiss midpoint inverse serves the
+    # eight certified inverses
+    calls = {"midpoint_inverse": 0, "interval_inverse": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(linalg, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    table = ingest_fields(fields_dir / "quartic_sqrt2.jsonl")
+    rep = scan_small_condition(table, 1600, unit_filter=False)
+    assert [v["label"] for v in rep["verdicts"]] == ["K1600"]
+    assert calls == {"midpoint_inverse": 1, "interval_inverse": 8}
 
 
 # sha256 of json.dumps(errors, sort_keys=True) over the error verdicts of

@@ -14,15 +14,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ternlat"
 
 # function -> why floating point may appear in it
 FLOAT_FUNCTIONS = {
-    "linalg.interval_inverse": "the float midpoint inverse only pre-filters; "
-                               "its residual bound is certified in integers",
     "fieldscan.quartic_gap_maximum": "renders the maximum that three exact "
                                      "polynomial identities prove",
     "fieldscan.discriminant_bound_value": "renders certified rational bounds",
 }
 
-# `ldexp` may be imported: its calls are listed on their own
-INTEGER_MATH = {"gcd", "lcm", "isqrt", "prod", "ldexp"}
+INTEGER_MATH = {"gcd", "lcm", "isqrt", "prod"}
 
 
 def _flag(node):

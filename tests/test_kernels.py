@@ -908,13 +908,19 @@ def test_det_of_singular_matrices_is_zero():
 
 # ---------------------------------------------------------------------------
 # verified interval inverse: every returned entry must contain the exact
-# inverse of every point matrix of the input; row i comes as integer
-# endpoint numerators (lows, highs) over a power of two
+# inverse of every point matrix of the input, whatever approximate inverse
+# R it certifies; row i comes as integer endpoint numerators (lows, highs)
+# over a power of two
 
 def entry(inv, i, j):
     lows, highs, den = inv[i]
     assert den > 0 and den & (den - 1) == 0
     return Interval(F(lows[j], den), F(highs[j], den))
+
+
+def verified_inverse(rows):
+    """The verified inverse of rows from their Bareiss midpoint inverse."""
+    return linalg.interval_inverse(rows, linalg.midpoint_inverse(rows))
 
 
 def assert_encloses(inv, e):
@@ -953,14 +959,21 @@ def test_interval_inverse_encloses_inverses_of_basis_embeddings(table, make,
     ctx = make(table)
     ctx.refine_roots(width)
     emb = ctx.basis_embeddings()
-    inv = linalg.interval_inverse(emb)
+    r = ctx.embedding_inverse()[0]
+    inv = linalg.interval_inverse(emb, r)
     if ctx.degree == 8 and width == F(1, 64):
         # the degree-8 embeddings are too wide at 1/64 for beta < 1
         assert inv is None
         return
     assert inv is not None
+    # R off the midpoint inverse by about 2^-30 relative still certifies
+    rng = random.Random(7)
+    off = linalg.interval_inverse(emb, [[x + (x >> 30) * rng.randint(-1, 1)
+                                         for x in row] for row in r])
+    assert off is not None and off != inv
     for e in sample_points(as_intervals(emb), random.Random(7), 6):
         assert_encloses(inv, e)
+        assert_encloses(off, e)
 
 
 @st.composite
@@ -987,23 +1000,32 @@ def interval_matrices(draw):
 @example([[Interval(F(2), F(3)), Interval(F(-1, 2), F(1, 2))],
           [Interval(F(0), F(1, 3)), Interval(F(1), F(2))]], 0)
 def test_interval_inverse_encloses_random_rational_matrices(a, seed):
-    inv = linalg.interval_inverse(numerators(a))
-    if inv is None:
-        return
-    for e in sample_points(a, random.Random(seed), 4):
-        assert_encloses(inv, e)
+    # the certificate holds for any R: the Bareiss midpoint inverse, and
+    # that inverse perturbed by up to 2^-20 or 2^-8 per entry
+    rows = numerators(a)
+    rng = random.Random(seed)
+    r = linalg.midpoint_inverse(rows)
+    rs = [r] if r is None else [r] + [
+        [[x + rng.randint(-(1 << b), 1 << b) for x in row] for row in r]
+        for b in (45, 57)]
+    for r in rs:
+        inv = linalg.interval_inverse(rows, r)
+        if inv is None:
+            continue
+        for e in sample_points(a, random.Random(seed), 4):
+            assert_encloses(inv, e)
 
 
 def test_interval_inverse_neumann_term_is_needed():
     # [1/2, 3/2]: the midpoint inverse 1 plus the first-order term G |R| =
     # 1/2 misses 1/(1/2) = 2; the Neumann term makes the enclosure [0, 2]
-    inv = linalg.interval_inverse(numerators([[Interval(F(1, 2), F(3, 2))]]))
+    inv = verified_inverse(numerators([[Interval(F(1, 2), F(3, 2))]]))
     assert inv is not None
     assert entry(inv, 0, 0).lo <= F(2, 3) and entry(inv, 0, 0).hi >= 2
     # a diagonal matrix: each entry is the scalar case
     d = [[Interval(F(1, 2), F(3, 2)), Interval.point(0)],
          [Interval.point(0), Interval(F(3), F(5))]]
-    inv = linalg.interval_inverse(numerators(d))
+    inv = verified_inverse(numerators(d))
     assert entry(inv, 0, 0).hi >= 2 and entry(inv, 1, 1).hi >= F(1, 3)
 
 
@@ -1015,7 +1037,8 @@ def test_interval_inverse_neumann_term_is_needed():
     [[Interval.point(0)]],
 ], ids=["singular-point", "singular-midpoint", "zero"])
 def test_interval_inverse_rejects_a_singular_midpoint(a):
-    assert linalg.interval_inverse(numerators(a)) is None
+    assert linalg.midpoint_inverse(numerators(a)) is None
+    assert verified_inverse(numerators(a)) is None
 
 
 @pytest.mark.parametrize("a", [
@@ -1028,4 +1051,4 @@ def test_interval_inverse_rejects_a_singular_midpoint(a):
      [Interval(F(-1, 2), F(1, 2)), Interval(F(1, 2), F(3, 2))]],
 ], ids=["beta-1", "beta-3/2", "widened-identity"])
 def test_interval_inverse_rejects_radius_with_beta_at_least_one(a):
-    assert linalg.interval_inverse(numerators(a)) is None
+    assert verified_inverse(numerators(a)) is None

@@ -493,6 +493,14 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     ctx.refine_roots(fine)
     assert ctx.basis_embeddings() == ref.basis_embeddings()
 
+    # the box's approximate inverse and midpoint determinant go with them
+    ctx = load_field(rec)
+    stale_r, stale_det = ctx.embedding_inverse()
+    r, det = ref.embedding_inverse()
+    assert stale_r != r and stale_det != det
+    ctx.refine_roots(fine)
+    assert ctx.embedding_inverse() == (r, det)
+
     # the fixed-point table is built at width 2^-(INT_BITS + 8); for K7168
     # some of its ends still move by 2^-64, and its memo goes with it
     ctx = load_field(rec)
