@@ -8,15 +8,16 @@ inverse whose error bound is checked in exact integers,
 region, so it provably contains all solutions.  That product runs on
 integers: the embedding matrix and its inverse come as integer endpoint
 numerators, per row over one denominator (2^s for the inverse), the
-region is put over one common denominator, the interval products and sums
-are taken on the numerators, and the box bounds are their exact ceiling
-and floor.  Precision is increased until the box volume stabilizes, and a
-configurable ceiling turns runaway searches into errors instead of long
-runs.  The targets, the per-embedding region, depend only on the bound and
-the roots, so they are made once per root state: a round whose roots did
-not change (as the first rounds after `fixed_point_table`) reuses them,
-and every box at that root state certifies its inverse from the one
-approximate inverse the context keeps (`FieldContext.embedding_inverse`).
+region comes as integer numerators over one common denominator, the
+interval products and sums are taken on the numerators, and the box
+bounds are their exact ceiling and floor.  Precision is increased until
+the box volume stabilizes, and a configurable ceiling turns runaway
+searches into errors instead of long runs.  The targets, the
+per-embedding region, depend only on the bound and the roots, so they are
+made once per root state: a round whose roots did not change (as the
+first rounds after `fixed_point_table`) reuses them, and every box at that
+root state certifies its inverse from the one `linalg.ApproximateInverse`
+the context keeps (`FieldContext.embedding_inverse`).
 
 Each candidate x of the pruned box then takes one exact comparison against
 zero, of an integer residual from a quadratic map built once per query:
@@ -54,15 +55,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice, product
-from math import prod
-from operator import mul
+from math import lcm, prod
+from operator import mul, sub
 from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from . import linalg
 from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
                      PrecisionExhausted)
-from .intervals import Interval, Numerators, endpoint_numerators, sqrt_upper
+from .intervals import Numerators, sqrt_numerator, sqrt_upper
 from .numberfield import Dominance, Element, FieldContext
 
 DEFAULT_CEILING = 10 ** 8
@@ -101,12 +102,8 @@ class EnumerationBox:
 
     @property
     def volume(self) -> int:
-        v = 1
-        for lo, hi in zip(self.lows, self.highs):
-            if hi < lo:
-                return 0
-            v *= hi - lo + 1
-        return v
+        return prod(max(hi - lo + 1, 0) for lo, hi in zip(self.lows,
+                                                          self.highs))
 
     def to_dict(self) -> dict:
         return {
@@ -118,31 +115,31 @@ class EnumerationBox:
 
 
 def _candidate_estimate(emb: List[Numerators], det: int,
-                        box: EnumerationBox) -> int:
+                        targets: Numerators, box: EnumerationBox) -> int:
     """Expected number of enumerated points: region volume / |det E|, E the
     midpoint of emb, det E = det / prod(2 den_i) for det that of the rows
-    lows + highs (`FieldContext.embedding_inverse`).  The pruned iteration
-    visits on this order of candidates, far below the raw box volume for
-    skewed bases."""
+    lows + highs (`FieldContext.embedding_inverse`), the region the product
+    of the target widths.  The pruned iteration visits on this order of
+    candidates, far below the raw box volume for skewed bases."""
     if det == 0:
         return box.volume
-    widths = [hi - lo for lo, hi in box.targets]
-    num = prod(w.numerator for w in widths) * prod(2 * d for _, _, d in emb)
-    den = prod(w.denominator for w in widths) * abs(det)
+    lows, highs, tden = targets
+    num = prod(map(sub, highs, lows)) * prod(2 * d for _, _, d in emb)
+    den = tden ** len(lows) * abs(det)
     return min(box.volume, -(-num // den) + 1)
 
 
-def _box_bounds(inv: List[Tuple[List[int], List[int], int]],
-                targets: List[Interval]) -> Tuple[List[int], List[int]]:
+def _box_bounds(inv: List[Numerators], targets: Numerators
+                ) -> Tuple[List[int], List[int]]:
     """Per coordinate j, the ceiling of the lower and the floor of the
     upper end of the interval sum over i of inv[j][i] * targets[i], each
     product the hull of its four endpoint products.
 
     Row j of inv is given as integer endpoint numerators over den_j, as
-    `linalg.interval_inverse` returns it; the sums are taken exactly on
-    integer numerators over den_j * tden, with the targets over tden.
+    `linalg.interval_inverse` returns it, and the targets over tden; the
+    sums are taken exactly on integer numerators over den_j * tden.
     """
-    tlo, thi, tden = endpoint_numerators(targets)
+    tlo, thi, tden = targets
     lows, highs = [], []
     for alo, ahi, den in inv:
         lo = hi = 0
@@ -156,42 +153,44 @@ def _box_bounds(inv: List[Tuple[List[int], List[int], int]],
     return lows, highs
 
 
-def _build_box(ctx: FieldContext,
-               make_targets: Callable[[], List[Interval]],
+def _build_box(ctx: FieldContext, make_targets: Callable[[], Numerators],
                ceiling: int) -> EnumerationBox:
     """Shrink the certified box until its volume stabilizes within 1%.
 
-    Each round certifies its own inverse.  The targets depend only on the
-    bound and the roots, so `make_targets` runs once per root state: again
-    only when `ctx.basis_embeddings()` returns a new list, which
-    `refine_roots` makes exactly when a root changes."""
-    prev: Optional[Tuple[List[Numerators], int, EnumerationBox]] = None
+    Each round certifies its own inverse from `ctx.embedding_inverse()`.
+    The targets depend only on the bound and the roots, so `make_targets`
+    runs, and the box's `Fraction` ends are made from its `Numerators`,
+    once per root state: again only when `ctx.basis_embeddings()` returns
+    a new list, which `refine_roots` makes exactly when a root changes."""
+    prev: Optional[tuple] = None
     prev_vol = None
     made_for = targets = ends = None
     for k in range(80):
         width = Fraction(1, 64 * 4 ** k)
         ctx.refine_roots(width)
         emb = ctx.basis_embeddings()
-        r, det = ctx.embedding_inverse()
-        inv = linalg.interval_inverse(emb, r)
+        approx, det = ctx.embedding_inverse()
+        inv = linalg.interval_inverse(approx)
         if inv is None:
             continue
         if emb is not made_for:
             made_for, targets = emb, make_targets()
-            ends = tuple((t.lo, t.hi) for t in targets)
+            tlo, thi, tden = targets
+            ends = tuple((Fraction(lo, tden), Fraction(hi, tden))
+                         for lo, hi in zip(tlo, thi))
         lows, highs = _box_bounds(inv, targets)
         box = EnumerationBox(tuple(lows), tuple(highs), width, ends)
         vol = box.volume
         if prev_vol is not None and 100 * vol >= 99 * prev_vol:
-            est = _candidate_estimate(emb, det, box)
+            est = _candidate_estimate(emb, det, targets, box)
             if est > ceiling:
                 raise BoxTooLarge(est, ceiling)
             return box
-        prev, prev_vol = (emb, det, box), vol
+        prev, prev_vol = (emb, det, targets, box), vol
     if prev is None:
         raise PrecisionExhausted(width)
     if _candidate_estimate(*prev) <= ceiling:
-        return prev[2]
+        return prev[3]
     raise BoxTooLarge(prev_vol, ceiling, "box volume {}")
 
 
@@ -456,25 +455,27 @@ def _iter_box(table: tuple, box: EnumerationBox
         level -= 1
 
 
-def _square_targets(ctx: FieldContext, bound: Element) -> List[Interval]:
-    out = []
-    for _, hi, den in ctx._embedding_numerators(bound, Fraction(1, 256)):
-        r = sqrt_upper(Fraction(max(hi, 0), den))
-        out.append(Interval(-r, r))
-    return out
-
-
-def _interval_targets(ctx: FieldContext, bound: Element) -> List[Interval]:
-    sums = ctx._embedding_numerators(bound, Fraction(1, 256))
-    return [Interval(Fraction(0), Fraction(max(hi, 0), den))
-            for _, hi, den in sums]
+def _targets(ctx: FieldContext, bound: Element, mode: QueryMode
+             ) -> Numerators:
+    """The region of a query, per embedding and over one least common
+    denominator: for hi_i / den_i the upper end of sigma_i(bound) at width
+    1/256, clamped at 0, [0, hi_i / den_i] for 0 <= omega <= bound and
+    [-r_i, r_i] for omega^2 <= bound, r_i its `sqrt_upper` taken on
+    integers (`sqrt_numerator`)."""
+    ends = [(max(hi, 0), d) for _, hi, d in
+            ctx._embedding_numerators(bound, Fraction(1, 256))]
+    square = mode is QueryMode.SQUARE_DOMINATED
+    if square:
+        ends = [sqrt_numerator(n, d, True) for n, d in ends]
+    den = lcm(*(d for _, d in ends))
+    his = [n * (den // d) for n, d in ends]
+    return [-r for r in his] if square else [0] * len(his), his, den
 
 
 def _query_box(query: DominanceQuery, ceiling: int) -> EnumerationBox:
     ctx = query.field
-    make = _square_targets if query.mode is QueryMode.SQUARE_DOMINATED \
-        else _interval_targets
-    return _build_box(ctx, lambda: make(ctx, query.bound), ceiling)
+    return _build_box(ctx, lambda: _targets(ctx, query.bound, query.mode),
+                      ceiling)
 
 
 def solution_box(query: DominanceQuery,
@@ -722,9 +723,8 @@ def small_norm_elements(ctx: FieldContext, house_bound: Fraction,
     out = []
     for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED,
                                 ceiling):
-        if w.is_zero or prod(lo if lo > 0 else max(-hi, 0) for lo, hi in zip(
-                ctx.fixed_point_bounds(w, upper=False),
-                ctx.fixed_point_bounds(w, upper=True))) > limit:
+        if w.is_zero or prod(lo if lo > 0 else max(-hi, 0) for lo, hi in
+                             zip(*ctx.fixed_point_bounds(w))) > limit:
             continue
         n = abs(w.norm())
         if n <= norm_bound:

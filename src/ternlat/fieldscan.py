@@ -164,13 +164,12 @@ def scan_small_condition(table: FieldTable, disc_cap: int,
             out.update(status="filtered", h_plus_over_h=rec.h_plus // rec.h)
             return
         ctx = table.context(rec.label)
-        lam = 2 + ctx.sqrt2
+        b3, b6 = 3 * (2 + ctx.sqrt2), ctx.from_rational(6)
         t0 = time.time()
-        w3 = sqrt2_span_witnesses(ctx, 3 * lam, ceiling)
-        w6 = sqrt2_span_witnesses(ctx, ctx.from_rational(6), ceiling)
-        box3 = solution_box(DominanceQuery(ctx, 3 * lam), ceiling)
-        box6 = solution_box(DominanceQuery(ctx, ctx.from_rational(6)),
-                            ceiling)
+        w3 = sqrt2_span_witnesses(ctx, b3, ceiling)
+        w6 = sqrt2_span_witnesses(ctx, b6, ceiling)
+        box3 = solution_box(DominanceQuery(ctx, b3), ceiling)
+        box6 = solution_box(DominanceQuery(ctx, b6), ceiling)
         out.update({
             "status": "ok",
             "exceptional_3lambda": bool(w3),

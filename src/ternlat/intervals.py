@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt
 from typing import List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -55,15 +55,6 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def endpoint_numerators(ivs: Sequence[Interval]) -> Numerators:
-    """(lows, highs, den): ivs[k] = [lows[k], highs[k]] / den with integers
-    lows, highs and den the least positive common denominator of all the
-    endpoints."""
-    den = lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
-    return ([iv.lo.numerator * (den // iv.lo.denominator) for iv in ivs],
-            [iv.hi.numerator * (den // iv.hi.denominator) for iv in ivs], den)
-
-
 def fixed_point_ends(rows: Sequence[Numerators], bits: int
                      ) -> Tuple[List[List[int]], List[List[int]]]:
     """Integer matrices (lo, hi) with entry j of rows[i] inside
@@ -81,14 +72,22 @@ def fixed_point_ends(rows: Sequence[Numerators], bits: int
     return los, his
 
 
+def sqrt_numerator(num: int, den: int, up: bool) -> Tuple[int, int]:
+    """(r, q 2^32) with r / (q 2^32) the bound of `sqrt_lower` (up false)
+    or `sqrt_upper` (up true) on sqrt(num / den), for integers num >= 0,
+    den > 0, q the denominator of num / den in lowest terms."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    n = num * den << 64
+    r = isqrt(n)
+    return r + (up and r * r < n), den << 32
+
+
 def _sqrt_bound(x: Rat, up: bool) -> Fraction:
     x = Fraction(x)
     if x < 0:
         raise ValueError("sqrt of negative rational")
-    shift = 1 << 32
-    n = x.numerator * x.denominator * shift * shift
-    r = isqrt(n)
-    return Fraction(r + (up and r * r < n), x.denominator * shift)
+    return Fraction(*sqrt_numerator(x.numerator, x.denominator, up))
 
 
 def sqrt_lower(x: Rat) -> Fraction:

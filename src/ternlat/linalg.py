@@ -19,14 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .intervals import Numerators, fixed_point_ends
 from .polys import clear_denominators
 
 Mat = List[List[Fraction]]
 
-# interval_inverse rounds its input outward to multiples of 2^-_INVERSE_BITS
+# _midrad rounds interval matrices outward to multiples of 2^-_INVERSE_BITS
 _INVERSE_BITS = 64
 
 
@@ -280,11 +280,22 @@ def _midrad(a: Sequence[Numerators]) -> Tuple[List[List[int]],
             [[y - x for x, y in zip(lo, hi)] for lo, hi in zip(los, his)])
 
 
-def midpoint_inverse(a: Sequence[Numerators]) -> Optional[List[List[int]]]:
-    """R = round(2^(2s) adj(M) / det(M)) for M of `_midrad(a)`, so that R /
-    2^s is (M / 2^s)^-1 rounded to 2^-s, from one `adjugate_solve`; None
-    when det(M) = 0.  `interval_inverse` certifies it."""
-    mids, _ = _midrad(a)
+class ApproximateInverse(NamedTuple):
+    """An approximate inverse R = r / 2^s of an interval matrix a, with the
+    parts of its certificate that depend only on a and r: |r| by rows and
+    by columns, and the (M, D) of `_midrad(a)` by columns."""
+    r: List[List[int]]
+    rabs: List[List[int]]
+    rabs_t: List[List[int]]
+    mid_t: List[List[int]]
+    rad_t: List[List[int]]
+
+
+def midpoint_inverse(a: Sequence[Numerators]) -> Optional[ApproximateInverse]:
+    """R = round(2^(2s) adj(M) / det(M)) for (M, D) of `_midrad(a)`, so
+    that R / 2^s is (M / 2^s)^-1 rounded to 2^-s, from one `adjugate_solve`;
+    None when det(M) = 0.  `interval_inverse` certifies it."""
+    mids, rads = _midrad(a)
     n = len(mids)
     det, cols = adjugate_solve(mids, [[int(i == j) for i in range(n)]
                                       for j in range(n)])
@@ -292,42 +303,41 @@ def midpoint_inverse(a: Sequence[Numerators]) -> Optional[List[List[int]]]:
         return None
     # round(x / det) = floor((2x + det) / (2 det)) for x = adj 2^(2s)
     shift = 2 * (_INVERSE_BITS + 1) + 1
-    return [[((col[i] << shift) + det) // (2 * det) for col in cols]
-            for i in range(n)]
+    r = [[((col[i] << shift) + det) // (2 * det) for col in cols]
+         for i in range(n)]
+    rabs = [[abs(x) for x in row] for row in r]
+    return ApproximateInverse(r, rabs, transpose(rabs), transpose(mids),
+                              transpose(rads))
 
 
-def interval_inverse(a: Sequence[Numerators],
-                     r: Optional[Sequence[Sequence[int]]]
+def interval_inverse(approx: Optional[ApproximateInverse]
                      ) -> Optional[List[Numerators]]:
     """Verified inverse of an interval matrix in midpoint-radius form
     (Rump, "Verification methods", Acta Numerica 19, 2010).
 
-    Row i of a is given as integer endpoint numerators over one denominator
-    (`intervals.Numerators`, as `FieldContext.basis_embeddings` builds it),
-    and rounded outward to [M - D, M + D] / 2^s (`_midrad`).  Any integer r
-    serves as approximate inverse R = r / 2^s; `midpoint_inverse(a)` is
-    the one to pass.  For every point matrix E inside the input,
-    |I - R E| <= G = |I - R M / 2^s| + |R| D / 2^s entrywise, and G is
-    computed exactly in integers.  If beta = ||G||_inf < 1, every such E is
-    invertible and E^-1 = sum_k (I - R E)^k R, whence
+    The matrix a comes as the integer midpoint M and radius D of its
+    outward rounding [M - D, M + D] / 2^s, with an approximate inverse R =
+    r / 2^s (`ApproximateInverse`); any integer r serves, and
+    `midpoint_inverse(a)` builds the one to pass.  For every point matrix E
+    inside a, |I - R E| <= G = |I - R M / 2^s| + |R| D / 2^s entrywise, and
+    G is computed exactly in integers on every call.  If beta = ||G||_inf <
+    1, every such E is invertible and E^-1 = sum_k (I - R E)^k R, whence
     |E^-1 - R| <= G |R| + z (G 1) 1^T with z = max(G |R|) / (1 - beta).
     The result is R plus or minus that bound, rounded outward to 2^-s, one
     row (lows, highs, 2^s) of `Numerators` per row of the inverse.
 
-    None when r is None (a singular midpoint) or beta >= 1: the caller
+    None when approx is None (a singular midpoint) or beta >= 1: the caller
     should tighten the enclosures and retry.  r decides only whether beta
     < 1 and how tight the result is, never whether it encloses each E^-1.
     """
-    if r is None:
+    if approx is None:
         return None
-    n = len(a)
+    r, rabs, rabs_t, mid_t, rad_t = approx
+    n = len(r)
     s = _INVERSE_BITS + 1
-    mids, rads = _midrad(a)
     # G = gn / 2^u with u = 2s; beta < 1 iff every row sum of gn is < 2^u
     u = 2 * s
     one = 1 << u
-    mid_t, rad_t = transpose(mids), transpose(rads)
-    rabs = [[abs(x) for x in row] for row in r]
     gn = [[abs((one if i == j else 0) - sum(map(mul, r[i], mid_t[j])))
            + sum(map(mul, rabs[i], rad_t[j])) for j in range(n)]
           for i in range(n)]
@@ -337,7 +347,6 @@ def interval_inverse(a: Sequence[Numerators],
         return None
     # G |R| = k / 2^(u+s); radius = (k (2^u - beta) + max(k) * rowsum) /
     # (2^(u+s) (2^u - beta)), times 2^s and rounded up to an integer
-    rabs_t = transpose(rabs)
     k = [[sum(map(mul, row, col)) for col in rabs_t] for row in gn]
     kmax = max(map(max, k))
     slack = one - beta

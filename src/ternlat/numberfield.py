@@ -450,7 +450,8 @@ class FieldContext:
     def embedding_inverse(self) -> tuple:
         """(`linalg.midpoint_inverse` of `basis_embeddings`, det of their
         midpoint numerators lows + highs), built on first use and dropped by
-        `refine_roots`; `enumeration._build_box` reads both."""
+        `refine_roots`; `enumeration._build_box` reads both.  The first is
+        all that `linalg.interval_inverse` takes (R, |R|, M and D)."""
         if self._mid is None:
             emb = self.basis_embeddings()
             self._mid = (linalg.midpoint_inverse(emb), linalg.det_int(
@@ -472,24 +473,28 @@ class FieldContext:
                                             self.INT_BITS)
         return self._fixed
 
-    def fixed_point_bounds(self, a: Element, upper: bool) -> List[int]:
-        """Outward bounds on sigma_i(den * a), one per embedding, in units
-        of 2^-INT_BITS: for the coordinates x, the lower bound_i sums x_j
-        lows[j][i] over x_j >= 0 and x_j highs[j][i] over x_j < 0
-        (`fixed_point_table`), the upper one takes the other ends; all d of
-        them are taken at once by `_packed_bounds`.  Sound but coarse; used
-        by fast pre-filters."""
-        t, w, _ = self._packed_bounds(a.coords, upper)
-        return _digits(t, w, self.degree)
+    def fixed_point_bounds(self, a: Element) -> Tuple[List[int], List[int]]:
+        """Outward lower and upper bounds on sigma_i(den * a), one per
+        embedding, in units of 2^-INT_BITS: for the coordinates x, the lower
+        bound_i sums x_j lows[j][i] over x_j >= 0 and x_j highs[j][i] over
+        x_j < 0 (`fixed_point_table`), the upper one takes the other ends;
+        all 2d of them are taken at once by `_packed_bounds`.  Sound but
+        coarse; used by fast pre-filters."""
+        d = self.degree
+        t, w, _ = self._packed_bounds(a.coords, True)
+        ends = _digits(t, w, 2 * d)
+        return ends[:d], ends[d:]
 
-    def _packed_bounds(self, x: Tuple[int, ...], upper: bool
+    def _packed_bounds(self, x: Tuple[int, ...], both: bool
                        ) -> Tuple[int, int, int]:
-        """The d bounds of `fixed_point_bounds` on coordinates x, as the
-        base-2^w digits of one integer t: digit i is bound_i + 2^(w-1) - 1.
+        """The d lower bounds of `fixed_point_bounds` on coordinates x, and
+        with `both` the d upper ones above them, as the base-2^w digits of
+        one integer t: digit i is bound_i + 2^(w-1) - 1.
 
         Column j of lows and of highs is packed into P_j = sum_i
         entry_ij 2^(w i), so one sum of d products of x_j with the P_j of
-        the end its sign takes is sum_i bound_i 2^(w i).  With E the largest
+        the end its sign takes is sum_i bound_i 2^(w i); for both, the P_j
+        of the other end is added shifted by d digits.  With E the largest
         |entry|, |bound_i| <= E sum_j |x_j|, and w (a power of two, at least
         64) keeps that at most 2^(w-1) - 2: every offset digit lies in [1,
         2^w - 3] and no carry crosses digits.  Returns (t, w, top) with top
@@ -500,22 +505,15 @@ class FieldContext:
         pack = self._pack
         if pack is None or pack[0] is not table or s > pack[1]:
             pack = self._pack = _pack_table(table, s)
-        _, _, w, cols, offset, top = pack
-        return sum([c * pn[c < 0] for c, pn in zip(x, cols[upper])]) \
-            + offset, w, top
+        _, _, w, cols, offsets, top = pack
+        return sum([c * pn[c < 0] for c, pn in zip(x, cols[both])]) \
+            + offsets[both], w, top
 
-    def _fast_signs(self, a: Element, lows: Optional[List[int]] = None
-                    ) -> Optional[Tuple[int, ...]]:
+    def _fast_signs(self, a: Element) -> Optional[Tuple[int, ...]]:
         """Signs of all embeddings from the fixed-point bounds, or None when
-        some enclosure holds zero; `lows` are a's lower bounds when the
-        caller has formed them.  The upper bounds are formed only when some
-        lower bound is not positive."""
-        if lows is None:
-            lows = self.fixed_point_bounds(a, upper=False)
-        if min(lows) > 0:
-            return (1,) * self.degree
+        some enclosure holds zero."""
         signs = []
-        for lo, hi in zip(lows, self.fixed_point_bounds(a, upper=True)):
+        for lo, hi in zip(*self.fixed_point_bounds(a)):
             if lo > 0:
                 signs.append(1)
             elif hi < 0:
@@ -567,18 +565,17 @@ class FieldContext:
         The fixed-point bounds only short-circuit decisive cases: GT at once
         when every lower bound is positive, read off the top bit of each
         digit of the packed lower bounds (`_packed_bounds`); else the signs
-        from both bounds (`_fast_signs`, handed the lower bounds already
-        formed); and otherwise the exact sign pattern of the characteristic
-        polynomial.
+        from both bounds (`_fast_signs`); and otherwise the exact sign
+        pattern of the characteristic polynomial.
         """
         c = a - b if any(b.coords) else a
         if not any(c.coords):
             return Dominance.EQ
         # fixed-point pre-filter (sound: falls through when indecisive)
-        t, w, top = self._packed_bounds(c.coords, False)
+        t, _, top = self._packed_bounds(c.coords, False)
         if t & top == top:
             return Dominance.GT
-        signs = self._fast_signs(c, _digits(t, w, self.degree))
+        signs = self._fast_signs(c)
         if signs is not None:
             if -1 not in signs:
                 return Dominance.GT
@@ -753,9 +750,9 @@ def fixed_point_table(rows: Sequence[Numerators], bits: int) -> tuple:
 def _pack_table(table: tuple, s: int) -> tuple:
     """The packing of `FieldContext._packed_bounds` at the least width
     w = 64 * 2^k with E s <= 2^(w-1) - 2: (table, the largest s it admits,
-    w, per side (lower, upper) the pairs of packed columns j taken for x_j
-    >= 0 and for x_j < 0, the offset digits 2^(w-1) - 1, the top bits
-    2^(w-1))."""
+    w, for the lower bounds and for both bounds the pairs of packed columns
+    j taken for x_j >= 0 and for x_j < 0 and the offset digits 2^(w-1) - 1,
+    the top bits 2^(w-1))."""
     lows, highs, _ = table
     e = max(1, *(max(map(abs, col)) for col in lows + highs))
     w = 64
@@ -765,8 +762,12 @@ def _pack_table(table: tuple, s: int) -> tuple:
     top = ones << w - 1
     lo, hi = ([sum(v << w * i for i, v in enumerate(col)) for col in half]
               for half in (lows, highs))
-    cols = list(zip(lo, hi)), list(zip(hi, lo))
-    return table, ((1 << w - 1) - 2) // e, w, cols, top - ones, top
+    wd = w * len(lows)
+    cols = (list(zip(lo, hi)),
+            [(a + (b << wd), b + (a << wd)) for a, b in zip(lo, hi)])
+    offset = top - ones
+    return (table, ((1 << w - 1) - 2) // e, w, cols,
+            (offset, offset + (offset << wd)), top)
 
 
 def _digits(t: int, w: int, d: int) -> List[int]:

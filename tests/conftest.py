@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from pathlib import Path
 
@@ -8,7 +8,7 @@ import pytest
 from ternlat import linalg, polys
 from ternlat.errors import Singular
 from ternlat.fieldscan import ingest_fields, load_field_file
-from ternlat.intervals import Interval, endpoint_numerators
+from ternlat.intervals import Interval
 from ternlat.quadlattice import GramMatrix
 
 FIELDS = Path(__file__).resolve().parent.parent / "fields"
@@ -147,6 +147,15 @@ def as_intervals(rows):
     as rows of `Interval`s."""
     return [[Interval(Fraction(lo, den), Fraction(hi, den))
              for lo, hi in zip(lows, highs)] for lows, highs, den in rows]
+
+
+def endpoint_numerators(ivs):
+    """(lows, highs, den): ivs[k] = [lows[k], highs[k]] / den with integers
+    lows, highs and den the least positive common denominator of all the
+    endpoints, as the package's kernels take a row of intervals."""
+    den = lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
+    return ([iv.lo.numerator * (den // iv.lo.denominator) for iv in ivs],
+            [iv.hi.numerator * (den // iv.hi.denominator) for iv in ivs], den)
 
 
 def numerators(mat):

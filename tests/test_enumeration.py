@@ -10,7 +10,6 @@ from ternlat.enumeration import (DominanceQuery, QueryMode,
                                  is_indecomposable, sqrt_element,
                                  squarefree_witness, sum_of_squares_test,
                                  unsquare)
-from ternlat.intervals import Interval
 from ternlat.numberfield import load_field, sqrt2_context
 
 
@@ -70,13 +69,12 @@ def test_ceiling_caps_visited_candidates(table, monkeypatch):
     # can stop the enumeration
     ctx = table.context("K51200")
     bound = ctx.from_rational(60)
-    box = enumeration._build_box(
-        ctx, lambda: enumeration._square_targets(ctx, bound), 10 ** 8)
+    box = enumeration._query_box(DominanceQuery(ctx, bound), 10 ** 8)
     visited = sum(1 for _ in enumeration._iter_box(ctx.fixed_point_table(),
                                                    box))
     solutions = dominated_elements(ctx, bound)
     monkeypatch.setattr(enumeration, "_candidate_estimate",
-                        lambda emb, det, box: 0)
+                        lambda emb, det, targets, box: 0)
     with pytest.raises(BoxTooLarge) as exc:
         dominated_elements(ctx, bound, ceiling=visited - 1)
     assert exc.value.estimate == visited
@@ -93,7 +91,7 @@ def test_box_too_large_names_its_quantity(table, monkeypatch):
 
     def shrinking_targets():
         r = 10 ** 6 * F(97, 100) ** next(calls)
-        return [Interval(-r, r)] * 2
+        return [-r.numerator] * 2, [r.numerator] * 2, r.denominator
 
     with pytest.raises(BoxTooLarge) as exc:
         enumeration._build_box(ctx2, shrinking_targets, 10)
@@ -111,7 +109,7 @@ def test_box_too_large_names_its_quantity(table, monkeypatch):
     # candidates visited, with the estimate forced low
     ctx = table.context("K51200")
     monkeypatch.setattr(enumeration, "_candidate_estimate",
-                        lambda emb, det, box: 0)
+                        lambda emb, det, targets, box: 0)
     with pytest.raises(BoxTooLarge) as exc:
         dominated_elements(ctx, ctx.from_rational(60), ceiling=10)
     assert str(exc.value) == "visited 11 candidates exceeds ceiling 10"
@@ -128,7 +126,8 @@ def test_box_makes_its_targets_once_per_root_state(table):
 
     def targets():
         calls.append(ctx.basis_embeddings())
-        return enumeration._square_targets(ctx, bound)
+        return enumeration._targets(ctx, bound,
+                                    QueryMode.SQUARE_DOMINATED)
 
     box = enumeration._build_box(ctx, targets, 10 ** 8)
     assert len(calls) == 1 and calls[0] is ctx.basis_embeddings()
@@ -137,7 +136,7 @@ def test_box_makes_its_targets_once_per_root_state(table):
 
 def test_uninvertible_embeddings_exhaust_precision(monkeypatch):
     # an interval inverse that fails at every width is not a large box
-    monkeypatch.setattr(linalg, "interval_inverse", lambda emb, r: None)
+    monkeypatch.setattr(linalg, "interval_inverse", lambda approx: None)
     ctx = sqrt2_context()
     with pytest.raises(PrecisionExhausted) as exc:
         dominated_elements(ctx, ctx.from_rational(3))

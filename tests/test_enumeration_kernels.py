@@ -33,7 +33,8 @@ The certified box is built on integers: `enumeration._box_bounds` applies
 the verified inverse to the target region and `_candidate_estimate` takes
 the determinant of the integer matrix of midpoint numerators, both over
 common denominators; the references are the `Fraction` interval loops
-they replaced.
+they replaced.  The targets are integer numerators over one denominator,
+against the `Fraction` bodies they replaced (`sqrt_upper` and `Interval`).
 `sqrt2_span_witnesses` decides membership in span{1, sqrt2} by one integer
 rank test, against `FieldContext.rational_span_coords`.
 """
@@ -46,16 +47,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import as_intervals, gcd_poly, iv_add, iv_mul, numerators
+from conftest import (as_intervals, endpoint_numerators, gcd_poly, iv_add,
+                      iv_mul, numerators)
 from ternlat import enumeration, linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
                                  _box_bounds, _build_box, _candidate_estimate,
                                  _exact_check, _fixed_point, _halves,
-                                 _interval_targets, _iter_box, _project,
-                                 _query_box, _square_targets,
+                                 _iter_box, _project, _query_box, _targets,
                                  dominated_elements, sqrt2_span_witnesses)
-from ternlat.intervals import Interval, endpoint_numerators
+from ternlat.intervals import Interval
 from ternlat.numberfield import (Dominance, FieldContext, FieldRecord,
                                  fixed_point_table, load_field, sqrt2_context)
 
@@ -189,9 +190,7 @@ def test_iter_box_prunes_exactly():
 def _certified(ctx, bound, mode):
     """The certified box of a query, the context's table taken after it, as
     `enumerate_dominated` takes it, and the rows of that table."""
-    make = _square_targets if mode is QueryMode.SQUARE_DOMINATED \
-        else _interval_targets
-    box = _build_box(ctx, lambda: make(ctx, bound), 10 ** 8)
+    box = _build_box(ctx, lambda: _targets(ctx, bound, mode), 10 ** 8)
     table = ctx.fixed_point_table()
     return box, table, ctx.basis_embeddings()
 
@@ -245,10 +244,8 @@ def _fresh_box(rec, bound, mode):
     """A fresh context, the certified box of a query built on it before
     anything has taken its table, and the rows that box was built from."""
     ctx = load_field(rec)
-    make = _square_targets if mode is QueryMode.SQUARE_DOMINATED \
-        else _interval_targets
     beta = ctx.from_rational(bound)
-    box = _build_box(ctx, lambda: make(ctx, beta), 10 ** 8)
+    box = _build_box(ctx, lambda: _targets(ctx, beta, mode), 10 ** 8)
     return ctx, box, ctx.basis_embeddings()
 
 
@@ -522,17 +519,18 @@ def test_signature_and_trace_agree_with_references(table):
 
 
 def test_packed_bounds_equal_one_dot_product_per_row(table):
-    # the d fixed-point bounds are the digits of one packed integer; the
-    # reference sums, per embedding, x_j times the end of the table that the
-    # sign of x_j selects.  The first coordinate sits at and just past the largest sum of |x_j| that
-    # the 64-bit digits admit, then coordinates grow to 2^200, which widens
-    # the digits further
+    # the 2d fixed-point bounds, lower and upper, are the digits of one
+    # packed integer, and the d lower ones those of another; the reference
+    # sums, per embedding, x_j times the end of the table that the sign of
+    # x_j selects.  The first coordinate sits at and just past the largest
+    # sum of |x_j| that the 64-bit digits admit, then coordinates grow to
+    # 2^200, which widens the digits further
     rng = random.Random(24)
     ctxs = [table.context(rec.label) for rec in table.records[::4]]
     widths = set()
     for ctx in ctxs + [cyclo_info(11).field]:
         d = ctx.degree
-        ctx.fixed_point_bounds(ctx.one, upper=False)
+        ctx.fixed_point_bounds(ctx.one)
         limit = ctx._pack[1]
         xs = [[sign * (limit + k)] + [0] * (d - 1)
               for k in (0, 1) for sign in (1, -1)]
@@ -543,9 +541,7 @@ def test_packed_bounds_equal_one_dot_product_per_row(table):
             want = [[sum(c * (near if c >= 0 else far)[j][i]
                          for j, c in enumerate(x)) for i in range(d)]
                     for near, far in ((lows, highs), (highs, lows))]
-            for upper in (False, True):
-                assert ctx.fixed_point_bounds(ctx.element(x), upper) == \
-                    want[upper]
+            assert ctx.fixed_point_bounds(ctx.element(x)) == tuple(want)
             t, w, top = ctx._packed_bounds(tuple(x), False)
             assert (t & top == top) == (min(want[0]) > 0)
             widths.add(w)
@@ -603,9 +599,9 @@ def test_compare_agrees_with_charpoly(table, monkeypatch):
     calls = {"fast_signs": 0, "charpoly": 0}
     fast_signs, charpoly = FieldContext._fast_signs, linalg.charpoly
 
-    def counted_fast_signs(self, a, lows=None):
+    def counted_fast_signs(self, a):
         calls["fast_signs"] += 1
-        return fast_signs(self, a, lows)
+        return fast_signs(self, a)
 
     def counted_charpoly(m):
         calls["charpoly"] += 1
@@ -646,7 +642,7 @@ def test_compare_agrees_with_charpoly(table, monkeypatch):
     ties = 0
     for a, b in _compare_cases(ctx, elements):
         check(ctx, a, b)
-        ties += min(ctx.fixed_point_bounds(a - b, upper=False)) == 0
+        ties += min(ctx.fixed_point_bounds(a - b)[0]) == 0
     assert ties > 10
 
 
@@ -824,12 +820,14 @@ def test_box_kernels_equal_the_fraction_loops(table, monkeypatch, mode):
 
     def checked_bounds(inv, targets):
         got = _box_bounds(inv, targets)
-        assert got == ref_box_bounds(inv, targets)
+        assert got == ref_box_bounds(inv, as_intervals([targets])[0])
         seen["bounds"] += 1
         return got
 
-    def checked_estimate(emb, det, box):
-        got = _candidate_estimate(emb, det, box)
+    def checked_estimate(emb, det, targets, box):
+        got = _candidate_estimate(emb, det, targets, box)
+        assert box.targets == tuple((t.lo, t.hi)
+                                    for t in as_intervals([targets])[0])
         assert got == ref_candidate_estimate(emb, box)
         seen["estimates"] += 1
         return got
@@ -846,6 +844,55 @@ def test_box_kernels_equal_the_fraction_loops(table, monkeypatch, mode):
             _query_box(DominanceQuery(ctx, bound, mode), 10 ** 8)
     assert seen["bounds"] >= 2 * 21 * 4 and seen["estimates"] >= 21 * 4, seen
     assert seen["fraction bounds"] >= 40, seen
+
+
+# the target bodies the integer `enumeration._targets` replaced, with
+# `sqrt_upper` written out on `Fraction`s
+
+def ref_sqrt_upper(x):
+    n = x.numerator * x.denominator << 64
+    r = math.isqrt(n)
+    return F(r + (r * r < n), x.denominator << 32)
+
+
+def ref_square_targets(ctx, bound):
+    out = []
+    for _, hi, den in ctx._embedding_numerators(bound, F(1, 256)):
+        r = ref_sqrt_upper(F(max(hi, 0), den))
+        out.append(Interval(-r, r))
+    return out
+
+
+def ref_interval_targets(ctx, bound):
+    sums = ctx._embedding_numerators(bound, F(1, 256))
+    return [Interval(F(0), F(max(hi, 0), den)) for _, hi, den in sums]
+
+
+@pytest.mark.parametrize("mode", list(QueryMode))
+def test_integer_targets_equal_the_interval_bodies(table, mode):
+    # on every table field, for the bounds of the box tests and for the
+    # generator, whose negative embeddings are clamped at 0 beside
+    # positive ones in the same bound
+    ref = ref_square_targets if mode is QueryMode.SQUARE_DOMINATED \
+        else ref_interval_targets
+    rng = random.Random(43)
+    seen = {"bounds": 0, "clamped": 0, "mixed": 0}
+    assert len(table.records) == 19
+    for rec in table.records:
+        ctx = table.context(rec.label)
+        bounds = _bounds(ctx, rng) + [ctx.from_rational(6), ctx.gen]
+        if ctx.sqrt2 is not None:
+            bounds.append(3 * (2 + ctx.sqrt2))
+        for bound in bounds:
+            lows, highs, den = _targets(ctx, bound, mode)
+            got = [Interval(F(lo, den), F(hi, den))
+                   for lo, hi in zip(lows, highs)]
+            assert got == ref(ctx, bound), (rec.label, bound)
+            zero = sum(hi == 0 for hi in highs)
+            seen["bounds"] += 1
+            seen["clamped"] += zero
+            seen["mixed"] += 0 < zero < len(highs)
+    assert seen["bounds"] >= 19 * 6 and seen["mixed"] >= 19, seen
 
 
 def rationals():
@@ -879,13 +926,14 @@ def products(draw):
 def test_box_kernels_on_random_rational_intervals(case):
     # the second example has a singular midpoint matrix
     mat, targets, lows = case
-    inv = [endpoint_numerators(row) for row in mat]
-    assert _box_bounds(inv, targets) == ref_box_bounds(inv, targets)
+    inv = numerators(mat)
+    tnum = endpoint_numerators(targets)
+    assert _box_bounds(inv, tnum) == ref_box_bounds(inv, targets)
     box = EnumerationBox(tuple(lows), tuple(c + 3 for c in lows), F(1, 64),
                          tuple((t.lo, t.hi) for t in targets))
     det = linalg.det_int([[lo + hi for lo, hi in zip(lows, highs)]
                           for lows, highs, _ in inv])
-    assert _candidate_estimate(inv, det, box) == \
+    assert _candidate_estimate(inv, det, tnum, box) == \
         ref_candidate_estimate(inv, box)
 
 

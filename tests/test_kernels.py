@@ -920,7 +920,16 @@ def entry(inv, i, j):
 
 def verified_inverse(rows):
     """The verified inverse of rows from their Bareiss midpoint inverse."""
-    return linalg.interval_inverse(rows, linalg.midpoint_inverse(rows))
+    return linalg.interval_inverse(linalg.midpoint_inverse(rows))
+
+
+def certified(rows, r):
+    """The verified inverse of rows from any integer approximate inverse r."""
+    mids, rads = linalg._midrad(rows)
+    rabs = [[abs(x) for x in row] for row in r]
+    return linalg.interval_inverse(linalg.ApproximateInverse(
+        r, rabs, linalg.transpose(rabs), linalg.transpose(mids),
+        linalg.transpose(rads)))
 
 
 def assert_encloses(inv, e):
@@ -959,8 +968,9 @@ def test_interval_inverse_encloses_inverses_of_basis_embeddings(table, make,
     ctx = make(table)
     ctx.refine_roots(width)
     emb = ctx.basis_embeddings()
-    r = ctx.embedding_inverse()[0]
-    inv = linalg.interval_inverse(emb, r)
+    approx = ctx.embedding_inverse()[0]
+    inv = linalg.interval_inverse(approx)
+    assert inv == verified_inverse(emb)
     if ctx.degree == 8 and width == F(1, 64):
         # the degree-8 embeddings are too wide at 1/64 for beta < 1
         assert inv is None
@@ -968,8 +978,8 @@ def test_interval_inverse_encloses_inverses_of_basis_embeddings(table, make,
     assert inv is not None
     # R off the midpoint inverse by about 2^-30 relative still certifies
     rng = random.Random(7)
-    off = linalg.interval_inverse(emb, [[x + (x >> 30) * rng.randint(-1, 1)
-                                         for x in row] for row in r])
+    off = certified(emb, [[x + (x >> 30) * rng.randint(-1, 1) for x in row]
+                          for row in approx.r])
     assert off is not None and off != inv
     for e in sample_points(as_intervals(emb), random.Random(7), 6):
         assert_encloses(inv, e)
@@ -1004,12 +1014,12 @@ def test_interval_inverse_encloses_random_rational_matrices(a, seed):
     # that inverse perturbed by up to 2^-20 or 2^-8 per entry
     rows = numerators(a)
     rng = random.Random(seed)
-    r = linalg.midpoint_inverse(rows)
-    rs = [r] if r is None else [r] + [
-        [[x + rng.randint(-(1 << b), 1 << b) for x in row] for row in r]
+    approx = linalg.midpoint_inverse(rows)
+    rs = [] if approx is None else [approx.r] + [
+        [[x + rng.randint(-(1 << b), 1 << b) for x in row] for row in approx.r]
         for b in (45, 57)]
     for r in rs:
-        inv = linalg.interval_inverse(rows, r)
+        inv = certified(rows, r)
         if inv is None:
             continue
         for e in sample_points(a, random.Random(seed), 4):

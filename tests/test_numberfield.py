@@ -493,13 +493,23 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     ctx.refine_roots(fine)
     assert ctx.basis_embeddings() == ref.basis_embeddings()
 
-    # the box's approximate inverse and midpoint determinant go with them
+    # the box's approximate inverse and midpoint determinant go with them,
+    # and so does the rest of the certificate's fixed input: |R|, and M
+    # and D of a fresh outward rounding of the current rows, by columns
     ctx = load_field(rec)
-    stale_r, stale_det = ctx.embedding_inverse()
-    r, det = ref.embedding_inverse()
-    assert stale_r != r and stale_det != det
+    stale, stale_det = ctx.embedding_inverse()
+    approx, det = ref.embedding_inverse()
+    assert stale.r != approx.r and stale_det != det
+    assert stale.mid_t != approx.mid_t and stale.rad_t != approx.rad_t
     ctx.refine_roots(fine)
-    assert ctx.embedding_inverse() == (r, det)
+    assert ctx.embedding_inverse() == (approx, det)
+    for c in (ctx, ref):
+        kept = c.embedding_inverse()[0]
+        mids, rads = linalg._midrad(c.basis_embeddings())
+        assert kept.mid_t == linalg.transpose(mids)
+        assert kept.rad_t == linalg.transpose(rads)
+        assert kept.rabs == [[abs(x) for x in row] for row in kept.r]
+        assert kept.rabs_t == linalg.transpose(kept.rabs)
 
     # the fixed-point table is built at width 2^-(INT_BITS + 8); for K7168
     # some of its ends still move by 2^-64, and its memo goes with it
