@@ -421,22 +421,23 @@ class FieldContext:
         return list(self._roots)
 
     def refine_roots(self, max_width: Rat) -> None:
-        """Narrow every root wider than max_width to at most max_width.  The
-        widest root's width is taken by the first call after the roots
-        change that finds none to narrow, and kept until they change again,
+        """Narrow every root wider than max_width to at most max_width.  A
+        bound on every root's width, max_width after narrowing and else the
+        widest of the widths this call took, is kept until the roots change,
         so that a request no narrower than it returns at once."""
         max_width = Fraction(max_width)
         if self._widest is not None and max_width >= self._widest:
             return
-        wide = [iv.width > max_width for iv in self._roots]
+        widths = [iv.width for iv in self._roots]
+        wide = [w > max_width for w in widths]
         if not any(wide):
-            self._widest = max((iv.width for iv in self._roots),
-                               default=Fraction(0))
+            self._widest = max(widths, default=Fraction(0))
             return
         self._roots = [polys.refine_root(self.poly, iv, max_width) if w
                        else iv for iv, w in zip(self._roots, wide)]
         # the embeddings, their table and inverse came from the wider roots
-        self._widest = self._emb_cache = self._fixed = self._mid = None
+        self._emb_cache = self._fixed = self._mid = None
+        self._widest = max_width
 
     def basis_embeddings(self) -> List[Numerators]:
         """Per root i, (lows, highs, den) with sigma_i(basis_j) in [lows[j],
@@ -540,7 +541,8 @@ class FieldContext:
         for _ in range(256):
             out = []
             for lows, highs, den in self.basis_embeddings():
-                los, his = zip(*(sorted((c * lo, c * hi))
+                los, his = zip(*((c * lo, c * hi) if c >= 0 else
+                                 (c * hi, c * lo)
                                  for c, lo, hi in zip(x, lows, highs)))
                 out.append((sum(los), sum(his), den * a.den))
             if all((hi - lo) * wd <= wn * den for lo, hi, den in out):

@@ -12,8 +12,9 @@ they are), the point or both interval endpoints over one denominator,
 and a `Fraction` is built only for a result, which is exactly what
 `Fraction` arithmetic gives; `eval_interval` builds none, and returns
 integer endpoint numerators for a whole set of polynomials, the basis
-rows of a field, at once.  `divmod_poly` and `resultant` share one
-integer pseudo-division, `_prem`.
+rows of a field, at once, by sign case and, over a power-of-two
+denominator (every root of a monic polynomial), by shifts.  `divmod_poly`
+and `resultant` share one integer pseudo-division, `_prem`.
 
 A Sturm chain is evaluated by the recurrence that builds it: the exact
 values of Horner on every member, at O(d) products per point, not O(d^2).
@@ -30,6 +31,7 @@ commutative ring, for the symbolic determinant and identity checks.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple, Union
@@ -138,28 +140,39 @@ def eval_interval(rows: Sequence[Sequence[int]], src: Sequence[int],
     evaluation in rational interval arithmetic, on integers.
 
     With the endpoints at a/b and e/b, an accumulator after n steps is
-    kept as integer endpoints over den * b^(n-1); each step takes the min
-    and max of the four endpoint products, as rational interval
-    multiplication does.  The Horner run of a row t times row src[j] is
-    that row's run plus one step (by its constant 0), so it starts from
-    that row's value: a power basis costs one step per row.  All values
-    end over den * b^(m-1), m the length of the longest row.
+    kept as integer endpoints [lo, hi] over den * b^(n-1), and a step is
+    [lo, hi] [a, e] + c b^n.  With x- = x (a if x >= 0 else e) and x+ =
+    x (e if x >= 0 else a), the product is [lo-, hi+] for 0 <= a and
+    [hi-, lo+] for e <= 0 (Moore, Interval Analysis, 1966), and the min
+    and max of all four endpoint products for a < 0 < e.  The Horner run
+    of a row t times row src[j] is that row's run plus one step (by its
+    constant 0), so it starts from that row's value: a power basis costs
+    one step per row.  All values end over den * b^(m-1), m the length of
+    the longest row; b^k scales as a product, or as a shift by s k bits
+    for b = 2^s.
     """
     a, e, b = _over_common_den(iv.lo, iv.hi)
     top = max(map(len, rows), default=0)
-    bpows = [1]
-    for _ in range(top):
-        bpows.append(bpows[-1] * b)
+    s = b.bit_length() - 1
+    up = operator.lshift if b == 1 << s else operator.mul
+    bk = [s * k if up is operator.lshift else b ** k for k in range(top + 1)]
     vals = []
     for r, i in zip(rows, src):
         lo, hi, n = vals[i] if i >= 0 else (0, 0, 0)
         for c in reversed(r[:1] if i >= 0 else r):
-            ps = (lo * a, lo * e, hi * a, hi * e)
-            c *= bpows[n]
-            lo, hi, n = min(ps) + c, max(ps) + c, n + 1
+            if a >= 0:
+                lo, hi = lo * (a if lo >= 0 else e), hi * (e if hi >= 0 else a)
+            elif e <= 0:
+                lo, hi = hi * (a if hi >= 0 else e), lo * (e if lo >= 0 else a)
+            else:
+                ps = (lo * a, lo * e, hi * a, hi * e)
+                lo, hi = min(ps), max(ps)
+            c = up(c, bk[n])
+            lo, hi, n = lo + c, hi + c, n + 1
         vals.append((lo, hi, n))
-    return ([lo * bpows[top - n] for lo, _, n in vals],
-            [hi * bpows[top - n] for _, hi, n in vals], den * bpows[top - 1])
+    return ([up(lo, bk[top - n]) for lo, _, n in vals],
+            [up(hi, bk[top - n]) for _, hi, n in vals],
+            up(den, bk[max(top - 1, 0)]))
 
 
 def _prem(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -285,11 +298,11 @@ def _sturm_signs(chain: Sequence[Sequence[int]], steps: Sequence[tuple],
 
 
 def root_bound(p: Sequence[Coeff]) -> Fraction:
-    """Cauchy bound: all real roots lie in [-B, B]."""
-    p = trim(p)
-    lc = abs(Fraction(p[-1]))
-    m = max((abs(Fraction(c)) for c in p[:-1]), default=Fraction(0))
-    return 1 + m / lc
+    """Cauchy bound: all real roots lie in [-B, B], B = 1 + max |c_i / lc|,
+    taken on the integer numerators of p as (|lc| + max |c_i|) / |lc|."""
+    nums, _ = clear_denominators(trim(p))
+    lc = abs(nums[-1])
+    return Fraction(lc + max(map(abs, nums[:-1]), default=0), lc)
 
 
 def _root_bound_log2(nums: Sequence[int]) -> int:

@@ -10,6 +10,8 @@ evaluates a whole set of rows at one interval, a row t times an earlier
 one by one step from that row's value; its reference is one `Fraction`
 Horner run per row, and `FieldContext.basis_embeddings` and
 `fixed_point_table` are checked against it on every table field and F_k, k = 3..60.
+Its steps by sign case and its shifts for a power-of-two denominator
+must give the very integers of the four-product step with b^k as products.
 `polys.refine_root` jumps down the bisection grid by secant proposals; it
 must return bisection's interval for every isolating interval of those
 fields, down to width 2^-200.  `polys._sturm_signs` takes a Sturm chain's
@@ -103,10 +105,10 @@ def ref_bisect(p, iv, max_width):
 
 
 def ref_isolate_real_roots(p):
-    """Sturm bisection with `Fraction` endpoints, as before the integer
-    kernel: every count takes the signs of the chain at both of its
-    endpoints (by `ref_sign_at`, the chain being integer polynomials), and
-    squarefreeness comes from a separate gcd."""
+    """Sturm bisection with `Fraction` endpoints from the `Fraction` Cauchy
+    bound, as before the integer kernel: every count takes the signs of
+    the chain at both of its endpoints (by `ref_sign_at`, the chain being
+    integer polynomials), and squarefreeness comes from a separate gcd."""
     p = polys.trim(p)
     if polys.degree(p) < 1:
         return []
@@ -145,7 +147,7 @@ def ref_isolate_real_roots(p):
             go(a, m, left)
             go(m, b, n - left)
 
-    bound = polys.root_bound(p)
+    bound = 1 + max(abs(F(c)) for c in p[:-1]) / abs(F(p[-1]))
     a, b = -bound, bound
     while ref_eval_at(p, a) == 0:
         a -= 1
@@ -382,6 +384,10 @@ def basis_rows(draw):
 
 SHIFTED = [[1, F(1, 2)], [F(2, 3), 0, 5], [0, 1, F(1, 2), 0],
            [0, 0, 1, F(1, 2)]]
+# accumulators of either sign and straddling 0 on the intervals below;
+# row 2 is t times row 0
+MIXED = [[F(1, 2), -3, 2], [-1, 0, 0, 1], [0, F(1, 2), -3, 2],
+         [F(-2, 3), 0, 5, 0, -1]]
 
 
 def test_horner_rows_finds_rows_t_times_an_earlier_row():
@@ -406,6 +412,25 @@ def test_horner_rows_on_integer_rows_equals_the_fraction_path(rows, data):
     assert all(type(c) is int for r in got[0] for c in r) and got[2] == 1
 
 
+def ref_eval_interval_numerators(rows, src, den, iv):
+    """`polys.eval_interval` with every step's ends the min and max of all
+    four endpoint products, and b^k as products: its integers, not only
+    their ratios."""
+    b = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    a, e = int(iv.lo * b), int(iv.hi * b)
+    top = max(map(len, rows), default=0)
+    vals = []
+    for r, i in zip(rows, src):
+        lo, hi, n = vals[i] if i >= 0 else (0, 0, 0)
+        for c in reversed(r[:1] if i >= 0 else r):
+            ps = (lo * a, lo * e, hi * a, hi * e)
+            lo, hi, n = min(ps) + c * b ** n, max(ps) + c * b ** n, n + 1
+        vals.append((lo, hi, n))
+    return ([lo * b ** (top - n) for lo, _, n in vals],
+            [hi * b ** (top - n) for _, hi, n in vals],
+            den * b ** max(top - 1, 0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(basis_rows(), intervals())
 @example(SHIFTED, Interval(F(-7, 4), F(-5, 4)))              # negative
@@ -413,10 +438,25 @@ def test_horner_rows_on_integer_rows_equals_the_fraction_path(rows, data):
 @example(SHIFTED, Interval.point(F(-5, 3)))                  # a point
 @example([[1], [0, 1], [0, 0, 1], [F(1, 2), 0, F(1, 2)]],
          Interval(F(3, 7), F(5, 9)))
+# each sign case of `eval_interval`, over a power of two b (dyadic ends)
+# and over any other b
+@example(MIXED, Interval(F(3, 8), F(5, 4)))                   # positive
+@example(MIXED, Interval(F(-5, 4), F(-3, 8)))                 # negative
+@example(MIXED, Interval(F(-3, 8), F(5, 4)))                  # straddles 0
+@example(MIXED, Interval(F(2, 7), F(5, 3)))
+@example(MIXED, Interval(F(-5, 3), F(-2, 7)))
+@example(MIXED, Interval(F(-2, 7), F(5, 3)))
+@example(MIXED, Interval(0, F(3, 4)))                         # ends at 0
+@example(MIXED, Interval(F(-3, 4), 0))
+@example(MIXED, Interval.point(0))                            # exact points
+@example(MIXED, Interval.point(F(-3, 8)))
+@example(MIXED, Interval.point(F(5, 3)))
 def test_eval_interval_equals_per_row_fraction_horner(rows, iv):
     lows, highs, den = polys.eval_interval(*polys.horner_rows(rows), iv)
     got = as_intervals([(lows, highs, den)])[0]
     assert got == [ref_eval_interval(p, iv) for p in rows]
+    assert (lows, highs, den) == \
+        ref_eval_interval_numerators(*polys.horner_rows(rows), iv)
 
 
 def ref_fixed_point_ends(emb, bits):
@@ -483,6 +523,28 @@ def test_basis_embeddings_equal_per_row_fraction_horner(table):
                 assert ctx.fixed_point_table()[:2] == \
                     ref_fixed_point_ends(want, ctx.INT_BITS)
     assert powers >= 58
+
+
+def test_basis_embeddings_equal_four_product_numerators(table):
+    # the integers themselves, from which every fixed-point table, verified
+    # inverse and box is built, on all 19 table fields and F_k, k = 3..60:
+    # at the isolation width, where some roots straddle 0, and at 2^-32,
+    # where every root has ends over a power of two
+    fields = [load_field(rec) for rec in table.records] + \
+        [cyclo_info(k).field for k in range(3, 61)]
+    straddle = 0
+    for ctx in fields:
+        rows = polys.horner_rows(ctx.basis_pow)
+        straddle += sum(iv.lo < 0 < iv.hi for iv in ctx.roots())
+        for width in (None, F(1, 1 << 32)):
+            if width is not None:
+                ctx.refine_roots(width)
+            assert ctx.basis_embeddings() == [
+                ref_eval_interval_numerators(*rows, root)
+                for root in ctx.roots()], ctx
+        assert all(math.lcm(iv.lo.denominator, iv.hi.denominator)
+                   .bit_count() == 1 for iv in ctx.roots()), ctx
+    assert straddle > 0
 
 # ---------------------------------------------------------------------------
 # root bisection

@@ -547,6 +547,23 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     assert ctx.basis_embeddings() is emb
 
 
+def test_refine_roots_takes_no_width_after_narrowing(table, monkeypatch):
+    # every root is at most max_width wide once narrowed, so a request no
+    # narrower, as `fixed_point_table` makes after a refinement to its own
+    # width, looks at no root; a narrower one looks at each root once
+    ctx = load_field(table.by_label("K10816"))
+    ctx.refine_roots(F(1, 1 << 32))
+    widths = []
+    monkeypatch.setattr(Interval, "width", property(
+        lambda iv: widths.append(iv) or iv.hi - iv.lo))
+    ctx.fixed_point_table()
+    ctx.refine_roots(F(1, 1 << 31))
+    assert widths == []
+    roots = ctx.roots()
+    ctx.refine_roots(F(1, 1 << 33))
+    assert widths == roots
+
+
 # ---------------------------------------------------------------------------
 # integer kernels against the `Fraction` paths they replaced
 
