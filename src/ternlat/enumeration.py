@@ -82,11 +82,17 @@ class QueryMode(Enum):
 
 @dataclass(frozen=True)
 class DominanceQuery:
+    """A dominated-element query on a totally positive bound.  The field's
+    full fixed-point table is taken before the positivity check, so that
+    the box and its pruning read the roots at 2^-32 whatever the context
+    compared before (a lone comparison leaves them at 1/256)."""
+
     field: FieldContext
     bound: Element
     mode: QueryMode = QueryMode.SQUARE_DOMINATED
 
     def __post_init__(self):
+        self.field.fixed_point_table()
         if not self.bound.is_totally_positive():
             raise InvalidInput("enumeration bound must be totally positive")
 

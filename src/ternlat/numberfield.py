@@ -9,12 +9,14 @@ The exact element invariants run on three integer tables of the context:
 the multiplication table (multiplication matrices, hence traces and
 inverses), the basis rows in power coordinates over one denominator
 (norms, as resultants with the defining polynomial, with no matrix), and
-the one fixed-point table of the basis embeddings (signs, and the box
+the fixed-point table of the basis embeddings (signs, and the box
 pruning of `enumeration`), read off the basis embeddings: integer
 endpoint numerators over one denominator per root, from one Horner pass
-per root.  Order comparisons (total positivity, dominance) and
-signatures return exact verdicts: the fixed-point table only
-short-circuits decisive cases.
+per root.  The table is taken at root width 2^-32; a context that has
+not built it yet reads its signs off the same ends taken at root width
+1/256 first, and refines to 2^-32 only when they leave a sign undecided.
+Order comparisons (total positivity, dominance) and signatures return
+exact verdicts: the fixed-point tables only short-circuit decisive cases.
 An undecided comparison falls back to the sign pattern of
 the characteristic polynomial of the multiplication map, which is decisive
 because every conjugate is real; an undecided signature refines rational
@@ -360,6 +362,7 @@ class FieldContext:
         self._emb_cache: Optional[List[Numerators]] = None
         self._widest: Optional[Fraction] = None     # refine_roots
         self._fixed: Optional[tuple] = None         # fixed_point_table
+        self._coarse: Optional[list] = None         # _fast_signs
         self._mid: Optional[tuple] = None           # embedding_inverse
         self._pack: Optional[tuple] = None          # _pack_table
         # basis coordinates of the power t^k are row k of pow_to_basis
@@ -421,22 +424,21 @@ class FieldContext:
         return list(self._roots)
 
     def refine_roots(self, max_width: Rat) -> None:
-        """Narrow every root wider than max_width to at most max_width.  A
-        bound on every root's width, max_width after narrowing and else the
-        widest of the widths this call took, is kept until the roots change,
-        so that a request no narrower than it returns at once."""
+        """Narrow every root wider than max_width to at most max_width.  The
+        request of the last call that looked at the roots bounds every
+        root's width, so a request no narrower than it returns at once; a
+        root's width is tested on its integer ends (`_wider`)."""
         max_width = Fraction(max_width)
         if self._widest is not None and max_width >= self._widest:
             return
-        widths = [iv.width for iv in self._roots]
-        wide = [w > max_width for w in widths]
-        if not any(wide):
-            self._widest = max(widths, default=Fraction(0))
-            return
-        self._roots = [polys.refine_root(self.poly, iv, max_width) if w
-                       else iv for iv, w in zip(self._roots, wide)]
-        # the embeddings, their table and inverse came from the wider roots
-        self._emb_cache = self._fixed = self._mid = None
+        wn, wd = max_width.numerator, max_width.denominator
+        wide = [_wider(iv, wn, wd) for iv in self._roots]
+        if any(wide):
+            self._roots = [polys.refine_root(self.poly, iv, max_width) if w
+                           else iv for iv, w in zip(self._roots, wide)]
+            # the embeddings, their tables and inverse came from the wider
+            # roots
+            self._emb_cache = self._fixed = self._coarse = self._mid = None
         self._widest = max_width
 
     def basis_embeddings(self) -> List[Numerators]:
@@ -461,13 +463,19 @@ class FieldContext:
         return self._mid
 
     INT_BITS = 24
+    # root width of the ends a lone comparison reads first: that of
+    # `enumeration._targets` and of the second round of `_build_box`
+    _COARSE_WIDTH = Fraction(1, 256)
 
     def fixed_point_table(self) -> tuple:
         """(lows, highs, memo): per basis column j, the outward ends
         lows[j][i] <= 2^INT_BITS sigma_i(b_j) <= highs[j][i], taken at root
         width 2^-(INT_BITS + 8) (`fixed_point_table`), and a dict for the
         rows of `enumeration._halves`.  Built on first use, dropped by
-        `refine_roots`; `compare` and `enumeration._iter_box` read it."""
+        `refine_roots`; `enumeration._iter_box` prunes with it, and
+        `compare` and `_fast_signs` read it once it is built; before, they
+        build it only when its ends at root width 1/256 leave a sign
+        undecided (`_fast_signs`)."""
         if self._fixed is None:
             self.refine_roots(Fraction(1, 1 << (self.INT_BITS + 8)))
             self._fixed = fixed_point_table(self.basis_embeddings(),
@@ -511,17 +519,28 @@ class FieldContext:
             + offsets[both], w, top
 
     def _fast_signs(self, a: Element) -> Optional[Tuple[int, ...]]:
-        """Signs of all embeddings from the fixed-point bounds, or None when
-        some enclosure holds zero."""
-        signs = []
-        for lo, hi in zip(*self.fixed_point_bounds(a)):
-            if lo > 0:
-                signs.append(1)
-            elif hi < 0:
-                signs.append(-1)
-            else:
-                return None
-        return tuple(signs)
+        """Signs of all embeddings from fixed-point bounds, or None when
+        some enclosure holds zero.  Until `fixed_point_table` is built, the
+        bounds come first from its ends taken at root width at most
+        `_COARSE_WIDTH` (`fixed_point_ends`, kept by embedding until
+        `refine_roots` drops them), summed over the nonzero coordinates,
+        as packing pays only over many comparisons; the full table is built
+        and read only when some sign is left undecided.  Both are rounded
+        outward, so every sign they decide is the true one."""
+        if self._fixed is None:
+            if self._coarse is None:
+                self.refine_roots(self._COARSE_WIDTH)
+                self._coarse = list(zip(*fixed_point_ends(
+                    self.basis_embeddings(), self.INT_BITS)))
+            x = [(j, c) for j, c in enumerate(a.coords) if c]
+            signs = _signs(
+                [sum(c * (lo if c > 0 else hi)[j] for j, c in x)
+                 for lo, hi in self._coarse],
+                [sum(c * (hi if c > 0 else lo)[j] for j, c in x)
+                 for lo, hi in self._coarse])
+            if signs is not None:
+                return signs
+        return _signs(*self.fixed_point_bounds(a))
 
     def _embedding_numerators(self, a: Element, max_width: Rat
                               ) -> List[Tuple[int, int, int]]:
@@ -564,19 +583,22 @@ class FieldContext:
     def compare(self, a: Element, b: Element) -> Dominance:
         """Dominance of a over b, from the signs of the embeddings of a - b.
 
-        The fixed-point bounds only short-circuit decisive cases: GT at once
-        when every lower bound is positive, read off the top bit of each
-        digit of the packed lower bounds (`_packed_bounds`); else the signs
-        from both bounds (`_fast_signs`); and otherwise the exact sign
-        pattern of the characteristic polynomial.
+        The fixed-point bounds only short-circuit decisive cases: once
+        `fixed_point_table` is built, GT at once when every lower bound is
+        positive, read off the top bit of each digit of the packed lower
+        bounds (`_packed_bounds`); else the signs from both bounds
+        (`_fast_signs`, which lets a lone comparison read the ends at
+        root width 1/256 first); and otherwise the exact sign pattern of
+        the characteristic polynomial.
         """
         c = a - b if any(b.coords) else a
         if not any(c.coords):
             return Dominance.EQ
         # fixed-point pre-filter (sound: falls through when indecisive)
-        t, _, top = self._packed_bounds(c.coords, False)
-        if t & top == top:
-            return Dominance.GT
+        if self._fixed is not None:
+            t, _, top = self._packed_bounds(c.coords, False)
+            if t & top == top:
+                return Dominance.GT
         signs = self._fast_signs(c)
         if signs is not None:
             if -1 not in signs:
@@ -739,6 +761,29 @@ def _is_identity(m: Sequence[Sequence[Rat]]) -> bool:
     """Whether the square matrix m is the identity, read off its entries."""
     return all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
                for i, row in enumerate(m))
+
+
+def _wider(iv: Interval, wn: int, wd: int) -> bool:
+    """Whether iv is wider than wn / wd, on integer ends: with iv = [a/b,
+    e/b] over the product b of its ends' denominators, (e - a) wd > wn b."""
+    lo, hi = iv.lo, iv.hi
+    p, q = lo.denominator, hi.denominator
+    return (hi.numerator * p - lo.numerator * q) * wd > wn * p * q
+
+
+def _signs(lows: Sequence[int], highs: Sequence[int]
+           ) -> Optional[Tuple[int, ...]]:
+    """The signs of values enclosed by [lows[i], highs[i]], or None when
+    some enclosure holds zero."""
+    signs = []
+    for lo, hi in zip(lows, highs):
+        if lo > 0:
+            signs.append(1)
+        elif hi < 0:
+            signs.append(-1)
+        else:
+            return None
+    return tuple(signs)
 
 
 def fixed_point_table(rows: Sequence[Numerators], bits: int) -> tuple:

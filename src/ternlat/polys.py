@@ -286,12 +286,14 @@ def _sturm_signs(chain: Sequence[Sequence[int]], steps: Sequence[tuple],
     """(sign of p_0, sign variations) at a/b, b > 0, for a chain of length
     >= 2 and its steps from `_sturm`: p_m and p_(m-1) by Horner, each other
     P_j exactly by its step.  On a normal chain (degrees falling by 1)
-    every Q_i is linear, so a point costs O(d) products, not O(d^2)."""
+    every Q_i is linear and every e_i is 2, so a point costs O(d) products,
+    not O(d^2), with b^2 taken once."""
     x, y = _horner(chain[-1], a, b), _horner(chain[-2], a, b)
     vals = [x, y]
+    b2 = b * b
     for qn, c, e, d in reversed(steps):
         h = qn[0] * b + qn[1] * a if len(qn) == 2 else _horner(qn, a, b)
-        x, y = y, (h * y - c * x * b ** e) // d
+        x, y = y, (h * y - c * x * (b2 if e == 2 else b ** e)) // d
         vals.append(y)
     signs = [(v > 0) - (v < 0) for v in vals if v]
     return (y > 0) - (y < 0), sum(u != v for u, v in zip(signs, signs[1:]))

@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import pytest
 
 from conftest import eval_one, ref_eval_at
@@ -5,6 +7,7 @@ from ternlat import linalg, polys
 from ternlat.cyclotomic import (alpha_beta_verify, cyclo_info, mobius_phi,
                                 prime_power_base, subfield_test)
 from ternlat.errors import UnsupportedK
+from ternlat.numberfield import FieldContext
 
 
 def test_mobius_phi():
@@ -72,6 +75,19 @@ def test_alpha_beta_numbers():
     assert r5.trace_alpha == 3
     r12 = alpha_beta_verify(12)
     assert r12.trace_alpha == 4       # twice the degree, mu(12) = 0
+
+
+def test_alpha_beta_sweep_refines_no_root_below_1_256(monkeypatch):
+    # every sign question of the sweep is decided by the table at root
+    # width 1/256 that a lone comparison reads first, so each context
+    # refines its roots once, and never to the 2^-32 of the full table
+    widths = []
+    refine_roots = FieldContext.refine_roots
+    monkeypatch.setattr(FieldContext, "refine_roots", lambda ctx, w: (
+        widths.append(F(w)), refine_roots(ctx, w))[1])
+    for k in range(3, 61):
+        alpha_beta_verify(k)
+    assert len(widths) == 58 and min(widths) == F(1, 256)
 
 
 def test_cos_minpoly_straddles_its_root():

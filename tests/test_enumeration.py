@@ -7,10 +7,10 @@ from ternlat.errors import BoxTooLarge, PrecisionExhausted
 from ternlat.enumeration import (DominanceQuery, QueryMode,
                                  dominated_elements, elements_of_norm,
                                  enumerate_representations,
-                                 is_indecomposable, sqrt_element,
-                                 squarefree_witness, sum_of_squares_test,
-                                 unsquare)
-from ternlat.numberfield import load_field, sqrt2_context
+                                 is_indecomposable, solution_box,
+                                 sqrt_element, squarefree_witness,
+                                 sum_of_squares_test, unsquare)
+from ternlat.numberfield import Dominance, load_field, sqrt2_context
 
 
 def coords_of(elements):
@@ -116,9 +116,9 @@ def test_box_too_large_names_its_quantity(table, monkeypatch):
 
 
 def test_box_makes_its_targets_once_per_root_state(table):
-    # the query's positivity check builds the fixed-point table, whose
-    # roots are narrower than rounds 0 and 1 ask for: both read one list
-    # of embeddings, so one set of targets serves both
+    # the query builds the fixed-point table, whose roots are narrower
+    # than rounds 0 and 1 ask for: both read one list of embeddings, so
+    # one set of targets serves both
     ctx = load_field(table.by_label("K51200"))
     bound = ctx.from_rational(60)
     ctx.fixed_point_table()
@@ -132,6 +132,26 @@ def test_box_makes_its_targets_once_per_root_state(table):
     box = enumeration._build_box(ctx, targets, 10 ** 8)
     assert len(calls) == 1 and calls[0] is ctx.basis_embeddings()
     assert box.root_width == F(1, 256)
+
+
+def test_boxes_do_not_depend_on_a_lone_comparison_first(table):
+    # a lone comparison leaves the roots at width 1/256; a query takes the
+    # full fixed-point table before its positivity check, so the scan's
+    # 3 lambda and 6 boxes come from the roots at 2^-32 on a fresh
+    # context, on one that compared first and on one that built the table
+    for rec in table.records:
+        boxes = []
+        for first in ("nothing", "compare", "table"):
+            ctx = load_field(rec)
+            b3, b6 = 3 * (2 + ctx.sqrt2), ctx.from_rational(6)
+            if first == "compare":
+                assert b3.compare(b6) is Dominance.INCOMPARABLE
+                assert ctx._fixed is None
+            elif first == "table":
+                ctx.fixed_point_table()
+            boxes.append([solution_box(DominanceQuery(ctx, b)).to_dict()
+                          for b in (b3, b6)])
+        assert boxes[0] == boxes[1] == boxes[2], rec.label
 
 
 def test_uninvertible_embeddings_exhaust_precision(monkeypatch):

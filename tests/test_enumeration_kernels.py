@@ -21,6 +21,10 @@ positive, must equal the characteristic polynomial's verdict on a - b
 with b = 0 and b != 0, in both argument orders.
 `Element.signature` starts from those enclosures and `Element.trace` from
 the traces of the basis; both are checked against the paths they replaced.
+A context with no table yet reads its signs off the same ends taken at
+root width 1/256 first: its `compare` and `signature` must equal those of
+a context holding the table and the characteristic polynomial's, with no
+characteristic polynomial formed where the table decides.
 
 `enumeration._exact_check` decides a candidate by one comparison of an
 integer quadratic residual, whose coefficients in x_0 it forms once per
@@ -39,6 +43,7 @@ against the `Fraction` bodies they replaced (`sqrt_upper` and `Interval`).
 rank test, against `FieldContext.rational_span_coords`.
 """
 
+import copy
 import math
 import random
 from dataclasses import replace
@@ -644,6 +649,113 @@ def test_compare_agrees_with_charpoly(table, monkeypatch):
         check(ctx, a, b)
         ties += min(ctx.fixed_point_bounds(a - b)[0]) == 0
     assert ties > 10
+
+
+# ---------------------------------------------------------------------------
+# a lone comparison: the table at root width 1/256 first, then the full one
+
+def _cyclo_samples(info, rng):
+    """alpha and beta; 4 - w^2 for w = z^j + z^-j, j = 1, 2, whose
+    conjugates all lie in (-2, 2), so that 4 - w^2 has an embedding near 0
+    for large k, and 4 - w^2 - 2^-20; random elements on the first four
+    power-basis coordinates and on all of them; and all their negatives."""
+    ctx = info.field
+    d, g = ctx.degree, ctx.gen
+    four, eps = ctx.from_rational(4), ctx.from_rational(F(1, 1 << 20))
+    out = [info.alpha, info.beta]
+    for w in (g, g * g - 2):
+        out += [four - w * w, four - w * w - eps]
+    out += [ctx.element([rng.randint(-2, 2) if j < 4 else 0
+                         for j in range(d)]) for _ in range(3)]
+    out += [ctx.element([rng.randint(-1, 1) for _ in range(d)])
+            for _ in range(2)]
+    return out + [-c for c in out]
+
+
+def _tie_samples(ctx, rng):
+    """In Q[t]/((t^2 - 2)(t^2 - 3)): beta - w^2 = (t^2 - 2) s^2, which has
+    two exactly-zero embeddings, the same plus or minus 2^-30, and random
+    elements."""
+    z = ctx.gen * ctx.gen - ctx.from_rational(2)
+    eps = ctx.from_rational(F(1, 1 << 30))
+    out = []
+    for _ in range(8):
+        s = ctx.element([rng.randint(-5, 5) for _ in range(4)])
+        out += [z * s * s, z * s * s + eps, z * s * s - eps,
+                ctx.element([rng.randint(-5, 5) for _ in range(4)])]
+    return out + [-c for c in out]
+
+
+def _signature_or_error(a):
+    try:
+        return a.signature()
+    except ValueError:
+        return ValueError
+
+
+def test_lone_comparisons_equal_the_full_table_and_charpoly(table,
+                                                            monkeypatch):
+    # `compare` and `signature` on a context as loaded (a copy of one, with
+    # no table built) read the table at root width 1/256 first: they must
+    # equal the verdicts of a context holding the 2^-32 table and, up to
+    # degree 8, the characteristic polynomial's; where the 2^-32 table
+    # decides, no characteristic polynomial may be formed.  Above degree 8,
+    # where a characteristic polynomial takes up to seconds, the reference
+    # is the context holding the table alone, and an element that table
+    # leaves undecided is skipped
+    calls = [0]
+    charpoly = linalg.charpoly
+
+    def counted_charpoly(m):
+        calls[0] += 1
+        return charpoly(m)
+
+    monkeypatch.setattr(linalg, "charpoly", counted_charpoly)
+    rng = random.Random(31)
+    cases = [(load_field(ctx.record), elements)
+             for ctx, elements in _table_samples(table, 30)[:19]]
+    for k in range(3, 61):
+        info = cyclo_info(k)
+        cases.append((load_field(info.field.record),
+                      _cyclo_samples(info, rng)))
+    qxq = load_field(FieldRecord("QxQ", 4, (6, 0, -5, 0, 1), tuple(
+        tuple(F(int(i == j)) for j in range(4)) for i in range(4)), 144))
+    cases.append((load_field(qxq.record), _tie_samples(qxq, rng)))
+    assert len(cases) == 19 + 58 + 1
+    paths = {"1/256": 0, "2^-32": 0, "charpoly": 0}
+    for template, elements in cases:
+        d = template.degree
+        full = copy.copy(template)
+        full.fixed_point_table()
+        for c in elements:
+            if c.is_zero:
+                continue
+            a = full.element(c.coords, c.den)
+            decided = full._fast_signs(a) is not None
+            if not decided and d > 8:
+                continue
+            fresh = copy.copy(template)
+            before = calls[0]
+            got = fresh.compare(fresh.element(c.coords, c.den), fresh.zero)
+            exact = calls[0] > before
+            assert not (decided and exact)
+            paths["charpoly" if exact else
+                  "2^-32" if fresh._fixed else "1/256"] += 1
+            assert got is full.compare(a, full.zero)
+            fresh = copy.copy(template)
+            sig = _signature_or_error(fresh.element(c.coords, c.den))
+            assert sig == _signature_or_error(a)
+            if d > 8:
+                continue
+            want = charpoly_verdict(a)
+            assert got is want
+            if want in (Dominance.GT, Dominance.LT):
+                assert sig == (1 if want is Dominance.GT else -1,) * d
+            elif want is Dominance.INCOMPARABLE:
+                assert sig is ValueError or {1, -1} <= set(sig)
+            else:
+                assert sig is ValueError
+    assert min(paths.values()) > 10, paths
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import ref_divmod_poly, ref_embeddings, ref_unit_square_reduce
-from ternlat import linalg, polys
+from ternlat import linalg, numberfield, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import dominated_elements
 from ternlat.errors import (DivisionByZero, FieldDataError, NoSuchUnit,
                             NotARing, NotTotallyReal)
-from ternlat.intervals import Interval
 from ternlat.numberfield import (Dominance, FieldRecord, basis_mult_table,
                                  load_field, sqrt2_context,
                                  unit_square_canonical,
@@ -523,7 +522,8 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     # only roots wider than the request are refined: K10816's isolating
     # intervals are 11, 11/16, 11/16 and 11/4 wide, and a request no
     # narrower than the widest root refines none and keeps the caches;
-    # once that width is taken, such a request looks at no root
+    # once such a request is taken, one no narrower looks at no root, and
+    # a narrower one looks at each root once
     refined = []
     refine_root = polys.refine_root
     monkeypatch.setattr(polys, "refine_root", lambda p, iv, w: (
@@ -538,13 +538,21 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     assert [iv.width for iv in ctx.roots()] == [F(11, 16)] * 4
     emb = ctx.basis_embeddings()
     ctx.refine_roots(F(3, 4))
-    widths = []
-    monkeypatch.setattr(Interval, "width", property(
-        lambda iv: widths.append(iv) or iv.hi - iv.lo))
-    ctx.refine_roots(F(11, 16))
+    looked = _probe_width_tests(monkeypatch)
+    ctx.refine_roots(F(3, 4))
     ctx.refine_roots(1)
-    assert widths == [] and len(refined) == 2
+    assert looked == [] and len(refined) == 2
+    ctx.refine_roots(F(11, 16))
+    assert looked == ctx.roots() and len(refined) == 2
     assert ctx.basis_embeddings() is emb
+
+
+def _probe_width_tests(monkeypatch):
+    """The roots whose width `refine_roots` tests from now on, in order."""
+    looked, wider = [], numberfield._wider
+    monkeypatch.setattr(numberfield, "_wider", lambda iv, wn, wd: (
+        looked.append(iv), wider(iv, wn, wd))[1])
+    return looked
 
 
 def test_refine_roots_takes_no_width_after_narrowing(table, monkeypatch):
@@ -553,15 +561,13 @@ def test_refine_roots_takes_no_width_after_narrowing(table, monkeypatch):
     # width, looks at no root; a narrower one looks at each root once
     ctx = load_field(table.by_label("K10816"))
     ctx.refine_roots(F(1, 1 << 32))
-    widths = []
-    monkeypatch.setattr(Interval, "width", property(
-        lambda iv: widths.append(iv) or iv.hi - iv.lo))
+    looked = _probe_width_tests(monkeypatch)
     ctx.fixed_point_table()
     ctx.refine_roots(F(1, 1 << 31))
-    assert widths == []
+    assert looked == []
     roots = ctx.roots()
     ctx.refine_roots(F(1, 1 << 33))
-    assert widths == roots
+    assert looked == roots
 
 
 # ---------------------------------------------------------------------------
