@@ -13,11 +13,11 @@ interval products and sums are taken on the numerators, and the box
 bounds are their exact ceiling and floor.  Precision is increased until
 the box volume stabilizes, and a configurable ceiling turns runaway
 searches into errors instead of long runs.  The targets, the
-per-embedding region, depend only on the bound and the roots, so they are
-made once per root state: a round whose roots did not change (as the
-first rounds after `fixed_point_table`) reuses them, and every box at that
-root state certifies its inverse from the one `linalg.ApproximateInverse`
-the context keeps (`FieldContext.embedding_inverse`).
+per-embedding region, depend only on the bound and the roots, so a round
+whose root state did not change (as the first rounds after
+`fixed_point_table`) reuses them, and every box at that root state
+certifies its inverse from the one `linalg.ApproximateInverse` the state
+keeps (`FieldContext.embedding_inverse`).
 
 Each candidate x of the pruned box then takes one exact comparison against
 zero, of an integer residual from a quadratic map built once per query:
@@ -166,8 +166,8 @@ def _build_box(ctx: FieldContext, make_targets: Callable[[], Numerators],
     Each round certifies its own inverse from `ctx.embedding_inverse()`.
     The targets depend only on the bound and the roots, so `make_targets`
     runs, and the box's `Fraction` ends are made from its `Numerators`,
-    once per root state: again only when `ctx.basis_embeddings()` returns
-    a new list, which `refine_roots` makes exactly when a root changes."""
+    again only in a round that finds a new root state: when
+    `ctx.basis_embeddings()` returns a new list."""
     prev: Optional[tuple] = None
     prev_vol = None
     made_for = targets = ends = None

@@ -12,15 +12,16 @@ inverses), the basis rows in power coordinates over one denominator
 the fixed-point table of the basis embeddings (signs, and the box
 pruning of `enumeration`), read off the basis embeddings: integer
 endpoint numerators over one denominator per root, from one Horner pass
-per root.  The table is taken at root width 2^-32; a context that has
-not built it yet reads its signs off the same ends taken at root width
-1/256 first, and refines to 2^-32 only when they leave a sign undecided.
+per root, all kept on the root state.  The table is taken at root width
+2^-32; before, a context reads its signs off the table at root width
+1/256 first, and refines to 2^-32 only when it leaves a sign undecided.
 Order comparisons (total positivity, dominance) and signatures return
 exact verdicts: the fixed-point tables only short-circuit decisive cases.
 An undecided comparison falls back to the sign pattern of
 the characteristic polynomial of the multiplication map, which is decisive
-because every conjugate is real; an undecided signature refines rational
-interval embeddings, after ruling out an exactly-zero embedding by the norm.
+because every conjugate is real; an undecided signature refines the integer
+enclosures of its embeddings, after ruling out an exactly-zero embedding by
+the norm.
 
 A context holds the unit group modulo squares once: its unit generators, the
 table of their products by signature and the unit-square steps, the last two
@@ -325,9 +326,10 @@ class Element:
                 "element has an exactly-zero embedding (zero divisor)")
         width = Fraction(1, 16)
         for _ in range(64):
-            ivs = self.embeddings(width)
-            if all(not iv.contains_zero() for iv in ivs):
-                return tuple(1 if iv.lo > 0 else -1 for iv in ivs)
+            lows, highs, _ = zip(*self.ctx._embedding_numerators(self, width))
+            signs = _signs(lows, highs)
+            if signs is not None:
+                return signs
             width /= 16
         raise ValueError("embedding signs did not stabilize")
 
@@ -341,12 +343,27 @@ class Element:
         return q if probe == self else None
 
 
+class _RootState:
+    """A context's roots, the width bound of the last request that looked at
+    them (`fine` once it is at most `FieldContext._FINE_WIDTH`), and what is
+    made from them on first use: the basis embeddings, `embedding_inverse`,
+    the fixed-point table and its packing.  It holds no reference back."""
+
+    __slots__ = ("roots", "width", "fine", "embeddings", "inverse", "table",
+                 "pack")
+
+    def __init__(self, roots: List[Interval]):
+        self.roots, self.width, self.fine = roots, None, False
+        self.embeddings = self.inverse = self.table = self.pack = None
+
+
 class FieldContext:
     """Validated field: multiplication table, isolated roots, named elements.
 
-    Immutable for all observable purposes.  Root intervals refine monotonically
-    in place (a benign cache); every public result depends only on the inputs
-    and the requested precision.
+    Immutable for all observable purposes.  The roots refine monotonically,
+    each refinement that narrows one installing a new root state (a benign
+    cache); every public result depends only on the inputs and the
+    requested precision.
     """
 
     def __init__(self, record: FieldRecord, mult_table, roots: List[Interval],
@@ -357,14 +374,8 @@ class FieldContext:
         self.mult_table = mult_table
         self.basis_pow = basis_pow
         self.pow_to_basis = pow_to_basis
-        self._roots = list(roots)
+        self._state = _RootState(list(roots))
         self._horner = polys.horner_rows(basis_pow)     # basis_embeddings
-        self._emb_cache: Optional[List[Numerators]] = None
-        self._widest: Optional[Fraction] = None     # refine_roots
-        self._fixed: Optional[tuple] = None         # fixed_point_table
-        self._coarse: Optional[list] = None         # _fast_signs
-        self._mid: Optional[tuple] = None           # embedding_inverse
-        self._pack: Optional[tuple] = None          # _pack_table
         # basis coordinates of the power t^k are row k of pow_to_basis
         self.one = self.from_rational_coords(pow_to_basis[0])
         if not self.one.is_integral:
@@ -421,66 +432,66 @@ class FieldContext:
     # -- embeddings ----------------------------------------------------------
 
     def roots(self) -> List[Interval]:
-        return list(self._roots)
+        return list(self._state.roots)
 
     def refine_roots(self, max_width: Rat) -> None:
-        """Narrow every root wider than max_width to at most max_width.  The
-        request of the last call that looked at the roots bounds every
-        root's width, so a request no narrower than it returns at once; a
-        root's width is tested on its integer ends (`_wider`)."""
+        """Narrow every root wider than max_width to at most max_width, in a
+        new `_RootState`; a request that narrows none keeps the state and
+        all it made.  The request bounds the state's widths, so one no
+        narrower returns at once; widths are tested on integer ends."""
         max_width = Fraction(max_width)
-        if self._widest is not None and max_width >= self._widest:
+        state = self._state
+        if state.width is not None and max_width >= state.width:
             return
         wn, wd = max_width.numerator, max_width.denominator
-        wide = [_wider(iv, wn, wd) for iv in self._roots]
+        wide = [_wider(iv, wn, wd) for iv in state.roots]
         if any(wide):
-            self._roots = [polys.refine_root(self.poly, iv, max_width) if w
-                           else iv for iv, w in zip(self._roots, wide)]
-            # the embeddings, their tables and inverse came from the wider
-            # roots
-            self._emb_cache = self._fixed = self._coarse = self._mid = None
-        self._widest = max_width
+            state = self._state = _RootState([
+                polys.refine_root(self.poly, iv, max_width) if w else iv
+                for iv, w in zip(state.roots, wide)])
+        state.width, state.fine = max_width, max_width <= self._FINE_WIDTH
 
     def basis_embeddings(self) -> List[Numerators]:
         """Per root i, (lows, highs, den) with sigma_i(basis_j) in [lows[j],
-        highs[j]] / den, at current precision: one `polys.eval_interval`
-        call per root evaluates every basis row."""
-        if self._emb_cache is None:
-            self._emb_cache = [polys.eval_interval(*self._horner, root)
-                               for root in self._roots]
-        return self._emb_cache
+        highs[j]] / den, made once per root state: one
+        `polys.eval_interval` call per root evaluates every basis row."""
+        if self._state.embeddings is None:
+            self._state.embeddings = [polys.eval_interval(*self._horner, root)
+                                      for root in self._state.roots]
+        return self._state.embeddings
 
     def embedding_inverse(self) -> tuple:
         """(`linalg.midpoint_inverse` of `basis_embeddings`, det of their
-        midpoint numerators lows + highs), built on first use and dropped by
-        `refine_roots`; `enumeration._build_box` reads both.  The first is
-        all that `linalg.interval_inverse` takes (R, |R|, M and D)."""
-        if self._mid is None:
+        midpoint numerators lows + highs) for `enumeration._build_box`, made
+        once per root state; `linalg.interval_inverse` takes the first."""
+        if self._state.inverse is None:
             emb = self.basis_embeddings()
-            self._mid = (linalg.midpoint_inverse(emb), linalg.det_int(
+            self._state.inverse = linalg.midpoint_inverse(emb), linalg.det_int(
                 [[lo + hi for lo, hi in zip(lows, highs)]
-                 for lows, highs, _ in emb]))
-        return self._mid
+                 for lows, highs, _ in emb])
+        return self._state.inverse
 
     INT_BITS = 24
-    # root width of the ends a lone comparison reads first: that of
-    # `enumeration._targets` and of the second round of `_build_box`
+    # root widths of the full fixed-point table and of a lone comparison's
+    _FINE_WIDTH = Fraction(1, 1 << INT_BITS + 8)
     _COARSE_WIDTH = Fraction(1, 256)
 
     def fixed_point_table(self) -> tuple:
         """(lows, highs, memo): per basis column j, the outward ends
-        lows[j][i] <= 2^INT_BITS sigma_i(b_j) <= highs[j][i], taken at root
-        width 2^-(INT_BITS + 8) (`fixed_point_table`), and a dict for the
-        rows of `enumeration._halves`.  Built on first use, dropped by
-        `refine_roots`; `enumeration._iter_box` prunes with it, and
-        `compare` and `_fast_signs` read it once it is built; before, they
-        build it only when its ends at root width 1/256 leave a sign
-        undecided (`_fast_signs`)."""
-        if self._fixed is None:
-            self.refine_roots(Fraction(1, 1 << (self.INT_BITS + 8)))
-            self._fixed = fixed_point_table(self.basis_embeddings(),
-                                            self.INT_BITS)
-        return self._fixed
+        lows[j][i] <= 2^INT_BITS sigma_i(b_j) <= highs[j][i], and a dict
+        for the rows of `enumeration._halves`, made once per root state
+        after the roots are refined to `_FINE_WIDTH`.  `_iter_box` prunes
+        with it; `_fast_signs` reads the table of a coarser state first."""
+        if self._state.table is None or not self._state.fine:
+            self.refine_roots(self._FINE_WIDTH)
+        return self._state_table()
+
+    def _state_table(self) -> tuple:
+        """`fixed_point_table` of the root state, whatever its width."""
+        if self._state.table is None:
+            self._state.table = fixed_point_table(self.basis_embeddings(),
+                                                  self.INT_BITS)
+        return self._state.table
 
     def fixed_point_bounds(self, a: Element) -> Tuple[List[int], List[int]]:
         """Outward lower and upper bounds on sigma_i(den * a), one per
@@ -506,38 +517,33 @@ class FieldContext:
         of the other end is added shifted by d digits.  With E the largest
         |entry|, |bound_i| <= E sum_j |x_j|, and w (a power of two, at least
         64) keeps that at most 2^(w-1) - 2: every offset digit lies in [1,
-        2^w - 3] and no carry crosses digits.  Returns (t, w, top) with top
-        the digit-wise 2^(w-1), so every bound_i is positive exactly when
-        t & top == top."""
+        2^w - 3] and no carry crosses digits; the root state keeps the
+        packing.  Returns (t, w, top) with top the digit-wise 2^(w-1), so
+        every bound_i is positive exactly when t & top == top."""
         s = sum(map(abs, x))
-        table = self._fixed or self.fixed_point_table()
-        pack = self._pack
-        if pack is None or pack[0] is not table or s > pack[1]:
-            pack = self._pack = _pack_table(table, s)
-        _, _, w, cols, offsets, top = pack
+        pack = self._state.pack
+        if pack is None or s > pack[0]:     # the table may install a state
+            pack = self._state.pack = _pack_table(self.fixed_point_table(), s)
+        _, w, cols, offsets, top = pack
         return sum([c * pn[c < 0] for c, pn in zip(x, cols[both])]) \
             + offsets[both], w, top
 
     def _fast_signs(self, a: Element) -> Optional[Tuple[int, ...]]:
-        """Signs of all embeddings from fixed-point bounds, or None when
-        some enclosure holds zero.  Until `fixed_point_table` is built, the
-        bounds come first from its ends taken at root width at most
-        `_COARSE_WIDTH` (`fixed_point_ends`, kept by embedding until
-        `refine_roots` drops them), summed over the nonzero coordinates,
-        as packing pays only over many comparisons; the full table is built
-        and read only when some sign is left undecided.  Both are rounded
-        outward, so every sign they decide is the true one."""
-        if self._fixed is None:
-            if self._coarse is None:
+        """Signs of all embeddings from a fixed-point table, or None when
+        some enclosure holds zero.  While the roots are coarser than
+        `_FINE_WIDTH`, that of a state at most `_COARSE_WIDTH` wide comes
+        first, summed over the nonzero coordinates (packing pays only over
+        many comparisons); the full one, packed, only when it leaves a sign
+        undecided.  Both round outward: every sign they decide is true."""
+        if not self._state.fine:
+            if self._state.table is None:
                 self.refine_roots(self._COARSE_WIDTH)
-                self._coarse = list(zip(*fixed_point_ends(
-                    self.basis_embeddings(), self.INT_BITS)))
-            x = [(j, c) for j, c in enumerate(a.coords) if c]
-            signs = _signs(
-                [sum(c * (lo if c > 0 else hi)[j] for j, c in x)
-                 for lo, hi in self._coarse],
-                [sum(c * (hi if c > 0 else lo)[j] for j, c in x)
-                 for lo, hi in self._coarse])
+            lows, highs, _ = self._state_table()
+            x = [(c, lo, hi) if c > 0 else (c, hi, lo)
+                 for c, lo, hi in zip(a.coords, lows, highs) if c]
+            d = range(self.degree)
+            signs = _signs([sum(c * lo[i] for c, lo, _ in x) for i in d],
+                           [sum(c * hi[i] for c, _, hi in x) for i in d])
             if signs is not None:
                 return signs
         return _signs(*self.fixed_point_bounds(a))
@@ -567,7 +573,7 @@ class FieldContext:
             if all((hi - lo) * wd <= wn * den for lo, hi, den in out):
                 return out
             if width is None:
-                width = min(iv.width for iv in self._roots)
+                width = min(iv.width for iv in self._state.roots)
             width = max(width / 4, Fraction(1, 1 << 300))
             self.refine_roots(width)
         raise RuntimeError("embedding refinement did not converge")
@@ -583,8 +589,8 @@ class FieldContext:
     def compare(self, a: Element, b: Element) -> Dominance:
         """Dominance of a over b, from the signs of the embeddings of a - b.
 
-        The fixed-point bounds only short-circuit decisive cases: once
-        `fixed_point_table` is built, GT at once when every lower bound is
+        The fixed-point bounds only short-circuit decisive cases: once the
+        roots are at `_FINE_WIDTH`, GT at once when every lower bound is
         positive, read off the top bit of each digit of the packed lower
         bounds (`_packed_bounds`); else the signs from both bounds
         (`_fast_signs`, which lets a lone comparison read the ends at
@@ -595,7 +601,7 @@ class FieldContext:
         if not any(c.coords):
             return Dominance.EQ
         # fixed-point pre-filter (sound: falls through when indecisive)
-        if self._fixed is not None:
+        if self._state.fine:
             t, _, top = self._packed_bounds(c.coords, False)
             if t & top == top:
                 return Dominance.GT
@@ -775,15 +781,9 @@ def _signs(lows: Sequence[int], highs: Sequence[int]
            ) -> Optional[Tuple[int, ...]]:
     """The signs of values enclosed by [lows[i], highs[i]], or None when
     some enclosure holds zero."""
-    signs = []
-    for lo, hi in zip(lows, highs):
-        if lo > 0:
-            signs.append(1)
-        elif hi < 0:
-            signs.append(-1)
-        else:
-            return None
-    return tuple(signs)
+    signs = tuple(1 if lo > 0 else -1 if hi < 0 else 0
+                  for lo, hi in zip(lows, highs))
+    return None if 0 in signs else signs
 
 
 def fixed_point_table(rows: Sequence[Numerators], bits: int) -> tuple:
@@ -796,9 +796,9 @@ def fixed_point_table(rows: Sequence[Numerators], bits: int) -> tuple:
 
 def _pack_table(table: tuple, s: int) -> tuple:
     """The packing of `FieldContext._packed_bounds` at the least width
-    w = 64 * 2^k with E s <= 2^(w-1) - 2: (table, the largest s it admits,
-    w, for the lower bounds and for both bounds the pairs of packed columns
-    j taken for x_j >= 0 and for x_j < 0 and the offset digits 2^(w-1) - 1,
+    w = 64 * 2^k with E s <= 2^(w-1) - 2: (the largest s it admits, w, for
+    the lower bounds and for both bounds the pairs of packed columns j
+    taken for x_j >= 0 and for x_j < 0 and the offset digits 2^(w-1) - 1,
     the top bits 2^(w-1))."""
     lows, highs, _ = table
     e = max(1, *(max(map(abs, col)) for col in lows + highs))
@@ -813,7 +813,7 @@ def _pack_table(table: tuple, s: int) -> tuple:
     cols = (list(zip(lo, hi)),
             [(a + (b << wd), b + (a << wd)) for a, b in zip(lo, hi)])
     offset = top - ones
-    return (table, ((1 << w - 1) - 2) // e, w, cols,
+    return (((1 << w - 1) - 2) // e, w, cols,
             (offset, offset + (offset << wd)), top)
 
 

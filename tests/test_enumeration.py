@@ -146,7 +146,7 @@ def test_boxes_do_not_depend_on_a_lone_comparison_first(table):
             b3, b6 = 3 * (2 + ctx.sqrt2), ctx.from_rational(6)
             if first == "compare":
                 assert b3.compare(b6) is Dominance.INCOMPARABLE
-                assert ctx._fixed is None
+                assert not ctx._state.fine
             elif first == "table":
                 ctx.fixed_point_table()
             boxes.append([solution_box(DominanceQuery(ctx, b)).to_dict()

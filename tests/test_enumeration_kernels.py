@@ -536,7 +536,7 @@ def test_packed_bounds_equal_one_dot_product_per_row(table):
     for ctx in ctxs + [cyclo_info(11).field]:
         d = ctx.degree
         ctx.fixed_point_bounds(ctx.one)
-        limit = ctx._pack[1]
+        limit = ctx._state.pack[0]
         xs = [[sign * (limit + k)] + [0] * (d - 1)
               for k in (0, 1) for sign in (1, -1)]
         xs += [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(d)]
@@ -558,10 +558,12 @@ def test_fast_path_is_indecisive_on_an_enclosure_touching_zero():
     # sigma_i(1) in [0, 2] touches zero and must fall back; in [1, 3] it is
     # decisive
     ctx = sqrt2_context()
-    ctx._fixed = ([[0, 0], [0, 0]], [[2, 2], [0, 0]], {})
+    ctx.refine_roots(F(1, 1 << 32))
+    state = ctx._state
+    state.table = ([[0, 0], [0, 0]], [[2, 2], [0, 0]], {})
     assert ctx._fast_signs(ctx.one) is None
     assert ctx._fast_signs(-ctx.one) is None
-    ctx._fixed = ([[1, 1], [0, 0]], [[3, 3], [0, 0]], {})
+    state.table, state.pack = ([[1, 1], [0, 0]], [[3, 3], [0, 0]], {}), None
     assert ctx._fast_signs(ctx.one) == (1, 1)
     assert ctx._fast_signs(-ctx.one) == (-1, -1)
 
@@ -740,7 +742,7 @@ def test_lone_comparisons_equal_the_full_table_and_charpoly(table,
             exact = calls[0] > before
             assert not (decided and exact)
             paths["charpoly" if exact else
-                  "2^-32" if fresh._fixed else "1/256"] += 1
+                  "2^-32" if fresh._state.fine else "1/256"] += 1
             assert got is full.compare(a, full.zero)
             fresh = copy.copy(template)
             sig = _signature_or_error(fresh.element(c.coords, c.den))

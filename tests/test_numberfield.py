@@ -519,11 +519,34 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     ctx.refine_roots(fine)
     assert ctx.fixed_point_table() == ref.fixed_point_table()
 
+    # so do the ends at root width 1/256 that a lone comparison sums, and
+    # the packed bounds of the full table: after a narrowing refine, each
+    # equals a fresh context's at the same width, and neither is carried
+    # over from the wider roots
+    xs = [[int(i == j) for j in range(4)] for i in range(4)] + \
+        [[3, -1, 2, -5], [-7, 2, 0, 1]]
+    mid = F(1, 1 << 12)
+    fresh = load_field(rec)
+    fresh.refine_roots(mid)
+    ctx = load_field(rec)
+    ctx._fast_signs(ctx.one)
+    coarse = ctx._state.table
+    ctx.refine_roots(mid)
+    assert [ctx._fast_signs(ctx.element(x)) for x in xs] == \
+        [fresh._fast_signs(fresh.element(x)) for x in xs]
+    assert ctx._state.table[:2] == fresh._state.table[:2] != coarse[:2]
+    ctx = load_field(rec)
+    stale = [ctx.fixed_point_bounds(ctx.element(x)) for x in xs]
+    ctx.refine_roots(fine)
+    bounds = [ctx.fixed_point_bounds(ctx.element(x)) for x in xs]
+    assert bounds == [ref.fixed_point_bounds(ref.element(x)) for x in xs]
+    assert bounds != stale
+
     # only roots wider than the request are refined: K10816's isolating
     # intervals are 11, 11/16, 11/16 and 11/4 wide, and a request no
-    # narrower than the widest root refines none and keeps the caches;
-    # once such a request is taken, one no narrower looks at no root, and
-    # a narrower one looks at each root once
+    # narrower than the widest root refines none and keeps the root state
+    # and all it made; once such a request is taken, one no narrower looks
+    # at no root, and a narrower one looks at each root once
     refined = []
     refine_root = polys.refine_root
     monkeypatch.setattr(polys, "refine_root", lambda p, iv, w: (
@@ -536,7 +559,8 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     ctx.refine_roots(1)
     assert refined == [roots[0], roots[3]]
     assert [iv.width for iv in ctx.roots()] == [F(11, 16)] * 4
-    emb = ctx.basis_embeddings()
+    state, emb = ctx._state, ctx.basis_embeddings()
+    made = ctx.embedding_inverse(), ctx._state_table()
     ctx.refine_roots(F(3, 4))
     looked = _probe_width_tests(monkeypatch)
     ctx.refine_roots(F(3, 4))
@@ -544,7 +568,9 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     assert looked == [] and len(refined) == 2
     ctx.refine_roots(F(11, 16))
     assert looked == ctx.roots() and len(refined) == 2
-    assert ctx.basis_embeddings() is emb
+    assert ctx._state is state and ctx.basis_embeddings() is emb
+    assert all(a is b for a, b in zip(
+        made, (ctx.embedding_inverse(), ctx._state_table())))
 
 
 def _probe_width_tests(monkeypatch):
