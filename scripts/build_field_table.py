@@ -208,11 +208,10 @@ def main():
                 s2 = ctx.from_power_coords(SQRT2_OVERRIDE[disc])
                 assert s2.is_integral and s2 * s2 == ctx.from_rational(2)
             h = 2 if disc == 51200 else 1
-            # the tagged context reuses the validated table, roots and basis;
-            # its constructor checks that the tag squares to 2
-            gens, uratio = find_units(FieldContext(
-                replace(ctx.record, sqrt2=tuple(s2.coords)), ctx.mult_table,
-                ctx.roots(), ctx.basis_pow, ctx.pow_to_basis))
+            # the tagged record loads afresh; loading checks that the tag
+            # squares to 2
+            gens, uratio = find_units(load_field(
+                replace(ctx.record, sqrt2=tuple(s2.coords))))
             h_plus = h * uratio
             rows.append(record_dict(label, order, h, h_plus, gens, s2))
             print(f"  {label}: disc {disc} prov {prov} h={h} h+={h_plus} "

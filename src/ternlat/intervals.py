@@ -28,15 +28,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    @staticmethod
-    def point(x: Rat) -> "Interval":
-        x = Fraction(x)
-        return Interval(x, x)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2

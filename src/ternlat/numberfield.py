@@ -344,16 +344,17 @@ class Element:
 
 
 class _RootState:
-    """A context's roots, the width bound of the last request that looked at
-    them (`fine` once it is at most `FieldContext._FINE_WIDTH`), and what is
-    made from them on first use: the basis embeddings, `embedding_inverse`,
-    the fixed-point table and its packing.  It holds no reference back."""
+    """A context's roots as `polys.RootCell`s, the width bound of the last
+    request that looked at them (`fine` once it is at most
+    `FieldContext._FINE_WIDTH`), and what is made from them on first use:
+    the basis embeddings, `embedding_inverse`, the fixed-point table and
+    its packing.  It holds no reference back."""
 
-    __slots__ = ("roots", "width", "fine", "embeddings", "inverse", "table",
+    __slots__ = ("cells", "width", "fine", "embeddings", "inverse", "table",
                  "pack")
 
-    def __init__(self, roots: List[Interval]):
-        self.roots, self.width, self.fine = roots, None, False
+    def __init__(self, cells: List[polys.RootCell]):
+        self.cells, self.width, self.fine = cells, None, False
         self.embeddings = self.inverse = self.table = self.pack = None
 
 
@@ -366,8 +367,8 @@ class FieldContext:
     requested precision.
     """
 
-    def __init__(self, record: FieldRecord, mult_table, roots: List[Interval],
-                 basis_pow, pow_to_basis):
+    def __init__(self, record: FieldRecord, mult_table,
+                 roots: List[polys.RootCell], basis_pow, pow_to_basis):
         self.record = record
         self.degree = record.degree
         self.poly = list(record.poly)
@@ -432,23 +433,24 @@ class FieldContext:
     # -- embeddings ----------------------------------------------------------
 
     def roots(self) -> List[Interval]:
-        return list(self._state.roots)
+        return [Interval(Fraction(c.a, c.b), Fraction(c.e, c.b))
+                for c in self._state.cells]
 
     def refine_roots(self, max_width: Rat) -> None:
-        """Narrow every root wider than max_width to at most max_width, in a
-        new `_RootState`; a request that narrows none keeps the state and
-        all it made.  The request bounds the state's widths, so one no
-        narrower returns at once; widths are tested on integer ends."""
+        """Narrow every root wider than max_width to at most max_width, each
+        from its current cell, in a new `_RootState`; a request that narrows
+        none keeps the state and all it made.  The request bounds the
+        state's widths, so one no narrower returns at once."""
         max_width = Fraction(max_width)
         state = self._state
         if state.width is not None and max_width >= state.width:
             return
         wn, wd = max_width.numerator, max_width.denominator
-        wide = [_wider(iv, wn, wd) for iv in state.roots]
+        wide = [c.wider(wn, wd) for c in state.cells]
         if any(wide):
             state = self._state = _RootState([
-                polys.refine_root(self.poly, iv, max_width) if w else iv
-                for iv, w in zip(state.roots, wide)])
+                polys.refine_root(self.poly, c, max_width) if w else c
+                for c, w in zip(state.cells, wide)])
         state.width, state.fine = max_width, max_width <= self._FINE_WIDTH
 
     def basis_embeddings(self) -> List[Numerators]:
@@ -456,8 +458,8 @@ class FieldContext:
         highs[j]] / den, made once per root state: one
         `polys.eval_interval` call per root evaluates every basis row."""
         if self._state.embeddings is None:
-            self._state.embeddings = [polys.eval_interval(*self._horner, root)
-                                      for root in self._state.roots]
+            self._state.embeddings = [polys.eval_interval(*self._horner, c)
+                                      for c in self._state.cells]
         return self._state.embeddings
 
     def embedding_inverse(self) -> tuple:
@@ -573,7 +575,8 @@ class FieldContext:
             if all((hi - lo) * wd <= wn * den for lo, hi, den in out):
                 return out
             if width is None:
-                width = min(iv.width for iv in self._state.roots)
+                width = min(Fraction(c.e - c.a, c.b)
+                            for c in self._state.cells)
             width = max(width / 4, Fraction(1, 1 << 300))
             self.refine_roots(width)
         raise RuntimeError("embedding refinement did not converge")
@@ -767,14 +770,6 @@ def _is_identity(m: Sequence[Sequence[Rat]]) -> bool:
     """Whether the square matrix m is the identity, read off its entries."""
     return all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
                for i, row in enumerate(m))
-
-
-def _wider(iv: Interval, wn: int, wd: int) -> bool:
-    """Whether iv is wider than wn / wd, on integer ends: with iv = [a/b,
-    e/b] over the product b of its ends' denominators, (e - a) wd > wn b."""
-    lo, hi = iv.lo, iv.hi
-    p, q = lo.denominator, hi.denominator
-    return (hi.numerator * p - lo.numerator * q) * wd > wn * p * q
 
 
 def _signs(lows: Sequence[int], highs: Sequence[int]

@@ -23,7 +23,10 @@ values of Horner on every member, at O(d) products per point, not O(d^2).
 endpoint signs are those of the isolating interval, from secant proposals
 on the same grid: a cell is accepted only when the integer signs at both
 of its ends confirm it, and a failed proposal halves the step, down to a
-plain bisection step.
+plain bisection step.  A root is a `RootCell`, integer ends with the
+values there: isolation hands on its Sturm values, and refinement
+evaluates only missing ones and resumes from the cell it reached (dyadic
+cells nest, so the result is the same).
 
 `MPoly` is the one sparse multivariate polynomial type, over any
 commutative ring, for the symbolic determinant and identity checks.
@@ -34,9 +37,9 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .intervals import Interval, Numerators
+from .intervals import Numerators
 
 Coeff = Union[int, Fraction]
 Poly = List[Coeff]
@@ -110,11 +113,20 @@ def _horner(nums: Sequence[int], a: int, b: int) -> int:
     return acc
 
 
-def _over_common_den(x: Coeff, y: Coeff) -> Tuple[int, int, int]:
-    """(a, e, b) with x = a/b, y = e/b and b > 0."""
-    b = lcm(x.denominator, y.denominator)
-    return (x.numerator * (b // x.denominator),
-            y.numerator * (b // y.denominator), b)
+class RootCell(NamedTuple):
+    """A root of p in [a/b, e/b], a <= e, b > 0 (a == e: an exact root), and
+    fa, fe = b^n P there, P = `primitive_int`(p) of degree n, or None where
+    not evaluated yet; k is the secant step `refine_root` resumes with."""
+    a: int
+    e: int
+    b: int
+    fa: Optional[int] = None
+    fe: Optional[int] = None
+    k: int = 1
+
+    def wider(self, wn: int, wd: int) -> bool:
+        """Whether the cell is wider than wn / wd."""
+        return (self.e - self.a) * wd > wn * self.b
 
 
 def horner_rows(ps: Sequence[Sequence[Coeff]]
@@ -135,23 +147,25 @@ def horner_rows(ps: Sequence[Sequence[Coeff]]
 
 
 def eval_interval(rows: Sequence[Sequence[int]], src: Sequence[int],
-                  den: int, iv: Interval) -> Numerators:
-    """The polynomials of `horner_rows` at iv, as `Numerators`: Horner
-    evaluation in rational interval arithmetic, on integers.
+                  den: int, cell: RootCell) -> Numerators:
+    """The polynomials of `horner_rows` on the cell [a/b, e/b], as
+    `Numerators`: Horner evaluation in rational interval arithmetic, on
+    integers, with a, e and b divided by gcd(a, e, b).
 
-    With the endpoints at a/b and e/b, an accumulator after n steps is
-    kept as integer endpoints [lo, hi] over den * b^(n-1), and a step is
-    [lo, hi] [a, e] + c b^n.  With x- = x (a if x >= 0 else e) and x+ =
-    x (e if x >= 0 else a), the product is [lo-, hi+] for 0 <= a and
-    [hi-, lo+] for e <= 0 (Moore, Interval Analysis, 1966), and the min
-    and max of all four endpoint products for a < 0 < e.  The Horner run
+    An accumulator after n steps is kept as integer endpoints [lo, hi]
+    over den * b^(n-1), and a step is [lo, hi] [a, e] + c b^n.  With x- =
+    x (a if x >= 0 else e) and x+ = x (e if x >= 0 else a), the product
+    is [lo-, hi+] for 0 <= a and [hi-, lo+] for e <= 0 (Moore, Interval
+    Analysis, 1966), and the min and max of all four endpoint products
+    for a < 0 < e.  The Horner run
     of a row t times row src[j] is that row's run plus one step (by its
     constant 0), so it starts from that row's value: a power basis costs
     one step per row.  All values end over den * b^(m-1), m the length of
     the longest row; b^k scales as a product, or as a shift by s k bits
     for b = 2^s.
     """
-    a, e, b = _over_common_den(iv.lo, iv.hi)
+    g = gcd(cell.a, cell.e, cell.b)
+    a, e, b = cell.a // g, cell.e // g, cell.b // g
     top = max(map(len, rows), default=0)
     s = b.bit_length() - 1
     up = operator.lshift if b == 1 << s else operator.mul
@@ -244,7 +258,7 @@ def primitive_int(p: Sequence[Coeff]) -> List[int]:
     """Clear denominators and divide out integer content."""
     q, _ = clear_denominators(trim(p))
     g = gcd(*q) or 1
-    return [c // g for c in q]
+    return q if g == 1 else [c // g for c in q]
 
 
 def _sturm(p: Sequence[Coeff]) -> Tuple[List[List[int]], List[tuple]]:
@@ -283,11 +297,11 @@ def sturm_chain(p: Sequence[Coeff]) -> List[Poly]:
 
 def _sturm_signs(chain: Sequence[Sequence[int]], steps: Sequence[tuple],
                  a: int, b: int) -> Tuple[int, int]:
-    """(sign of p_0, sign variations) at a/b, b > 0, for a chain of length
-    >= 2 and its steps from `_sturm`: p_m and p_(m-1) by Horner, each other
-    P_j exactly by its step.  On a normal chain (degrees falling by 1)
-    every Q_i is linear and every e_i is 2, so a point costs O(d) products,
-    not O(d^2), with b^2 taken once."""
+    """(P_0, sign variations) at a/b, b > 0, for a chain of length >= 2 and
+    its steps from `_sturm`: p_m and p_(m-1) by Horner, each other P_j
+    exactly by its step.  On a normal chain (degrees falling by 1) every
+    Q_i is linear and every e_i is 2, so a point costs O(d) products, not
+    O(d^2), with b^2 taken once."""
     x, y = _horner(chain[-1], a, b), _horner(chain[-2], a, b)
     vals = [x, y]
     b2 = b * b
@@ -296,15 +310,7 @@ def _sturm_signs(chain: Sequence[Sequence[int]], steps: Sequence[tuple],
         x, y = y, (h * y - c * x * (b2 if e == 2 else b ** e)) // d
         vals.append(y)
     signs = [(v > 0) - (v < 0) for v in vals if v]
-    return (y > 0) - (y < 0), sum(u != v for u, v in zip(signs, signs[1:]))
-
-
-def root_bound(p: Sequence[Coeff]) -> Fraction:
-    """Cauchy bound: all real roots lie in [-B, B], B = 1 + max |c_i / lc|,
-    taken on the integer numerators of p as (|lc| + max |c_i|) / |lc|."""
-    nums, _ = clear_denominators(trim(p))
-    lc = abs(nums[-1])
-    return Fraction(lc + max(map(abs, nums[:-1]), default=0), lc)
+    return y, sum(u != v for u, v in zip(signs, signs[1:]))
 
 
 def _root_bound_log2(nums: Sequence[int]) -> int:
@@ -320,18 +326,19 @@ def _root_bound_log2(nums: Sequence[int]) -> int:
     return r
 
 
-def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
-    """Disjoint isolating intervals for all real roots of squarefree p.
+def isolate_real_roots(p: Sequence[Coeff]) -> List[RootCell]:
+    """Disjoint isolating cells for all real roots of squarefree p, in order.
 
-    Each returned interval either is a point (exact rational root) or has
+    Each returned cell either is a point (exact rational root) or has
     interior containing exactly one root with nonzero values of p at both
-    endpoints, so bisection refinement is always possible.
+    ends, so bisection refinement is always possible.
 
     One Sturm chain also tells squarefreeness (it must end in a constant).
-    Each bisection node keeps its endpoints as integers a/b, e/b and their
-    variation counts, so a midpoint (a + e)/2b costs one chain evaluation,
-    or none beyond the power-of-two root bound 2^r: no root lies between
-    such a midpoint and the outer endpoint, so their counts are equal.
+    Each bisection node keeps its ends a/b, e/b, their variation counts and
+    their values P_0 (`_sturm_signs`), which the cells carry, so a midpoint
+    (a + e)/2b costs one chain evaluation, or none beyond the power-of-two
+    root bound 2^r: no root lies between such a midpoint and the outer
+    end, so their counts are equal, and its value stays None.
     """
     p = trim(p)
     if degree(p) < 1:
@@ -340,56 +347,61 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[Interval]:
     if len(chain[-1]) > 1:
         raise ValueError("root isolation requires a squarefree polynomial")
     r = _root_bound_log2(chain[0])
-    bound = root_bound(p)
+    n, lc = len(chain[0]) - 1, abs(chain[0][-1])
+    # the Cauchy bound (|lc| + max |c_i|) / |lc| on every real root
+    bound = Fraction(lc + max(map(abs, chain[0][:-1]), default=0), lc)
     den = bound.denominator
     lo, hi = -bound.numerator, bound.numerator
     while _horner(chain[0], lo, den) == 0:
         lo -= den
     while _horner(chain[0], hi, den) == 0:
         hi += den
-    out: List[Interval] = []
-    # nodes (a, e, b, va, ve): va - ve roots in (a/b, e/b), p(a/b), p(e/b) != 0
-    todo = [(lo, hi, den, _sturm_signs(chain, steps, lo, den)[1],
-             _sturm_signs(chain, steps, hi, den)[1])]
+    # nodes (a, e, b, va, ve, fa, fe): va - ve roots in (a/b, e/b), and the
+    # nonzero values of P_0 there or None, which `f and f << n` keeps; the
+    # right half goes on the stack first, so the cells come out in order
+    fa, va = _sturm_signs(chain, steps, lo, den)
+    fe, ve = _sturm_signs(chain, steps, hi, den)
+    out, todo = [], [(lo, hi, den, va, ve, fa, fe)]
     while todo:
-        a, e, b, va, ve = todo.pop()
-        n = va - ve
-        if n == 0:
-            continue
-        if n == 1:
-            out.append(Interval(Fraction(a, b), Fraction(e, b)))
+        a, e, b, va, ve, fa, fe = todo.pop()
+        if va - ve == 1:
+            out.append(RootCell(a, e, b, fa, fe))
+        if va - ve < 2:
             continue
         a, e, b, m = 2 * a, 2 * e, 2 * b, a + e
+        fa, fe = fa and fa << n, fe and fe << n
         if abs(m) > b << r:
-            sm, vm = 1, (ve if m > 0 else va)
+            fm, vm = None, (ve if m > 0 else va)
         else:
-            sm, vm = _sturm_signs(chain, steps, m, b)
-        if sm:
-            todo.append((a, m, b, va, vm))
-            todo.append((m, e, b, vm, ve))
+            fm, vm = _sturm_signs(chain, steps, m, b)
+        if fm != 0:                         # or None
+            todo += (m, e, b, vm, ve, fm, fe), (a, m, b, va, vm, fa, fm)
             continue
-        out.append(Interval.point(Fraction(m, b)))
+        root = (m, m, b, 1, 0, 0, 0)        # the exact root m/b, a node
         # nudge around the exact root until the counts split cleanly: m -/+ w
         # over b, w/b a quarter of the node's width, halved by doubling the rest
         a, e, m, b = 2 * a, 2 * e, 2 * m, 2 * b
+        fa, fe = fa and fa << n, fe and fe << n
         w = (e - a) // 4
         while True:
-            sl, vl = _sturm_signs(chain, steps, m - w, b)
-            sr, vr = _sturm_signs(chain, steps, m + w, b)
-            if sl and sr and vl - vr == 1:
+            fl, vl = _sturm_signs(chain, steps, m - w, b)
+            fr, vr = _sturm_signs(chain, steps, m + w, b)
+            if fl and fr and vl - vr == 1:
                 break
             a, e, m, b = 2 * a, 2 * e, 2 * m, 2 * b
-        todo.append((a, m - w, b, va, vl))
-        todo.append((m + w, e, b, vr, ve))
-    out.sort(key=lambda iv: iv.lo)
+            fa, fe = fa and fa << n, fe and fe << n
+        todo += ((m + w, e, b, vr, ve, fr, fe), root,
+                 (a, m - w, b, va, vl, fa, fl))
     return out
 
 
-def refine_root(p: Sequence[Coeff], iv: Interval, max_width: Fraction) -> Interval:
-    """What bisecting iv to width <= max_width returns, for an isolating
-    interval iv of a squarefree p, from a few integer Horner evaluations.
+def refine_root(p: Sequence[Coeff], cell: RootCell, max_width: Fraction
+                ) -> RootCell:
+    """The cell, with its values, that bisecting an isolating cell of a
+    squarefree p to width <= max_width gives, from the cell's values and a
+    few integer Horner evaluations.
 
-    With iv = [a/b, e/b], bisection ends at the least level s with
+    With the cell [a/b, e/b], bisection ends at the least level s with
     (e - a)/(b 2^s) <= max_width, in the one dyadic cell of that level
     whose endpoint signs are those of p(a/b) and p(e/b), or in a point
     when some midpoint is the root.  Quadratic interval refinement
@@ -398,19 +410,21 @@ def refine_root(p: Sequence[Coeff], iv: Interval, max_width: Fraction) -> Interv
     subcells, and that cell, or the neighbour its first endpoint sign
     points to, is accepted only when the integer signs at both of its ends
     are those of p(a/b) and p(e/b), so that it is bisection's cell.  k
-    doubles on success and halves on failure; at k = 1 the cell ends are
-    known and the step is a bisection step.  An endpoint where p is 0 is
-    the root, where bisection stops too.
+    doubles on success and halves on failure, and the result keeps it; at
+    k = 1 the cell ends are known and the step is a bisection step.  An
+    endpoint where p is 0 is the root, where bisection stops too.
     """
-    a, e, b = _over_common_den(iv.lo, iv.hi)
+    a, e, b, fa, fe, k = cell
     if a == e:
-        return iv
-    nums, _ = clear_denominators(p)
+        return cell
+    nums = primitive_int(p)
     n = len(nums) - 1
-    fa, fe = _horner(nums, a, b), _horner(nums, e, b)
+    fa = _horner(nums, a, b) if fa is None else fa
+    fe = _horner(nums, e, b) if fe is None else fe
     if fa * fe >= 0:
         raise ValueError("not a sign-isolating interval")
-    if fa > 0:                              # so that p(a/b) < 0 < p(e/b)
+    sign = -1 if fa > 0 else 1              # so that sign p(a/b) < 0
+    if sign < 0:
         nums, fa, fe = [-c for c in nums], -fa, -fe
     # every cell is h/b wide, with b = b_0 2^t at level t, and fa, fe are
     # b^n p at its ends
@@ -419,7 +433,7 @@ def refine_root(p: Sequence[Coeff], iv: Interval, max_width: Fraction) -> Interv
     s = max(0, u.bit_length() - v.bit_length())
     s += u > v << s                         # the least s with u <= v 2^s
 
-    t, k = 0, 1
+    t = 0
     while t < s:
         # grid point i of the 2^k subcells is (a 2^k + i h)/b2, and p there
         # is taken as b2^n p: at i = 0 and 2^k it is fa or fe times 2^(k n)
@@ -440,10 +454,11 @@ def refine_root(p: Sequence[Coeff], iv: Interval, max_width: Fraction) -> Interv
         if f1 < 0 < f2:
             a, b, fa, fe, t, k = x, b2, f1, f2, t + k, 2 * k
         elif f1 == 0 or f2 == 0:
-            return Interval.point(Fraction(x if f1 == 0 else x + h, b2))
+            x = x if f1 == 0 else x + h
+            return RootCell(x, x, b2, 0, 0)
         else:
             k //= 2
-    return Interval(Fraction(a, b), Fraction(a + h, b))
+    return RootCell(a, a + h, b, sign * fa, sign * fe, k)
 
 
 def factorize(n: int) -> Dict[int, int]:

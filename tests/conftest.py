@@ -164,9 +164,29 @@ def numerators(mat):
     return [endpoint_numerators(row) for row in mat]
 
 
+def point(x):
+    """The `Interval` [x, x]."""
+    x = Fraction(x)
+    return Interval(x, x)
+
+
+def as_cell(iv):
+    """The `polys.RootCell` of iv's ends over their least common
+    denominator, with no values."""
+    (a,), (e,), b = endpoint_numerators([iv])
+    return polys.RootCell(a, e, b)
+
+
+def cell_interval(cell):
+    """The `Interval` [a/b, e/b] of a `polys.RootCell`."""
+    return Interval(Fraction(cell.a, cell.b), Fraction(cell.e, cell.b))
+
+
 def eval_one(p, iv):
-    """`polys.eval_interval` on the one polynomial p, as an `Interval`."""
-    (lo,), (hi,), den = polys.eval_interval(*polys.horner_rows([p]), iv)
+    """`polys.eval_interval` on the one polynomial p at the `Interval` iv,
+    as an `Interval`."""
+    (lo,), (hi,), den = polys.eval_interval(*polys.horner_rows([p]),
+                                            as_cell(iv))
     return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
@@ -176,16 +196,16 @@ def ref_embeddings(ctx, a, max_width):
     roots refined in the same steps until every enclosure is narrow
     enough."""
     max_width = Fraction(max_width)
-    width = min((iv.width for iv in ctx.roots()), default=Fraction(0))
+    width = min((iv.hi - iv.lo for iv in ctx.roots()), default=Fraction(0))
     for _ in range(256):
         out = []
         for row in as_intervals(ctx.basis_embeddings()):
-            acc = Interval.point(0)
+            acc = point(0)
             for e, c in zip(row, a.coords):
                 if c:
                     acc = iv_add(acc, iv_scale(e, Fraction(c, a.den)))
             out.append(acc)
-        if all(iv.width <= max_width for iv in out):
+        if all(iv.hi - iv.lo <= max_width for iv in out):
             return out
         width = max(width / 4, Fraction(1, 1 << 300))
         ctx.refine_roots(width)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import eval_one, ref_eval_at
+from conftest import cell_interval, eval_one, ref_eval_at
 from ternlat import linalg, polys
 from ternlat.cyclotomic import (alpha_beta_verify, cyclo_info, mobius_phi,
                                 prime_power_base, subfield_test)
@@ -95,7 +95,7 @@ def test_cos_minpoly_straddles_its_root():
     import math
     for k in (7, 9, 16, 30):
         p = polys.cos_minpoly(k)
-        roots = polys.isolate_real_roots(p)
+        roots = map(cell_interval, polys.isolate_real_roots(p))
         top = max(roots, key=lambda iv: iv.hi)
         target = 2 * math.cos(2 * math.pi / k)
         assert float(top.lo) - 1e-9 <= target <= float(top.hi) + 1e-9

@@ -53,7 +53,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (as_intervals, endpoint_numerators, gcd_poly, iv_add,
-                      iv_mul, numerators)
+                      iv_mul, numerators, point)
 from ternlat import enumeration, linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
@@ -902,7 +902,7 @@ def test_one_exact_check_per_candidate(table, monkeypatch, label, mode,
 def ref_box_bounds(inv, targets):
     lows, highs = [], []
     for alo, ahi, den in inv:
-        acc = Interval.point(0)
+        acc = point(0)
         for lo, hi, t in zip(alo, ahi, targets):
             acc = iv_add(acc, iv_mul(Interval(F(lo, den), F(hi, den)), t))
         lows.append(math.ceil(acc.lo))

@@ -14,10 +14,13 @@ Its steps by sign case and its shifts for a power-of-two denominator
 must give the very integers of the four-product step with b^k as products.
 `polys.refine_root` jumps down the bisection grid by secant proposals; it
 must return bisection's interval for every isolating interval of those
-fields, down to width 2^-200.  `polys._sturm_signs` takes a Sturm chain's
-values by the recurrence that builds it; its signs and variations must be
-those of integer evaluation of every member, and `intervals.fixed_point_ends`
-must round as floor division does.
+fields, down to width 2^-200, and resumed from a cell it returned, the
+cell it returns from the isolating one.  Every value a `polys.RootCell`
+carries must be Horner's at the cell's own denominator.
+`polys._sturm_signs` takes a Sturm chain's values by the recurrence that
+builds it; its value and variations must be those of integer evaluation
+of every member, and `intervals.fixed_point_ends` must round as floor
+division does.
 """
 
 import math
@@ -30,8 +33,9 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (FIELDS, as_intervals, eval_one, gcd_poly, iv_add,
-                      iv_mul, numerators, ref_divmod_poly, ref_eval_at)
+from conftest import (FIELDS, as_cell, as_intervals, cell_interval, eval_one,
+                      gcd_poly, iv_add, iv_mul, numerators, point,
+                      ref_divmod_poly, ref_eval_at)
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.fieldscan import ingest_fields
@@ -43,9 +47,9 @@ from ternlat.numberfield import load_field
 # Fraction references
 
 def ref_eval_interval(p, iv):
-    acc = Interval.point(0)
+    acc = point(0)
     for c in reversed(list(p)):
-        acc = iv_add(iv_mul(acc, iv), Interval.point(F(c)))
+        acc = iv_add(iv_mul(acc, iv), point(F(c)))
     return acc
 
 
@@ -96,7 +100,7 @@ def ref_bisect(p, iv, max_width):
         a, e, b, m = 2 * a, 2 * e, 2 * b, a + e
         sm = ref_sign_at(nums, m, b)
         if sm == 0:
-            return Interval.point(F(m, b))
+            return point(F(m, b))
         if sm == slo:
             a = m
         else:
@@ -236,7 +240,7 @@ def test_eval_at_equals_fraction_horner(p, x):
 @settings(max_examples=150, deadline=None)
 @given(polys_q, intervals())
 @example([F(1, 2), 0, F(1, 2)], Interval(F(-3, 4), F(5, 6)))
-@example([3, -1, 2], Interval.point(F(7, 5)))
+@example([3, -1, 2], point(F(7, 5)))
 @example([], Interval(F(1, 3), F(1, 2)))
 def test_eval_interval_equals_fraction_horner(p, iv):
     got = eval_one(p, iv)
@@ -251,14 +255,16 @@ def test_eval_interval_equals_fraction_horner(p, iv):
 @example([], Interval(F(1, 3), F(1, 2)), 3)
 def test_eval_interval_ignores_zero_high_order_coefficients(p, iv, k):
     # basis rows are padded with zeros to the field degree
-    assert polys.eval_interval(*polys.horner_rows([list(p) + [0] * k]), iv) \
-        == polys.eval_interval(*polys.horner_rows([p]), iv)
+    cell = as_cell(iv)
+    assert polys.eval_interval(*polys.horner_rows([list(p) + [0] * k]),
+                               cell) \
+        == polys.eval_interval(*polys.horner_rows([p]), cell)
 
 
 def test_eval_interval_is_exact_at_a_point():
     p = [F(1, 2), F(-2, 3), 0, 5]
     x = F(-7, 9)
-    assert eval_one(p, Interval.point(x)) == Interval.point(ref_eval_at(p, x))
+    assert eval_one(p, point(x)) == point(ref_eval_at(p, x))
 
 
 @settings(max_examples=150, deadline=None)
@@ -435,7 +441,7 @@ def ref_eval_interval_numerators(rows, src, den, iv):
 @given(basis_rows(), intervals())
 @example(SHIFTED, Interval(F(-7, 4), F(-5, 4)))              # negative
 @example(SHIFTED, Interval(F(-1, 3), F(1, 2)))               # straddles 0
-@example(SHIFTED, Interval.point(F(-5, 3)))                  # a point
+@example(SHIFTED, point(F(-5, 3)))                           # a point
 @example([[1], [0, 1], [0, 0, 1], [F(1, 2), 0, F(1, 2)]],
          Interval(F(3, 7), F(5, 9)))
 # each sign case of `eval_interval`, over a power of two b (dyadic ends)
@@ -448,11 +454,12 @@ def ref_eval_interval_numerators(rows, src, den, iv):
 @example(MIXED, Interval(F(-2, 7), F(5, 3)))
 @example(MIXED, Interval(0, F(3, 4)))                         # ends at 0
 @example(MIXED, Interval(F(-3, 4), 0))
-@example(MIXED, Interval.point(0))                            # exact points
-@example(MIXED, Interval.point(F(-3, 8)))
-@example(MIXED, Interval.point(F(5, 3)))
+@example(MIXED, point(0))                                     # exact points
+@example(MIXED, point(F(-3, 8)))
+@example(MIXED, point(F(5, 3)))
 def test_eval_interval_equals_per_row_fraction_horner(rows, iv):
-    lows, highs, den = polys.eval_interval(*polys.horner_rows(rows), iv)
+    lows, highs, den = polys.eval_interval(*polys.horner_rows(rows),
+                                           as_cell(iv))
     got = as_intervals([(lows, highs, den)])[0]
     assert got == [ref_eval_interval(p, iv) for p in rows]
     assert (lows, highs, den) == \
@@ -564,12 +571,17 @@ def isolated_roots(draw):
     return p, Interval(r - below, r + above)
 
 
+def refine(p, iv, max_width):
+    """`polys.refine_root` from the cell of iv, as an `Interval`."""
+    return cell_interval(polys.refine_root(p, as_cell(iv), max_width))
+
+
 @settings(max_examples=150, deadline=None)
 @given(isolated_roots(), st.integers(0, 48))
 def test_refine_root_equals_fraction_bisection(case, bits):
     p, iv = case
     width = F(1, 1 << bits)
-    assert polys.refine_root(p, iv, width) == ref_refine_root(p, iv, width)
+    assert refine(p, iv, width) == ref_refine_root(p, iv, width)
 
 
 @settings(max_examples=100, deadline=None)
@@ -580,15 +592,15 @@ def test_refine_root_stops_on_exact_midpoint_root(depth, data):
     r = F(2 * num + 1, 1 << depth)
     p = polys.mul(polys.mul([-r, 1], [2, 0, 1]), [F(1, 3)])
     iv = Interval(F(0), F(1))
-    got = polys.refine_root(p, iv, F(1, 1 << 20))
-    assert got == ref_refine_root(p, iv, F(1, 1 << 20)) == Interval.point(r)
+    got = refine(p, iv, F(1, 1 << 20))
+    assert got == ref_refine_root(p, iv, F(1, 1 << 20)) == point(r)
 
 
 def test_refine_root_width_bound_not_a_power_of_two():
     p = [-2, 0, 1]
     iv = Interval(F(4, 3), F(3, 2))
     for width in (F(1, 3), F(2, 7), F(1, 1000), 1):
-        assert polys.refine_root(p, iv, width) == ref_refine_root(p, iv, width)
+        assert refine(p, iv, width) == ref_refine_root(p, iv, width)
 
 
 def test_refine_root_rejects_non_isolating_intervals():
@@ -596,14 +608,14 @@ def test_refine_root_rejects_non_isolating_intervals():
     for iv in (Interval(F(0), F(1)), Interval(F(-2), F(2)),
                Interval(F(2), F(3))):
         with pytest.raises(ValueError):
-            polys.refine_root(p, iv, F(1, 8))
+            polys.refine_root(p, as_cell(iv), F(1, 8))
         with pytest.raises(ValueError):
             ref_refine_root(p, iv, F(1, 8))
 
 
 def test_refine_root_point_interval_is_returned():
-    iv = Interval.point(F(3, 2))
-    assert polys.refine_root([F(-3, 2), 1], iv, F(1, 8)) is iv
+    cell = polys.RootCell(3, 3, 2, 0, 0)
+    assert polys.refine_root([F(-3, 2), 1], cell, F(1, 8)) is cell
 
 
 @settings(max_examples=100, deadline=None)
@@ -616,14 +628,15 @@ def test_ref_bisect_equals_the_fraction_reference(case, bits):
 
 @lru_cache(maxsize=None)
 def isolating_intervals():
-    """(p, isolating interval) per root, as freshly loaded contexts hold
-    them: of the 19 table fields, and of F_k, k = 3..60."""
+    """(p, isolating cell) per root, as freshly loaded contexts hold them,
+    with the values isolation computed: of the 19 table fields, and of
+    F_k, k = 3..60."""
     table = [load_field(rec) for rec in
              ingest_fields(FIELDS / "quartic_sqrt2.jsonl").records]
     cyclo = [cyclo_info(k).field for k in range(3, 61)]
     assert len(table) == 19
-    return tuple(tuple((tuple(ctx.poly), iv) for ctx in ctxs
-                       for iv in ctx.roots()) for ctxs in (table, cyclo))
+    return tuple(tuple((tuple(ctx.poly), c) for ctx in ctxs
+                       for c in ctx._state.cells) for ctxs in (table, cyclo))
 
 
 @pytest.mark.parametrize("width", [F(1, 1 << 32), F(1, 1 << 64),
@@ -632,13 +645,14 @@ def test_refine_root_equals_bisection_on_every_field_root(width):
     table, cyclo = isolating_intervals()
     roots = table + cyclo
     assert (len(table), len(cyclo)) == (76, 550)
-    for p, iv in roots:
-        assert polys.refine_root(p, iv, width) == ref_bisect(p, iv, width), \
-            (p, iv)
+    for p, c in roots:
+        iv = cell_interval(c)
+        assert cell_interval(polys.refine_root(p, c, width)) == \
+            ref_bisect(p, iv, width), (p, iv)
     if width == F(1, 1 << 32):
-        for p, iv in roots:
-            assert polys.refine_root(p, iv, width) == \
-                ref_refine_root(p, iv, width)
+        for p, c in roots:
+            assert cell_interval(polys.refine_root(p, c, width)) == \
+                ref_refine_root(p, cell_interval(c), width)
 
 
 @st.composite
@@ -672,9 +686,9 @@ def clustered_roots(draw):
                               max_denominator=10 ** 40)))
 def test_refine_root_on_clustered_roots_equals_fraction_bisection(p, width):
     assume(width > 0)
-    for iv in polys.isolate_real_roots(p):
-        assert polys.refine_root(p, iv, width) == \
-            ref_refine_root(p, iv, width), iv
+    for c in polys.isolate_real_roots(p):
+        assert cell_interval(polys.refine_root(p, c, width)) == \
+            ref_refine_root(p, cell_interval(c), width), c
 
 
 def test_refine_root_takes_few_horner_evaluations(monkeypatch):
@@ -690,9 +704,69 @@ def test_refine_root_takes_few_horner_evaluations(monkeypatch):
         return horner(*args)
 
     monkeypatch.setattr(polys, "_horner", counted)
-    for p, iv in roots:
-        polys.refine_root(p, iv, F(1, 1 << 32))
+    for p, c in roots:
+        polys.refine_root(p, c, F(1, 1 << 32))
     assert len(roots) == 550 and calls <= 12 * len(roots)
+
+
+def assert_values_carried(p, cell):
+    """Every value the cell carries is a fresh Horner value of the
+    primitive p at the cell's own denominator."""
+    nums = polys.primitive_int(p)
+    for x, f in ((cell.a, cell.fa), (cell.e, cell.fe)):
+        assert f is None or f == polys._horner(nums, x, cell.b), (p, cell)
+
+
+def test_resumed_refinement_equals_refinement_from_the_isolating_cell():
+    # on every root of the 19 table fields and of F_k, k = 3..60: a cell
+    # refined from where an earlier request left it, along 1/256 -> 2^-32
+    # -> 2^-64, is the cell that refining the isolating cell gives at each
+    # width, and carries the true values at its ends
+    table, cyclo = isolating_intervals()
+    for p, cell in table + cyclo:
+        assert_values_carried(p, cell)
+        step = cell
+        for width in (F(1, 256), F(1, 1 << 32), F(1, 1 << 64)):
+            direct = polys.refine_root(p, cell, width)
+            step = polys.refine_root(p, step, width)
+            assert cell_interval(step) == cell_interval(direct), \
+                (p, cell, width)
+            for c in (step, direct):
+                assert None not in (c.fa, c.fe)
+                assert_values_carried(p, c)
+
+
+def test_root_cells_spare_horner_evaluations(monkeypatch):
+    # over the 550 roots of F_k, k = 3..60, as `polys._horner` calls:
+    # refinement reads the values isolation computed (3,839 evaluations to
+    # 1/256 and 6,289 to 2^-32 when it took them afresh), and a request
+    # narrower than an earlier one resumes from the cell and the secant
+    # step that one reached (9,504 through 1/256 to 2^-32 when it started
+    # again from the isolating interval)
+    records = [cyclo_info(k).field.record for k in range(3, 61)]
+    calls = 0
+    horner = polys._horner
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return horner(*args)
+
+    def refined(widths):
+        nonlocal calls
+        ctxs = [load_field(rec) for rec in records]
+        calls = 0
+        for ctx in ctxs:
+            for width in widths:
+                ctx.refine_roots(width)
+        return calls
+
+    monkeypatch.setattr(polys, "_horner", counted)
+    ctxs = [load_field(rec) for rec in records]
+    assert sum(ctx.degree for ctx in ctxs) == 550 and calls == 1954
+    assert refined([F(1, 256)]) <= 2739
+    assert refined([F(1, 256), F(1, 1 << 32)]) <= 5893
+    assert refined([F(1, 1 << 32)]) <= 5189
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +792,16 @@ def time_limit(seconds):
 
 
 def assert_same_isolation(p):
+    """The isolation of p as `Interval`s, once it equals the reference's
+    and every value its cells carry is a fresh Horner value of the
+    primitive p at the cell's own denominator."""
     with time_limit(20):
-        got = polys.isolate_real_roots(p)
+        cells = polys.isolate_real_roots(p)
+    got = [cell_interval(c) for c in cells]
     want = ref_isolate_real_roots(p)
     assert [(iv.lo, iv.hi) for iv in got] == [(iv.lo, iv.hi) for iv in want]
+    for c in cells:
+        assert_values_carried(p, c)
     return got
 
 
@@ -811,6 +891,14 @@ def test_isolate_real_roots_on_cosine_minimal_polynomials():
         assert len(got) == polys.degree(p)
 
 
+def chain_signs(chain, steps, a, b):
+    """(sign of chain[0], variations) from `polys._sturm_signs`, once the
+    value it gives is Horner's on chain[0] at a/b."""
+    value, variations = polys._sturm_signs(chain, steps, a, b)
+    assert value == polys._horner(chain[0], a, b)
+    return sign(value), variations
+
+
 def ref_chain_signs(chain, a, b):
     """(sign of chain[0], variations) from every member by `ref_sign_at`."""
     signs = [ref_sign_at(q, a, b) for q in chain]
@@ -867,8 +955,8 @@ def test_sturm_recurrence_equals_per_member_signs(data):
     chain = sturm[0]
     assert chain == polys.sturm_chain(p) and len(sturm[1]) == len(chain) - 2
     for a, b in points + chain_roots(chain) + [(0, 1), (1, 1), (-1, 1)]:
-        assert polys._sturm_signs(*sturm, a, b) == \
-            ref_chain_signs(chain, a, b), (p, a, b)
+        assert chain_signs(*sturm, a, b) == ref_chain_signs(chain, a, b), \
+            (p, a, b)
 
 
 @pytest.mark.parametrize("p, degrees", [
@@ -886,7 +974,7 @@ def test_sturm_recurrence_on_non_normal_chains(p, degrees):
     assert any(len(qn) > 2 or e > 2 for qn, _, e, _ in steps)
     for b in (1, 2, 3, 4, 7, 16):
         for a in range(-3 * b, 3 * b + 1):
-            assert polys._sturm_signs(chain, steps, a, b) == \
+            assert chain_signs(chain, steps, a, b) == \
                 ref_chain_signs(chain, a, b), (p, a, b)
 
 
@@ -1012,8 +1100,8 @@ def sample_points(a, rng, count):
     yield [[iv.hi for iv in row] for row in a]
     for _ in range(count):
         yield [[rng.choice((iv.lo, iv.hi)) for iv in row] for row in a]
-        yield [[iv.lo + iv.width * F(rng.randrange(65), 64) for iv in row]
-               for row in a]
+        yield [[iv.lo + (iv.hi - iv.lo) * F(rng.randrange(65), 64)
+                for iv in row] for row in a]
 
 
 def degree_8_field():
@@ -1095,18 +1183,18 @@ def test_interval_inverse_neumann_term_is_needed():
     assert inv is not None
     assert entry(inv, 0, 0).lo <= F(2, 3) and entry(inv, 0, 0).hi >= 2
     # a diagonal matrix: each entry is the scalar case
-    d = [[Interval(F(1, 2), F(3, 2)), Interval.point(0)],
-         [Interval.point(0), Interval(F(3), F(5))]]
+    d = [[Interval(F(1, 2), F(3, 2)), point(0)],
+         [point(0), Interval(F(3), F(5))]]
     inv = verified_inverse(numerators(d))
     assert entry(inv, 0, 0).hi >= 2 and entry(inv, 1, 1).hi >= F(1, 3)
 
 
 @pytest.mark.parametrize("a", [
-    [[Interval.point(1), Interval.point(2)],
-     [Interval.point(2), Interval.point(4)]],
-    [[Interval(F(999, 1000), F(1001, 1000)), Interval.point(2)],
-     [Interval.point(2), Interval(F(3999, 1000), F(4001, 1000))]],
-    [[Interval.point(0)]],
+    [[point(1), point(2)],
+     [point(2), point(4)]],
+    [[Interval(F(999, 1000), F(1001, 1000)), point(2)],
+     [point(2), Interval(F(3999, 1000), F(4001, 1000))]],
+    [[point(0)]],
 ], ids=["singular-point", "singular-midpoint", "zero"])
 def test_interval_inverse_rejects_a_singular_midpoint(a):
     assert linalg.midpoint_inverse(numerators(a)) is None

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import ref_divmod_poly, ref_embeddings, ref_unit_square_reduce
-from ternlat import linalg, numberfield, polys
+from conftest import (cell_interval, ref_divmod_poly, ref_embeddings,
+                      ref_unit_square_reduce)
+from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import dominated_elements
 from ternlat.errors import (DivisionByZero, FieldDataError, NoSuchUnit,
@@ -162,7 +163,7 @@ def test_element_inverse_and_division_on_table_fields(table):
 def test_embeddings_and_house(ctx_sqrt2):
     lam = 2 + ctx_sqrt2.sqrt2
     ivs = lam.embeddings(F(1, 100))
-    assert all(iv.width <= F(1, 100) for iv in ivs)
+    assert all(iv.hi - iv.lo <= F(1, 100) for iv in ivs)
     assert ivs[0].lo < ivs[1].lo  # ascending root order
     h = lam.house(F(1, 100))
     assert h.lo <= F(342, 100) <= h.hi + F(1, 100)
@@ -549,8 +550,8 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     # at no root, and a narrower one looks at each root once
     refined = []
     refine_root = polys.refine_root
-    monkeypatch.setattr(polys, "refine_root", lambda p, iv, w: (
-        refined.append(iv), refine_root(p, iv, w))[1])
+    monkeypatch.setattr(polys, "refine_root", lambda p, c, w: (
+        refined.append(cell_interval(c)), refine_root(p, c, w))[1])
     ctx = load_field(table.by_label("K10816"))
     roots = ctx.roots()
     emb = ctx.basis_embeddings()
@@ -558,7 +559,7 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     assert refined == [] and ctx.basis_embeddings() is emb
     ctx.refine_roots(1)
     assert refined == [roots[0], roots[3]]
-    assert [iv.width for iv in ctx.roots()] == [F(11, 16)] * 4
+    assert [iv.hi - iv.lo for iv in ctx.roots()] == [F(11, 16)] * 4
     state, emb = ctx._state, ctx.basis_embeddings()
     made = ctx.embedding_inverse(), ctx._state_table()
     ctx.refine_roots(F(3, 4))
@@ -574,10 +575,11 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
 
 
 def _probe_width_tests(monkeypatch):
-    """The roots whose width `refine_roots` tests from now on, in order."""
-    looked, wider = [], numberfield._wider
-    monkeypatch.setattr(numberfield, "_wider", lambda iv, wn, wd: (
-        looked.append(iv), wider(iv, wn, wd))[1])
+    """The roots whose width `refine_roots` tests from now on, in order, as
+    `Interval`s."""
+    looked, wider = [], polys.RootCell.wider
+    monkeypatch.setattr(polys.RootCell, "wider", lambda c, wn, wd: (
+        looked.append(cell_interval(c)), wider(c, wn, wd))[1])
     return looked
 
 

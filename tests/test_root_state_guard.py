@@ -6,13 +6,21 @@ module outside `numberfield` touches.
 The check is syntactic.  It lists every use of an attribute `_state`, and
 every `"_state"` string (a `getattr` or `setattr` by name), and maps each to
 the function that holds it.  A state must not refer back to its context,
-which is checked on a live state holding everything it makes.
+which is checked on a live state holding everything it makes.  The roots
+are integer cells: refining them, evaluating the basis on them and the
+fixed-point signs build no `Interval`, which only `roots()` and
+`embeddings()` make.
 """
 
 import ast
 import gc
+from fractions import Fraction
 from pathlib import Path
 
+from ternlat import polys
+from ternlat.cyclotomic import alpha_beta_verify
+from ternlat.fieldscan import FieldTable, scan_small_condition
+from ternlat.intervals import Interval
 from ternlat.numberfield import Element, FieldContext, load_field
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,3 +115,38 @@ def test_a_root_state_holds_no_reference_to_its_context(table):
     for state in states:
         assert not any(isinstance(o, (FieldContext, Element))
                        for o in _reachable(state))
+
+
+def test_the_root_path_builds_no_interval(table, monkeypatch):
+    # a cyclotomic sweep step (its comparisons are lone ones, at root width
+    # 1/256) and a scan query (the full table at 2^-32, boxes, pruning)
+    made, inside, calls = [], [0], []
+    post = Interval.__post_init__
+
+    def counted(iv):
+        if inside[0]:
+            made.append(iv)
+        post(iv)
+
+    monkeypatch.setattr(Interval, "__post_init__", counted)
+    for name in ("refine_roots", "basis_embeddings", "_fast_signs"):
+        def wrapped(ctx, *args, f=getattr(FieldContext, name), name=name):
+            calls.append(name)
+            inside[0] += 1
+            try:
+                return f(ctx, *args)
+            finally:
+                inside[0] -= 1
+        monkeypatch.setattr(FieldContext, name, wrapped)
+    alpha_beta_verify(29)
+    assert {"refine_roots", "_fast_signs"} <= set(calls) and made == []
+    calls.clear()
+    rec = table.by_label("K2048")
+    scan_small_condition(FieldTable((rec,)), 20000, unit_filter=False)
+    assert {"refine_roots", "basis_embeddings"} <= set(calls) and made == []
+    # the public roots are `Interval`s, on the cells' ends
+    ctx = load_field(rec)
+    ctx.refine_roots(Fraction(1, 1 << 32))
+    assert ctx.roots() == [Interval(Fraction(c.a, c.b), Fraction(c.e, c.b))
+                           for c in ctx._state.cells]
+    assert all(isinstance(c, polys.RootCell) for c in ctx._state.cells)
