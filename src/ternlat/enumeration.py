@@ -60,7 +60,7 @@ from operator import mul, sub
 from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from . import linalg
+from . import linalg, polys
 from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
                      PrecisionExhausted)
 from .intervals import Numerators, sqrt_numerator, sqrt_upper
@@ -702,18 +702,6 @@ def sqrt_element(alpha: Element, ceiling: int = DEFAULT_CEILING) -> Optional[Ele
     return None
 
 
-def _divisors(n: int) -> List[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
 def small_norm_elements(ctx: FieldContext, house_bound: Fraction,
                         norm_bound: int, ceiling: int = DEFAULT_CEILING
                         ) -> List[Tuple[Element, Fraction]]:
@@ -765,7 +753,7 @@ def squarefree_witness(alpha: Element, ceiling: int = DEFAULT_CEILING
     if n.denominator != 1:
         raise ValueError("norm is not an integer")
     n = int(n)
-    norms = [m for m in _divisors(n) if m > 1 and n % (m * m) == 0]
+    norms = [m for m in polys.mobius(n) if m > 1 and n % (m * m) == 0]
     if not norms:
         return None
     hb = sqrt_upper(alpha.house(Fraction(1, 256)).hi) * _SQUAREFREE_PAD

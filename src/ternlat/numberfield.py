@@ -17,11 +17,10 @@ per root, all kept on the root state.  The table is taken at root width
 1/256 first, and refines to 2^-32 only when it leaves a sign undecided.
 Order comparisons (total positivity, dominance) and signatures return
 exact verdicts: the fixed-point tables only short-circuit decisive cases.
-An undecided comparison falls back to the sign pattern of
-the characteristic polynomial of the multiplication map, which is decisive
-because every conjugate is real; an undecided signature refines the integer
-enclosures of its embeddings, after ruling out an exactly-zero embedding by
-the norm.
+An undecided comparison or signature takes one exact step: the embeddings
+that vanish are the roots of gcd(p, A), A the element's power-basis
+numerator, and every other sign is read off integer enclosures refined
+until none holds zero.
 
 A context holds the unit group modulo squares once: its unit generators, the
 table of their products by signature and the unit-square steps, the last two
@@ -188,28 +187,13 @@ class Element:
             return NotImplemented
         table = self.ctx.mult_table
         scales, entries = [], []
-        if o is self:
-            # b_i b_j = b_j b_i: each unordered pair of coordinates once
-            x = self.coords
-            for i, a in enumerate(x):
-                if a:
-                    row = table[i]
-                    scales.append(a * a)
-                    entries.append(row[i])
-                    a2 = a + a
-                    for j in range(i + 1, len(x)):
-                        b = x[j]
-                        if b:
-                            scales.append(a2 * b)
-                            entries.append(row[j])
-        else:
-            for i, a in enumerate(self.coords):
-                if a:
-                    row = table[i]
-                    for j, b in enumerate(o.coords):
-                        if b:
-                            scales.append(a * b)
-                            entries.append(row[j])
+        for i, a in enumerate(self.coords):
+            if a:
+                row = table[i]
+                for j, b in enumerate(o.coords):
+                    if b:
+                        scales.append(a * b)
+                        entries.append(row[j])
         if not scales:
             return Element._new(self.ctx, [0] * self.ctx.degree, 1)
         out = [sum(map(mul, scales, col)) for col in zip(*entries)]
@@ -259,20 +243,26 @@ class Element:
 
     # -- invariants ----------------------------------------------------------
 
-    def norm(self) -> Fraction:
-        """N(a) = Res(p, A) / (den * a.den)^d, for the monic defining
-        polynomial p of degree d and a = A(t) / (den * a.den), A the integer
-        power-basis numerator summed from the `horner_rows` rows over their
-        denominator den: the determinant of multiplication by A on
-        Q[t]/(p) is Res(p, A), for every monic p, reducible or not."""
+    def _power_numerator(self) -> Tuple[List[int], int]:
+        """(A, D) with self = A(t) / D: A the integer power-basis numerator
+        summed from the `horner_rows` rows over their denominator den, and
+        D = den * self.den."""
         rows, _, den = self.ctx._horner
         num = [0] * self.ctx.degree
         for c, row in zip(self.coords, rows):
             if c:
                 for i, x in enumerate(row):
                     num[i] += c * x
+        return num, den * self.den
+
+    def norm(self) -> Fraction:
+        """N(a) = Res(p, A) / D^d, for the monic defining polynomial p of
+        degree d and a = A(t) / D (`_power_numerator`): the determinant of
+        multiplication by A on Q[t]/(p) is Res(p, A), for every monic p,
+        reducible or not."""
+        num, den = self._power_numerator()
         return Fraction(polys.resultant(self.ctx.poly, num),
-                        (den * self.den) ** self.ctx.degree)
+                        den ** self.ctx.degree)
 
     def trace(self) -> Fraction:
         return Fraction(sum(map(mul, self.coords, self.ctx.basis_traces)),
@@ -315,23 +305,11 @@ class Element:
         """Signs of all real embeddings, ordered by ascending root."""
         if self.is_zero:
             raise ValueError("signature of zero is undefined")
-        signs = self.ctx._fast_signs(self)
-        if signs is not None:
-            return signs
-        # N(self) is the product of the embeddings: it vanishes exactly when
-        # one of them is zero (a zero divisor, reducible defining
-        # polynomial), where refining would never decide a sign
-        if self.norm() == 0:
+        signs = self.ctx._fast_signs(self) or self.ctx._exact_signs(self)
+        if 0 in signs:
             raise ValueError(
                 "element has an exactly-zero embedding (zero divisor)")
-        width = Fraction(1, 16)
-        for _ in range(64):
-            lows, highs, _ = zip(*self.ctx._embedding_numerators(self, width))
-            signs = _signs(lows, highs)
-            if signs is not None:
-                return signs
-            width /= 16
-        raise ValueError("embedding signs did not stabilize")
+        return signs
 
     def is_unit(self) -> bool:
         return self.is_integral and abs(self.norm()) == 1
@@ -550,28 +528,53 @@ class FieldContext:
                 return signs
         return _signs(*self.fixed_point_bounds(a))
 
+    def _interval_sums(self, a: Element) -> List[Tuple[int, int, int]]:
+        """Per root i, (lo, hi, den) with sigma_i(a) in [lo, hi] / den at the
+        root state: row i of `basis_embeddings` holds integer numerators
+        over one denominator, sigma_i(basis_j) in [lows[j], highs[j]] / den,
+        and the interval sum of c_j times sigma_i(basis_j) is taken on
+        those numerators over den * a.den."""
+        out = []
+        for lows, highs, den in self.basis_embeddings():
+            los, his = zip(*((c * lo, c * hi) if c >= 0 else (c * hi, c * lo)
+                             for c, lo, hi in zip(a.coords, lows, highs)))
+            out.append((sum(los), sum(his), den * a.den))
+        return out
+
+    def _exact_signs(self, a: Element) -> Tuple[int, ...]:
+        """The sign of every embedding of a, 0 for one that vanishes.
+
+        With a = A(t) / D (`Element._power_numerator`) and g = gcd(p, A),
+        sigma_i(a) = 0 exactly when root i is a root of g (Cohen, GTM 138,
+        section 3.3); g divides the squarefree p, so that is when g changes
+        sign or vanishes on root i's cell (`polys.RootCell.straddles`).
+        Every other sign is read off `_interval_sums`, and while one of
+        those holds zero the roots are refined, to 2^-32 and then to the
+        square of the last width: a relative test, which ends for a
+        nonzero value of any size."""
+        g = polys.gcd_int(self.poly, a._power_numerator()[0])
+        zero = [c.straddles(g) for c in self._state.cells]
+        width = self._FINE_WIDTH
+        while True:
+            signs = tuple(0 if z else 1 if lo > 0 else -1 if hi < 0 else None
+                          for z, (lo, hi, _) in zip(zero,
+                                                    self._interval_sums(a)))
+            if None not in signs:
+                return signs
+            self.refine_roots(width)
+            width *= width
+
     def _embedding_numerators(self, a: Element, max_width: Rat
                               ) -> List[Tuple[int, int, int]]:
         """Per root i, (lo, hi, den) with sigma_i(a) in [lo, hi] / den and
-        (hi - lo) / den <= max_width, refining the roots as needed.
-
-        Row i of `basis_embeddings` holds integer numerators over one
-        denominator, sigma_i(basis_j) in [lows[j], highs[j]] / den.  The
-        interval sum of c_j times sigma_i(basis_j) is taken on those
-        numerators over den * a.den.  While some sum is too wide, the roots
-        are refined to a quarter of the narrowest root's width, and so on.
-        """
+        (hi - lo) / den <= max_width, refining the roots as needed: while
+        some `_interval_sums` is too wide, the roots are refined to a
+        quarter of the narrowest root's width, and so on."""
         max_width = Fraction(max_width)
         wn, wd = max_width.numerator, max_width.denominator
         width = None
-        x = a.coords
         for _ in range(256):
-            out = []
-            for lows, highs, den in self.basis_embeddings():
-                los, his = zip(*((c * lo, c * hi) if c >= 0 else
-                                 (c * hi, c * lo)
-                                 for c, lo, hi in zip(x, lows, highs)))
-                out.append((sum(los), sum(his), den * a.den))
+            out = self._interval_sums(a)
             if all((hi - lo) * wd <= wn * den for lo, hi, den in out):
                 return out
             if width is None:
@@ -597,8 +600,9 @@ class FieldContext:
         positive, read off the top bit of each digit of the packed lower
         bounds (`_packed_bounds`); else the signs from both bounds
         (`_fast_signs`, which lets a lone comparison read the ends at
-        root width 1/256 first); and otherwise the exact sign pattern of
-        the characteristic polynomial.
+        root width 1/256 first); and otherwise the exact signs
+        (`_exact_signs`), where a zero embedding with no sign against it
+        gives GE_TIED or LE_TIED.
         """
         c = a - b if any(b.coords) else a
         if not any(c.coords):
@@ -608,23 +612,11 @@ class FieldContext:
             t, _, top = self._packed_bounds(c.coords, False)
             if t & top == top:
                 return Dominance.GT
-        signs = self._fast_signs(c)
-        if signs is not None:
-            if -1 not in signs:
-                return Dominance.GT
-            if 1 not in signs:
-                return Dominance.LT
-            return Dominance.INCOMPARABLE
-        # exact: sign pattern of the characteristic polynomial of mult-by-c
-        p = linalg.charpoly(c.mult_matrix_scaled())
-        d = self.degree
-        all_nonneg_roots = all((-1) ** (d - k) * p[k] >= 0 for k in range(d + 1))
-        all_nonpos_roots = all(p[k] >= 0 for k in range(d + 1))
-        has_zero_root = p[0] == 0
-        if all_nonneg_roots:
-            return Dominance.GE_TIED if has_zero_root else Dominance.GT
-        if all_nonpos_roots:
-            return Dominance.LE_TIED if has_zero_root else Dominance.LT
+        signs = self._fast_signs(c) or self._exact_signs(c)
+        if -1 not in signs:
+            return Dominance.GE_TIED if 0 in signs else Dominance.GT
+        if 1 not in signs:
+            return Dominance.LE_TIED if 0 in signs else Dominance.LT
         return Dominance.INCOMPARABLE
 
     # -- units ---------------------------------------------------------------

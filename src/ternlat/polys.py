@@ -13,8 +13,8 @@ and a `Fraction` is built only for a result, which is exactly what
 `Fraction` arithmetic gives; `eval_interval` builds none, and returns
 integer endpoint numerators for a whole set of polynomials, the basis
 rows of a field, at once, by sign case and, over a power-of-two
-denominator (every root of a monic polynomial), by shifts.  `divmod_poly`
-and `resultant` share one integer pseudo-division, `_prem`.
+denominator (every root of a monic polynomial), by shifts.  `divmod_poly`,
+`resultant` and `gcd_int` share one integer pseudo-division, `_prem`.
 
 A Sturm chain is evaluated by the recurrence that builds it: the exact
 values of Horner on every member, at O(d) products per point, not O(d^2).
@@ -127,6 +127,11 @@ class RootCell(NamedTuple):
     def wider(self, wn: int, wd: int) -> bool:
         """Whether the cell is wider than wn / wd."""
         return (self.e - self.a) * wd > wn * self.b
+
+    def straddles(self, g: Sequence[int]) -> bool:
+        """Whether g(a/b) g(e/b) <= 0, for integer g: for g dividing the
+        squarefree p, whether the cell's root is a root of g."""
+        return _horner(g, self.a, self.b) * _horner(g, self.e, self.b) <= 0
 
 
 def horner_rows(ps: Sequence[Sequence[Coeff]]
@@ -252,6 +257,16 @@ def resultant(a: Sequence[int], b: Sequence[int]) -> int:
     if n < 0:
         return 0
     return s * t * (b[0] ** m * h // h ** m)      # h^(1 - m) lc(b)^m
+
+
+def gcd_int(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """A gcd over Q of integer polynomials a and b, as a primitive integer
+    polynomial, [] when both are zero: the primitive remainder sequence,
+    each pseudo-remainder `_prem` divided by its content."""
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, primitive_int(_prem(a, b)[1])
+    return primitive_int(a)
 
 
 def primitive_int(p: Sequence[Coeff]) -> List[int]:

@@ -24,7 +24,7 @@ the traces of the basis; both are checked against the paths they replaced.
 A context with no table yet reads its signs off the same ends taken at
 root width 1/256 first: its `compare` and `signature` must equal those of
 a context holding the table and the characteristic polynomial's, with no
-characteristic polynomial formed where the table decides.
+exact step (`FieldContext._exact_signs`) taken where the table decides.
 
 `enumeration._exact_check` decides a candidate by one comparison of an
 integer quadratic residual, whose coefficients in x_0 it forms once per
@@ -592,6 +592,18 @@ def test_fast_path_falls_back_on_ties_in_a_product_ring():
                 signature()
 
 
+@pytest.mark.parametrize("n", [200, 400])
+def test_exact_signs_of_large_unit_powers(n):
+    # (1 + sqrt2)^n has a conjugate of about 2^(-1.27 n), below any fixed
+    # absolute width: the exact step's relative test decides its sign
+    ctx = sqrt2_context()
+    u = (ctx.one + ctx.sqrt2) ** n
+    eta, positive = ctx.totally_positive_associate(-u)
+    assert eta.is_unit() and positive.signature() == (1, 1)
+    assert (u - 1).signature() == (-1, 1)
+    assert ctx.compare(u, ctx.zero) is charpoly_verdict(u)
+
+
 def _compare_cases(ctx, elements):
     """Pairs (a, b) for `FieldContext.compare`: each sample against 0 and 0
     against it, and each sample plus the next one against that one and
@@ -603,19 +615,20 @@ def _compare_cases(ctx, elements):
 
 
 def test_compare_agrees_with_charpoly(table, monkeypatch):
-    calls = {"fast_signs": 0, "charpoly": 0}
-    fast_signs, charpoly = FieldContext._fast_signs, linalg.charpoly
+    calls = {"fast_signs": 0, "exact_signs": 0}
+    fast_signs, exact_signs = (FieldContext._fast_signs,
+                               FieldContext._exact_signs)
 
     def counted_fast_signs(self, a):
         calls["fast_signs"] += 1
         return fast_signs(self, a)
 
-    def counted_charpoly(m):
-        calls["charpoly"] += 1
-        return charpoly(m)
+    def counted_exact_signs(self, a):
+        calls["exact_signs"] += 1
+        return exact_signs(self, a)
 
     monkeypatch.setattr(FieldContext, "_fast_signs", counted_fast_signs)
-    monkeypatch.setattr(linalg, "charpoly", counted_charpoly)
+    monkeypatch.setattr(FieldContext, "_exact_signs", counted_exact_signs)
     paths = {"early": 0, "signs": 0, "fallback": 0}
 
     def check(ctx, a, b):
@@ -624,7 +637,7 @@ def test_compare_agrees_with_charpoly(table, monkeypatch):
         after = dict(calls)
         c = a - b
         assert got is (Dominance.EQ if c.is_zero else charpoly_verdict(c))
-        if after["charpoly"] > before["charpoly"]:
+        if after["exact_signs"] > before["exact_signs"]:
             paths["fallback"] += 1
         elif after["fast_signs"] > before["fast_signs"]:
             paths["signs"] += 1
@@ -701,18 +714,18 @@ def test_lone_comparisons_equal_the_full_table_and_charpoly(table,
     # no table built) read the table at root width 1/256 first: they must
     # equal the verdicts of a context holding the 2^-32 table and, up to
     # degree 8, the characteristic polynomial's; where the 2^-32 table
-    # decides, no characteristic polynomial may be formed.  Above degree 8,
+    # decides, the exact step must not run.  Above degree 8,
     # where a characteristic polynomial takes up to seconds, the reference
     # is the context holding the table alone, and an element that table
     # leaves undecided is skipped
     calls = [0]
-    charpoly = linalg.charpoly
+    exact_signs = FieldContext._exact_signs
 
-    def counted_charpoly(m):
+    def counted_exact_signs(self, a):
         calls[0] += 1
-        return charpoly(m)
+        return exact_signs(self, a)
 
-    monkeypatch.setattr(linalg, "charpoly", counted_charpoly)
+    monkeypatch.setattr(FieldContext, "_exact_signs", counted_exact_signs)
     rng = random.Random(31)
     cases = [(load_field(ctx.record), elements)
              for ctx, elements in _table_samples(table, 30)[:19]]
@@ -724,7 +737,7 @@ def test_lone_comparisons_equal_the_full_table_and_charpoly(table,
         tuple(F(int(i == j)) for j in range(4)) for i in range(4)), 144))
     cases.append((load_field(qxq.record), _tie_samples(qxq, rng)))
     assert len(cases) == 19 + 58 + 1
-    paths = {"1/256": 0, "2^-32": 0, "charpoly": 0}
+    paths = {"1/256": 0, "2^-32": 0, "exact": 0}
     for template, elements in cases:
         d = template.degree
         full = copy.copy(template)
@@ -741,7 +754,7 @@ def test_lone_comparisons_equal_the_full_table_and_charpoly(table,
             got = fresh.compare(fresh.element(c.coords, c.den), fresh.zero)
             exact = calls[0] > before
             assert not (decided and exact)
-            paths["charpoly" if exact else
+            paths["exact" if exact else
                   "2^-32" if fresh._state.fine else "1/256"] += 1
             assert got is full.compare(a, full.zero)
             fresh = copy.copy(template)
