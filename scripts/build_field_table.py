@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from math import isqrt
 from pathlib import Path
 
@@ -211,7 +210,7 @@ def main():
             # the tagged record loads afresh; loading checks that the tag
             # squares to 2
             gens, uratio = find_units(load_field(
-                replace(ctx.record, sqrt2=tuple(s2.coords))))
+                ctx.record._replace(sqrt2=tuple(s2.coords))))
             h_plus = h * uratio
             rows.append(record_dict(label, order, h, h_plus, gens, s2))
             print(f"  {label}: disc {disc} prov {prov} h={h} h+={h_plus} "

@@ -136,7 +136,7 @@ def cmd_case_analysis(args) -> int:
         for b in rep.branches:
             print(f"beta24 = {b.beta24}: det = {b.determinant} = 0  =>  "
                   f"{b.identity_lhs} = {b.identity_rhs}")
-        _emit(args, [vars(b) for b in rep.branches], mode=mode)
+        _emit(args, [b._asdict() for b in rep.branches], mode=mode)
         return 0
     fmt = rep.cases[0].alpha.ctx.format_element
     for c in rep.cases:
@@ -188,7 +188,7 @@ def cmd_cyclotomic(args) -> int:
     if rep.alpha_indecomposable is not None:
         print(f"alpha, beta indecomposable: {rep.alpha_indecomposable}, "
               f"{rep.beta_indecomposable}")
-    _emit(args, [vars(rep)], k=args.k)
+    _emit(args, [rep._asdict()], k=args.k)
     return 0
 
 

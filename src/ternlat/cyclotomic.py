@@ -8,8 +8,7 @@ context is built directly from the halved cyclotomic polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import linalg, polys
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
@@ -30,8 +29,7 @@ def prime_power_base(k: int) -> Optional[int]:
     return primes[0] if len(primes) == 1 else None
 
 
-@dataclass(frozen=True)
-class CycloInfo:
+class CycloInfo(NamedTuple):
     k: int
     phi: int
     mu: int
@@ -63,8 +61,7 @@ def cyclo_info(k: int) -> CycloInfo:
     return CycloInfo(k, phi, mu, tuple(pcos), ctx, alpha, beta)
 
 
-@dataclass(frozen=True)
-class AlphaBetaReport:
+class AlphaBetaReport(NamedTuple):
     k: int
     degree: int
     mu: int

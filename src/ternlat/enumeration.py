@@ -51,7 +51,6 @@ candidates stay the same, and only empty inner runs are skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice, product
@@ -80,25 +79,29 @@ class QueryMode(Enum):
     INTERVAL = "interval"                   # 0 <= omega <= bound
 
 
-@dataclass(frozen=True)
-class DominanceQuery:
+class _Query(NamedTuple):
+    field: FieldContext
+    bound: Element
+    mode: QueryMode = QueryMode.SQUARE_DOMINATED
+
+
+class DominanceQuery(_Query):
     """A dominated-element query on a totally positive bound.  The field's
     full fixed-point table is taken before the positivity check, so that
     the box and its pruning read the roots at 2^-32 whatever the context
     compared before (a lone comparison leaves them at 1/256)."""
 
-    field: FieldContext
-    bound: Element
-    mode: QueryMode = QueryMode.SQUARE_DOMINATED
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.field.fixed_point_table()
-        if not self.bound.is_totally_positive():
+    def __new__(cls, *args, **kwargs):
+        q = super().__new__(cls, *args, **kwargs)
+        q.field.fixed_point_table()
+        if not q.bound.is_totally_positive():
             raise InvalidInput("enumeration bound must be totally positive")
+        return q
 
 
-@dataclass(frozen=True)
-class EnumerationBox:
+class EnumerationBox(NamedTuple):
     """Certified coordinate box: provably contains every solution."""
 
     lows: Tuple[int, ...]
@@ -639,8 +642,7 @@ def enumerate_representations(gram: Sequence[Sequence[Element]], gamma: Element,
 # ---------------------------------------------------------------------------
 # indecomposability
 
-@dataclass(frozen=True)
-class IndecompResult:
+class IndecompResult(NamedTuple):
     indecomposable: bool
     reason: str                                   # norm-bound | trace-bound | exhaustive-search
     decomposition: Optional[Tuple[Element, Element]] = None

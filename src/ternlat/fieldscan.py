@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -63,15 +62,13 @@ def parse_record(obj: dict) -> FieldRecord:
                        sqrt2=sqrt2)
 
 
-@dataclass
 class FieldTable:
-    records: Tuple[FieldRecord, ...]
-    _contexts: Dict[str, FieldContext] = field(default_factory=dict)
-
-    def __post_init__(self):
-        labels = [r.label for r in self.records]
+    def __init__(self, records: Tuple[FieldRecord, ...]):
+        labels = [r.label for r in records]
         if len(set(labels)) != len(labels):
             raise ValidationError("table", "duplicate labels")
+        self.records = records
+        self._contexts: Dict[str, FieldContext] = {}
 
     def __iter__(self):
         return iter(self.records)

@@ -10,23 +10,26 @@ fixed-point form introduce rounding, which is done outward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 Numerators = Tuple[List[int], List[int], int]  # [lows[k], highs[k]] / den
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Ends(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+class Interval(_Ends):
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     @property
     def mid(self) -> Fraction:

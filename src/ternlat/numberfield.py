@@ -29,13 +29,12 @@ built on first use; associates and unit-square representatives read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg, polys
 from .errors import (BadBasis, DivisionByZero, FieldDataError, NoSuchUnit,
@@ -45,8 +44,7 @@ from .intervals import Interval, Numerators, fixed_point_ends
 Rat = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class FieldRecord:
+class FieldRecord(NamedTuple):
     """Raw description of a totally real field, as ingested from disk."""
 
     label: str
@@ -569,20 +567,22 @@ class FieldContext:
         """Per root i, (lo, hi, den) with sigma_i(a) in [lo, hi] / den and
         (hi - lo) / den <= max_width, refining the roots as needed: while
         some `_interval_sums` is too wide, the roots are refined to a
-        quarter of the narrowest root's width, and so on."""
+        quarter of the narrowest root's width, and so on down to 2^-300,
+        then to the square of the last width.  The sums' widths shrink
+        with the roots', so this ends for every a, and a point cell (an
+        exact rational root) sends the first step to 2^-300."""
         max_width = Fraction(max_width)
         wn, wd = max_width.numerator, max_width.denominator
-        width = None
-        for _ in range(256):
+        floor, width = Fraction(1, 1 << 300), None
+        while True:
             out = self._interval_sums(a)
             if all((hi - lo) * wd <= wn * den for lo, hi, den in out):
                 return out
             if width is None:
-                width = min(Fraction(c.e - c.a, c.b)
-                            for c in self._state.cells)
-            width = max(width / 4, Fraction(1, 1 << 300))
+                width = max(4 * floor, min(Fraction(c.e - c.a, c.b)
+                                           for c in self._state.cells))
+            width = max(width / 4, floor) if width > floor else width * width
             self.refine_roots(width)
-        raise RuntimeError("embedding refinement did not converge")
 
     def embeddings(self, a: Element, max_width: Rat = Fraction(1, 64)) -> List[Interval]:
         """Enclosures of sigma_i(a), each at most max_width wide, refining

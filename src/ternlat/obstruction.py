@@ -11,9 +11,8 @@ relation ring gamma * t^2 = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
@@ -34,8 +33,7 @@ def _element_dict(e: Element) -> dict:
 # ---------------------------------------------------------------------------
 # orthogonality forcing
 
-@dataclass(frozen=True)
-class PairForcing:
+class PairForcing(NamedTuple):
     i: int
     j: int
     admissible: Tuple[Element, ...]   # complete list of possible off-diagonals
@@ -45,8 +43,7 @@ class PairForcing:
         return len(self.admissible) == 1 and self.admissible[0].is_zero
 
 
-@dataclass(frozen=True)
-class OrthogonalityCertificate:
+class OrthogonalityCertificate(NamedTuple):
     field_label: str
     elements: Tuple[Element, ...]
     pairs: Tuple[PairForcing, ...]
@@ -88,8 +85,7 @@ def orthogonality_forcing(ctx: FieldContext, elements: Sequence[Element],
 # ---------------------------------------------------------------------------
 # dual non-representation
 
-@dataclass(frozen=True)
-class DualTranscript:
+class DualTranscript(NamedTuple):
     field_label: str
     diag: Tuple[Element, Element, Element]
     gamma: Element
@@ -137,8 +133,7 @@ def dual_nonrepresentation(ctx: FieldContext,
 # ---------------------------------------------------------------------------
 # combined certificate
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(NamedTuple):
     field_label: str
     quadruple: Tuple[Element, Element, Element, Element]   # (a1, a2, a3, gamma)
     orthogonality: OrthogonalityCertificate
@@ -308,8 +303,7 @@ def _reduce_by(p: MPoly, lead: Tuple[int, ...], value) -> MPoly:
     return out
 
 
-@dataclass(frozen=True)
-class ExtensionCase:
+class ExtensionCase(NamedTuple):
     alpha: Element
     beta: Element
     status: str        # admissible | not-totally-positive | not-integral |
@@ -321,16 +315,14 @@ class ExtensionCase:
     reconstruction_class: Optional[LatticeClass] = None
 
 
-@dataclass(frozen=True)
-class SymbolicBranch:
+class SymbolicBranch(NamedTuple):
     beta24: int
     determinant: str
     identity_lhs: str
     identity_rhs: str
 
 
-@dataclass(frozen=True)
-class CaseAnalysisReport:
+class CaseAnalysisReport(NamedTuple):
     mode: str
     det_formula_verified: bool
     cases: Tuple[ExtensionCase, ...] = ()
@@ -499,15 +491,13 @@ def _symbolic_two_analysis() -> CaseAnalysisReport:
 # ---------------------------------------------------------------------------
 # indecomposables and the shape of 2
 
-@dataclass(frozen=True)
-class IndecomposableEntry:
+class IndecomposableEntry(NamedTuple):
     element: Element
     classification: str        # square | lambda-square | other
     root: Optional[Element]
 
 
-@dataclass(frozen=True)
-class IndecomposablesReport:
+class IndecomposablesReport(NamedTuple):
     field_label: str
     trace_bound: int
     entries: Tuple[IndecomposableEntry, ...]

@@ -8,12 +8,11 @@ each image vector ranges over a certified representation enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
@@ -132,8 +131,7 @@ def standard_lattice(ctx: FieldContext, cls: LatticeClass) -> GramMatrix:
     raise ValueError(cls)
 
 
-@dataclass(frozen=True)
-class LatticePredicates:
+class LatticePredicates(NamedTuple):
     classical: bool
     unimodular: bool
     det: Element
@@ -233,8 +231,7 @@ def contains_sublattice(g: GramMatrix, target,
 # ---------------------------------------------------------------------------
 # ternary classification over the sqrt2 quadratic field
 
-@dataclass(frozen=True)
-class CaseOutcome:
+class CaseOutcome(NamedTuple):
     w13: Element
     w23: Element
     feasible: bool                       # totally psd Gram?
@@ -242,8 +239,7 @@ class CaseOutcome:
     witness: Optional[Tuple[Tuple[Element, ...], ...]]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     cases: Tuple[CaseOutcome, ...]
 
     def classes_found(self) -> List[LatticeClass]:
@@ -303,8 +299,7 @@ def ternary_classification(ctx: FieldContext,
 # ---------------------------------------------------------------------------
 # free overlattice criterion
 
-@dataclass(frozen=True)
-class OverlatticeResult:
+class OverlatticeResult(NamedTuple):
     has_proper_free_classical_overlattice: bool
     witness: Optional[Tuple[Element, Element]]    # (t, gamma) with p7 = gamma t^2
 

@@ -107,6 +107,23 @@ def test_case_analysis_cli(capsys):
     assert "gamma^2*t = beta^2" in out and "gamma = t*beta^2" in out
 
 
+# sha256 of the `case-analysis --mode two` report, taken as for the README
+# reports: the `SymbolicBranch` records reach JSON through `_emit`
+GOLDEN_TWO_REPORT = \
+    "e911b9086be769346d89caebd4829f6787a2bfa0cbe32f95d02bef39eb769abe"
+
+
+def test_case_analysis_two_report_is_unchanged(tmp_path):
+    out_path = tmp_path / "two.json"
+    assert main(["case-analysis", "--mode", "two",
+                 "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    assert [v["beta24"] for v in report["verdicts"]] == [0, 1]
+    report["metadata"].pop("elapsed_seconds", None)
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_TWO_REPORT
+
+
 def test_classify_ternary_cli(capsys, fields_dir):
     code, out = run(capsys, "classify-ternary",
                     "--field", str(fields_dir / "qsqrt2.json"))

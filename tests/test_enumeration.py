@@ -50,6 +50,12 @@ def test_bound_must_be_positive(ctx_sqrt2):
         DominanceQuery(ctx_sqrt2, ctx_sqrt2.sqrt2)
 
 
+def test_box_is_frozen(ctx_sqrt2):
+    box = solution_box(DominanceQuery(ctx_sqrt2, ctx_sqrt2.from_rational(6)))
+    with pytest.raises(AttributeError):
+        box.lows = (0, 0)
+
+
 def test_symmetry(ctx_sqrt2):
     out = dominated_elements(ctx_sqrt2, ctx_sqrt2.from_rational(6))
     got = {e.coords for e in out}

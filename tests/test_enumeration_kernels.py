@@ -46,7 +46,6 @@ rank test, against `FieldContext.rational_span_coords`.
 import copy
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -1071,8 +1070,8 @@ def _moved(rec):
         rec.basis[1:]
     s = list(rec.sqrt2)
     s[1] -= s[0]
-    return replace(rec, label=rec.label + "'", basis=basis, sqrt2=tuple(s),
-                   units=None)
+    return rec._replace(label=rec.label + "'", basis=basis, sqrt2=tuple(s),
+                        units=None)
 
 
 def test_sqrt2_span_witnesses_equal_rational_span_coords(table, ctx_sqrt2):

@@ -7,7 +7,8 @@ import pytest
 from conftest import gcd_poly
 from ternlat import linalg
 from ternlat.errors import ParseError, ValidationError
-from ternlat.fieldscan import (GAP_SQUARE_MAX, discriminant_bound_value,
+from ternlat.fieldscan import (GAP_SQUARE_MAX, FieldTable,
+                               discriminant_bound_value,
                                exceptional_sets, ingest_fields,
                                load_field_file, parse_record,
                                quartic_gap_maximum, scan_obstructions,
@@ -42,6 +43,12 @@ def test_parse_rejects_nonmonic():
     with pytest.raises(ValidationError):
         parse_record({"label": "x", "degree": 2, "poly": [1, 0, 2],
                       "basis": [["1", "0"], ["0", "1"]], "disc": 8})
+
+
+def test_table_rejects_a_repeated_label(table):
+    rec = table.by_label("K1600")
+    with pytest.raises(ValidationError, match="duplicate labels"):
+        FieldTable((rec, table.by_label("K2048"), rec))
 
 
 def test_ingest_bad_json(tmp_path):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +7,10 @@ from conftest import (cell_interval, ref_divmod_poly, ref_embeddings,
                       ref_unit_square_reduce)
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
-from ternlat.enumeration import dominated_elements
-from ternlat.errors import (DivisionByZero, FieldDataError, NoSuchUnit,
-                            NotARing, NotTotallyReal)
+from ternlat.enumeration import dominated_elements, squarefree_witness
+from ternlat.errors import (BoxTooLarge, DivisionByZero, FieldDataError,
+                            NoSuchUnit, NotARing, NotTotallyReal)
+from ternlat.intervals import Interval
 from ternlat.numberfield import (Dominance, FieldRecord, basis_mult_table,
                                  load_field, sqrt2_context,
                                  unit_square_canonical,
@@ -21,6 +21,14 @@ def test_load_rejects_imaginary():
     rec = FieldRecord("bad", 2, (1, 0, 1), ((F(1), F(0)), (F(0), F(1))), 4)
     with pytest.raises(NotTotallyReal, match="bad: fewer than 2 real roots"):
         load_field(rec)
+
+
+def test_records_check_and_freeze(ctx_sqrt2):
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(F(1), F(0))
+    assert Interval(F(1), F(1)).mid == 1
+    with pytest.raises(AttributeError):
+        ctx_sqrt2.record.label = "other"
 
 
 IDENTITY4 = tuple(tuple(F(int(i == j)) for j in range(4)) for i in range(4))
@@ -167,6 +175,43 @@ def test_embeddings_and_house(ctx_sqrt2):
     assert ivs[0].lo < ivs[1].lo  # ascending root order
     h = lam.house(F(1, 100))
     assert h.lo <= F(342, 100) <= h.hi + F(1, 100)
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+def test_embeddings_of_large_unit_powers(n):
+    # the basis coordinates of (1 + sqrt2)^n are about 2^(1.27 n), so the
+    # roots must go below 2^-300 for the sums to narrow to 1/64; each end
+    # is checked exactly: sigma_i(a - lo) >= 0 and sigma_i(hi - a) >= 0
+    ctx = sqrt2_context()
+    a = (ctx.one + ctx.sqrt2) ** n
+    ivs, house = ctx.embeddings(a), a.house()
+    assert house == ivs[1]
+    assert_exact_enclosures(a, ivs, F(1, 64))
+
+
+def assert_exact_enclosures(a, ivs, width):
+    ctx = a.ctx
+    assert all(iv.hi - iv.lo <= width for iv in ivs)
+    for i, iv in enumerate(ivs):
+        assert ctx._exact_signs(a - iv.lo)[i] >= 0
+        assert ctx._exact_signs(iv.hi - a)[i] >= 0
+
+
+def test_embeddings_past_the_floor_beside_exact_roots():
+    # (t^2 - 1)(t^2 - 2): the roots +-1 are point cells, so the first step
+    # goes to 2^-300 at once; 10^200 t needs the roots below it
+    ctx = load_field(FieldRecord("1x2", 4, (2, 0, -3, 0, 1), IDENTITY4, 1))
+    assert 0 in [c.e - c.a for c in ctx._state.cells]
+    a = ctx.gen * 10 ** 200
+    assert_exact_enclosures(a, ctx.embeddings(a, F(1, 1000)), F(1, 1000))
+
+
+def test_squarefree_witness_of_a_large_element_reaches_the_box():
+    # 7 (1 + sqrt2)^400: the house is taken, and its square root, about
+    # 2^254, makes the search box too large, a flagged ceiling
+    ctx = sqrt2_context()
+    with pytest.raises(BoxTooLarge):
+        squarefree_witness(7 * (ctx.one + ctx.sqrt2) ** 400)
 
 
 def test_dominance(ctx_sqrt2):
@@ -355,7 +400,7 @@ def test_unit_square_walk_matches_the_reference(table, ctx_sqrt2):
     for a in (-(2 + s), 1 - s, ctx_sqrt2.zero):
         check(a)
         assert unit_square_reduce(a) == (a, ctx_sqrt2.one)
-    bare = load_field(replace(ctx_sqrt2.record, units=None))
+    bare = load_field(ctx_sqrt2.record._replace(units=None))
     a = bare.element([10, -7])
     check(a)
     assert unit_square_reduce(a) == (a, bare.one)

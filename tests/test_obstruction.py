@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -70,7 +69,7 @@ def test_square_class_reduce(ctx_sqrt2):
 
 def test_square_class_reduce_needs_units(ctx_sqrt2):
     # without generators there is no unit-square walk to reduce by
-    ctx = load_field(replace(ctx_sqrt2.record, units=None))
+    ctx = load_field(ctx_sqrt2.record._replace(units=None))
     with pytest.raises(NoSuchUnit):
         square_class_reduce(ctx.element((10, -7)))
 

@@ -121,14 +121,15 @@ def test_the_root_path_builds_no_interval(table, monkeypatch):
     # a cyclotomic sweep step (its comparisons are lone ones, at root width
     # 1/256) and a scan query (the full table at 2^-32, boxes, pruning)
     made, inside, calls = [], [0], []
-    post = Interval.__post_init__
+    new = Interval.__new__
 
-    def counted(iv):
+    def counted(cls, lo, hi):
+        iv = new(cls, lo, hi)
         if inside[0]:
             made.append(iv)
-        post(iv)
+        return iv
 
-    monkeypatch.setattr(Interval, "__post_init__", counted)
+    monkeypatch.setattr(Interval, "__new__", counted)
     for name in ("refine_roots", "basis_embeddings", "_fast_signs"):
         def wrapped(ctx, *args, f=getattr(FieldContext, name), name=name):
             calls.append(name)
