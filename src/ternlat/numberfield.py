@@ -425,7 +425,8 @@ class FieldContext:
         wide = [c.wider(wn, wd) for c in state.cells]
         if any(wide):
             state = self._state = _RootState([
-                polys.refine_root(self.poly, c, max_width) if w else c
+                polys.refine_root(self.poly, c, max_width, primitive=True)
+                if w else c
                 for c, w in zip(state.cells, wide)])
         state.width, state.fine = max_width, max_width <= self._FINE_WIDTH
 
@@ -825,15 +826,15 @@ def mult_matrix(table, coords: Sequence[int]) -> List[List[int]]:
     return m
 
 
-def _power_residues(poly: Sequence[int], d: int) -> List[List[int]]:
+def _power_residues(poly: Sequence[int], d: int) -> List[Tuple[int, ...]]:
     """Integer coordinates of x^m mod poly over 1, x, ..., x^(d-1), for
     m < 2d - 1 (poly monic of degree d)."""
-    xpow = [[int(t == m) for t in range(d)] for m in range(d)]
-    cur = xpow[-1] if d else []
+    xpow = [(0,) * m + (1,) + (0,) * (d - 1 - m) for m in range(d)]
     for _ in range(d, 2 * d - 1):
+        cur = xpow[-1]
         lead = cur[-1]
-        cur = [(cur[t - 1] if t else 0) - lead * poly[t] for t in range(d)]
-        xpow.append(cur)
+        xpow.append(tuple([x - lead * c
+                           for x, c in zip((0,) + cur[:-1], poly)]))
     return xpow
 
 
@@ -846,20 +847,18 @@ def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],
     basis matrix.  Raises NotARing when a product leaves the Z-span.
 
     Everything runs on integers.  With r_m the integer coordinates of x^m
-    mod poly, a power basis reads b_i b_j = x^(i+j) off r_(i+j).  Otherwise
+    mod poly, a power basis reads b_i b_j = x^(i+j) off r_(i+j), so its
+    row i is the run r_i, ..., r_(i+d-1) of shared residues.  Otherwise
     row i is n_i / e_i and inv is N / g with integers; row m of W = r N
     holds g times the basis coordinates of x^m, so the product of the
     numerator polynomials, n_i n_j = sum_m c_m x^m, gives the coordinates
     of b_i b_j as sum_m c_m W[m] / (g e_i e_j), which must be integers.
     """
     d = len(basis)
-    table = [[None] * d for _ in range(d)]
     xpow = _power_residues(poly, d)
     if _is_identity(basis):
-        for i in range(d):
-            for j in range(i, d):
-                table[i][j] = table[j][i] = tuple(xpow[i + j])
-        return tuple(tuple(row) for row in table)
+        return tuple(tuple(xpow[i:i + d]) for i in range(d))
+    table = [[None] * d for _ in range(d)]
     rows = [polys.clear_denominators(row) for row in basis]
     inv_nums, g = polys.clear_denominators([x for row in inv for x in row])
     # column k of W: g times coordinate k of each x^m

@@ -12,7 +12,8 @@ they are), the point or both interval endpoints over one denominator,
 and a `Fraction` is built only for a result, which is exactly what
 `Fraction` arithmetic gives; `eval_interval` builds none, and returns
 integer endpoint numerators for a whole set of polynomials, the basis
-rows of a field, at once, by sign case and, over a power-of-two
+rows of a field, at once, by sign case, a power basis on a cell of one
+sign by running products of its ends, and, over a power-of-two
 denominator (every root of a monic polynomial), by shifts.  `divmod_poly`,
 `resultant` and `gcd_int` share one integer pseudo-division, `_prem`.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -165,9 +167,14 @@ def eval_interval(rows: Sequence[Sequence[int]], src: Sequence[int],
     for a < 0 < e.  The Horner run
     of a row t times row src[j] is that row's run plus one step (by its
     constant 0), so it starts from that row's value: a power basis costs
-    one step per row.  All values end over den * b^(m-1), m the length of
-    the longest row; b^k scales as a product, or as a shift by s k bits
-    for b = 2^s.
+    one step per row.  On a cell of one sign, the rows from some row j to
+    the last, each t times the one before and row j - 1 with ends [lo, hi],
+    0 < lo (a power basis from its row 1), take those steps as running
+    products of the cell's ends: row j - 1 + q is [lo a^q, hi e^q] for
+    0 < a and, for e < 0, with the ends alternating, [hi a^q, lo e^q] at
+    odd q and [lo e^q, hi a^q] at even q.  A cell holding 0 takes every
+    step.  All values end over den * b^(m-1), m the length of the longest
+    row; b^k scales as a product, or as a shift by s k bits for b = 2^s.
     """
     g = gcd(cell.a, cell.e, cell.b)
     a, e, b = cell.a // g, cell.e // g, cell.b // g
@@ -176,8 +183,18 @@ def eval_interval(rows: Sequence[Sequence[int]], src: Sequence[int],
     up = operator.lshift if b == 1 << s else operator.mul
     bk = [s * k if up is operator.lshift else b ** k for k in range(top + 1)]
     vals = []
-    for r, i in zip(rows, src):
+    for j, (r, i) in enumerate(zip(rows, src)):
         lo, hi, n = vals[i] if i >= 0 else (0, 0, 0)
+        if lo > 0 and (a > 0 or e < 0) and \
+                src[j:] == list(range(i, len(rows) - 1)):
+            k = len(rows) - j
+            x, y = (lo, hi) if a > 0 else (hi, lo)
+            los = list(accumulate(repeat(a, k), operator.mul, initial=x))
+            his = list(accumulate(repeat(e, k), operator.mul, initial=y))
+            if e < 0:
+                los[::2], his[::2] = his[::2], los[::2]
+            vals += zip(los[1:], his[1:], range(n + 1, n + k + 1))
+            break
         for c in reversed(r[:1] if i >= 0 else r):
             if a >= 0:
                 lo, hi = lo * (a if lo >= 0 else e), hi * (e if hi >= 0 else a)
@@ -316,16 +333,18 @@ def _sturm_signs(chain: Sequence[Sequence[int]], steps: Sequence[tuple],
     its steps from `_sturm`: p_m and p_(m-1) by Horner, each other P_j
     exactly by its step.  On a normal chain (degrees falling by 1) every
     Q_i is linear and every e_i is 2, so a point costs O(d) products, not
-    O(d^2), with b^2 taken once."""
+    O(d^2), with b^2 taken once.  The variations are counted in the same
+    pass against the last nonzero sign, which starts as that of p_m: p_m
+    divides every member, so where it is 0 all are."""
     x, y = _horner(chain[-1], a, b), _horner(chain[-2], a, b)
-    vals = [x, y]
+    up, var = x > 0, 0
     b2 = b * b
     for qn, c, e, d in reversed(steps):
+        if y and (y > 0) != up:
+            up, var = not up, var + 1
         h = qn[0] * b + qn[1] * a if len(qn) == 2 else _horner(qn, a, b)
         x, y = y, (h * y - c * x * (b2 if e == 2 else b ** e)) // d
-        vals.append(y)
-    signs = [(v > 0) - (v < 0) for v in vals if v]
-    return y, sum(u != v for u, v in zip(signs, signs[1:]))
+    return y, var + (y != 0 and (y > 0) != up)
 
 
 def _root_bound_log2(nums: Sequence[int]) -> int:
@@ -410,11 +429,13 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[RootCell]:
     return out
 
 
-def refine_root(p: Sequence[Coeff], cell: RootCell, max_width: Fraction
-                ) -> RootCell:
+def refine_root(p: Sequence[Coeff], cell: RootCell, max_width: Fraction,
+                primitive: bool = False) -> RootCell:
     """The cell, with its values, that bisecting an isolating cell of a
     squarefree p to width <= max_width gives, from the cell's values and a
-    few integer Horner evaluations.
+    few integer Horner evaluations.  A caller that holds p as
+    `primitive_int`(p) already, as a field context holds its monic
+    polynomial, says so by `primitive`, and p is taken as it is.
 
     With the cell [a/b, e/b], bisection ends at the least level s with
     (e - a)/(b 2^s) <= max_width, in the one dyadic cell of that level
@@ -432,7 +453,7 @@ def refine_root(p: Sequence[Coeff], cell: RootCell, max_width: Fraction
     a, e, b, fa, fe, k = cell
     if a == e:
         return cell
-    nums = primitive_int(p)
+    nums = p if primitive else primitive_int(p)
     n = len(nums) - 1
     fa = _horner(nums, a, b) if fa is None else fa
     fe = _horner(nums, e, b) if fe is None else fe

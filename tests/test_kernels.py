@@ -37,7 +37,7 @@ from conftest import (FIELDS, as_cell, as_intervals, cell_interval, eval_one,
                       gcd_poly, iv_add, iv_mul, numerators, point,
                       ref_divmod_poly, ref_eval_at)
 from ternlat import linalg, polys
-from ternlat.cyclotomic import cyclo_info
+from ternlat.cyclotomic import alpha_beta_verify, cyclo_info
 from ternlat.fieldscan import ingest_fields
 from ternlat.intervals import Interval, fixed_point_ends
 from ternlat.numberfield import load_field
@@ -553,6 +553,64 @@ def test_basis_embeddings_equal_four_product_numerators(table):
                    .bit_count() == 1 for iv in ctx.roots()), ctx
     assert straddle > 0
 
+
+# power runs: rows each t times the one before, to the last row, from a row
+# with positive ends; on a cell of one sign `eval_interval` takes them as
+# running products of the cell's ends, and on any other cell or run by steps
+POWER_RUNS = [
+    [[0] * j + [1] for j in range(6)],                   # 1, t, ..., t^5
+    [[3], [0, 3], [0, 0, 3], [0, 0, 0, 3]],              # from 3
+    [[5, -1], [0, 5, -1], [0, 0, 5, -1]],                # from 5 - t
+    [[-2], [0, -2], [0, 0, -2]],                         # from -2: steps
+    [[1], [0, 1], [0, 0, 1], [F(1, 2), 0, F(1, 2)]],     # not to the last
+]
+POWER_CELLS = [
+    polys.RootCell(3, 10, 8),                            # positive
+    polys.RootCell(-10, -3, 8),                          # negative
+    polys.RootCell(-12, -6, 8),                          # ends share 2
+    polys.RootCell(6, 35, 21),                           # b not 2^s
+    polys.RootCell(-35, -6, 21),
+    polys.RootCell(5, 5, 3),                             # points
+    polys.RootCell(-7, -7, 3),
+    polys.RootCell(-6, -6, 8),
+    polys.RootCell(0, 0, 1),
+    polys.RootCell(-3, 10, 8),                           # holds 0
+    polys.RootCell(0, 3, 4),
+    polys.RootCell(-3, 0, 4),
+]
+
+
+@pytest.mark.parametrize("rows", POWER_RUNS)
+@pytest.mark.parametrize("cell", POWER_CELLS)
+def test_eval_interval_power_run_equals_the_step_loop(rows, cell):
+    lows, highs, den = polys.eval_interval(*polys.horner_rows(rows), cell)
+    iv = cell_interval(cell)
+    assert (lows, highs, den) == \
+        ref_eval_interval_numerators(*polys.horner_rows(rows), iv)
+    assert as_intervals([(lows, highs, den)])[0] == \
+        [ref_eval_interval(polys.trim(p), iv) for p in rows]
+
+
+@pytest.mark.parametrize("width", [None, F(1, 256), F(1, 1 << 32),
+                                   F(1, 1 << 64)])
+def test_eval_interval_power_run_on_every_cyclotomic_root(width):
+    # every root cell of F_k, k = 3..60 (power bases of degree up to 29),
+    # at the isolation width and refined: the running products are the
+    # integers of the four-product step loop, on cells of both signs
+    signs = set()
+    for k in range(3, 61):
+        ctx = cyclo_info(k).field
+        if width is not None:
+            ctx.refine_roots(width)
+        rows = ctx._horner
+        assert rows[1] == list(range(-1, ctx.degree - 1))
+        for cell in ctx._state.cells:
+            assert polys.eval_interval(*rows, cell) == \
+                ref_eval_interval_numerators(*rows, cell_interval(cell)), \
+                (k, cell)
+            signs.add((cell.a > 0) - (cell.e < 0))
+    assert signs >= {1, -1}
+
 # ---------------------------------------------------------------------------
 # root bisection
 
@@ -767,6 +825,25 @@ def test_root_cells_spare_horner_evaluations(monkeypatch):
     assert refined([F(1, 256)]) <= 2739
     assert refined([F(1, 256), F(1, 1 << 32)]) <= 5893
     assert refined([F(1, 1 << 32)]) <= 5189
+
+
+def test_cyclotomic_sweep_work_counts(monkeypatch):
+    # one `alpha_beta_verify` per k = 3..60 on fresh contexts, a round of
+    # the `cyclo` benchmark: the chain evaluations of isolation, one
+    # basis-embedding evaluation and one refinement per root, and the
+    # Horner runs, all counted by wrapping, are pinned, so that a faster
+    # kernel cannot come from doing less work
+    counts = dict.fromkeys(
+        ("_sturm_signs", "eval_interval", "refine_root", "_horner"), 0)
+    for name in counts:
+        def counted(*args, f=getattr(polys, name), name=name, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(polys, name, counted)
+    for k in range(3, 61):
+        alpha_beta_verify(k)
+    assert counts == {"_sturm_signs": 919, "eval_interval": 550,
+                      "refine_root": 550, "_horner": 4693}
 
 
 # ---------------------------------------------------------------------------

@@ -595,8 +595,8 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     # at no root, and a narrower one looks at each root once
     refined = []
     refine_root = polys.refine_root
-    monkeypatch.setattr(polys, "refine_root", lambda p, c, w: (
-        refined.append(cell_interval(c)), refine_root(p, c, w))[1])
+    monkeypatch.setattr(polys, "refine_root", lambda p, c, w, **kw: (
+        refined.append(cell_interval(c)), refine_root(p, c, w, **kw))[1])
     ctx = load_field(table.by_label("K10816"))
     roots = ctx.roots()
     emb = ctx.basis_embeddings()
@@ -713,6 +713,29 @@ def test_basis_mult_table_equals_the_fraction_path(table):
         inv = linalg.inverse(basis)
         assert basis_mult_table(poly, basis, inv) == \
             ref_basis_mult_table(poly, basis, inv), label
+
+
+def test_power_basis_mult_table_equals_fraction_division():
+    # on F_k, k = 3..60: row i of the power-basis table is the run of
+    # residues of x^i, ..., x^(i+d-1) mod p; the reference reduces each
+    # product of basis rows (`polys.mul`) by `Fraction` long division, once
+    # per distinct product
+    for k in range(3, 61):
+        rec = cyclo_info(k).field.record
+        d = rec.degree
+        power = [[int(i == j) for j in range(d)] for i in range(d)]
+        residues = {}
+        for i in range(d):
+            for j in range(d):
+                prod = tuple(polys.mul(power[i], power[j]))
+                if prod not in residues:
+                    rem = ref_divmod_poly(prod, rec.poly)[1]
+                    assert all(c.denominator == 1 for c in rem)
+                    residues[prod] = tuple(map(int, rem)) + \
+                        (0,) * (d - len(rem))
+        want = tuple(tuple(residues[tuple(polys.mul(bi, bj))]
+                           for bj in power) for bi in power)
+        assert basis_mult_table(rec.poly, power, power) == want, k
 
 
 @pytest.mark.parametrize("row, scale", [(1, F(1, 2)), (3, F(1, 3)),
