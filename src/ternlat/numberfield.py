@@ -425,8 +425,7 @@ class FieldContext:
         wide = [c.wider(wn, wd) for c in state.cells]
         if any(wide):
             state = self._state = _RootState([
-                polys.refine_root(self.poly, c, max_width, primitive=True)
-                if w else c
+                polys.refine_root(self.poly, c, max_width) if w else c
                 for c, w in zip(state.cells, wide)])
         state.width, state.fine = max_width, max_width <= self._FINE_WIDTH
 

@@ -429,13 +429,13 @@ def isolate_real_roots(p: Sequence[Coeff]) -> List[RootCell]:
     return out
 
 
-def refine_root(p: Sequence[Coeff], cell: RootCell, max_width: Fraction,
-                primitive: bool = False) -> RootCell:
+def refine_root(p: Sequence[int], cell: RootCell, max_width: Fraction
+                ) -> RootCell:
     """The cell, with its values, that bisecting an isolating cell of a
     squarefree p to width <= max_width gives, from the cell's values and a
-    few integer Horner evaluations.  A caller that holds p as
-    `primitive_int`(p) already, as a field context holds its monic
-    polynomial, says so by `primitive`, and p is taken as it is.
+    few integer Horner evaluations.  p is the primitive integer polynomial
+    P = `primitive_int`(q) of the cell's q, on which the cell's values are
+    taken; a field context's monic polynomial is its own P.
 
     With the cell [a/b, e/b], bisection ends at the least level s with
     (e - a)/(b 2^s) <= max_width, in the one dyadic cell of that level
@@ -453,7 +453,7 @@ def refine_root(p: Sequence[Coeff], cell: RootCell, max_width: Fraction,
     a, e, b, fa, fe, k = cell
     if a == e:
         return cell
-    nums = p if primitive else primitive_int(p)
+    nums = p
     n = len(nums) - 1
     fa = _horner(nums, a, b) if fa is None else fa
     fe = _horner(nums, e, b) if fe is None else fe

@@ -394,6 +394,9 @@ SHIFTED = [[1, F(1, 2)], [F(2, 3), 0, 5], [0, 1, F(1, 2), 0],
 # row 2 is t times row 0
 MIXED = [[F(1, 2), -3, 2], [-1, 0, 0, 1], [0, F(1, 2), -3, 2],
          [F(-2, 3), 0, 5, 0, -1]]
+# a power basis 1, t, ..., t^5: on a cell of one sign `eval_interval` takes
+# rows 1 to 5 as running products of the cell's ends
+POWERS = [[0] * j + [1] for j in range(6)]
 
 
 def test_horner_rows_finds_rows_t_times_an_earlier_row():
@@ -457,6 +460,18 @@ def ref_eval_interval_numerators(rows, src, den, iv):
 @example(MIXED, point(0))                                     # exact points
 @example(MIXED, point(F(-3, 8)))
 @example(MIXED, point(F(5, 3)))
+# power runs, over b = 8 and b = 21, on each sign case
+@example(POWERS, Interval(F(3, 8), F(5, 4)))                  # positive
+@example(POWERS, Interval(F(-5, 4), F(-3, 8)))                # negative
+@example(POWERS, Interval(F(2, 7), F(5, 3)))
+@example(POWERS, Interval(F(-5, 3), F(-2, 7)))
+@example(POWERS, Interval(F(-3, 2), F(-3, 4)))                # ends share 3
+@example(POWERS, Interval(F(-3, 8), F(5, 4)))                 # straddles 0
+@example(POWERS, point(F(-7, 3)))
+@example([[5, -1], [0, 5, -1], [0, 0, 5, -1]],                # from 5 - t
+         Interval(F(2, 7), F(5, 3)))
+@example([[-2], [0, -2], [0, 0, -2]],                         # from -2: steps
+         Interval(F(-5, 4), F(-3, 8)))
 def test_eval_interval_equals_per_row_fraction_horner(rows, iv):
     lows, highs, den = polys.eval_interval(*polys.horner_rows(rows),
                                            as_cell(iv))
@@ -534,16 +549,17 @@ def test_basis_embeddings_equal_per_row_fraction_horner(table):
 
 def test_basis_embeddings_equal_four_product_numerators(table):
     # the integers themselves, from which every fixed-point table, verified
-    # inverse and box is built, on all 19 table fields and F_k, k = 3..60:
-    # at the isolation width, where some roots straddle 0, and at 2^-32,
-    # where every root has ends over a power of two
+    # inverse and box is built, on all 19 table fields and F_k, k = 3..60
+    # (power bases, evaluated by running products on cells of one sign):
+    # at the isolation width, where some roots straddle 0, and at 1/256,
+    # 2^-32 and 2^-64, where every root has ends over a power of two
     fields = [load_field(rec) for rec in table.records] + \
         [cyclo_info(k).field for k in range(3, 61)]
     straddle = 0
     for ctx in fields:
         rows = polys.horner_rows(ctx.basis_pow)
         straddle += sum(iv.lo < 0 < iv.hi for iv in ctx.roots())
-        for width in (None, F(1, 1 << 32)):
+        for width in (None, F(1, 256), F(1, 1 << 32), F(1, 1 << 64)):
             if width is not None:
                 ctx.refine_roots(width)
             assert ctx.basis_embeddings() == [
@@ -553,63 +569,6 @@ def test_basis_embeddings_equal_four_product_numerators(table):
                    .bit_count() == 1 for iv in ctx.roots()), ctx
     assert straddle > 0
 
-
-# power runs: rows each t times the one before, to the last row, from a row
-# with positive ends; on a cell of one sign `eval_interval` takes them as
-# running products of the cell's ends, and on any other cell or run by steps
-POWER_RUNS = [
-    [[0] * j + [1] for j in range(6)],                   # 1, t, ..., t^5
-    [[3], [0, 3], [0, 0, 3], [0, 0, 0, 3]],              # from 3
-    [[5, -1], [0, 5, -1], [0, 0, 5, -1]],                # from 5 - t
-    [[-2], [0, -2], [0, 0, -2]],                         # from -2: steps
-    [[1], [0, 1], [0, 0, 1], [F(1, 2), 0, F(1, 2)]],     # not to the last
-]
-POWER_CELLS = [
-    polys.RootCell(3, 10, 8),                            # positive
-    polys.RootCell(-10, -3, 8),                          # negative
-    polys.RootCell(-12, -6, 8),                          # ends share 2
-    polys.RootCell(6, 35, 21),                           # b not 2^s
-    polys.RootCell(-35, -6, 21),
-    polys.RootCell(5, 5, 3),                             # points
-    polys.RootCell(-7, -7, 3),
-    polys.RootCell(-6, -6, 8),
-    polys.RootCell(0, 0, 1),
-    polys.RootCell(-3, 10, 8),                           # holds 0
-    polys.RootCell(0, 3, 4),
-    polys.RootCell(-3, 0, 4),
-]
-
-
-@pytest.mark.parametrize("rows", POWER_RUNS)
-@pytest.mark.parametrize("cell", POWER_CELLS)
-def test_eval_interval_power_run_equals_the_step_loop(rows, cell):
-    lows, highs, den = polys.eval_interval(*polys.horner_rows(rows), cell)
-    iv = cell_interval(cell)
-    assert (lows, highs, den) == \
-        ref_eval_interval_numerators(*polys.horner_rows(rows), iv)
-    assert as_intervals([(lows, highs, den)])[0] == \
-        [ref_eval_interval(polys.trim(p), iv) for p in rows]
-
-
-@pytest.mark.parametrize("width", [None, F(1, 256), F(1, 1 << 32),
-                                   F(1, 1 << 64)])
-def test_eval_interval_power_run_on_every_cyclotomic_root(width):
-    # every root cell of F_k, k = 3..60 (power bases of degree up to 29),
-    # at the isolation width and refined: the running products are the
-    # integers of the four-product step loop, on cells of both signs
-    signs = set()
-    for k in range(3, 61):
-        ctx = cyclo_info(k).field
-        if width is not None:
-            ctx.refine_roots(width)
-        rows = ctx._horner
-        assert rows[1] == list(range(-1, ctx.degree - 1))
-        for cell in ctx._state.cells:
-            assert polys.eval_interval(*rows, cell) == \
-                ref_eval_interval_numerators(*rows, cell_interval(cell)), \
-                (k, cell)
-            signs.add((cell.a > 0) - (cell.e < 0))
-    assert signs >= {1, -1}
 
 # ---------------------------------------------------------------------------
 # root bisection
@@ -631,7 +590,8 @@ def isolated_roots(draw):
 
 def refine(p, iv, max_width):
     """`polys.refine_root` from the cell of iv, as an `Interval`."""
-    return cell_interval(polys.refine_root(p, as_cell(iv), max_width))
+    return cell_interval(polys.refine_root(polys.primitive_int(p),
+                                           as_cell(iv), max_width))
 
 
 @settings(max_examples=150, deadline=None)
@@ -673,7 +633,7 @@ def test_refine_root_rejects_non_isolating_intervals():
 
 def test_refine_root_point_interval_is_returned():
     cell = polys.RootCell(3, 3, 2, 0, 0)
-    assert polys.refine_root([F(-3, 2), 1], cell, F(1, 8)) is cell
+    assert polys.refine_root([-3, 2], cell, F(1, 8)) is cell
 
 
 @settings(max_examples=100, deadline=None)
@@ -688,7 +648,8 @@ def test_ref_bisect_equals_the_fraction_reference(case, bits):
 def isolating_intervals():
     """(p, isolating cell) per root, as freshly loaded contexts hold them,
     with the values isolation computed: of the 19 table fields, and of
-    F_k, k = 3..60."""
+    F_k, k = 3..60.  Each p is monic, so primitive as `refine_root` takes
+    it."""
     table = [load_field(rec) for rec in
              ingest_fields(FIELDS / "quartic_sqrt2.jsonl").records]
     cyclo = [cyclo_info(k).field for k in range(3, 61)]
@@ -744,8 +705,9 @@ def clustered_roots(draw):
                               max_denominator=10 ** 40)))
 def test_refine_root_on_clustered_roots_equals_fraction_bisection(p, width):
     assume(width > 0)
+    nums = polys.primitive_int(p)
     for c in polys.isolate_real_roots(p):
-        assert cell_interval(polys.refine_root(p, c, width)) == \
+        assert cell_interval(polys.refine_root(nums, c, width)) == \
             ref_refine_root(p, cell_interval(c), width), c
 
 
