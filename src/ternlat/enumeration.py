@@ -63,7 +63,7 @@ from . import linalg, polys
 from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
                      PrecisionExhausted)
 from .intervals import Numerators, sqrt_numerator, sqrt_upper
-from .numberfield import Dominance, Element, FieldContext
+from .numberfield import Dominance, Element, FieldContext, unit_square_reduce
 
 DEFAULT_CEILING = 10 ** 8
 
@@ -743,9 +743,11 @@ def squarefree_witness(alpha: Element, ceiling: int = DEFAULT_CEILING
                        ) -> Optional[Tuple[Element, Element]]:
     """A non-unit t with t^2 | alpha, together with gamma = alpha / t^2.
 
-    Candidates are restricted by norm(t)^2 | norm(alpha) and searched inside
-    house(t) <= _SQUAREFREE_PAD * sqrt(house(alpha)); the pad absorbs unit
-    drift between t and its smallest associate.  Returns None when alpha is
+    Candidates s are restricted by norm(s)^2 | norm(alpha) and searched
+    inside house(s) <= _SQUAREFREE_PAD * sqrt(house(r)), r = alpha * eta^2
+    the representative modulo unit squares (`unit_square_reduce`); the pad
+    absorbs unit drift between s and its smallest associate, and s^2 | r
+    gives t = s / eta with the same quotient.  Returns None when alpha is
     squarefree in the element-divisor sense.
     """
     ctx = alpha.ctx
@@ -758,15 +760,16 @@ def squarefree_witness(alpha: Element, ceiling: int = DEFAULT_CEILING
     norms = [m for m in polys.mobius(n) if m > 1 and n % (m * m) == 0]
     if not norms:
         return None
-    hb = sqrt_upper(alpha.house(Fraction(1, 256)).hi) * _SQUAREFREE_PAD
+    r, eta = unit_square_reduce(alpha)
+    hb = sqrt_upper(r.house(Fraction(1, 256)).hi) * _SQUAREFREE_PAD
     for m in norms:
-        cands = {canonical_sign(t) for t in elements_of_norm(ctx, m, hb,
+        cands = {canonical_sign(s) for s in elements_of_norm(ctx, m, hb,
                                                              ceiling=ceiling)}
-        for t in sorted(cands, key=lambda e: (sum(abs(c) for c in e.coords),
+        for s in sorted(cands, key=lambda e: (sum(abs(c) for c in e.coords),
                                               e.key())):
-            gamma = alpha / (t * t)
+            gamma = r / (s * s)
             if gamma.is_integral:
-                return t, gamma
+                return s / eta, gamma
     return None
 
 

@@ -198,27 +198,22 @@ def exceptional_sets(report: dict) -> Dict[str, List[str]]:
 
 def scan_obstructions(table: FieldTable, disc_cap: int, pool_size: int = 40,
                       ceiling: int = DEFAULT_CEILING) -> dict:
-    """Per quartic field: route by narrow-class structure and class number,
-    and search an obstruction certificate in the remaining case."""
+    """Per quartic field: search an obstruction certificate.  The ingested
+    class numbers are echoed as `h` and `h_plus`; no verdict reads them."""
     require_count("pool size", pool_size)
     require_count("ceiling", ceiling)
 
     def worker(rec: FieldRecord, out: dict) -> None:
         out.update(h=rec.h, h_plus=rec.h_plus)
-        if rec.h_plus != rec.h:
-            out["status"] = "excluded-by-narrow-class-structure"
-        elif rec.h == 1:
-            out["status"] = "covered-by-free-lattice-theorem"
+        ctx = table.context(rec.label)
+        t0 = time.time()
+        cert = obstruction_search(ctx, pool_size, ceiling)
+        out["seconds"] = round(time.time() - t0, 3)
+        if cert is None:
+            out["status"] = "pool-exhausted"
         else:
-            ctx = table.context(rec.label)
-            t0 = time.time()
-            cert = obstruction_search(ctx, pool_size, ceiling)
-            out["seconds"] = round(time.time() - t0, 3)
-            if cert is None:
-                out["status"] = "pool-exhausted"
-            else:
-                out["status"] = "certificate"
-                out["certificate"] = cert.to_dict()
+            out["status"] = "certificate"
+            out["certificate"] = cert.to_dict()
 
     return _scan(table, disc_cap, worker,
                  {"command": "obstruct", "pool_size": pool_size,

@@ -18,7 +18,7 @@ from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           enumerate_representations, is_indecomposable,
                           require_count, small_norm_elements, sqrt_element)
-from .errors import InvalidInput, UnclassifiedCase
+from .errors import InvalidInput, NoSuchUnit, UnclassifiedCase
 from .numberfield import (Element, FieldContext, sqrt2_context,
                           unit_square_canonical, unit_square_reduce)
 from .polys import MPoly
@@ -184,23 +184,25 @@ def candidate_pool(ctx: FieldContext, pool_size: int = 40,
     (norm, trace, coordinates).
 
     Enumeration covers all sign patterns with house up to _POOL_HOUSE_BOUND
-    and keeps |norm| up to _POOL_NORM_BOUND; each element is then moved to
-    its totally positive associate and normalized modulo squares of the
-    supplied units (both from the context's unit data, built once), so
-    candidates whose positive representatives are large (but whose classes
-    contain small elements) are still reached.  |norm| is invariant under
-    both moves, so each class keeps the one of the element it came from.
+    and keeps |norm| up to _POOL_NORM_BOUND; each element w whose signature
+    a unit eta of `ctx.units_by_signature` realizes (eta = 1 for a totally
+    positive w) becomes eta * w, normalized modulo squares of the supplied
+    units, so candidates whose positive representatives are large (but
+    whose classes contain small elements) are still reached.  |norm| is
+    invariant under both moves, so each class keeps the one of the element
+    it came from.
     """
     require_count("pool size", pool_size)
     require_count("ceiling", ceiling)
     pool = {}
     for w, n in small_norm_elements(ctx, _POOL_HOUSE_BOUND, _POOL_NORM_BOUND,
                                     ceiling):
-        if ctx.units:
-            _, w = ctx.totally_positive_associate(w)
-            w = unit_square_canonical(w)
-        elif not w.is_totally_positive():
+        eta = ctx.units_by_signature.get(w.signature())
+        if eta is None:
             continue
+        w = unit_square_canonical(eta * w)
+        if not w.is_totally_positive():
+            raise NoSuchUnit("associate search produced a non-positive result")
         pool[w.coords] = n, w
     ordered = sorted(pool.values(), key=lambda p: (p[0], p[1].trace(),
                                                    p[1].key()))
@@ -213,16 +215,15 @@ def obstruction_search(ctx: FieldContext, pool_size: int = 40,
     """First valid certificate over the candidate pool, in deterministic
     order, or None when the pool is exhausted.
 
-    Requires units of all signatures (narrow class number equal to the class
-    number), which is a necessary condition for the field to be a candidate
-    at all.  Each pair of the pool is checked once, by
-    `orthogonality_forcing`, and kept: the certificate's orthogonality part
-    is its triple's three kept pairs, re-indexed (0, 1), (0, 2), (1, 2).
+    When every admissible off-diagonal between a1, a2 and a3 is 0, vectors
+    representing them in a classical lattice L are orthogonal and span a
+    copy of M = <a1, a2, a3>; L then lies in the dual of M, so gamma, which
+    that dual does not represent, is not represented by L.  No unit or
+    class-number fact enters, so every field is searched.  Each pair of the
+    pool is checked once, by `orthogonality_forcing`, and kept: the
+    certificate's orthogonality part is its triple's three kept pairs,
+    re-indexed (0, 1), (0, 2), (1, 2).
     """
-    require_count("pool size", pool_size)
-    require_count("ceiling", ceiling)
-    if ctx.record.h_plus != ctx.record.h:
-        raise InvalidInput(f"{ctx.record.label}: search requires h+ = h")
     pool = candidate_pool(ctx, pool_size, ceiling=ceiling)
     pairs: Dict[Tuple[int, int], PairForcing] = {}
 

@@ -205,7 +205,6 @@ def test_bad_expression_is_item_error(capsys, fields_dir):
     ["indecomposables", "--field", "qsqrt2.json", "--trace-bound", "1"],
     ["classify-ternary", "--field", "q.json"],
     ["overlattice-test", "--field", "q.json"],
-    ["obstruct", "--field", "qsqrt3.json"],
     ["small-elements", "--field", "quartic_sqrt2.jsonl#NOPE", "--bound", "1"],
     ["small-elements", "--field", "qsqrt2.json", "--bound", "4",
      "--ceiling", "0"],
@@ -219,11 +218,10 @@ def test_bad_expression_is_item_error(capsys, fields_dir):
     ["small-elements", "--field", "qsqrt2.json", "--bound", "\u00b2"],
     ["small-elements", "--field", "qsqrt2.json", "--bound", "1" * 5000],
 ], ids=["bound-zero", "bound-negative", "diag-zero", "trace-bound-low",
-        "classify-no-sqrt2", "overlattice-no-sqrt2", "obstruct-narrow",
-        "unknown-label", "ceiling-zero", "obstruct-pool-negative",
-        "obstruct-pool-zero", "scan-pool-negative", "scan-ceiling-zero",
-        "scan-ceiling-negative", "bound-superscript-two",
-        "bound-5000-digits"])
+        "classify-no-sqrt2", "overlattice-no-sqrt2", "unknown-label",
+        "ceiling-zero", "obstruct-pool-negative", "obstruct-pool-zero",
+        "scan-pool-negative", "scan-ceiling-zero", "scan-ceiling-negative",
+        "bound-superscript-two", "bound-5000-digits"])
 def test_bad_input_is_an_error_line(capsys, fields_dir, argv):
     i = argv.index("--fields" if "--fields" in argv else "--field") + 1
     argv = argv[:i] + [str(fields_dir / argv[i])] + argv[i + 1:]
@@ -256,7 +254,9 @@ def _readme_invocations():
 
 # sha256 of each README invocation's report, in README order, as
 # json.dumps(report, sort_keys=True) without the timing fields `seconds`
-# and `elapsed_seconds`; pinned before the handlers shared one `_emit`
+# and `elapsed_seconds`; pinned before the handlers shared one `_emit`,
+# except the obstruct scan's (index 11), re-pinned when its 18 verdicts
+# that the class numbers decided became certificates
 GOLDEN_README_REPORTS = [
     "24976165b20989b6981c43ddcf7b8230aa97307d6b9507655d856bf928d65620",
     "3a4eeda42dae97d78f2f8d571ae649fdd487791d50c70a1d1853e227110e0e2e",
@@ -269,7 +269,7 @@ GOLDEN_README_REPORTS = [
     "0d4614953ed8a32a2ec692fab4d3e6048c4183e4f95df3bfab35366a51b4f15f",
     "aa8e94dd5aa9ede953bb89be1a0216f2542f68d7102deb4a2d2fa867b1ccbf40",
     "048001349f991d50161d47b4cd18b55477d7d2189b462cdfca809dbd8e5d36a1",
-    "31e8af2c5afeb6c72fe8346847e209fd06ae1caed745ed93dfb2b1be839d255d",
+    "9718584d2108783583dac45027edfe77091de2e86d33df202cd58b723889d870",
     "0f77b925c4bc2baadbde0a6e9972d1c77b321f4a492d98915bade3036fef071e",
     "f5e2c5a9b9bf5141fc331a079cbd5ace1856fa99c8ee22e9e096a981a6f0a1be",
 ]

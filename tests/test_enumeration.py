@@ -217,6 +217,12 @@ def test_squarefree_witness(ctx_sqrt2, ctx_q, ctx_sqrt3):
     t, gamma = squarefree_witness(ctx.from_rational(2))
     assert t == s and t * t * gamma == ctx.from_rational(2)
     assert abs(t.norm()) > 1
+    # unit-square multiples of 7 and 63 with houses above 2^500: the
+    # search runs on their representatives modulo unit squares
+    big = (1 + s) ** 400
+    assert squarefree_witness(7 * big) is None
+    t, gamma = squarefree_witness(63 * big)
+    assert t * t * gamma == 63 * big and not t.is_unit()
     assert squarefree_witness(ctx_q.from_rational(2)) is None
     w3 = squarefree_witness(ctx_sqrt3.from_rational(2))
     assert w3 is not None

@@ -112,9 +112,10 @@ def test_scan_inverts_each_root_state_once(fields_dir, monkeypatch):
 
 
 # sha256 of json.dumps(errors, sort_keys=True) over the error verdicts of
-# the three scans below, pinned before `_scan` took over the error verdict
+# the three scans below, re-pinned when every obstruct field reached the
+# search: 7 + 18 + 19 errors (7 + 18 + 1 while h and h+ chose the route)
 GOLDEN_ERROR_VERDICTS = \
-    "e16282b1890e0bea64424d402b118ee0e09729d86ed83aab0da4ac4aaa1c9886"
+    "93a338036cf49f3405f1cfcec90b2ebbcb43573995484148c73c47dfa5214fd7"
 
 
 def test_scan_error_verdicts(fields_dir):
@@ -133,7 +134,7 @@ def test_scan_error_verdicts(fields_dir):
                 assert set(v) == keys
                 assert v["error"].startswith("BoxTooLarge: ")
                 errors.append(v)
-    assert len(errors) == 26
+    assert len(errors) == 44
     digest = hashlib.sha256(json.dumps(errors, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN_ERROR_VERDICTS
 
@@ -183,12 +184,16 @@ def test_scan_metadata_keys(table):
         assert set(meta) == SCAN_METADATA[meta["command"]]
 
 
-def test_scan_obstructions_routing(table):
-    rep = scan_obstructions(table, 9999, pool_size=8)
-    by = {v["label"]: v for v in rep["verdicts"]}
-    assert by["K1600"]["status"] == "covered-by-free-lattice-theorem"
-    assert by["K2304"]["status"] == "excluded-by-narrow-class-structure"
-    assert by["K7168"]["status"] == "excluded-by-narrow-class-structure"
+def test_scan_obstructions_certifies_every_field(table):
+    # one route: every field is searched, whatever its h and h+, which are
+    # only echoed (K2304 and K7168 have h+ = 2h, K1600 has h = 1)
+    rep = scan_obstructions(table, 9999)
+    assert len(rep["verdicts"]) == 9
+    for v in rep["verdicts"]:
+        assert v["status"] == "certificate", v["label"]
+        assert v["certificate"]["valid"]
+        rec = table.by_label(v["label"])
+        assert (v["h"], v["h_plus"]) == (rec.h, rec.h_plus)
 
 
 def test_write_report_roundtrip(table, tmp_path):

@@ -706,7 +706,7 @@ def clustered_roots(draw):
 def test_refine_root_on_clustered_roots_equals_fraction_bisection(p, width):
     assume(width > 0)
     nums = polys.primitive_int(p)
-    for c in polys.isolate_real_roots(p):
+    for c in isolate(p):
         assert cell_interval(polys.refine_root(nums, c, width)) == \
             ref_refine_root(p, cell_interval(c), width), c
 
@@ -830,12 +830,20 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def isolate(p):
+    """`polys.isolate_real_roots(p)` under a time limit of 5 s, some 30
+    times the slowest isolation of these tests (0.16 s): hypothesis replays
+    a timed-out example many times while it shrinks, so the limit bounds
+    how long a wrong count takes to fail."""
+    with time_limit(5):
+        return polys.isolate_real_roots(p)
+
+
 def assert_same_isolation(p):
     """The isolation of p as `Interval`s, once it equals the reference's
     and every value its cells carry is a fresh Horner value of the
     primitive p at the cell's own denominator."""
-    with time_limit(20):
-        cells = polys.isolate_real_roots(p)
+    cells = isolate(p)
     got = [cell_interval(c) for c in cells]
     want = ref_isolate_real_roots(p)
     assert [(iv.lo, iv.hi) for iv in got] == [(iv.lo, iv.hi) for iv in want]
@@ -1029,7 +1037,7 @@ def test_sturm_signs_take_two_horner_runs_per_point(monkeypatch):
             counts[name] += 1
             return f(*args)
         monkeypatch.setattr(polys, name, counted)
-    assert len(polys.isolate_real_roots(p)) == 29
+    assert len(isolate(p)) == 29
     # the bisection's points are unchanged: 43 evaluations
     assert counts["_sturm_signs"] == 43
     assert counts["_horner"] <= 2 * 43 + 2
@@ -1043,7 +1051,7 @@ def test_sturm_signs_take_two_horner_runs_per_point(monkeypatch):
 ])
 def test_isolate_real_roots_rejects_repeated_roots(p):
     with pytest.raises(ValueError, match="squarefree"):
-        polys.isolate_real_roots(p)
+        isolate(p)
     with pytest.raises(ValueError):
         ref_isolate_real_roots(p)
 

@@ -7,9 +7,9 @@ from conftest import (cell_interval, ref_divmod_poly, ref_embeddings,
                       ref_unit_square_reduce)
 from ternlat import linalg, polys
 from ternlat.cyclotomic import cyclo_info
-from ternlat.enumeration import dominated_elements, squarefree_witness
-from ternlat.errors import (BoxTooLarge, DivisionByZero, FieldDataError,
-                            NoSuchUnit, NotARing, NotTotallyReal)
+from ternlat.enumeration import dominated_elements
+from ternlat.errors import (DivisionByZero, FieldDataError, NoSuchUnit,
+                            NotARing, NotTotallyReal)
 from ternlat.intervals import Interval
 from ternlat.numberfield import (Dominance, FieldRecord, basis_mult_table,
                                  load_field, sqrt2_context,
@@ -204,14 +204,6 @@ def test_embeddings_past_the_floor_beside_exact_roots():
     assert 0 in [c.e - c.a for c in ctx._state.cells]
     a = ctx.gen * 10 ** 200
     assert_exact_enclosures(a, ctx.embeddings(a, F(1, 1000)), F(1, 1000))
-
-
-def test_squarefree_witness_of_a_large_element_reaches_the_box():
-    # 7 (1 + sqrt2)^400: the house is taken, and its square root, about
-    # 2^254, makes the search box too large, a flagged ceiling
-    ctx = sqrt2_context()
-    with pytest.raises(BoxTooLarge):
-        squarefree_witness(7 * (ctx.one + ctx.sqrt2) ** 400)
 
 
 def test_dominance(ctx_sqrt2):

@@ -147,10 +147,13 @@ def test_two_decomposition(ctx_sqrt3, ctx_sqrt5, ctx_q):
         assert squarefree_witness(ctx.from_rational(2)) is None
 
 
-def test_pool_and_search_on_trivial_field(ctx_sqrt2):
-    pool = candidate_pool(ctx_sqrt2, 12)
-    assert pool[0] == ctx_sqrt2.one
-    assert obstruction_search(ctx_sqrt2, 12) is None
+def test_pool_and_search_on_trivial_field(ctx_q, ctx_sqrt2, ctx_sqrt3):
+    # Q(sqrt2) and Q(sqrt3) carry universal ternary classical lattices, so
+    # a certificate there would be unsound; over Z no pair is ever forced
+    # (a_i a_j >= 1 admits b = 1), so Q's pool is exhausted too
+    for ctx in (ctx_q, ctx_sqrt2, ctx_sqrt3):
+        assert candidate_pool(ctx, 12)[0] == ctx.one
+        assert obstruction_search(ctx, 40) is None, ctx.record.label
 
 
 @pytest.mark.parametrize("pool_size, ceiling", [(0, 10 ** 8), (-1, 10 ** 8),
@@ -195,7 +198,8 @@ def test_certificate_roundtrip(table):
 
 
 def test_search_none_on_sum_of_three_squares_field(ctx_sqrt5):
-    assert obstruction_search(ctx_sqrt5, 12) is None
+    # x^2 + y^2 + z^2 is universal over Q(sqrt5)
+    assert obstruction_search(ctx_sqrt5, 40) is None
 
 
 def test_scan_obstructions_finds_k51200(table):
@@ -216,28 +220,77 @@ def test_classification_stable_under_unit_squares(ctx_sqrt2):
                 entry.classification
 
 
-# sha256 of json.dumps(obstruction_search(ctx, 40).to_dict(), sort_keys=True)
-# per h+ = h table field, pinned before the search reused its pair checks
+# (quadruple norms, sha256 of json.dumps(obstruction_search(ctx, 40)
+# .to_dict(), sort_keys=True)) per table field; the digests of the 8 fields
+# with h+ = h were pinned before the search reused its pair checks, and
+# before the other 11 were searched at all
 GOLDEN_CERTIFICATES = {
-    "K1600": "605a86af35a960d5d16cf5ef601cef735c1b26a0d3820ce6e610ac1e4ba6d7e9",
-    "K2048": "2616ea84874e63662d5b35acacac16db3361cf191f505969c1c7bed0d63767fc",
-    "K2624": "d9795a0d21b3159cac7a37a568f3eb3133fa47b6e9aa816b2e65c60537daa9c4",
-    "K7232": "4666fbb8b1ec8a63058861351bad0200c8e3574e6c1efa2bf2e8cbd5fa8bef1f",
-    "K8768": "a9be8f710b9b2092450fbc660cd3b3a4e0ae52d38834b8d4aadfb0988a466e88",
-    "K10816": "9a0e52e302bfd5c6dd20195bc8860904230a4a8bc6de1b2cd0f5a37c41573d54",
-    "K16448": "19a40a477d1474e3a0c4f53f30a26dab3a550b25e78e7c7e9f6dc5f3b54870c1",
-    "K51200": "9adfa64f1c42923bac8d463a5f45e478ad669760d106fb18dc6de805ee9ea6ba",
+    "K1600": ([1, 4, 9, 9],
+             "605a86af35a960d5d16cf5ef601cef735c1b26a0d3820ce6e610ac1e4ba6d7e9"),
+    "K2048": ([1, 2, 17, 17],
+             "2616ea84874e63662d5b35acacac16db3361cf191f505969c1c7bed0d63767fc"),
+    "K2304": ([1, 1, 9, 9],
+             "5979af61300a70df208ce88d1c1e978608a57ff62ebd14ae76950d752c38a5f7"),
+    "K2624": ([1, 4, 7, 7],
+             "d9795a0d21b3159cac7a37a568f3eb3133fa47b6e9aa816b2e65c60537daa9c4"),
+    "K4352": ([1, 1, 2, 2],
+             "a7eb67c1b3dee5d18864cd903a4f0b5f7164e61d7c17aa7d75c29939f5589eee"),
+    "K7168": ([1, 1, 14, 14],
+             "c481d9c6358436b2901b1d69d17f61fdc4c1e3be6f5db1bc6a51c179b7aac048"),
+    "K7232": ([1, 2, 2, 4],
+             "4666fbb8b1ec8a63058861351bad0200c8e3574e6c1efa2bf2e8cbd5fa8bef1f"),
+    "K8768": ([1, 4, 7, 7],
+             "a9be8f710b9b2092450fbc660cd3b3a4e0ae52d38834b8d4aadfb0988a466e88"),
+    "K9792": ([1, 1, 4, 4],
+             "4d47448ad5f6966897899ef09f727858a2e1f94d3f5e6c10d9c3f4a32153582d"),
+    "K10304": ([1, 4, 4, 14],
+              "6954848c8bca35d1bf64d8b976034873898b508361996fc804b770bf159e30d1"),
+    "K10816": ([1, 4, 9, 9],
+              "9a0e52e302bfd5c6dd20195bc8860904230a4a8bc6de1b2cd0f5a37c41573d54"),
+    "K12544": ([1, 1, 1, 4],
+              "290720d1ce88eb46f13d66e83f4c52931a0fff69b0db619413884061b3a73311"),
+    "K13888": ([1, 1, 4, 23],
+              "9f05ec20d061a814131b19b78b1a1ffeafdba4bfcb80a4eef76f2a007d9d6fb7"),
+    "K14336": ([1, 4, 14, 14],
+              "6e36d2af65c0959fdbf95901d1e26eff843e68859ce449f6b55b481e4bf9aaf4"),
+    "K16448": ([1, 2, 2, 4],
+              "19a40a477d1474e3a0c4f53f30a26dab3a550b25e78e7c7e9f6dc5f3b54870c1"),
+    "K18432": ([1, 4, 7, 7],
+              "e9a2fa08a718598a3baf55ec0635d752af9e708c697cf3daa0b74538916bba10"),
+    "K18496": ([1, 2, 2, 2],
+              "46db10b18a2a22f8fc874a0014e44f224cfc8700908a63128ae228411d632f60"),
+    "K18688": ([1, 4, 9, 9],
+              "e1561dc12fbeb720f2400c5a46dab4c273b8ec28acd8a4d4bbba40c73465471a"),
+    "K51200": ([1, 4, 14, 14],
+              "9adfa64f1c42923bac8d463a5f45e478ad669760d106fb18dc6de805ee9ea6ba"),
 }
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN_CERTIFICATES))
 def test_search_certificates_are_unchanged(table, label):
+    norms, golden = GOLDEN_CERTIFICATES[label]
     cert = obstruction_search(table.context(label), 40)
+    assert [int(abs(e.norm())) for e in cert.quadruple] == norms
     data = cert.to_dict()
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode())
-    assert digest.hexdigest() == GOLDEN_CERTIFICATES[label]
+    assert digest.hexdigest() == golden
     fresh = load_field(table.context(label).record)
-    assert revalidate_certificate(fresh, data)
+    assert revalidate_certificate(fresh, json.loads(json.dumps(data)))
+
+
+def test_tampered_certificate_fails_on_a_narrow_class_field(table):
+    # K2304 has h+ = 2h; its fourth element swapped for a pool element that
+    # the dual of the triple represents no longer revalidates
+    ctx = table.context("K2304")
+    cert = obstruction_search(ctx, 40)
+    triple = cert.quadruple[:3]
+    swap = next(g for g in candidate_pool(ctx, 40)
+                if not dual_nonrepresentation(ctx, triple, g).is_valid)
+    assert not obstruction_certificate(ctx, triple, swap).is_valid
+    data = cert.to_dict()
+    data["quadruple"][3] = {"coords": list(swap.coords), "den": swap.den}
+    assert revalidate_certificate(ctx, cert.to_dict())
+    assert not revalidate_certificate(ctx, data)
 
 
 def test_search_enumerates_each_bound_once(table, monkeypatch):
