@@ -3,17 +3,14 @@
 
 Builds every totally real quartic field containing sqrt2 with field
 discriminant <= 20000 (plus the discriminant-51200 field used by the
-obstruction demos) by sweeping quadratic extensions of Z[sqrt2].  The number
-theory lives in `ternlat.orders`: `maximal_order` saturates each order with
-round-2 steps, and `find_units` searches unit generators whose classes are
-independent modulo squares.  Narrow class data is derived from
-unit signatures: d independent unit classes generate the full unit group
-modulo squares for a totally real field of degree d, so
-|U+/U^2| = 2^d / #signatures exactly.
-
-Class numbers themselves are not computable here and are taken as input
-(all fields in the table below discriminant 51200 have h = 1; the
-discriminant-51200 field has h = 2).
+obstruction demos) by sweeping quadratic extensions of Z[sqrt2], and the
+single fields Q, Q(sqrt2), Q(sqrt3) and Q(sqrt5).  `orders.field_record`
+makes every record (maximal order, discriminant, sqrt2 tag, units, h+) and
+`fieldscan.record_row` writes it.  Pinned so that the files stay as
+shipped: the polynomials of the shipped labels, the K7168 tag, the units
+1+sqrt2 and 2+sqrt3 (`find_units` picks their conjugates), and the Q(sqrt5)
+basis 1, (-1+sqrt5)/2 (LLL gives (-1-sqrt5)/2).  Class numbers are not
+computable here and are input: h = 2 for discriminant 51200, else h = 1.
 
 Usage: python scripts/build_field_table.py [--out fields/]
 """
@@ -30,34 +27,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ternlat import polys  # noqa: E402
-from ternlat.enumeration import sqrt_element  # noqa: E402
-from ternlat.numberfield import (FieldContext, FieldRecord,  # noqa: E402
-                                 load_field)
-from ternlat.orders import Order, find_units, maximal_order  # noqa: E402
-
-
-# ---------------------------------------------------------------------------
-# field assembly helpers
-
-def context_from_order(label, order: Order) -> FieldContext:
-    rec = FieldRecord(
-        label=label, degree=order.d, poly=tuple(int(c) for c in order.p),
-        basis=tuple(tuple(row) for row in order.basis), disc=order.disc)
-    return load_field(rec)
-
-
-def record_dict(label, order: Order, h, h_plus, units, sqrt2):
-    return {
-        "label": label,
-        "degree": order.d,
-        "poly": [int(c) for c in order.p],
-        "basis": [[str(x) for x in row] for row in order.basis],
-        "disc": order.disc,
-        "h": h,
-        "h_plus": h_plus,
-        "units": [[list(u.coords), u.den] for u in units],
-        "sqrt2": list(sqrt2.coords),
-    }
+from ternlat.fieldscan import record_row  # noqa: E402
+from ternlat.numberfield import load_field  # noqa: E402
+from ternlat.orders import Order, field_record, maximal_order  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +48,9 @@ STANDARD_POLYS = {
     (10, -5): [50, 0, -20, 0, 1],      # K51200: x^4 - 20x^2 + 50
 }
 
-# tag choices pinned for reproducibility of downstream demos (power coords)
+# tag choices pinned for reproducibility of downstream demos (basis coords)
 SQRT2_OVERRIDE = {
-    7168: (3, 0, -1, 0),           # 3 - theta^2, so theta^2 = 3 - sqrt2
+    7168: (0, -1, 0, 0),           # 3 - theta^2, so theta^2 = 3 - sqrt2
 }
 
 KNOWN_DISCS = {1600, 2048, 2304, 2624, 7168, 10816, 12544, 14336, 18432,
@@ -87,14 +59,10 @@ KNOWN_DISCS = {1600, 2048, 2304, 2624, 7168, 10816, 12544, 14336, 18432,
 
 def sqrt_in_zsqrt2(a, b):
     """Integer (x, y) with (x + y sqrt2)^2 = a + b sqrt2, or None."""
-    if a < 0:
-        return None
-    if b % 2 != 0:
+    if a < 0 or b % 2 != 0:
         return None
     for x in range(0, isqrt(a) + 1):
         r = a - x * x
-        if r < 0:
-            break
         if r % 2 == 0:
             y2 = r // 2
             y = isqrt(y2)
@@ -119,11 +87,7 @@ def is_quartic_field(a, b):
     m = rational_sqrt(n)
     if m is None:
         return True
-    for mm in (m, -m):
-        s = 2 * a + 2 * mm
-        if s >= 0 and rational_sqrt(s) is not None:
-            return False
-    return True
+    return all(rational_sqrt(2 * a + 2 * mm) is None for mm in (m, -m))
 
 
 def same_quartic_field(d1, d2):
@@ -188,57 +152,44 @@ def main():
     by_disc = {}
     for prov, order in fields:
         by_disc.setdefault(order.disc, []).append((prov, order))
-    rows = []
+    records = []
     for disc in sorted(by_disc):
-        entries = by_disc[disc]
         kept = []
-        for prov, order in entries:
-            if any(same_quartic_field(prov, p2) for p2, _ in kept):
-                continue
-            kept.append((prov, order))
+        for prov, order in by_disc[disc]:
+            if not any(same_quartic_field(prov, p2) for p2, _ in kept):
+                kept.append((prov, order))
         for idx, (prov, order) in enumerate(kept):
             label = f"K{disc}" if len(kept) == 1 else f"K{disc}{'abcd'[idx]}"
-            ctx = context_from_order(label, order)
-            s2 = sqrt_element(ctx.from_rational(2))
-            if s2 is None:
+            h = 2 if disc == 51200 else 1
+            # the sweep's order is maximal_order(order.p)
+            rec = field_record(order.p, label, order, h=h)
+            if rec.sqrt2 is None:
                 print(f"  {label}: no sqrt2 (prov {prov}), skipped", flush=True)
                 continue
             if disc in SQRT2_OVERRIDE:
-                s2 = ctx.from_power_coords(SQRT2_OVERRIDE[disc])
-                assert s2.is_integral and s2 * s2 == ctx.from_rational(2)
-            h = 2 if disc == 51200 else 1
-            # the tagged record loads afresh; loading checks that the tag
-            # squares to 2
-            gens, uratio = find_units(load_field(
-                ctx.record._replace(sqrt2=tuple(s2.coords))))
-            h_plus = h * uratio
-            rows.append(record_dict(label, order, h, h_plus, gens, s2))
-            print(f"  {label}: disc {disc} prov {prov} h={h} h+={h_plus} "
-                  f"units={[str(g) for g in gens]}", flush=True)
-    rows.sort(key=lambda r: (r["disc"], r["label"]))
+                # loading checks that the tag squares to 2
+                rec = rec._replace(sqrt2=SQRT2_OVERRIDE[disc])
+                load_field(rec)
+            records.append(rec)
+            print(f"  prov {prov}:", json.dumps(record_row(rec)), flush=True)
     table = outdir / "quartic_sqrt2.jsonl"
     with table.open("w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-    print(f"wrote {table} with {len(rows)} fields in {time.time()-t0:.1f}s")
+        for rec in records:
+            fh.write(json.dumps(record_row(rec)) + "\n")
+    print(f"wrote {table} with {len(records)} fields in "
+          f"{time.time()-t0:.1f}s")
 
     singles = {
-        "q": {"label": "Q", "degree": 1, "poly": [0, 1], "basis": [["1"]],
-              "disc": 1, "h": 1, "h_plus": 1, "units": [[[-1], 1]]},
-        "qsqrt2": {"label": "Q(sqrt2)", "degree": 2, "poly": [-2, 0, 1],
-                   "basis": [["1", "0"], ["0", "1"]], "disc": 8, "h": 1,
-                   "h_plus": 1, "units": [[[-1, 0], 1], [[1, 1], 1]],
-                   "sqrt2": [0, 1]},
-        "qsqrt3": {"label": "Q(sqrt3)", "degree": 2, "poly": [-3, 0, 1],
-                   "basis": [["1", "0"], ["0", "1"]], "disc": 12, "h": 1,
-                   "h_plus": 2, "units": [[[-1, 0], 1], [[2, 1], 1]]},
-        "qsqrt5": {"label": "Q(sqrt5)", "degree": 2, "poly": [-5, 0, 1],
-                   "basis": [["1", "0"], ["-1/2", "1/2"]], "disc": 5, "h": 1,
-                   "h_plus": 1, "units": [[[-1, 0], 1], [[0, 1], 1]]},
+        "q": field_record((0, 1), "Q"),
+        "qsqrt2": field_record((-2, 0, 1), "Q(sqrt2)", units=[((1, 1), 1)]),
+        "qsqrt3": field_record((-3, 0, 1), "Q(sqrt3)", units=[((2, 1), 1)]),
+        # the maximal order Z[(1+sqrt5)/2] over its shipped basis
+        "qsqrt5": field_record((-5, 0, 1), "Q(sqrt5)",
+                               Order([-5, 0, 1], [[2, 0], [-1, 1]], 2)),
     }
-    for name, data in singles.items():
+    for name, rec in singles.items():
         with (outdir / f"{name}.json").open("w") as fh:
-            json.dump(data, fh, indent=1)
+            json.dump(record_row(rec), fh, indent=1)
             fh.write("\n")
         print(f"wrote {outdir}/{name}.json")
 

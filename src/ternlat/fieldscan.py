@@ -3,7 +3,8 @@
 The on-disk table format is one JSON object per line with keys `label`,
 `degree`, `poly` (ascending integer coefficients), `basis` (rows of "p/q"
 strings over the power basis), `disc`, `h`, `h_plus`, and optionally
-`units` (pairs [coords, den]) and `sqrt2` (integer coordinates).  Reports
+`units` (pairs [coords, den]) and `sqrt2` (integer coordinates):
+`record_row` writes a record in it and `parse_record` reads one.  Reports
 are plain dictionaries so they serialize to JSON unchanged.
 
 `verify_identities` decides nothing in floating point: its identities are
@@ -60,6 +61,14 @@ def parse_record(obj: dict) -> FieldRecord:
     return FieldRecord(label=label, degree=degree, poly=poly, basis=basis,
                        disc=disc, h=h, h_plus=h_plus, units=units,
                        sqrt2=sqrt2)
+
+
+def record_row(rec: FieldRecord) -> dict:
+    """The JSON object of a record: its fields in order, basis entries as
+    "p/q" strings, and absent units or tag left out."""
+    row = {k: v for k, v in rec._asdict().items() if v is not None}
+    row["basis"] = [[str(x) for x in r] for r in rec.basis]
+    return row
 
 
 class FieldTable:

@@ -706,14 +706,11 @@ class FieldContext:
 
 
 def sqrt2_context() -> FieldContext:
-    """The standard degree-2 field containing sqrt2, with units of all
-    signatures and the sqrt2 tag set."""
-    rec = FieldRecord(
-        label="Q(sqrt2)", degree=2, poly=(-2, 0, 1),
-        basis=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-        disc=8, h=1, h_plus=1,
-        units=(((-1, 0), 1), ((1, 1), 1)), sqrt2=(0, 1))
-    return load_field(rec)
+    """The standard degree-2 field containing sqrt2, with units -1 and
+    1 + sqrt2 of all signatures and the sqrt2 tag set."""
+    from .orders import field_record        # orders imports this module
+    return load_field(field_record((-2, 0, 1), "Q(sqrt2)",
+                                   units=[((1, 1), 1)]))
 
 
 def load_field(record: FieldRecord) -> FieldContext:
@@ -738,18 +735,19 @@ def load_field(record: FieldRecord) -> FieldContext:
         raise NotTotallyReal(f"{record.label}: fewer than {d} real roots")
     if len(record.basis) != d or any(len(row) != d for row in record.basis):
         raise BadBasis(f"{record.label}: basis is not a {d}x{d} matrix")
-    if _is_identity(record.basis):
+    if is_identity(record.basis):
         # a power basis (every cyclotomic context) is its own inverse
         basis = inv = [[0] * i + [1] + [0] * (d - 1 - i) for i in range(d)]
+        table = power_mult_table(poly, d)
     else:
         basis = [[Fraction(x) for x in row] for row in record.basis]
         inv = linalg.inverse(basis)
         if inv is None:
             raise BadBasis(f"{record.label}: basis matrix is singular")
-    try:
-        table = basis_mult_table(poly, basis, inv)
-    except NotARing as exc:
-        raise NotARing(f"{record.label}: {exc}") from None
+        try:
+            table = basis_mult_table(poly, basis, inv)
+        except NotARing as exc:
+            raise NotARing(f"{record.label}: {exc}") from None
     if record.h <= 0 or record.h_plus <= 0 or record.h_plus % record.h != 0:
         raise FieldDataError(f"{record.label}: h must divide h_plus")
     q = record.h_plus // record.h
@@ -758,7 +756,7 @@ def load_field(record: FieldRecord) -> FieldContext:
     return FieldContext(record, table, roots, basis, inv)
 
 
-def _is_identity(m: Sequence[Sequence[Rat]]) -> bool:
+def is_identity(m: Sequence[Sequence[Rat]]) -> bool:
     """Whether the square matrix m is the identity, read off its entries."""
     return all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
                for i, row in enumerate(m))
@@ -837,6 +835,14 @@ def _power_residues(poly: Sequence[int], d: int) -> List[Tuple[int, ...]]:
     return xpow
 
 
+def power_mult_table(poly: Sequence[int], d: int) -> tuple:
+    """`basis_mult_table` of the power basis 1, x, ..., x^(d-1): with r_m
+    the integer coordinates of x^m mod poly, b_i b_j = x^(i+j) is read off
+    r_(i+j), so row i is the run r_i, ..., r_(i+d-1) of shared residues."""
+    xpow = _power_residues(poly, d)
+    return tuple(tuple(xpow[i:i + d]) for i in range(d))
+
+
 def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],
                      inv: Sequence[Sequence[Fraction]]) -> tuple:
     """Integer structure constants of a basis of an order in Q[x]/(poly):
@@ -846,17 +852,15 @@ def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],
     basis matrix.  Raises NotARing when a product leaves the Z-span.
 
     Everything runs on integers.  With r_m the integer coordinates of x^m
-    mod poly, a power basis reads b_i b_j = x^(i+j) off r_(i+j), so its
-    row i is the run r_i, ..., r_(i+d-1) of shared residues.  Otherwise
-    row i is n_i / e_i and inv is N / g with integers; row m of W = r N
-    holds g times the basis coordinates of x^m, so the product of the
-    numerator polynomials, n_i n_j = sum_m c_m x^m, gives the coordinates
-    of b_i b_j as sum_m c_m W[m] / (g e_i e_j), which must be integers.
+    mod poly, row i is n_i / e_i and inv is N / g with integers; row m of
+    W = r N holds g times the basis coordinates of x^m, so the product of
+    the numerator polynomials, n_i n_j = sum_m c_m x^m, gives the
+    coordinates of b_i b_j as sum_m c_m W[m] / (g e_i e_j), which must be
+    integers.  The callers read the power basis's table off the residues
+    alone (`power_mult_table`).
     """
     d = len(basis)
     xpow = _power_residues(poly, d)
-    if _is_identity(basis):
-        return tuple(tuple(xpow[i:i + d]) for i in range(d))
     table = [[None] * d for _ in range(d)]
     rows = [polys.clear_denominators(row) for row in basis]
     inv_nums, g = polys.clear_denominators([x for row in inv for x in row])

@@ -9,10 +9,12 @@ multiplier ring of its q-radical, until the discriminant stops changing.
 The basis is then LLL-reduced against the trace form by `linalg.lll`.
 
 `find_units` searches unit generators of a field context whose classes are
-independent modulo squares, and derives the index of the squares among the
-totally positive units from their signatures.  It divides elements of equal
-|norm| by `Element.inverse` (an integer adjugate over the norm, formed once
-per divisor) and keeps the integral quotients: they are units.
+independent modulo squares.  It divides elements of equal |norm| by
+`Element.inverse` (an integer adjugate over the norm, formed once per
+divisor) and keeps the integral quotients: they are units.
+
+`field_record` is the one constructor of a field record: order, trace-form
+discriminant, sqrt2 tag, unit generators and h+ from them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from operator import floordiv, mul
 
 from . import linalg, polys
 from .enumeration import canonical_sign, small_norm_elements, sqrt_element
-from .numberfield import (FieldContext, basis_mult_table, mult_matrix,
-                          units_by_signature)
+from .errors import FieldDataError
+from .numberfield import (Element, FieldContext, FieldRecord,
+                          basis_mult_table, is_identity, load_field,
+                          mult_matrix, power_mult_table, units_by_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +117,8 @@ class Order:
 
     @cached_property
     def mult_table(self) -> tuple:
+        if is_identity(self.basis):
+            return power_mult_table(self.p, self.d)
         return basis_mult_table(self.p, self.basis, self.inverse)
 
 
@@ -196,12 +202,17 @@ def maximal_order(p) -> Order:
 # ---------------------------------------------------------------------------
 # units modulo squares
 
-def find_units(ctx: FieldContext):
-    """Unit generators with independent classes mod squares (including -1),
-    and |U+/U^2| = 2^d / (number of unit signatures)."""
-    d = ctx.degree
-    want = d
+def in_square_span(u: Element, gens) -> bool:
+    """Whether u times some product of gens is a square."""
+    products = [u]
+    for g in gens:
+        products += [p * g for p in products]
+    return any(sqrt_element(p) is not None for p in products)
 
+
+def find_units(ctx: FieldContext):
+    """Unit generators with independent classes mod squares, -1 first."""
+    d = ctx.degree
     pool = []
     seen = set()
 
@@ -220,27 +231,16 @@ def find_units(ctx: FieldContext):
 
     gens = [-ctx.one]
 
-    def in_span(u):
-        k = len(gens)
-        for mask in range(1 << k):
-            prod = u
-            for i in range(k):
-                if (mask >> i) & 1:
-                    prod = prod * gens[i]
-            if sqrt_element(prod) is not None:
-                return True
-        return False
-
     def absorb():
         for u in sorted(pool, key=lambda u: (sum(abs(c) for c in u.coords),
                                              u.key())):
-            if len(gens) >= want:
+            if len(gens) >= d:
                 return
-            if not in_span(u):
+            if not in_square_span(u, gens):
                 gens.append(u)
 
     absorb()
-    if len(gens) < want:
+    if len(gens) < d:
         # quotients of equal-norm elements reach units beyond the house
         # bound; an integral quotient of two elements of equal |norm| is a
         # unit, and then so is its inverse b / a
@@ -254,8 +254,43 @@ def find_units(ctx: FieldContext):
                         add(qv)
                         add(els[j] * invs[i])
         absorb()
-    if len(gens) < want:
+    if len(gens) < d:
         raise RuntimeError(
             f"{ctx.record.label}: only {len(gens)} independent unit classes")
-    u_plus_mod_sq = (1 << d) // len(units_by_signature(ctx.one, gens))
-    return gens, u_plus_mod_sq
+    return gens
+
+
+# ---------------------------------------------------------------------------
+# the field constructor
+
+def field_record(poly, label: str, order: Order = None, units=None,
+                 h: int = 1) -> FieldRecord:
+    """The record of the totally real field Q[x]/(poly) over the basis of
+    `order`, taken as maximal (by default `maximal_order(poly)`), with the
+    sqrt2 tag `sqrt_element(2)` when 2 is a square and the class number h
+    as input.  The units are -1 and either those `find_units` finds or d - 1
+    given (coords, den) pairs, each independent modulo squares of those
+    before it.  d such classes generate U/U^2: h+ = h 2^d / #signatures."""
+    if order is None:
+        order = maximal_order(poly)
+    d = order.d
+    rec = FieldRecord(label=label, degree=d, poly=tuple(order.p),
+                      basis=tuple(map(tuple, order.basis)), disc=order.disc,
+                      h=h, h_plus=h)
+    ctx = load_field(rec)
+    if units is None:
+        gens = find_units(ctx)
+    else:
+        gens = [-ctx.one]
+        for coords, den in units:
+            u = ctx.element(coords, den)
+            if not u.is_unit() or in_square_span(u, gens):
+                raise FieldDataError(f"{label}: {u} is no independent unit")
+            gens.append(u)
+        if len(gens) != d:
+            raise FieldDataError(f"{label}: {len(gens)} units, not {d}")
+    s2 = sqrt_element(ctx.from_rational(2))
+    return rec._replace(
+        h_plus=h * (1 << d) // len(units_by_signature(ctx.one, gens)),
+        units=tuple((u.coords, u.den) for u in gens),
+        sqrt2=None if s2 is None else s2.coords)

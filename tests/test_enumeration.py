@@ -161,9 +161,10 @@ def test_boxes_do_not_depend_on_a_lone_comparison_first(table):
 
 
 def test_uninvertible_embeddings_exhaust_precision(monkeypatch):
-    # an interval inverse that fails at every width is not a large box
-    monkeypatch.setattr(linalg, "interval_inverse", lambda approx: None)
+    # an interval inverse that fails at every width is not a large box; the
+    # field is made first, since making it searches square roots
     ctx = sqrt2_context()
+    monkeypatch.setattr(linalg, "interval_inverse", lambda approx: None)
     with pytest.raises(PrecisionExhausted) as exc:
         dominated_elements(ctx, ctx.from_rational(3))
     last = F(1, 64 * 4 ** 79)

@@ -11,7 +11,8 @@ from ternlat.fieldscan import (GAP_SQUARE_MAX, FieldTable,
                                discriminant_bound_value,
                                exceptional_sets, ingest_fields,
                                load_field_file, parse_record,
-                               quartic_gap_maximum, scan_obstructions,
+                               quartic_gap_maximum, record_row,
+                               scan_obstructions,
                                scan_small_condition, sum_of_squares_identities,
                                verify_identities, write_report)
 from ternlat.intervals import sqrt_lower, sqrt_upper
@@ -31,12 +32,18 @@ def test_ingest_table(table):
     assert (rec51.h, rec51.h_plus) == (2, 2)
 
 
-def test_every_record_validates(table):
+def test_every_record_validates(table, fields_dir):
     for rec in table:
         ctx = table.context(rec.label)
         assert ctx.degree == rec.degree
         if rec.sqrt2 is not None:
             assert ctx.sqrt2 * ctx.sqrt2 == ctx.from_rational(2)
+    # the writer and the reader of the format agree on every shipped record
+    singles = [parse_record(json.loads(p.read_text()))
+               for p in sorted(fields_dir.glob("*.json"))]
+    assert len(singles) == 4
+    for rec in [*table, *singles]:
+        assert parse_record(record_row(rec)) == rec, rec.label
 
 
 def test_parse_rejects_nonmonic():

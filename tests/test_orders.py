@@ -20,9 +20,11 @@ from conftest import trace_form
 from ternlat import linalg, orders, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import sqrt_element
+from ternlat.errors import FieldDataError
 from ternlat.linalg import det_int
 from ternlat.numberfield import FieldRecord, basis_mult_table, load_field
-from ternlat.orders import enlarge_at, find_units, maximal_order
+from ternlat.orders import (enlarge_at, field_record, find_units,
+                            maximal_order)
 
 ROOT = Path(__file__).resolve().parent.parent
 BIQUADRATIC_M = (3, 5, 7, 13, 17)
@@ -114,7 +116,7 @@ def test_shipped_table_trace_forms_give_its_discs(table):
 def test_find_units_k7168(table):
     rec = table.by_label("K7168")
     ctx = load_field(rec)
-    gens, ratio = find_units(ctx)
+    gens = find_units(ctx)
     assert len(gens) == 4 and all(g.is_unit() for g in gens)
     assert [g.coords for g in gens] == [c for c, _ in rec.units]
     # independent modulo squares: no nonempty product is a square
@@ -124,7 +126,28 @@ def test_find_units_k7168(table):
             if (mask >> i) & 1:
                 prod = prod * g
         assert sqrt_element(prod) is None, mask
-    assert ratio == rec.h_plus // rec.h == 2
+    made = field_record(rec.poly, "K7168")
+    assert made.h_plus // made.h == 2
+    # the shipped record but for its pinned tag
+    assert made._replace(sqrt2=rec.sqrt2) == rec
+
+
+@pytest.mark.parametrize("poly, units, h_plus", [
+    ((-2, 0, 1), [((3, 2), 1)], None),              # (1 + sqrt2)^2
+    ((-2, 0, 1), [((1, 1), 1), ((2, 1), 1)], None),  # N(2 + sqrt2) = 2
+    ((-2, 0, 1), [], None),                          # too few
+    ((-3, 0, 1), [((2, 1), 1)], 2),                  # 2 + sqrt3 >> 0
+])
+def test_field_record_checks_supplied_units(poly, units, h_plus):
+    # a unit list with a dependent unit or a non-unit is refused, and h+
+    # is derived from the signatures of those it accepts
+    if h_plus is None:
+        with pytest.raises(FieldDataError):
+            field_record(poly, "t", units=units)
+    else:
+        rec = field_record(poly, "t", units=units)
+        assert (rec.h, rec.h_plus) == (1, h_plus)
+        assert rec.units == (((-1, 0), 1),) + tuple(units)
 
 
 def test_field_table_script_runs(tmp_path):
