@@ -2,17 +2,19 @@
 """Assemble the shipped field tables from first principles.
 
 Builds every totally real quartic field containing sqrt2 with field
-discriminant <= 20000 (plus the discriminant-51200 field used by the
-obstruction demos) by sweeping quadratic extensions of Z[sqrt2], and the
-single fields Q, Q(sqrt2), Q(sqrt3) and Q(sqrt5).  `orders.field_record`
-makes every record (maximal order, discriminant, sqrt2 tag, units, h+) and
-`fieldscan.record_row` writes it.  Pinned so that the files stay as
-shipped: the polynomials of the shipped labels, the K7168 tag, the units
-1+sqrt2 and 2+sqrt3 (`find_units` picks their conjugates), and the Q(sqrt5)
-basis 1, (-1+sqrt5)/2 (LLL gives (-1-sqrt5)/2).  Class numbers are not
-computable here and are input: h = 2 for discriminant 51200, else h = 1.
+discriminant <= --max-disc (default 20000), plus the discriminant-51200
+field used by the obstruction demos, by sweeping quadratic extensions
+F(sqrt delta) of F = Q(sqrt2) over a range of delta derived from the bound
+(`quartic_sweep`), and the single fields Q, Q(sqrt2), Q(sqrt3) and
+Q(sqrt5).  `orders.field_record` makes every record (maximal order,
+discriminant, sqrt2 tag, units, h+) and `fieldscan.record_row` writes it.
+Pinned so that the files stay as shipped: five polynomials of shipped
+labels, the K7168 tag, the units 1+sqrt2 and 2+sqrt3 (`find_units` picks
+their conjugates), and the Q(sqrt5) basis 1, (-1+sqrt5)/2 (LLL gives
+(-1-sqrt5)/2).  Class numbers are not computable here and are input:
+h = 2 for discriminant 51200, else h = 1.
 
-Usage: python scripts/build_field_table.py [--out fields/]
+Usage: python scripts/build_field_table.py [--out fields/] [--max-disc N]
 """
 
 from __future__ import annotations
@@ -38,14 +40,11 @@ from ternlat.orders import Order, field_record, maximal_order  # noqa: E402
 # defining polynomials pinned for the shipped labels, keyed by the sweep's
 # delta of the same field, so that each order is built once
 STANDARD_POLYS = {
-    (15, -10): [4, 0, -6, 0, 1],       # K1600: x^4 - 6x^2 + 4
-    (2, -1): [2, 0, -4, 0, 1],         # K2048: x^4 - 4x^2 + 2
+    (5, 0): [4, 0, -6, 0, 1],          # K1600: x^4 - 6x^2 + 4
+    (3, 0): [9, 0, -18, 0, 1],         # K2304: x^4 - 18x^2 + 9
     (7, -2): [1, 2, -3, -2, 1],        # K2624: x^4 - 2x^3 - 3x^2 + 2x + 1
-    (3, -1): [7, 0, -6, 0, 1],         # K7168: x^4 - 6x^2 + 7
-    (39, -26): [-1, 10, -9, -2, 1],    # K10816: x^4 - 2x^3 - 9x^2 + 10x - 1
-    (4, -1): [14, 0, -8, 0, 1],        # K14336: x^4 - 8x^2 + 14
-    (6, -3): [18, 0, -12, 0, 1],       # K18432: x^4 - 12x^2 + 18
-    (10, -5): [50, 0, -20, 0, 1],      # K51200: x^4 - 20x^2 + 50
+    (13, 0): [-1, 10, -9, -2, 1],      # K10816: x^4 - 2x^3 - 9x^2 + 10x - 1
+    (7, 0): [49, 0, -42, 0, 1],        # K12544: x^4 - 42x^2 + 49
 }
 
 # tag choices pinned for reproducibility of downstream demos (basis coords)
@@ -53,8 +52,9 @@ SQRT2_OVERRIDE = {
     7168: (0, -1, 0, 0),           # 3 - theta^2, so theta^2 = 3 - sqrt2
 }
 
-KNOWN_DISCS = {1600, 2048, 2304, 2624, 7168, 10816, 12544, 14336, 18432,
-               18496, 51200}
+# K51200 = Q(sqrt(10 - 5 sqrt2)), h = 2, carries the obstruction demos: it is
+# shipped whatever --max-disc is, so that the default table holds it
+DEMO_DELTA = (10, -5)
 
 
 def sqrt_in_zsqrt2(a, b):
@@ -74,22 +74,6 @@ def sqrt_in_zsqrt2(a, b):
     return None
 
 
-def rational_sqrt(n: int):
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
-def is_quartic_field(a, b):
-    """Is x^4 - 2a x^2 + (a^2 - 2b^2) irreducible (b != 0)?"""
-    n = a * a - 2 * b * b
-    m = rational_sqrt(n)
-    if m is None:
-        return True
-    return all(rational_sqrt(2 * a + 2 * mm) is None for mm in (m, -m))
-
-
 def same_quartic_field(d1, d2):
     """F(sqrt(a1 + b1 sqrt2)) isomorphic to F(sqrt(a2 + b2 sqrt2))?"""
     for e2 in (d2, (d2[0], -d2[1])):
@@ -100,38 +84,45 @@ def same_quartic_field(d1, d2):
     return False
 
 
-def quartic_sweep(max_disc=20000, amax=40, bmax=28, nmax=700):
+def quartic_sweep(max_disc):
+    """Every (delta, maximal order) of a totally real quartic K = F(sqrt
+    delta) over F = Q(sqrt2) with disc K <= max_disc, one delta per field,
+    and the demo field K51200.
+
+    disc K = 64 N(d_{K/F}).  Write K = F(sqrt delta0) with delta0 totally
+    positive and squarefree; delta0 divides the relative discriminant, so
+    N(delta0) <= N = max_disc // 64.  Multiplying by the square eps^2 =
+    3 + 2 sqrt2 moves sigma1/sigma2 by eps^4, so every class has a
+    representative a + b sqrt2 with eps^-2 <= sigma1/sigma2 <= eps^2, that
+    is |b| <= a/2.  Then a^2 = n + 2b^2 <= n + a^2/2, so a <= sqrt(2N).
+    The sweep keeps the a + b sqrt2 of that range with 0 < n = a^2 - 2b^2
+    <= N that are not squares in Z[sqrt2], the first of each field.  For
+    b != 0 the quartic of sqrt delta is then irreducible; b = 0 gives the
+    biquadratic fields Q(sqrt2, sqrt a).
+    """
+    nmax = max_disc // 64
     deltas = []
-    for a in range(1, amax + 1):
-        for b in range(-bmax, bmax + 1):
+    for a in range(1, isqrt(2 * nmax) + 1):
+        for b in range(-(a // 2), a // 2 + 1):
             n = a * a - 2 * b * b
-            if n <= 0 or n > nmax:
+            if not 0 < n <= nmax or sqrt_in_zsqrt2(a, b) is not None:
                 continue
-            if b == 0:
-                continue
-            if not is_quartic_field(a, b):
-                continue
-            if any(same_quartic_field((a, b), dd) for dd in deltas):
-                continue
-            deltas.append((a, b))
-    for m in (3, 5, 7, 13, 17):   # biquadratic: delta rational
-        if not any(same_quartic_field((m, 0), dd) for dd in deltas):
-            deltas.append((m, 0))
+            if not any(same_quartic_field((a, b), dd) for dd in deltas):
+                deltas.append((a, b))
+    if not any(same_quartic_field(DEMO_DELTA, dd) for dd in deltas):
+        deltas.append(DEMO_DELTA)
     fields = []
     for (a, b) in deltas:
         if (a, b) in STANDARD_POLYS:
             poly = STANDARD_POLYS[a, b]
-        elif b != 0:
+        elif b != 0:                        # sqrt delta
             poly = [a * a - 2 * b * b, 0, -2 * a, 0, 1]
-        else:
+        else:                               # sqrt2 + sqrt a
             poly = [(a - 2) ** 2, 0, -2 * (a + 2), 0, 1]
-        # squarefree: x^2 = a -+ sqrt2*|b| with a^2 - 2b^2 > 0, b != 0, or
-        # x = +-(sqrt(m) -+ sqrt2) with m != 2; the pinned ones are irreducible
         if len(polys.isolate_real_roots(poly)) != 4:
-            continue
+            raise RuntimeError(f"delta {(a, b)}: {poly} is not totally real")
         order = maximal_order(poly)
-        disc = order.disc
-        if disc <= max_disc or disc in KNOWN_DISCS:
+        if order.disc <= max_disc or (a, b) == DEMO_DELTA:
             fields.append(((a, b), order))
     return fields
 
@@ -153,19 +144,17 @@ def main():
     for prov, order in fields:
         by_disc.setdefault(order.disc, []).append((prov, order))
     records = []
-    for disc in sorted(by_disc):
-        kept = []
-        for prov, order in by_disc[disc]:
-            if not any(same_quartic_field(prov, p2) for p2, _ in kept):
-                kept.append((prov, order))
-        for idx, (prov, order) in enumerate(kept):
-            label = f"K{disc}" if len(kept) == 1 else f"K{disc}{'abcd'[idx]}"
+    # the sweep's deltas give pairwise distinct fields; a discriminant can
+    # still carry two (79424 and 96832 do)
+    for disc, group in sorted(by_disc.items()):
+        for idx, (prov, order) in enumerate(group):
+            label = f"K{disc}" if len(group) == 1 else f"K{disc}{'abcd'[idx]}"
             h = 2 if disc == 51200 else 1
             # the sweep's order is maximal_order(order.p)
             rec = field_record(order.p, label, order, h=h)
             if rec.sqrt2 is None:
-                print(f"  {label}: no sqrt2 (prov {prov}), skipped", flush=True)
-                continue
+                raise RuntimeError(f"{label}: no sqrt2 found in F(sqrt "
+                                   f"{prov}), which contains sqrt2")
             if disc in SQRT2_OVERRIDE:
                 # loading checks that the tag squares to 2
                 rec = rec._replace(sqrt2=SQRT2_OVERRIDE[disc])

@@ -651,19 +651,12 @@ class IndecompResult(NamedTuple):
         return self.indecomposable
 
 
-def is_indecomposable(alpha: Element, sigma_mode: bool = False,
+def is_indecomposable(alpha: Element,
                       ceiling: int = DEFAULT_CEILING) -> IndecompResult:
-    """Decide whether alpha is a sum of two totally positive integers.
-
-    In sigma_mode, alpha only needs to be nonzero: it is replaced by a
-    totally positive associate first (signature-indecomposability reduces to
-    ordinary indecomposability when units of all signatures exist).
-    """
+    """Decide whether alpha is a sum of two totally positive integers."""
     ctx = alpha.ctx
     if not alpha.is_integral:
         raise ValueError("indecomposability is defined for integral elements")
-    if sigma_mode and not alpha.is_totally_positive():
-        _, alpha = ctx.totally_positive_associate(alpha)
     if not alpha.is_totally_positive():
         raise ValueError("alpha must be totally positive")
     d = ctx.degree

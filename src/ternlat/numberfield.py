@@ -391,13 +391,6 @@ class FieldContext:
     def from_rational_coords(self, coords: Sequence[Rat]) -> Element:
         return Element(self, *polys.clear_denominators(coords))
 
-    def from_power_coords(self, coords: Sequence[Rat]) -> Element:
-        """Element from coordinates over the power basis 1, t, t^2, ..."""
-        p = [Fraction(c) for c in coords]
-        p += [Fraction(0)] * (self.degree - len(p))
-        v = linalg.mat_vec(linalg.transpose(self.pow_to_basis), p)
-        return self.from_rational_coords(v)
-
     @cached_property
     def basis_traces(self) -> Tuple[int, ...]:
         """Tr(b_i) for each basis element: the diagonal sum of its row of

@@ -207,7 +207,8 @@ def test_indecomposable(ctx_sqrt2):
 
 def test_indecomposable_sigma_mode(ctx_sqrt2):
     # -lam is sigma-indecomposable: its positive associate is indecomposable
-    res = is_indecomposable(-(2 + ctx_sqrt2.sqrt2), sigma_mode=True)
+    res = is_indecomposable(
+        ctx_sqrt2.totally_positive_associate(-(2 + ctx_sqrt2.sqrt2))[1])
     assert res.indecomposable
 
 

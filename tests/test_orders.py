@@ -7,6 +7,7 @@ from `load_field`'s multiplication table alone.  The integer `linalg.lll`
 is checked against a `Fraction` LLL kept here, with its own Gram-Schmidt.
 """
 
+import importlib.util
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -163,6 +164,31 @@ def test_field_table_script_runs(tmp_path):
     for name in names:
         want = (shipped / name).read_bytes()
         assert (tmp_path / name).read_bytes() == want, name
+
+
+def test_quartic_sweep_is_complete():
+    # the builder's sweep, whose range is derived from the discriminant
+    # bound, finds every field of a brute-force box wider in a and in b,
+    # with twice the norm bound; run at 51200 because a sweep cut to
+    # a <= sqrt(N) loses fields there and none at 20000
+    spec = importlib.util.spec_from_file_location(
+        "build_field_table", ROOT / "scripts" / "build_field_table.py")
+    builder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(builder)
+    max_disc = 51200
+    deltas = []
+    for a in range(1, 81):
+        for b in range(-a, a + 1):
+            n = a * a - 2 * b * b
+            if (0 < n <= 2 * (max_disc // 64)
+                    and builder.sqrt_in_zsqrt2(a, b) is None
+                    and not any(builder.same_quartic_field((a, b), d)
+                                for d in deltas)):
+                deltas.append((a, b))
+    discs = [maximal_order([a * a - 2 * b * b, 0, -2 * a, 0, 1] if b
+                           else biquadratic_poly(a)).disc for a, b in deltas]
+    swept = [order.disc for _, order in builder.quartic_sweep(max_disc)]
+    assert sorted(swept) == sorted(d for d in discs if d <= max_disc)
 
 
 # ---------------------------------------------------------------------------
