@@ -14,7 +14,7 @@ import operator
 import sys
 from typing import List, Optional
 
-from .cyclotomic import alpha_beta_verify, cyclo_info, subfield_test
+from .cyclotomic import alpha_beta_verify, subfield_test
 from .enumeration import (DEFAULT_CEILING, DominanceQuery, QueryMode,
                           enumerate_dominated, require_count,
                           sum_of_squares_test)
@@ -25,6 +25,7 @@ from .fieldscan import (exceptional_sets, ingest_fields, load_field_file,
 from .numberfield import Element, FieldContext
 from .obstruction import (dual_nonrepresentation, indecomposables_classify,
                           obstruction_search, quartic_case_analysis)
+from .polys import cos_minpoly
 from .quadlattice import free_overlattice_test, ternary_classification
 
 
@@ -178,11 +179,10 @@ def cmd_overlattice_test(args) -> int:
 
 
 def cmd_cyclotomic(args) -> int:
-    info = cyclo_info(args.k)
     rep = alpha_beta_verify(args.k)
     print(f"F{args.k}: degree {rep.degree}, mu = {rep.mu}, "
           f"minimal polynomial of 2cos(2pi/{args.k}): "
-          f"{list(info.minpoly_cos)}")
+          f"{cos_minpoly(args.k)}")
     print(f"N(alpha) = {rep.norm_alpha}, N(beta) = {rep.norm_beta}, "
           f"Tr(alpha) = {rep.trace_alpha}, Tr(beta) = {rep.trace_beta}")
     if rep.alpha_indecomposable is not None:

@@ -17,7 +17,8 @@ per-embedding region, depend only on the bound and the roots, so a round
 whose root state did not change (as the first rounds after
 `fixed_point_table`) reuses them, and every box at that root state
 certifies its inverse from the one `linalg.ApproximateInverse` the state
-keeps (`FieldContext.embedding_inverse`).
+keeps (`FieldContext.embedding_inverse`).  The box keeps the targets as
+integers; only `EnumerationBox.to_dict` makes `Fraction`s of them.
 
 Each candidate x of the pruned box then takes one exact comparison against
 zero, of an integer residual from a quadratic map built once per query:
@@ -62,7 +63,7 @@ from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
 from . import linalg, polys
 from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
                      PrecisionExhausted)
-from .intervals import Numerators, sqrt_numerator, sqrt_upper
+from .intervals import Numerators, fixed_point_ends, sqrt_numerator, sqrt_upper
 from .numberfield import Dominance, Element, FieldContext, unit_square_reduce
 
 DEFAULT_CEILING = 10 ** 8
@@ -107,7 +108,7 @@ class EnumerationBox(NamedTuple):
     lows: Tuple[int, ...]
     highs: Tuple[int, ...]
     root_width: Fraction            # root-interval width used for the certificate
-    targets: Tuple[Tuple[Fraction, Fraction], ...]   # per-embedding region
+    targets: Numerators             # per-embedding region, as tuples over den
 
     @property
     def volume(self) -> int:
@@ -115,16 +116,18 @@ class EnumerationBox(NamedTuple):
                                                           self.highs))
 
     def to_dict(self) -> dict:
+        lows, highs, den = self.targets
         return {
             "lows": list(self.lows),
             "highs": list(self.highs),
             "root_width": str(self.root_width),
-            "targets": [[str(a), str(b)] for a, b in self.targets],
+            "targets": [[str(Fraction(a, den)), str(Fraction(b, den))]
+                        for a, b in zip(lows, highs)],
         }
 
 
 def _candidate_estimate(emb: List[Numerators], det: int,
-                        targets: Numerators, box: EnumerationBox) -> int:
+                        box: EnumerationBox) -> int:
     """Expected number of enumerated points: region volume / |det E|, E the
     midpoint of emb, det E = det / prod(2 den_i) for det that of the rows
     lows + highs (`FieldContext.embedding_inverse`), the region the product
@@ -132,7 +135,7 @@ def _candidate_estimate(emb: List[Numerators], det: int,
     candidates, far below the raw box volume for skewed bases."""
     if det == 0:
         return box.volume
-    lows, highs, tden = targets
+    lows, highs, tden = box.targets
     num = prod(map(sub, highs, lows)) * prod(2 * d for _, _, d in emb)
     den = tden ** len(lows) * abs(det)
     return min(box.volume, -(-num // den) + 1)
@@ -168,12 +171,11 @@ def _build_box(ctx: FieldContext, make_targets: Callable[[], Numerators],
 
     Each round certifies its own inverse from `ctx.embedding_inverse()`.
     The targets depend only on the bound and the roots, so `make_targets`
-    runs, and the box's `Fraction` ends are made from its `Numerators`,
-    again only in a round that finds a new root state: when
-    `ctx.basis_embeddings()` returns a new list."""
+    runs, and the box takes the `Numerators` it returns, again only in a
+    round that finds a new root state: when `ctx.basis_embeddings()`
+    returns a new list."""
     prev: Optional[tuple] = None
-    prev_vol = None
-    made_for = targets = ends = None
+    made_for = targets = None
     for k in range(80):
         width = Fraction(1, 64 * 4 ** k)
         ctx.refine_roots(width)
@@ -184,23 +186,19 @@ def _build_box(ctx: FieldContext, make_targets: Callable[[], Numerators],
             continue
         if emb is not made_for:
             made_for, targets = emb, make_targets()
-            tlo, thi, tden = targets
-            ends = tuple((Fraction(lo, tden), Fraction(hi, tden))
-                         for lo, hi in zip(tlo, thi))
         lows, highs = _box_bounds(inv, targets)
-        box = EnumerationBox(tuple(lows), tuple(highs), width, ends)
-        vol = box.volume
-        if prev_vol is not None and 100 * vol >= 99 * prev_vol:
-            est = _candidate_estimate(emb, det, targets, box)
+        box = EnumerationBox(tuple(lows), tuple(highs), width, targets)
+        if prev is not None and 100 * box.volume >= 99 * prev[2].volume:
+            est = _candidate_estimate(emb, det, box)
             if est > ceiling:
                 raise BoxTooLarge(est, ceiling)
             return box
-        prev, prev_vol = (emb, det, targets, box), vol
+        prev = emb, det, box
     if prev is None:
         raise PrecisionExhausted(width)
     if _candidate_estimate(*prev) <= ceiling:
-        return prev[3]
-    raise BoxTooLarge(prev_vol, ceiling, "box volume {}")
+        return prev[2]
+    raise BoxTooLarge(prev[2].volume, ceiling, "box volume {}")
 
 
 # Levels with fewer feasible values are walked without projecting the level
@@ -209,13 +207,6 @@ def _build_box(ctx: FieldContext, make_targets: Callable[[], Numerators],
 # in paired runs, while `enum` did not move and degree 8 gained at most 10%
 # (BENCH_enum_projection.json, "projection_gate").
 _PROJECT_MIN = 4
-
-
-def _fixed_point(x: Fraction, up: bool) -> int:
-    scale = 1 << FieldContext.INT_BITS
-    if up:
-        return -((-x.numerator * scale) // x.denominator)
-    return (x.numerator * scale) // x.denominator
 
 
 def _narrow(lo: int, hi: int, ea: int, a: int, eb: int, b: int
@@ -392,8 +383,7 @@ def _iter_box(table: tuple, box: EnumerationBox
     lows, highs = box.lows, box.highs
     if not all(lo <= hi for lo, hi in zip(lows, highs)):
         return
-    tlo = [_fixed_point(lo, up=False) for lo, _ in box.targets]
-    thi = [_fixed_point(hi, up=True) for _, hi in box.targets]
+    (tlo,), (thi,) = fixed_point_ends([box.targets], FieldContext.INT_BITS)
     cols_lo, cols_hi, _ = table
 
     # rem[i][j] = hull of possible contributions of coordinates < j
@@ -477,8 +467,8 @@ def _targets(ctx: FieldContext, bound: Element, mode: QueryMode
     if square:
         ends = [sqrt_numerator(n, d, True) for n, d in ends]
     den = lcm(*(d for _, d in ends))
-    his = [n * (den // d) for n, d in ends]
-    return [-r for r in his] if square else [0] * len(his), his, den
+    his = tuple(n * (den // d) for n, d in ends)
+    return tuple(-r for r in his) if square else (0,) * len(his), his, den
 
 
 def _query_box(query: DominanceQuery, ceiling: int) -> EnumerationBox:

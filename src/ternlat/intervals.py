@@ -1,10 +1,11 @@
 """Rational intervals and their integer forms.
 
-Endpoints are exact `Fraction`s.  The package does no arithmetic on
-`Interval` objects: its kernels hold a row of intervals as integer
-endpoint numerators over one denominator (`Numerators`), round such rows
-outward to fixed point (`fixed_point_ends`), work on the integers and
-build `Fraction`s only for their results.  Only square roots and the
+Endpoints are exact `Fraction`s.  An `Interval` is only ever a result
+(`roots`, `embeddings`, `house`): the package does no arithmetic on it.
+Its kernels hold a row of intervals as integer endpoint numerators over
+one denominator (`Numerators`), round such rows outward to fixed point
+with the one routine `fixed_point_ends`, work on the integers and build
+`Fraction`s only for their results.  Only square roots and the
 fixed-point form introduce rounding, which is done outward.
 """
 
@@ -15,7 +16,7 @@ from math import gcd, isqrt
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
-Numerators = Tuple[List[int], List[int], int]  # [lows[k], highs[k]] / den
+Numerators = Tuple[Sequence[int], Sequence[int], int]  # [lows, highs] / den
 
 
 class _Ends(NamedTuple):
@@ -34,16 +35,6 @@ class Interval(_Ends):
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def abs(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return Interval(-self.hi, -self.lo)
-        return Interval(Fraction(0), max(-self.lo, self.hi))
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -273,9 +273,12 @@ class Element:
         return self.ctx.embeddings(self, max_width)
 
     def house(self, max_width: Rat = Fraction(1, 64)) -> Interval:
-        """Enclosure of max_i |sigma_i(self)|; shrinks as max_width does."""
-        ivs = [iv.abs() for iv in self.embeddings(max_width)]
-        return Interval(max(iv.lo for iv in ivs), max(iv.hi for iv in ivs))
+        """Enclosure of max_i |sigma_i(self)|; shrinks as max_width does.
+        sigma_i(self) in [lo, hi] / d puts |sigma_i| in [max(lo, -hi, 0),
+        max(-lo, hi)] / d, on the integer sums of `embeddings`."""
+        sums = self.ctx._embedding_numerators(self, max_width)
+        return Interval(max(Fraction(max(lo, -hi, 0), d) for lo, hi, d in sums),
+                        max(Fraction(max(-lo, hi), d) for lo, hi, d in sums))
 
     def compare(self, other) -> Dominance:
         return self.ctx.compare(self, self._coerce(other))
@@ -313,10 +316,11 @@ class Element:
         return self.is_integral and abs(self.norm()) == 1
 
     def as_rational(self) -> Optional[Fraction]:
-        """The element as a rational number, if it is one."""
-        q = Fraction(self.coords[0], self.den)
-        probe = self.ctx.from_rational(q)
-        return q if probe == self else None
+        """The element as a rational number, if it is one: q read off the
+        first nonzero coordinate of the integral `ctx.one`, not always e_0."""
+        k, c = next((k, c) for k, c in enumerate(self.ctx.one.coords) if c)
+        q = Fraction(self.coords[k], self.den * c)
+        return q if self.ctx.from_rational(q) == self else None
 
 
 class _RootState:
@@ -700,10 +704,15 @@ class FieldContext:
 
 def sqrt2_context() -> FieldContext:
     """The standard degree-2 field containing sqrt2, with units -1 and
-    1 + sqrt2 of all signatures and the sqrt2 tag set."""
+    1 + sqrt2 of all signatures and the sqrt2 tag set: a fresh context,
+    loaded from one record built once per process."""
+    return load_field(_sqrt2_record())
+
+
+@cache
+def _sqrt2_record() -> FieldRecord:
     from .orders import field_record        # orders imports this module
-    return load_field(field_record((-2, 0, 1), "Q(sqrt2)",
-                                   units=[((1, 1), 1)]))
+    return field_record((-2, 0, 1), "Q(sqrt2)", units=[((1, 1), 1)])
 
 
 def load_field(record: FieldRecord) -> FieldContext:

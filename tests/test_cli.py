@@ -1,6 +1,8 @@
 import hashlib
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -292,3 +294,20 @@ def test_readme_examples_run(tmp_path, monkeypatch):
             v.pop("seconds", None)
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
         assert digest.hexdigest() == GOLDEN_README_REPORTS[n], argv
+
+
+def test_headline_script_prints_the_verdicts():
+    # the end-to-end script: both small-condition scans' exceptional sets
+    # and the K51200 obstruction certificate
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_headline_runs.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert "  unit filter on : 3*(2+sqrt2) -> ['K2048', 'K2624']; 6 -> " \
+        "['K10816', 'K1600', 'K2048', 'K2624']" in lines
+    assert "  unit filter off: 3*(2+sqrt2) -> ['K18432', 'K2048', 'K2624', " \
+        "'K7168']; 6 -> ['K10816', 'K14336', 'K1600', 'K2048', 'K2304', " \
+        "'K2624', 'K7168']" in lines
+    assert any(line.startswith("  quadruple (") and line.endswith(
+        " with norms [1, 4, 14, 14]; valid = True") for line in lines)

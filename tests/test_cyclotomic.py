@@ -100,7 +100,7 @@ def test_cos_minpoly_straddles_its_root():
         target = 2 * math.cos(2 * math.pi / k)
         assert float(top.lo) - 1e-9 <= target <= float(top.hi) + 1e-9
         val = eval_one(p, top)
-        assert val.contains_zero()
+        assert val.lo <= 0 <= val.hi
 
 
 def test_cyclotomic_values_at_units():

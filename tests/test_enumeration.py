@@ -80,7 +80,7 @@ def test_ceiling_caps_visited_candidates(table, monkeypatch):
                                                    box))
     solutions = dominated_elements(ctx, bound)
     monkeypatch.setattr(enumeration, "_candidate_estimate",
-                        lambda emb, det, targets, box: 0)
+                        lambda emb, det, box: 0)
     with pytest.raises(BoxTooLarge) as exc:
         dominated_elements(ctx, bound, ceiling=visited - 1)
     assert exc.value.estimate == visited
@@ -115,7 +115,7 @@ def test_box_too_large_names_its_quantity(table, monkeypatch):
     # candidates visited, with the estimate forced low
     ctx = table.context("K51200")
     monkeypatch.setattr(enumeration, "_candidate_estimate",
-                        lambda emb, det, targets, box: 0)
+                        lambda emb, det, box: 0)
     with pytest.raises(BoxTooLarge) as exc:
         dominated_elements(ctx, ctx.from_rational(60), ceiling=10)
     assert str(exc.value) == "visited 11 candidates exceeds ceiling 10"

@@ -57,7 +57,7 @@ from ternlat import enumeration, linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
                                  _box_bounds, _build_box, _candidate_estimate,
-                                 _exact_check, _fixed_point, _halves,
+                                 _exact_check, _halves,
                                  _iter_box, _project, _query_box, _targets,
                                  dominated_elements, sqrt2_span_witnesses)
 from ternlat.intervals import Interval
@@ -68,13 +68,23 @@ from ternlat.numberfield import (Dominance, FieldContext, FieldRecord,
 # ---------------------------------------------------------------------------
 # reference: the scan-and-reject loop
 
+def _fixed_point(x, up):
+    """The rational x rounded outward to a multiple of 2^-INT_BITS, as the
+    integer numerator over 2^INT_BITS."""
+    scale = 1 << FieldContext.INT_BITS
+    if up:
+        return -((-x.numerator * scale) // x.denominator)
+    return (x.numerator * scale) // x.denominator
+
+
 def ref_iter_box(emb, box):
     emb = as_intervals(emb)
     d = len(box.lows)
     if not all(lo <= hi for lo, hi in zip(box.lows, box.highs)):
         return
-    tlo = [_fixed_point(lo, up=False) for lo, _ in box.targets]
-    thi = [_fixed_point(hi, up=True) for _, hi in box.targets]
+    lows, highs, den = box.targets
+    tlo = [_fixed_point(F(lo, den), up=False) for lo in lows]
+    thi = [_fixed_point(F(hi, den), up=True) for hi in highs]
     elo = [[_fixed_point(emb[i][j].lo, up=False) for j in range(d)]
            for i in range(d)]
     ehi = [[_fixed_point(emb[i][j].hi, up=True) for j in range(d)]
@@ -147,12 +157,12 @@ def boxes(draw):
     # a side of 0 makes the box empty, all sides of 1 a single point
     highs = [lo + draw(st.integers(0, side)) - 1 for lo in lows]
     den = draw(st.sampled_from([1, 3, 4]))
-    targets = []
+    tlo, thi = [], []
     for _ in range(d):
-        lo = draw(st.integers(-12 * den, 12 * den))
-        targets.append((F(lo, den), F(lo + draw(st.integers(0, 16 * den)), den)))
+        tlo.append(draw(st.integers(-12 * den, 12 * den)))
+        thi.append(tlo[-1] + draw(st.integers(0, 16 * den)))
     return emb, EnumerationBox(tuple(lows), tuple(highs), F(1, 64),
-                               tuple(targets))
+                               (tuple(tlo), tuple(thi), den))
 
 
 @settings(max_examples=400, deadline=None)
@@ -164,8 +174,9 @@ def test_iter_box_equals_scan_and_reject(case):
 
 def _box(d, lows, highs, entry=(F(1), F(2)), target=(F(-3), F(3))):
     emb = numerators([[Interval(*entry)] * d] * d)
+    tlo, thi, den = endpoint_numerators([Interval(*target)] * d)
     return emb, EnumerationBox(tuple(lows), tuple(highs), F(1, 64),
-                               (target,) * d)
+                               (tuple(tlo), tuple(thi), den))
 
 
 @pytest.mark.parametrize("emb, box", [
@@ -477,7 +488,7 @@ def ref_signature(a):
     width = F(1, 16)
     for attempt in range(64):
         ivs = a.embeddings(width)
-        if all(not iv.contains_zero() for iv in ivs):
+        if all(not iv.lo <= 0 <= iv.hi for iv in ivs):
             return tuple(1 if iv.lo > 0 else -1 for iv in ivs)
         if attempt == 1:
             pw = linalg.mat_vec(linalg.transpose(ctx.basis_pow),
@@ -924,8 +935,9 @@ def ref_box_bounds(inv, targets):
 
 def ref_candidate_estimate(emb, box):
     region = F(1)
-    for lo, hi in box.targets:
-        region *= hi - lo
+    lows, highs, den = box.targets
+    for lo, hi in zip(lows, highs):
+        region *= F(hi - lo, den)
     det = abs(linalg.det([[e.mid for e in row] for row in as_intervals(emb)]))
     if det == 0:
         return box.volume
@@ -950,10 +962,8 @@ def test_box_kernels_equal_the_fraction_loops(table, monkeypatch, mode):
         seen["bounds"] += 1
         return got
 
-    def checked_estimate(emb, det, targets, box):
-        got = _candidate_estimate(emb, det, targets, box)
-        assert box.targets == tuple((t.lo, t.hi)
-                                    for t in as_intervals([targets])[0])
+    def checked_estimate(emb, det, box):
+        got = _candidate_estimate(emb, det, box)
         assert got == ref_candidate_estimate(emb, box)
         seen["estimates"] += 1
         return got
@@ -1056,10 +1066,10 @@ def test_box_kernels_on_random_rational_intervals(case):
     tnum = endpoint_numerators(targets)
     assert _box_bounds(inv, tnum) == ref_box_bounds(inv, targets)
     box = EnumerationBox(tuple(lows), tuple(c + 3 for c in lows), F(1, 64),
-                         tuple((t.lo, t.hi) for t in targets))
+                         (tuple(tnum[0]), tuple(tnum[1]), tnum[2]))
     det = linalg.det_int([[lo + hi for lo, hi in zip(lows, highs)]
                           for lows, highs, _ in inv])
-    assert _candidate_estimate(inv, det, tnum, box) == \
+    assert _candidate_estimate(inv, det, box) == \
         ref_candidate_estimate(inv, box)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (cell_interval, ref_divmod_poly, ref_embeddings,
                       ref_unit_square_reduce)
-from ternlat import linalg, polys
+from ternlat import linalg, numberfield, orders, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import dominated_elements
 from ternlat.errors import (DivisionByZero, FieldDataError, NoSuchUnit,
@@ -15,6 +15,7 @@ from ternlat.numberfield import (Dominance, FieldRecord, basis_mult_table,
                                  load_field, sqrt2_context,
                                  unit_square_canonical,
                                  unit_square_reduce, units_by_signature)
+from ternlat.orders import field_record
 
 
 def test_load_rejects_imaginary():
@@ -407,6 +408,82 @@ def test_rational_span(ctx_sqrt2):
 def test_same_record_interoperates(ctx_sqrt2):
     other = sqrt2_context()
     assert other.one + ctx_sqrt2.sqrt2 == 1 + other.sqrt2
+
+
+def test_sqrt2_context_builds_its_record_once(monkeypatch):
+    # every call gets a fresh context, loaded from one cached record
+    a, b = sqrt2_context(), sqrt2_context()
+    assert a is not b and a.record == b.record
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return field_record(*args, **kwargs)
+
+    monkeypatch.setattr(orders, "field_record", counted)
+    numberfield._sqrt2_record.cache_clear()
+    try:
+        ctxs = [sqrt2_context() for _ in range(3)]
+    finally:
+        numberfield._sqrt2_record.cache_clear()
+    assert len(calls) == 1
+    assert len({id(c) for c in ctxs}) == 3
+    assert all(c.record == a.record for c in ctxs)
+
+
+def _some_fields(table, *single):
+    """The 19 table fields, the single-field files and F5, F7, F16, F24."""
+    assert len(table.records) == 19
+    return [table.context(r.label) for r in table.records] + list(single) + \
+        [cyclo_info(k).field for k in (5, 7, 16, 24)]
+
+
+def test_as_rational_reads_q_off_the_unit(table, ctx_q, ctx_sqrt2, ctx_sqrt3,
+                                          ctx_sqrt5):
+    # in 9 table fields the basis starts with -1, so 1 = -e_0
+    minus = 0
+    for ctx in _some_fields(table, ctx_q, ctx_sqrt2, ctx_sqrt3, ctx_sqrt5):
+        minus += ctx.one.coords[0] == -1
+        for q in (F(0), F(3), F(-7, 2), F(5, 6)):
+            assert ctx.from_rational(q).as_rational() == q, (ctx, q)
+        if ctx.degree > 1:
+            assert ctx.gen.as_rational() is None, ctx
+    assert minus == 9
+
+
+def ref_house(a, width):
+    """max_i |sigma_i(a)| from the `Interval`s of `embeddings`, each taken
+    to its absolute value."""
+    ivs = []
+    for iv in a.embeddings(width):
+        if iv.lo >= 0:
+            ivs.append(iv)
+        elif iv.hi <= 0:
+            ivs.append(Interval(-iv.hi, -iv.lo))
+        else:
+            ivs.append(Interval(F(0), max(-iv.lo, iv.hi)))
+    return Interval(max(iv.lo for iv in ivs), max(iv.hi for iv in ivs))
+
+
+def test_house_equals_the_interval_abs_hull(table, ctx_q, ctx_sqrt2,
+                                            ctx_sqrt3, ctx_sqrt5):
+    # fresh contexts, so the first widths meet coarse roots and some
+    # enclosures hold zero; the reference reads the same root state
+    rng = random.Random(47)
+    seen = {"pairs": 0, "straddling": 0, "negative": 0}
+    for field in _some_fields(table, ctx_q, ctx_sqrt2, ctx_sqrt3, ctx_sqrt5):
+        ctx = load_field(field.record)
+        elements = [ctx.zero, ctx.gen] + [
+            ctx.element([rng.randint(-4, 4) for _ in range(ctx.degree)],
+                        rng.choice([1, 7, 64])) for _ in range(8)]
+        for width in (F(1, 2), F(1, 64), F(1, 10 ** 6)):
+            for a in elements:
+                ivs = a.embeddings(width)
+                assert a.house(width) == ref_house(a, width), (ctx, a)
+                seen["pairs"] += 1
+                seen["straddling"] += any(iv.lo < 0 < iv.hi for iv in ivs)
+                seen["negative"] += any(iv.hi < 0 for iv in ivs)
+    assert seen["pairs"] == 27 * 30 and min(seen.values()) > 0, seen
 
 
 def test_degree_one_field(ctx_q):
