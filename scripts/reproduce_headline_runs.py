@@ -23,8 +23,8 @@ from ternlat.enumeration import dominated_elements  # noqa: E402
 from ternlat.fieldscan import (exceptional_sets, ingest_fields,  # noqa: E402
                                load_field_file, scan_small_condition,
                                verify_identities)
-from ternlat.obstruction import (obstruction_search,  # noqa: E402
-                                 quartic_case_analysis)
+from ternlat.obstruction import (DEFAULT_POOL_SIZE,  # noqa: E402
+                                 obstruction_search, quartic_case_analysis)
 
 
 def main():
@@ -73,7 +73,7 @@ def main():
 
     print("== obstruction certificate over the class-number-two field")
     ctx = table.context("K51200")
-    cert = obstruction_search(ctx, 40)
+    cert = obstruction_search(ctx, DEFAULT_POOL_SIZE)
     if cert is None:
         print("  no certificate (unexpected)")
         return 1

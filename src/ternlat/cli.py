@@ -23,8 +23,9 @@ from .fieldscan import (exceptional_sets, ingest_fields, load_field_file,
                         scan_obstructions, scan_small_condition,
                         verify_identities, write_report)
 from .numberfield import Element, FieldContext
-from .obstruction import (dual_nonrepresentation, indecomposables_classify,
-                          obstruction_search, quartic_case_analysis)
+from .obstruction import (DEFAULT_POOL_SIZE, dual_nonrepresentation,
+                          indecomposables_classify, obstruction_search,
+                          quartic_case_analysis)
 from .polys import cos_minpoly
 from .quadlattice import free_overlattice_test, ternary_classification
 
@@ -336,7 +337,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstruct", help="search an obstruction certificate")
     common(p)
-    p.add_argument("--pool", type=int, default=40)
+    p.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
     p.set_defaults(fn=cmd_obstruct)
 
     p = sub.add_parser("scan", help="batch scan over a field table")
@@ -344,7 +345,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-disc", type=int, default=20000)
     p.add_argument("--command", choices=["small", "obstruct"],
                    default="small")
-    p.add_argument("--pool", type=int, default=40)
+    p.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
     p.add_argument("--no-unit-filter", action="store_true")
     common(p, field=False)
     p.set_defaults(fn=cmd_scan)

@@ -18,7 +18,10 @@ whose root state did not change (as the first rounds after
 `fixed_point_table`) reuses them, and every box at that root state
 certifies its inverse from the one `linalg.ApproximateInverse` the state
 keeps (`FieldContext.embedding_inverse`).  The box keeps the targets as
-integers; only `EnumerationBox.to_dict` makes `Fraction`s of them.
+integers; only `EnumerationBox.to_dict` makes `Fraction`s of them.  A
+query is a plain record, and `solution_box` is the one place it becomes
+a box; the box records the width bound of the root state it was
+certified at, so a fresh context refined to that width re-derives it.
 
 Each candidate x of the pruned box then takes one exact comparison against
 zero, of an integer residual from a quadratic map built once per query:
@@ -80,26 +83,12 @@ class QueryMode(Enum):
     INTERVAL = "interval"                   # 0 <= omega <= bound
 
 
-class _Query(NamedTuple):
+class DominanceQuery(NamedTuple):
+    """A dominated-element query, a plain record: `solution_box` checks the
+    bound and refines the roots."""
     field: FieldContext
     bound: Element
     mode: QueryMode = QueryMode.SQUARE_DOMINATED
-
-
-class DominanceQuery(_Query):
-    """A dominated-element query on a totally positive bound.  The field's
-    full fixed-point table is taken before the positivity check, so that
-    the box and its pruning read the roots at 2^-32 whatever the context
-    compared before (a lone comparison leaves them at 1/256)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        q = super().__new__(cls, *args, **kwargs)
-        q.field.fixed_point_table()
-        if not q.bound.is_totally_positive():
-            raise InvalidInput("enumeration bound must be totally positive")
-        return q
 
 
 class EnumerationBox(NamedTuple):
@@ -107,7 +96,7 @@ class EnumerationBox(NamedTuple):
 
     lows: Tuple[int, ...]
     highs: Tuple[int, ...]
-    root_width: Fraction            # root-interval width used for the certificate
+    root_width: Fraction            # width bound of the certifying root state
     targets: Numerators             # per-embedding region, as tuples over den
 
     @property
@@ -173,12 +162,12 @@ def _build_box(ctx: FieldContext, make_targets: Callable[[], Numerators],
     The targets depend only on the bound and the roots, so `make_targets`
     runs, and the box takes the `Numerators` it returns, again only in a
     round that finds a new root state: when `ctx.basis_embeddings()`
-    returns a new list."""
+    returns a new list.  The box records the width bound that
+    `refine_roots` returns for the root state it was certified at."""
     prev: Optional[tuple] = None
     made_for = targets = None
     for k in range(80):
-        width = Fraction(1, 64 * 4 ** k)
-        ctx.refine_roots(width)
+        width = ctx.refine_roots(Fraction(1, 64 * 4 ** k))
         emb = ctx.basis_embeddings()
         approx, det = ctx.embedding_inverse()
         inv = linalg.interval_inverse(approx)
@@ -471,15 +460,18 @@ def _targets(ctx: FieldContext, bound: Element, mode: QueryMode
     return tuple(-r for r in his) if square else (0,) * len(his), his, den
 
 
-def _query_box(query: DominanceQuery, ceiling: int) -> EnumerationBox:
-    ctx = query.field
-    return _build_box(ctx, lambda: _targets(ctx, query.bound, query.mode),
-                      ceiling)
-
-
 def solution_box(query: DominanceQuery,
                  ceiling: int = DEFAULT_CEILING) -> EnumerationBox:
-    return _query_box(query, ceiling)
+    """The certified box of a query, the one place a query becomes a box.
+    The field's full fixed-point table is taken before the positivity
+    check, so that the box and its pruning read the roots at 2^-32
+    whatever the context compared before (a lone comparison leaves them at
+    1/256), and the box records that width (`_build_box`)."""
+    ctx, bound, mode = query
+    ctx.fixed_point_table()
+    if not bound.is_totally_positive():
+        raise InvalidInput("enumeration bound must be totally positive")
+    return _build_box(ctx, lambda: _targets(ctx, bound, mode), ceiling)
 
 
 _ACCEPT = (Dominance.GT, Dominance.EQ, Dominance.GE_TIED)
@@ -488,10 +480,10 @@ _ACCEPT = (Dominance.GT, Dominance.EQ, Dominance.GE_TIED)
 Point = Tuple[int, ...]
 
 
-def _exact_check(query: DominanceQuery
-                 ) -> Callable[[Iterable[Point]], List[Point]]:
-    """The exact test of candidates x, as a filter of an iterable of them:
-    one `FieldContext.compare` per candidate, against zero, of the integer
+def _exact_check(query: DominanceQuery, points: Iterable[Point]
+                 ) -> List[Point]:
+    """The points x that pass the exact test, in their order: one
+    `FieldContext.compare` per candidate, against zero, of the integer
     coordinates v of den * (beta - x^2) or den * (beta x - x^2) (module
     docstring).
 
@@ -527,29 +519,26 @@ def _exact_check(query: DominanceQuery
     const_rows = [[columns[p][k] for p in pairs] for k in range(d)]
     lin_rows = [[col[k] for col in linear.values()] for k in range(d)]
 
-    def accepted(points: Iterable[Point]) -> List[Point]:
-        zero, compare, blank = ctx.zero, ctx.compare, Element.__new__
-        last_r, terms, out = None, (), []
-        for x in points:
-            r = x[1:]
-            if r != last_r:
-                y = (1, 0) + r
-                monomials = [y[a] * y[b] for a, b in pairs]
-                ys = [y[b] for b in linear]
-                last_r = r
-                terms = tuple(zip([sum(map(mul, monomials, row))
-                                   for row in const_rows],
-                                  [sum(map(mul, ys, row)) for row in lin_rows],
-                                  quad))
-            c = x[0]
-            v = blank(Element)
-            v.ctx, v.den = ctx, 1
-            v.coords = tuple([a + c * (b + c * q) for a, b, q in terms])
-            if compare(v, zero) in _ACCEPT:
-                out.append(x)
-        return out
-
-    return accepted
+    zero, compare, blank = ctx.zero, ctx.compare, Element.__new__
+    last_r, terms, out = None, (), []
+    for x in points:
+        r = x[1:]
+        if r != last_r:
+            y = (1, 0) + r
+            monomials = [y[a] * y[b] for a, b in pairs]
+            ys = [y[b] for b in linear]
+            last_r = r
+            terms = tuple(zip([sum(map(mul, monomials, row))
+                               for row in const_rows],
+                              [sum(map(mul, ys, row)) for row in lin_rows],
+                              quad))
+        c = x[0]
+        v = blank(Element)
+        v.ctx, v.den = ctx, 1
+        v.coords = tuple([a + c * (b + c * q) for a, b, q in terms])
+        if compare(v, zero) in _ACCEPT:
+            out.append(x)
+    return out
 
 
 def enumerate_dominated(query: DominanceQuery,
@@ -563,9 +552,9 @@ def enumerate_dominated(query: DominanceQuery,
     estimated or the visited number of candidates exceeds the ceiling.
     """
     ctx = query.field
-    box = _query_box(query, ceiling)
+    box = solution_box(query, ceiling)
     points = _iter_box(ctx.fixed_point_table(), box)
-    out = _exact_check(query)(islice(points, ceiling))
+    out = _exact_check(query, islice(points, ceiling))
     if next(points, None) is not None:
         raise BoxTooLarge(ceiling + 1, ceiling, "visited {} candidates")
     out.sort()
@@ -795,8 +784,10 @@ def sum_of_squares_test(gamma: Element, n: int,
 
     Solutions are normalized: each w_i is the lexicographically larger of
     +-w_i and the w_i appear in non-increasing coordinate order, which loses
-    no generality.
+    no generality.  A count n below 0 raises InvalidInput.
     """
+    if n < 0:
+        raise InvalidInput(f"square count must be at least 0, got {n}")
     ctx = gamma.ctx
     if not gamma.is_totally_nonnegative():
         return None

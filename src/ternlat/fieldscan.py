@@ -27,7 +27,7 @@ from .errors import (IdentityMismatch, InvalidInput, ParseError,
                      TernlatError, ValidationError)
 from .intervals import sqrt_lower, sqrt_upper
 from .numberfield import FieldContext, FieldRecord, load_field, sqrt2_context
-from .obstruction import obstruction_search
+from .obstruction import DEFAULT_POOL_SIZE, obstruction_search
 from .polys import MPoly
 
 
@@ -205,7 +205,8 @@ def exceptional_sets(report: dict) -> Dict[str, List[str]]:
     return out
 
 
-def scan_obstructions(table: FieldTable, disc_cap: int, pool_size: int = 40,
+def scan_obstructions(table: FieldTable, disc_cap: int,
+                      pool_size: int = DEFAULT_POOL_SIZE,
                       ceiling: int = DEFAULT_CEILING) -> dict:
     """Per quartic field: search an obstruction certificate.  The ingested
     class numbers are echoed as `h` and `h_plus`; no verdict reads them."""

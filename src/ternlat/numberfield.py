@@ -409,15 +409,17 @@ class FieldContext:
         return [Interval(Fraction(c.a, c.b), Fraction(c.e, c.b))
                 for c in self._state.cells]
 
-    def refine_roots(self, max_width: Rat) -> None:
+    def refine_roots(self, max_width: Rat) -> Fraction:
         """Narrow every root wider than max_width to at most max_width, each
         from its current cell, in a new `_RootState`; a request that narrows
         none keeps the state and all it made.  The request bounds the
-        state's widths, so one no narrower returns at once."""
+        state's widths, so one no narrower returns at once.  Returns the
+        state's width bound after the call: the request when it is
+        narrower, else the state's own."""
         max_width = Fraction(max_width)
         state = self._state
         if state.width is not None and max_width >= state.width:
-            return
+            return state.width
         wn, wd = max_width.numerator, max_width.denominator
         wide = [c.wider(wn, wd) for c in state.cells]
         if any(wide):
@@ -425,6 +427,7 @@ class FieldContext:
                 polys.refine_root(self.poly, c, max_width) if w else c
                 for c, w in zip(state.cells, wide)])
         state.width, state.fine = max_width, max_width <= self._FINE_WIDTH
+        return max_width
 
     def basis_embeddings(self) -> List[Numerators]:
         """Per root i, (lows, highs, den) with sigma_i(basis_j) in [lows[j],

@@ -174,11 +174,12 @@ def obstruction_certificate(ctx: FieldContext, triple: Sequence[Element],
                                   (*tuple(triple), gamma), orth, dual)
 
 
+DEFAULT_POOL_SIZE = 40     # candidates kept by `candidate_pool`
 _POOL_HOUSE_BOUND = 6      # house of the enumerated elements
 _POOL_NORM_BOUND = 64      # |norm| of the kept candidates
 
 
-def candidate_pool(ctx: FieldContext, pool_size: int = 40,
+def candidate_pool(ctx: FieldContext, pool_size: int = DEFAULT_POOL_SIZE,
                    ceiling: int = DEFAULT_CEILING) -> List[Element]:
     """Totally positive candidates of small norm, ordered by
     (norm, trace, coordinates).
@@ -209,7 +210,7 @@ def candidate_pool(ctx: FieldContext, pool_size: int = 40,
     return [w for _, w in ordered[:pool_size]]
 
 
-def obstruction_search(ctx: FieldContext, pool_size: int = 40,
+def obstruction_search(ctx: FieldContext, pool_size: int = DEFAULT_POOL_SIZE,
                        ceiling: int = DEFAULT_CEILING
                        ) -> Optional[ObstructionCertificate]:
     """First valid certificate over the candidate pool, in deterministic

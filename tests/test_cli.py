@@ -219,11 +219,12 @@ def test_bad_expression_is_item_error(capsys, fields_dir):
      "--max-disc", "60000", "--ceiling", "-3"],
     ["small-elements", "--field", "qsqrt2.json", "--bound", "\u00b2"],
     ["small-elements", "--field", "qsqrt2.json", "--bound", "1" * 5000],
+    ["sum-of-squares", "--field", "qsqrt2.json", "--gamma", "3", "--n", "-1"],
 ], ids=["bound-zero", "bound-negative", "diag-zero", "trace-bound-low",
         "classify-no-sqrt2", "overlattice-no-sqrt2", "unknown-label",
         "ceiling-zero", "obstruct-pool-negative", "obstruct-pool-zero",
         "scan-pool-negative", "scan-ceiling-zero", "scan-ceiling-negative",
-        "bound-superscript-two", "bound-5000-digits"])
+        "bound-superscript-two", "bound-5000-digits", "sos-n-negative"])
 def test_bad_input_is_an_error_line(capsys, fields_dir, argv):
     i = argv.index("--fields" if "--fields" in argv else "--field") + 1
     argv = argv[:i] + [str(fields_dir / argv[i])] + argv[i + 1:]
@@ -258,7 +259,9 @@ def _readme_invocations():
 # json.dumps(report, sort_keys=True) without the timing fields `seconds`
 # and `elapsed_seconds`; pinned before the handlers shared one `_emit`,
 # except the obstruct scan's (index 11), re-pinned when its 18 verdicts
-# that the class numbers decided became certificates
+# that the class numbers decided became certificates, and the small scan's
+# (index 10), re-pinned when its boxes reported the root width they were
+# certified at
 GOLDEN_README_REPORTS = [
     "24976165b20989b6981c43ddcf7b8230aa97307d6b9507655d856bf928d65620",
     "3a4eeda42dae97d78f2f8d571ae649fdd487791d50c70a1d1853e227110e0e2e",
@@ -270,7 +273,7 @@ GOLDEN_README_REPORTS = [
     "c20e2639934e242efc06b44112a0dcc422048a1b32712f697d558ab2a199e2e8",
     "0d4614953ed8a32a2ec692fab4d3e6048c4183e4f95df3bfab35366a51b4f15f",
     "aa8e94dd5aa9ede953bb89be1a0216f2542f68d7102deb4a2d2fa867b1ccbf40",
-    "048001349f991d50161d47b4cd18b55477d7d2189b462cdfca809dbd8e5d36a1",
+    "8753632ac527e58730a19cb6c2e3747b78a12d9ce18273e7ccac02ffeb6811c2",
     "9718584d2108783583dac45027edfe77091de2e86d33df202cd58b723889d870",
     "0f77b925c4bc2baadbde0a6e9972d1c77b321f4a492d98915bade3036fef071e",
     "f5e2c5a9b9bf5141fc331a079cbd5ace1856fa99c8ee22e9e096a981a6f0a1be",

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from ternlat import enumeration, linalg
-from ternlat.errors import BoxTooLarge, PrecisionExhausted
+from ternlat.errors import BoxTooLarge, InvalidInput, PrecisionExhausted
 from ternlat.enumeration import (DominanceQuery, QueryMode,
                                  dominated_elements, elements_of_norm,
                                  enumerate_representations,
@@ -45,9 +45,20 @@ def test_interval_mode(ctx_sqrt2):
     assert (2, -1) in {e.coords for e in got4}
 
 
-def test_bound_must_be_positive(ctx_sqrt2):
-    with pytest.raises(ValueError):
-        DominanceQuery(ctx_sqrt2, ctx_sqrt2.sqrt2)
+def test_bound_must_be_positive():
+    # a query is a plain record: making one refines no root, and the box
+    # and the enumeration reject the bound
+    for mode in QueryMode:
+        ctx = sqrt2_context()
+        state = ctx._state
+        query = DominanceQuery(ctx, ctx.sqrt2, mode)
+        assert ctx._state is state
+        with pytest.raises(InvalidInput,
+                           match="enumeration bound must be totally positive"):
+            solution_box(query)
+        with pytest.raises(InvalidInput,
+                           match="enumeration bound must be totally positive"):
+            dominated_elements(ctx, ctx.sqrt2, mode)
 
 
 def test_box_is_frozen(ctx_sqrt2):
@@ -75,7 +86,7 @@ def test_ceiling_caps_visited_candidates(table, monkeypatch):
     # can stop the enumeration
     ctx = table.context("K51200")
     bound = ctx.from_rational(60)
-    box = enumeration._query_box(DominanceQuery(ctx, bound), 10 ** 8)
+    box = solution_box(DominanceQuery(ctx, bound), 10 ** 8)
     visited = sum(1 for _ in enumeration._iter_box(ctx.fixed_point_table(),
                                                    box))
     solutions = dominated_elements(ctx, bound)
@@ -122,9 +133,10 @@ def test_box_too_large_names_its_quantity(table, monkeypatch):
 
 
 def test_box_makes_its_targets_once_per_root_state(table):
-    # the query builds the fixed-point table, whose roots are narrower
-    # than rounds 0 and 1 ask for: both read one list of embeddings, so
-    # one set of targets serves both
+    # as in `solution_box`, the fixed-point table comes first; its roots
+    # are narrower than rounds 0 and 1 ask for: both read one list of
+    # embeddings, so one set of targets serves both, and the box reports
+    # the table's root width
     ctx = load_field(table.by_label("K51200"))
     bound = ctx.from_rational(60)
     ctx.fixed_point_table()
@@ -137,13 +149,13 @@ def test_box_makes_its_targets_once_per_root_state(table):
 
     box = enumeration._build_box(ctx, targets, 10 ** 8)
     assert len(calls) == 1 and calls[0] is ctx.basis_embeddings()
-    assert box.root_width == F(1, 256)
+    assert box.root_width == F(1, 2 ** 32)
 
 
 def test_boxes_do_not_depend_on_a_lone_comparison_first(table):
-    # a lone comparison leaves the roots at width 1/256; a query takes the
-    # full fixed-point table before its positivity check, so the scan's
-    # 3 lambda and 6 boxes come from the roots at 2^-32 on a fresh
+    # a lone comparison leaves the roots at width 1/256; `solution_box`
+    # takes the full fixed-point table before its positivity check, so the
+    # scan's 3 lambda and 6 boxes come from the roots at 2^-32 on a fresh
     # context, on one that compared first and on one that built the table
     for rec in table.records:
         boxes = []
@@ -260,6 +272,11 @@ def test_sum_of_squares(ctx_sqrt2, ctx_q):
     assert sum((w * w for w in dec2), ctx.zero) == 2 * (2 + ctx.sqrt2)
     assert sum_of_squares_test(ctx_q.from_rational(7), 3) is None
     assert sum_of_squares_test(ctx_q.from_rational(7), 4) is not None
+    # a negative count is rejected before any search; 0 squares sum to 0
+    with pytest.raises(InvalidInput, match="square count must be at least 0"):
+        sum_of_squares_test(ctx.from_rational(3), -1)
+    assert sum_of_squares_test(ctx.zero, 0) == ()
+    assert sum_of_squares_test(ctx.from_rational(3), 0) is None
 
 
 def test_representations(ctx_q):

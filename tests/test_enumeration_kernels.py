@@ -58,8 +58,9 @@ from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
                                  _box_bounds, _build_box, _candidate_estimate,
                                  _exact_check, _halves,
-                                 _iter_box, _project, _query_box, _targets,
-                                 dominated_elements, sqrt2_span_witnesses)
+                                 _iter_box, _project, _targets,
+                                 dominated_elements, solution_box,
+                                 sqrt2_span_witnesses)
 from ternlat.intervals import Interval
 from ternlat.numberfield import (Dominance, FieldContext, FieldRecord,
                                  fixed_point_table, load_field, sqrt2_context)
@@ -299,8 +300,8 @@ def test_iter_box_on_the_context_table_keeps_a_subsequence(table, label,
     wide = list(ref_iter_box(emb, box))
     rest = iter(wide)
     assert all(x in rest for x in got)
-    sols = _exact_check(DominanceQuery(ctx, ctx.from_rational(bound), mode))(
-        wide)
+    sols = _exact_check(DominanceQuery(ctx, ctx.from_rational(bound), mode),
+                        wide)
     assert sols and set(sols) <= set(got)
 
 
@@ -842,7 +843,7 @@ def _candidates(query, rng):
     negatives."""
     ctx, bound = query.field, query.bound
     d = ctx.degree
-    box = _query_box(query, 10 ** 6)
+    box = solution_box(query, 10 ** 6)
     points = list(_iter_box(ctx.fixed_point_table(), box))
     xs = rng.sample(points, min(len(points), 40))
     xs += [tuple(c + (k == j) * step for k, c in enumerate(x))
@@ -872,7 +873,7 @@ def test_exact_check_equals_the_element_path(table, mode):
             xs = _candidates(query, rng)
             # the filter keeps the accepted candidates in their order, and
             # equal candidates take equal verdicts
-            kept = iter(_exact_check(query)(xs))
+            kept = iter(_exact_check(query, xs))
             head, prev = next(kept, None), None
             for x in xs:
                 verdict = x == head
@@ -912,7 +913,7 @@ def test_one_exact_check_per_candidate(table, monkeypatch, label, mode,
     monkeypatch.setattr(FieldContext, "compare", counted_compare)
     ctx = table.context(label)
     sols = dominated_elements(ctx, ctx.from_rational(bound), mode)
-    # one more call: the query checks that its bound is totally positive
+    # one more call: `solution_box` checks that the bound is totally positive
     assert counts["compare"] == counts["points"] + 1
     assert 0 < len(sols) <= counts["points"]
     if points is not None:
@@ -977,7 +978,7 @@ def test_box_kernels_equal_the_fraction_loops(table, monkeypatch, mode):
             bounds.append(3 * (2 + ctx.sqrt2))
         for bound in bounds:
             seen["fraction bounds"] += bound.den > 1
-            _query_box(DominanceQuery(ctx, bound, mode), 10 ** 8)
+            solution_box(DominanceQuery(ctx, bound, mode), 10 ** 8)
     assert seen["bounds"] >= 2 * 21 * 4 and seen["estimates"] >= 21 * 4, seen
     assert seen["fraction bounds"] >= 40, seen
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import gcd_poly
-from ternlat import linalg
+from ternlat import enumeration, linalg
+from ternlat.enumeration import QueryMode, _targets
 from ternlat.errors import ParseError, ValidationError
 from ternlat.fieldscan import (GAP_SQUARE_MAX, FieldTable,
                                discriminant_bound_value,
@@ -16,7 +17,7 @@ from ternlat.fieldscan import (GAP_SQUARE_MAX, FieldTable,
                                scan_small_condition, sum_of_squares_identities,
                                verify_identities, write_report)
 from ternlat.intervals import sqrt_lower, sqrt_upper
-from ternlat.numberfield import sqrt2_context
+from ternlat.numberfield import load_field, sqrt2_context
 
 
 def test_ingest_table(table):
@@ -87,9 +88,10 @@ def test_scan_small_condition_sets(table):
 
 # sha256 of json.dumps([[label, box_3lambda, box_6], ...], sort_keys=True)
 # over the verdicts of a fresh table, pinned before the boxes took their
-# targets once per root state
+# targets once per root state, and re-pinned when every box's root_width
+# became that of the root state it was certified at (2^-32, not 1/256)
 GOLDEN_SCAN_BOXES = \
-    "7b785b1e02aed9f6bee771b0a641c24a474eff143036d269938b1b6d7d965c3e"
+    "8c94ff3a792980447ce8d1d81558bd4cd5b238fc6d493dc915347fc59803a323"
 
 
 def test_scan_boxes_are_unchanged(fields_dir):
@@ -100,6 +102,29 @@ def test_scan_boxes_are_unchanged(fields_dir):
     assert len(boxes) == 18
     digest = hashlib.sha256(json.dumps(boxes, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN_SCAN_BOXES
+
+
+def test_scan_boxes_rederive_at_their_root_width(table):
+    # a stored box is re-derived on a fresh context refined to the width
+    # it reports, byte for byte: the width is that of the root state the
+    # box was certified at
+    rep = scan_small_condition(table, 20000, unit_filter=False)
+    checked = 0
+    for v in rep["verdicts"]:
+        if v["status"] != "ok":
+            continue
+        for key, bound in (("box_3lambda", lambda c: 3 * (2 + c.sqrt2)),
+                           ("box_6", lambda c: c.from_rational(6))):
+            box = v[key]
+            ctx = load_field(table.by_label(v["label"]))
+            ctx.refine_roots(Fraction(box["root_width"]))
+            b = bound(ctx)
+            again = enumeration._build_box(
+                ctx, lambda: _targets(ctx, b, QueryMode.SQUARE_DOMINATED),
+                10 ** 8)
+            assert again.to_dict() == box, (v["label"], key)
+            checked += 1
+    assert checked == 36
 
 
 def test_scan_inverts_each_root_state_once(fields_dir, monkeypatch):
