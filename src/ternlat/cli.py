@@ -268,7 +268,7 @@ def cmd_sum_of_squares(args) -> int:
         print(f"{args.gamma} is NOT a sum of {args.n} squares "
               f"over {ctx.record.label} (complete search)")
     else:
-        parts = " + ".join(f"({ctx.format_element(w)})^2" for w in dec)
+        parts = " + ".join(f"({ctx.format_element(w)})^2" for w in dec) or "0"
         print(f"{args.gamma} = {parts}")
     _emit(args, [{"decomposition": None if dec is None else
                   [list(w.coords) for w in dec]}],

@@ -715,12 +715,14 @@ def squarefree_witness(alpha: Element, ceiling: int = DEFAULT_CEILING
                        ) -> Optional[Tuple[Element, Element]]:
     """A non-unit t with t^2 | alpha, together with gamma = alpha / t^2.
 
-    Candidates s are restricted by norm(s)^2 | norm(alpha) and searched
-    inside house(s) <= _SQUAREFREE_PAD * sqrt(house(r)), r = alpha * eta^2
-    the representative modulo unit squares (`unit_square_reduce`); the pad
-    absorbs unit drift between s and its smallest associate, and s^2 | r
-    gives t = s / eta with the same quotient.  Returns None when alpha is
-    squarefree in the element-divisor sense.
+    Candidates s with norm(s)^2 | norm(alpha), by (|norm|, sum of |coords|,
+    key), come from one enumeration of house(s) <= _SQUAREFREE_PAD *
+    sqrt(house(r)), r = alpha * eta^2 reduced modulo unit squares
+    (`unit_square_reduce`); s^2 | r gives t = s / eta.  With B the product
+    over the unit generators u of sqrt(max(house u, house 1/u)), rounding
+    log|sigma(s)| in the basis of the log|sigma(u)| gives an associate with
+    house <= B * |N(s)|^(1/d) <= B * sqrt(house(r)), so None means
+    squarefree when B <= _SQUAREFREE_PAD, as over Q(sqrt2) (B = 1.554).
     """
     ctx = alpha.ctx
     if not alpha.is_integral or alpha.is_zero:
@@ -734,14 +736,13 @@ def squarefree_witness(alpha: Element, ceiling: int = DEFAULT_CEILING
         return None
     r, eta = unit_square_reduce(alpha)
     hb = sqrt_upper(r.house(Fraction(1, 256)).hi) * _SQUAREFREE_PAD
-    for m in norms:
-        cands = {canonical_sign(s) for s in elements_of_norm(ctx, m, hb,
-                                                             ceiling=ceiling)}
-        for s in sorted(cands, key=lambda e: (sum(abs(c) for c in e.coords),
-                                              e.key())):
-            gamma = r / (s * s)
-            if gamma.is_integral:
-                return s / eta, gamma
+    found = {canonical_sign(s): m for s, m in
+             small_norm_elements(ctx, hb, norms[-1], ceiling) if m in norms}
+    for s in sorted(found, key=lambda e: (found[e], sum(map(abs, e.coords)),
+                                          e.key())):
+        gamma = r / (s * s)
+        if gamma.is_integral:
+            return s / eta, gamma
     return None
 
 

@@ -18,6 +18,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from operator import index
 from typing import Dict, List, Tuple
 
 from . import __version__
@@ -35,22 +36,24 @@ from .polys import MPoly
 # ingestion
 
 def parse_record(obj: dict) -> FieldRecord:
+    """The record of one table object; integer fields must be JSON integers
+    (`operator.index` refuses floats and strings), else `ValidationError`."""
     try:
         label = str(obj["label"])
-        degree = int(obj["degree"])
-        poly = tuple(int(c) for c in obj["poly"])
+        degree = index(obj["degree"])
+        poly = tuple(index(c) for c in obj["poly"])
         basis = tuple(tuple(Fraction(x) for x in row) for row in obj["basis"])
-        disc = int(obj["disc"])
-        h = int(obj.get("h", 1))
-        h_plus = int(obj.get("h_plus", h))
+        disc = index(obj["disc"])
+        h = index(obj.get("h", 1))
+        h_plus = index(obj.get("h_plus", h))
         units = None
         if obj.get("units") is not None:
-            units = tuple((tuple(int(c) for c in coords), int(den))
+            units = tuple((tuple(index(c) for c in coords), index(den))
                           for coords, den in obj["units"])
         sqrt2 = None
         if obj.get("sqrt2") is not None:
-            sqrt2 = tuple(int(c) for c in obj["sqrt2"])
-    except (KeyError, TypeError, ValueError) as exc:
+            sqrt2 = tuple(index(c) for c in obj["sqrt2"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(str(obj.get("label", "?")),
                               f"malformed record: {exc}")
     if len(poly) != degree + 1 or poly[-1] != 1:

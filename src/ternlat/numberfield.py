@@ -37,8 +37,8 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg, polys
-from .errors import (BadBasis, DivisionByZero, FieldDataError, NoSuchUnit,
-                     NotARing, NotTotallyReal)
+from .errors import (BadBasis, DivisionByZero, FieldDataError, InvalidInput,
+                     NoSuchUnit, NotARing, NotTotallyReal)
 from .intervals import Interval, Numerators, fixed_point_ends
 
 Rat = Union[int, Fraction]
@@ -79,7 +79,7 @@ class Element:
             raise DivisionByZero("zero denominator")
         coords = [int(c) for c in coords]
         if len(coords) != ctx.degree:
-            raise ValueError("coordinate length does not match field degree")
+            raise InvalidInput("coordinate length does not match field degree")
         if den < 0:
             den = -den
             coords = [-c for c in coords]

@@ -4,9 +4,9 @@ Two machine-checkable obstruction ingredients are produced here: forced
 orthogonality (all admissible Gram off-diagonals between prescribed values
 are zero) and non-representation of a target by the dual of a diagonal
 lattice.  Together they show that no ternary classical lattice represents
-all four chosen elements.  The module also carries the two 4x4 determinant
-case analyses over the sqrt2 field and their symbolic analogue over the
-relation ring gamma * t^2 = 2.
+all four chosen elements.  The module also carries square classes, the
+two 4x4 determinant case analyses over the sqrt2 field and their symbolic
+analogue over the relation ring gamma * t^2 = 2.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from itertools import combinations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
-                          enumerate_representations, is_indecomposable,
-                          require_count, small_norm_elements, sqrt_element)
+from .enumeration import (DEFAULT_CEILING, QueryMode, canonical_sign,
+                          dominated_elements, enumerate_representations,
+                          is_indecomposable, require_count, sqrt_element,
+                          small_norm_elements, squarefree_witness)
 from .errors import InvalidInput, NoSuchUnit, UnclassifiedCase
 from .numberfield import (Element, FieldContext, sqrt2_context,
                           unit_square_canonical, unit_square_reduce)
@@ -261,33 +262,25 @@ def obstruction_search(ctx: FieldContext, pool_size: int = DEFAULT_POOL_SIZE,
 
 
 # ---------------------------------------------------------------------------
-# square-class reduction over Z[sqrt2]
+# square-class reduction
 
-def square_class_reduce(x: Element) -> Tuple[Element, Element]:
-    """Write x = r * s^2 with r a canonical square-class representative.
-
-    Divides out squares of sqrt2 and of small rational primes in one pass,
-    then takes the representative of x modulo unit squares
-    (`unit_square_reduce`: minimal trace, the lexicographically larger
-    coordinates on ties).  One pass suffices: whether an element lies in
-    d^2 * O is unchanged by a unit factor or by dividing out other squares.
-    """
-    ctx = x.ctx
-    if ctx.sqrt2 is None or ctx.degree != 2:
-        raise ValueError("square-class reduction lives in the sqrt2 field")
+def square_class_reduce(x: Element, ceiling: int = DEFAULT_CEILING
+                        ) -> Tuple[Element, Element]:
+    """Integral x = r * scale^2: divides out the square factors that
+    `squarefree_witness` finds until it finds none, then reduces modulo unit
+    squares (`unit_square_reduce`).  Over Q(sqrt2) r is canonical, and 1
+    exactly for squares: the witness search is complete there (B = 1.554),
+    Z[sqrt2] is a PID, so the squarefree part is unique modulo unit squares,
+    and the walk over the one generator reaches the least trace.  Elsewhere
+    r has no non-unit square factor within that search."""
     if not x.is_totally_positive():
         raise ValueError("reduction expects a totally positive element")
-    ctx.require_units()
-    s = ctx.one
-    for dvs in (ctx.sqrt2, ctx.from_rational(3), ctx.from_rational(5),
-                ctx.from_rational(7)):
-        while True:
-            cand = x / (dvs * dvs)
-            if not cand.is_integral:
-                break
-            x, s = cand, s * dvs
+    x.ctx.require_units()
+    scale = x.ctx.one
+    while (witness := squarefree_witness(x, ceiling)) is not None:
+        scale, x = scale * witness[0], witness[1]
     r, eta = unit_square_reduce(x)
-    return r, s / eta
+    return r, scale / eta
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +366,9 @@ def quartic_case_analysis(mode: str,
 
     Modes: 'L1_extension' (diagonal 1, lam, 2 against 3(2-sqrt2)),
     'L3_extension' (diagonal 1, lam, 3, with the integrality filter), and
-    'nonsquarefree_two' (symbolic, over the relation gamma t^2 = 2).
+    'nonsquarefree_two' (symbolic, over the relation gamma t^2 = 2).  A case
+    past the filters takes one psd check and one `square_class_reduce` of
+    x^2; r = 1 reconstructs the base lattice with x = canonical_sign(scale).
     """
     if mode == "nonsquarefree_two":
         return _symbolic_two_analysis()
@@ -406,22 +401,18 @@ def quartic_case_analysis(mode: str,
             if mode == "L3_extension" and not x2.is_integral:
                 cases.append(ExtensionCase(a, b, "not-integral", x2))
                 continue
-            root = sqrt_element(x2, ceiling)
-            if root is not None:
-                if not _psd_rank3_check(ctx, a, b, third, corner, x2):
-                    raise UnclassifiedCase(
-                        f"degenerate reconstruction case a={a}, b={b}")
-                cls = _reconstruction_class(ctx, a, b, third, corner, root,
-                                            ceiling)
-                cases.append(ExtensionCase(a, b, "reconstructs-base-lattice",
-                                           x2, root,
-                                           reconstruction_class=cls))
-                continue
             if not _psd_rank3_check(ctx, a, b, third, corner, x2):
                 raise UnclassifiedCase(f"case a={a}, b={b} is not psd rank 3")
-            residual, scale = square_class_reduce(x2)
+            residual, scale = square_class_reduce(x2, ceiling)
             if residual * scale * scale != x2:
                 raise UnclassifiedCase("square-class reduction is inconsistent")
+            if residual == one:
+                x = canonical_sign(scale)
+                cases.append(ExtensionCase(
+                    a, b, "reconstructs-base-lattice", x2, x,
+                    reconstruction_class=_reconstruction_class(
+                        ctx, a, b, third, corner, x, ceiling)))
+                continue
             cases.append(ExtensionCase(a, b, "admissible", x2,
                                        residual=residual, scale=scale))
             x2_values.append(x2)

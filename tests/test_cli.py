@@ -166,6 +166,12 @@ def test_sum_of_squares_cli(capsys, fields_dir):
                     "--gamma", "7", "--n", "3")
     assert code == 0
     assert "NOT a sum of 3 squares" in out
+    # the empty sum is printed as 0
+    code, out = run(capsys, "sum-of-squares",
+                    "--field", str(fields_dir / "qsqrt2.json"),
+                    "--gamma", "0", "--n", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "0 = 0"
 
 
 def test_indecomposables_cli(capsys, fields_dir):
@@ -234,6 +240,20 @@ def test_bad_input_is_an_error_line(capsys, fields_dir, argv):
     assert err.startswith("error: ") and "Traceback" not in err
     # a rejected input prints no verdict
     assert "certificate" not in captured.out
+
+
+@pytest.mark.parametrize("change", [
+    {"sqrt2": [0, 1, 0]},
+    {"basis": [["1", "0"], ["0", "1/0"]]},
+], ids=["tag-length", "zero-denominator"])
+def test_malformed_field_file_is_an_error_line(capsys, fields_dir, tmp_path,
+                                               change):
+    obj = json.loads((fields_dir / "qsqrt2.json").read_text())
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({**obj, **change}))
+    assert main(["small-elements", "--field", str(path), "--bound", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_scan_error_verdicts_exit_1(capsys, fields_dir):

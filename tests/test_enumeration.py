@@ -249,6 +249,34 @@ def test_squarefree_witness_quartic(table):
     assert squarefree_witness(5 + 3 * ctx.sqrt2) is None
 
 
+def test_squarefree_witness_enumerates_once(ctx_sqrt2, monkeypatch):
+    # |N(18 + 9*sqrt2)| = 2 * 3^4: norm 3 has no element and norm 9 gives
+    # 3; one box serves both norms
+    s = ctx_sqrt2.sqrt2
+    calls = []
+    dominated = enumeration.dominated_elements
+
+    def counted(*args):
+        calls.append(args)
+        return dominated(*args)
+
+    monkeypatch.setattr(enumeration, "dominated_elements", counted)
+    assert squarefree_witness(18 + 9 * s) == (ctx_sqrt2.from_rational(3),
+                                              2 + s)
+    assert len(calls) == 1
+
+
+def test_squarefree_pad_covers_the_sqrt2_units(ctx_sqrt2):
+    # the search box holds an associate of every square divisor when the
+    # product over the unit generators u of max(house u, house 1/u) is at
+    # most _SQUAREFREE_PAD^2 (2.414 <= 16 over Q(sqrt2))
+    width = F(1, 2 ** 20)
+    bound = 1
+    for u in ctx_sqrt2.units:
+        bound *= max(u.house(width).hi, (ctx_sqrt2.one / u).house(width).hi)
+    assert bound <= enumeration._SQUAREFREE_PAD ** 2
+
+
 def test_unsquare(ctx_sqrt2):
     ctx = ctx_sqrt2
     s = ctx.sqrt2

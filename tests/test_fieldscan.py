@@ -48,9 +48,14 @@ def test_every_record_validates(table, fields_dir):
 
 
 def test_parse_rejects_nonmonic():
-    with pytest.raises(ValidationError):
-        parse_record({"label": "x", "degree": 2, "poly": [1, 0, 2],
-                      "basis": [["1", "0"], ["0", "1"]], "disc": 8})
+    obj = {"label": "x", "degree": 2, "poly": [-2, 0, 1],
+           "basis": [["1", "0"], ["0", "1"]], "disc": 8}
+    parse_record(obj)
+    # integer fields must be JSON integers, not floats truncated by int()
+    for change in ({"poly": [1, 0, 2]}, {"poly": [-2.9, 0, 1]},
+                   {"degree": 2.5}, {"basis": [["1", "0"], ["0", "1/0"]]}):
+        with pytest.raises(ValidationError):
+            parse_record({**obj, **change})
 
 
 def test_table_rejects_a_repeated_label(table):

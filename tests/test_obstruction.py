@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from ternlat.enumeration import elements_of_norm, squarefree_witness
-from ternlat import enumeration, numberfield
+from ternlat import enumeration, numberfield, obstruction
 from ternlat.cli import main
 from ternlat.errors import BoxTooLarge, InvalidInput, NoSuchUnit
 from ternlat.numberfield import load_field, unit_square_canonical
@@ -59,6 +59,10 @@ def test_square_class_reduce(ctx_sqrt2):
         (18, -9): 2 + s,
         (9, -6): ctx.from_rational(3),
         (15, -9): 9 + 3 * s,
+        # the squares of 11, 3 + sqrt2 and 5 + sqrt2
+        (121, 0): ctx.one,
+        (11, 6): ctx.one,
+        (27, 10): ctx.one,
     }
     for coords, expected in cases.items():
         x = ctx.element(coords)
@@ -72,6 +76,20 @@ def test_square_class_reduce_needs_units(ctx_sqrt2):
     ctx = load_field(ctx_sqrt2.record._replace(units=None))
     with pytest.raises(NoSuchUnit):
         square_class_reduce(ctx.element((10, -7)))
+
+
+def test_square_class_reduce_in_quartic_fields(table):
+    # criterion 7's t^2 = 5 + 3*sqrt2 is a square in K7168; elsewhere only
+    # x = r * scale^2 and r's lack of a square factor in the search hold
+    ctx = table.context("K7168")
+    assert square_class_reduce(5 + 3 * ctx.sqrt2)[0] == ctx.one
+    for label in ("K7168", "K2048", "K51200"):
+        ctx = table.context(label)
+        s = ctx.sqrt2
+        for x in (5 + 3 * s, ctx.from_rational(121), 7 * (3 + s) ** 2):
+            r, scale = square_class_reduce(x)
+            assert r * scale * scale == x, (label, x)
+            assert squarefree_witness(r) is None, (label, x)
 
 
 def test_case_analysis_l1():
@@ -105,6 +123,29 @@ def test_case_analysis_l3():
     assert not [c for c in rep.cases if c.status == "reconstructs-base-lattice"]
     dropped = [c for c in rep.cases if c.status == "not-integral"]
     assert {c.beta.coords for c in dropped} <= {(1, 0), (1, 1), (1, -1)}
+
+
+@pytest.mark.parametrize("mode", ["L1_extension", "L3_extension"])
+def test_case_analysis_reduces_each_case_once(mode, monkeypatch):
+    # each case past the positivity and integrality filters takes one
+    # square-class reduction and one psd check, and no separate square root
+    calls = {"reduce": 0, "psd": 0, "sqrt": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, attr in (("reduce", "square_class_reduce"),
+                       ("psd", "_psd_rank3_check"), ("sqrt", "sqrt_element")):
+        monkeypatch.setattr(obstruction, attr,
+                            counted(name, getattr(obstruction, attr)))
+    rep = quartic_case_analysis(mode)
+    passed = [c for c in rep.cases
+              if c.status in ("admissible", "reconstructs-base-lattice")]
+    assert passed
+    assert calls == {"reduce": len(passed), "psd": len(passed), "sqrt": 0}
 
 
 def test_case_analysis_symbolic():
