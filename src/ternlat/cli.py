@@ -283,12 +283,13 @@ def make_parser() -> argparse.ArgumentParser:
                     "ternary classical lattices over totally real fields.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, field=True):
+    def common(p, field=True, ceiling=True):
         if field:
             p.add_argument("--field", required=True,
                            help="single-field JSON file")
-        p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
-                       help="enumeration candidate cap")
+        if ceiling:
+            p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
+                           help="enumeration candidate cap")
         p.add_argument("--out", help="write a JSON report here")
 
     p = sub.add_parser("small-elements", help="enumerate dominated elements")
@@ -326,7 +327,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_overlattice_test)
 
     p = sub.add_parser("cyclotomic", help="real cyclotomic subfield data")
-    common(p, field=False)
+    common(p, field=False, ceiling=False)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(fn=cmd_cyclotomic)
 
@@ -351,7 +352,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("verify-identities", help="closed-form checks")
-    common(p, field=False)
+    common(p, field=False, ceiling=False)
     p.set_defaults(fn=cmd_verify_identities)
 
     p = sub.add_parser("sum-of-squares",
@@ -368,9 +369,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         # counts are checked once, before any field is loaded
-        require_count("--ceiling", args.ceiling)
-        if hasattr(args, "pool"):
-            require_count("--pool", args.pool)
+        for flag in ("ceiling", "pool"):
+            if hasattr(args, flag):
+                require_count(f"--{flag}", getattr(args, flag))
         return args.fn(args)
     except (TernlatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

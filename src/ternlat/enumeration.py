@@ -66,8 +66,8 @@ from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
 from . import linalg, polys
 from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
                      PrecisionExhausted)
-from .intervals import Numerators, fixed_point_ends, sqrt_numerator, sqrt_upper
-from .numberfield import Dominance, Element, FieldContext, unit_square_reduce
+from .intervals import Numerators, fixed_point_ends, sqrt_numerator
+from .numberfield import Dominance, Element, FieldContext
 
 DEFAULT_CEILING = 10 ** 8
 
@@ -713,16 +713,16 @@ _SQUAREFREE_PAD = 4
 
 def squarefree_witness(alpha: Element, ceiling: int = DEFAULT_CEILING
                        ) -> Optional[Tuple[Element, Element]]:
-    """A non-unit t with t^2 | alpha, together with gamma = alpha / t^2.
+    """A non-unit s with s^2 | alpha, together with gamma = alpha / s^2.
 
     Candidates s with norm(s)^2 | norm(alpha), by (|norm|, sum of |coords|,
     key), come from one enumeration of house(s) <= _SQUAREFREE_PAD *
-    sqrt(house(r)), r = alpha * eta^2 reduced modulo unit squares
-    (`unit_square_reduce`); s^2 | r gives t = s / eta.  With B the product
+    ceil(top^(1/d)), top the largest such |norm(s)|.  With B the product
     over the unit generators u of sqrt(max(house u, house 1/u)), rounding
     log|sigma(s)| in the basis of the log|sigma(u)| gives an associate with
-    house <= B * |N(s)|^(1/d) <= B * sqrt(house(r)), so None means
-    squarefree when B <= _SQUAREFREE_PAD, as over Q(sqrt2) (B = 1.554).
+    house <= B * |N(s)|^(1/d) <= B * top^(1/d): the radius depends on the
+    norm alone, so it is the same for every associate of alpha, and None
+    means squarefree when B <= _SQUAREFREE_PAD, as over Q(sqrt2) (B = 1.554).
     """
     ctx = alpha.ctx
     if not alpha.is_integral or alpha.is_zero:
@@ -734,15 +734,17 @@ def squarefree_witness(alpha: Element, ceiling: int = DEFAULT_CEILING
     norms = [m for m in polys.mobius(n) if m > 1 and n % (m * m) == 0]
     if not norms:
         return None
-    r, eta = unit_square_reduce(alpha)
-    hb = sqrt_upper(r.house(Fraction(1, 256)).hi) * _SQUAREFREE_PAD
-    found = {canonical_sign(s): m for s, m in
-             small_norm_elements(ctx, hb, norms[-1], ceiling) if m in norms}
+    top, lo, root = norms[-1], 1, norms[-1]
+    while lo < root:                # least root with root^d >= top
+        mid = (lo + root) // 2
+        lo, root = (lo, mid) if mid ** ctx.degree >= top else (mid + 1, root)
+    found = {canonical_sign(s): m for s, m in small_norm_elements(
+        ctx, _SQUAREFREE_PAD * root, top, ceiling) if m in norms}
     for s in sorted(found, key=lambda e: (found[e], sum(map(abs, e.coords)),
                                           e.key())):
-        gamma = r / (s * s)
+        gamma = alpha / (s * s)
         if gamma.is_integral:
-            return s / eta, gamma
+            return s, gamma
     return None
 
 

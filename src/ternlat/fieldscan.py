@@ -29,7 +29,7 @@ from .errors import (IdentityMismatch, InvalidInput, ParseError,
 from .intervals import sqrt_lower, sqrt_upper
 from .numberfield import FieldContext, FieldRecord, load_field, sqrt2_context
 from .obstruction import DEFAULT_POOL_SIZE, obstruction_search
-from .polys import MPoly
+from .polys import MPoly, clear_denominators
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,8 @@ from .polys import MPoly
 
 def parse_record(obj: dict) -> FieldRecord:
     """The record of one table object; integer fields must be JSON integers
-    (`operator.index` refuses floats and strings), else `ValidationError`."""
+    (`operator.index` refuses floats and strings) and `disc` the trace-form
+    determinant of the basis (`orders.Order`), else `ValidationError`."""
     try:
         label = str(obj["label"])
         degree = index(obj["degree"])
@@ -56,11 +57,24 @@ def parse_record(obj: dict) -> FieldRecord:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(str(obj.get("label", "?")),
                               f"malformed record: {exc}")
-    if len(poly) != degree + 1 or poly[-1] != 1:
+    if degree < 1 or len(poly) != degree + 1 or poly[-1] != 1:
         raise ValidationError(label, "polynomial must be monic of the "
                                      "declared degree")
     if disc <= 0:
         raise ValidationError(label, "discriminant must be positive")
+    if len(basis) != degree or any(len(row) != degree for row in basis):
+        raise ValidationError(label, f"basis is not a {degree}x{degree} "
+                                     f"matrix")
+    from .orders import Order       # importing fieldscan loads no orders
+    nums, den = clear_denominators([x for row in basis for x in row])
+    try:
+        order_disc = Order(poly, [nums[i:i + degree] for i in
+                                  range(0, degree * degree, degree)], den).disc
+    except RuntimeError as exc:
+        raise ValidationError(label, str(exc))
+    if disc != order_disc:
+        raise ValidationError(label, f"disc {disc} is not the basis "
+                                     f"discriminant {order_disc}")
     return FieldRecord(label=label, degree=degree, poly=poly, basis=basis,
                        disc=disc, h=h, h_plus=h_plus, units=units,
                        sqrt2=sqrt2)

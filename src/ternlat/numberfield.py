@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg, polys
@@ -75,9 +75,13 @@ class Element:
     __slots__ = ("ctx", "coords", "den")
 
     def __init__(self, ctx: "FieldContext", coords: Sequence[int], den: int = 1):
+        try:        # `index` refuses floats, Fractions and strings
+            coords, den = list(map(index, coords)), index(den)
+        except TypeError:
+            raise InvalidInput(f"coordinates {coords!r} over {den!r} are not "
+                               f"all integers") from None
         if den == 0:
             raise DivisionByZero("zero denominator")
-        coords = [int(c) for c in coords]
         if len(coords) != ctx.degree:
             raise InvalidInput("coordinate length does not match field degree")
         if den < 0:

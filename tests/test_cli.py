@@ -146,6 +146,16 @@ def test_cyclotomic_cli(capsys):
     assert "[-2, 0, 1]" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["cyclotomic", "--k", "16", "--ceiling", "1"],
+    ["verify-identities", "--ceiling", "0"],
+], ids=["cyclotomic", "verify-identities"])
+def test_commands_without_a_search_take_no_ceiling(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_subfield_cli(capsys, fields_dir):
     code, out = run(capsys, "subfield", "--k", "5",
                     "--field", str(fields_dir / "qsqrt2.json"))
@@ -245,7 +255,8 @@ def test_bad_input_is_an_error_line(capsys, fields_dir, argv):
 @pytest.mark.parametrize("change", [
     {"sqrt2": [0, 1, 0]},
     {"basis": [["1", "0"], ["0", "1/0"]]},
-], ids=["tag-length", "zero-denominator"])
+    {"disc": 9},
+], ids=["tag-length", "zero-denominator", "disc-mismatch"])
 def test_malformed_field_file_is_an_error_line(capsys, fields_dir, tmp_path,
                                                change):
     obj = json.loads((fields_dir / "qsqrt2.json").read_text())

@@ -232,11 +232,16 @@ def test_squarefree_witness(ctx_sqrt2, ctx_q, ctx_sqrt3):
     assert t == s and t * t * gamma == ctx.from_rational(2)
     assert abs(t.norm()) > 1
     # unit-square multiples of 7 and 63 with houses above 2^500: the
-    # search runs on their representatives modulo unit squares
+    # search radius depends on the norm alone
     big = (1 + s) ** 400
     assert squarefree_witness(7 * big) is None
     t, gamma = squarefree_witness(63 * big)
     assert t * t * gamma == 63 * big and not t.is_unit()
+    # nor does it need the units: without them there is no walk to make
+    bare = load_field(ctx.record._replace(units=None))
+    x = 63 * (1 + bare.sqrt2) ** 40
+    t, gamma = squarefree_witness(x)
+    assert t * t * gamma == x and not t.is_unit()
     assert squarefree_witness(ctx_q.from_rational(2)) is None
     w3 = squarefree_witness(ctx_sqrt3.from_rational(2))
     assert w3 is not None
@@ -264,6 +269,45 @@ def test_squarefree_witness_enumerates_once(ctx_sqrt2, monkeypatch):
     assert squarefree_witness(18 + 9 * s) == (ctx_sqrt2.from_rational(3),
                                               2 + s)
     assert len(calls) == 1
+
+
+def test_squarefree_radius_is_sized_by_the_norm(table, ctx_q, monkeypatch):
+    # house <= _SQUAREFREE_PAD * ceil(top^(1/d)), top the largest m with
+    # m^2 | |N(x)|: 7^4 gives 4 * 7 and 7 gives 4 * 2 in degree 4
+    radii = []
+
+    def recorded(ctx, house_bound, norm_bound, ceiling):
+        radii.append(house_bound)
+        return []
+
+    monkeypatch.setattr(enumeration, "small_norm_elements", recorded)
+    for label, x, radius in (
+            ("K7168", lambda ctx: 7 * (3 + ctx.sqrt2) ** 2, 28),
+            ("K2048", lambda ctx: 5 + 3 * ctx.sqrt2, 8),
+            ("K2048", lambda ctx: ctx.from_rational(121), 44)):
+        assert squarefree_witness(x(table.context(label))) is None
+        assert radii.pop() == radius, label
+    monkeypatch.undo()
+    # the root is found by bisection: over Q it is top = 10^12 itself, and
+    # the box of house 4 * 10^12 is refused before any enumeration
+    with pytest.raises(BoxTooLarge):
+        squarefree_witness(ctx_q.from_rational(10 ** 24))
+
+
+def test_squarefree_witness_is_complete_over_sqrt2(ctx_sqrt2):
+    # B = 1.554 <= _SQUAREFREE_PAD: every gamma * s^2 with s a non-unit
+    # has a witness, whatever the unit factor of gamma
+    s2 = ctx_sqrt2.sqrt2
+    for a in range(-5, 6):
+        for b in range(-5, 6):
+            s = a + b * s2
+            if s.is_zero or s.is_unit():
+                continue
+            for gamma in (ctx_sqrt2.one, 1 + s2, 2 + s2, 3 + s2,
+                          (1 + s2) ** 7):
+                x = gamma * s * s
+                t, g = squarefree_witness(x)
+                assert t * t * g == x and not t.is_unit(), (s, gamma)
 
 
 def test_squarefree_pad_covers_the_sqrt2_units(ctx_sqrt2):

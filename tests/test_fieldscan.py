@@ -52,10 +52,26 @@ def test_parse_rejects_nonmonic():
            "basis": [["1", "0"], ["0", "1"]], "disc": 8}
     parse_record(obj)
     # integer fields must be JSON integers, not floats truncated by int()
+    # and disc must be the determinant of the basis trace form, itself
+    # integral on a square basis
     for change in ({"poly": [1, 0, 2]}, {"poly": [-2.9, 0, 1]},
-                   {"degree": 2.5}, {"basis": [["1", "0"], ["0", "1/0"]]}):
+                   {"degree": 2.5}, {"basis": [["1", "0"], ["0", "1/0"]]},
+                   {"disc": 9}, {"basis": [["1/2", "0"], ["0", "1"]]},
+                   {"basis": [["1", "0"]]}):
         with pytest.raises(ValidationError):
             parse_record({**obj, **change})
+
+
+def test_ingest_rejects_a_wrong_disc(tmp_path, fields_dir):
+    # a disc that is not the basis discriminant stops the read at its line,
+    # rather than dropping the field from a scan's --max-disc range
+    lines = (fields_dir / "quartic_sqrt2.jsonl").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if '"K1600"' in line)
+    lines[i] = json.dumps({**json.loads(lines[i]), "disc": 999999})
+    p = tmp_path / "wrong_disc.jsonl"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line {i + 1}:.*K1600.*999999"):
+        ingest_fields(p)
 
 
 def test_table_rejects_a_repeated_label(table):

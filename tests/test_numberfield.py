@@ -8,8 +8,8 @@ from conftest import (cell_interval, ref_divmod_poly, ref_embeddings,
 from ternlat import linalg, numberfield, orders, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import dominated_elements
-from ternlat.errors import (DivisionByZero, FieldDataError, NoSuchUnit,
-                            NotARing, NotTotallyReal)
+from ternlat.errors import (DivisionByZero, FieldDataError, InvalidInput,
+                            NoSuchUnit, NotARing, NotTotallyReal)
 from ternlat.intervals import Interval
 from ternlat.numberfield import (Dominance, FieldRecord, basis_mult_table,
                                  load_field, sqrt2_context,
@@ -87,6 +87,15 @@ def test_arithmetic_identities(ctx_sqrt2):
 def test_division_by_zero(ctx_sqrt2):
     with pytest.raises(DivisionByZero):
         ctx_sqrt2.one / ctx_sqrt2.zero
+
+
+@pytest.mark.parametrize("coords,den", [
+    ([F(1, 2), 2.7], 1), (["3", 1], 1), ([3, 1], 2.0),
+], ids=["fraction-and-float", "string", "float-denominator"])
+def test_element_refuses_non_integer_coordinates(ctx_sqrt2, coords, den):
+    # read by operator.index, not truncated or parsed by int()
+    with pytest.raises(InvalidInput, match="not all integers"):
+        ctx_sqrt2.element(coords, den)
 
 
 def test_norm_trace(ctx_sqrt2):
