@@ -27,9 +27,11 @@ from .enumeration import (DEFAULT_CEILING, DominanceQuery, require_count,
 from .errors import (IdentityMismatch, InvalidInput, ParseError,
                      TernlatError, ValidationError)
 from .intervals import sqrt_lower, sqrt_upper
-from .numberfield import FieldContext, FieldRecord, load_field, sqrt2_context
+from .numberfield import (FieldContext, FieldRecord, class_numbers_ok,
+                          load_field, sqrt2_context)
 from .obstruction import DEFAULT_POOL_SIZE, obstruction_search
 from .polys import MPoly, clear_denominators
+from .quadlattice import LatticeClass, standard_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +39,12 @@ from .polys import MPoly, clear_denominators
 
 def parse_record(obj: dict) -> FieldRecord:
     """The record of one table object; integer fields must be JSON integers
-    (`operator.index` refuses floats and strings) and `disc` the trace-form
-    determinant of the basis (`orders.Order`), else `ValidationError`."""
+    (`operator.index` refuses floats and strings), `disc` the trace-form
+    determinant of the basis (`orders.Order`) and the class numbers those
+    `load_field` admits (`numberfield.class_numbers_ok`), else
+    `ValidationError`."""
+    if not isinstance(obj, dict):
+        raise ValidationError("?", "malformed record: not a JSON object")
     try:
         label = str(obj["label"])
         degree = index(obj["degree"])
@@ -62,6 +68,8 @@ def parse_record(obj: dict) -> FieldRecord:
                                      "declared degree")
     if disc <= 0:
         raise ValidationError(label, "discriminant must be positive")
+    if not class_numbers_ok(h, h_plus):
+        raise ValidationError(label, "h_plus is not h >= 1 times 2^k")
     if len(basis) != degree or any(len(row) != degree for row in basis):
         raise ValidationError(label, f"basis is not a {degree}x{degree} "
                                      f"matrix")
@@ -115,16 +123,16 @@ class FieldTable:
 
 
 def ingest_fields(path) -> FieldTable:
-    """Parse and validate a line-oriented field table."""
+    """Parse and validate a line-oriented UTF-8 field table."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line or line.startswith("#"):
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError
                 raise ParseError(lineno, f"invalid JSON: {exc}")
             try:
                 records.append(parse_record(obj))
@@ -134,14 +142,18 @@ def ingest_fields(path) -> FieldTable:
 
 
 def load_field_file(path) -> FieldContext:
-    """Load a field from a single-object JSON file, or from a table with
-    the `table.jsonl#LABEL` syntax."""
+    """Load a field from a single-object UTF-8 JSON file, or from a table
+    with the `table.jsonl#LABEL` syntax."""
     path = str(path)
     if "#" in path:
         table_path, label = path.rsplit("#", 1)
         return ingest_fields(table_path).context(label)
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except ValueError as exc:           # UnicodeDecodeError, JSONDecodeError
+        raise ValidationError(path, f"invalid JSON: {exc}")
     return load_field(parse_record(obj))
 
 
@@ -258,37 +270,31 @@ def write_report(report: dict, path) -> None:
 
 def sum_of_squares_identities(ctx: FieldContext) -> List[dict]:
     """The four exact identities expressing twice each base-field universal
-    ternary form as a sum of at most four squares of linear forms."""
+    ternary form, the value of its `quadlattice.standard_lattice` on (x, y,
+    z), as a sum of at most four squares of linear forms."""
     s = ctx.sqrt2
-    one, zero = ctx.one, ctx.zero
-    two = ctx.from_rational(2)
-    lam, lam_bar = 2 + s, 2 - s
-    three = ctx.from_rational(3)
-    x, y, z = (MPoly.var(i, 3, one) for i in range(3))
-
-    def form(xx, yy, zz, yz):
-        return x * x * xx + y * y * yy + z * z * zz + y * z * yz
-
+    one, zero, two = ctx.one, ctx.zero, ctx.from_rational(2)
+    x, y, z = xyz = [MPoly.var(i, 3, one) for i in range(3)]
     specs = [
-        ("Q1", form(one, one, lam, zero),
+        ("Q1", LatticeClass.L1,
          [(s, zero, zero), (zero, s, zero), (zero, zero, one + s),
           (zero, zero, one)]),
-        ("Q2", form(one, lam, lam_bar, two),
+        ("Q2", LatticeClass.L2,
          [(s, zero, zero), (zero, one + s, s - one), (zero, one, one)]),
-        ("Q3", form(one, lam, three, two),
+        ("Q3", LatticeClass.L3,
          [(s, zero, zero), (zero, one + s, zero), (zero, one, two),
           (zero, zero, s)]),
-        ("Q3p", form(one, lam_bar, three, two),
+        ("Q3p", LatticeClass.L3P,
          [(s, zero, zero), (zero, one - s, zero), (zero, one, two),
           (zero, zero, s)]),
     ]
     results = []
-    for name, q, linear_forms in specs:
+    for name, cls, linear_forms in specs:
         total = MPoly()
         for c0, c1, c2 in linear_forms:
             lf = x * c0 + y * c1 + z * c2
             total = total + lf * lf
-        ok = total == q * two
+        ok = total == standard_lattice(ctx, cls).value(xyz) * two
         results.append({"form": name, "squares": len(linear_forms),
                         "exact": ok})
         if not ok:

@@ -476,57 +476,42 @@ class FieldContext:
         return self._state.table
 
     def fixed_point_bounds(self, a: Element) -> Tuple[List[int], List[int]]:
-        """Outward lower and upper bounds on sigma_i(den * a), one per
-        embedding, in units of 2^-INT_BITS: for the coordinates x, the lower
-        bound_i sums x_j lows[j][i] over x_j >= 0 and x_j highs[j][i] over
-        x_j < 0 (`fixed_point_table`), the upper one takes the other ends;
-        all 2d of them are taken at once by `_packed_bounds`.  Sound but
-        coarse; used by fast pre-filters."""
-        d = self.degree
-        t, w, _ = self._packed_bounds(a.coords, True)
-        ends = _digits(t, w, 2 * d)
-        return ends[:d], ends[d:]
+        """Outward lower and upper bounds on sigma_i(den * a) in units of
+        2^-INT_BITS: `_table_bounds` of the full table (`fixed_point_table`).
+        Sound but coarse; used by fast pre-filters."""
+        return _table_bounds(self.fixed_point_table(), a.coords)
 
-    def _packed_bounds(self, x: Tuple[int, ...], both: bool
-                       ) -> Tuple[int, int, int]:
-        """The d lower bounds of `fixed_point_bounds` on coordinates x, and
-        with `both` the d upper ones above them, as the base-2^w digits of
-        one integer t: digit i is bound_i + 2^(w-1) - 1.
+    def _packed_bounds(self, x: Tuple[int, ...]) -> Tuple[int, int]:
+        """The d lower bounds of `fixed_point_bounds` on coordinates x, as
+        the base-2^w digits of one integer t: digit i is bound_i + 2^(w-1) - 1.
 
         Column j of lows and of highs is packed into P_j = sum_i
         entry_ij 2^(w i), so one sum of d products of x_j with the P_j of
-        the end its sign takes is sum_i bound_i 2^(w i); for both, the P_j
-        of the other end is added shifted by d digits.  With E the largest
-        |entry|, |bound_i| <= E sum_j |x_j|, and w (a power of two, at least
-        64) keeps that at most 2^(w-1) - 2: every offset digit lies in [1,
-        2^w - 3] and no carry crosses digits; the root state keeps the
-        packing.  Returns (t, w, top) with top the digit-wise 2^(w-1), so
-        every bound_i is positive exactly when t & top == top."""
+        the end its sign takes is sum_i bound_i 2^(w i).  With E the
+        largest |entry|, |bound_i| <= E sum_j |x_j|, and the least w =
+        64 * 2^k that keeps that at most 2^(w-1) - 2 puts every offset
+        digit in [1, 2^w - 3], so no carry crosses digits; the root state
+        keeps the packing (`_pack_table`).  Returns (t, top) with top the
+        digit-wise 2^(w-1), so every bound_i is positive exactly when
+        t & top == top, `compare`'s test for GT."""
         s = sum(map(abs, x))
         pack = self._state.pack
         if pack is None or s > pack[0]:     # the table may install a state
             pack = self._state.pack = _pack_table(self.fixed_point_table(), s)
-        _, w, cols, offsets, top = pack
-        return sum([c * pn[c < 0] for c, pn in zip(x, cols[both])]) \
-            + offsets[both], w, top
+        _, cols, offset, top = pack
+        return sum([c * pn[c < 0] for c, pn in zip(x, cols)]) + offset, top
 
     def _fast_signs(self, a: Element) -> Optional[Tuple[int, ...]]:
-        """Signs of all embeddings from a fixed-point table, or None when
-        some enclosure holds zero.  While the roots are coarser than
-        `_FINE_WIDTH`, that of a state at most `_COARSE_WIDTH` wide comes
-        first, summed over the nonzero coordinates (packing pays only over
-        many comparisons); the full one, packed, only when it leaves a sign
-        undecided.  Both round outward: every sign they decide is true."""
+        """Signs of all embeddings from a fixed-point table's
+        `_table_bounds`, or None when some enclosure holds zero.  While the
+        roots are coarser than `_FINE_WIDTH`, the table of a state at most
+        `_COARSE_WIDTH` wide comes first; the full one only when that
+        leaves a sign undecided.  Both round outward: every sign they
+        decide is true."""
         if not self._state.fine:
             if self._state.table is None:
                 self.refine_roots(self._COARSE_WIDTH)
-            lows, highs, _ = self._state_table()
-            x = [(c, lo, hi) if c > 0 else (c, hi, lo)
-                 for c, lo, hi in zip(a.coords, lows, highs) if c]
-            d = range(self.degree)
-            signs = _signs([sum(c * lo[i] for c, lo, _ in x) for i in d],
-                           [sum(c * hi[i] for c, _, hi in x) for i in d])
-            if signs is not None:
+            if signs := _signs(*_table_bounds(self._state_table(), a.coords)):
                 return signs
         return _signs(*self.fixed_point_bounds(a))
 
@@ -603,17 +588,16 @@ class FieldContext:
         roots are at `_FINE_WIDTH`, GT at once when every lower bound is
         positive, read off the top bit of each digit of the packed lower
         bounds (`_packed_bounds`); else the signs from both bounds
-        (`_fast_signs`, which lets a lone comparison read the ends at
-        root width 1/256 first); and otherwise the exact signs
-        (`_exact_signs`), where a zero embedding with no sign against it
-        gives GE_TIED or LE_TIED.
+        (`_fast_signs`, at root width 1/256 first for a lone comparison);
+        and otherwise the exact signs (`_exact_signs`), where a zero
+        embedding with no sign against it gives GE_TIED or LE_TIED.
         """
         c = a - b if any(b.coords) else a
         if not any(c.coords):
             return Dominance.EQ
         # fixed-point pre-filter (sound: falls through when indecisive)
         if self._state.fine:
-            t, _, top = self._packed_bounds(c.coords, False)
+            t, top = self._packed_bounds(c.coords)
             if t & top == top:
                 return Dominance.GT
         signs = self._fast_signs(c) or self._exact_signs(c)
@@ -757,12 +741,16 @@ def load_field(record: FieldRecord) -> FieldContext:
             table = basis_mult_table(poly, basis, inv)
         except NotARing as exc:
             raise NotARing(f"{record.label}: {exc}") from None
-    if record.h <= 0 or record.h_plus <= 0 or record.h_plus % record.h != 0:
-        raise FieldDataError(f"{record.label}: h must divide h_plus")
-    q = record.h_plus // record.h
-    if q & (q - 1):
-        raise FieldDataError(f"{record.label}: h_plus/h must be a power of 2")
+    if not class_numbers_ok(record.h, record.h_plus):
+        raise FieldDataError(f"{record.label}: h_plus is not h >= 1 times 2^k")
     return FieldContext(record, table, roots, basis, inv)
+
+
+def class_numbers_ok(h: int, h_plus: int) -> bool:
+    """Whether a class number h and narrow class number h_plus can be a
+    field's: h >= 1 divides h_plus, and h_plus / h is a power of two."""
+    return 0 < h <= h_plus and h_plus % h == 0 and \
+        (h_plus // h).bit_count() == 1
 
 
 def is_identity(m: Sequence[Sequence[Rat]]) -> bool:
@@ -788,12 +776,23 @@ def fixed_point_table(rows: Sequence[Numerators], bits: int) -> tuple:
     return [list(c) for c in zip(*los)], [list(c) for c in zip(*his)], {}
 
 
+def _table_bounds(table: tuple, coords: Sequence[int]) -> tuple:
+    """The d lower and d upper bounds that a fixed-point table (lows,
+    highs, _) gives on sigma_i(sum_j x_j b_j): the lower bound_i sums x_j
+    lows[j][i] over x_j > 0 and x_j highs[j][i] over x_j < 0, the upper
+    one the other ends; zero coordinates are skipped."""
+    lows, highs, _ = table
+    x = [(c, lo, hi) if c > 0 else (c, hi, lo)
+         for c, lo, hi in zip(coords, lows, highs) if c]
+    d = range(len(lows))
+    return ([sum(c * lo[i] for c, lo, _ in x) for i in d],
+            [sum(c * hi[i] for c, _, hi in x) for i in d])
+
+
 def _pack_table(table: tuple, s: int) -> tuple:
-    """The packing of `FieldContext._packed_bounds` at the least width
-    w = 64 * 2^k with E s <= 2^(w-1) - 2: (the largest s it admits, w, for
-    the lower bounds and for both bounds the pairs of packed columns j
-    taken for x_j >= 0 and for x_j < 0 and the offset digits 2^(w-1) - 1,
-    the top bits 2^(w-1))."""
+    """The packing of `FieldContext._packed_bounds` for sum_j |x_j| <= s:
+    (the largest such sum it admits, the pairs (P_j of lows, P_j of highs)
+    taken for x_j >= 0 and for x_j < 0, the offset digits, the top bits)."""
     lows, highs, _ = table
     e = max(1, *(max(map(abs, col)) for col in lows + highs))
     w = 64
@@ -803,18 +802,7 @@ def _pack_table(table: tuple, s: int) -> tuple:
     top = ones << w - 1
     lo, hi = ([sum(v << w * i for i, v in enumerate(col)) for col in half]
               for half in (lows, highs))
-    wd = w * len(lows)
-    cols = (list(zip(lo, hi)),
-            [(a + (b << wd), b + (a << wd)) for a, b in zip(lo, hi)])
-    offset = top - ones
-    return (((1 << w - 1) - 2) // e, w, cols,
-            (offset, offset + (offset << wd)), top)
-
-
-def _digits(t: int, w: int, d: int) -> List[int]:
-    """The d bounds packed in t by `FieldContext._packed_bounds`."""
-    mask, offset = (1 << w) - 1, (1 << w - 1) - 1
-    return [(t >> w * i & mask) - offset for i in range(d)]
+    return ((1 << w - 1) - 2) // e, list(zip(lo, hi)), top - ones, top
 
 
 def mult_matrix(table, coords: Sequence[int]) -> List[List[int]]:

@@ -256,15 +256,34 @@ def test_bad_input_is_an_error_line(capsys, fields_dir, argv):
     {"sqrt2": [0, 1, 0]},
     {"basis": [["1", "0"], ["0", "1/0"]]},
     {"disc": 9},
-], ids=["tag-length", "zero-denominator", "disc-mismatch"])
+    {"h": 0},
+    {"h": -1, "h_plus": 2},
+    [1, 2],
+    "K",
+    b'{"label": "Q(sqrt2)",',
+    b'{"label": "\xff"}',
+], ids=["tag-length", "zero-denominator", "disc-mismatch", "h-zero",
+        "h-negative", "list", "string", "invalid-json", "not-utf-8"])
 def test_malformed_field_file_is_an_error_line(capsys, fields_dir, tmp_path,
                                                change):
+    # a change to the record, another JSON value or raw bytes, read as a
+    # single-field file and as the one line of a table
     obj = json.loads((fields_dir / "qsqrt2.json").read_text())
-    path = tmp_path / "field.json"
-    path.write_text(json.dumps({**obj, **change}))
-    assert main(["small-elements", "--field", str(path), "--bound", "3"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    if isinstance(change, dict):
+        change = {**obj, **change}
+    text = change if isinstance(change, bytes) else json.dumps(change).encode()
+    path, table = tmp_path / "field.json", tmp_path / "fields.jsonl"
+    path.write_bytes(text)
+    table.write_bytes(text + b"\n")
+    for argv in (["small-elements", "--field", str(path), "--bound", "3"],
+                 ["scan", "--fields", str(table)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        # a record that parses but does not load is a scan's error verdict
+        assert err.startswith("error: ") or \
+            argv[0] == "scan" and out.startswith("Q(sqrt2)") and \
+            " error\n" in out
+        assert "Traceback" not in err
 
 
 def test_scan_error_verdicts_exit_1(capsys, fields_dir):

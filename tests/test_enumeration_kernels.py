@@ -13,7 +13,9 @@ than those with an integer y.
 `FieldContext._fast_signs` decides signs from the context's fixed-point
 table of the basis embeddings; every decisive verdict must equal the exact
 one from the characteristic polynomial, and every decisive sign the
-refined one.  `_iter_box` prunes with the same table, taken after the box
+refined one.  It reads both tables, at root widths 1/256 and 2^-32, through
+`numberfield._table_bounds`, whose bounds must equal one dot product per
+embedding and enclose the root state's own integer sums.  `_iter_box` prunes with the same table, taken after the box
 is built: it must be entrywise at least as tight as the ends of the box's
 own embeddings, and prune to a subsequence of what those admit.
 `FieldContext.compare`, which exits early when every lower bound is
@@ -63,7 +65,8 @@ from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
                                  sqrt2_span_witnesses)
 from ternlat.intervals import Interval
 from ternlat.numberfield import (Dominance, FieldContext, FieldRecord,
-                                 fixed_point_table, load_field, sqrt2_context)
+                                 _table_bounds, fixed_point_table, load_field,
+                                 sqrt2_context)
 
 
 # ---------------------------------------------------------------------------
@@ -534,33 +537,75 @@ def test_signature_and_trace_agree_with_references(table):
     assert branches["fixed-point"] > 500 and branches["refined"] > 10, branches
 
 
+def ref_table_bounds(table, x):
+    """Per embedding i, the dot product of x with the ends of column i
+    that the sign of each x_j selects: the lower ends for the lower bound
+    where x_j >= 0, the upper ends where x_j < 0, and the reverse."""
+    lows, highs, _ = table
+    return tuple([sum(c * (near if c >= 0 else far)[j][i]
+                      for j, c in enumerate(x)) for i in range(len(x))]
+                 for near, far in ((lows, highs), (highs, lows)))
+
+
+def test_table_bounds_equal_one_dot_product_per_embedding(table):
+    # `_table_bounds` is the one reader of both tables: the 1/256 one that
+    # a lone comparison reads first and the full one.  On each, its bounds
+    # equal the reference and enclose 2^INT_BITS sigma_i(x) as the root
+    # state's own integer sums enclose it
+    rng = random.Random(44)
+    recs = list(table.records[::3]) + [cyclo_info(11).field.record]
+    tested = 0
+    for rec in recs:
+        ctx = load_field(rec)
+        d = ctx.degree
+        xs = [[0] * d] + [[rng.randint(-2 ** bits, 2 ** bits)
+                           for _ in range(d)]
+                          for bits in (1, 4, 12, 40) for _ in range(6)]
+        ctx._fast_signs(ctx.one)            # the 1/256 table
+        for full in (False, True):
+            tab = ctx.fixed_point_table() if full else ctx._state.table
+            assert ctx._state.fine is full
+            for x in xs:
+                lows, highs = _table_bounds(tab, x)
+                assert (lows, highs) == ref_table_bounds(tab, x)
+                sums = ctx._interval_sums(ctx.element(x))
+                assert all(lo * den <= a << ctx.INT_BITS and
+                           b << ctx.INT_BITS <= hi * den
+                           for lo, hi, (a, b, den) in zip(lows, highs, sums))
+                if full:
+                    assert ctx.fixed_point_bounds(ctx.element(x)) == \
+                        (lows, highs)
+                tested += 1
+    assert tested == 2 * 25 * len(recs)
+
+
 def test_packed_bounds_equal_one_dot_product_per_row(table):
-    # the 2d fixed-point bounds, lower and upper, are the digits of one
-    # packed integer, and the d lower ones those of another; the reference
-    # sums, per embedding, x_j times the end of the table that the sign of
-    # x_j selects.  The first coordinate sits at and just past the largest
-    # sum of |x_j| that the 64-bit digits admit, then coordinates grow to
-    # 2^200, which widens the digits further
+    # the d lower fixed-point bounds are the digits of one packed integer,
+    # whose digits' top bits are all set exactly when every lower bound is
+    # positive; `fixed_point_bounds` equal, per embedding, x_j times the
+    # end of the table that the sign of x_j selects.  The first coordinate
+    # sits at and just past the largest sum of |x_j| that the 64-bit digits
+    # admit, then coordinates grow to 2^200, which widens the digits further
     rng = random.Random(24)
     ctxs = [table.context(rec.label) for rec in table.records[::4]]
     widths = set()
     for ctx in ctxs + [cyclo_info(11).field]:
         d = ctx.degree
-        ctx.fixed_point_bounds(ctx.one)
+        ctx.fixed_point_table()
+        ctx.compare(ctx.one, ctx.zero)      # packs the full table
         limit = ctx._state.pack[0]
         xs = [[sign * (limit + k)] + [0] * (d - 1)
               for k in (0, 1) for sign in (1, -1)]
         xs += [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(d)]
                for bits in (1, 8, 30, 40, 64, 100, 200, 3) for _ in range(8)]
-        lows, highs, _ = ctx.fixed_point_table()
+        tab = ctx.fixed_point_table()
         for x in xs:
-            want = [[sum(c * (near if c >= 0 else far)[j][i]
-                         for j, c in enumerate(x)) for i in range(d)]
-                    for near, far in ((lows, highs), (highs, lows))]
-            assert ctx.fixed_point_bounds(ctx.element(x)) == tuple(want)
-            t, w, top = ctx._packed_bounds(tuple(x), False)
+            want = ref_table_bounds(tab, x)
+            assert ctx.fixed_point_bounds(ctx.element(x)) == want
+            t, top = ctx._packed_bounds(tuple(x))
             assert (t & top == top) == (min(want[0]) > 0)
-            widths.add(w)
+            # the top bits 2^(w-1) of d digits span w d bits
+            widths.add(ctx._state.pack[-1].bit_length() // d)
     assert {64, 128, 256} <= widths, widths
 
 

@@ -53,11 +53,13 @@ def test_parse_rejects_nonmonic():
     parse_record(obj)
     # integer fields must be JSON integers, not floats truncated by int()
     # and disc must be the determinant of the basis trace form, itself
-    # integral on a square basis
+    # integral on a square basis; h >= 1 must divide h_plus with a power
+    # of two, as on load
     for change in ({"poly": [1, 0, 2]}, {"poly": [-2.9, 0, 1]},
                    {"degree": 2.5}, {"basis": [["1", "0"], ["0", "1/0"]]},
                    {"disc": 9}, {"basis": [["1/2", "0"], ["0", "1"]]},
-                   {"basis": [["1", "0"]]}):
+                   {"basis": [["1", "0"]]}, {"h": 0},
+                   {"h": -1, "h_plus": 2}):
         with pytest.raises(ValidationError):
             parse_record({**obj, **change})
 
@@ -72,6 +74,39 @@ def test_ingest_rejects_a_wrong_disc(tmp_path, fields_dir):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"line {i + 1}:.*K1600.*999999"):
         ingest_fields(p)
+
+
+@pytest.mark.parametrize("change", [{"h": 0}, {"h": -1, "h_plus": 2}],
+                         ids=["h-zero", "h-negative"])
+def test_scan_reads_only_class_numbers_a_field_can_have(tmp_path, fields_dir,
+                                                         change):
+    # the unit filter of the small scan divides h_plus by h before any field
+    # is loaded: a pair no field has stops the read at its line instead
+    lines = (fields_dir / "quartic_sqrt2.jsonl").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if '"K51200"' in line)
+    lines[i] = json.dumps({**json.loads(lines[i]), **change})
+    p = tmp_path / "bad_h.jsonl"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError,
+                       match=f"line {i + 1}:.*K51200.*h >= 1 times 2"):
+        scan_small_condition(ingest_fields(p), 60000)
+
+
+@pytest.mark.parametrize("text", [b"[1, 2]", b'"K"', b'{"label": "\xff"}'],
+                         ids=["list", "string", "not-utf-8"])
+def test_field_files_that_are_not_json_objects(tmp_path, text):
+    # both readers refuse a JSON value that is not an object, and bytes
+    # that are not UTF-8, with the package's errors; a single-field file
+    # also refuses invalid JSON
+    table = tmp_path / "t.jsonl"
+    table.write_bytes(b"# comment\n" + text + b"\n")
+    with pytest.raises(ParseError, match="line 2: "):
+        ingest_fields(table)
+    single = tmp_path / "f.json"
+    for content in (text, text[:-1]):
+        single.write_bytes(content)
+        with pytest.raises(ValidationError):
+            load_field_file(single)
 
 
 def test_table_rejects_a_repeated_label(table):

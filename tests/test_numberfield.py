@@ -643,10 +643,10 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     ctx.refine_roots(fine)
     assert ctx.fixed_point_table() == ref.fixed_point_table()
 
-    # so do the ends at root width 1/256 that a lone comparison sums, and
-    # the packed bounds of the full table: after a narrowing refine, each
-    # equals a fresh context's at the same width, and neither is carried
-    # over from the wider roots
+    # so do the ends at root width 1/256 that a lone comparison sums, the
+    # bounds of the full table and its packed lower bounds: after a
+    # narrowing refine, each equals a fresh context's at the same width,
+    # and none is carried over from the wider roots
     xs = [[int(i == j) for j in range(4)] for i in range(4)] + \
         [[3, -1, 2, -5], [-7, 2, 0, 1]]
     mid = F(1, 1 << 12)
@@ -661,10 +661,15 @@ def test_refine_roots_invalidates_embedding_caches(table, monkeypatch):
     assert ctx._state.table[:2] == fresh._state.table[:2] != coarse[:2]
     ctx = load_field(rec)
     stale = [ctx.fixed_point_bounds(ctx.element(x)) for x in xs]
+    stale_packed = [ctx._packed_bounds(tuple(x)) for x in xs]
+    assert ctx._state.pack is not None
     ctx.refine_roots(fine)
     bounds = [ctx.fixed_point_bounds(ctx.element(x)) for x in xs]
     assert bounds == [ref.fixed_point_bounds(ref.element(x)) for x in xs]
     assert bounds != stale
+    packed = [ctx._packed_bounds(tuple(x)) for x in xs]
+    assert packed == [ref._packed_bounds(tuple(x)) for x in xs]
+    assert packed != stale_packed
 
     # only roots wider than the request are refined: K10816's isolating
     # intervals are 11, 11/16, 11/16 and 11/4 wide, and a request no

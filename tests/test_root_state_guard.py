@@ -109,7 +109,9 @@ def test_a_root_state_holds_no_reference_to_its_context(table):
         make(ctx.one)                   # the 1/256 table, then the full one
         ctx.embedding_inverse()
         states.append(ctx._state)
+    ctx.compare(ctx.one, ctx.zero)      # packs the full table
     coarse, full = states
+    assert ctx._state is full
     assert coarse is not full and not coarse.fine and full.fine
     assert coarse.table is not None and full.pack is not None
     for state in states:
