@@ -683,21 +683,25 @@ def small_norm_elements(ctx: FieldContext, house_bound: Fraction,
     integral w with house(w) <= house_bound and |N(w)| <= norm_bound.  A w
     takes the exact resultant norm only when the product of its least
     |sigma_i(w)| over the fixed-point enclosures (0 for one that holds
-    zero) is at most norm_bound."""
+    zero) is at most norm_bound.  Only the first half of the list is
+    tested: it is sorted and closed under negation, which reverses
+    lexicographic order, so element n-1-i is minus element i, and -w has
+    the fixed-point bounds of w negated and swapped, so the same product
+    and |N|; the second half is the first one mirrored."""
     bound = ctx.from_rational(Fraction(house_bound) ** 2)
     # each fixed-point bound is in units of 2^-INT_BITS, a product of d of
     # them in units of 2^-(INT_BITS * d)
     limit = norm_bound << ctx.INT_BITS * ctx.degree
-    out = []
-    for w in dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED,
-                                ceiling):
-        if w.is_zero or prod(lo if lo > 0 else max(-hi, 0) for lo, hi in
-                             zip(*ctx.fixed_point_bounds(w))) > limit:
+    ws = dominated_elements(ctx, bound, QueryMode.SQUARE_DOMINATED, ceiling)
+    half = []
+    for w in ws[:len(ws) // 2]:
+        if prod(lo if lo > 0 else max(-hi, 0) for lo, hi in
+                zip(*ctx.fixed_point_bounds(w))) > limit:
             continue
         n = abs(w.norm())
         if n <= norm_bound:
-            out.append((w, n))
-    return out
+            half.append((w, n))
+    return half + [(-w, n) for w, n in reversed(half)]
 
 
 def elements_of_norm(ctx: FieldContext, n: int, house_bound: Fraction,

@@ -24,8 +24,8 @@ from typing import Dict, List, Tuple
 from . import __version__
 from .enumeration import (DEFAULT_CEILING, DominanceQuery, require_count,
                           solution_box, sqrt2_span_witnesses)
-from .errors import (IdentityMismatch, InvalidInput, ParseError,
-                     TernlatError, ValidationError)
+from .errors import (FieldDataError, IdentityMismatch, InvalidInput,
+                     ParseError, TernlatError, ValidationError)
 from .intervals import sqrt_lower, sqrt_upper
 from .numberfield import (FieldContext, FieldRecord, class_numbers_ok,
                           load_field, sqrt2_context)
@@ -195,6 +195,9 @@ def scan_small_condition(table: FieldTable, disc_cap: int,
         if rec.sqrt2 is None:
             out["status"] = "not-applicable"
             return
+        if not class_numbers_ok(rec.h, rec.h_plus):
+            raise FieldDataError(
+                f"{rec.label}: h_plus is not h >= 1 times 2^k")
         if unit_filter and rec.h_plus != rec.h:
             out.update(status="filtered", h_plus_over_h=rec.h_plus // rec.h)
             return

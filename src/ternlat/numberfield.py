@@ -622,15 +622,17 @@ class FieldContext:
 
     @cached_property
     def unit_square_steps(self) -> Tuple[tuple, ...]:
-        """(u^e, u^2e, tau), e = +-1, per supplied unit u: the moves of the
-        unit-square walk, built on first use.  tau_i = Tr(b_i u^2e), from
-        the integer trace form, so den * Tr(a u^2e) = a.coords . tau; it is
-        an integer vector, as every listed unit passes `is_unit` at load."""
+        """(u^e, u^2e, tau), e = +-1, per supplied unit u with u^2 != 1:
+        the moves of the unit-square walk, built on first use (a step with
+        u^2 = 1, as for u = -1, leaves every element where it is and so can
+        never improve the walk's key).  tau_i = Tr(b_i u^2e), from the
+        integer trace form, so den * Tr(a u^2e) = a.coords . tau; it is an
+        integer vector, as every listed unit passes `is_unit` at load."""
         tr = self.basis_traces
         form = [[sum(map(mul, e, tr)) for e in row] for row in self.mult_table]
         return tuple((v, v2, tuple(sum(map(mul, q, v2.coords)) for q in form))
                      for u in self.units or () for v in (u, u.inverse())
-                     for v2 in (v * v,))
+                     for v2 in (v * v,) if v2 != self.one)
 
     def totally_positive_associate(self, a: Element) -> Tuple[Element, Element]:
         """Unit eta (a product of supplied generators) with eta*a totally positive.

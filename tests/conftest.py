@@ -232,8 +232,9 @@ def gram_inverse_dual(g):
 
 def ref_unit_square_reduce(a):
     """Reference for `numberfield.unit_square_reduce`: the greedy walk that
-    forms a * u^2 on every step (u, u^2) of the context and compares the
-    full key (trace, negated coordinates, den)."""
+    forms a * u^2 on every step (u, u^2), u and 1/u for every unit
+    generator of the context (-1 included), and compares the full key
+    (trace, negated coordinates, den)."""
     ctx = a.ctx
     if a.is_zero or not a.is_totally_positive():
         return a, ctx.one
@@ -241,7 +242,7 @@ def ref_unit_square_reduce(a):
     def key(e):
         return (e.trace(), tuple(-c for c in e.coords), e.den)
 
-    steps = [(u, u2) for u, u2, _ in ctx.unit_square_steps]
+    steps = [(v, v * v) for u in ctx.units or () for v in (u, u.inverse())]
     best, best_key, eta = a, key(a), ctx.one
     improved = True
     while improved:

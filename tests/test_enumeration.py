@@ -8,8 +8,9 @@ from ternlat.enumeration import (DominanceQuery, QueryMode,
                                  dominated_elements, elements_of_norm,
                                  enumerate_representations,
                                  is_indecomposable, solution_box,
-                                 sqrt_element, squarefree_witness,
-                                 sum_of_squares_test, unsquare)
+                                 small_norm_elements, sqrt_element,
+                                 squarefree_witness, sum_of_squares_test,
+                                 unsquare)
 from ternlat.numberfield import Dominance, load_field, sqrt2_context
 
 
@@ -430,6 +431,18 @@ def test_elements_of_norm_quartic(table, label, n, positive):
              if abs(w.norm()) == n
              and (not positive or w.is_totally_positive())]
     assert els and els == brute
+
+
+@pytest.mark.parametrize("label", ["sqrt2", "K2048", "K51200", "K18688"])
+def test_small_norm_elements_equal_the_naive_list(table, ctx_sqrt2, label):
+    # the prefilter and the norm are taken on the first half of the list
+    # and mirrored onto the second: the result is the naive list, in order
+    ctx = ctx_sqrt2 if label == "sqrt2" else table.context(label)
+    for h, n in [(1, 1), (3, 7), (F(7, 2), 2), (6, 64), (10, 50), (4, 1000)]:
+        naive = [(w, abs(w.norm()))
+                 for w in dominated_elements(ctx, ctx.from_rational(F(h) ** 2))
+                 if w and abs(w.norm()) <= n]
+        assert naive and small_norm_elements(ctx, h, n) == naive, (h, n)
 
 
 def test_lambda_squarefree_depends_on_field(ctx_sqrt2, table):

@@ -92,6 +92,19 @@ def test_scan_reads_only_class_numbers_a_field_can_have(tmp_path, fields_dir,
         scan_small_condition(ingest_fields(p), 60000)
 
 
+@pytest.mark.parametrize("change", [{"h": 0}, {"h": -1, "h_plus": 2}],
+                         ids=["h-zero", "h-negative"])
+def test_scan_of_records_not_parsed_checks_class_numbers(table, change):
+    # a table built from records directly skips `parse_record`: the scan
+    # makes such a pair an error verdict before its unit filter divides
+    # h_plus by h (h = 0 raised ZeroDivisionError, h = -1 gave a ratio -2)
+    rec = table.by_label("K51200")._replace(**change)
+    [v] = scan_small_condition(FieldTable((rec,)), 60000)["verdicts"]
+    assert v["status"] == "error" and "h_plus_over_h" not in v
+    assert v["error"] == ("FieldDataError: K51200: h_plus is not h >= 1 "
+                          "times 2^k")
+
+
 @pytest.mark.parametrize("text", [b"[1, 2]", b'"K"', b'{"label": "\xff"}'],
                          ids=["list", "string", "not-utf-8"])
 def test_field_files_that_are_not_json_objects(tmp_path, text):

@@ -337,10 +337,15 @@ def test_tampered_certificate_fails_on_a_narrow_class_field(table):
 def test_search_enumerates_each_bound_once(table, monkeypatch):
     # one K51200 search: 7 dominated-element lists, none enumerated twice
     # (a dual that recounts its lists and a certificate that re-runs its
-    # pair checks make 13), at most 361 multiplications in the
-    # unit-square walk, half of the 722 made when every step forms a * u^2,
-    # and at most 100 norms, one per element of the pool's enumeration (a
-    # sort that takes each kept class's norm again makes 119)
+    # pair checks make 13); at most 74 multiplications in the unit-square
+    # walk: a walk that forms a * u^2 on every step makes 722, one that
+    # forms it only when its trace is not larger makes 246, and 172 of
+    # those are the best * 1 that the two steps of u = -1 form on every
+    # pass, which the walk skips as u^2 = 1; and at most 30 norms: the
+    # pool's house-6 list is 0 and 50 pairs +-w, 60 of its 100 nonzero
+    # elements pass the fixed-point prefilter, 30 in each half, and -w
+    # takes no norm of its own (normed too, they make 60; a sort that takes
+    # each kept class's norm again adds 59)
     ctx = load_field(table.context("K51200").record)
     queries, muls, depth, norms = [], [0], [0], [0]
     enumerate_dominated = enumeration.enumerate_dominated
@@ -373,8 +378,8 @@ def test_search_enumerates_each_bound_once(table, monkeypatch):
     monkeypatch.setattr(numberfield.Element, "norm", counted_norm)
     assert obstruction_search(ctx, 40).is_valid
     assert len(queries) == 7 and len(set(queries)) == 7
-    assert 0 < muls[0] <= 361
-    assert 0 < norms[0] <= 100
+    assert 0 < muls[0] <= 74
+    assert 0 < norms[0] <= 30
 
 
 def test_dual_box_volume_is_checked_before_the_last_list(ctx_q, fields_dir,
