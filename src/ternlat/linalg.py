@@ -6,7 +6,9 @@ for every exact square system (`adjugate_solve`), for the approximate
 midpoint inverse of the verified interval inverse (`midpoint_inverse`) and
 for the Gram-Schmidt data of the integral LLL (`lll`), `euclid_rows` for
 echelons over Euclidean rings, and Laplace expansion (`ring_det`) for
-determinants over any commutative ring.
+determinants over any commutative ring.  Bareiss keeps a symmetric matrix
+symmetric until a zero pivot, so on trace forms and Gram matrices it
+updates one triangle: the same result for half the products.
 
 Matrices are lists of rows.  Everything here is dense and intended for the
 small dimensions that occur in number-field work (d <= ~32).  Nothing here
@@ -50,11 +52,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Mat:
     return out
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> List[Fraction]:
-    return [sum((Fraction(c) * Fraction(x) for c, x in zip(row, v)),
-                Fraction(0)) for row in a]
-
-
 def transpose(a: Sequence[Sequence]) -> Mat:
     return [list(col) for col in zip(*a)]
 
@@ -65,22 +62,36 @@ def _bareiss(m: List[List[int]]) -> int:
     len(m) columns; returns the sign of the row swaps, or 0 when a column
     has no pivot.  Every division is exact, by the previous pivot.  When no
     row is swapped, m[i][i] is the leading principal minor of order i + 1
-    and m[i][j], j > i, the minor on rows 0..i and columns 0..i-1, j."""
+    and m[i][j], j > i, the minor on rows 0..i and columns 0..i-1, j.
+
+    Those minors are symmetric in (i, j) when the square part of m is, so
+    while it is and no pivot is zero, row i > k updates only its entries j
+    >= i and the extra columns, with multiplier m[k][i] = m[i][k]: half the
+    products.  The stale entries below the diagonal are zeroed by the step
+    of their column, so m ends the same.  A zero pivot first copies the
+    trailing block's upper triangle into its lower one, then swaps."""
     n = len(m)
-    width = len(m[0])
+    sym = all(m[i][j] == m[j][i] for i in range(n) for j in range(i))
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
+            if sym:
+                for i in range(k + 1, n):
+                    m[i][k:i] = [m[j][i] for j in range(k, i)]
+                sym = False
             r = next((r for r in range(k + 1, n) if m[r][k]), None)
             if r is None:
                 return 0
             m[k], m[r], sign = m[r], m[k], -sign
+        pivot_row, pivot = m[k], m[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, width):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+            row = m[i]
+            c = pivot_row[i] if sym else row[k]
+            for j in range(i if sym else k + 1, len(row)):
+                row[j] = (row[j] * pivot - c * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pivot
     return sign
 
 
@@ -93,7 +104,7 @@ def adjugate_solve(a: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
     n = len(a)
     m = [list(map(int, row)) + [int(c[i]) for c in cols]
          for i, row in enumerate(a)]
-    det = _bareiss(m) * m[n - 1][n - 1]
+    det = _bareiss(m) * (m[n - 1][n - 1] if n else 1)
     if not det:
         return 0, []
     out = []

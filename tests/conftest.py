@@ -57,6 +57,34 @@ def trace_form(table):
     return tr, q
 
 
+def mat_vec(a, v):
+    """The `Fraction` product a v."""
+    return [sum((Fraction(c) * Fraction(x) for c, x in zip(row, v)),
+                Fraction(0)) for row in a]
+
+
+def ref_bareiss(m):
+    """Reference for `linalg._bareiss`: the same fraction-free elimination
+    of the integer rows m in place, updating every entry right of column k
+    in each row below the pivot, whether m is symmetric or not; returns the
+    sign of the row swaps, or 0 when a column has no pivot."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
+                return 0
+            m[k], m[r], sign = m[r], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign
+
+
 def fraction_inverse(m):
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]

@@ -54,7 +54,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (as_intervals, endpoint_numerators, gcd_poly, iv_add,
-                      iv_mul, numerators, point)
+                      iv_mul, mat_vec, numerators, point)
 from ternlat import enumeration, linalg, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
@@ -495,8 +495,8 @@ def ref_signature(a):
         if all(not iv.lo <= 0 <= iv.hi for iv in ivs):
             return tuple(1 if iv.lo > 0 else -1 for iv in ivs)
         if attempt == 1:
-            pw = linalg.mat_vec(linalg.transpose(ctx.basis_pow),
-                                [F(c, a.den) for c in a.coords])
+            pw = mat_vec(linalg.transpose(ctx.basis_pow),
+                         [F(c, a.den) for c in a.coords])
             if polys.degree(gcd_poly(pw, ctx.poly)) > 0:
                 raise ValueError("element has an exactly-zero embedding")
         width /= 16

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (cell_interval, ref_divmod_poly, ref_embeddings,
-                      ref_unit_square_reduce)
+from conftest import (cell_interval, mat_vec, ref_divmod_poly,
+                      ref_embeddings, ref_unit_square_reduce)
 from ternlat import linalg, numberfield, orders, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import dominated_elements
@@ -766,7 +766,7 @@ def ref_basis_mult_table(poly, basis, inv):
         for j in range(i, d):
             _, rem = ref_divmod_poly(polys.mul(basis[i], basis[j]), poly)
             rem = list(rem) + [F(0)] * (d - len(rem))
-            coords = linalg.mat_vec(inv_t, rem[:d])
+            coords = mat_vec(inv_t, rem[:d])
             if any(c.denominator != 1 for c in coords):
                 raise NotARing(
                     f"product of basis elements {i},{j} is not in the span")

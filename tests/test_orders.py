@@ -4,7 +4,10 @@ Each result is checked against a route that shares no code with the order
 arithmetic: closed-form discriminants of biquadratic fields, the power
 order of a cyclotomic field, the shipped table, and the trace form built
 from `load_field`'s multiplication table alone.  The integer `linalg.lll`
-is checked against a `Fraction` LLL kept here, with its own Gram-Schmidt.
+is checked against a `Fraction` LLL kept here, with its own Gram-Schmidt,
+and the symmetric pass of `linalg._bareiss` against the elimination that
+updates every entry (`conftest.ref_bareiss`) on the trace forms, Hankel
+matrices and Gram matrices it meets here.
 """
 
 import importlib.util
@@ -12,12 +15,13 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from math import floor, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import trace_form
+from conftest import ref_bareiss, trace_form
 from ternlat import linalg, orders, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import sqrt_element
@@ -281,3 +285,82 @@ def nonsingular(draw):
 @given(nonsingular())
 def test_lll_on_random_gram_matrices(b):
     check_lll([[sum(x * y for x, y in zip(r, s)) for s in b] for r in b])
+
+
+# ---------------------------------------------------------------------------
+# the symmetric pass of `linalg._bareiss`: the same matrix and sign as the
+# elimination that updates every entry
+
+def check_bareiss(m):
+    got, want = [list(row) for row in m], [list(row) for row in m]
+    assert linalg._bareiss(got) == ref_bareiss(want)
+    assert got == want
+
+
+def test_bareiss_on_cyclotomic_hankel_forms():
+    for k in range(3, 61):
+        pcos = polys.cos_minpoly(k)
+        d = len(pcos) - 1
+        s = polys.power_sums(pcos, 2 * d - 2)
+        check_bareiss([[int(s[i + j]) for j in range(d)] for i in range(d)])
+
+
+def test_bareiss_on_table_trace_forms(table):
+    for rec in table:
+        check_bareiss(trace_form(table.context(rec.label).mult_table)[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonsingular())
+def test_bareiss_on_the_gram_matrices_lll_eliminates(b):
+    eliminated = []
+    bareiss = linalg._bareiss
+
+    def recording(m):
+        eliminated.append([list(row) for row in m])
+        return bareiss(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_bareiss", recording)
+        linalg.lll([[sum(x * y for x, y in zip(r, s)) for s in b] for r in b])
+    for m in eliminated:
+        check_bareiss(m)
+
+
+@st.composite
+def symmetric_systems(draw):
+    """[a | cols]: a symmetric integer a of size 1 to 6, positive definite
+    (B B^T + I), with a zero leading pivot, with a zero pivot at k = 1
+    (a_00 a_11 = a_01^2), singular (C C^T for C with n - 1 columns) or any
+    symmetric, and 0 to 3 integer columns."""
+    ints = st.integers(-9, 9)
+    n = draw(st.integers(1, 6))
+    b = [draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "definite", "zero_pivot",
+                                  "zero_pivot_k1", "singular"]))
+    if shape == "definite":
+        a = [[sum(map(mul, r, s)) + (i == j) for j, s in enumerate(b)]
+             for i, r in enumerate(b)]
+    elif shape == "singular":
+        a = [[sum(map(mul, r[1:], s[1:])) for s in b] for r in b]
+    else:
+        a = [[b[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if shape == "zero_pivot":
+        a[0][0] = 0
+    elif shape == "zero_pivot_k1" and n > 1:
+        x = draw(st.integers(1, 3))
+        y = draw(ints)
+        a[0][0], a[0][1], a[1][0], a[1][1] = x, x * y, x * y, x * y * y
+    cols = draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                         max_size=3))
+    return [row + [c[i] for c in cols] for i, row in enumerate(a)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_systems())
+@example([[0, 1], [1, 0]])
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+@example([[1, 1, 1, 5], [1, 1, 2, 6], [1, 2, 3, 7]])  # a_21 moves at k = 0
+@example([[1, 1], [1, 1]])
+def test_bareiss_on_symmetric_systems(m):
+    check_bareiss(m)

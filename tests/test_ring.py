@@ -13,6 +13,7 @@ from operator import mul
 
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import mat_vec
 from ternlat import linalg
 from ternlat.polys import MPoly
 
@@ -58,16 +59,22 @@ def test_ring_det_and_adjugate_match_elimination(a):
 @st.composite
 def integer_systems(draw):
     """(a, cols): a square integer matrix of size 1 to 6, some with a zero
-    leading pivot or a dependent row, and up to three integer columns."""
+    leading pivot or a dependent row, some symmetric (with or without a
+    zero leading pivot), and up to three integer columns."""
     ints = st.integers(-9, 9)
     n = draw(st.integers(1, 6))
     a = [[draw(ints) for _ in range(n)] for _ in range(n)]
-    shape = draw(st.sampled_from(["any", "zero_pivot", "dependent_row"]))
+    shape = draw(st.sampled_from(["any", "zero_pivot", "dependent_row",
+                                  "symmetric"]))
     if shape == "zero_pivot":
         a[0][0] = 0
     elif shape == "dependent_row" and n > 1:
         c = draw(ints)
         a[n - 1] = [c * x for x in a[0]]
+    elif shape == "symmetric":
+        a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if draw(st.booleans()):
+            a[0][0] = 0
     cols = draw(st.lists(st.lists(ints, min_size=n, max_size=n),
                          max_size=3))
     return a, cols
@@ -75,12 +82,14 @@ def integer_systems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(integer_systems())
-@example(([[0, 1], [1, 0]], [[2, 3]]))                      # row swap
+@example(([[0, 1], [1, 0]], [[2, 3]]))                      # symmetric swap
 @example(([[1, 2, 3], [2, 4, 5], [1, 1, 1]], [[1, 0, 0]]))  # swap at k = 1
 @example(([[0, 0], [2, 3]], [[1, 1]]))                      # zero row
 @example(([[0, 1, 2], [0, 3, 4], [0, 5, 7]], [[1, 1, 1]]))  # no pivot
 @example(([[1, 2], [2, 4]], [[1, 1], [0, 1]]))              # zero last pivot
 @example(([[5]], [[7], [-3]]))
+@example(([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[1, 2, 3]]))  # symmetric, k = 1
+@example(([], []))                                          # empty
 def test_adjugate_solve_gives_det_and_adjugate_columns(system):
     a, cols = system
     det, sols = linalg.adjugate_solve(a, cols)
@@ -100,7 +109,7 @@ def test_ring_bilinear_is_u_transpose_g_v(g, data):
     coords = st.lists(st.one_of(st.just(F(0)), entries), min_size=n,
                       max_size=n)
     u, v = data.draw(coords), data.draw(coords)
-    want = sum((x * y for x, y in zip(u, linalg.mat_vec(g, v))), F(0))
+    want = sum((x * y for x, y in zip(u, mat_vec(g, v))), F(0))
     assert linalg.ring_bilinear(u, g, v) == want
 
 
