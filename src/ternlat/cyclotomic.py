@@ -84,8 +84,8 @@ def alpha_beta_verify(k: int) -> AlphaBetaReport:
     """
     info = cyclo_info(k)
     d = info.field.degree
-    na, ta = info.alpha.norm_trace()
-    nb, tb = info.beta.norm_trace()
+    na, ta = info.alpha.norm(), info.alpha.trace()
+    nb, tb = info.beta.norm(), info.beta.trace()
     p_half = prime_power_base(k // 2) if k % 2 == 0 else None
     expected_na = p_half if (k % 2 == 0 and p_half is not None) else 1
     p_full = prime_power_base(k)

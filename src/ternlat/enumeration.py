@@ -64,7 +64,7 @@ from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from . import linalg, polys
-from .errors import (BoxTooLarge, DivisionByZero, InvalidInput, NoSuchUnit,
+from .errors import (BoxTooLarge, DivisionByZero, InvalidInput,
                      PrecisionExhausted)
 from .intervals import Numerators, fixed_point_ends, sqrt_numerator
 from .numberfield import Dominance, Element, FieldContext
@@ -448,8 +448,8 @@ def _targets(ctx: FieldContext, bound: Element, mode: QueryMode
     """The region of a query, per embedding and over one least common
     denominator: for hi_i / den_i the upper end of sigma_i(bound) at width
     1/256, clamped at 0, [0, hi_i / den_i] for 0 <= omega <= bound and
-    [-r_i, r_i] for omega^2 <= bound, r_i its `sqrt_upper` taken on
-    integers (`sqrt_numerator`)."""
+    [-r_i, r_i] for omega^2 <= bound, r_i the upper bound on
+    sqrt(hi_i / den_i) that `sqrt_numerator` rounds up on integers."""
     ends = [(max(hi, 0), d) for _, hi, d in
             ctx._embedding_numerators(bound, Fraction(1, 256))]
     square = mode is QueryMode.SQUARE_DOMINATED
@@ -752,38 +752,6 @@ def squarefree_witness(alpha: Element, ceiling: int = DEFAULT_CEILING
     return None
 
 
-def unsquare(alpha: Element, ceiling: int = DEFAULT_CEILING
-             ) -> Tuple[Element, Element, int]:
-    """Write alpha = mu * beta^(2^k) with mu a unit and beta totally positive
-    and not a square.
-
-    Iterates: totally positive associate, square test, square root.  The norm
-    halves (in exponent) each round, so the loop terminates.
-    """
-    ctx = alpha.ctx
-    if alpha.is_zero:
-        raise ValueError("cannot unsquare zero")
-    if alpha.is_unit():
-        raise ValueError("cannot unsquare a unit")
-    _, current = ctx.totally_positive_associate(alpha)
-    k = 0
-    while True:
-        root = sqrt_element(current, ceiling)
-        if root is None:
-            beta = current
-            break
-        if root.is_zero:
-            raise ValueError("unexpected zero while unsquaring")
-        _, current = ctx.totally_positive_associate(root)
-        k += 1
-        if k > 64:
-            raise RuntimeError("unsquare did not terminate")
-    mu = alpha / beta ** (2 ** k)
-    if not mu.is_unit():
-        raise NoSuchUnit("unsquare produced a non-unit cofactor")
-    return mu, beta, k
-
-
 def sum_of_squares_test(gamma: Element, n: int,
                         ceiling: int = DEFAULT_CEILING
                         ) -> Optional[Tuple[Element, ...]]:
@@ -791,7 +759,9 @@ def sum_of_squares_test(gamma: Element, n: int,
 
     Solutions are normalized: each w_i is the lexicographically larger of
     +-w_i and the w_i appear in non-increasing coordinate order, which loses
-    no generality.  A count n below 0 raises InvalidInput.
+    no generality.  Zeros come last, so a branch takes only nonzero w and
+    recursion is at most Tr(gamma) / d deep, as Tr(w^2) >= d for nonzero
+    integral w.  A count n below 0 raises InvalidInput.
     """
     if n < 0:
         raise InvalidInput(f"square count must be at least 0, got {n}")
@@ -806,7 +776,7 @@ def sum_of_squares_test(gamma: Element, n: int,
             return None
         cands = [w for w in dominated_elements(ctx, g, QueryMode.SQUARE_DOMINATED,
                                                ceiling)
-                 if w.key() >= (-w).key()]
+                 if w.key() > (-w).key()]
         cands.sort(key=Element.key, reverse=True)
         for w in cands:
             if max_key is not None and w.key() > max_key:

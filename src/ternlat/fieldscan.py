@@ -18,7 +18,6 @@ import json
 import math
 import time
 from fractions import Fraction
-from operator import index
 from typing import Dict, List, Tuple
 
 from . import __version__
@@ -26,7 +25,7 @@ from .enumeration import (DEFAULT_CEILING, DominanceQuery, require_count,
                           solution_box, sqrt2_span_witnesses)
 from .errors import (FieldDataError, IdentityMismatch, InvalidInput,
                      ParseError, TernlatError, ValidationError)
-from .intervals import sqrt_lower, sqrt_upper
+from .intervals import sqrt_numerator
 from .numberfield import (FieldContext, FieldRecord, class_numbers_ok,
                           load_field, sqrt2_context)
 from .obstruction import DEFAULT_POOL_SIZE, obstruction_search
@@ -37,29 +36,39 @@ from .quadlattice import LatticeClass, standard_lattice
 # ---------------------------------------------------------------------------
 # ingestion
 
+def _integer(x, text: bool = False):
+    """x if it is a JSON integer, or with `text` a string: no float, and
+    no bool, which `int` and `Fraction` would read as 0 or 1."""
+    if type(x) is not int and not (text and type(x) is str):
+        raise TypeError(f"{x!r} is not a JSON integer" +
+                        ' or "p/q" string' * text)
+    return x
+
+
 def parse_record(obj: dict) -> FieldRecord:
     """The record of one table object; integer fields must be JSON integers
-    (`operator.index` refuses floats and strings), `disc` the trace-form
-    determinant of the basis (`orders.Order`) and the class numbers those
-    `load_field` admits (`numberfield.class_numbers_ok`), else
-    `ValidationError`."""
+    and basis entries JSON integers or "p/q" strings (`_integer`), `disc`
+    the trace-form determinant of the basis (`orders.Order`) and the class
+    numbers those `load_field` admits (`numberfield.class_numbers_ok`),
+    else `ValidationError`."""
     if not isinstance(obj, dict):
         raise ValidationError("?", "malformed record: not a JSON object")
     try:
         label = str(obj["label"])
-        degree = index(obj["degree"])
-        poly = tuple(index(c) for c in obj["poly"])
-        basis = tuple(tuple(Fraction(x) for x in row) for row in obj["basis"])
-        disc = index(obj["disc"])
-        h = index(obj.get("h", 1))
-        h_plus = index(obj.get("h_plus", h))
+        degree = _integer(obj["degree"])
+        poly = tuple(map(_integer, obj["poly"]))
+        basis = tuple(tuple(Fraction(_integer(x, True)) for x in row)
+                      for row in obj["basis"])
+        disc = _integer(obj["disc"])
+        h = _integer(obj.get("h", 1))
+        h_plus = _integer(obj.get("h_plus", h))
         units = None
         if obj.get("units") is not None:
-            units = tuple((tuple(index(c) for c in coords), index(den))
+            units = tuple((tuple(map(_integer, coords)), _integer(den))
                           for coords, den in obj["units"])
         sqrt2 = None
         if obj.get("sqrt2") is not None:
-            sqrt2 = tuple(index(c) for c in obj["sqrt2"])
+            sqrt2 = tuple(map(_integer, obj["sqrt2"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(str(obj.get("label", "?")),
                               f"malformed record: {exc}")
@@ -351,8 +360,8 @@ def quartic_gap_maximum() -> dict:
 def _disc_bound() -> Tuple[Fraction, Fraction]:
     """Rational bounds on (2^12/5^5) * (6 + 3 sqrt2)^6."""
     a, b = 577368, 408240            # (6 + 3 sqrt2)^6 = a + b sqrt2
-    return (GAP_SQUARE_MAX * (a + b * sqrt_lower(2)),
-            GAP_SQUARE_MAX * (a + b * sqrt_upper(2)))
+    lo, hi = (Fraction(*sqrt_numerator(2, 1, up)) for up in (False, True))
+    return GAP_SQUARE_MAX * (a + b * lo), GAP_SQUARE_MAX * (a + b * hi)
 
 
 def discriminant_bound_value() -> dict:

@@ -19,7 +19,6 @@ approximate inverse in exact integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -126,13 +125,15 @@ def det_int(a: Sequence[Sequence[int]]) -> int:
 def det(a: Sequence[Sequence]) -> Fraction:
     """Determinant over Q.
 
-    Each row is put over the least common denominator of its entries and the
+    The n x n matrix is put over the least common denominator den of all
+    its entries, so a symmetric one stays symmetric for `_bareiss`, and the
     integer matrix goes to `det_int`, the one Bareiss routine; the result is
-    that determinant over the product of the row denominators.
+    that determinant over den^n.
     """
-    rows = [clear_denominators(row) for row in a]
-    return Fraction(det_int([nums for nums, _ in rows]),
-                    prod(den for _, den in rows))
+    n = len(a)
+    nums, den = clear_denominators([x for row in a for x in row])
+    return Fraction(det_int([nums[i * n:i * n + n] for i in range(n)]),
+                    den ** n)
 
 
 def lll(gram: Sequence[Sequence[int]]) -> List[List[int]]:

@@ -270,20 +270,6 @@ class Element:
         return Fraction(sum(map(mul, self.coords, self.ctx.basis_traces)),
                         self.den)
 
-    def norm_trace(self) -> Tuple[Fraction, Fraction]:
-        return self.norm(), self.trace()
-
-    def embeddings(self, max_width: Rat = Fraction(1, 64)) -> List[Interval]:
-        return self.ctx.embeddings(self, max_width)
-
-    def house(self, max_width: Rat = Fraction(1, 64)) -> Interval:
-        """Enclosure of max_i |sigma_i(self)|; shrinks as max_width does.
-        sigma_i(self) in [lo, hi] / d puts |sigma_i| in [max(lo, -hi, 0),
-        max(-lo, hi)] / d, on the integer sums of `embeddings`."""
-        sums = self.ctx._embedding_numerators(self, max_width)
-        return Interval(max(Fraction(max(lo, -hi, 0), d) for lo, hi, d in sums),
-                        max(Fraction(max(-lo, hi), d) for lo, hi, d in sums))
-
     def compare(self, other) -> Dominance:
         return self.ctx.compare(self, self._coerce(other))
 
@@ -938,8 +924,3 @@ def unit_square_reduce(a: Element) -> Tuple[Element, Element]:
                 best, trace, eta = cand, t, eta * u
                 improved = True
     return best, eta
-
-
-def unit_square_canonical(a: Element) -> Element:
-    """The representative r of `unit_square_reduce(a)`."""
-    return unit_square_reduce(a)[0]

@@ -21,7 +21,7 @@ from .enumeration import (DEFAULT_CEILING, QueryMode, canonical_sign,
                           small_norm_elements, squarefree_witness)
 from .errors import InvalidInput, NoSuchUnit, UnclassifiedCase
 from .numberfield import (Element, FieldContext, sqrt2_context,
-                          unit_square_canonical, unit_square_reduce)
+                          unit_square_reduce)
 from .polys import MPoly
 from .quadlattice import (GramMatrix, LatticeClass, generated_module_gram,
                           isometry_search, offdiag_candidates, standard_lattice)
@@ -202,7 +202,7 @@ def candidate_pool(ctx: FieldContext, pool_size: int = DEFAULT_POOL_SIZE,
         eta = ctx.units_by_signature.get(w.signature())
         if eta is None:
             continue
-        w = unit_square_canonical(eta * w)
+        w = unit_square_reduce(eta * w)[0]
         if not w.is_totally_positive():
             raise NoSuchUnit("associate search produced a non-positive result")
         pool[w.coords] = n, w

@@ -20,7 +20,7 @@ from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
                           squarefree_witness)
 from .errors import (InvalidInput, Singular, UnclassifiedCase,
                      UnexpectedSingularCase)
-from .numberfield import Element, FieldContext, unit_square_canonical
+from .numberfield import Element, FieldContext, unit_square_reduce
 
 Vector = Tuple[Element, ...]
 
@@ -144,7 +144,7 @@ def lattice_predicates(g: GramMatrix) -> LatticePredicates:
     classical = g.is_classical
     det_norm = det.norm()
     unimodular = classical and abs(det_norm) == 1
-    det_class = unit_square_canonical(det)
+    det_class = unit_square_reduce(det)[0]
     return LatticePredicates(classical, unimodular, det, det_norm, det_class)
 
 

@@ -14,7 +14,7 @@ from ternlat.enumeration import (dominated_elements, elements_of_norm,
                                  enumerate_representations)
 from ternlat.fieldscan import (exceptional_sets, scan_small_condition,
                                verify_identities)
-from ternlat.numberfield import unit_square_canonical
+from ternlat.numberfield import unit_square_reduce
 from ternlat.obstruction import (obstruction_search, orthogonality_forcing,
                                  quartic_case_analysis)
 from ternlat.quadlattice import (GramMatrix, LatticeClass,
@@ -23,7 +23,7 @@ from ternlat.quadlattice import (GramMatrix, LatticeClass,
 
 from test_properties import (run_certificate_suite, run_dual_of_dual_suite,
                              run_enumeration_oracle_suite,
-                             run_norm_trace_suite, run_unsquare_suite)
+                             run_norm_trace_suite, run_square_class_suite)
 
 
 def report(n, ok, detail, t0, budget=None):
@@ -162,7 +162,7 @@ def test_criterion_6_unimodular_example(table):
             if (mask >> i) & 1:
                 prod = prod * u
         if prod.is_totally_positive():
-            rep_u = unit_square_canonical(prod)
+            rep_u = unit_square_reduce(prod)[0]
             classes[rep_u.coords] = rep_u
     ok &= len(classes) == 2          # h+/h = 2: the classes are 1 and eps
     for u in classes.values():
@@ -195,7 +195,7 @@ def test_criterion_8_obstruction_certificates(table):
     p2 = elements_of_norm(ctx, 2, F(6), totally_positive=True)[0]
     p17_classes = {}
     for e in elements_of_norm(ctx, 17, F(6), totally_positive=True):
-        r = unit_square_canonical(e)
+        r = unit_square_reduce(e)[0]
         p17_classes[r.coords] = r
     ok = len(p17_classes) == 4
     for p17 in p17_classes.values():
@@ -206,8 +206,8 @@ def test_criterion_8_obstruction_certificates(table):
     ok &= orthogonality_forcing(ctx, [ctx.one, 2 + ctx.sqrt2, p7]).is_valid
     # class-number-2 field: full certificate search
     ctx = table.context("K51200")
-    a14 = [e for e in (unit_square_canonical(
-        ctx.totally_positive_associate(x)[1])
+    a14 = [e for e in (unit_square_reduce(
+        ctx.totally_positive_associate(x)[1])[0]
         for x in elements_of_norm(ctx, 14, F(6)))]
     ok &= bool(a14)
     ok &= orthogonality_forcing(ctx, [ctx.one, 2 + ctx.sqrt2,
@@ -225,11 +225,12 @@ def test_criterion_9_property_suites(ctx_sqrt2, ctx_sqrt3, ctx_sqrt5, table):
     n1 = run_enumeration_oracle_suite([ctx_sqrt2, ctx_sqrt3, ctx_sqrt5])
     n2 = run_dual_of_dual_suite(ctx_sqrt2)
     n3 = run_norm_trace_suite([ctx_sqrt2, table.context("K2048")])
-    n4 = run_unsquare_suite(ctx_sqrt2)
+    n4 = run_square_class_suite(ctx_sqrt2)
     n5 = run_certificate_suite(table)
     report(9, (n1, n2, n3, n4) == (50, 20, 200, 20) and n5 == 2,
            f"oracle suites: {n1} enumerations, {n2} duals, {n3} norm/trace "
-           f"pairs, {n4} unsquare round-trips, {n5} certificates revalidated",
+           f"pairs, {n4} square-class round-trips, {n5} certificates "
+           "revalidated",
            t0, budget=300)
 
 

@@ -184,6 +184,18 @@ def test_sum_of_squares_cli(capsys, fields_dir):
     assert out.splitlines()[0] == "0 = 0"
 
 
+def test_sum_of_squares_cli_count_past_the_recursion_limit(capsys,
+                                                            fields_dir):
+    # 0 is the only candidate below 2 + sqrt2, and the search takes no
+    # w = 0 branch, so it recurses no deeper than the trace allows
+    code, out = run(capsys, "sum-of-squares",
+                    "--field", str(fields_dir / "qsqrt2.json"),
+                    "--gamma", "2+sqrt2", "--n", "3000")
+    assert code == 0
+    assert out == ("2+sqrt2 is NOT a sum of 3000 squares over Q(sqrt2) "
+                   "(complete search)\n")
+
+
 def test_indecomposables_cli(capsys, fields_dir):
     code, out = run(capsys, "indecomposables",
                     "--field", str(fields_dir / "qsqrt2.json"),

@@ -9,9 +9,8 @@ from ternlat.enumeration import (DominanceQuery, QueryMode,
                                  enumerate_representations,
                                  is_indecomposable, solution_box,
                                  small_norm_elements, sqrt_element,
-                                 squarefree_witness, sum_of_squares_test,
-                                 unsquare)
-from ternlat.numberfield import Dominance, load_field, sqrt2_context
+                                 squarefree_witness, sum_of_squares_test)
+from ternlat.numberfield import Dominance, Element, load_field, sqrt2_context
 
 
 def coords_of(elements):
@@ -315,24 +314,14 @@ def test_squarefree_pad_covers_the_sqrt2_units(ctx_sqrt2):
     # the search box holds an associate of every square divisor when the
     # product over the unit generators u of max(house u, house 1/u) is at
     # most _SQUAREFREE_PAD^2 (2.414 <= 16 over Q(sqrt2))
-    width = F(1, 2 ** 20)
+    def house_hi(a):
+        return max(max(-iv.lo, iv.hi)
+                   for iv in ctx_sqrt2.embeddings(a, F(1, 2 ** 20)))
+
     bound = 1
     for u in ctx_sqrt2.units:
-        bound *= max(u.house(width).hi, (ctx_sqrt2.one / u).house(width).hi)
+        bound *= max(house_hi(u), house_hi(ctx_sqrt2.one / u))
     assert bound <= enumeration._SQUAREFREE_PAD ** 2
-
-
-def test_unsquare(ctx_sqrt2):
-    ctx = ctx_sqrt2
-    s = ctx.sqrt2
-    lam = 2 + s
-    mu, beta, k = unsquare(ctx.from_rational(2))
-    assert (beta, k) == (lam, 1)
-    assert mu == (1 + s) ** -2
-    assert mu * beta ** 2 == ctx.from_rational(2)
-    assert unsquare(lam) == (ctx.one, lam, 0)
-    mu3, beta3, k3 = unsquare(6 + 4 * s)
-    assert (mu3, beta3, k3) == (ctx.one, lam, 1)
 
 
 def test_sum_of_squares(ctx_sqrt2, ctx_q):
@@ -350,6 +339,38 @@ def test_sum_of_squares(ctx_sqrt2, ctx_q):
         sum_of_squares_test(ctx.from_rational(3), -1)
     assert sum_of_squares_test(ctx.zero, 0) == ()
     assert sum_of_squares_test(ctx.from_rational(3), 0) is None
+
+
+def test_sum_of_squares_recursion_is_bounded_by_the_trace(ctx_sqrt2, ctx_q):
+    # a branch takes only nonzero w, so the search recurses at most
+    # Tr(gamma) / d deep and a count past the recursion limit ends; the
+    # w = 0 branch it drops never succeeds at nonzero g, so every result
+    # is the one of the search that keeps it
+    def with_zero(g, k, max_key=None):
+        if g.is_zero:
+            return (g.ctx.zero,) * k
+        if k == 0:
+            return None
+        cands = sorted((w for w in dominated_elements(g.ctx, g)
+                        if (-w).key() <= w.key()
+                        and (max_key is None or w.key() <= max_key)),
+                       key=Element.key, reverse=True)
+        for w in cands:
+            rest = with_zero(g - w * w, k - 1, w.key())
+            if rest is not None:
+                return (w,) + rest
+        return None
+
+    s = ctx_sqrt2.sqrt2
+    assert sum_of_squares_test(2 + s, 3000) is None
+    seven = ctx_q.from_rational(7)
+    assert sum_of_squares_test(seven, 3000) == tuple(
+        map(ctx_q.from_rational, (2, 1, 1, 1) + (0,) * 2996))
+    for gamma in (ctx_sqrt2.zero, ctx_sqrt2.one, 2 + s, 3 + s, 4 + 2 * s,
+                  5 + 2 * s, ctx_sqrt2.from_rational(7), seven):
+        for n in range(6):
+            assert sum_of_squares_test(gamma, n) == with_zero(gamma, n), \
+                (gamma, n)
 
 
 def test_representations(ctx_q):

@@ -40,7 +40,8 @@ the verified inverse to the target region and `_candidate_estimate` takes
 the determinant of the integer matrix of midpoint numerators, both over
 common denominators; the references are the `Fraction` interval loops
 they replaced.  The targets are integer numerators over one denominator,
-against the `Fraction` bodies they replaced (`sqrt_upper` and `Interval`).
+against the `Fraction` bodies they replaced (an upper square root and
+`Interval`).
 `sqrt2_span_witnesses` decides membership in span{1, sqrt2} by one integer
 rank test, against `FieldContext.rational_span_coords`.
 """
@@ -468,7 +469,7 @@ def _samples(ctx, rng):
     if bound.is_totally_positive():
         sols = dominated_elements(ctx, bound)
         gaps = sorted(sols, key=lambda w: min(
-            iv.lo for iv in (bound - w * w).embeddings(F(1, 1 << 20))))
+            iv.lo for iv in ctx.embeddings(bound - w * w, F(1, 1 << 20))))
         out += [bound - w * w for w in gaps[:6]]
     return out
 
@@ -491,7 +492,7 @@ def ref_signature(a):
     ctx = a.ctx
     width = F(1, 16)
     for attempt in range(64):
-        ivs = a.embeddings(width)
+        ivs = ctx.embeddings(a, width)
         if all(not iv.lo <= 0 <= iv.hi for iv in ivs):
             return tuple(1 if iv.lo > 0 else -1 for iv in ivs)
         if attempt == 1:
@@ -1029,7 +1030,7 @@ def test_box_kernels_equal_the_fraction_loops(table, monkeypatch, mode):
 
 
 # the target bodies the integer `enumeration._targets` replaced, with
-# `sqrt_upper` written out on `Fraction`s
+# the upper square root written out on `Fraction`s
 
 def ref_sqrt_upper(x):
     n = x.numerator * x.denominator << 64

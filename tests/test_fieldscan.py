@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -16,7 +17,6 @@ from ternlat.fieldscan import (GAP_SQUARE_MAX, FieldTable,
                                scan_obstructions,
                                scan_small_condition, sum_of_squares_identities,
                                verify_identities, write_report)
-from ternlat.intervals import sqrt_lower, sqrt_upper
 from ternlat.numberfield import load_field, sqrt2_context
 
 
@@ -62,6 +62,30 @@ def test_parse_rejects_nonmonic():
                    {"h": -1, "h_plus": 2}):
         with pytest.raises(ValidationError):
             parse_record({**obj, **change})
+
+
+BOOL_OR_FLOAT = [{"degree": True}, {"poly": [False, True]}, {"disc": True},
+                 {"h": True}, {"h_plus": True}, {"units": [[[True], 1]]},
+                 {"units": [[[-1], True]]}, {"sqrt2": [True]},
+                 {"basis": [[True]]}, {"basis": [[1.0]]}, {"basis": [[0.5]]}]
+
+
+@pytest.mark.parametrize("change", BOOL_OR_FLOAT,
+                         ids=[str(c) for c in BOOL_OR_FLOAT])
+def test_parse_refuses_bools_and_float_basis_entries(change, tmp_path,
+                                                     fields_dir):
+    # `operator.index(True)` is 1 and `Fraction(True)`, `Fraction(1.0)` are
+    # numbers: a JSON bool in an integer field, or a float or bool in
+    # `basis`, is a malformed record, and in a table an error at its line
+    obj = json.loads((fields_dir / "q.json").read_text())
+    assert parse_record(obj).degree == 1
+    with pytest.raises(ValidationError, match="not a JSON integer"):
+        parse_record({**obj, **change})
+    p = tmp_path / "bool.jsonl"
+    p.write_text(json.dumps(obj) + "\n" +
+                 json.dumps({**obj, **change, "label": "B"}) + "\n")
+    with pytest.raises(ParseError, match="line 2: B: malformed record"):
+        ingest_fields(p)
 
 
 def test_ingest_rejects_a_wrong_disc(tmp_path, fields_dir):
@@ -330,9 +354,13 @@ def test_gap_maximum_is_attained_and_is_the_bound_factor():
     a, b = 1, 0
     for _ in range(6):
         a, b = 6 * a + 6 * b, 3 * a + 6 * b
+    # sqrt2 lies between r / 2^32 and (r + 1) / 2^32, r = isqrt(2^65)
+    r = isqrt(2 << 64)
+    lo, hi = Fraction(r, 1 << 32), Fraction(r + 1, 1 << 32)
+    assert lo * lo < 2 < hi * hi
     bound = discriminant_bound_value()
-    assert bound["lower"] == float(g2 * (a + b * sqrt_lower(2)))
-    assert bound["upper"] == float(g2 * (a + b * sqrt_upper(2)))
+    assert bound["lower"] == float(g2 * (a + b * lo))
+    assert bound["upper"] == float(g2 * (a + b * hi))
 
 
 def test_verify_identities():
@@ -380,7 +408,8 @@ def test_exceptional_witness_disc_bound(table):
                 charpoly = linalg.charpoly(w.mult_matrix_scaled())
                 if polys.degree(gcd_poly(charpoly,
                                                polys.diff(charpoly))) == 0:
-                    house = float(w.house().hi)
+                    house = float(max(max(-iv.lo, iv.hi)
+                                      for iv in ctx.embeddings(w)))
                     bound = (2 ** 12 / 5 ** 5) * house ** 12
                     assert ctx.record.disc <= bound + 1e-6, (v["label"], key)
                 else:

@@ -200,7 +200,7 @@ def ref_det(a):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
             m[i][k] = F(0)
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else F(1)
 
 
 # ---------------------------------------------------------------------------
@@ -1080,9 +1080,7 @@ def matrices(draw):
     shape = draw(st.sampled_from(["any", "zero_pivot", "dependent_row",
                                   "zero_column", "symmetric"]))
     if shape == "symmetric":
-        # integer entries, so that the rows `det` clears stay symmetric
-        a = [[int(a[min(i, j)][max(i, j)]) for j in range(n)]
-             for i in range(n)]
+        a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         if draw(st.booleans()):
             a[0][0] = 0
     elif shape == "zero_pivot":
@@ -1098,14 +1096,27 @@ def matrices(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
+@example([])
 @example([[0, 1], [1, 0]])
 @example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+@example([[F(1, 2), 1], [1, 2]])
 @example([[0, F(1, 2), 1], [0, 3, F(-2, 3)], [F(5, 4), 1, 1]])
 @example([[F(1, 2), F(1, 3)], [F(3, 2), 1]])
 def test_det_equals_fraction_bareiss(a):
     got = linalg.det(a)
     assert isinstance(got, F)
     assert got == ref_det(a)
+
+
+def test_det_keeps_a_symmetric_matrix_symmetric(monkeypatch):
+    # one common denominator for every entry, so a symmetric matrix whose
+    # rows have unequal denominators reaches `_bareiss`'s symmetric pass
+    seen, det_int = [], linalg.det_int
+    monkeypatch.setattr(linalg, "det_int",
+                        lambda m: seen.append(m) or det_int(m))
+    assert linalg.det([[F(1, 2), 1], [1, 2]]) == 0
+    assert linalg.det([[F(1, 2), F(1, 3)], [F(1, 3), 3]]) == F(25, 18)
+    assert seen == [[[1, 2], [2, 4]], [[3, 2], [2, 18]]]
 
 
 def test_det_of_singular_matrices_is_zero():

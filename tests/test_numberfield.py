@@ -13,7 +13,6 @@ from ternlat.errors import (DivisionByZero, FieldDataError, InvalidInput,
 from ternlat.intervals import Interval
 from ternlat.numberfield import (Dominance, FieldRecord, basis_mult_table,
                                  load_field, sqrt2_context,
-                                 unit_square_canonical,
                                  unit_square_reduce, units_by_signature)
 from ternlat.orders import field_record
 
@@ -100,7 +99,7 @@ def test_element_refuses_non_integer_coordinates(ctx_sqrt2, coords, den):
 
 def test_norm_trace(ctx_sqrt2):
     lam = 2 + ctx_sqrt2.sqrt2
-    assert lam.norm_trace() == (F(2), F(4))
+    assert (lam.norm(), lam.trace()) == (F(2), F(4))
     assert (ctx_sqrt2.one / lam).norm() == F(1, 2)
 
 
@@ -180,11 +179,10 @@ def test_element_inverse_and_division_on_table_fields(table):
 
 def test_embeddings_and_house(ctx_sqrt2):
     lam = 2 + ctx_sqrt2.sqrt2
-    ivs = lam.embeddings(F(1, 100))
+    ivs = ctx_sqrt2.embeddings(lam, F(1, 100))
     assert all(iv.hi - iv.lo <= F(1, 100) for iv in ivs)
     assert ivs[0].lo < ivs[1].lo  # ascending root order
-    h = lam.house(F(1, 100))
-    assert h.lo <= F(342, 100) <= h.hi + F(1, 100)
+    assert ivs[1].lo <= F(342, 100) <= ivs[1].hi + F(1, 100)  # the house
 
 
 @pytest.mark.parametrize("n", [400, 1000])
@@ -194,8 +192,7 @@ def test_embeddings_of_large_unit_powers(n):
     # is checked exactly: sigma_i(a - lo) >= 0 and sigma_i(hi - a) >= 0
     ctx = sqrt2_context()
     a = (ctx.one + ctx.sqrt2) ** n
-    ivs, house = ctx.embeddings(a), a.house()
-    assert house == ivs[1]
+    ivs = ctx.embeddings(a)
     assert_exact_enclosures(a, ivs, F(1, 64))
 
 
@@ -340,9 +337,9 @@ def test_unit_predicates(ctx_sqrt2):
 
 def test_unit_square_canonical(ctx_sqrt2):
     s = ctx_sqrt2.sqrt2
-    assert unit_square_canonical(2 - s) == 2 + s
-    assert unit_square_canonical(10 - 7 * s) == 2 + s
-    assert unit_square_canonical(ctx_sqrt2.from_rational(3)) == \
+    assert unit_square_reduce(2 - s)[0] == 2 + s
+    assert unit_square_reduce(10 - 7 * s)[0] == 2 + s
+    assert unit_square_reduce(ctx_sqrt2.from_rational(3))[0] == \
         ctx_sqrt2.from_rational(3)
 
 
@@ -352,7 +349,7 @@ def test_unit_square_canonical_far_along_the_orbit():
     ctx = sqrt2_context()
     s = ctx.sqrt2
     far = (1 + s) ** 2200 * (2 + s)
-    assert unit_square_canonical(far) == 2 + s
+    assert unit_square_reduce(far)[0] == 2 + s
 
 
 def _pool_associates(ctx):
@@ -460,44 +457,9 @@ def test_as_rational_reads_q_off_the_unit(table, ctx_q, ctx_sqrt2, ctx_sqrt3,
     assert minus == 9
 
 
-def ref_house(a, width):
-    """max_i |sigma_i(a)| from the `Interval`s of `embeddings`, each taken
-    to its absolute value."""
-    ivs = []
-    for iv in a.embeddings(width):
-        if iv.lo >= 0:
-            ivs.append(iv)
-        elif iv.hi <= 0:
-            ivs.append(Interval(-iv.hi, -iv.lo))
-        else:
-            ivs.append(Interval(F(0), max(-iv.lo, iv.hi)))
-    return Interval(max(iv.lo for iv in ivs), max(iv.hi for iv in ivs))
-
-
-def test_house_equals_the_interval_abs_hull(table, ctx_q, ctx_sqrt2,
-                                            ctx_sqrt3, ctx_sqrt5):
-    # fresh contexts, so the first widths meet coarse roots and some
-    # enclosures hold zero; the reference reads the same root state
-    rng = random.Random(47)
-    seen = {"pairs": 0, "straddling": 0, "negative": 0}
-    for field in _some_fields(table, ctx_q, ctx_sqrt2, ctx_sqrt3, ctx_sqrt5):
-        ctx = load_field(field.record)
-        elements = [ctx.zero, ctx.gen] + [
-            ctx.element([rng.randint(-4, 4) for _ in range(ctx.degree)],
-                        rng.choice([1, 7, 64])) for _ in range(8)]
-        for width in (F(1, 2), F(1, 64), F(1, 10 ** 6)):
-            for a in elements:
-                ivs = a.embeddings(width)
-                assert a.house(width) == ref_house(a, width), (ctx, a)
-                seen["pairs"] += 1
-                seen["straddling"] += any(iv.lo < 0 < iv.hi for iv in ivs)
-                seen["negative"] += any(iv.hi < 0 for iv in ivs)
-    assert seen["pairs"] == 27 * 30 and min(seen.values()) > 0, seen
-
-
 def test_degree_one_field(ctx_q):
     a = ctx_q.from_rational(7)
-    assert a.norm_trace() == (F(7), F(7))
+    assert (a.norm(), a.trace()) == (F(7), F(7))
     assert a.compare(ctx_q.zero) is Dominance.GT
     assert a.signature() == (1,)
 

@@ -8,7 +8,7 @@ from ternlat.enumeration import elements_of_norm, squarefree_witness
 from ternlat import enumeration, numberfield, obstruction
 from ternlat.cli import main
 from ternlat.errors import BoxTooLarge, InvalidInput, NoSuchUnit
-from ternlat.numberfield import load_field, unit_square_canonical
+from ternlat.numberfield import load_field, unit_square_reduce
 from ternlat.obstruction import (candidate_pool, dual_nonrepresentation,
                                  indecomposables_classify,
                                  obstruction_certificate, obstruction_search,
@@ -229,8 +229,7 @@ def test_certificate_roundtrip(table):
     lam = 2 + ctx.sqrt2
     p7 = elements_of_norm(ctx, 7, F(6), totally_positive=True)[0]
     p7b = [e for e in elements_of_norm(ctx, 7, F(6), totally_positive=True)
-           if unit_square_canonical(e) !=
-           unit_square_canonical(p7)][0]
+           if unit_square_reduce(e)[0] != unit_square_reduce(p7)[0]][0]
     cert = obstruction_certificate(ctx, [ctx.one, lam, p7], p7b)
     data = cert.to_dict()
     assert revalidate_certificate(ctx, data)
@@ -350,7 +349,7 @@ def test_search_enumerates_each_bound_once(table, monkeypatch):
     queries, muls, depth, norms = [], [0], [0], [0]
     enumerate_dominated = enumeration.enumerate_dominated
     mul = numberfield.Element.__mul__
-    walk = numberfield.unit_square_reduce
+    walk = obstruction.unit_square_reduce
     norm = numberfield.Element.norm
 
     def counted_enumerate(query, ceiling):
@@ -374,7 +373,7 @@ def test_search_enumerates_each_bound_once(table, monkeypatch):
 
     monkeypatch.setattr(enumeration, "enumerate_dominated", counted_enumerate)
     monkeypatch.setattr(numberfield.Element, "__mul__", counted_mul)
-    monkeypatch.setattr(numberfield, "unit_square_reduce", counted_walk)
+    monkeypatch.setattr(obstruction, "unit_square_reduce", counted_walk)
     monkeypatch.setattr(numberfield.Element, "norm", counted_norm)
     assert obstruction_search(ctx, 40).is_valid
     assert len(queries) == 7 and len(set(queries)) == 7

@@ -13,9 +13,10 @@ from operator import mul
 from hypothesis import given, settings, strategies as st
 
 from conftest import ellipsoid_radii, gram_inverse_dual, trace_form
-from ternlat.enumeration import (QueryMode, dominated_elements, unsquare)
+from ternlat.enumeration import QueryMode, dominated_elements
 from ternlat.numberfield import Dominance, Element, sqrt2_context
-from ternlat.obstruction import obstruction_certificate, revalidate_certificate
+from ternlat.obstruction import (obstruction_certificate,
+                                 revalidate_certificate, square_class_reduce)
 from ternlat.quadlattice import GramMatrix
 
 
@@ -117,25 +118,28 @@ def test_norm_multiplicativity_and_trace_additivity(ctx_sqrt2, table):
     run_norm_trace_suite([ctx_sqrt2, table.context("K2048")])
 
 
-def run_unsquare_suite(ctx, count=20):
-    from ternlat.enumeration import sqrt_element
+def run_square_class_suite(ctx, count=20):
+    """`square_class_reduce` round trips over Q(sqrt2): x = r scale^2 with
+    r totally positive, x the totally positive associate of a random y or,
+    every other time, y^2, whose r must be 1 (the search is complete over
+    Q(sqrt2))."""
     rng = random.Random(4242)
     done = 0
     while done < count:
-        a = ctx.element([rng.randint(-6, 6), rng.randint(-4, 4)])
-        if a.is_zero or a.is_unit():
+        y = ctx.element([rng.randint(-6, 6), rng.randint(-4, 4)])
+        if y.is_zero:
             continue
-        mu, beta, k = unsquare(a)
-        assert mu.is_unit()
-        assert beta.is_totally_positive()
-        assert mu * beta ** (2 ** k) == a
-        assert sqrt_element(beta) is None
+        square = done % 2 == 1
+        x = y * y if square else ctx.totally_positive_associate(y)[1]
+        r, scale = square_class_reduce(x)
+        assert r * scale * scale == x and r.is_totally_positive(), x
+        assert r == ctx.one or not square, x
         done += 1
     return done
 
 
-def test_unsquare_roundtrip(ctx_sqrt2):
-    run_unsquare_suite(ctx_sqrt2)
+def test_square_class_roundtrip(ctx_sqrt2):
+    run_square_class_suite(ctx_sqrt2)
 
 
 def run_certificate_suite(table):
@@ -195,7 +199,7 @@ def test_division_roundtrip(a, b):
 @settings(max_examples=60, deadline=None)
 def test_embedding_consistency(a):
     prec = F(1, 256)
-    ivs = a.embeddings(prec)
+    ivs = CTX.embeddings(a, prec)
     d = CTX.degree
     mid_sum = sum(iv.mid for iv in ivs)
     assert abs(mid_sum - a.trace()) <= d * prec
@@ -210,8 +214,8 @@ def test_embedding_consistency(a):
 @settings(max_examples=80, deadline=None)
 def test_compare_agrees_with_disjoint_intervals(a, b):
     verdict = a.compare(b)
-    iva = a.embeddings(F(1, 2 ** 20))
-    ivb = b.embeddings(F(1, 2 ** 20))
+    iva = CTX.embeddings(a, F(1, 2 ** 20))
+    ivb = CTX.embeddings(b, F(1, 2 ** 20))
     if all(x.hi < y.lo for x, y in zip(iva, ivb)):
         assert verdict is Dominance.LT
     if all(x.lo > y.hi for x, y in zip(iva, ivb)):
