@@ -15,9 +15,8 @@ import sys
 from typing import List, Optional
 
 from .cyclotomic import alpha_beta_verify, subfield_test
-from .enumeration import (DEFAULT_CEILING, DominanceQuery, QueryMode,
-                          enumerate_dominated, require_count,
-                          sum_of_squares_test)
+from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
+                          require_count, sum_of_squares_test)
 from .errors import TernlatError
 from .fieldscan import (exceptional_sets, ingest_fields, load_field_file,
                         scan_obstructions, scan_small_condition,
@@ -74,7 +73,7 @@ def cmd_small_elements(args) -> int:
     bound = parse_element(ctx, args.bound)
     mode = QueryMode.INTERVAL if args.mode == "interval" \
         else QueryMode.SQUARE_DOMINATED
-    sols = enumerate_dominated(DominanceQuery(ctx, bound, mode), args.ceiling)
+    sols = dominated_elements(ctx, bound, mode, args.ceiling)
     for w in sols:
         print(ctx.format_element(w))
     print(f"# {len(sols)} elements with "

@@ -87,7 +87,7 @@ def alpha_beta_verify(k: int) -> AlphaBetaReport:
     na, ta = info.alpha.norm(), info.alpha.trace()
     nb, tb = info.beta.norm(), info.beta.trace()
     p_half = prime_power_base(k // 2) if k % 2 == 0 else None
-    expected_na = p_half if (k % 2 == 0 and p_half is not None) else 1
+    expected_na = p_half if p_half is not None else 1
     p_full = prime_power_base(k)
     expected_nb = p_full if p_full is not None else 1
     if na != expected_na:
@@ -121,7 +121,7 @@ def subfield_test(field: FieldContext, k: int,
     if k < 3:
         raise UnsupportedK(f"k = {k} < 3")
     _, phi = mobius_phi(k)
-    if phi // 2 == 0 or field.degree % (phi // 2) != 0:
+    if field.degree % (phi // 2) != 0:
         return None
     pcos = polys.cos_minpoly(k)
     four = field.from_rational(4)

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import __version__
-from .enumeration import (DEFAULT_CEILING, DominanceQuery, require_count,
-                          solution_box, sqrt2_span_witnesses)
+from .enumeration import (DEFAULT_CEILING, require_count, solution_box,
+                          sqrt2_span_witnesses)
 from .errors import (FieldDataError, IdentityMismatch, InvalidInput,
                      ParseError, TernlatError, ValidationError)
 from .intervals import sqrt_numerator
@@ -215,8 +215,8 @@ def scan_small_condition(table: FieldTable, disc_cap: int,
         t0 = time.time()
         w3 = sqrt2_span_witnesses(ctx, b3, ceiling)
         w6 = sqrt2_span_witnesses(ctx, b6, ceiling)
-        box3 = solution_box(DominanceQuery(ctx, b3), ceiling)
-        box6 = solution_box(DominanceQuery(ctx, b6), ceiling)
+        box3 = solution_box(ctx, b3, ceiling=ceiling)
+        box6 = solution_box(ctx, b6, ceiling=ceiling)
         out.update({
             "status": "ok",
             "exceptional_3lambda": bool(w3),
@@ -366,10 +366,14 @@ def _disc_bound() -> Tuple[Fraction, Fraction]:
 
 def discriminant_bound_value() -> dict:
     """(2^12/5^5) * (6 + 3 sqrt2)^6 with certified rational bounds,
-    rendered as floats."""
+    rendered as floats; IdentityMismatch unless both bounds lie in
+    [1513496.95, 1513496.97], compared as `Fraction`s."""
     lo, hi = _disc_bound()
-    return {"lower": float(lo), "upper": float(hi),
-            "value": float((lo + hi) / 2)}
+    bound = {"lower": float(lo), "upper": float(hi),
+             "value": float((lo + hi) / 2)}
+    if not Fraction("1513496.95") <= lo <= hi <= Fraction("1513496.97"):
+        raise IdentityMismatch(f"discriminant bound {bound} out of tolerance")
+    return bound
 
 
 def verify_identities() -> dict:
@@ -378,8 +382,5 @@ def verify_identities() -> dict:
     identities = sum_of_squares_identities(sqrt2_context())
     gap = quartic_gap_maximum()
     bound = discriminant_bound_value()
-    lo, hi = _disc_bound()
-    if not Fraction("1513496.95") <= lo <= hi <= Fraction("1513496.97"):
-        raise IdentityMismatch(f"discriminant bound {bound} out of tolerance")
     return {"sum_of_squares": identities, "gap_maximum": gap,
             "disc_bound": bound, "ok": True}

@@ -69,6 +69,10 @@ class Dominance(Enum):
     INCOMPARABLE = "incomparable"
 
 
+# the outcomes of weak dominance, a >= b in every embedding
+WEAKLY_DOMINATES = (Dominance.GT, Dominance.EQ, Dominance.GE_TIED)
+
+
 class Element:
     """Field element: integer coordinates over the integral basis / denominator."""
 
@@ -274,7 +278,7 @@ class Element:
         return self.ctx.compare(self, self._coerce(other))
 
     def __ge__(self, other):  # weak dominance
-        return self.compare(other) in (Dominance.GT, Dominance.EQ, Dominance.GE_TIED)
+        return self.compare(other) in WEAKLY_DOMINATES
 
     def __gt__(self, other):  # strict dominance
         return self.compare(other) is Dominance.GT
@@ -289,8 +293,7 @@ class Element:
         return self.compare(self.ctx.zero) is Dominance.GT
 
     def is_totally_nonnegative(self) -> bool:
-        return self.compare(self.ctx.zero) in (Dominance.GT, Dominance.EQ,
-                                               Dominance.GE_TIED)
+        return self.compare(self.ctx.zero) in WEAKLY_DOMINATES
 
     def signature(self) -> Tuple[int, ...]:
         """Signs of all real embeddings, ordered by ascending root."""
@@ -394,10 +397,6 @@ class FieldContext:
                      for row in self.mult_table)
 
     # -- embeddings ----------------------------------------------------------
-
-    def roots(self) -> List[Interval]:
-        return [Interval(Fraction(c.a, c.b), Fraction(c.e, c.b))
-                for c in self._state.cells]
 
     def refine_roots(self, max_width: Rat) -> Fraction:
         """Narrow every root wider than max_width to at most max_width, each
@@ -620,24 +619,20 @@ class FieldContext:
                      for u in self.units or () for v in (u, u.inverse())
                      for v2 in (v * v,) if v2 != self.one)
 
-    def totally_positive_associate(self, a: Element) -> Tuple[Element, Element]:
-        """Unit eta (a product of supplied generators) with eta*a totally positive.
-
-        eta is read from the signature table: the product of generators with
-        the least bit mask among those of the signature of a.  Raises
-        NoSuchUnit when that signature is not realized, which signals either
-        an incomplete generator list or a field with nonsquare totally
-        positive units.
+    def totally_positive_associate(self, a: Element
+                                   ) -> Optional[Tuple[Element, Element]]:
+        """(eta, eta * a) with eta * a totally positive, eta the product of
+        supplied generators with the least bit mask among those of the
+        signature of a (`units_by_signature`), or None when no such product
+        has that signature: a context without units realizes only the
+        signature of 1.  Raises NoSuchUnit on a product that is not totally
+        positive.
         """
         if a.is_zero:
             raise ValueError("no totally positive associate of zero")
-        self.require_units()
-        target = a.signature()
-        eta = self.units_by_signature.get(target)
+        eta = self.units_by_signature.get(a.signature())
         if eta is None:
-            raise NoSuchUnit(
-                f"{self.record.label}: signature {target} not realized "
-                "by supplied units")
+            return None
         result = eta * a
         if not result.is_totally_positive():
             raise NoSuchUnit("associate search produced a non-positive result")
@@ -645,26 +640,37 @@ class FieldContext:
 
     # -- misc ----------------------------------------------------------------
 
-    def rational_span_coords(self, a: Element,
-                             gens: Sequence[Element]) -> Optional[List[Fraction]]:
-        """Exact rational coordinates of a over span(gens), gens independent,
-        or None: `linalg.adjugate_solve` solves C^T C y = C^T x for the
-        integer coordinates C of gens and x of a, and a is in the span
-        exactly when C y = x."""
-        cols = [g.coords for g in gens]
-        det, (y,) = linalg.adjugate_solve(
-            [[sum(map(mul, c, e)) for e in cols] for c in cols],
-            [[sum(map(mul, c, a.coords)) for c in cols]])
-        if any(det * x != sum(map(mul, y, row))
-               for x, row in zip(a.coords, zip(*cols))):
+    @cached_property
+    def _sqrt2_minor(self) -> Tuple[int, int, int]:
+        """(m, p, q) with m = u_p s_q - u_q s_p the first nonzero 2x2 minor
+        of the integer coordinates u of 1 and s of sqrt2, which are
+        independent."""
+        if self.sqrt2 is None:
+            raise ValueError("field has no sqrt2 tag")
+        u, s, d = self.one.coords, self.sqrt2.coords, self.degree
+        return next((u[p] * s[q] - u[q] * s[p], p, q) for p in range(d)
+                    for q in range(p + 1, d) if u[p] * s[q] != u[q] * s[p])
+
+    def sqrt2_span(self, a: Element) -> Optional[Tuple[int, int, int]]:
+        """Integers (x, y, den), den > 0, with a = (x + y sqrt2) / den, or
+        None when a is not in the span of {1, sqrt2}.  With c the integer
+        coordinates of a, Cramer's rule on rows p and q of the minor m
+        (`_sqrt2_minor`) gives x = c_p s_q - c_q s_p and y = u_p c_q - u_q
+        c_p, and a is in the span exactly when m c = x u + y s holds in
+        every coordinate; then a = (x + y sqrt2) / (m a.den)."""
+        m, p, q = self._sqrt2_minor
+        u, s, c = self.one.coords, self.sqrt2.coords, a.coords
+        x = c[p] * s[q] - c[q] * s[p]
+        y = u[p] * c[q] - u[q] * c[p]
+        if any(m * ck != x * uk + y * sk for ck, uk, sk in zip(c, u, s)):
             return None
-        return [Fraction(v * g.den, det * a.den) for v, g in zip(y, gens)]
+        return (x, y, m * a.den) if m > 0 else (-x, -y, -m * a.den)
 
     def format_element(self, a: Element) -> str:
         if self.sqrt2 is not None:
-            span = self.rational_span_coords(a, [self.one, self.sqrt2])
+            span = self.sqrt2_span(a)
             if span is not None:
-                x, y = span
+                x, y = (Fraction(v, span[2]) for v in span[:2])
                 if y == 0:
                     return str(x)
                 sy = f"{y}*sqrt2" if abs(y) != 1 else ("sqrt2" if y > 0 else "-sqrt2")

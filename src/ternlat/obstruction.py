@@ -19,12 +19,12 @@ from .enumeration import (DEFAULT_CEILING, QueryMode, canonical_sign,
                           dominated_elements, enumerate_representations,
                           is_indecomposable, require_count, sqrt_element,
                           small_norm_elements, squarefree_witness)
-from .errors import InvalidInput, NoSuchUnit, UnclassifiedCase
+from .errors import InvalidInput, UnclassifiedCase
 from .numberfield import (Element, FieldContext, sqrt2_context,
                           unit_square_reduce)
 from .polys import MPoly
 from .quadlattice import (GramMatrix, LatticeClass, generated_module_gram,
-                          isometry_search, offdiag_candidates, standard_lattice)
+                          lattice_class, offdiag_candidates, principal_minors)
 
 
 def _element_dict(e: Element) -> dict:
@@ -186,25 +186,23 @@ def candidate_pool(ctx: FieldContext, pool_size: int = DEFAULT_POOL_SIZE,
     (norm, trace, coordinates).
 
     Enumeration covers all sign patterns with house up to _POOL_HOUSE_BOUND
-    and keeps |norm| up to _POOL_NORM_BOUND; each element w whose signature
-    a unit eta of `ctx.units_by_signature` realizes (eta = 1 for a totally
-    positive w) becomes eta * w, normalized modulo squares of the supplied
-    units, so candidates whose positive representatives are large (but
-    whose classes contain small elements) are still reached.  |norm| is
-    invariant under both moves, so each class keeps the one of the element
-    it came from.
+    and keeps |norm| up to _POOL_NORM_BOUND; each element w with a totally
+    positive associate eta * w (`FieldContext.totally_positive_associate`,
+    eta = 1 for a totally positive w) becomes that associate, normalized
+    modulo squares of the supplied units, so candidates whose positive
+    representatives are large (but whose classes contain small elements)
+    are still reached.  |norm| is invariant under both moves, so each class
+    keeps the one of the element it came from.
     """
     require_count("pool size", pool_size)
     require_count("ceiling", ceiling)
     pool = {}
     for w, n in small_norm_elements(ctx, _POOL_HOUSE_BOUND, _POOL_NORM_BOUND,
                                     ceiling):
-        eta = ctx.units_by_signature.get(w.signature())
-        if eta is None:
+        associate = ctx.totally_positive_associate(w)
+        if associate is None:
             continue
-        w = unit_square_reduce(eta * w)[0]
-        if not w.is_totally_positive():
-            raise NoSuchUnit("associate search produced a non-positive result")
+        w = unit_square_reduce(associate[1])[0]
         pool[w.coords] = n, w
     ordered = sorted(pool.values(), key=lambda p: (p[0], p[1].trace(),
                                                    p[1].key()))
@@ -326,37 +324,29 @@ class CaseAnalysisReport(NamedTuple):
     branches: Tuple[SymbolicBranch, ...] = ()
 
 
-def _case_gram_polys(ctx, alpha, beta, third, corner):
-    zero, one = ctx.zero, ctx.one
-    lam = 2 + ctx.sqrt2
-    c = lambda e: MPoly.const(e, 1)     # constant polynomial
-    x = MPoly.var(0, 1, one)            # the symbolic variable
-    return [
-        [c(one), c(zero), c(zero), c(alpha)],
-        [c(zero), c(lam), c(zero), c(beta)],
-        [c(zero), c(zero), c(third), x],
-        [c(alpha), c(beta), x, c(corner)],
-    ]
+def _case_gram(ctx, a, b, third, corner, x, c) -> list:
+    """The 4x4 Gram [[1, 0, 0, a], [0, lam, 0, b], [0, 0, third, x], [a, b,
+    x, corner]] with each field entry e given as c(e): the symbolic matrix
+    of the case analyses, with x = `MPoly.var` and c the constant
+    polynomial, and the reconstructed lattice, with x an `Element` and c
+    the identity."""
+    one, zero = c(ctx.one), c(ctx.zero)
+    return [[one, zero, zero, c(a)], [zero, c(2 + ctx.sqrt2), zero, c(b)],
+            [zero, zero, c(third), x], [c(a), c(b), x, c(corner)]]
 
 
-def _psd_rank3_check(ctx, alpha, beta, third, corner, x2: Element) -> bool:
-    """All principal minors of the 4x4 Gram are totally nonnegative and the
-    full determinant vanishes, after substituting the exact x^2 value."""
-    m = _case_gram_polys(ctx, alpha, beta, third, corner)
-    n = 4
-    for k in range(1, n + 1):
-        for idx in combinations(range(n), k):
-            sub = [[m[i][j] for j in idx] for i in idx]
-            val = _reduce_by(linalg.ring_det(sub), (2,), x2)
-            if any(key != (0,) for key in val.terms):
-                raise ValueError("odd power survived in an even polynomial")
-            val = val.terms.get((0,), ctx.zero)
-            if k == n:
-                if not val.is_zero:
-                    return False
-            elif not val.is_totally_nonnegative():
-                return False
-    return True
+def _psd_rank3_check(m: list, x2: Element) -> bool:
+    """All principal minors of the symbolic 4x4 Gram m are totally
+    nonnegative and the full determinant vanishes, after substituting the
+    exact x^2 value."""
+    values = []
+    for minor in principal_minors(m):
+        val = _reduce_by(minor, (2,), x2)
+        if any(key != (0,) for key in val.terms):
+            raise ValueError("odd power survived in an even polynomial")
+        values.append(val.terms.get((0,), x2.ctx.zero))
+    *minors, det = values
+    return det.is_zero and all(v.is_totally_nonnegative() for v in minors)
 
 
 def quartic_case_analysis(mode: str,
@@ -383,9 +373,13 @@ def quartic_case_analysis(mode: str,
     alphas = [zero, one, one - s]
     betas = [zero, one, ctx.from_rational(2), s, one + s, one - s]
 
+    def symbolic(a: Element, b: Element) -> list:
+        return _case_gram(ctx, a, b, third, corner, MPoly.var(0, 1, one),
+                          lambda e: MPoly.const(e, 1))
+
     # hard-coded determinant shape: -lam x^2 + third*(6 - lam a^2 - b^2)
     formula_ok = all(
-        linalg.ring_det(_case_gram_polys(ctx, a, b, third, corner)) ==
+        linalg.ring_det(symbolic(a, b)) ==
         MPoly({(0,): third * (6 - lam * a * a - b * b), (2,): -lam})
         for a in alphas for b in betas)
 
@@ -401,17 +395,22 @@ def quartic_case_analysis(mode: str,
             if mode == "L3_extension" and not x2.is_integral:
                 cases.append(ExtensionCase(a, b, "not-integral", x2))
                 continue
-            if not _psd_rank3_check(ctx, a, b, third, corner, x2):
+            if not _psd_rank3_check(symbolic(a, b), x2):
                 raise UnclassifiedCase(f"case a={a}, b={b} is not psd rank 3")
             residual, scale = square_class_reduce(x2, ceiling)
             if residual * scale * scale != x2:
                 raise UnclassifiedCase("square-class reduction is inconsistent")
             if residual == one:
                 x = canonical_sign(scale)
+                found = lattice_class(generated_module_gram(GramMatrix(
+                    _case_gram(ctx, a, b, third, corner, x, lambda e: e))),
+                    ceiling)
+                if found is None:
+                    raise UnclassifiedCase(
+                        "reconstructed lattice matches no known class")
                 cases.append(ExtensionCase(
                     a, b, "reconstructs-base-lattice", x2, x,
-                    reconstruction_class=_reconstruction_class(
-                        ctx, a, b, third, corner, x, ceiling)))
+                    reconstruction_class=found[0]))
                 continue
             cases.append(ExtensionCase(a, b, "admissible", x2,
                                        residual=residual, scale=scale))
@@ -420,21 +419,6 @@ def quartic_case_analysis(mode: str,
                 residuals.append(residual)
     return CaseAnalysisReport(mode, formula_ok, tuple(cases),
                               tuple(x2_values), tuple(residuals))
-
-
-def _reconstruction_class(ctx, a, b, third, corner, x: Element,
-                          ceiling: int) -> LatticeClass:
-    g4 = GramMatrix([
-        [ctx.one, ctx.zero, ctx.zero, a],
-        [ctx.zero, 2 + ctx.sqrt2, ctx.zero, b],
-        [ctx.zero, ctx.zero, third, x],
-        [a, b, x, corner],
-    ])
-    g3 = generated_module_gram(g4)
-    for cls in LatticeClass:
-        if isometry_search(g3, standard_lattice(ctx, cls), ceiling) is not None:
-            return cls
-    raise UnclassifiedCase("reconstructed lattice matches no known class")
 
 
 # ---------------------------------------------------------------------------

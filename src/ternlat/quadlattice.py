@@ -12,7 +12,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .enumeration import (DEFAULT_CEILING, QueryMode, dominated_elements,
@@ -72,17 +72,10 @@ class GramMatrix:
     def is_classical(self) -> bool:
         return all(e.is_integral for row in self.entries for e in row)
 
-    def principal_minor(self, idx: Sequence[int]) -> Element:
-        sub = [[self.entries[i][j] for j in idx] for i in idx]
-        return linalg.ring_det(sub)
-
     def is_totally_positive_semidefinite(self) -> bool:
         # leading minors alone do not decide psd; use all principal minors
-        for k in range(1, self.n + 1):
-            for idx in combinations(range(self.n), k):
-                if not self.principal_minor(idx).is_totally_nonnegative():
-                    return False
-        return True
+        return all(m.is_totally_nonnegative()
+                   for m in principal_minors(self.entries))
 
     def value(self, v: Sequence[Element]) -> Element:
         """v^T G v."""
@@ -91,6 +84,16 @@ class GramMatrix:
     def pairing(self, u: Sequence[Element], v: Sequence[Element]) -> Element:
         """u^T G v."""
         return linalg.ring_bilinear(u, self.entries, v)
+
+
+def principal_minors(m: Sequence[Sequence]) -> Iterator:
+    """The 2^n - 1 principal minors of the n x n matrix m over any ring
+    (`linalg.ring_det`), by size and then by index set, so the determinant
+    of m comes last."""
+    n = len(m)
+    for k in range(1, n + 1):
+        for idx in combinations(range(n), k):
+            yield linalg.ring_det([[m[i][j] for j in idx] for i in idx])
 
 
 class LatticeClass(Enum):
@@ -215,6 +218,17 @@ def isometry_search(g1: GramMatrix, g2: GramMatrix,
     return tuple(tuple(vectors[c][r] for c in range(n)) for r in range(n))
 
 
+def lattice_class(g: GramMatrix, ceiling: int = DEFAULT_CEILING
+                  ) -> Optional[Tuple[LatticeClass, Tuple[Vector, ...]]]:
+    """The first named class whose standard lattice is isometric to g,
+    with the change of basis of `isometry_search`, or None."""
+    for cls in LatticeClass:
+        m = isometry_search(g, standard_lattice(g.ctx, cls), ceiling)
+        if m is not None:
+            return cls, m
+    return None
+
+
 def contains_sublattice(g: GramMatrix, target,
                         ceiling: int = DEFAULT_CEILING) -> Optional[Tuple[Vector, ...]]:
     """Vectors of the lattice of g whose Gram matrix equals the target's.
@@ -266,7 +280,7 @@ def ternary_classification(ctx: FieldContext,
     Off-diagonals a in {0,1,sqrt2} and b in {0,1,1+sqrt2} are the only
     possibilities (up to sign) when every admissible off-diagonal lies in the
     sqrt2 subfield; each feasible case is matched against the six named
-    classes by a complete isometry search.
+    classes by a complete isometry search (`lattice_class`).
     """
     if ctx.sqrt2 is None:
         raise InvalidInput("classification needs the sqrt2 tag")
@@ -275,7 +289,6 @@ def ternary_classification(ctx: FieldContext,
     one, zero, s = ctx.one, ctx.zero, ctx.sqrt2
     lam = 2 + s
     three = ctx.from_rational(3)
-    targets = [(cls, standard_lattice(ctx, cls)) for cls in LatticeClass]
     cases = []
     for a in (zero, one, s):
         for b in (zero, one, one + s):
@@ -286,13 +299,10 @@ def ternary_classification(ctx: FieldContext,
             if not g.det().is_totally_positive():
                 raise UnexpectedSingularCase(
                     f"psd but singular case a={a}, b={b}")
-            for cls, tg in targets:
-                m = isometry_search(g, tg, ceiling)
-                if m is not None:
-                    cases.append(CaseOutcome(a, b, True, cls, m))
-                    break
-            else:
+            found = lattice_class(g, ceiling)
+            if found is None:
                 raise UnclassifiedCase(f"case a={a}, b={b} matches no class")
+            cases.append(CaseOutcome(a, b, True, *found))
     return ClassificationReport(tuple(cases))
 
 

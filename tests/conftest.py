@@ -210,6 +210,26 @@ def cell_interval(cell):
     return Interval(Fraction(cell.a, cell.b), Fraction(cell.e, cell.b))
 
 
+def root_intervals(ctx):
+    """The root cells of a context's current root state, as `Interval`s."""
+    return [cell_interval(c) for c in ctx._state.cells]
+
+
+def rational_span_coords(a, gens):
+    """Exact rational coordinates of a over span(gens), gens independent,
+    or None: `linalg.adjugate_solve` solves the normal equations C^T C y =
+    C^T x for the integer coordinates C of gens and x of a, and a is in the
+    span exactly when C y = x."""
+    cols = [g.coords for g in gens]
+    det, (y,) = linalg.adjugate_solve(
+        [[sum(map(mul, c, e)) for e in cols] for c in cols],
+        [[sum(map(mul, c, a.coords)) for c in cols]])
+    if any(det * x != sum(map(mul, y, row))
+           for x, row in zip(a.coords, zip(*cols))):
+        return None
+    return [Fraction(v * g.den, det * a.den) for v, g in zip(y, gens)]
+
+
 def eval_one(p, iv):
     """`polys.eval_interval` on the one polynomial p at the `Interval` iv,
     as an `Interval`."""
@@ -224,7 +244,8 @@ def ref_embeddings(ctx, a, max_width):
     roots refined in the same steps until every enclosure is narrow
     enough."""
     max_width = Fraction(max_width)
-    width = min((iv.hi - iv.lo for iv in ctx.roots()), default=Fraction(0))
+    width = min((iv.hi - iv.lo for iv in root_intervals(ctx)),
+                default=Fraction(0))
     for _ in range(256):
         out = []
         for row in as_intervals(ctx.basis_embeddings()):

@@ -4,9 +4,8 @@ import pytest
 
 from ternlat import enumeration, linalg
 from ternlat.errors import BoxTooLarge, InvalidInput, PrecisionExhausted
-from ternlat.enumeration import (DominanceQuery, QueryMode,
-                                 dominated_elements, elements_of_norm,
-                                 enumerate_representations,
+from ternlat.enumeration import (QueryMode, dominated_elements,
+                                 elements_of_norm, enumerate_representations,
                                  is_indecomposable, solution_box,
                                  small_norm_elements, sqrt_element,
                                  squarefree_witness, sum_of_squares_test)
@@ -46,23 +45,19 @@ def test_interval_mode(ctx_sqrt2):
 
 
 def test_bound_must_be_positive():
-    # a query is a plain record: making one refines no root, and the box
-    # and the enumeration reject the bound
+    # the box and the enumeration reject the bound
     for mode in QueryMode:
         ctx = sqrt2_context()
-        state = ctx._state
-        query = DominanceQuery(ctx, ctx.sqrt2, mode)
-        assert ctx._state is state
         with pytest.raises(InvalidInput,
                            match="enumeration bound must be totally positive"):
-            solution_box(query)
+            solution_box(ctx, ctx.sqrt2, mode)
         with pytest.raises(InvalidInput,
                            match="enumeration bound must be totally positive"):
             dominated_elements(ctx, ctx.sqrt2, mode)
 
 
 def test_box_is_frozen(ctx_sqrt2):
-    box = solution_box(DominanceQuery(ctx_sqrt2, ctx_sqrt2.from_rational(6)))
+    box = solution_box(ctx_sqrt2, ctx_sqrt2.from_rational(6))
     with pytest.raises(AttributeError):
         box.lows = (0, 0)
 
@@ -86,7 +81,7 @@ def test_ceiling_caps_visited_candidates(table, monkeypatch):
     # can stop the enumeration
     ctx = table.context("K51200")
     bound = ctx.from_rational(60)
-    box = solution_box(DominanceQuery(ctx, bound), 10 ** 8)
+    box = solution_box(ctx, bound, ceiling=10 ** 8)
     visited = sum(1 for _ in enumeration._iter_box(ctx.fixed_point_table(),
                                                    box))
     solutions = dominated_elements(ctx, bound)
@@ -167,8 +162,7 @@ def test_boxes_do_not_depend_on_a_lone_comparison_first(table):
                 assert not ctx._state.fine
             elif first == "table":
                 ctx.fixed_point_table()
-            boxes.append([solution_box(DominanceQuery(ctx, b)).to_dict()
-                          for b in (b3, b6)])
+            boxes.append([solution_box(ctx, b).to_dict() for b in (b3, b6)])
         assert boxes[0] == boxes[1] == boxes[2], rec.label
 
 

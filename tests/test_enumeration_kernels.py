@@ -42,8 +42,10 @@ common denominators; the references are the `Fraction` interval loops
 they replaced.  The targets are integer numerators over one denominator,
 against the `Fraction` bodies they replaced (an upper square root and
 `Interval`).
-`sqrt2_span_witnesses` decides membership in span{1, sqrt2} by one integer
-rank test, against `FieldContext.rational_span_coords`.
+`FieldContext.sqrt2_span`, which `sqrt2_span_witnesses` and
+`format_element` call, decides membership in span{1, sqrt2} by one integer
+Cramer test; the reference is the normal-equations solve it replaced
+(`conftest.rational_span_coords`).
 """
 
 import copy
@@ -55,10 +57,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (as_intervals, endpoint_numerators, gcd_poly, iv_add,
-                      iv_mul, mat_vec, numerators, point)
+                      iv_mul, mat_vec, numerators, point, rational_span_coords)
 from ternlat import enumeration, linalg, polys
 from ternlat.cyclotomic import cyclo_info
-from ternlat.enumeration import (DominanceQuery, EnumerationBox, QueryMode,
+from ternlat.enumeration import (EnumerationBox, QueryMode,
                                  _box_bounds, _build_box, _candidate_estimate,
                                  _exact_check, _halves,
                                  _iter_box, _project, _targets,
@@ -304,8 +306,7 @@ def test_iter_box_on_the_context_table_keeps_a_subsequence(table, label,
     wide = list(ref_iter_box(emb, box))
     rest = iter(wide)
     assert all(x in rest for x in got)
-    sols = _exact_check(DominanceQuery(ctx, ctx.from_rational(bound), mode),
-                        wide)
+    sols = _exact_check(ctx, ctx.from_rational(bound), mode, wide)
     assert sols and set(sols) <= set(got)
 
 
@@ -881,15 +882,14 @@ def _runs(r, box, rng):
     return [(c,) + s for s in (r, moved, r) for c in cs]
 
 
-def _candidates(query, rng):
+def _candidates(ctx, bound, mode, rng):
     """Points of the pruned box (at the boundary of the solution set or
     inside it), each moved by one step in one coordinate, random points of
     the coordinate box, 0, beta when it is integral, runs of points that
     share all coordinates but the first (`_runs`), and all their
     negatives."""
-    ctx, bound = query.field, query.bound
     d = ctx.degree
-    box = solution_box(query, 10 ** 6)
+    box = solution_box(ctx, bound, mode, 10 ** 6)
     points = list(_iter_box(ctx.fixed_point_table(), box))
     xs = rng.sample(points, min(len(points), 40))
     xs += [tuple(c + (k == j) * step for k, c in enumerate(x))
@@ -915,11 +915,10 @@ def test_exact_check_equals_the_element_path(table, mode):
     for ctx in ctxs:
         for bound in _bounds(ctx, rng):
             seen["fraction bounds"] += bound.den > 1
-            query = DominanceQuery(ctx, bound, mode)
-            xs = _candidates(query, rng)
+            xs = _candidates(ctx, bound, mode, rng)
             # the filter keeps the accepted candidates in their order, and
             # equal candidates take equal verdicts
-            kept = iter(_exact_check(query, xs))
+            kept = iter(_exact_check(ctx, bound, mode, xs))
             head, prev = next(kept, None), None
             for x in xs:
                 verdict = x == head
@@ -1024,7 +1023,7 @@ def test_box_kernels_equal_the_fraction_loops(table, monkeypatch, mode):
             bounds.append(3 * (2 + ctx.sqrt2))
         for bound in bounds:
             seen["fraction bounds"] += bound.den > 1
-            solution_box(DominanceQuery(ctx, bound, mode), 10 ** 8)
+            solution_box(ctx, bound, mode, 10 ** 8)
     assert seen["bounds"] >= 2 * 21 * 4 and seen["estimates"] >= 21 * 4, seen
     assert seen["fraction bounds"] >= 40, seen
 
@@ -1142,8 +1141,39 @@ def test_sqrt2_span_witnesses_equal_rational_span_coords(table, ctx_sqrt2):
                       ctx.from_rational(20)):
             sols = dominated_elements(ctx, bound)
             want = [w for w in sols
-                    if ctx.rational_span_coords(w, gens) is None]
+                    if rational_span_coords(w, gens) is None]
             assert sqrt2_span_witnesses(ctx, bound) == want
             seen["in span"] += len(sols) - len(want)
             seen["witnesses"] += len(want)
     assert seen["in span"] > 500 and seen["witnesses"] > 500, seen
+
+
+def test_sqrt2_span_equals_the_normal_equations(table, ctx_sqrt2):
+    # elements (x + y sqrt2) / den, many with den > 1, and elements with
+    # random coordinates, which in a quartic field mostly leave the span;
+    # on every table field the minor is +-1
+    rng = random.Random(48)
+    seen = {"den > 1 in Q(sqrt2)": 0, "den > 1 in a quartic": 0,
+            "outside": 0}
+    assert len(table.records) == 19
+    for ctx in [table.context(rec.label) for rec in table.records] + \
+            [ctx_sqrt2]:
+        assert ctx._sqrt2_minor[0] in (1, -1)
+        one, s = ctx.one, ctx.sqrt2
+        xs = [(rng.randint(-9, 9) * one + rng.randint(-9, 9) * s)
+              / rng.randint(1, 6) for _ in range(30)]
+        xs += [ctx.element([rng.randint(-5, 5) for _ in range(ctx.degree)],
+                           rng.randint(1, 6)) for _ in range(30)]
+        for a in xs:
+            span, want = ctx.sqrt2_span(a), rational_span_coords(a, [one, s])
+            if want is None:
+                assert span is None, (ctx, a)
+                seen["outside"] += 1
+                continue
+            x, y, den = span
+            assert den > 0 and [F(x, den), F(y, den)] == want, (ctx, a)
+            assert (x * one + y * s) / den == a
+            if F(x, den).denominator > 1 or F(y, den).denominator > 1:
+                seen["den > 1 in Q(sqrt2)" if ctx.degree == 2
+                     else "den > 1 in a quartic"] += 1
+    assert min(seen.values()) > 20, seen

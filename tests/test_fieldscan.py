@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import gcd_poly
+from conftest import gcd_poly, rational_span_coords
 from ternlat import enumeration, linalg
 from ternlat.enumeration import QueryMode, _targets
 from ternlat.errors import ParseError, ValidationError
@@ -274,7 +274,7 @@ def test_scan_witnesses_reverify(table):
         for coords in v["witnesses_3lambda"]:
             w = ctx.element(coords)
             assert (3 * lam - w * w).is_totally_nonnegative()
-            assert ctx.rational_span_coords(w, [ctx.one, ctx.sqrt2]) is None
+            assert rational_span_coords(w, [ctx.one, ctx.sqrt2]) is None
 
 
 def test_scan_determinism(fields_dir):

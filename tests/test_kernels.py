@@ -36,7 +36,7 @@ from hypothesis import (Phase, assume, example, given, settings,
 
 from conftest import (FIELDS, as_cell, as_intervals, cell_interval, eval_one,
                       gcd_poly, iv_add, iv_mul, numerators, point,
-                      ref_divmod_poly, ref_eval_at)
+                      ref_divmod_poly, ref_eval_at, root_intervals)
 from ternlat import linalg, polys
 from ternlat.cyclotomic import alpha_beta_verify, cyclo_info
 from ternlat.fieldscan import ingest_fields
@@ -540,7 +540,7 @@ def test_basis_embeddings_equal_per_row_fraction_horner(table):
             # zero high-order coefficients leave the reference's
             # accumulator at 0; trimming them only saves time
             want = [[ref_eval_interval(polys.trim(p), root)
-                     for p in ctx.basis_pow] for root in ctx.roots()]
+                     for p in ctx.basis_pow] for root in root_intervals(ctx)]
             assert as_intervals(ctx.basis_embeddings()) == want, ctx
             if width == F(1, 1 << 32):
                 assert ctx.fixed_point_table()[:2] == \
@@ -559,15 +559,15 @@ def test_basis_embeddings_equal_four_product_numerators(table):
     straddle = 0
     for ctx in fields:
         rows = polys.horner_rows(ctx.basis_pow)
-        straddle += sum(iv.lo < 0 < iv.hi for iv in ctx.roots())
+        straddle += sum(iv.lo < 0 < iv.hi for iv in root_intervals(ctx))
         for width in (None, F(1, 256), F(1, 1 << 32), F(1, 1 << 64)):
             if width is not None:
                 ctx.refine_roots(width)
             assert ctx.basis_embeddings() == [
                 ref_eval_interval_numerators(*rows, root)
-                for root in ctx.roots()], ctx
+                for root in root_intervals(ctx)], ctx
         assert all(math.lcm(iv.lo.denominator, iv.hi.denominator)
-                   .bit_count() == 1 for iv in ctx.roots()), ctx
+                   .bit_count() == 1 for iv in root_intervals(ctx)), ctx
     assert straddle > 0
 
 

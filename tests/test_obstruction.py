@@ -182,8 +182,7 @@ def test_two_decomposition(ctx_sqrt3, ctx_sqrt5, ctx_q):
     two = ctx_sqrt3.from_rational(2)
     t, gamma = squarefree_witness(two)
     assert gamma * t * t == two and not t.is_unit()
-    with pytest.raises(NoSuchUnit):
-        ctx_sqrt3.totally_positive_associate(t)
+    assert ctx_sqrt3.totally_positive_associate(t) is None
     for ctx in (ctx_sqrt5, ctx_q):
         assert squarefree_witness(ctx.from_rational(2)) is None
 
@@ -347,14 +346,15 @@ def test_search_enumerates_each_bound_once(table, monkeypatch):
     # each kept class's norm again adds 59)
     ctx = load_field(table.context("K51200").record)
     queries, muls, depth, norms = [], [0], [0], [0]
-    enumerate_dominated = enumeration.enumerate_dominated
+    solution_box = enumeration.solution_box
     mul = numberfield.Element.__mul__
     walk = obstruction.unit_square_reduce
     norm = numberfield.Element.norm
 
-    def counted_enumerate(query, ceiling):
-        queries.append((query.bound.coords, query.bound.den, query.mode))
-        return enumerate_dominated(query, ceiling)
+    def counted_box(ctx, bound, mode, ceiling):
+        # one box per dominated-element list
+        queries.append((bound.coords, bound.den, mode))
+        return solution_box(ctx, bound, mode, ceiling)
 
     def counted_mul(a, b):
         muls[0] += depth[0] > 0
@@ -371,7 +371,7 @@ def test_search_enumerates_each_bound_once(table, monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(enumeration, "enumerate_dominated", counted_enumerate)
+    monkeypatch.setattr(enumeration, "solution_box", counted_box)
     monkeypatch.setattr(numberfield.Element, "__mul__", counted_mul)
     monkeypatch.setattr(obstruction, "unit_square_reduce", counted_walk)
     monkeypatch.setattr(numberfield.Element, "norm", counted_norm)

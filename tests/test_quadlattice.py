@@ -1,14 +1,15 @@
 import pytest
 
 from conftest import gram_inverse_dual
-from ternlat import quadlattice
+from ternlat import linalg, quadlattice
 from ternlat.enumeration import Representations
 from ternlat.errors import Singular
 from ternlat.quadlattice import (GramMatrix, LatticeClass,
                                  contains_sublattice, free_overlattice_test,
                                  generated_module_gram,
-                                 isometry_search, lattice_predicates,
-                                 offdiag_candidates, small_condition_holds,
+                                 isometry_search, lattice_class,
+                                 lattice_predicates, offdiag_candidates,
+                                 principal_minors, small_condition_holds,
                                  standard_lattice, ternary_classification)
 
 
@@ -201,3 +202,35 @@ def test_incomplete_representation_list_raises(ctx_sqrt2, monkeypatch):
     g = standard_lattice(ctx_sqrt2, LatticeClass.L1)
     with pytest.raises(RuntimeError, match="cut at the ceiling"):
         contains_sublattice(g, LatticeClass.L1)
+
+
+def test_principal_minors(ctx_sqrt2):
+    # 2^n - 1 minors by size and index set, the whole determinant last
+    ctx = ctx_sqrt2
+    g = standard_lattice(ctx, LatticeClass.L3).entries
+    minors = list(principal_minors(g))
+    assert len(minors) == 7
+    lam_ = lam(ctx)
+    three = ctx.from_rational(3)
+    assert minors == [ctx.one, lam_, three, lam_, three, 3 * lam_ - 1,
+                      3 * lam_ - 1]
+    assert minors[-1] == linalg.ring_det(g)
+    for n in (1, 2, 4):
+        m = [[ctx.from_rational(i * n + j + (i == j) * 9) for j in range(n)]
+             for i in range(n)]
+        got = list(principal_minors(m))
+        assert len(got) == 2 ** n - 1 and got[-1] == linalg.ring_det(m)
+
+
+def test_lattice_class(ctx_sqrt2):
+    # each standard lattice is its own class, found with a change of basis
+    # M, M^T G M = G; <1, 1, 1> is none of the six
+    ctx = ctx_sqrt2
+    for cls in LatticeClass:
+        g = standard_lattice(ctx, cls)
+        found, m = lattice_class(g)
+        assert found is cls
+        cols = list(zip(*m))
+        assert [[g.pairing(u, v) for v in cols] for u in cols] == \
+            [list(row) for row in g.entries]
+    assert lattice_class(GramMatrix.diagonal([ctx.one] * 3)) is None

@@ -8,8 +8,7 @@ every `"_state"` string (a `getattr` or `setattr` by name), and maps each to
 the function that holds it.  A state must not refer back to its context,
 which is checked on a live state holding everything it makes.  The roots
 are integer cells: refining them, evaluating the basis on them and the
-fixed-point signs build no `Interval`, which only `roots()` and
-`embeddings()` make.
+fixed-point signs build no `Interval`, which only `embeddings()` makes.
 """
 
 import ast
@@ -147,9 +146,7 @@ def test_the_root_path_builds_no_interval(table, monkeypatch):
     rec = table.by_label("K2048")
     scan_small_condition(FieldTable((rec,)), 20000, unit_filter=False)
     assert {"refine_roots", "basis_embeddings"} <= set(calls) and made == []
-    # the public roots are `Interval`s, on the cells' ends
+    # the roots are integer cells
     ctx = load_field(rec)
     ctx.refine_roots(Fraction(1, 1 << 32))
-    assert ctx.roots() == [Interval(Fraction(c.a, c.b), Fraction(c.e, c.b))
-                           for c in ctx._state.cells]
     assert all(isinstance(c, polys.RootCell) for c in ctx._state.cells)
