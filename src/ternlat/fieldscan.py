@@ -26,10 +26,10 @@ from .enumeration import (DEFAULT_CEILING, require_count, solution_box,
 from .errors import (FieldDataError, IdentityMismatch, InvalidInput,
                      ParseError, TernlatError, ValidationError)
 from .intervals import sqrt_numerator
-from .numberfield import (FieldContext, FieldRecord, class_numbers_ok,
-                          load_field, sqrt2_context)
+from .numberfield import (FieldContext, FieldRecord, basis_rows,
+                          class_numbers_ok, load_field, sqrt2_context)
 from .obstruction import DEFAULT_POOL_SIZE, obstruction_search
-from .polys import MPoly, clear_denominators
+from .polys import MPoly
 from .quadlattice import LatticeClass, standard_lattice
 
 
@@ -83,10 +83,8 @@ def parse_record(obj: dict) -> FieldRecord:
         raise ValidationError(label, f"basis is not a {degree}x{degree} "
                                      f"matrix")
     from .orders import Order       # importing fieldscan loads no orders
-    nums, den = clear_denominators([x for row in basis for x in row])
     try:
-        order_disc = Order(poly, [nums[i:i + degree] for i in
-                                  range(0, degree * degree, degree)], den).disc
+        order_disc = Order(poly, *basis_rows(basis)).disc
     except RuntimeError as exc:
         raise ValidationError(label, str(exc))
     if disc != order_disc:

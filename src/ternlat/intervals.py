@@ -1,13 +1,12 @@
 """Rational intervals and their integer forms.
 
 Endpoints are exact `Fraction`s.  An `Interval` is only ever a result
-(`FieldContext.roots` and `embeddings`): the package does no arithmetic
-on it.  Its kernels hold a row of intervals as integer endpoint numerators
-over one denominator (`Numerators`), round such rows outward to fixed
-point with the one routine `fixed_point_ends`, work on the integers and
-build `Fraction`s only for their results.  Only square roots
-(`sqrt_numerator`) and the fixed-point form introduce rounding, which is
-done outward.
+(`FieldContext.embeddings`): the package does no arithmetic on it.  Its
+kernels hold a row of intervals as integer endpoint numerators over one
+denominator (`Numerators`), round such rows outward to fixed point with
+the one routine `fixed_point_ends`, work on the integers and build
+`Fraction`s only for their results.  Only square roots (`sqrt_numerator`)
+and the fixed-point form introduce rounding, which is done outward.
 """
 
 from __future__ import annotations

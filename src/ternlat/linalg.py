@@ -179,19 +179,6 @@ def lll(gram: Sequence[Sequence[int]]) -> List[List[int]]:
     return u
 
 
-def inverse(a: Sequence[Sequence]) -> Optional[Mat]:
-    """Inverse over Q, or None if singular: a^-1 = adj(N) E / det(N) for
-    N = E a, E = diag(e_i) with e_i the least common denominator of row i."""
-    rows = [clear_denominators(row) for row in a]
-    n = len(rows)
-    det, cols = adjugate_solve([nums for nums, _ in rows],
-                               [[e * (i == j) for i in range(n)]
-                                for j, (_, e) in enumerate(rows)])
-    if not det:
-        return None
-    return [[Fraction(col[i], det) for col in cols] for i in range(n)]
-
-
 def charpoly(a: Sequence[Sequence]) -> List[Fraction]:
     """Characteristic polynomial det(xI - a), ascending coefficients.
 

@@ -341,23 +341,21 @@ class FieldContext:
     """
 
     def __init__(self, record: FieldRecord, mult_table,
-                 roots: List[polys.RootCell], basis_pow, pow_to_basis):
+                 roots: List[polys.RootCell], inv: Sequence[Sequence[int]],
+                 g: int):
         self.record = record
         self.degree = record.degree
         self.poly = list(record.poly)
         self.mult_table = mult_table
-        self.basis_pow = basis_pow
-        self.pow_to_basis = pow_to_basis
         self._state = _RootState(list(roots))
-        self._horner = polys.horner_rows(basis_pow)     # basis_embeddings
-        # basis coordinates of the power t^k are row k of pow_to_basis
-        self.one = self.from_rational_coords(pow_to_basis[0])
+        self._horner = polys.horner_rows(record.basis)  # basis_embeddings
+        # row k of inv / g holds the basis coordinates of t^k
+        self.one = Element(self, inv[0], g)
         if not self.one.is_integral:
             raise NotARing(f"{record.label}: 1 is not in the span of the basis")
         self.zero = Element(self, [0] * self.degree)
-        self.gen = self.from_rational_coords(
-            pow_to_basis[1] if self.degree > 1
-            else [Fraction(-record.poly[0])])
+        self.gen = Element(self, inv[1], g) if self.degree > 1 else \
+            self.from_rational(-record.poly[0])
         self.sqrt2: Optional[Element] = None
         if record.sqrt2 is not None:
             s = Element(self, record.sqrt2)
@@ -384,9 +382,6 @@ class FieldContext:
         q = Fraction(q)
         num = [c * q.numerator for c in self.one.coords]
         return Element(self, num, self.one.den * q.denominator)
-
-    def from_rational_coords(self, coords: Sequence[Rat]) -> Element:
-        return Element(self, *polys.clear_denominators(coords))
 
     @cached_property
     def basis_traces(self) -> Tuple[int, ...]:
@@ -704,9 +699,9 @@ def load_field(record: FieldRecord) -> FieldContext:
     """Validate a field record and build its context.
 
     Checks: monic integer defining polynomial with d simple real roots
-    (isolated once, from one Sturm chain), invertible basis matrix,
-    multiplicative closure of the basis over Z, and the class-number
-    divisibility constraints.
+    (isolated once, from one Sturm chain), a d x d invertible basis matrix
+    closed under multiplication over Z (`basis_mult_table`), and the
+    class-number divisibility constraints.
     """
     d = record.degree
     poly = list(record.poly)
@@ -722,22 +717,13 @@ def load_field(record: FieldRecord) -> FieldContext:
         raise NotTotallyReal(f"{record.label}: fewer than {d} real roots")
     if len(record.basis) != d or any(len(row) != d for row in record.basis):
         raise BadBasis(f"{record.label}: basis is not a {d}x{d} matrix")
-    if is_identity(record.basis):
-        # a power basis (every cyclotomic context) is its own inverse
-        basis = inv = [[0] * i + [1] + [0] * (d - 1 - i) for i in range(d)]
-        table = power_mult_table(poly, d)
-    else:
-        basis = [[Fraction(x) for x in row] for row in record.basis]
-        inv = linalg.inverse(basis)
-        if inv is None:
-            raise BadBasis(f"{record.label}: basis matrix is singular")
-        try:
-            table = basis_mult_table(poly, basis, inv)
-        except NotARing as exc:
-            raise NotARing(f"{record.label}: {exc}") from None
+    try:
+        table, inv, g = basis_mult_table(poly, *basis_rows(record.basis))
+    except (BadBasis, NotARing) as exc:
+        raise type(exc)(f"{record.label}: {exc}") from None
     if not class_numbers_ok(record.h, record.h_plus):
         raise FieldDataError(f"{record.label}: h_plus is not h >= 1 times 2^k")
-    return FieldContext(record, table, roots, basis, inv)
+    return FieldContext(record, table, roots, inv, g)
 
 
 def class_numbers_ok(h: int, h_plus: int) -> bool:
@@ -749,8 +735,20 @@ def class_numbers_ok(h: int, h_plus: int) -> bool:
 
 def is_identity(m: Sequence[Sequence[Rat]]) -> bool:
     """Whether the square matrix m is the identity, read off its entries."""
-    return all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
+    return all(row[i] == 1 and row.count(0) == len(row) - 1
                for i, row in enumerate(m))
+
+
+def basis_rows(basis: Sequence[Sequence[Rat]]) -> Tuple[List[List[int]], int]:
+    """(R, den): the basis matrix as integer rows R over the least common
+    denominator of its entries, for `basis_mult_table`; the identity (every
+    power basis) is recognised on the entries as given, before any is
+    cleared."""
+    d = len(basis)
+    if is_identity(basis):
+        return [[0] * i + [1] + [0] * (d - 1 - i) for i in range(d)], 1
+    nums, den = polys.clear_denominators([x for row in basis for x in row])
+    return [nums[i:i + d] for i in range(0, d * d, d)], den
 
 
 def _signs(lows: Sequence[int], highs: Sequence[int]
@@ -834,45 +832,48 @@ def power_mult_table(poly: Sequence[int], d: int) -> tuple:
     return tuple(tuple(xpow[i:i + d]) for i in range(d))
 
 
-def basis_mult_table(poly: Sequence[int], basis: Sequence[Sequence[Fraction]],
-                     inv: Sequence[Sequence[Fraction]]) -> tuple:
-    """Integer structure constants of a basis of an order in Q[x]/(poly):
-    entry [i][j] holds the coordinates of b_i * b_j over the basis.
+def basis_mult_table(poly: Sequence[int], rows: Sequence[Sequence[int]],
+                     den: int) -> Tuple[tuple, Sequence[Sequence[int]], int]:
+    """(table, N, g) for the basis b_i = R_i / den of an order in
+    Q[x]/(poly), R the integer rows of `basis_rows` over the power basis:
+    table[i][j] holds the integer coordinates of b_i b_j over the basis,
+    and row k of N / g those of x^k, so N / g is the inverse of the basis
+    matrix.  This is the one route from a basis to its arithmetic, taken
+    by `load_field` and `orders.Order.tables`.
 
-    basis rows are power-basis coordinates and inv is the inverse of the
-    basis matrix.  Raises NotARing when a product leaves the Z-span.
-
-    Everything runs on integers.  With r_m the integer coordinates of x^m
-    mod poly, row i is n_i / e_i and inv is N / g with integers; row m of
-    W = r N holds g times the basis coordinates of x^m, so the product of
-    the numerator polynomials, n_i n_j = sum_m c_m x^m, gives the
-    coordinates of b_i b_j as sum_m c_m W[m] / (g e_i e_j), which must be
-    integers.  The callers read the power basis's table off the residues
-    alone (`power_mult_table`).
+    A power basis (den 1, R the identity) is its own inverse, and its table
+    is read off the residues alone (`power_mult_table`).  Otherwise, with
+    r_m the integer coordinates of x^m mod poly, m < 2d - 1, one
+    `linalg.adjugate_solve` of R^T against the columns den r_m gives g =
+    det R and w_m, g times the basis coordinates of x^m (w_m R / den =
+    g r_m); N is w_0, ..., w_(d-1).  The product of the numerator
+    polynomials, R_i R_j = sum_m c_m x^m, gives the coordinates of b_i b_j
+    as sum_m c_m w_m / (g den^2), which must be integers.  Raises BadBasis
+    when R is singular and NotARing when a product leaves the Z-span.
     """
-    d = len(basis)
-    xpow = _power_residues(poly, d)
+    d = len(rows)
+    if den == 1 and is_identity(rows):
+        return power_mult_table(poly, d), rows, 1
+    g, w = linalg.adjugate_solve(
+        linalg.transpose(rows),
+        [[den * x for x in r] for r in _power_residues(poly, d)])
+    if not g:
+        raise BadBasis("basis matrix is singular")
+    w_cols = list(zip(*w))      # column k: g times coordinate k of each x^m
+    gden = g * den * den
     table = [[None] * d for _ in range(d)]
-    rows = [polys.clear_denominators(row) for row in basis]
-    inv_nums, g = polys.clear_denominators([x for row in inv for x in row])
-    # column k of W: g times coordinate k of each x^m
-    w_cols = [[sum(map(mul, r, inv_nums[k::d])) for r in xpow]
-              for k in range(d)]
     for i in range(d):
-        ni, ei = rows[i]
         for j in range(i, d):
-            nj, ej = rows[j]
-            prod_pow = polys.mul(ni, nj)
-            den = g * ei * ej
+            prod_pow = polys.mul(rows[i], rows[j])
             entry = []
             for col in w_cols:
-                c, r = divmod(sum(map(mul, prod_pow, col)), den)
+                c, r = divmod(sum(map(mul, prod_pow, col)), gden)
                 if r:
                     raise NotARing(
                         f"product of basis elements {i},{j} is not in the span")
                 entry.append(c)
             table[i][j] = table[j][i] = tuple(entry)
-    return tuple(tuple(row) for row in table)
+    return tuple(tuple(row) for row in table), w[:d], g
 
 
 def units_by_signature(one: Element, units: Sequence[Element]

@@ -28,8 +28,8 @@ from . import linalg, polys
 from .enumeration import canonical_sign, small_norm_elements, sqrt_element
 from .errors import FieldDataError
 from .numberfield import (Element, FieldContext, FieldRecord,
-                          basis_mult_table, is_identity, load_field,
-                          mult_matrix, power_mult_table, units_by_signature)
+                          basis_mult_table, load_field, mult_matrix,
+                          units_by_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +86,8 @@ class Order:
     matrix of power sums of the roots of p, the trace form Tr(b_i b_j) =
     B H B^T = R H R^T / den^2 is integral, so it is formed on integers with
     one exact division; the discriminant is its determinant.  The
-    `Fraction` view `basis`, its inverse and the integer multiplication
-    table are built once, on first use.
+    multiplication table and the inverse basis matrix are those of
+    `numberfield.basis_mult_table`, built once, on first use.
     """
 
     def __init__(self, p, rows, den: int = 1):
@@ -107,32 +107,26 @@ class Order:
 
     @cached_property
     def basis(self):
-        """B as rows of `Fraction`s."""
+        """B as rows of `Fraction`s: the format of a `FieldRecord`."""
         return [[Fraction(x, self.den) for x in row] for row in self.rows]
 
     @cached_property
-    def inverse(self):
-        """B^-1: row k holds the basis coordinates of x^k."""
-        return linalg.inverse(self.basis)
-
-    @cached_property
-    def mult_table(self) -> tuple:
-        if is_identity(self.basis):
-            return power_mult_table(self.p, self.d)
-        return basis_mult_table(self.p, self.basis, self.inverse)
+    def tables(self) -> tuple:
+        """`numberfield.basis_mult_table` of the basis: (table, N, g)."""
+        return basis_mult_table(self.p, self.rows, self.den)
 
 
 def enlarge_at(order: Order, q: int) -> Order:
     """One round-2 step at q: multiplier ring of the q-radical."""
     d = order.d
-    table = order.mult_table
+    table, inv, g = order.tables
 
     e = 1
     while q ** e < d:
         e += 1
     target = q ** e
     # row 0 of the inverse basis matrix holds the coordinates of 1
-    one = [int(c) % q for c in order.inverse[0]]
+    one = [x // g % q for x in inv[0]]
 
     def pow_mod(u, n):
         """u^n with coordinates reduced mod q."""
@@ -157,17 +151,18 @@ def enlarge_at(order: Order, q: int) -> Order:
     ideal = hnf_rows(gens)
     if len(ideal) != d:
         raise RuntimeError(f"radical ideal at {q} has rank {len(ideal)}")
-    # multiplier ring: x = z/q, z in Z^d, with x * I inside I
-    # (H^T)^-1 M_w = adj(H^T) M_w / det(H^T), every column of every M_w
-    # from one elimination
+    # multiplier ring: x = z/q, z in Z^d, with x * I inside I, that is
+    # adj(H^T) M_w z / (det(H^T) q) integral for each w, every column of
+    # every M_w from one elimination; the kernel of the rows of sign(det)
+    # adj(H^T) M_w mod |det| q, a positive multiple of that system in
+    # lowest terms, on which `integral_kernel_mod` takes the same steps
     det, cols = linalg.adjugate_solve(
         linalg.transpose(ideal),
         [col for w in ideal for col in zip(*mult_matrix(table, w))])
-    entries = [Fraction(x, det * q) for k in range(0, len(cols), d)
-               for row in zip(*cols[k:k + d]) for x in row]
-    nums, den_all = polys.clear_denominators(entries)
-    a_rows = [nums[i:i + d] for i in range(0, len(nums), d)]
-    kernel = integral_kernel_mod(a_rows, den_all, d)
+    sign = -1 if det < 0 else 1
+    a_rows = [[sign * x for x in row] for k in range(0, len(cols), d)
+              for row in zip(*cols[k:k + d])]
+    kernel = integral_kernel_mod(a_rows, abs(det) * q, d)
     lattice = hnf_rows(kernel + q_rows)
     if len(lattice) != d:
         raise RuntimeError(f"multiplier ring at {q} has rank {len(lattice)}")

@@ -497,7 +497,7 @@ def ref_signature(a):
         if all(not iv.lo <= 0 <= iv.hi for iv in ivs):
             return tuple(1 if iv.lo > 0 else -1 for iv in ivs)
         if attempt == 1:
-            pw = mat_vec(linalg.transpose(ctx.basis_pow),
+            pw = mat_vec(linalg.transpose(ctx.record.basis),
                          [F(c, a.den) for c in a.coords])
             if polys.degree(gcd_poly(pw, ctx.poly)) > 0:
                 raise ValueError("element has an exactly-zero embedding")

@@ -3,17 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (cell_interval, mat_vec, rational_span_coords,
-                      ref_divmod_poly, ref_embeddings, ref_unit_square_reduce,
-                      root_intervals)
+from conftest import (cell_interval, fraction_inverse, mat_vec,
+                      rational_span_coords, ref_divmod_poly, ref_embeddings,
+                      ref_unit_square_reduce, root_intervals)
 from ternlat import linalg, numberfield, orders, polys
 from ternlat.cyclotomic import cyclo_info
 from ternlat.enumeration import dominated_elements
-from ternlat.errors import (DivisionByZero, FieldDataError, InvalidInput,
-                            NoSuchUnit, NotARing, NotTotallyReal)
+from ternlat.errors import (BadBasis, DivisionByZero, FieldDataError,
+                            InvalidInput, NoSuchUnit, NotARing,
+                            NotTotallyReal)
 from ternlat.intervals import Interval
 from ternlat.numberfield import (Dominance, FieldRecord, basis_mult_table,
-                                 load_field, sqrt2_context,
+                                 basis_rows, load_field, sqrt2_context,
                                  unit_square_reduce, units_by_signature)
 from ternlat.orders import field_record
 
@@ -50,6 +51,27 @@ def test_load_rejects_missing_real_roots_before_the_basis(basis):
     rec = FieldRecord("bad", 4, (-2, 0, 0, 0, 1), basis, -2048)
     with pytest.raises(NotTotallyReal, match="bad: fewer than 4 real roots"):
         load_field(rec)
+
+
+def test_load_rejects_a_singular_basis():
+    # x^4 - 4x^2 + 2 is totally real, so the basis itself is what fails
+    rec = FieldRecord("bad", 4, (2, 0, -4, 0, 1), SINGULAR4, 2048)
+    with pytest.raises(BadBasis, match="^bad: basis matrix is singular$"):
+        load_field(rec)
+
+
+def test_load_rejects_a_basis_that_is_not_square():
+    rec = FieldRecord("bad", 4, (2, 0, -4, 0, 1), IDENTITY4[:3], 2048)
+    with pytest.raises(BadBasis, match="^bad: basis is not a 4x4 matrix$"):
+        load_field(rec)
+
+
+@pytest.mark.parametrize("unit", [1, -1])
+def test_degree_one_generator_is_the_root_over_either_basis(unit):
+    # Q[x]/(x - 3) over the basis {unit}: t = 3 whatever the basis sign
+    ctx = load_field(FieldRecord("Q", 1, (-3, 1), ((unit,),), 1))
+    assert ctx.one.coords == (unit,)
+    assert ctx.gen == ctx.from_rational(3) and ctx.gen.coords == (3 * unit,)
 
 
 def test_load_rejects_non_ring():
@@ -507,19 +529,20 @@ def test_mult_table_fast_and_slow_paths_agree():
 
 
 def load_counting_inverses(monkeypatch, rec):
-    """load_field(rec) and the number of `linalg.inverse` calls it made;
-    `linalg.identity` must not be called."""
+    """load_field(rec) and the number of `linalg.adjugate_solve` calls it
+    made, each the inverse of a basis; `linalg.identity` must not be
+    called."""
     calls = []
-    inverse = linalg.inverse
+    solve = linalg.adjugate_solve
 
-    def counted(m):
-        calls.append(m)
-        return inverse(m)
+    def counted(a, cols):
+        calls.append(a)
+        return solve(a, cols)
 
     def no_identity(n):
         raise AssertionError("load_field built an identity matrix")
 
-    monkeypatch.setattr(linalg, "inverse", counted)
+    monkeypatch.setattr(linalg, "adjugate_solve", counted)
     monkeypatch.setattr(linalg, "identity", no_identity)
     return load_field(rec), len(calls)
 
@@ -539,8 +562,9 @@ def test_identity_basis_loads_alike_as_ints_and_as_fractions(monkeypatch,
         monkeypatch, FieldRecord("fracs", d, poly, fracs, 1))
     assert inverses_a == inverses_b == 0
     assert a.mult_table == b.mult_table
-    assert a.basis_pow == b.basis_pow == a.pow_to_basis == b.pow_to_basis \
-        == [list(row) for row in ints]
+    assert a.record.basis == b.record.basis == ints
+    assert (a.one.coords, a.gen.coords) == (b.one.coords, b.gen.coords) \
+        == ints[:2]
     assert root_intervals(a) == root_intervals(b)
     assert a._horner == b._horner == polys.horner_rows(ints)
     power = [[F(x) for x in row] for row in ints]
@@ -557,8 +581,8 @@ def test_permutation_basis_takes_the_general_path(monkeypatch):
     ctx, inverses = load_counting_inverses(
         monkeypatch, FieldRecord("perm", 4, poly, basis, 2048))
     assert inverses == 1
-    inv = [[F(x) for x in row] for row in ctx.pow_to_basis]
-    assert ctx.mult_table == ref_basis_mult_table(poly, basis, inv)
+    assert ctx.mult_table == ref_basis_mult_table(poly, basis,
+                                                  fraction_inverse(basis))
     power = load_field(FieldRecord("power", 4, poly, IDENTITY4, 2048))
     for i in range(4):
         for j in range(4):
@@ -767,11 +791,13 @@ def _bases(table, rng):
 
 
 def test_basis_mult_table_equals_the_fraction_path(table):
+    # the table, and the inverse N / g that it returns
     for label, poly, basis in _bases(table, random.Random(5)):
         basis = [[F(x) for x in row] for row in basis]
-        inv = linalg.inverse(basis)
-        assert basis_mult_table(poly, basis, inv) == \
-            ref_basis_mult_table(poly, basis, inv), label
+        inv = fraction_inverse(basis)
+        got, n, g = basis_mult_table(poly, *basis_rows(basis))
+        assert got == ref_basis_mult_table(poly, basis, inv), label
+        assert [[F(x, g) for x in row] for row in n] == inv, label
 
 
 @pytest.mark.parametrize("row, scale", [(1, F(1, 2)), (3, F(1, 3)),
@@ -783,9 +809,8 @@ def test_basis_mult_table_rejects_a_non_ring_like_the_fraction_path(
     for rec in table.records:
         basis = [[F(x) for x in r] for r in rec.basis]
         basis[row] = [x * scale for x in basis[row]]
-        inv = linalg.inverse(basis)
         with pytest.raises(NotARing) as got:
-            basis_mult_table(rec.poly, basis, inv)
+            basis_mult_table(rec.poly, *basis_rows(basis))
         with pytest.raises(NotARing) as want:
-            ref_basis_mult_table(rec.poly, basis, inv)
+            ref_basis_mult_table(rec.poly, basis, fraction_inverse(basis))
         assert str(got.value) == str(want.value), rec.label

@@ -89,27 +89,19 @@ def test_order_rows_in_lowest_terms_and_integral_trace_form():
 
 def test_order_builds_its_inverse_and_table_once(monkeypatch):
     # maximal_order calls enlarge_at again on an unchanged order for the
-    # next prime; the order's inverse and table serve every call
-    calls = {"inverse": 0, "table": 0}
-    inverse, table = linalg.inverse, orders.basis_mult_table
-
-    def counted_inverse(a):
-        calls["inverse"] += 1
-        return inverse(a)
+    # next prime; the order's inverse and table, from one
+    # `basis_mult_table` call, serve every call
+    calls = []
 
     def counted_table(*args):
-        calls["table"] += 1
-        return table(*args)
+        calls.append(args)
+        return basis_mult_table(*args)
 
     order = maximal_order(biquadratic_poly(7))
-    monkeypatch.setattr(linalg, "inverse", counted_inverse)
     monkeypatch.setattr(orders, "basis_mult_table", counted_table)
-    # two calls on the same order: the ideal's solve is an adjugate, so the
-    # one inverse is the order's own
     assert enlarge_at(order, 2).disc == enlarge_at(order, 2).disc == order.disc
-    assert calls == {"inverse": 1, "table": 1}
-    assert order.mult_table == basis_mult_table(order.p, order.basis,
-                                                inverse(order.basis))
+    assert len(calls) == 1
+    assert order.tables == basis_mult_table(order.p, order.rows, order.den)
 
 
 def test_shipped_table_trace_forms_give_its_discs(table):
